@@ -179,8 +179,6 @@ def main(argv=None) -> int:
                 return 2
             ring = problem.ring(GF(prime))
             f = problem.relation(ring)
-            config = RunConfig(mode="charq", prime=prime,
-                               max_iter=args.max_iter, fmt=args.format)
             result = run_charq(ring, f, prime, max_iter=args.max_iter)
             audit = [f"q={prime} delta={result.conductor}"]
         else:
@@ -192,7 +190,7 @@ def main(argv=None) -> int:
             config = RunConfig(mode="char0", primes=primes,
                                start_prime=args.start_prime,
                                max_primes=args.max_primes,
-                               max_iter=args.max_iter, fmt=args.format)
+                               max_iter=args.max_iter)
             result = run_algorithm1(ring, f, config)
             audit = result.audit
     except (DriverError, ProblemError) as exc:

@@ -13,22 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domains import MODP
-from .groebner import buchberger, minimal_reduced, normal_form
+from .groebner import buchberger, minimal_reduced, normal_form, reduce_terms
 from .linalg import nullspace_mod
-from .orders import grevlex_over_weight, mono_div, mono_mul
+from .orders import grevlex_over_weight, mono_divides, mono_mul
 from .rings import Polynomial, Ring
 from .weights import mono_weight, weight_of
 
 
 class ClosureError(ValueError):
     pass
-
-
-def _dep_part(mono, ndep):
-    return mono[:ndep]
-
-def _indep_divides(a, b, ndep):
-    return all(x <= y for x, y in zip(a[ndep:], b[ndep:]))
 
 
 def module_reduce(h: Polynomial, gens, scale: Polynomial | None = None,
@@ -42,47 +35,16 @@ def module_reduce(h: Polynomial, gens, scale: Polynomial | None = None,
     h = sum(c_j * scale * g_j) + remainder when requested, else None.
     """
     ring = h.ring
-    dom = ring.domain
-    ndep = ring.ndep
-    key = ring.order.key
-    targets = []
+    leads = []
     for g in gens:
         t = g if scale is None else scale * g
         if t.is_zero():
             raise ClosureError("zero generator in module reduction")
-        targets.append((t.lm, t.lc, t.terms))
-    combo: list[dict] | None = [dict() for _ in gens] if want_combination else None
-    work = dict(h.terms)
-    rem: dict = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for j, (lm, lc, terms) in enumerate(targets):
-            if _dep_part(lm, ndep) == _dep_part(m, ndep) and _indep_divides(lm, m, ndep):
-                quot = mono_div(m, lm)
-                factor = dom.div(c, lc)
-                for m2, c2 in terms:
-                    if m2 == lm:
-                        continue
-                    mm = mono_mul(quot, m2)
-                    s = dom.sub(work.get(mm, 0), dom.mul(factor, c2))
-                    if dom.is_zero(s):
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = s
-                if combo is not None:
-                    cj = combo[j]
-                    s = dom.add(cj.get(quot, 0), factor)
-                    if dom.is_zero(s):
-                        cj.pop(quot, None)
-                    else:
-                        cj[quot] = s
-                break
-        else:
-            rem[m] = c
-    coeffs = None
-    if combo is not None:
-        coeffs = [ring.poly(c) for c in combo]
+        leads.append((t.lm, t.lc, t.terms))
+    quotients = [{} for _ in leads] if want_combination else None
+    rem = reduce_terms(dict(h.terms), leads, ring.domain, ring.order.key,
+                       fixed=ring.ndep, quotients=quotients)
+    coeffs = None if quotients is None else [ring.poly(c) for c in quotients]
     return ring.poly(rem), coeffs
 
 
@@ -140,8 +102,7 @@ class FractionSet:
                 if i == j:
                     continue
                 for m, _ in g.terms:
-                    if (_dep_part(h.lm, ndep) == _dep_part(m, ndep)
-                            and _indep_divides(h.lm, m, ndep)):
+                    if h.lm[:ndep] == m[:ndep] and mono_divides(h.lm, m):
                         raise ClosureError("numerators are not interreduced")
 
     @property
@@ -299,8 +260,7 @@ def _y_contents(g: Polynomial) -> list[Polynomial]:
     ndep = ring.ndep
     groups: dict = {}
     for m, c in g.terms:
-        dep = _dep_part(m, ndep)
-        groups.setdefault(dep, {})[(0,) * ndep + m[ndep:]] = c
+        groups.setdefault(m[:ndep], {})[(0,) * ndep + m[ndep:]] = c
     return [ring.poly(d) for d in groups.values()]
 
 

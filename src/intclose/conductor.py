@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import ModuleVector, module_gb
-from .orders import dep_block, mono_div
+from .groebner import ModuleVector, module_gb, reduce_terms
+from .orders import dep_block
 from .rings import Polynomial, Ring, RingError
 
 
@@ -41,19 +41,12 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """Quotient p / d when d divides p exactly; RingError otherwise."""
     if d.is_zero():
         raise RingError("division by the zero polynomial")
-    from .orders import mono_divides
     ring = p.ring
-    dom = ring.domain
     quot: dict = {}
-    work = p
-    while work.terms:
-        m, c = work.terms[0]
-        if not mono_divides(d.lm, m):
-            raise RingError("inexact polynomial division")
-        qm = mono_div(m, d.lm)
-        qc = dom.div(c, d.lc)
-        quot[qm] = qc
-        work = work - d.mul_term(qm, qc)
+    rem = reduce_terms(dict(p.terms), [(d.lm, d.lc, d.terms)], ring.domain,
+                       ring.order.key, full=False, quotients=[quot])
+    if rem:
+        raise RingError("inexact polynomial division")
     return ring.poly(quot)
 
 

@@ -10,7 +10,7 @@ from .conductor import canonical_conductor
 from .domains import GF, QQ, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, compatibility_check,
                       reconcile_and_lift, run_prime, verify_candidate)
-from .rings import Polynomial, Ring
+from .rings import Polynomial, Ring, _mono_str
 from .weights import validate_weight_function
 
 
@@ -26,8 +26,6 @@ class RunConfig:
     max_primes: int = 12             # max usable primes incorporated
     max_iter: int = 64               # closure fixpoint bound
     prime: int | None = None         # charq mode
-    fmt: str = "text"
-    verbosity: int = 0
 
     def __post_init__(self):
         if self.mode not in ("char0", "charq"):
@@ -81,23 +79,16 @@ def _prime_schedule(config: RunConfig):
 
 
 def _lm_names(polys):
-    return "[" + ",".join(_mono_text(p.lm, p.ring) for p in polys) + "]"
-
-
-def _mono_text(mono, ring):
-    parts = []
-    for name, e in zip(ring.names, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
+    return "[" + ",".join(_mono_str(p.lm, p.ring.names) or "1" for p in polys) + "]"
 
 
 def validate_problem(ring: Ring, f: Polynomial):
+    if ring.nindep != 1:
+        raise DriverError("closure iteration supports one independent variable,"
+                          f" the problem has {ring.nindep}")
     ok, offending = validate_weight_function(f)
     if not ok:
-        bad = ", ".join(_mono_text(m, ring) for m in offending)
+        bad = ", ".join(_mono_str(m, ring.names) or "1" for m in offending)
         raise DriverError(f"no weight function: maximal-weight monomials {{{bad}}}")
 
 

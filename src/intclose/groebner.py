@@ -8,6 +8,8 @@ are sorted descending by leading monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .orders import mono_div, mono_divides, mono_lcm, mono_mul
 from .rings import Polynomial, Ring
@@ -17,71 +19,76 @@ class GroebnerError(ValueError):
     pass
 
 
-def _reduce_terms(work: dict, leads, dom, key) -> dict:
+def reduce_terms(work: dict, leads, dom, key, fixed: int = 0, full: bool = True,
+                 quotients=None) -> dict:
     """Divide the term dict ``work`` by ``leads`` = [(lm, lc, terms)]; remainder dict.
 
-    Always cancels the largest reducible monomial, using the first matching
-    lead in list order.  Mutates and consumes ``work``.
+    A lead ``lm`` cancels a term ``m`` when their first ``fixed`` exponents
+    agree and ``lm`` divides ``m``.  Always cancels the largest reducible term
+    under ``key``, using the first matching lead in list order.  With
+    ``full=False`` the division stops at the first irreducible term, which is
+    returned together with the unreduced tail (head reduction).  When
+    ``quotients`` is a list of dicts, one per lead, the multiplier monomials
+    and coefficients of each lead are recorded there.  Mutates ``work``.
+
+    Terms come off a heap of negated keys.  Every subtraction only creates
+    terms below the one just taken, and distinct monomials have distinct
+    keys, so terms are taken in the same order as by a scan for the largest
+    remaining one.
     """
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
     rem: dict = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, lc, gterms in leads:
-            if mono_divides(lm, m):
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:  # cancelled, or a second entry of a term already taken
+            continue
+        for j, (lm, lc, gterms) in enumerate(leads):
+            if lm[:fixed] == m[:fixed] and mono_divides(lm, m):
                 quot = mono_div(m, lm)
                 factor = dom.div(c, lc)
                 for m2, c2 in gterms:
                     if m2 == lm:
                         continue
                     mm = mono_mul(quot, m2)
-                    s = dom.sub(work.get(mm, 0), dom.mul(factor, c2))
+                    old = work.get(mm)
+                    s = dom.sub(0 if old is None else old, dom.mul(factor, c2))
                     if dom.is_zero(s):
                         work.pop(mm, None)
                     else:
+                        if old is None:
+                            heappush(heap, (tuple(map(neg, key(mm))), mm))
                         work[mm] = s
+                if quotients is not None:
+                    quotients[j][quot] = factor
                 break
         else:
             rem[m] = c
+            if not full:
+                rem.update(work)
+                break
     return rem
+
+
+def _leads(gens):
+    return [(g.lm, g.lc, g.terms) for g in gens if not g.is_zero()]
 
 
 def normal_form(f: Polynomial, gens) -> Polynomial:
     """Remainder of f under division by the polynomial list gens."""
-    if not gens:
-        return f
-    ring = f.ring
-    leads = [(g.lm, g.lc, g.terms) for g in gens if not g.is_zero()]
+    leads = _leads(gens)
     if not leads:
         return f
-    rem = _reduce_terms(dict(f.terms), leads, ring.domain, ring.order.key)
-    return ring.poly(rem)
+    ring = f.ring
+    return ring.poly(reduce_terms(dict(f.terms), leads, ring.domain, ring.order.key))
 
 
 def head_reduce(f: Polynomial, gens) -> Polynomial:
     """Reduce f only while its leading monomial stays reducible."""
     ring = f.ring
-    dom = ring.domain
-    key = ring.order.key
-    leads = [(g.lm, g.lc, g.terms) for g in gens if not g.is_zero()]
-    work = dict(f.terms)
-    while work:
-        m = max(work, key=key)
-        for lm, lc, gterms in leads:
-            if mono_divides(lm, m):
-                quot = mono_div(m, lm)
-                factor = dom.div(work[m], lc)
-                for m2, c2 in gterms:
-                    mm = mono_mul(quot, m2)
-                    s = dom.sub(work.get(mm, 0), dom.mul(factor, c2))
-                    if dom.is_zero(s):
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = s
-                break
-        else:
-            break
-    return ring.poly(work)
+    return ring.poly(reduce_terms(dict(f.terms), _leads(gens), ring.domain,
+                                  ring.order.key, full=False))
 
 
 def s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -218,81 +225,31 @@ class ModuleVector:
         return (pos,) + self.ring.order.key(m)
 
 
-def _sub_scaled(acc: dict, terms, quot, factor, dom):
-    """acc -= factor * x^quot * terms, in place on a term dict."""
-    for m2, c2 in terms:
-        mm = mono_mul(quot, m2)
-        s = dom.sub(acc.get(mm, 0), dom.mul(factor, c2))
-        if dom.is_zero(s):
-            acc.pop(mm, None)
-        else:
-            acc[mm] = s
+def _flat_terms(v: ModuleVector) -> dict:
+    """The terms of v as one dict keyed by (position,) + monomial."""
+    return {(pos,) + m: c for pos, p in enumerate(v.coords) for m, c in p.terms}
+
+
+def _module_reduce(v: ModuleVector, gens, full: bool) -> ModuleVector:
+    """Position-up division: same position (fixed=1) and the monomial divides."""
+    ring = v.ring
+    key = ring.order.key
+    leads = []
+    for g in gens:
+        if not g.is_zero():
+            pos, lm, lc = g.lead()
+            leads.append(((pos,) + lm, lc, tuple(_flat_terms(g).items())))
+    rem = reduce_terms(_flat_terms(v), leads, ring.domain,
+                       lambda pm: (pm[0],) + key(pm[1:]), fixed=1, full=full)
+    coords = [{} for _ in v.coords]
+    for pm, c in rem.items():
+        coords[pm[0]][pm[1:]] = c
+    return ModuleVector(tuple(ring.poly(d) for d in coords))
 
 
 def module_normal_form(v: ModuleVector, gens) -> ModuleVector:
     """Reduce every position of v against the leads of gens (full reduction)."""
-    if v.is_zero() or not gens:
-        return v
-    ring = v.ring
-    dom = ring.domain
-    key = ring.order.key
-    leads = [(g.lead(), g) for g in gens if not g.is_zero()]
-    ncomp = len(v.coords)
-    coords = [dict(p.terms) for p in v.coords]
-    for pos in range(ncomp - 1, -1, -1):
-        work = coords[pos]
-        rem: dict = {}
-        while work:
-            m = max(work, key=key)
-            c = work.pop(m)
-            hit = None
-            for (gpos, glm, glc), g in leads:
-                if gpos == pos and mono_divides(glm, m):
-                    hit = (mono_div(m, glm), dom.div(c, glc), g)
-                    break
-            if hit is None:
-                rem[m] = c
-            else:
-                quot, factor, g = hit
-                for m2, c2 in g.coords[pos].terms:
-                    if m2 == glm:
-                        continue
-                    mm = mono_mul(quot, m2)
-                    s = dom.sub(work.get(mm, 0), dom.mul(factor, c2))
-                    if dom.is_zero(s):
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = s
-                for lower in range(pos):
-                    _sub_scaled(coords[lower], g.coords[lower].terms, quot, factor, dom)
-        coords[pos] = rem
-    return ModuleVector(tuple(ring.poly(d) for d in coords))
-
-
-def module_head_reduce(v: ModuleVector, gens) -> ModuleVector:
-    """Reduce v by gens only while its leading term stays reducible."""
-    ring = v.ring
-    dom = ring.domain
-    key = ring.order.key
-    leads = [(g.lead(), g) for g in gens if not g.is_zero()]
-    coords = [dict(p.terms) for p in v.coords]
-    while True:
-        pos = next((p for p in range(len(coords) - 1, -1, -1) if coords[p]), None)
-        if pos is None:
-            break
-        work = coords[pos]
-        m = max(work, key=key)
-        hit = None
-        for (gpos, glm, glc), g in leads:
-            if gpos == pos and mono_divides(glm, m):
-                hit = (mono_div(m, glm), dom.div(work[m], glc), g)
-                break
-        if hit is None:
-            break
-        quot, factor, g = hit
-        for lower in range(pos + 1):
-            _sub_scaled(coords[lower], g.coords[lower].terms, quot, factor, dom)
-    return ModuleVector(tuple(ring.poly(d) for d in coords))
+    return _module_reduce(v, gens, full=True)
 
 
 def module_gb(columns) -> list[ModuleVector]:
@@ -323,7 +280,7 @@ def module_gb(columns) -> list[ModuleVector]:
         dom = basis[i].ring.domain
         s = ModuleVector(tuple(p.mul_term(mono_div(lcm, mi)) for p in basis[i].coords)
                          ).add_scaled(basis[j], mono_div(lcm, mj), dom.neg(dom.one))
-        r = module_head_reduce(s, basis)
+        r = _module_reduce(s, basis, full=False)
         if not r.is_zero():
             basis.append(r.monic())
             n = len(basis) - 1

@@ -43,12 +43,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
-def mono_pow(a: Monomial, k: int) -> Monomial:
-    return tuple(x * k for x in a)
-
-def mono_deg(a: Monomial) -> int:
-    return sum(a)
-
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix, by fraction Gaussian elimination."""

@@ -1,12 +1,52 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here recomputes results through plain linear algebra so that the
-engine's reduction and kernel machinery is checked against a second path.
+Everything here recomputes results through plain linear algebra, or through
+the plain division loop, so that the engine's reduction and kernel machinery
+is checked against a second path.
 """
 
 from __future__ import annotations
 
 from intclose import normal_form
+
+
+def reduce_terms_scan(work: dict, leads, dom, key, fixed: int = 0,
+                      full: bool = True, quotients=None) -> dict:
+    """Reference division: scan ``work`` for its largest term on every step.
+
+    Same contract as ``intclose.groebner.reduce_terms``: leads are
+    (lm, lc, terms); ``lm`` cancels ``m`` when their first ``fixed``
+    exponents agree and ``lm`` divides ``m``; the first matching lead in list
+    order is used; ``full=False`` stops at the first irreducible term and
+    keeps the tail; ``quotients`` collects multipliers per lead.
+    """
+    rem: dict = {}
+    while work:
+        m = max(work, key=key)
+        for j, (lm, lc, gterms) in enumerate(leads):
+            if lm[:fixed] == m[:fixed] and all(a <= b for a, b in zip(lm, m)):
+                quot = tuple(a - b for a, b in zip(m, lm))
+                factor = dom.div(work[m], lc)
+                for m2, c2 in gterms:  # the lead itself cancels m
+                    mm = tuple(a + b for a, b in zip(quot, m2))
+                    s = dom.sub(work.get(mm, 0), dom.mul(factor, c2))
+                    if dom.is_zero(s):
+                        work.pop(mm, None)
+                    else:
+                        work[mm] = s
+                if quotients is not None:
+                    s = dom.add(quotients[j].get(quot, 0), factor)
+                    if dom.is_zero(s):
+                        quotients[j].pop(quot, None)
+                    else:
+                        quotients[j][quot] = s
+                break
+        else:
+            if not full:
+                rem.update(work)
+                break
+            rem[m] = work.pop(m)
+    return rem
 
 
 def rref_mod(rows: list[list[int]], q: int):

@@ -3,11 +3,18 @@
 import random
 from fractions import Fraction
 
-from intclose import (GF, QQ, ModuleVector, Ring, buchberger, grevlex,
-                      ideal_contains, is_minimal_reduced_gb, minimal_reduced,
-                      module_gb, normal_form, s_poly, weight_of)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intclose import (GF, QQ, ModuleVector, Ring, RingError, buchberger,
+                      exact_divide, grevlex, head_reduce, ideal_contains,
+                      is_minimal_reduced_gb, minimal_reduced, module_gb,
+                      module_normal_form, module_reduce, normal_form, s_poly,
+                      weight_of)
+from intclose.orders import mono_divides
 from conftest import curve_ring, make_curve, sextic_relations
-from oracles import membership_oracle
+from oracles import membership_oracle, reduce_terms_scan
 
 
 def test_normal_form_empty_gens():
@@ -240,3 +247,96 @@ def test_module_gb_is_closed_under_s_vectors():
                                        for p in gb[i].coords)).add_scaled(
                     gb[j], mono_div(lcm, mj), dom.neg(dom.one))
                 assert module_normal_form(s, gb).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# every division entry point against the scanning reference division
+
+
+def _ring_and_polys(data):
+    """A random small ring over GF(7) or QQ and a strategy for its polynomials."""
+    dom = data.draw(st.sampled_from((GF(7), QQ)))
+    names, ndep = data.draw(st.sampled_from(((("y", "x"), 1), (("z", "y", "x"), 2))))
+    ring = Ring(names, ndep, dom, grevlex(len(names)))
+    coeffs = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(names)),
+                            coeffs, max_size=5).map(ring.poly)
+    return ring, polys
+
+
+def _leads(gens):
+    return [(g.lm, g.lc, g.terms) for g in gens]
+
+
+def _cancels(lm, m, fixed):
+    return lm[:fixed] == m[:fixed] and mono_divides(lm, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_division_matches_scanning_reference(data):
+    ring, polys = _ring_and_polys(data)
+    dom, key = ring.domain, ring.order.key
+    f = data.draw(polys)
+    gens = data.draw(st.lists(polys.filter(bool), min_size=1, max_size=3))
+    scale = data.draw(st.one_of(st.none(), polys.filter(bool)))
+    targets = gens if scale is None else [scale * g for g in gens]
+    for fixed, got, coeffs in (
+            (0, normal_form(f, targets), None),
+            (ring.ndep, *module_reduce(f, gens, scale=scale, want_combination=True))):
+        quots = [{} for _ in targets]
+        rem = ring.poly(reduce_terms_scan(dict(f.terms), _leads(targets), dom, key,
+                                          fixed, quotients=quots))
+        assert got == rem
+        assert not any(_cancels(t.lm, m, fixed) for m, _ in rem.terms for t in targets)
+        combo = [ring.poly(q) for q in quots]
+        assert f == sum((c * t for c, t in zip(combo, targets)), ring.zero()) + rem
+        if coeffs is not None:
+            assert coeffs == combo
+    head = ring.poly(reduce_terms_scan(dict(f.terms), _leads(targets), dom, key,
+                                       full=False))
+    assert head_reduce(f, targets) == head
+    assert head.is_zero() or not any(_cancels(t.lm, head.lm, 0) for t in targets)
+    d = targets[0]
+    assert exact_divide(f * d, d) == f
+    quot: dict = {}
+    rest = reduce_terms_scan(dict(f.terms), _leads([d]), dom, key, full=False,
+                             quotients=[quot])
+    if rest:
+        with pytest.raises(RingError):
+            exact_divide(f, d)
+    else:
+        assert exact_divide(f, d) == ring.poly(quot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_module_normal_form_matches_scanning_reference(data):
+    # position-up division is the scanning division of (position,) + monomial
+    # terms with one fixed exponent, the position
+    ring, polys = _ring_and_polys(data)
+    key = ring.order.key
+    vectors = st.tuples(polys, polys).map(ModuleVector)
+    v = data.draw(vectors)
+    gens = data.draw(st.lists(vectors.filter(lambda g: not g.is_zero()),
+                              min_size=1, max_size=3))
+
+    def flat(w):
+        return {(pos,) + m: c for pos, p in enumerate(w.coords) for m, c in p.terms}
+
+    def unflat(terms, pos):
+        return ring.poly({m[1:]: c for m, c in terms.items() if m[0] == pos})
+
+    leads = [((g.lead()[0],) + g.lead()[1], g.lead()[2], tuple(flat(g).items()))
+             for g in gens]
+    quots = [{} for _ in gens]
+    rem = reduce_terms_scan(flat(v), leads, ring.domain,
+                            lambda pm: (pm[0],) + key(pm[1:]), fixed=1,
+                            quotients=quots)
+    expect = ModuleVector((unflat(rem, 0), unflat(rem, 1)))
+    assert module_normal_form(v, gens) == expect
+    for pos in range(2):
+        acc = expect.coords[pos]
+        for q, g in zip(quots, gens):
+            acc = acc + unflat(q, 0) * g.coords[pos]
+        assert acc == v.coords[pos]

@@ -139,6 +139,27 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "monic" in err
 
 
+TWO_INDEP = """\
+indvars: x, z
+depvar: y
+weights: [[2,1,3]]
+relation: y^2 - x*z
+"""
+
+
+@pytest.mark.parametrize("mode_args", [[], ["--mode", "charq", "--prime", "7"]])
+def test_cli_rejects_two_independent_variables(tmp_path, capsys, mode_args):
+    # rejected up front, before any prime is tried, in both modes
+    path = _write(tmp_path, TWO_INDEP)
+    code = main([path, "--log", str(tmp_path / "audit.log")] + mode_args)
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err.splitlines() == [
+        "error: closure iteration supports one independent variable, the problem has 2"]
+    assert not (tmp_path / "audit.log").exists()
+
+
 def test_cli_missing_file(capsys):
     code = main(["/nonexistent/problem.txt"])
     assert code == 2
