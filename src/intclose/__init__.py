@@ -12,8 +12,7 @@ from .closure import (ClosurePresentation, ClosureError, FractionSet,
                       qth_closure, qth_power_step, strict_shape_ok,
                       weight_balance_ok)
 from .conductor import (ConductorError, ConductorResult, canonical_conductor,
-                        exact_divide, extended_jacobian, gcd_in_p,
-                        partial_derivative)
+                        exact_divide, gcd_in_p, partial_derivative)
 from .domains import GF, INT, MODP, QQ, RAT, ZZ, Domain, DomainError, balanced, is_prime
 from .driver import (Algorithm1Result, CharqResult, DriverError, RunConfig,
                      run_algorithm1, run_charq)

@@ -13,7 +13,7 @@ import sys
 
 from .closure import ClosureError
 from .conductor import ConductorError
-from .domains import GF, QQ, DomainError
+from .domains import GF, QQ, DomainError, is_prime
 from .driver import (CharqResult, DriverError, RunConfig, run_algorithm1,
                      run_charq)
 from .lifting import LiftError
@@ -174,9 +174,9 @@ def main(argv=None) -> int:
     try:
         if mode == "charq":
             if not prime:
-                print("error: charq mode requires --prime or a characteristic field",
-                      file=sys.stderr)
-                return 2
+                raise DriverError("charq mode requires --prime or a characteristic field")
+            if not is_prime(prime):
+                raise DriverError(f"--prime {prime} is not prime")
             ring = problem.ring(GF(prime))
             f = problem.relation(ring)
             result = run_charq(ring, f, prime, max_iter=args.max_iter)
@@ -186,7 +186,11 @@ def main(argv=None) -> int:
             f = problem.relation(ring)
             primes = None
             if args.primes:
-                primes = tuple(int(p) for p in args.primes.split(","))
+                try:
+                    primes = tuple(int(p) for p in args.primes.split(","))
+                except ValueError:
+                    raise DriverError("--primes expects comma-separated integers,"
+                                      f" got {args.primes!r}") from None
             config = RunConfig(mode="char0", primes=primes,
                                start_prime=args.start_prime,
                                max_primes=args.max_primes,

@@ -18,6 +18,11 @@ class DriverError(ValueError):
     pass
 
 
+def _check_max_iter(max_iter: int):
+    if max_iter < 1:
+        raise DriverError("max iterations must be at least 1")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "char0"              # "char0" | "charq"
@@ -34,6 +39,7 @@ class RunConfig:
             raise DriverError("charq mode requires an explicit prime")
         if self.max_primes < 1:
             raise DriverError("max primes must be at least 1")
+        _check_max_iter(self.max_iter)
         if self.primes is not None:
             if len(set(self.primes)) != len(self.primes):
                 raise DriverError("prime schedule contains duplicates")
@@ -152,6 +158,7 @@ class CharqResult:
 
 def run_charq(ring: Ring, f: Polynomial, q: int, max_iter: int = 64) -> CharqResult:
     """Single characteristic-q closure with its induced presentation."""
+    _check_max_iter(max_iter)
     if ring.domain != GF(q):
         raise DriverError(f"ring domain must be GF({q})")
     validate_problem(ring, f)

@@ -163,8 +163,8 @@ def grevlex_over_weight(weights: Sequence[Sequence[int]], ndep: int,
 def dep_block(ndep: int, nvars: int) -> MonomialOrder:
     """Block order: grevlex on dependent variables, then grevlex on the rest.
 
-    The within-component order of the column-reduction used for conductor
-    extraction; it eliminates dependent variables.
+    It eliminates dependent variables: the conductor reads its element of P
+    off a module basis reduced under this order.
     """
     rows = _block_grevlex_rows(0, ndep, nvars) + _block_grevlex_rows(ndep, nvars, nvars)
     return MonomialOrder(POSITION_UP_BLOCK, _complete(rows, [], nvars, POSITION_UP_BLOCK))

@@ -7,7 +7,8 @@ is checked against a second path.
 
 from __future__ import annotations
 
-from intclose import normal_form
+from intclose import (ConductorError, Ring, buchberger, dep_block, normal_form,
+                      partial_derivative)
 
 
 def reduce_terms_scan(work: dict, leads, dom, key, fixed: int = 0,
@@ -47,6 +48,24 @@ def reduce_terms_scan(work: dict, leads, dom, key, fixed: int = 0,
                 break
             rem[m] = work.pop(m)
     return rem
+
+
+def conductor_oracle(f):
+    """Delta computed from the ideal (f_y, f_x, f) in F[y; x] directly.
+
+    Buchberger of ``[f_y, f_x, f]`` under the y-eliminating block order; the
+    reduced basis element that lies in P = F[x], made monic.  Raises
+    ``ConductorError`` when the ideal meets P only in zero.
+    """
+    ring = f.ring
+    cring = Ring(ring.names, ring.ndep, ring.domain,
+                 dep_block(ring.ndep, ring.nvars), ring.weights)
+    fc = f.map_coeffs(lambda c: c, cring)
+    gb = buchberger([partial_derivative(fc, v) for v in range(ring.nvars)] + [fc])
+    in_p = [g for g in gb if g.in_subring(ring.ndep)]
+    if not in_p:
+        raise ConductorError("degenerate extension: no conductor entries in P")
+    return in_p[0].monic().map_coeffs(lambda c: c, ring)
 
 
 def rref_mod(rows: list[list[int]], q: int):

@@ -1,14 +1,16 @@
-"""Extended Jacobians, P-gcds, and canonical conductor elements."""
+"""Partial derivatives, P-gcds, and canonical conductor elements."""
 
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ConductorError, Ring, canonical_conductor,
-                      exact_divide, extended_jacobian, gcd_in_p, mu_poly,
-                      partial_derivative, weight_over_grevlex)
+                      exact_divide, gcd_in_p, mu_poly, partial_derivative,
+                      weight_over_grevlex)
 from conftest import curve_ring, make_curve
+from oracles import conductor_oracle
 
 
 def test_partial_derivatives_basic():
@@ -43,18 +45,16 @@ def test_derivative_matches_oracle_on_sextic():
         assert partial_derivative(f, var) == _derivative_oracle(f, var)
 
 
-def test_extended_jacobian_columns():
-    ring = curve_ring((1, 1))
-    f = ring.parse("y^2 - x")
-    cols = extended_jacobian([f], ring)
-    flat = [c.coords[0] for c in cols]
-    assert flat == [ring.parse("2*y"), ring.parse("-1"), f]
-
-
-def test_extended_jacobian_rejects_empty():
+def test_conductor_rejects_empty_generator_list():
     ring = curve_ring((1, 1))
     with pytest.raises(ConductorError):
-        extended_jacobian([], ring)
+        canonical_conductor([], ring)
+
+
+def test_conductor_rejects_two_relations():
+    ring = curve_ring((1, 1))
+    with pytest.raises(ConductorError):
+        canonical_conductor([ring.parse("y^2 - x^3"), ring.parse("y - x")], ring)
 
 
 CONDUCTOR_TABLE = [
@@ -114,6 +114,46 @@ def test_integrally_closed_curve_has_unit_conductor():
     assert canonical_conductor([f], ring).delta == ring.one()
 
 
+def _monic_in_y(draw, ring, coeffs, d):
+    """y^d plus a few random terms of y-degree below d and x-degree <= 4."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, 4)),
+                                 coeffs, max_size=4))
+    terms[(d, 0)] = 1
+    return ring.poly(terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_conductor_matches_ideal_oracle(data):
+    # (f_y, f_x)*S meets P exactly where (f, f_y, f_x) does
+    q = data.draw(st.sampled_from([None, 2, 3, 5, 7, 13]), label="q")
+    ring = curve_ring((1, 1), QQ if q is None else GF(q))
+    if q is None:
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    else:
+        coeffs = st.integers(0, q - 1)
+    if data.draw(st.booleans(), label="squarefree"):
+        f = _monic_in_y(data.draw, ring, coeffs, data.draw(st.integers(1, 4)))
+        try:
+            expect = conductor_oracle(f)
+        except ConductorError:
+            with pytest.raises(ConductorError):
+                canonical_conductor([f], ring)
+            return
+        res = canonical_conductor([f], ring)
+        assert res.delta == expect
+        assert res.row_gcds == (res.delta,)
+        return
+    # g^2 divides f: the ideal lies in (g), which meets P only in zero
+    g = _monic_in_y(data.draw, ring, coeffs, data.draw(st.integers(1, 2)))
+    h = _monic_in_y(data.draw, ring, coeffs, data.draw(st.integers(1, 2)))
+    f = g * g * h
+    with pytest.raises(ConductorError):
+        conductor_oracle(f)
+    with pytest.raises(ConductorError):
+        canonical_conductor([f], ring)
+
+
 # ---------------------------------------------------------------------------
 # gcd in P
 
@@ -148,31 +188,11 @@ def test_gcd_rejects_dependent_arguments():
         gcd_in_p(ring.parse("y"), ring.parse("x"))
 
 
-def test_gcd_multivariate_common_factor():
-    # gcd(a h, b h) = gcd(a, b) * h up to the monic normalization
+def test_gcd_rejects_two_independent_variables():
     w = ((1, 1, 1),)
     ring = Ring(("y", "x2", "x1"), 1, QQ, weight_over_grevlex(w, 3), w)
-    rng = random.Random(9)
-    for _ in range(12):
-        def rnd():
-            acc = {}
-            for _ in range(rng.randint(1, 3)):
-                acc[(0, rng.randint(0, 2), rng.randint(0, 2))] = \
-                    Fraction(rng.randint(1, 5))
-            return ring.poly(acc)
-        h, a, b = rnd(), rnd(), rnd()
-        if h.is_zero() or a.is_zero() or b.is_zero():
-            continue
-        assert gcd_in_p(a * h, b * h) == (gcd_in_p(a, b) * h).monic()
-
-
-def test_gcd_multivariate_exact():
-    w = ((1, 1, 1),)
-    ring = Ring(("y", "x2", "x1"), 1, QQ, weight_over_grevlex(w, 3), w)
-    a = ring.parse("(x1 + x2)^2 * x1")
-    b = ring.parse("(x1 + x2) * x2^2")
-    assert gcd_in_p(a, b) == ring.parse("x1 + x2")
-    assert gcd_in_p(a, ring.parse("(x1 + x2)^2 * x2")) == ring.parse("(x1 + x2)^2")
+    with pytest.raises(ConductorError):
+        gcd_in_p(ring.parse("x1"), ring.parse("x1^2"))
 
 
 def test_exact_divide_roundtrip():

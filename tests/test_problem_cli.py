@@ -160,6 +160,33 @@ def test_cli_rejects_two_independent_variables(tmp_path, capsys, mode_args):
     assert not (tmp_path / "audit.log").exists()
 
 
+@pytest.mark.parametrize("bad_args,message", [
+    (["--primes", "5,a"], "error: --primes expects comma-separated integers, got '5,a'"),
+    (["--mode", "charq", "--prime", "4"], "error: --prime 4 is not prime"),
+], ids=["primes", "prime"])
+def test_cli_rejects_malformed_primes(tmp_path, capsys, bad_args, message):
+    path = _write(tmp_path, QUADRATIC)
+    code = main([path, "--log", str(tmp_path / "audit.log")] + bad_args)
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err.splitlines() == [message]
+    assert not (tmp_path / "audit.log").exists()
+
+
+@pytest.mark.parametrize("mode_args", [[], ["--mode", "charq", "--prime", "5"]])
+def test_cli_rejects_zero_max_iter(tmp_path, capsys, mode_args):
+    # rejected before any prime is tried, in both modes
+    path = _write(tmp_path, QUADRATIC)
+    code = main([path, "--max-iter", "0", "--log", str(tmp_path / "audit.log")]
+                + mode_args)
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err.splitlines() == ["error: max iterations must be at least 1"]
+    assert not (tmp_path / "audit.log").exists()
+
+
 def test_cli_missing_file(capsys):
     code = main(["/nonexistent/problem.txt"])
     assert code == 2
