@@ -11,6 +11,8 @@ new variables, one per non-trivial fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 from .domains import MODP
 from .groebner import buchberger, minimal_reduced, normal_form, reduce_terms
@@ -49,26 +51,34 @@ def module_reduce(h: Polynomial, gens, scale: Polynomial | None = None,
 
 
 def canonical_generators(gens, ring: Ring) -> tuple:
-    """Monic, fully interreduced, order-descending generating set (P-module)."""
-    work = [g.monic() for g in gens if not g.is_zero()]
-    key = ring.order.key
-    changed = True
-    while changed:
-        changed = False
-        work.sort(key=lambda g: key(g.lm), reverse=True)
-        for i in range(len(work)):
-            others = work[:i] + work[i + 1:]
-            if not others:
-                continue
-            r, _ = module_reduce(work[i], others)
-            if r != work[i]:
-                changed = True
-                if r.is_zero():
-                    del work[i]
-                else:
-                    work[i] = r.monic()
-                break
-    return tuple(work)
+    """Monic, fully interreduced, order-descending generating set (P-module).
+
+    With one independent variable x, two leads divide one another exactly
+    when their dependent parts agree, so a set whose leads have distinct
+    dependent parts has no S-pairs: it is a Groebner basis of the P-module it
+    spans, and its monic, fully interreduced form is unique.  Generators are
+    inserted smallest lead first, each reduced by the basis; one whose
+    lead divides a basis lead sends that element back to the pending list.
+    A last pass, ascending, reduces each tail by the smaller elements only,
+    as no larger lead divides a smaller term.
+    """
+    if ring.nindep != 1:
+        raise ClosureError("canonical generators need one independent variable")
+    key, tick = ring.order.key, count()
+    pending = [(key(g.lm), next(tick), g) for g in gens if not g.is_zero()]
+    heapify(pending)
+    basis: dict = {}                   # dependent part of the lead -> element
+    while pending:
+        g, _ = module_reduce(heappop(pending)[2], basis.values())
+        if not g.is_zero():
+            old = basis.get(g.lm[:ring.ndep])
+            if old is not None:
+                heappush(pending, (key(old.lm), next(tick), old))
+            basis[g.lm[:ring.ndep]] = g.monic()
+    out: list = []
+    for g in sorted(basis.values(), key=lambda g: key(g.lm)):
+        out.append(module_reduce(g, out)[0])
+    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -243,7 +253,6 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int,
     d = table.d
     nums = tuple(ring.monomial(tuple(k if i == 0 else 0 for i in range(ring.nvars)))
                  for k in range(d - 1, -1, -1))
-    nums = canonical_generators(nums, ring)
     for _ in range(max_iter):
         nxt = qth_power_step(nums, q, table, conductor)
         if list(nxt) == list(nums):

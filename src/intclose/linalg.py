@@ -9,6 +9,8 @@ def nullspace_mod(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:
     """Basis of the right nullspace of the matrix over Z_q.
 
     ``rows`` may be empty (nullspace = identity).  Entries are reduced mod q.
+    The basis, one vector per free column, is read off the unique reduced row
+    echelon form; each pivot updates only the rows nonzero in its column.
     """
     if ncols == 0:
         return []
@@ -20,33 +22,21 @@ def nullspace_mod(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:
         a = np.array(rows, dtype=dtype) % q
         if a.shape[1] != ncols:
             raise ValueError("row length mismatch")
-    nrows = a.shape[0]
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        if r == nrows:
-            break
-        hit = None
-        for rr in range(r, nrows):
-            if a[rr, c] % q:
-                hit = rr
-                break
-        if hit is None:
+        r = len(pivots)
+        hits = a[r:, c].nonzero()[0]
+        if not hits.size:
             continue
-        if hit != r:
-            a[[r, hit]] = a[[hit, r]]
+        if hits[0]:
+            a[[r, r + hits[0]]] = a[[r + hits[0], r]]
         a[r] = a[r] * pow(int(a[r, c]), -1, q) % q
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % q
+        others = a[:, c].nonzero()[0]
+        others = others[others != r]
+        a[others] = (a[others] - a[others, c, None] * a[r]) % q
         pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = int(-a[i, fc]) % q
-        basis.append(v)
-    return basis
+    free = sorted(set(range(ncols)).difference(pivots))
+    basis = np.zeros((len(free), ncols), dtype=dtype)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-a[:len(pivots), free].T) % q
+    return basis.tolist()

@@ -7,8 +7,8 @@ is checked against a second path.
 
 from __future__ import annotations
 
-from intclose import (ConductorError, Ring, buchberger, dep_block, normal_form,
-                      partial_derivative)
+from intclose import (ConductorError, Ring, buchberger, dep_block, module_reduce,
+                      normal_form, partial_derivative)
 
 
 def reduce_terms_scan(work: dict, leads, dom, key, fixed: int = 0,
@@ -50,6 +50,35 @@ def reduce_terms_scan(work: dict, leads, dom, key, fixed: int = 0,
     return rem
 
 
+def canonical_generators_restart(gens, ring) -> tuple:
+    """Reference interreduction: restart the scan after every change.
+
+    Sort descending, reduce each generator by all the others, and start over
+    as soon as one changes (is dropped at zero, else made monic); stop when a
+    whole scan changes nothing.  Same contract as
+    ``intclose.closure.canonical_generators``.
+    """
+    work = [g.monic() for g in gens if not g.is_zero()]
+    key = ring.order.key
+    changed = True
+    while changed:
+        changed = False
+        work.sort(key=lambda g: key(g.lm), reverse=True)
+        for i in range(len(work)):
+            others = work[:i] + work[i + 1:]
+            if not others:
+                continue
+            r, _ = module_reduce(work[i], others)
+            if r != work[i]:
+                changed = True
+                if r.is_zero():
+                    del work[i]
+                else:
+                    work[i] = r.monic()
+                break
+    return tuple(work)
+
+
 def conductor_oracle(f):
     """Delta computed from the ideal (f_y, f_x, f) in F[y; x] directly.
 
@@ -66,6 +95,25 @@ def conductor_oracle(f):
     if not in_p:
         raise ConductorError("degenerate extension: no conductor entries in P")
     return in_p[0].monic().map_coeffs(lambda c: c, ring)
+
+
+def nullspace_rref(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:
+    """Right nullspace basis over Z_q read off ``rref_mod`` in plain Python.
+
+    One vector per free column: 1 there, 0 at the other free columns, and
+    minus the reduced matrix entry at each pivot column.
+    """
+    a, pivots = rref_mod(rows, q)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc] % q
+        basis.append(v)
+    return basis
 
 
 def rref_mod(rows: list[list[int]], q: int):
@@ -200,16 +248,7 @@ def kernel_step_oracle(numerators, f, conductor, q: int):
                 row[:] = [(x - fct * y) % q for x, y in zip(row, prow)]
     # kernel of the matrix whose columns are the residual candidate images
     mat = [[cand[k][r] for k in range(len(cand))] for r in range(len(coords))]
-    mat = [row for row in mat if any(row)]
-    a, pivots2 = rref_mod(mat, q) if mat else ([], [])
-    free = [k for k in range(len(cand)) if k not in pivots2]
-    kernel = []
-    for fc in free:
-        v = [0] * len(cand)
-        v[fc] = 1
-        for i, pc in enumerate(pivots2):
-            v[pc] = (-a[i][fc]) % q
-        kernel.append(v)
+    kernel = nullspace_rref([row for row in mat if any(row)], len(cand), q)
     new_gens = [conductor * g for g in numerators]
     for v in kernel:
         acc = ring.zero()

@@ -1,17 +1,20 @@
 """Frobenius fixpoint iteration, canonical fraction sets, presentations."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intclose import (GF, ClosureError, FractionSet, FrobeniusTable,
+from intclose import (GF, QQ, ClosureError, FractionSet, FrobeniusTable,
                       Ring, canonical_conductor, canonical_generators,
-                      frobenius_nf, induce_presentation, minimize_denominator,
-                      module_reduce, mu_poly, normal_form, qth_closure,
-                      qth_power_step, strict_shape_ok, weight_balance_ok,
-                      weight_over_grevlex)
-from conftest import SEXTIC_NUMERATORS, make_curve, sextic_relations
-from oracles import kernel_step_oracle
+                      dep_block, frobenius_nf, induce_presentation,
+                      minimize_denominator, module_reduce, mu_poly,
+                      normal_form, qth_closure, qth_power_step,
+                      strict_shape_ok, weight_balance_ok, weight_over_grevlex)
+from conftest import SEXTIC_NUMERATORS, curve_ring, make_curve, sextic_relations
+from oracles import canonical_generators_restart, kernel_step_oracle
 
 
 def closure_run(name, q, minimize=True):
@@ -92,6 +95,45 @@ def test_canonical_generators_echelonize():
             ring.parse("x^3")]
     out = canonical_generators(gens, ring)
     assert [str(g) for g in out] == ["y^2", "y*x", "x^2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_generators_match_restart_oracle(data):
+    q = data.draw(st.sampled_from([None, 2, 3, 7, 29]), label="q")
+    weights = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)), label="w")
+    ring = curve_ring(weights, QQ if q is None else GF(q))
+    if data.draw(st.booleans(), label="dep_block"):  # the conductor's order
+        ring = Ring(ring.names, 1, ring.domain, dep_block(1, 2), ring.weights)
+    if q is None:
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    else:
+        coeffs = st.integers(0, q - 1)
+    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                            coeffs, max_size=4)
+    gens = data.draw(st.lists(terms.map(ring.poly), max_size=6), label="gens")
+    # zero generators, duplicates, and x-multiples that share a dependent part
+    for _ in range(data.draw(st.integers(0, 4), label="extra")):
+        kind = data.draw(st.sampled_from(["zero", "dup", "shift", "sum"]))
+        if kind == "zero" or not gens:
+            gens.append(ring.zero())
+            continue
+        g, h = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
+        if kind == "dup":
+            gens.append(g)
+        elif kind == "shift":
+            gens.append(g.mul_term((0, data.draw(st.integers(0, 3))), -1))
+        else:
+            gens.append(g + h.mul_term((0, 1)))
+    gens = data.draw(st.permutations(gens), label="order")
+    assert canonical_generators(gens, ring) == canonical_generators_restart(gens, ring)
+
+
+def test_canonical_generators_need_one_independent_variable():
+    w = ((1, 1, 1),)
+    ring = Ring(("y", "x2", "x1"), 1, GF(7), weight_over_grevlex(w, 3), w)
+    with pytest.raises(ClosureError):
+        canonical_generators([ring.parse("y*x1"), ring.parse("y*x2")], ring)
 
 
 # ---------------------------------------------------------------------------

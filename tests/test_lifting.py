@@ -15,6 +15,7 @@ from intclose import (GF, QQ, ZZ, LiftError, PrimeRun, Ring,
                       rat_recon, reconcile_and_lift, run_algorithm1,
                       run_prime, verify_candidate, RunConfig)
 from conftest import curve_ring, make_curve
+from oracles import nullspace_rref
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +425,28 @@ def test_nullspace_with_large_modulus():
     for v in basis:
         for row in rows:
             assert sum(r * x for r, x in zip(row, v)) % q == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nullspace_matches_rref_oracle(data):
+    from intclose.linalg import nullspace_mod
+    q = data.draw(st.sampled_from([2, 3, 29, (1 << 31) - 1, (1 << 61) - 1]), label="q")
+    ncols = data.draw(st.integers(0, 10), label="ncols")
+    entry = st.integers(-q, 2 * q - 1) | st.sampled_from([0, 1, q - 1])
+    if ncols and data.draw(st.booleans(), label="sparse"):
+        # tall, at most two nonzeros a row, like the Frobenius matrices
+        row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=2).map(
+            lambda d: [d.get(c, 0) for c in range(ncols)])
+        max_rows = 4 * ncols + 4
+    else:
+        row = (st.lists(entry, min_size=ncols, max_size=ncols)
+               | st.just([0] * ncols))
+        max_rows = 8
+    rows = data.draw(st.lists(row, max_size=max_rows), label="rows")
+    basis = nullspace_mod(rows, ncols, q)
+    assert basis == nullspace_rref(rows, ncols, q)
+    assert all(type(x) is int for v in basis for x in v)
 
 
 def test_psi_combination_handles_vanishing_coefficients():
