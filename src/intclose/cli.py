@@ -89,18 +89,24 @@ def _poly_list(polys) -> list:
     return [format_poly(p) for p in polys]
 
 
+def _structured_presentation(fractions, presentation) -> dict:
+    return {
+        "delta": format_poly(fractions.denominator),
+        "numerators": _poly_list(fractions.numerators),
+        "induced_weights": [list(r) for r in presentation.induced_weights],
+        "relations": _poly_list(presentation.relations),
+        "psi": format_poly(presentation.inclusion_image),
+        "psi_factored": _psi_factored(presentation),
+    }
+
+
 def emit_structured(result) -> str:
     if isinstance(result, CharqResult):
         doc = {
             "mode": "charq",
             "q": result.q,
             "conductor": format_poly(result.conductor),
-            "delta": format_poly(result.fractions.denominator),
-            "numerators": _poly_list(result.fractions.numerators),
-            "induced_weights": [list(r) for r in result.presentation.induced_weights],
-            "relations": _poly_list(result.presentation.relations),
-            "psi": format_poly(result.presentation.inclusion_image),
-            "psi_factored": _psi_factored(result.presentation),
+            **_structured_presentation(result.fractions, result.presentation),
         }
     else:
         doc = {
@@ -110,14 +116,7 @@ def emit_structured(result) -> str:
             "primes": list(result.primes_used),
         }
         if result.presentation is not None:
-            doc.update({
-                "delta": format_poly(result.fractions.denominator),
-                "numerators": _poly_list(result.fractions.numerators),
-                "induced_weights": [list(r) for r in result.presentation.induced_weights],
-                "relations": _poly_list(result.presentation.relations),
-                "psi": format_poly(result.presentation.inclusion_image),
-                "psi_factored": _psi_factored(result.presentation),
-            })
+            doc.update(_structured_presentation(result.fractions, result.presentation))
         cert = result.certificate
         if cert is not None:
             doc["certificate"] = {

@@ -15,7 +15,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 
 from .domains import MODP
-from .groebner import buchberger, minimal_reduced, normal_form, reduce_terms
+from .groebner import normal_form, reduce_terms
 from .linalg import nullspace_mod
 from .orders import grevlex_over_weight, mono_divides, mono_mul
 from .rings import Polynomial, Ring
@@ -202,6 +202,8 @@ def qth_power_step(numerators: tuple, q: int, table: FrobeniusTable,
 
     Works on the finite quotient module/(D*module); D*module always survives
     the step, so the kernel there plus D*module generates the next module.
+    Column (j, alpha) reduces x^q * column (j, alpha-1): the targets lead in
+    distinct dependent parts, a Groebner basis, so remainders are canonical.
     """
     ring = table.ring
     if ring.nindep != 1:
@@ -211,14 +213,13 @@ def qth_power_step(numerators: tuple, q: int, table: FrobeniusTable,
         return numerators
     scale = conductor ** (q - 1)
     targets = [scale * g for g in numerators]
-    phis = [frobenius_nf(g, q, table) for g in numerators]
     cols = []
     col_ids = []
     support: dict = {}
     for j, g in enumerate(numerators):
+        rem = frobenius_nf(g, q, table)
         for alpha in range(xdeg):
-            shifted = phis[j].mul_term((0, q * alpha))
-            rem, _ = module_reduce(shifted, targets)
+            rem, _ = module_reduce(rem if alpha == 0 else rem.mul_term((0, q)), targets)
             cols.append(rem)
             col_ids.append((j, alpha))
             for m, _ in rem.terms:
@@ -317,10 +318,19 @@ def induce_presentation(fs: FractionSet, f: Polynomial,
     """Presentation of the fixpoint module as a quadratic P-algebra.
 
     Every product of fraction generators reduces to a P-linear combination of
-    them; those reduction rules, interreduced, are the relation basis.  The
-    inclusion image of y is its own expression over the fractions.
+    them; these rules, descending by lead, are the relation basis, and psi(y)
+    is y's own expression over the fractions.  They are already the minimal
+    reduced Groebner basis.  The output order puts dependent-block grevlex on
+    top, so each lead is ybar_a*ybar_b with coefficient 1 and each tail has
+    ybar-degree <= 1: the set is monic and interreduced.  The standard
+    monomials x^e, x^e*ybar_k map onto the free P-basis g_k/delta of the
+    fixpoint ring, so no nonzero combination of them lies in the ideal: the
+    set is a Groebner basis, and as that basis is unique, it is what
+    Buchberger plus ``minimal_reduced`` returns.
     """
     ring = fs.ring
+    if ring.nindep != 1:
+        raise ClosureError("presentation needs one independent variable")
     if fs.g0 != fs.denominator:
         raise ClosureError("presentation requires a fixpoint fraction set (g_0 = denominator)")
     nums = fs.numerators
@@ -333,59 +343,44 @@ def induce_presentation(fs: FractionSet, f: Polynomial,
     if set(ybar_names) & set(indep_names):
         raise ClosureError("fraction variable names collide with ring variables")
     out_names = ybar_names + tuple(indep_names)
-    wd = weight_of(fs.denominator)
-    wrows = len(wd)
-    wbar = []
-    for r in range(wrows):
-        row = [weight_of(g)[r] - wd[r] for g in nums[:-1]]
-        row += [ring.weights[r][ring.ndep + i] for i in range(ring.nindep)]
-        wbar.append(tuple(row))
-    wbar = tuple(wbar)
+    fw = fs.fraction_weights()[:-1]
+    wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
+                 for r, row in enumerate(ring.weights))
     if any(x < 0 for row in wbar for x in row):
         raise ClosureError("negative induced weight: not an integral fraction set")
     out_ring = Ring(out_names, J, ring.domain,
                     grevlex_over_weight(wbar, J, J + ring.nindep), wbar)
 
-    def ybar_mono(*positions):
-        e = [0] * out_ring.nvars
-        for p in positions:
-            e[p] += 1
-        return tuple(e)
+    ybar = [out_ring.var(name) for name in ybar_names]
+
+    def combination(coeffs) -> Polynomial:
+        """sum c_k*ybar_k in the output ring; the trivial fraction's ybar is 1."""
+        acc = out_ring.zero()
+        for k, ck in enumerate(coeffs):
+            if not ck.is_zero():
+                moved = _transport_p(ck, out_ring, J)
+                acc = acc + (moved * ybar[k] if k < J else moved)
+        return acc
 
     relations = []
     for a in range(J):          # position a <-> numerator nums[a]
         for b in range(a, J):
             prod = normal_form(nums[a] * nums[b], [f])
-            rem, coeffs = module_reduce(prod, list(nums), scale=fs.denominator,
+            rem, coeffs = module_reduce(prod, nums, scale=fs.denominator,
                                         want_combination=True)
             if not rem.is_zero():
                 raise ClosureError(
                     f"fraction product {a},{b} leaves the module: not a fixpoint")
-            rel = out_ring.monomial(ybar_mono(a, b))
-            for k, ck in enumerate(coeffs):
-                if ck.is_zero():
-                    continue
-                moved = _transport_p(ck, out_ring, J)
-                if k < J:
-                    moved = moved * out_ring.monomial(ybar_mono(k))
-                rel = rel - moved
-            relations.append(rel)
-    basis = tuple(minimal_reduced(buchberger(relations))) if relations else ()
+            relations.append(ybar[a] * ybar[b] - combination(coeffs))
+    key = out_ring.order.key
+    relations.sort(key=lambda r: key(r.lm), reverse=True)
 
     y_delta = ring.var(ring.names[0]) * fs.denominator
-    rem, coeffs = module_reduce(normal_form(y_delta, [f]), list(nums),
-                                want_combination=True)
+    rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums, want_combination=True)
     if not rem.is_zero():
         raise ClosureError("inclusion image of y is not in the module")
-    psi = out_ring.zero()
-    for k, ck in enumerate(coeffs):
-        if ck.is_zero():
-            continue
-        moved = _transport_p(ck, out_ring, J)
-        if k < J:
-            moved = moved * out_ring.monomial(ybar_mono(k))
-        psi = psi + moved
-    return ClosurePresentation(out_ring, basis, psi, tuple(coeffs), fs)
+    return ClosurePresentation(out_ring, tuple(relations), combination(coeffs),
+                               tuple(coeffs), fs)
 
 
 def strict_shape_ok(presentation: ClosurePresentation) -> bool:

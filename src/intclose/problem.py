@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from .domains import GF, QQ, Domain, is_prime
+from .domains import GF, QQ, Domain, DomainError, is_prime
 from .orders import weight_over_grevlex
 from .rings import ParseError, Polynomial, Ring
 from .weights import normalize_weights
@@ -51,6 +51,8 @@ class ProblemFile:
             f = ring.parse(self.relation_text)
         except ParseError as exc:
             raise ProblemError(f"relation does not parse: {exc}") from None
+        except DomainError as exc:  # a coefficient denominator divisible by q
+            raise ProblemError(f"relation has no image in {ring.domain}: {exc}") from None
         d = f.degree_in(0)
         if d < 1:
             raise ProblemError("relation must involve the dependent variable")

@@ -7,8 +7,10 @@ is checked against a second path.
 
 from __future__ import annotations
 
-from intclose import (ConductorError, Ring, buchberger, dep_block, module_reduce,
-                      normal_form, partial_derivative)
+from intclose import (ConductorError, Ring, buchberger, canonical_generators,
+                      dep_block, frobenius_nf, module_reduce, normal_form,
+                      partial_derivative)
+from intclose.linalg import nullspace_mod
 
 
 def reduce_terms_scan(work: dict, leads, dom, key, fixed: int = 0,
@@ -77,6 +79,49 @@ def canonical_generators_restart(gens, ring) -> tuple:
                     work[i] = r.monic()
                 break
     return tuple(work)
+
+
+def qth_power_step_scratch(numerators: tuple, q: int, table, conductor) -> tuple:
+    """Reference contraction step: divide every x^(q*alpha)*phi_j from scratch.
+
+    Same contract as ``intclose.closure.qth_power_step``, which instead
+    reduces x^q times the previous column's remainder.
+    """
+    ring = table.ring
+    xdeg = conductor.degree_in(1)
+    if xdeg == 0:
+        return numerators
+    scale = conductor ** (q - 1)
+    targets = [scale * g for g in numerators]
+    phis = [frobenius_nf(g, q, table) for g in numerators]
+    cols = []
+    col_ids = []
+    support: dict = {}
+    for j, g in enumerate(numerators):
+        for alpha in range(xdeg):
+            shifted = phis[j].mul_term((0, q * alpha))
+            rem, _ = module_reduce(shifted, targets)
+            cols.append(rem)
+            col_ids.append((j, alpha))
+            for m, _ in rem.terms:
+                support.setdefault(m, len(support))
+    if all(r.is_zero() for r in cols):
+        return numerators
+    rows = [[0] * len(cols) for _ in range(len(support))]
+    for cidx, rem in enumerate(cols):
+        for m, c in rem.terms:
+            rows[support[m]][cidx] = int(c)
+    kernel = nullspace_mod(rows, len(cols), q)
+    new_gens = [conductor * g for g in numerators]
+    for vec in kernel:
+        acc = ring.zero()
+        for cidx, coeff in enumerate(vec):
+            if coeff:
+                j, alpha = col_ids[cidx]
+                acc = acc + numerators[j].mul_term((0, alpha), coeff)
+        if not acc.is_zero():
+            new_gens.append(acc)
+    return canonical_generators(new_gens, ring)
 
 
 def conductor_oracle(f):

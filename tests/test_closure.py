@@ -4,17 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ClosureError, FractionSet, FrobeniusTable,
-                      Ring, canonical_conductor, canonical_generators,
-                      dep_block, frobenius_nf, induce_presentation,
-                      minimize_denominator, module_reduce, mu_poly,
-                      normal_form, qth_closure, qth_power_step,
-                      strict_shape_ok, weight_balance_ok, weight_over_grevlex)
-from conftest import SEXTIC_NUMERATORS, curve_ring, make_curve, sextic_relations
-from oracles import canonical_generators_restart, kernel_step_oracle
+from intclose import (GF, QQ, ClosureError, ConductorError, FractionSet,
+                      FrobeniusTable, Ring, buchberger, canonical_conductor,
+                      canonical_generators, dep_block, frobenius_nf,
+                      induce_presentation, is_minimal_reduced_gb,
+                      is_prime_usable, minimal_reduced, minimize_denominator,
+                      module_reduce, mu_poly, normal_form, qth_closure,
+                      qth_power_step, run_prime, strict_shape_ok,
+                      weight_balance_ok, weight_over_grevlex)
+from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
+                      sextic_relations)
+from oracles import (canonical_generators_restart, kernel_step_oracle,
+                     qth_power_step_scratch)
 
 
 def closure_run(name, q, minimize=True):
@@ -195,6 +199,108 @@ def test_step_against_linear_algebra_oracle():
         got = {g.lm[0]: g.lm[1] for g in engine}
         assert got == expect
         trials += 1
+
+
+# ---------------------------------------------------------------------------
+# random curves over small prime fields, and the fixture curves mod 5..29
+
+FIXTURE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@st.composite
+def small_curves(draw):
+    """(ring, f, conductor, q): a random monic curve over GF(q), y^d leading."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 13]), label="q")
+    d = draw(st.integers(2, 4), label="d")
+    wy, wx = draw(st.integers(1, 6), label="wy"), draw(st.integers(1, 6), label="wx")
+    ring = curve_ring((wy, wx), GF(q))
+    tails = [(i, e) for i in range(d) for e in range(7) if wy * i + wx * e < wy * d]
+    acc = draw(st.dictionaries(st.sampled_from(tails), st.integers(1, q - 1),
+                               min_size=1, max_size=4), label="tail")
+    acc[(d, 0)] = 1
+    f = ring.poly(acc)
+    try:
+        delta = canonical_conductor([f], ring).delta
+    except ConductorError:
+        assume(False)
+    return ring, f, delta, q
+
+
+def assert_steps_match_scratch(ring, f, delta, q):
+    """Walk qth_closure's steps; each equals the step dividing from scratch."""
+    table = FrobeniusTable(f)
+    nums = tuple(ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
+    for _ in range(64):
+        nxt = qth_power_step(nums, q, table, delta)
+        assert nxt == qth_power_step_scratch(nums, q, table, delta)
+        if nxt == nums:
+            return
+        nums = nxt
+    raise AssertionError("no fixpoint within 64 steps")
+
+
+def in_s(p, fs):
+    """delta^2 * p with every ybar_k replaced by g_k / delta, in the ring of S."""
+    ring, J = fs.ring, p.ring.ndep
+    acc = ring.zero()
+    for m, c in p.terms:
+        term = ring.monomial((0,) + m[J:], c) * fs.denominator ** (2 - sum(m[:J]))
+        for k, e in enumerate(m[:J]):
+            term = term * fs.numerators[k] ** e
+        acc = acc + term
+    return acc
+
+
+def assert_presentation_as_built(pres, f):
+    """The relations are the minimal reduced basis and hold in S, as does psi."""
+    fs, rels = pres.fractions, pres.relations
+    J = pres.ring.ndep
+    assert len(rels) == J * (J + 1) // 2
+    assert rels == tuple(minimal_reduced(buchberger(list(rels))))
+    assert is_minimal_reduced_gb(rels)
+    for rel in rels:
+        assert normal_form(in_s(rel, fs), [f]).is_zero()
+    y_delta2 = f.ring.var("y") * fs.denominator ** 2
+    assert normal_form(in_s(pres.inclusion_image, fs) - y_delta2, [f]).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_curves())
+def test_closure_steps_match_scratch_division(curve):
+    assert_steps_match_scratch(*curve)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_curves())
+def test_presentation_is_its_minimal_reduced_basis(curve):
+    ring, f, delta, q = curve
+    fs = minimize_denominator(qth_closure(ring, f, delta, q))
+    assert_presentation_as_built(induce_presentation(fs, f), f)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_fixture_closures_as_built(name):
+    ring, f = make_curve(name)
+    delta0 = canonical_conductor([f], ring).delta
+    used = 0
+    for q in FIXTURE_PRIMES:
+        status, delta_q = is_prime_usable(q, f, delta0)
+        if status != "usable":
+            continue
+        f_q = mu_poly(f, delta_q.ring)
+        assert_steps_match_scratch(delta_q.ring, f_q, delta_q, q)
+        run = run_prime(q, f, delta0)
+        assert_presentation_as_built(run.presentation, f_q)
+        used += 1
+    assert used
+
+
+def test_induce_presentation_needs_one_independent_variable():
+    w = ((2, 1, 3),)
+    ring = Ring(("y", "x2", "x1"), 1, GF(7), weight_over_grevlex(w, 3), w)
+    fs = FractionSet(ring, (ring.parse("y"), ring.one()), ring.one())
+    with pytest.raises(ClosureError, match="one independent variable"):
+        induce_presentation(fs, ring.parse("y^2 - x1*x2"))
 
 
 # ---------------------------------------------------------------------------

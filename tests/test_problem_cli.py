@@ -187,6 +187,31 @@ def test_cli_rejects_zero_max_iter(tmp_path, capsys, mode_args):
     assert not (tmp_path / "audit.log").exists()
 
 
+DENOMINATOR_MESSAGE = ("error: relation has no image in GF(7):"
+                       " denominator of 24/7 vanishes mod 7")
+
+
+@pytest.mark.parametrize("text,mode_args", [
+    (QUADRATIC + "characteristic: 7\n", []),
+    (QUADRATIC, ["--mode", "charq", "--prime", "7"]),
+], ids=["characteristic", "prime"])
+def test_cli_rejects_prime_dividing_a_denominator(tmp_path, capsys, text, mode_args):
+    # 7 divides the denominators of 24/7 and 96/49: the relation has no image
+    path = _write(tmp_path, text)
+    code = main([path, "--log", str(tmp_path / "audit.log")] + mode_args)
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err.splitlines() == [DENOMINATOR_MESSAGE]
+    assert not (tmp_path / "audit.log").exists()
+
+
+def test_parse_problem_rejects_prime_dividing_a_denominator():
+    with pytest.raises(ProblemError) as err:
+        parse_problem(QUADRATIC + "characteristic: 7\n")
+    assert str(err.value) == DENOMINATOR_MESSAGE.removeprefix("error: ")
+
+
 def test_cli_missing_file(capsys):
     code = main(["/nonexistent/problem.txt"])
     assert code == 2
