@@ -7,18 +7,17 @@ by a Groebner-basis and ideal-containment check.
 """
 
 from .closure import (ClosurePresentation, ClosureError, FractionSet,
-                      FrobeniusTable, canonical_generators, frobenius_nf,
+                      canonical_generators, frobenius_images, frobenius_nf,
                       induce_presentation, minimize_denominator, module_reduce,
-                      qth_closure, qth_power_step, strict_shape_ok,
-                      weight_balance_ok)
+                      qth_closure, qth_power_step)
 from .conductor import (ConductorError, ConductorResult, canonical_conductor,
                         exact_divide, gcd_in_p, partial_derivative)
 from .domains import GF, INT, MODP, QQ, RAT, ZZ, Domain, DomainError, balanced, is_prime
 from .driver import (Algorithm1Result, CharqResult, DriverError, RunConfig,
                      run_algorithm1, run_charq)
 from .groebner import (GroebnerError, ModuleVector, buchberger, head_reduce,
-                       ideal_contains, is_minimal_reduced_gb, minimal_reduced,
-                       module_gb, module_normal_form, normal_form, s_poly)
+                       is_minimal_reduced_gb, minimal_reduced, module_gb,
+                       module_normal_form, normal_form, s_poly)
 from .lifting import (Certificate, LiftError, LiftState, PrimeRun,
                       compatibility_check, crt, crt_poly, is_prime_usable,
                       lift_poly, mod_n, mu_poly, psi_combination, psi_substitute, rat_recon,

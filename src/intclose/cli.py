@@ -158,10 +158,7 @@ def main(argv=None) -> int:
     try:
         with open(args.problem, encoding="utf-8") as fh:
             problem = parse_problem(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProblemError as exc:
+    except (OSError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -206,8 +203,12 @@ def main(argv=None) -> int:
     out = emit_text(result) if args.format == "text" else emit_structured(result)
     sys.stdout.write(out)
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(audit) + "\n")
+        try:
+            with open(args.log, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(audit) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if mode == "char0" and not result.accepted:
         print("not accepted: prime budget exhausted before certification",
               file=sys.stderr)

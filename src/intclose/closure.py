@@ -19,30 +19,28 @@ from .groebner import normal_form, reduce_terms
 from .linalg import nullspace_mod
 from .orders import grevlex_over_weight, mono_divides, mono_mul
 from .rings import Polynomial, Ring
-from .weights import mono_weight, weight_of
+from .weights import weight_of
 
 
 class ClosureError(ValueError):
     pass
 
 
-def module_reduce(h: Polynomial, gens, scale: Polynomial | None = None,
-                  want_combination: bool = False):
-    """P-module division of h by {scale * g : g in gens}.
+def module_reduce(h: Polynomial, gens, want_combination: bool = False):
+    """P-module division of h by gens.
 
     Reduction only cancels leading monomials through independent-variable
-    multiples, i.e. a term reduces against scale*g when the dependent parts
-    agree and the independent part of LM(scale*g) divides it.  Returns
+    multiples, i.e. a term reduces against g when the dependent parts
+    agree and the independent part of LM(g) divides it.  Returns
     ``(remainder, coefficients)``; coefficients (in P) satisfy
-    h = sum(c_j * scale * g_j) + remainder when requested, else None.
+    h = sum(c_j * g_j) + remainder when requested, else None.
     """
     ring = h.ring
     leads = []
     for g in gens:
-        t = g if scale is None else scale * g
-        if t.is_zero():
+        if g.is_zero():
             raise ClosureError("zero generator in module reduction")
-        leads.append((t.lm, t.lc, t.terms))
+        leads.append((g.lm, g.lc, g.terms))
     quotients = [{} for _ in leads] if want_combination else None
     rem = reduce_terms(dict(h.terms), leads, ring.domain, ring.order.key,
                        fixed=ring.ndep, quotients=quotients)
@@ -133,60 +131,60 @@ class FractionSet:
         return out
 
 
-class FrobeniusTable:
-    """Normal forms of powers of the dependent variable modulo f."""
+def frobenius_images(f: Polynomial) -> tuple:
+    """(NF(y^0), NF(y^q), ..., NF(y^(q(d-1)))) modulo f over F_q[y; x].
 
-    def __init__(self, f: Polynomial):
-        ring = f.ring
-        if ring.ndep != 1:
-            raise ClosureError("one dependent variable expected")
-        self.ring = ring
-        self.d = f.degree_in(0)
-        lead = tuple(self.d if i == 0 else 0 for i in range(ring.nvars))
-        if f.coeff_of(lead) != ring.domain.one:
-            raise ClosureError("relation must be monic in the dependent variable")
-        # y^d = -(f - y^d)
-        self.tail = -(f - ring.monomial(lead))
-        if self.tail.degree_in(0) >= self.d:
+    These d images are all that ``frobenius_nf`` reads.  y^i mod f is held as
+    its d coefficients in F_q[x], each a dict from x-exponent to coefficient;
+    multiplying by y shifts them up one place and folds the top coefficient
+    back through y^d = tail.  Only every q-th power becomes a Polynomial.
+    """
+    ring = f.ring
+    dom = ring.domain
+    if dom.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
+        raise ClosureError("Frobenius images need a ring F_q[y; x]")
+    q, d = dom.char, f.degree_in(0)
+    if f.coeff_of((d, 0)) != dom.one:
+        raise ClosureError("relation must be monic in the dependent variable")
+    tail = [{} for _ in range(d)]      # y^d = sum_i tail[i](x) * y^i
+    for (i, e), c in f.terms:
+        if i == d and e:
             raise ClosureError("relation has extra terms of top dependent degree")
-        self._table = [ring.monomial(tuple(k if i == 0 else 0 for i in range(ring.nvars)))
-                       for k in range(self.d)]
-
-    def power(self, k: int) -> Polynomial:
-        ring = self.ring
-        dom = ring.domain
-        while len(self._table) <= k:
-            prev = self._table[-1]
-            acc: dict = {}
-            for m, c in prev.terms:
-                if m[0] + 1 < self.d:
-                    mono = (m[0] + 1,) + m[1:]
-                    acc[mono] = dom.add(acc.get(mono, 0), c)
-                else:
-                    shift = (0,) + m[1:]
-                    for m2, c2 in self.tail.terms:
-                        mono = mono_mul(shift, m2)
-                        s = dom.add(acc.get(mono, 0), dom.mul(c, c2))
-                        if dom.is_zero(s):
-                            acc.pop(mono, None)
+        if i < d:
+            tail[i][e] = dom.neg(c)
+    coeffs = [{0: dom.one}] + [{} for _ in range(d - 1)]
+    images = []
+    for k in range(q * (d - 1) + 1):
+        if k:
+            top = coeffs.pop()
+            coeffs.insert(0, {})
+            for row, t in zip(coeffs, tail):
+                for e2, c2 in t.items():
+                    for e1, c1 in top.items():
+                        s = (row.get(e1 + e2, 0) + c1 * c2) % q
+                        if s:
+                            row[e1 + e2] = s
                         else:
-                            acc[mono] = s
-                    continue
-            self._table.append(ring.poly(acc))
-        return self._table[k]
+                            row.pop(e1 + e2, None)
+        if k % q == 0:
+            images.append(ring.poly({(i, e): c for i, row in enumerate(coeffs)
+                                     for e, c in row.items()}))
+    return tuple(images)
 
 
-def frobenius_nf(g: Polynomial, q: int, table: FrobeniusTable) -> Polynomial:
-    """NF(g^q, f) using termwise Frobenius: (sum t_i)^q = sum t_i^q."""
+def frobenius_nf(g: Polynomial, q: int, images: tuple) -> Polynomial:
+    """NF(g^q, f) using termwise Frobenius: (sum t_i)^q = sum t_i^q.
+
+    ``images`` is ``frobenius_images(f)``; g must be reduced modulo f.
+    """
     ring = g.ring
     if ring.domain.kind != MODP or ring.domain.char != q:
         raise ClosureError(f"ring characteristic is not {q}")
     dom = ring.domain
     acc: dict = {}
     for m, c in g.terms:
-        base = table.power(q * m[0])
         shift = (0,) + tuple(q * e for e in m[1:])
-        for m2, c2 in base.terms:
+        for m2, c2 in images[m[0]].terms:
             mono = mono_mul(shift, m2)
             s = dom.add(acc.get(mono, 0), dom.mul(c, c2))
             if dom.is_zero(s):
@@ -196,7 +194,7 @@ def frobenius_nf(g: Polynomial, q: int, table: FrobeniusTable) -> Polynomial:
     return ring.poly(acc)
 
 
-def qth_power_step(numerators: tuple, q: int, table: FrobeniusTable,
+def qth_power_step(numerators: tuple, q: int, images: tuple,
                    conductor: Polynomial) -> tuple:
     """One contraction: members whose Frobenius image stays in D^(q-1)*module.
 
@@ -205,7 +203,7 @@ def qth_power_step(numerators: tuple, q: int, table: FrobeniusTable,
     Column (j, alpha) reduces x^q * column (j, alpha-1): the targets lead in
     distinct dependent parts, a Groebner basis, so remainders are canonical.
     """
-    ring = table.ring
+    ring = conductor.ring
     if ring.nindep != 1:
         raise ClosureError("closure iteration supports one independent variable")
     xdeg = conductor.degree_in(1)
@@ -217,7 +215,7 @@ def qth_power_step(numerators: tuple, q: int, table: FrobeniusTable,
     col_ids = []
     support: dict = {}
     for j, g in enumerate(numerators):
-        rem = frobenius_nf(g, q, table)
+        rem = frobenius_nf(g, q, images)
         for alpha in range(xdeg):
             rem, _ = module_reduce(rem if alpha == 0 else rem.mul_term((0, q)), targets)
             cols.append(rem)
@@ -250,12 +248,10 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int,
         raise ClosureError(f"expected a ring of characteristic {q}")
     if ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
-    table = FrobeniusTable(f)
-    d = table.d
-    nums = tuple(ring.monomial(tuple(k if i == 0 else 0 for i in range(ring.nvars)))
-                 for k in range(d - 1, -1, -1))
+    images = frobenius_images(f)
+    nums = tuple(ring.monomial((k, 0)) for k in range(len(images) - 1, -1, -1))
     for _ in range(max_iter):
-        nxt = qth_power_step(nums, q, table, conductor)
+        nxt = qth_power_step(nums, q, images, conductor)
         if list(nxt) == list(nums):
             if nums[-1] != conductor.monic():
                 raise ClosureError("fixpoint does not contain the conductor fraction")
@@ -289,6 +285,9 @@ def minimize_denominator(fs: FractionSet) -> FractionSet:
     return FractionSet(ring, nums, exact_divide(fs.denominator, c).monic())
 
 
+YBAR = "ybar"                        # stem of the fraction variable names
+
+
 @dataclass(frozen=True)
 class ClosurePresentation:
     """Quadratic presentation of the closure over new fraction variables."""
@@ -313,8 +312,7 @@ def _transport_p(poly: Polynomial, out_ring: Ring, pad: int) -> Polynomial:
     return out_ring.poly(acc)
 
 
-def induce_presentation(fs: FractionSet, f: Polynomial,
-                        var_stem: str = "ybar") -> ClosurePresentation:
+def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     """Presentation of the fixpoint module as a quadratic P-algebra.
 
     Every product of fraction generators reduces to a P-linear combination of
@@ -337,9 +335,9 @@ def induce_presentation(fs: FractionSet, f: Polynomial,
     J = len(nums) - 1
     indep_names = ring.names[ring.ndep:]
     if J == 1:
-        ybar_names = (var_stem,)
+        ybar_names = (YBAR,)
     else:
-        ybar_names = tuple(f"{var_stem}{j}" for j in range(J, 0, -1))
+        ybar_names = tuple(f"{YBAR}{j}" for j in range(J, 0, -1))
     if set(ybar_names) & set(indep_names):
         raise ClosureError("fraction variable names collide with ring variables")
     out_names = ybar_names + tuple(indep_names)
@@ -362,12 +360,12 @@ def induce_presentation(fs: FractionSet, f: Polynomial,
                 acc = acc + (moved * ybar[k] if k < J else moved)
         return acc
 
+    targets = [fs.denominator * g for g in nums]
     relations = []
     for a in range(J):          # position a <-> numerator nums[a]
         for b in range(a, J):
             prod = normal_form(nums[a] * nums[b], [f])
-            rem, coeffs = module_reduce(prod, nums, scale=fs.denominator,
-                                        want_combination=True)
+            rem, coeffs = module_reduce(prod, targets, want_combination=True)
             if not rem.is_zero():
                 raise ClosureError(
                     f"fraction product {a},{b} leaves the module: not a fixpoint")
@@ -382,29 +380,3 @@ def induce_presentation(fs: FractionSet, f: Polynomial,
     return ClosurePresentation(out_ring, tuple(relations), combination(coeffs),
                                tuple(coeffs), fs)
 
-
-def strict_shape_ok(presentation: ClosurePresentation) -> bool:
-    """Dependent degree <= 2 everywhere; quadratic leads have linear tails."""
-    nd = presentation.ring.ndep
-    for rel in presentation.relations:
-        lead_deg = sum(rel.lm[:nd])
-        tail_degs = [sum(m[:nd]) for m, _ in rel.terms[1:]]
-        if lead_deg == 2:
-            if any(dg > 1 for dg in tail_degs):
-                return False
-        elif lead_deg != 1:
-            return False
-    return True
-
-
-def weight_balance_ok(presentation: ClosurePresentation) -> bool:
-    """Leading-term weight equals the maximal trailing-term weight, per relation."""
-    w = presentation.ring.weights
-    for rel in presentation.relations:
-        if len(rel.terms) < 2:
-            continue
-        lead = mono_weight(rel.lm, w)
-        tail = max(mono_weight(m, w) for m, _ in rel.terms[1:])
-        if lead != tail:
-            return False
-    return True

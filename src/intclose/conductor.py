@@ -71,7 +71,6 @@ def gcd_in_p(a: Polynomial, b: Polynomial) -> Polynomial:
 @dataclass(frozen=True)
 class ConductorResult:
     delta: Polynomial
-    row_gcds: tuple
 
 
 def canonical_conductor(gens, ring: Ring) -> ConductorResult:
@@ -95,4 +94,4 @@ def canonical_conductor(gens, ring: Ring) -> ConductorResult:
     if not in_p:
         raise ConductorError("degenerate extension: no conductor entries in P")
     delta = in_p[0].map_coeffs(lambda c: c, ring)
-    return ConductorResult(delta, (delta,))
+    return ConductorResult(delta)

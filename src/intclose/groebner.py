@@ -173,11 +173,6 @@ def is_minimal_reduced_gb(gens) -> bool:
     return True
 
 
-def ideal_contains(basis, f: Polynomial) -> bool:
-    """Membership of f in the ideal with Groebner basis ``basis``."""
-    return normal_form(f, list(basis)).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # submodules of free modules (position-up over the ring order)
 

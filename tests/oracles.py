@@ -8,8 +8,8 @@ is checked against a second path.
 from __future__ import annotations
 
 from intclose import (ConductorError, Ring, buchberger, canonical_generators,
-                      dep_block, frobenius_nf, module_reduce, normal_form,
-                      partial_derivative)
+                      dep_block, frobenius_nf, mono_weight, module_reduce,
+                      normal_form, partial_derivative)
 from intclose.linalg import nullspace_mod
 
 
@@ -81,19 +81,19 @@ def canonical_generators_restart(gens, ring) -> tuple:
     return tuple(work)
 
 
-def qth_power_step_scratch(numerators: tuple, q: int, table, conductor) -> tuple:
+def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tuple:
     """Reference contraction step: divide every x^(q*alpha)*phi_j from scratch.
 
     Same contract as ``intclose.closure.qth_power_step``, which instead
     reduces x^q times the previous column's remainder.
     """
-    ring = table.ring
+    ring = conductor.ring
     xdeg = conductor.degree_in(1)
     if xdeg == 0:
         return numerators
     scale = conductor ** (q - 1)
     targets = [scale * g for g in numerators]
-    phis = [frobenius_nf(g, q, table) for g in numerators]
+    phis = [frobenius_nf(g, q, images) for g in numerators]
     cols = []
     col_ids = []
     support: dict = {}
@@ -304,3 +304,35 @@ def kernel_step_oracle(numerators, f, conductor, q: int):
         if not acc.is_zero():
             new_gens.append(acc)
     return staircase_oracle(new_gens, f, q, bound)
+
+
+def ideal_contains(basis, f) -> bool:
+    """Membership of f in the ideal with Groebner basis ``basis``."""
+    return normal_form(f, list(basis)).is_zero()
+
+
+def strict_shape_ok(presentation) -> bool:
+    """Dependent degree <= 2 everywhere; quadratic leads have linear tails."""
+    nd = presentation.ring.ndep
+    for rel in presentation.relations:
+        lead_deg = sum(rel.lm[:nd])
+        tail_degs = [sum(m[:nd]) for m, _ in rel.terms[1:]]
+        if lead_deg == 2:
+            if any(dg > 1 for dg in tail_degs):
+                return False
+        elif lead_deg != 1:
+            return False
+    return True
+
+
+def weight_balance_ok(presentation) -> bool:
+    """Leading-term weight equals the maximal trailing-term weight, per relation."""
+    w = presentation.ring.weights
+    for rel in presentation.relations:
+        if len(rel.terms) < 2:
+            continue
+        lead = mono_weight(rel.lm, w)
+        tail = max(mono_weight(m, w) for m, _ in rel.terms[1:])
+        if lead != tail:
+            return False
+    return True

@@ -8,17 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ClosureError, ConductorError, FractionSet,
-                      FrobeniusTable, Ring, buchberger, canonical_conductor,
-                      canonical_generators, dep_block, frobenius_nf,
-                      induce_presentation, is_minimal_reduced_gb,
+                      Ring, buchberger, canonical_conductor,
+                      canonical_generators, dep_block, frobenius_images,
+                      frobenius_nf, induce_presentation, is_minimal_reduced_gb,
                       is_prime_usable, minimal_reduced, minimize_denominator,
                       module_reduce, mu_poly, normal_form, qth_closure,
-                      qth_power_step, run_prime, strict_shape_ok,
-                      weight_balance_ok, weight_over_grevlex)
+                      qth_power_step, run_prime, weight_over_grevlex)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
                       sextic_relations)
 from oracles import (canonical_generators_restart, kernel_step_oracle,
-                     qth_power_step_scratch)
+                     qth_power_step_scratch, strict_shape_ok, weight_balance_ok)
 
 
 def closure_run(name, q, minimize=True):
@@ -36,33 +35,73 @@ def closure_run(name, q, minimize=True):
 
 def test_frobenius_constants_and_variables():
     ring, f = make_curve("trident", q=3)
-    table = FrobeniusTable(f)
-    assert frobenius_nf(ring.one(), 3, table) == ring.one()
-    assert frobenius_nf(ring.parse("x"), 3, table) == ring.parse("x^3")
+    images = frobenius_images(f)
+    assert frobenius_nf(ring.one(), 3, images) == ring.one()
+    assert frobenius_nf(ring.parse("x"), 3, images) == ring.parse("x^3")
 
 
 def test_frobenius_reduces_dependent_cube():
     ring, f = make_curve("trident", q=3)
-    table = FrobeniusTable(f)
+    images = frobenius_images(f)
     # y^3 = -x^7 - 8yx = -x^7 + yx with coefficients mod 3
-    assert frobenius_nf(ring.parse("y"), 3, table) == ring.parse("-x^7 + y*x")
+    assert frobenius_nf(ring.parse("y"), 3, images) == ring.parse("-x^7 + y*x")
 
 
 def test_frobenius_matches_direct_powering():
     rng = random.Random(17)
     for q in (3, 5):
         ring, f = make_curve("octic", q=q)
-        table = FrobeniusTable(f)
+        images = frobenius_images(f)
         for _ in range(5):
             g = ring.poly({(rng.randint(0, 7), rng.randint(0, 4)):
                            rng.randint(1, q - 1) for _ in range(4)})
-            assert frobenius_nf(g, q, table) == normal_form(g ** q, [f])
+            assert frobenius_nf(g, q, images) == normal_form(g ** q, [f])
 
 
 def test_frobenius_wrong_characteristic():
     ring, f = make_curve("trident", q=3)
     with pytest.raises(ClosureError):
-        frobenius_nf(ring.one(), 5, FrobeniusTable(f))
+        frobenius_nf(ring.one(), 5, frobenius_images(f))
+
+
+@st.composite
+def monic_curves(draw):
+    """(f, q): a random relation over GF(q) of y-degree 1-4, monic, y^d leading."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 13]), label="q")
+    d = draw(st.integers(1, 4), label="d")
+    wy, wx = draw(st.integers(1, 6), label="wy"), draw(st.integers(1, 6), label="wx")
+    ring = curve_ring((wy, wx), GF(q))
+    tails = [(i, e) for i in range(d) for e in range(7) if wy * i + wx * e < wy * d]
+    acc = draw(st.dictionaries(st.sampled_from(tails), st.integers(1, q - 1),
+                               max_size=4), label="tail")
+    acc[(d, 0)] = 1
+    return ring.poly(acc), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_curves(), st.data())
+def test_frobenius_images_match_powering(curve, data):
+    f, q = curve
+    ring, d = f.ring, f.degree_in(0)
+    images = frobenius_images(f)
+    assert len(images) == d
+    for k in range(d):
+        assert images[k] == normal_form(ring.monomial((q * k, 0)), [f])
+    g = ring.poly(data.draw(st.dictionaries(
+        st.tuples(st.integers(0, d - 1), st.integers(0, 3)), st.integers(1, q - 1),
+        max_size=4), label="g"))
+    assert frobenius_nf(g, q, images) == normal_form(g ** q, [f])
+
+
+@pytest.mark.parametrize("ring,text", [
+    (curve_ring((3, 2), QQ), "y^2 - x^3"),
+    (curve_ring((2, 1, 1), GF(5)), "y^2 - x2*x1"),
+    (curve_ring((3, 1), GF(5)), "y^2 + y^2*x - x^3"),
+    (curve_ring((3, 2), GF(5)), "2*y^2 - x^3"),
+], ids=["over-QQ", "two-independent", "second-top-term", "not-monic"])
+def test_frobenius_images_reject_unsupported_relations(ring, text):
+    with pytest.raises(ClosureError):
+        frobenius_images(ring.parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +113,7 @@ def test_module_reduce_exact_member():
     gens = [ring.parse("y^2"), ring.parse("y*x"), ring.parse("x")]
     scale = ring.parse("x")
     h = scale * gens[1]
-    rem, coeffs = module_reduce(h, gens, scale=scale, want_combination=True)
+    rem, coeffs = module_reduce(h, [scale * g for g in gens], want_combination=True)
     assert rem.is_zero()
     assert coeffs[1] == ring.one()
     assert coeffs[0].is_zero() and coeffs[2].is_zero()
@@ -147,19 +186,19 @@ def test_canonical_generators_need_one_independent_variable():
 def test_step_fixpoint_is_idempotent():
     for name, q in (("quadratic", 5), ("trident", 7)):
         ring, f, delta, fs = closure_run(name, q, minimize=False)
-        table = FrobeniusTable(f)
-        again = qth_power_step(fs.numerators, q, table, delta)
+        images = frobenius_images(f)
+        again = qth_power_step(fs.numerators, q, images, delta)
         assert list(again) == list(fs.numerators)
 
 
 def test_step_nesting():
     ring, f = make_curve("octic", q=7)
     delta = canonical_conductor([f], ring).delta
-    table = FrobeniusTable(f)
+    images = frobenius_images(f)
     d = f.degree_in(0)
     current = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
     for _ in range(6):
-        nxt = qth_power_step(current, 7, table, delta)
+        nxt = qth_power_step(current, 7, images, delta)
         stair_prev = {g.lm[0]: g.lm[1] for g in current}
         for g in nxt:
             i, e = g.lm
@@ -192,9 +231,9 @@ def test_step_against_linear_algebra_oracle():
             if rng.random() < 0.5:
                 dacc[(0, e)] = rng.randint(1, q - 1)
         delta = ring.poly(dacc)
-        table = FrobeniusTable(f)
+        images = frobenius_images(f)
         start = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
-        engine = qth_power_step(start, q, table, delta)
+        engine = qth_power_step(start, q, images, delta)
         expect = kernel_step_oracle(list(start), f, delta, q)
         got = {g.lm[0]: g.lm[1] for g in engine}
         assert got == expect
@@ -228,11 +267,11 @@ def small_curves(draw):
 
 def assert_steps_match_scratch(ring, f, delta, q):
     """Walk qth_closure's steps; each equals the step dividing from scratch."""
-    table = FrobeniusTable(f)
+    images = frobenius_images(f)
     nums = tuple(ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(64):
-        nxt = qth_power_step(nums, q, table, delta)
-        assert nxt == qth_power_step_scratch(nums, q, table, delta)
+        nxt = qth_power_step(nums, q, images, delta)
+        assert nxt == qth_power_step_scratch(nums, q, images, delta)
         if nxt == nums:
             return
         nums = nxt
@@ -409,7 +448,7 @@ def test_ring_property_of_fixpoint():
     for i in range(len(nums)):
         for j in range(i, len(nums)):
             prod = normal_form(nums[i] * nums[j], [f])
-            rem, _ = module_reduce(prod, nums, scale=fs.denominator)
+            rem, _ = module_reduce(prod, [fs.denominator * g for g in nums])
             assert rem.is_zero()
 
 

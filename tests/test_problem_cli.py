@@ -1,6 +1,7 @@
 """Problem-file parsing and the command line front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,36 @@ def test_cli_audit_log(tmp_path, capsys):
     assert lines[0] == "conductor: x - 8/7"
     assert any(line.startswith("q=5 usable delta=x + 1") for line in lines)
     assert any("N=715" in line and "accepted=True" in line for line in lines)
+
+
+def test_cli_unwritable_log_path(tmp_path, capsys):
+    path = _write(tmp_path, QUADRATIC)
+    log = tmp_path / "no" / "such" / "audit.log"
+    code = main([path, "--primes", "5,11,13", "--log", str(log)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "status: accepted" in captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not log.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(after: str) -> str:
+    """The first plain fenced block that follows the text ``after`` in README.md."""
+    text = README.read_text(encoding="utf-8")
+    rest = text[text.index(after) + len(after):]
+    start = rest.index("```\n") + len("```\n")
+    return rest[start:rest.index("```", start)]
+
+
+def test_readme_example_output(tmp_path, capsys):
+    problem = _readme_block("A problem file describes the input ring:")
+    expected = _readme_block("Example (the file above, primes pinned to `5,11,13`):")
+    code = main([_write(tmp_path, problem), "--primes", "5,11,13"])
+    assert code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_output_stable_between_runs(tmp_path, capsys):
