@@ -22,9 +22,8 @@ from .lifting import (Certificate, LiftError, LiftState, PrimeRun,
                       compatibility_check, crt, crt_poly, is_prime_usable,
                       lift_poly, mod_n, mu_poly, psi_combination, psi_substitute, rat_recon,
                       reconcile_and_lift, run_prime, verify_candidate)
-from .orders import (GREVLEX, GREVLEX_OVER_WEIGHT, POSITION_UP_BLOCK,
-                     WEIGHT_OVER_GREVLEX, MonomialOrder, OrderError, dep_block,
-                     grevlex, grevlex_over_weight, weight_over_grevlex)
+from .orders import (MonomialOrder, OrderError, dep_block, grevlex,
+                     grevlex_over_weight, weight_over_grevlex)
 from .problem import ProblemError, ProblemFile, parse_problem
 from .rings import ParseError, Polynomial, Ring, RingError, format_poly
 from .weights import (WeightError, mono_weight, normalize_weights,

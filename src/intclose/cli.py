@@ -13,7 +13,7 @@ import sys
 
 from .closure import ClosureError
 from .conductor import ConductorError
-from .domains import GF, QQ, DomainError, is_prime
+from .domains import GF, QQ, DomainError
 from .driver import (CharqResult, DriverError, RunConfig, run_algorithm1,
                      run_charq)
 from .lifting import LiftError
@@ -171,9 +171,11 @@ def main(argv=None) -> int:
         if mode == "charq":
             if not prime:
                 raise DriverError("charq mode requires --prime or a characteristic field")
-            if not is_prime(prime):
-                raise DriverError(f"--prime {prime} is not prime")
-            ring = problem.ring(GF(prime))
+            try:
+                field = GF(prime)
+            except DomainError as exc:
+                raise DriverError(f"--prime {exc}") from None
+            ring = problem.ring(field)
             f = problem.relation(ring)
             result = run_charq(ring, f, prime, max_iter=args.max_iter)
             audit = [f"q={prime} delta={result.conductor}"]
@@ -181,13 +183,13 @@ def main(argv=None) -> int:
             ring = problem.ring(QQ)
             f = problem.relation(ring)
             primes = None
-            if args.primes:
+            if args.primes is not None:
                 try:
                     primes = tuple(int(p) for p in args.primes.split(","))
                 except ValueError:
                     raise DriverError("--primes expects comma-separated integers,"
                                       f" got {args.primes!r}") from None
-            config = RunConfig(mode="char0", primes=primes,
+            config = RunConfig(primes=primes,
                                start_prime=args.start_prime,
                                max_primes=args.max_primes,
                                max_iter=args.max_iter)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
 
+import numpy as np
+
 from .domains import MODP
 from .groebner import normal_form, reduce_terms
 from .linalg import nullspace_mod
@@ -203,13 +205,18 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     Column (j, alpha) reduces x^q * column (j, alpha-1): the targets lead in
     distinct dependent parts, a Groebner basis, so remainders are canonical.
     """
+    from .conductor import exact_divide
     ring = conductor.ring
     if ring.nindep != 1:
         raise ClosureError("closure iteration supports one independent variable")
+    if ring.domain.kind != MODP or ring.domain.char != q:
+        raise ClosureError(f"ring characteristic is not {q}")
     xdeg = conductor.degree_in(1)
     if xdeg == 0:
         return numerators
-    scale = conductor ** (q - 1)
+    # over F_q, D^q = D(x^q): scale the exponents, then divide once by D
+    frobenius_d = ring.poly({tuple(q * e for e in m): c for m, c in conductor.terms})
+    scale = exact_divide(frobenius_d, conductor)
     targets = [scale * g for g in numerators]
     cols = []
     col_ids = []
@@ -224,10 +231,10 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
                 support.setdefault(m, len(support))
     if all(r.is_zero() for r in cols):
         return numerators
-    rows = [[0] * len(cols) for _ in range(len(support))]
+    rows = np.zeros((len(support), len(cols)), dtype=np.int64)  # entries < q < 2^63
     for cidx, rem in enumerate(cols):
         for m, c in rem.terms:
-            rows[support[m]][cidx] = int(c)
+            rows[support[m], cidx] = c
     kernel = nullspace_mod(rows, len(cols), q)
     new_gens = [conductor * g for g in numerators]
     for vec in kernel:

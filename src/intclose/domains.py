@@ -57,10 +57,10 @@ class Domain:
         if self.kind not in (INT, RAT, MODP):
             raise DomainError(f"unknown domain kind {self.kind!r}")
         if self.kind == MODP:
-            if not (2 <= self.char < _MAX_WORD):
-                raise DomainError(f"modulus {self.char} out of word range")
+            if self.char >= _MAX_WORD:
+                raise DomainError(f"{self.char} is not below the word limit 2^63")
             if not is_prime(self.char):
-                raise DomainError(f"modulus {self.char} is not prime")
+                raise DomainError(f"{self.char} is not prime")
         elif self.char != 0:
             raise DomainError(f"{self.kind} domain has characteristic 0")
 

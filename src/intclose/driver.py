@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .closure import (ClosurePresentation, FractionSet, induce_presentation,
                       minimize_denominator, qth_closure)
 from .conductor import canonical_conductor
-from .domains import GF, QQ, is_prime
+from .domains import GF, QQ, DomainError, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, compatibility_check,
                       reconcile_and_lift, run_prime, verify_candidate)
 from .rings import Polynomial, Ring, _mono_str
@@ -25,27 +25,24 @@ def _check_max_iter(max_iter: int):
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "char0"              # "char0" | "charq"
     primes: tuple | None = None      # explicit schedule; otherwise ascending
     start_prime: int = 5
     max_primes: int = 12             # max usable primes incorporated
     max_iter: int = 64               # closure fixpoint bound
-    prime: int | None = None         # charq mode
 
     def __post_init__(self):
-        if self.mode not in ("char0", "charq"):
-            raise DriverError(f"unknown mode {self.mode!r}")
-        if self.mode == "charq" and not self.prime:
-            raise DriverError("charq mode requires an explicit prime")
         if self.max_primes < 1:
             raise DriverError("max primes must be at least 1")
         _check_max_iter(self.max_iter)
-        if self.primes is not None:
-            if len(set(self.primes)) != len(self.primes):
-                raise DriverError("prime schedule contains duplicates")
-            for q in self.primes:
-                if not is_prime(q):
-                    raise DriverError(f"{q} in the schedule is not prime")
+        if self.primes is not None and len(set(self.primes)) != len(self.primes):
+            raise DriverError("prime schedule contains duplicates")
+        # every explicit prime, or the first one of the ascending schedule
+        checked = self.primes if self.primes is not None else (next(_prime_schedule(self)),)
+        for q in checked:
+            try:
+                GF(q)
+            except DomainError as exc:
+                raise DriverError(f"prime schedule: {exc}") from None
 
 
 @dataclass(frozen=True)

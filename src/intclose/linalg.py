@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def nullspace_mod(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:
+def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
     """Basis of the right nullspace of the matrix over Z_q.
 
-    ``rows`` may be empty (nullspace = identity).  Entries are reduced mod q.
+    ``rows`` is a list of integer rows or a 2-D integer array, and may be
+    empty (nullspace = identity).  Entries are reduced mod q.
     The basis, one vector per free column, is read off the unique reduced row
     echelon form; each pivot updates only the rows nonzero in its column.
     """
@@ -16,10 +17,10 @@ def nullspace_mod(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:
         return []
     # int64 products overflow once q^2 exceeds 2^63; fall back to objects
     dtype = np.int64 if q < (1 << 31) else object
-    if not rows:
+    if len(rows) == 0:
         a = np.zeros((0, ncols), dtype=dtype)
     else:
-        a = np.array(rows, dtype=dtype) % q
+        a = np.asarray(rows, dtype=dtype) % q
         if a.shape[1] != ncols:
             raise ValueError("row length mismatch")
     pivots: list[int] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from .domains import GF, QQ, Domain, DomainError, is_prime
+from .domains import GF, QQ, Domain, DomainError
 from .orders import weight_over_grevlex
 from .rings import ParseError, Polynomial, Ring
 from .weights import normalize_weights
@@ -107,8 +107,10 @@ def parse_problem(text: str) -> ProblemFile:
             char = int(fields["characteristic"])
         except ValueError:
             raise ProblemError("characteristic must be an integer") from None
-        if not is_prime(char):
-            raise ProblemError(f"characteristic {char} is not prime")
+        try:
+            GF(char)
+        except DomainError as exc:
+            raise ProblemError(f"characteristic {exc}") from None
     pf = ProblemFile(indvars, depvar, weights, fields["relation"], char)
     pf.relation()  # validate eagerly: parse + monic check
     return pf

@@ -94,7 +94,7 @@ class Ring:
     def __repr__(self):
         dep = ",".join(self.names[: self.ndep])
         ind = ",".join(self.names[self.ndep:])
-        return f"Ring({self.domain!r}[{dep};{ind}], {self.order.kind})"
+        return f"Ring({self.domain!r}[{dep};{ind}])"
 
 
 class Polynomial:

@@ -7,6 +7,8 @@ is checked against a second path.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from intclose import (ConductorError, Ring, buchberger, canonical_generators,
                       dep_block, frobenius_nf, mono_weight, module_reduce,
                       normal_form, partial_derivative)
@@ -336,3 +338,46 @@ def weight_balance_ok(presentation) -> bool:
         if lead != tail:
             return False
     return True
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix, by fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank, ncols = 0, (len(m[0]) if m else 0)
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def completed_rows(base, candidates, nvars: int) -> tuple:
+    """Reference order matrix: square and nonsingular, pruned by rank.
+
+    Keeps each base row that raises the rank of the rows above it, then
+    appends candidate rows while they raise the rank, until there are
+    ``nvars`` independent rows.  Asserts that full rank is reached.
+    """
+    rows = [tuple(r) for r in base]
+    rows = [r for i, r in enumerate(rows) if _rank(rows[: i + 1]) > _rank(rows[:i])]
+    for cand in candidates:
+        if len(rows) == nvars:
+            break
+        if _rank(rows + [tuple(cand)]) > len(rows):
+            rows.append(tuple(cand))
+    assert len(rows) == nvars and _rank(rows) == nvars, "matrix is not of full rank"
+    return tuple(rows)
+
+
+def key_sign(key, a, b) -> int:
+    """-1, 0 or 1 as monomial a sorts below, level with or above b under ``key``."""
+    ka, kb = key(a), key(b)
+    return (ka > kb) - (ka < kb)

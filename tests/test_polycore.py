@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ZZ, Domain, DomainError, OrderError, Ring,
-                      RingError, WeightError, format_poly, grevlex,
+                      RingError, WeightError, dep_block, format_poly, grevlex,
                       grevlex_over_weight, validate_weight_function,
                       weight_of, weight_over_grevlex)
 from conftest import CURVES, curve_ring, make_curve
+from oracles import completed_rows, key_sign
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +66,26 @@ def test_grevlex_matches_textbook_oracle():
     order = grevlex(2)
     monos = [(i, j) for i in range(7) for j in range(7)]
     for a, b in product(monos, monos):
-        assert order.cmp(a, b) == _grevlex_oracle(a, b)
+        assert key_sign(order.key, a, b) == _grevlex_oracle(a, b)
 
 
 def test_grevlex_three_vars_oracle():
     order = grevlex(3)
     monos = [m for m in product(range(4), repeat=3)]
     for a, b in product(monos, monos):
-        assert order.cmp(a, b) == _grevlex_oracle(a, b)
+        assert key_sign(order.key, a, b) == _grevlex_oracle(a, b)
 
 
 def test_cmp_identity():
     order = weight_over_grevlex([[11, 6]], 2)
-    assert order.cmp((2, 1), (2, 1)) == 0
+    assert key_sign(order.key, (2, 1), (2, 1)) == 0
 
 
 def test_weight_tie_broken_toward_dependent_power():
     # y^6 and x^11 share weight 66; the dependent power must lead
     order = weight_over_grevlex([[11, 6]], 2)
     assert order.key((6, 0))[0] == order.key((0, 11))[0] == 66
-    assert order.cmp((6, 0), (0, 11)) == 1
+    assert order.key((6, 0)) > order.key((0, 11))
 
 
 @settings(max_examples=200, deadline=None)
@@ -92,36 +93,63 @@ def test_weight_tie_broken_toward_dependent_power():
        st.tuples(*[st.integers(0, 8)] * 2))
 def test_order_total_and_multiplicative(a, b, c):
     order = weight_over_grevlex([[5, 3]], 2)
-    cmp_ab = order.cmp(a, b)
+    cmp_ab = key_sign(order.key, a, b)
     if a != b:
         assert cmp_ab != 0
     ac = tuple(x + y for x, y in zip(a, c))
     bc = tuple(x + y for x, y in zip(b, c))
-    assert order.cmp(ac, bc) == cmp_ab
+    assert key_sign(order.key, ac, bc) == cmp_ab
 
 
 def test_grevlex_over_weight_output_ring():
     # six-variable output ring with induced weights 25,21,20,11,10,6
     w = [[25, 21, 20, 11, 10, 6]]
     order = grevlex_over_weight(w, 5, 6)
-    assert len(order.rows) == 6
     # any monomial with two ybar factors beats any with one
     two = (1, 1, 0, 0, 0, 0)
     one_heavy = (0, 0, 1, 0, 0, 9)  # ybar3 * x^9, weight 74
-    assert order.cmp(two, one_heavy) == 1
+    assert order.key(two) > order.key(one_heavy)
     # among linear monomials the dependent grevlex block decides first
     ybar4 = (0, 1, 0, 0, 0, 0)
     ybar3x2 = (0, 0, 1, 0, 0, 2)
-    assert order.cmp(ybar4, ybar3x2) == 1
+    assert order.key(ybar4) > order.key(ybar3x2)
 
 
-def test_order_matrices_complete_to_square():
-    # tie rows are appended until the matrix is square and nonsingular,
-    # dropping linearly dependent rows (a zero weight row contributes nothing)
-    assert len(weight_over_grevlex([[0, 0]], 2).rows) == 2
-    assert len(weight_over_grevlex([[11, 6]], 2).rows) == 2
-    assert len(grevlex_over_weight([[25, 21, 20, 11, 10, 6]], 5, 6).rows) == 6
-    assert len(grevlex_over_weight([[1, 2], [1, 2]], 1, 2).rows) == 2
+def _grevlex_block(lo, hi, nvars):
+    """Block total degree, then negated unit vectors from the block's last variable."""
+    rows = [[1 if lo <= i < hi else 0 for i in range(nvars)]]
+    rows += [[-1 if i == k else 0 for i in range(nvars)] for k in range(hi - 1, lo, -1)]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_orders_match_completed_matrix_oracle(data):
+    # the orders keep linearly dependent rows; pruning them to a square
+    # nonsingular matrix (the oracle) must not change any comparison
+    nvars = data.draw(st.integers(1, 4))
+    ndep = data.draw(st.integers(0, nvars))
+    row = st.lists(st.integers(0, 9), min_size=nvars, max_size=nvars)
+    weights = data.draw(st.lists(row, max_size=3))
+    for extra in data.draw(st.lists(st.sampled_from(["zero", "repeat"]), max_size=2)):
+        at = data.draw(st.integers(0, len(weights)))
+        weights.insert(at, weights[-1] if extra == "repeat" and weights else [0] * nvars)
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * nvars),
+                               min_size=2, max_size=8))
+    g = _grevlex_block(0, nvars, nvars)
+    dep, tail = _grevlex_block(0, ndep, nvars), _grevlex_block(ndep, nvars, nvars)
+    cases = [(grevlex(nvars), g, []),
+             (weight_over_grevlex(weights, nvars), weights, g[1:] + g[:1]),
+             (grevlex_over_weight(weights, ndep, nvars), dep + weights, tail[1:] + tail[:1]),
+             (dep_block(ndep, nvars), dep + tail, [])]
+    for order, base, candidates in cases:
+        ref = completed_rows(base, candidates, nvars)
+
+        def ref_key(m, ref=ref):
+            return tuple(sum(r * e for r, e in zip(row, m)) for row in ref)
+
+        for a, b in product(monos, monos):
+            assert key_sign(order.key, a, b) == key_sign(ref_key, a, b)
 
 
 def test_order_dimension_mismatch():

@@ -205,6 +205,32 @@ def test_cli_rejects_malformed_primes(tmp_path, capsys, bad_args, message):
     assert not (tmp_path / "audit.log").exists()
 
 
+# the least prime above 2^63: GF(q) holds residues as machine words below 2^63
+BEYOND_WORD = 9223372036854775837
+BEYOND_WORD_REASON = f"{BEYOND_WORD} is not below the word limit 2^63"
+
+
+@pytest.mark.parametrize("text,bad_args,message", [
+    (QUADRATIC + f"characteristic: {BEYOND_WORD}\n", [],
+     f"error: characteristic {BEYOND_WORD_REASON}"),
+    (QUADRATIC, ["--mode", "charq", "--prime", str(BEYOND_WORD)],
+     f"error: --prime {BEYOND_WORD_REASON}"),
+    (QUADRATIC, ["--primes", f"5,{BEYOND_WORD}"],
+     f"error: prime schedule: {BEYOND_WORD_REASON}"),
+    (QUADRATIC, ["--start-prime", str(BEYOND_WORD)],
+     f"error: prime schedule: {BEYOND_WORD_REASON}"),
+    (QUADRATIC, ["--primes", ""], "error: --primes expects comma-separated integers, got ''"),
+], ids=["characteristic", "prime", "primes", "start-prime", "empty-primes"])
+def test_cli_rejects_unusable_primes_up_front(tmp_path, capsys, text, bad_args, message):
+    # rejected before the conductor runs, with one error line and exit 2
+    path = _write(tmp_path, text)
+    code = main([path, "--log", str(tmp_path / "audit.log")] + bad_args)
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err.splitlines() == [message]
+    assert not (tmp_path / "audit.log").exists()
+
 @pytest.mark.parametrize("mode_args", [[], ["--mode", "charq", "--prime", "5"]])
 def test_cli_rejects_zero_max_iter(tmp_path, capsys, mode_args):
     # rejected before any prime is tried, in both modes
