@@ -14,9 +14,8 @@ import sys
 from .closure import ClosureError
 from .conductor import ConductorError
 from .domains import GF, QQ, DomainError
-from .driver import (CharqResult, DriverError, RunConfig, run_algorithm1,
-                     run_charq)
-from .lifting import LiftError
+from .driver import DriverError, RunConfig, run_algorithm1, run_charq
+from .lifting import LiftError, PrimeRun
 from .problem import ProblemError, parse_problem
 from .rings import format_poly
 
@@ -50,7 +49,7 @@ def _emit_common(lines, fractions, presentation):
     lines.append("numerators:")
     for g in fractions.numerators:
         lines.append(f"  {g}")
-    lines.append(f"induced_weights: {_weights_line(presentation.induced_weights)}")
+    lines.append(f"induced_weights: {_weights_line(presentation.ring.weights)}")
     if presentation.relations:
         for rel in presentation.relations:
             lines.append(f"relation: {rel}")
@@ -61,10 +60,10 @@ def _emit_common(lines, fractions, presentation):
 
 def emit_text(result) -> str:
     lines = []
-    if isinstance(result, CharqResult):
+    if isinstance(result, PrimeRun):
         lines.append("mode: charq")
         lines.append(f"q: {result.q}")
-        lines.append(f"Delta: {result.conductor}")
+        lines.append(f"Delta: {result.delta_q}")
         _emit_common(lines, result.fractions, result.presentation)
     else:
         lines.append("mode: char0")
@@ -93,7 +92,7 @@ def _structured_presentation(fractions, presentation) -> dict:
     return {
         "delta": format_poly(fractions.denominator),
         "numerators": _poly_list(fractions.numerators),
-        "induced_weights": [list(r) for r in presentation.induced_weights],
+        "induced_weights": [list(r) for r in presentation.ring.weights],
         "relations": _poly_list(presentation.relations),
         "psi": format_poly(presentation.inclusion_image),
         "psi_factored": _psi_factored(presentation),
@@ -101,11 +100,11 @@ def _structured_presentation(fractions, presentation) -> dict:
 
 
 def emit_structured(result) -> str:
-    if isinstance(result, CharqResult):
+    if isinstance(result, PrimeRun):
         doc = {
             "mode": "charq",
             "q": result.q,
-            "conductor": format_poly(result.conductor),
+            "conductor": format_poly(result.delta_q),
             **_structured_presentation(result.fractions, result.presentation),
         }
     else:
@@ -178,7 +177,7 @@ def main(argv=None) -> int:
             ring = problem.ring(field)
             f = problem.relation(ring)
             result = run_charq(ring, f, prime, max_iter=args.max_iter)
-            audit = [f"q={prime} delta={result.conductor}"]
+            audit = [f"q={prime} delta={result.delta_q}"]
         else:
             ring = problem.ring(QQ)
             f = problem.relation(ring)

@@ -20,7 +20,7 @@ from .domains import MODP
 from .groebner import normal_form, reduce_terms
 from .linalg import nullspace_mod
 from .orders import grevlex_over_weight, mono_divides, mono_mul
-from .rings import Polynomial, Ring
+from .rings import Polynomial, Ring, RingError
 from .weights import weight_of
 
 
@@ -50,6 +50,32 @@ def module_reduce(h: Polynomial, gens, want_combination: bool = False):
     return ring.poly(rem), coeffs
 
 
+def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
+    """Quotient p / d when d divides p exactly; RingError otherwise."""
+    if d.is_zero():
+        raise RingError("division by the zero polynomial")
+    ring = p.ring
+    quot: dict = {}
+    rem = reduce_terms(dict(p.terms), [(d.lm, d.lc, d.terms)], ring.domain,
+                       ring.order.key, full=False, quotients=[quot])
+    if rem:
+        raise RingError("inexact polynomial division")
+    return ring.poly(quot)
+
+
+def gcd_in_p(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of two polynomials of P = F[x], by Euclid's algorithm."""
+    ring = a.ring
+    if ring.nindep != 1:
+        raise ClosureError("gcd in P supports one independent variable,"
+                           f" the ring has {ring.nindep}")
+    if not a.in_subring(ring.ndep) or not b.in_subring(ring.ndep):
+        raise ClosureError("gcd arguments must lie in the independent subring")
+    while not b.is_zero():
+        a, b = b, normal_form(a, [b])
+    return a.monic()
+
+
 def canonical_generators(gens, ring: Ring) -> tuple:
     """Monic, fully interreduced, order-descending generating set (P-module).
 
@@ -61,6 +87,15 @@ def canonical_generators(gens, ring: Ring) -> tuple:
     lead divides a basis lead sends that element back to the pending list.
     A last pass, ascending, reduces each tail by the smaller elements only,
     as no larger lead divides a smaller term.
+
+    Read as a basis of an F_q[x]-submodule of F_q[x]^d (the coefficients of
+    y^0 .. y^(d-1)), the result is its shifted Popov basis (Beckermann,
+    Labahn & Villard, "Normal forms for general polynomial matrices", JSC
+    2006), the shift coming from the weight of y.  It is not a y-triangular
+    Hermite basis: at q = 7 the octic numerator
+    y^6*x^8 + y^7*x^5 + x^11 - y*x^8 has a y^7 term under its y^6 lead.  A
+    Hermite-form representation would need a conversion back to this basis
+    to keep the output the same.
     """
     if ring.nindep != 1:
         raise ClosureError("canonical generators need one independent variable")
@@ -83,16 +118,15 @@ def canonical_generators(gens, ring: Ring) -> tuple:
 
 @dataclass(frozen=True)
 class FractionSet:
-    """Canonical numerators (g_J, ..., g_1, g_0) over a common denominator.
+    """Canonical numerators (g_J, ..., g_1, g_0) over the denominator g_0.
 
-    The represented P-module is spanned by the fractions g_j / denominator;
-    g_0 is the unique pure-P generator (equal to the denominator exactly when
-    the set presents a ring, e.g. any fixpoint of the iteration).
+    The represented P-module is spanned by the fractions g_j / g_0; g_0 is
+    the unique pure-P generator, so the module contains 1 and, at a fixpoint
+    of the iteration, is a ring.
     """
 
     ring: Ring
     numerators: tuple
-    denominator: Polynomial
 
     def __post_init__(self):
         if not self.numerators:
@@ -101,7 +135,7 @@ class FractionSet:
         for g in self.numerators:
             if g.is_zero() or not g.is_monic():
                 raise ClosureError("numerators must be monic and nonzero")
-        if not self.g0.in_subring(ndep):
+        if not self.denominator.in_subring(ndep):
             raise ClosureError("g_0 must lie in the independent subring")
         key = self.ring.order.key
         keys = [key(g.lm) for g in self.numerators]
@@ -116,13 +150,9 @@ class FractionSet:
                         raise ClosureError("numerators are not interreduced")
 
     @property
-    def g0(self) -> Polynomial:
+    def denominator(self) -> Polynomial:
+        """g_0, the common denominator of the fractions."""
         return self.numerators[-1]
-
-    @property
-    def count(self) -> int:
-        """J + 1: number of module generators including the trivial one."""
-        return len(self.numerators)
 
     def fraction_weights(self) -> list[tuple]:
         wd = weight_of(self.denominator)
@@ -205,7 +235,6 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     Column (j, alpha) reduces x^q * column (j, alpha-1): the targets lead in
     distinct dependent parts, a Groebner basis, so remainders are canonical.
     """
-    from .conductor import exact_divide
     ring = conductor.ring
     if ring.nindep != 1:
         raise ClosureError("closure iteration supports one independent variable")
@@ -262,7 +291,7 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int,
         if list(nxt) == list(nums):
             if nums[-1] != conductor.monic():
                 raise ClosureError("fixpoint does not contain the conductor fraction")
-            return FractionSet(ring, nums, conductor.monic())
+            return FractionSet(ring, nums)
         nums = nxt
     raise ClosureError(f"no fixpoint within {max_iter} iterations")
 
@@ -279,17 +308,14 @@ def _y_contents(g: Polynomial) -> list[Polynomial]:
 
 def minimize_denominator(fs: FractionSet) -> FractionSet:
     """Divide out the common P-content of the denominator and all numerators."""
-    from .conductor import exact_divide, gcd_in_p
     ring = fs.ring
-    c = fs.denominator.monic()
+    c = fs.denominator
     for g in fs.numerators[:-1]:
         for coeff in _y_contents(g):
             c = gcd_in_p(c, coeff)
-    c = gcd_in_p(c, fs.g0)
     if c == ring.one():
         return fs
-    nums = tuple(exact_divide(g, c).monic() for g in fs.numerators)
-    return FractionSet(ring, nums, exact_divide(fs.denominator, c).monic())
+    return FractionSet(ring, tuple(exact_divide(g, c).monic() for g in fs.numerators))
 
 
 YBAR = "ybar"                        # stem of the fraction variable names
@@ -303,11 +329,6 @@ class ClosurePresentation:
     relations: tuple                 # minimal reduced basis of induced relations
     inclusion_image: Polynomial      # psi(y) inside the output ring
     inclusion_combo: tuple           # coefficients c_k in P with psi(y) = sum c_k ybar_k
-    fractions: FractionSet
-
-    @property
-    def induced_weights(self) -> tuple:
-        return self.ring.weights
 
 
 def _transport_p(poly: Polynomial, out_ring: Ring, pad: int) -> Polynomial:
@@ -336,8 +357,6 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     ring = fs.ring
     if ring.nindep != 1:
         raise ClosureError("presentation needs one independent variable")
-    if fs.g0 != fs.denominator:
-        raise ClosureError("presentation requires a fixpoint fraction set (g_0 = denominator)")
     nums = fs.numerators
     J = len(nums) - 1
     indep_names = ring.names[ring.ndep:]
@@ -385,5 +404,5 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     if not rem.is_zero():
         raise ClosureError("inclusion image of y is not in the module")
     return ClosurePresentation(out_ring, tuple(relations), combination(coeffs),
-                               tuple(coeffs), fs)
+                               tuple(coeffs))
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closure import (ClosurePresentation, FractionSet, induce_presentation,
-                      minimize_denominator, qth_closure)
+from .closure import ClosurePresentation, FractionSet
 from .conductor import canonical_conductor
 from .domains import GF, QQ, DomainError, is_prime
-from .lifting import (Certificate, LiftState, PrimeRun, compatibility_check,
-                      reconcile_and_lift, run_prime, verify_candidate)
+from .lifting import (Certificate, LiftState, PrimeRun, closure_run,
+                      compatibility_check, reconcile_and_lift, run_prime,
+                      verify_candidate)
 from .rings import Polynomial, Ring, _mono_str
 from .weights import validate_weight_function
 
@@ -53,14 +53,17 @@ class Stage:
 
 @dataclass
 class Algorithm1Result:
-    accepted: bool
     conductor: Polynomial
-    presentation: ClosurePresentation | None
-    fractions: FractionSet | None
-    certificate: Certificate | None
+    presentation: ClosurePresentation | None = None
+    fractions: FractionSet | None = None
+    certificate: Certificate | None = None   # the last stage's certificate
     runs: list = field(default_factory=list)
     stages: list = field(default_factory=list)
     audit: list = field(default_factory=list)
+
+    @property
+    def accepted(self) -> bool:
+        return self.certificate is not None and self.certificate.accepted
 
     @property
     def primes_used(self) -> tuple:
@@ -99,8 +102,8 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
     """Steps of the multi-modular pipeline, stopping at the first certificate."""
     config = config or RunConfig()
     validate_problem(ring, f)
-    delta0 = canonical_conductor([f], ring).delta
-    result = Algorithm1Result(False, delta0, None, None, None)
+    delta0 = canonical_conductor(f, ring)
+    result = Algorithm1Result(delta0)
     result.audit.append(f"conductor: {delta0}")
     usable: list[PrimeRun] = []
     for q in _prime_schedule(config):
@@ -108,14 +111,14 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
             break
         run = run_prime(q, f, delta0, max_iter=config.max_iter)
         if run.usable and usable and not compatibility_check(usable + [run]):
-            run = PrimeRun(q, "skipped", reason="incompatible closure signature")
+            run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
         if not run.usable:
             result.audit.append(f"q={q} skipped: {run.reason}")
             continue
         usable.append(run)
         result.audit.append(
-            f"q={q} usable delta={run.delta_q} J={run.fractions.count - 1}"
+            f"q={q} usable delta={run.delta_q} J={len(run.fractions.numerators) - 1}"
             f" lm_g={_lm_names(run.fractions.numerators)}"
             f" K={len(run.presentation.relations)}"
             f" lm_b={_lm_names(run.presentation.relations) if run.presentation.relations else '[]'}")
@@ -133,33 +136,19 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
             f" numerators={cert.numerators_ok} accepted={cert.accepted}")
         result.certificate = cert
         if cert.accepted:
-            result.accepted = True
-            result.fractions = FractionSet(ring.with_domain(QQ), state.numerators,
-                                           state.numerators[-1])
+            result.fractions = FractionSet(ring.with_domain(QQ), state.numerators)
             out_q = usable[0].presentation.ring
             result.presentation = ClosurePresentation(
-                out_q.with_domain(QQ), state.relations, state.psi,
-                state.psi_combo, result.fractions)
+                out_q.with_domain(QQ), state.relations, state.psi, state.psi_combo)
             return result
     result.audit.append("prime budget exhausted without an accepted certificate")
     return result
 
 
-@dataclass
-class CharqResult:
-    q: int
-    conductor: Polynomial
-    fractions: FractionSet
-    presentation: ClosurePresentation
-
-
-def run_charq(ring: Ring, f: Polynomial, q: int, max_iter: int = 64) -> CharqResult:
+def run_charq(ring: Ring, f: Polynomial, q: int, max_iter: int = 64) -> PrimeRun:
     """Single characteristic-q closure with its induced presentation."""
     _check_max_iter(max_iter)
     if ring.domain != GF(q):
         raise DriverError(f"ring domain must be GF({q})")
     validate_problem(ring, f)
-    delta = canonical_conductor([f], ring).delta
-    fractions = minimize_denominator(qth_closure(ring, f, delta, q, max_iter=max_iter))
-    presentation = induce_presentation(fractions, f)
-    return CharqResult(q, delta, fractions, presentation)
+    return closure_run(q, f, canonical_conductor(f, ring), max_iter=max_iter)

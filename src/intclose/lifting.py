@@ -29,15 +29,6 @@ class LiftError(ArithmeticError):
 # scalar maps
 
 
-def mod_n(value, n: int) -> int:
-    """Balanced residue c with c*beta = alpha (mod n), |c| minimal (ties +n/2)."""
-    frac = Fraction(value)
-    if math.gcd(frac.denominator, n) != 1:
-        raise LiftError(f"denominator of {frac} is not invertible mod {n}")
-    c = frac.numerator * pow(frac.denominator, -1, n) % n
-    return balanced(c, n)
-
-
 def rat_recon(c: int, n: int) -> Fraction:
     """Extended-Euclidean rational reconstruction of c mod n.
 
@@ -91,7 +82,7 @@ def crt(values) -> tuple[int, int]:
 def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
     """Reduce a rational polynomial mod q (undefined denominators raise)."""
     try:
-        return p.map_coeffs(lambda c: c, target)
+        return target.poly(dict(p.terms))
     except DomainError as exc:
         raise LiftError(str(exc)) from None
 
@@ -130,16 +121,17 @@ def lift_poly(p: Polynomial, n: int, target: Ring) -> Polynomial:
 
 @dataclass(frozen=True)
 class PrimeRun:
+    """One prime's closure, or the reason the prime was skipped."""
+
     q: int
-    status: str                      # "usable" or "skipped"
-    reason: str | None = None
+    reason: str | None = None        # None exactly when the run is usable
     delta_q: Polynomial | None = None
     fractions: FractionSet | None = None
     presentation: ClosurePresentation | None = None
 
     @property
     def usable(self) -> bool:
-        return self.status == "usable"
+        return self.reason is None
 
 
 def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial):
@@ -156,7 +148,7 @@ def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial):
     ring_q = f.ring.with_domain(GF(q))
     f_q = mu_poly(f, ring_q)
     try:
-        delta_q = canonical_conductor([f_q], ring_q).delta
+        delta_q = canonical_conductor(f_q, ring_q)
     except ConductorError as exc:
         return "skipped", f"degenerate mod {q}: {exc}"
     if delta_q != mu_poly(delta0, ring_q):
@@ -164,23 +156,25 @@ def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial):
     return "usable", delta_q
 
 
+def closure_run(q: int, f_q: Polynomial, delta_q: Polynomial,
+                max_iter: int = 64) -> PrimeRun:
+    """The characteristic-q closure of f_q over its conductor, as a usable run."""
+    fractions = minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q,
+                                                 max_iter=max_iter))
+    return PrimeRun(q, delta_q=delta_q, fractions=fractions,
+                    presentation=induce_presentation(fractions, f_q))
+
+
 def run_prime(q: int, f: Polynomial, delta0: Polynomial,
               max_iter: int = 64) -> PrimeRun:
     """Usability filter plus the full characteristic-q pipeline."""
     status, info = is_prime_usable(q, f, delta0)
     if status == "skipped":
-        return PrimeRun(q, "skipped", reason=info)
-    delta_q = info
-    ring_q = delta_q.ring
-    f_q = mu_poly(f, ring_q)
+        return PrimeRun(q, reason=info)
     try:
-        fractions = minimize_denominator(qth_closure(ring_q, f_q, delta_q, q,
-                                                     max_iter=max_iter))
-        presentation = induce_presentation(fractions, f_q)
+        return closure_run(q, mu_poly(f, info.ring), info, max_iter=max_iter)
     except ClosureError as exc:
-        return PrimeRun(q, "skipped", reason=f"closure failed: {exc}")
-    return PrimeRun(q, "usable", delta_q=delta_q, fractions=fractions,
-                    presentation=presentation)
+        return PrimeRun(q, reason=f"closure failed: {exc}")
 
 
 def compatibility_check(runs) -> bool:

@@ -89,10 +89,6 @@ class MonomialOrder:
         return k
 
 
-def grevlex(nvars: int) -> MonomialOrder:
-    return MonomialOrder(tuple(_block_grevlex_rows(0, nvars, nvars)))
-
-
 def weight_over_grevlex(weights: Sequence[Sequence[int]], nvars: int) -> MonomialOrder:
     """Weight rows on top, grevlex tie-break rows (units first, degree last) below.
 

@@ -226,10 +226,6 @@ class Polynomial:
         return Polynomial(self.ring, tuple((mono_mul(m, mono), dom.mul(cc, c))
                                            for m, cc in self.terms))
 
-    def map_coeffs(self, func, target_ring: Ring) -> "Polynomial":
-        """Rebuild in target_ring applying func to every coefficient."""
-        return target_ring.poly({m: func(c) for m, c in self.terms})
-
     # comparisons --------------------------------------------------------
 
     def __eq__(self, other):

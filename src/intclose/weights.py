@@ -29,9 +29,9 @@ def mono_weight(mono, weights: WeightMatrix) -> tuple:
     return tuple(sum(r * e for r, e in zip(row, mono)) for row in weights)
 
 
-def weight_of(poly, weights: WeightMatrix | None = None) -> tuple:
+def weight_of(poly) -> tuple:
     """Lexicographically maximal weight vector over the support of poly."""
-    w = weights if weights is not None else poly.ring.weights
+    w = poly.ring.weights
     if w is None:
         raise WeightError("ring has no weight matrix")
     if poly.is_zero():
@@ -39,12 +39,12 @@ def weight_of(poly, weights: WeightMatrix | None = None) -> tuple:
     return max(mono_weight(m, w) for m, _ in poly.terms)
 
 
-def max_weight_monomials(poly, weights: WeightMatrix) -> list:
-    top = weight_of(poly, weights)
-    return [m for m, _ in poly.terms if mono_weight(m, weights) == top]
+def max_weight_monomials(poly) -> list:
+    top = weight_of(poly)
+    return [m for m, _ in poly.terms if mono_weight(m, poly.ring.weights) == top]
 
 
-def validate_weight_function(f, weights: WeightMatrix | None = None):
+def validate_weight_function(f):
     """Check that f is compatible with the weight matrix of its ring.
 
     Accepts exactly when the maximal-weight monomials of f are the pure
@@ -52,14 +52,13 @@ def validate_weight_function(f, weights: WeightMatrix | None = None):
     monomial in independent variables only.  Returns (ok, offending list).
     """
     ring = f.ring
-    w = weights if weights is not None else ring.weights
     if ring.ndep != 1:
         raise WeightError("weight validation expects one dependent variable")
     d = f.degree_in(0)
     lead = tuple(d if i == 0 else 0 for i in range(ring.nvars))
     if f.coeff_of(lead) != ring.domain.one:
         raise WeightError("relation is not monic in the dependent variable")
-    top = max_weight_monomials(f, w)
+    top = max_weight_monomials(f)
     if len(top) != 2 or lead not in top:
         return False, top
     other = next(m for m in top if m != lead)

@@ -7,12 +7,29 @@ is checked against a second path.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from intclose import (ConductorError, Ring, buchberger, canonical_generators,
-                      dep_block, frobenius_nf, mono_weight, module_reduce,
-                      normal_form, partial_derivative)
+from intclose import (ConductorError, LiftError, MonomialOrder, Ring, balanced,
+                      buchberger, canonical_generators, dep_block, frobenius_nf,
+                      mono_weight, module_reduce, normal_form,
+                      partial_derivative)
 from intclose.linalg import nullspace_mod
+from intclose.orders import _block_grevlex_rows
+
+
+def grevlex(nvars: int) -> MonomialOrder:
+    """Plain grevlex on all variables, one block."""
+    return MonomialOrder(tuple(_block_grevlex_rows(0, nvars, nvars)))
+
+
+def mod_n(value, n: int) -> int:
+    """Balanced residue c with c*beta = alpha (mod n), |c| minimal (ties +n/2)."""
+    frac = Fraction(value)
+    if math.gcd(frac.denominator, n) != 1:
+        raise LiftError(f"denominator of {frac} is not invertible mod {n}")
+    c = frac.numerator * pow(frac.denominator, -1, n) % n
+    return balanced(c, n)
 
 
 def reduce_terms_scan(work: dict, leads, dom, key, fixed: int = 0,
@@ -136,12 +153,12 @@ def conductor_oracle(f):
     ring = f.ring
     cring = Ring(ring.names, ring.ndep, ring.domain,
                  dep_block(ring.ndep, ring.nvars), ring.weights)
-    fc = f.map_coeffs(lambda c: c, cring)
+    fc = cring.poly(dict(f.terms))
     gb = buchberger([partial_derivative(fc, v) for v in range(ring.nvars)] + [fc])
     in_p = [g for g in gb if g.in_subring(ring.ndep)]
     if not in_p:
         raise ConductorError("degenerate extension: no conductor entries in P")
-    return in_p[0].monic().map_coeffs(lambda c: c, ring)
+    return ring.poly(dict(in_p[0].monic().terms))
 
 
 def nullspace_rref(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:

@@ -11,14 +11,14 @@ from fractions import Fraction
 
 from intclose import (GF, RunConfig, canonical_conductor, crt,
                       induce_presentation, is_minimal_reduced_gb,
-                      minimize_denominator, mod_n, module_reduce, mu_poly,
+                      minimize_denominator, module_reduce, mu_poly,
                       normal_form, qth_closure, qth_power_step, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
                       verify_candidate, frobenius_images, PrimeRun, Ring,
                       weight_over_grevlex)
 from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring,
                       make_curve, sextic_relations)
-from oracles import kernel_step_oracle, strict_shape_ok, weight_balance_ok
+from oracles import kernel_step_oracle, mod_n, strict_shape_ok, weight_balance_ok
 
 
 def test_criterion_1_quadratic_end_to_end(quadratic):
@@ -87,7 +87,7 @@ def test_criterion_2_coefficient_pipeline():
 def test_criterion_3_trident():
     t0 = time.monotonic()
     ring, f = make_curve("trident")
-    delta0 = canonical_conductor([f], ring).delta
+    delta0 = canonical_conductor(f, ring)
 
     # per-prime closures at 3, 7, 13
     for q in (3, 7, 13):
@@ -107,7 +107,7 @@ def test_criterion_3_trident():
     fs11 = minimize_denominator(
         qth_closure(ring11, f11, mu_poly(delta0, ring11), 11))
     p11 = induce_presentation(fs11, f11)
-    r11 = PrimeRun(11, "usable", delta_q=mu_poly(delta0, ring11),
+    r11 = PrimeRun(11, delta_q=mu_poly(delta0, ring11),
                    fractions=fs11, presentation=p11)
     state = reconcile_and_lift([r5, r11], ring)
     assert state.modulus == 55
@@ -129,11 +129,11 @@ def test_criterion_4_conductor_table():
              7: "x^24", 11: "x^24"}
     for q, expect in octic.items():
         ring, f = make_curve("octic", q=q)
-        assert canonical_conductor([f], ring).delta == ring.parse(expect)
+        assert canonical_conductor(f, ring) == ring.parse(expect)
     radical = {None: "x^4", 3: "x^6 - x^4", 5: "x^5"}
     for q, expect in radical.items():
         ring, f = make_curve("radical", q=q)
-        assert canonical_conductor([f], ring).delta == ring.parse(expect)
+        assert canonical_conductor(f, ring) == ring.parse(expect)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     print(f"\n[criterion 4] PASS conductor table ({elapsed:.2f}s)")
@@ -155,7 +155,7 @@ def test_criterion_5_sextic_full_run(sextic):
     _, expect_rels = sextic_relations()
     assert set(res.presentation.relations) == set(expect_rels)
     assert len(res.presentation.relations) == 15
-    assert res.presentation.induced_weights == (SEXTIC_INDUCED_WEIGHTS,)
+    assert res.presentation.ring.weights == (SEXTIC_INDUCED_WEIGHTS,)
     assert res.certificate.accepted
     assert all(ok for _, ok in res.certificate.per_prime)
     elapsed = time.monotonic() - t0
@@ -208,7 +208,7 @@ def test_criterion_6b_groebner_fixtures():
 
 def _usable_run(name, q):
     ring, f = make_curve(name)
-    delta0 = canonical_conductor([f], ring).delta
+    delta0 = canonical_conductor(f, ring)
     run = run_prime(q, f, delta0)
     assert run.usable
     return run
@@ -219,7 +219,7 @@ def test_criterion_6c_fixpoint_and_ring_property():
     for name, q in (("quadratic", 5), ("quadratic", 13), ("trident", 7),
                     ("cubic_family", 11)):
         ring, f = make_curve(name, q=q)
-        delta = canonical_conductor([f], ring).delta
+        delta = canonical_conductor(f, ring)
         fs = qth_closure(ring, f, delta, q)
         images = frobenius_images(f)
         assert list(qth_power_step(fs.numerators, q, images, delta)) \
@@ -240,7 +240,7 @@ def test_criterion_6d_strict_shape_and_weight_balance():
     for name, q in (("quadratic", 5), ("trident", 3), ("trident", 13),
                     ("cubic_family", 5), ("octic", 7), ("sextic", 23)):
         ring, f = make_curve(name, q=q)
-        delta = canonical_conductor([f], ring).delta
+        delta = canonical_conductor(f, ring)
         fs = minimize_denominator(qth_closure(ring, f, delta, q))
         pres = induce_presentation(fs, f)
         assert strict_shape_ok(pres)

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ModuleVector, Ring, RingError, buchberger,
-                      exact_divide, grevlex, head_reduce,
+                      exact_divide, head_reduce,
                       is_minimal_reduced_gb, minimal_reduced, module_gb,
                       module_normal_form, module_reduce, normal_form, s_poly,
                       weight_of)
 from intclose.orders import mono_divides
 from conftest import curve_ring, make_curve, sextic_relations
-from oracles import ideal_contains, membership_oracle, reduce_terms_scan
+from oracles import grevlex, ideal_contains, membership_oracle, reduce_terms_scan
 
 
 def test_normal_form_empty_gens():

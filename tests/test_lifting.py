@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ZZ, LiftError, PrimeRun, Ring,
-                      canonical_conductor, compatibility_check, crt, crt_poly,
-                      induce_presentation, is_prime_usable, lift_poly,
-                      minimize_denominator, mod_n, mu_poly, qth_closure,
-                      rat_recon, reconcile_and_lift, run_algorithm1,
-                      run_prime, verify_candidate, RunConfig)
+from intclose import (GF, QQ, ZZ, LiftError, Ring, canonical_conductor,
+                      compatibility_check, crt, crt_poly, is_prime_usable,
+                      lift_poly, mu_poly, rat_recon, reconcile_and_lift,
+                      run_algorithm1, run_charq, run_prime, verify_candidate,
+                      RunConfig)
+from intclose.lifting import closure_run
 from conftest import curve_ring, make_curve
-from oracles import nullspace_rref
+from oracles import mod_n, nullspace_rref
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_rat_recon_skips_invalid_candidates():
 
 def test_usability_radical_curve():
     ring, f = make_curve("radical")
-    delta0 = canonical_conductor([f], ring).delta
+    delta0 = canonical_conductor(f, ring)
     expect = {2: "denominator", 11: "denominator", 13: "numerator",
               3: "conductor", 5: "conductor"}
     for q, why in expect.items():
@@ -188,7 +188,7 @@ def test_usability_radical_curve():
 
 def test_usability_quadratic_curve():
     ring, f = make_curve("quadratic")
-    delta0 = canonical_conductor([f], ring).delta
+    delta0 = canonical_conductor(f, ring)
     assert is_prime_usable(2, f, delta0)[0] == "skipped"
     assert is_prime_usable(7, f, delta0)[0] == "skipped"
     assert is_prime_usable(3, f, delta0)[0] == "skipped"
@@ -198,11 +198,24 @@ def test_usability_quadratic_curve():
 
 def test_compatibility_single_and_pair():
     ring, f = make_curve("quadratic")
-    delta0 = canonical_conductor([f], ring).delta
+    delta0 = canonical_conductor(f, ring)
     r5 = run_prime(5, f, delta0)
     assert compatibility_check([r5])
     r11 = run_prime(11, f, delta0)
     assert compatibility_check([r5, r11])
+
+
+@pytest.mark.parametrize("name", ["trident", "octic"])
+def test_charq_run_equals_the_prime_run(name):
+    # one record, one result: the charq closure is the usable run at q
+    ring, f = make_curve(name)
+    ring_q, f_q = make_curve(name, q=7)
+    charq = run_charq(ring_q, f_q, 7)
+    run = run_prime(7, f, canonical_conductor(f, ring))
+    assert charq.usable and run.usable
+    assert charq.delta_q == run.delta_q
+    assert charq.fractions == run.fractions
+    assert charq.presentation == run.presentation
 
 
 def _forced_run(name, q, delta=None):
@@ -210,12 +223,10 @@ def _forced_run(name, q, delta=None):
     denominator, e.g. the image of the rational conductor)."""
     ring, f = make_curve(name, q=q)
     if delta is None:
-        delta = canonical_conductor([f], ring).delta
+        delta = canonical_conductor(f, ring)
     else:
         delta = mu_poly(delta, ring)
-    fs = minimize_denominator(qth_closure(ring, f, delta, q))
-    pres = induce_presentation(fs, f)
-    return PrimeRun(q, "usable", delta_q=delta, fractions=fs, presentation=pres)
+    return closure_run(q, f, delta)
 
 
 def test_compatibility_rejects_oversized_closure():
@@ -248,7 +259,7 @@ def test_verify_rejects_undersized_modulus(quadratic):
 
 def test_trident_rejects_at_55_with_reference_residual():
     ring, f = make_curve("trident")
-    delta0 = canonical_conductor([f], ring).delta
+    delta0 = canonical_conductor(f, ring)
     r5 = run_prime(5, f, delta0)
     # the conductor filter would skip 11; force the rational conductor image
     r11 = _forced_run("trident", 11, delta=delta0)
@@ -326,7 +337,7 @@ def test_run_config_rejects_duplicate_or_composite_primes(quadratic):
 
 def test_reconcile_rejects_incompatible_runs():
     ring, f = make_curve("trident")
-    delta0 = canonical_conductor([f], ring).delta
+    delta0 = canonical_conductor(f, ring)
     r7 = run_prime(7, f, delta0)
     r2 = _forced_run("trident", 2)
     with pytest.raises(LiftError):

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ZZ, Domain, DomainError, OrderError, Ring,
-                      RingError, WeightError, dep_block, format_poly, grevlex,
+                      RingError, WeightError, dep_block, format_poly,
                       grevlex_over_weight, validate_weight_function,
                       weight_of, weight_over_grevlex)
 from conftest import CURVES, curve_ring, make_curve
-from oracles import completed_rows, key_sign
+from oracles import completed_rows, grevlex, key_sign
 
 
 # ---------------------------------------------------------------------------

@@ -331,3 +331,68 @@ relation: (y^2 - 3/4*y - 15/17*x)^3 - 9*y*x^4*(y^2 - 3/4*y - 15/17*x) - 27*x^11
     assert pf.weights == ((11, 6),)
     f = pf.relation()
     assert f.degree_in(0) == 6 and f.degree_in(1) == 11
+
+
+# Byte-exact outputs of the README problem (QUADRATIC).  A structured
+# document is compared as the emitter's exact text: json.dumps with indent 2
+# and a trailing newline, keys in the order given here.
+CHARQ5_TEXT = """\
+mode: charq
+q: 5
+Delta: x + 1
+delta: x + 1
+numerators:
+  y
+  x + 1
+induced_weights: 1,2
+relation: ybar^2 + x
+psi(y): ybar*(x + 1)
+"""
+
+CHARQ5_DOC = {
+    "mode": "charq", "q": 5, "conductor": "x + 1", "delta": "x + 1",
+    "numerators": ["y", "x + 1"], "induced_weights": [[1, 2]],
+    "relations": ["ybar^2 + x"], "psi": "ybar*x + ybar",
+    "psi_factored": "ybar*(x + 1)",
+}
+
+CHARQ5_LOG = "q=5 delta=x + 1\n"
+
+CHAR0_DOC = {
+    "mode": "char0", "accepted": True, "conductor": "x - 8/7",
+    "primes": [5, 11, 13], "delta": "x - 8/7", "numerators": ["y", "x - 8/7"],
+    "induced_weights": [[1, 2]], "relations": ["ybar^2 - 3/2*x"],
+    "psi": "ybar*x - 8/7*ybar", "psi_factored": "ybar*(x - 8/7)",
+    "certificate": {"gb": True, "containment": True, "numerators": True,
+                    "per_prime": [[5, True], [11, True], [13, True]],
+                    "accepted": True},
+    "skipped": [],
+}
+
+CHAR0_LOG = """\
+conductor: x - 8/7
+q=5 usable delta=x + 1 J=1 lm_g=[y,x] K=1 lm_b=[ybar^2]
+N=5 primes=5 lift=ok gb=True containment=False numerators=True accepted=False
+q=11 usable delta=x + 2 J=1 lm_g=[y,x] K=1 lm_b=[ybar^2]
+N=55 primes=5,11 lift=ok gb=True containment=False numerators=True accepted=False
+q=13 usable delta=x - 3 J=1 lm_g=[y,x] K=1 lm_b=[ybar^2]
+N=715 primes=5,11,13 lift=ok gb=True containment=True numerators=True accepted=True
+"""
+
+
+@pytest.mark.parametrize("args,out,log", [
+    (["--mode", "charq", "--prime", "5"], CHARQ5_TEXT, CHARQ5_LOG),
+    (["--mode", "charq", "--prime", "5", "--format", "structured"],
+     json.dumps(CHARQ5_DOC, indent=2) + "\n", CHARQ5_LOG),
+    (["--primes", "5,11,13", "--format", "structured"],
+     json.dumps(CHAR0_DOC, indent=2) + "\n", CHAR0_LOG),
+], ids=["charq-text", "charq-structured", "char0-structured"])
+def test_readme_problem_golden_output(tmp_path, capsys, args, out, log):
+    path = _write(tmp_path, QUADRATIC)
+    log_path = tmp_path / "audit.log"
+    code = main([path, "--log", str(log_path)] + args)
+    cap = capsys.readouterr()
+    assert code == 0
+    assert cap.out == out
+    assert cap.err == ""
+    assert log_path.read_text() == log
