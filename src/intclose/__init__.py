@@ -9,8 +9,8 @@ by a Groebner-basis and ideal-containment check.
 from .closure import (ClosurePresentation, ClosureError, FractionSet,
                       canonical_generators, exact_divide, frobenius_images,
                       frobenius_nf, gcd_in_p, induce_presentation,
-                      minimize_denominator, module_reduce, qth_closure,
-                      qth_power_step)
+                      minimize_denominator, module_reduce, psi_combination,
+                      qth_closure, qth_power_step)
 from .conductor import ConductorError, canonical_conductor, partial_derivative
 from .domains import GF, INT, MODP, QQ, RAT, ZZ, Domain, DomainError, balanced, is_prime
 from .driver import (Algorithm1Result, DriverError, RunConfig, run_algorithm1,
@@ -20,7 +20,7 @@ from .groebner import (GroebnerError, ModuleVector, buchberger, head_reduce,
                        module_normal_form, normal_form, s_poly)
 from .lifting import (Certificate, LiftError, LiftState, PrimeRun,
                       compatibility_check, crt, crt_poly, is_prime_usable,
-                      lift_poly, mu_poly, psi_combination, psi_substitute, rat_recon,
+                      lift_poly, mu_poly, psi_substitute, rat_recon,
                       reconcile_and_lift, run_prime, verify_candidate)
 from .orders import (MonomialOrder, OrderError, dep_block, grevlex_over_weight,
                      weight_over_grevlex)

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .closure import ClosureError
+from .closure import ClosureError, psi_combination
 from .conductor import ConductorError
 from .domains import GF, QQ, DomainError
 from .driver import DriverError, RunConfig, run_algorithm1, run_charq
@@ -20,23 +20,19 @@ from .problem import ProblemError, parse_problem
 from .rings import format_poly
 
 
-def _psi_factored(presentation) -> str:
+def _psi_factored(fractions, presentation) -> str:
     """psi(y) as a combination of the fraction variables, e.g. ybar*(x - 8/7)."""
     ring = presentation.ring
-    combo = presentation.inclusion_combo
     parts = []
-    nbar = ring.ndep
-    for k, c in enumerate(combo):
+    for k, c in enumerate(psi_combination(presentation.inclusion_image, fractions.ring)):
         if c.is_zero():
             continue
-        if k < nbar:
-            name = ring.names[k]
-            if len(c.terms) == 1 and c.is_monic() and not any(c.lm):
-                parts.append(name)
-            else:
-                parts.append(f"{name}*({format_poly(c)})")
-        else:
+        if k == ring.ndep:
             parts.append(f"({format_poly(c)})")
+        elif c == c.ring.one():
+            parts.append(ring.names[k])
+        else:
+            parts.append(f"{ring.names[k]}*({format_poly(c)})")
     return " + ".join(parts) if parts else "0"
 
 
@@ -55,7 +51,7 @@ def _emit_common(lines, fractions, presentation):
             lines.append(f"relation: {rel}")
     else:
         lines.append("relations: (none)")
-    lines.append(f"psi(y): {_psi_factored(presentation)}")
+    lines.append(f"psi(y): {_psi_factored(fractions, presentation)}")
 
 
 def emit_text(result) -> str:
@@ -95,7 +91,7 @@ def _structured_presentation(fractions, presentation) -> dict:
         "induced_weights": [list(r) for r in presentation.ring.weights],
         "relations": _poly_list(presentation.relations),
         "psi": format_poly(presentation.inclusion_image),
-        "psi_factored": _psi_factored(presentation),
+        "psi_factored": _psi_factored(fractions, presentation),
     }
 
 

@@ -321,6 +321,16 @@ def minimize_denominator(fs: FractionSet) -> FractionSet:
 YBAR = "ybar"                        # stem of the fraction variable names
 
 
+def fraction_names(count: int, ring: Ring) -> tuple:
+    """Names ybar, or ybarJ .. ybar1, of the count = deg_y(f) - 1 fraction variables."""
+    names = (YBAR,) if count == 1 else tuple(f"{YBAR}{j}" for j in range(count, 0, -1))
+    clash = sorted(set(names) & set(ring.names[ring.ndep:]))
+    if clash:
+        raise ClosureError("fraction variable names collide with ring variables:"
+                           f" {', '.join(clash)}")
+    return names
+
+
 @dataclass(frozen=True)
 class ClosurePresentation:
     """Quadratic presentation of the closure over new fraction variables."""
@@ -328,16 +338,30 @@ class ClosurePresentation:
     ring: Ring                       # output ring: ybar block then x block
     relations: tuple                 # minimal reduced basis of induced relations
     inclusion_image: Polynomial      # psi(y) inside the output ring
-    inclusion_combo: tuple           # coefficients c_k in P with psi(y) = sum c_k ybar_k
 
 
-def _transport_p(poly: Polynomial, out_ring: Ring, pad: int) -> Polynomial:
-    """Move a P-polynomial into the output ring (pad dependent exponents)."""
-    src_ndep = poly.ring.ndep
-    acc = {}
-    for m, c in poly.terms:
-        acc[(0,) * pad + m[src_ndep:]] = c
-    return out_ring.poly(acc)
+def combination(coeffs, out_ring: Ring) -> Polynomial:
+    """sum c_k*ybar_k in the output ring, c_k in P; the trivial fraction's ybar is 1."""
+    nbar = out_ring.ndep
+    acc = out_ring.zero()
+    for k, ck in enumerate(coeffs):
+        if not ck.is_zero():
+            moved = out_ring.poly({(0,) * nbar + m[ck.ring.ndep:]: c for m, c in ck.terms})
+            acc = acc + (moved * out_ring.var(out_ring.names[k]) if k < nbar else moved)
+    return acc
+
+
+def psi_combination(psi: Polynomial, input_ring: Ring) -> tuple:
+    """The coefficients c_k in P of ``combination``: its inverse on linear psi."""
+    nbar = psi.ring.ndep
+    combos: list[dict] = [{} for _ in range(nbar + 1)]
+    for m, c in psi.terms:
+        dep = m[:nbar]
+        if sum(dep) > 1:
+            raise ClosureError("inclusion image is not linear in the fraction variables")
+        k = dep.index(1) if any(dep) else nbar
+        combos[k][(0,) * input_ring.ndep + m[nbar:]] = c
+    return tuple(input_ring.poly(d) for d in combos)
 
 
 def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
@@ -359,33 +383,16 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
         raise ClosureError("presentation needs one independent variable")
     nums = fs.numerators
     J = len(nums) - 1
-    indep_names = ring.names[ring.ndep:]
-    if J == 1:
-        ybar_names = (YBAR,)
-    else:
-        ybar_names = tuple(f"{YBAR}{j}" for j in range(J, 0, -1))
-    if set(ybar_names) & set(indep_names):
-        raise ClosureError("fraction variable names collide with ring variables")
-    out_names = ybar_names + tuple(indep_names)
+    ybar_names = fraction_names(J, ring)
     fw = fs.fraction_weights()[:-1]
     wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
                  for r, row in enumerate(ring.weights))
     if any(x < 0 for row in wbar for x in row):
         raise ClosureError("negative induced weight: not an integral fraction set")
-    out_ring = Ring(out_names, J, ring.domain,
+    out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
                     grevlex_over_weight(wbar, J, J + ring.nindep), wbar)
 
     ybar = [out_ring.var(name) for name in ybar_names]
-
-    def combination(coeffs) -> Polynomial:
-        """sum c_k*ybar_k in the output ring; the trivial fraction's ybar is 1."""
-        acc = out_ring.zero()
-        for k, ck in enumerate(coeffs):
-            if not ck.is_zero():
-                moved = _transport_p(ck, out_ring, J)
-                acc = acc + (moved * ybar[k] if k < J else moved)
-        return acc
-
     targets = [fs.denominator * g for g in nums]
     relations = []
     for a in range(J):          # position a <-> numerator nums[a]
@@ -395,7 +402,7 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
             if not rem.is_zero():
                 raise ClosureError(
                     f"fraction product {a},{b} leaves the module: not a fixpoint")
-            relations.append(ybar[a] * ybar[b] - combination(coeffs))
+            relations.append(ybar[a] * ybar[b] - combination(coeffs, out_ring))
     key = out_ring.order.key
     relations.sort(key=lambda r: key(r.lm), reverse=True)
 
@@ -403,6 +410,4 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums, want_combination=True)
     if not rem.is_zero():
         raise ClosureError("inclusion image of y is not in the module")
-    return ClosurePresentation(out_ring, tuple(relations), combination(coeffs),
-                               tuple(coeffs))
-
+    return ClosurePresentation(out_ring, tuple(relations), combination(coeffs, out_ring))

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closure import ClosurePresentation, FractionSet
+from .closure import ClosureError, ClosurePresentation, FractionSet, fraction_names
 from .conductor import canonical_conductor
-from .domains import GF, QQ, DomainError, is_prime
+from .domains import GF, DomainError, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, closure_run,
                       compatibility_check, reconcile_and_lift, run_prime,
                       verify_candidate)
@@ -54,16 +54,28 @@ class Stage:
 @dataclass
 class Algorithm1Result:
     conductor: Polynomial
-    presentation: ClosurePresentation | None = None
-    fractions: FractionSet | None = None
-    certificate: Certificate | None = None   # the last stage's certificate
     runs: list = field(default_factory=list)
     stages: list = field(default_factory=list)
     audit: list = field(default_factory=list)
 
     @property
+    def certificate(self) -> Certificate | None:
+        """The certificate of the last stage that lifted."""
+        return next((s.certificate for s in reversed(self.stages)
+                     if s.certificate is not None), None)
+
+    @property
     def accepted(self) -> bool:
         return self.certificate is not None and self.certificate.accepted
+
+    @property
+    def fractions(self) -> FractionSet | None:
+        """The accepted closure's numerators (the accepted stage is the last)."""
+        return self.stages[-1].state.fractions if self.accepted else None
+
+    @property
+    def presentation(self) -> ClosurePresentation | None:
+        return self.stages[-1].state.presentation if self.accepted else None
 
     @property
     def primes_used(self) -> tuple:
@@ -96,6 +108,10 @@ def validate_problem(ring: Ring, f: Polynomial):
     if not ok:
         bad = ", ".join(_mono_str(m, ring.names) or "1" for m in offending)
         raise DriverError(f"no weight function: maximal-weight monomials {{{bad}}}")
+    try:
+        fraction_names(f.degree_in(0) - 1, ring)
+    except ClosureError as exc:
+        raise DriverError(str(exc)) from None
 
 
 def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -> Algorithm1Result:
@@ -134,12 +150,7 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
             f"N={state.modulus} primes={','.join(map(str, state.primes))} lift=ok"
             f" gb={cert.gb_ok} containment={cert.containment_ok}"
             f" numerators={cert.numerators_ok} accepted={cert.accepted}")
-        result.certificate = cert
         if cert.accepted:
-            result.fractions = FractionSet(ring.with_domain(QQ), state.numerators)
-            out_q = usable[0].presentation.ring
-            result.presentation = ClosurePresentation(
-                out_q.with_domain(QQ), state.relations, state.psi, state.psi_combo)
             return result
     result.audit.append("prime budget exhausted without an accepted certificate")
     return result

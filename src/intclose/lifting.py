@@ -135,7 +135,7 @@ class PrimeRun:
 
 
 def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial):
-    """Algorithm step-3/4 filter; returns ("usable", delta_q) or ("skipped", why)."""
+    """Algorithm step-3/4 filter: ("usable", (f_q, delta_q)) or ("skipped", why)."""
     if not is_prime(q):
         return "skipped", f"{q} is not prime"
     for p in (f, delta0):
@@ -153,7 +153,7 @@ def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial):
         return "skipped", f"degenerate mod {q}: {exc}"
     if delta_q != mu_poly(delta0, ring_q):
         return "skipped", "conductor disagrees with the rational one"
-    return "usable", delta_q
+    return "usable", (f_q, delta_q)
 
 
 def closure_run(q: int, f_q: Polynomial, delta_q: Polynomial,
@@ -172,27 +172,39 @@ def run_prime(q: int, f: Polynomial, delta0: Polynomial,
     if status == "skipped":
         return PrimeRun(q, reason=info)
     try:
-        return closure_run(q, mu_poly(f, info.ring), info, max_iter=max_iter)
+        return closure_run(q, *info, max_iter=max_iter)
     except ClosureError as exc:
         return PrimeRun(q, reason=f"closure failed: {exc}")
 
 
+# ---------------------------------------------------------------------------
+# maps over a closure's polynomials
+
+
+def _polys(fractions: FractionSet, presentation: ClosurePresentation) -> tuple:
+    """The closure's polynomials: numerators, relations, then psi(y)."""
+    return fractions.numerators + presentation.relations + (presentation.inclusion_image,)
+
+
+def _closure_map(fn, closures, input_ring: Ring, output_ring: Ring) -> tuple:
+    """(fractions, presentation) of fn(polys, ring), slot by slot.
+
+    ``closures`` are (fractions, presentation) pairs of one shape; polys holds
+    one slot's polynomial from each of them, and ring is the input or output
+    ring the slot's image lies in.
+    """
+    nnum = len(closures[0][0].numerators)
+    out = [fn(polys, input_ring if i < nnum else output_ring)
+           for i, polys in enumerate(zip(*(_polys(*c) for c in closures)))]
+    return (FractionSet(input_ring, tuple(out[:nnum])),
+            ClosurePresentation(output_ring, tuple(out[nnum:-1]), out[-1]))
+
+
 def compatibility_check(runs) -> bool:
     """Counts and leading-monomial signatures agree across all usable runs."""
-    runs = [r for r in runs if r.usable]
-    if not runs:
-        return False
-    first = runs[0]
-    sig = _signature(first)
-    return all(_signature(r) == sig for r in runs[1:])
-
-
-def _signature(run: PrimeRun):
-    nums = run.fractions.numerators
-    rels = run.presentation.relations
-    return (len(nums), tuple(g.lm for g in nums),
-            len(rels), tuple(b.lm for b in rels),
-            run.presentation.inclusion_image.lm)
+    return len({(len(r.fractions.numerators),
+                 tuple(p.lm for p in _polys(r.fractions, r.presentation)))
+                for r in runs if r.usable}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +213,19 @@ def _signature(run: PrimeRun):
 
 @dataclass(frozen=True)
 class LiftState:
+    """The usable runs' closure by CRT over ZZ, and its lift over QQ."""
+
     primes: tuple
     modulus: int
-    crt_numerators: tuple            # over ZZ, balanced mod modulus
-    crt_relations: tuple
-    crt_psi: Polynomial
-    numerators: tuple | None         # lifted, over QQ (None when lifting failed)
-    relations: tuple | None
-    psi: Polynomial | None
-    psi_combo: tuple | None
+    crt_fractions: FractionSet       # over ZZ, balanced mod modulus
+    crt_presentation: ClosurePresentation
+    fractions: FractionSet | None    # lifted over QQ (None when lifting failed)
+    presentation: ClosurePresentation | None
     lift_error: str | None = None
 
     @property
     def lifted(self) -> bool:
-        return self.numerators is not None
+        return self.fractions is not None
 
 
 @dataclass(frozen=True)
@@ -239,48 +250,18 @@ def reconcile_and_lift(runs, input_ring: Ring) -> LiftState:
         raise LiftError("runs have incompatible closure signatures")
     primes = tuple(r.q for r in runs)
     modulus = math.prod(primes)
-    out_ring_q = runs[0].presentation.ring
-    in_zz = input_ring.with_domain(ZZ)
-    in_qq = input_ring.with_domain(QQ)
-    out_zz = out_ring_q.with_domain(ZZ)
-    out_qq = out_ring_q.with_domain(QQ)
-
-    nnum = len(runs[0].fractions.numerators)
-    crt_nums = tuple(crt_poly([(r.fractions.numerators[i], r.q) for r in runs], in_zz)
-                     for i in range(nnum))
-    nrel = len(runs[0].presentation.relations)
-    crt_rels = tuple(crt_poly([(r.presentation.relations[i], r.q) for r in runs], out_zz)
-                     for i in range(nrel))
-    crt_psi = crt_poly([(r.presentation.inclusion_image, r.q) for r in runs], out_zz)
+    out_ring = runs[0].presentation.ring
+    crt_closure = _closure_map(lambda polys, ring: crt_poly(zip(polys, primes), ring),
+                               [(r.fractions, r.presentation) for r in runs],
+                               input_ring.with_domain(ZZ), out_ring.with_domain(ZZ))
     try:
-        nums = tuple(lift_poly(p, modulus, in_qq) for p in crt_nums)
-        rels = tuple(lift_poly(p, modulus, out_qq) for p in crt_rels)
-        psi = lift_poly(crt_psi, modulus, out_qq)
-        combo = psi_combination(psi, in_qq)
+        lifted = _closure_map(lambda polys, ring: lift_poly(polys[0], modulus, ring),
+                              [crt_closure], input_ring.with_domain(QQ),
+                              out_ring.with_domain(QQ))
         err = None
     except LiftError as exc:
-        nums = rels = psi = combo = None
-        err = str(exc)
-    return LiftState(primes, modulus, crt_nums, crt_rels, crt_psi,
-                     nums, rels, psi, combo, lift_error=err)
-
-
-def psi_combination(psi: Polynomial, input_ring: Ring) -> tuple:
-    """Coefficients (c_0.., c_last) with psi = sum c_k * ybar_k + c_last."""
-    out = psi.ring
-    nbar = out.ndep
-    combos: list[dict] = [{} for _ in range(nbar + 1)]
-    for m, c in psi.terms:
-        dep = m[:nbar]
-        deg = sum(dep)
-        if deg == 0:
-            k = nbar
-        elif deg == 1:
-            k = dep.index(1)
-        else:
-            raise LiftError("inclusion image is not linear in the fraction variables")
-        combos[k][(0,) * input_ring.ndep + m[nbar:]] = c
-    return tuple(input_ring.poly(d) for d in combos)
+        lifted, err = (None, None), str(exc)
+    return LiftState(primes, modulus, *crt_closure, *lifted, lift_error=err)
 
 
 def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring) -> Polynomial:
@@ -309,40 +290,32 @@ def verify_candidate(state: LiftState, f: Polynomial, runs) -> Certificate:
     """
     if not state.lifted:
         return Certificate(False, False, False, (), None)
-    rels = list(state.relations)
-    out_ring = rels[0].ring if rels else state.psi.ring
+    nums = state.fractions.numerators
+    rels = list(state.presentation.relations)
+    psi = state.presentation.inclusion_image
+    out_ring = state.presentation.ring
     gb_ok = is_minimal_reduced_gb(rels) if rels else True
-    residual = normal_form(psi_substitute(f, state.psi, out_ring), rels)
+    residual = normal_form(psi_substitute(f, psi, out_ring), rels)
     containment_ok = residual.is_zero()
-    delta_out = psi_substitute(state.numerators[-1], state.psi, out_ring)
+    delta_out = psi_substitute(nums[-1], psi, out_ring)
     numerators_ok = True
     for k in range(out_ring.ndep):
-        image = psi_substitute(state.numerators[k], state.psi, out_ring)
+        image = psi_substitute(nums[k], psi, out_ring)
         ybar = out_ring.monomial(tuple(1 if i == k else 0
                                        for i in range(out_ring.nvars)))
         if not normal_form(image - ybar * delta_out, rels).is_zero():
             numerators_ok = False
             break
-    per_prime = []
-    for run in runs:
-        if not run.usable or run.q not in state.primes:
-            continue
-        ok = _specializes(state, run)
-        per_prime.append((run.q, ok))
-    return Certificate(gb_ok, containment_ok, numerators_ok, tuple(per_prime),
+    per_prime = tuple((run.q, _specializes(state, run)) for run in runs
+                      if run.usable and run.q in state.primes)
+    return Certificate(gb_ok, containment_ok, numerators_ok, per_prime,
                        None if containment_ok else residual)
 
 
 def _specializes(state: LiftState, run: PrimeRun) -> bool:
-    ring_q = run.fractions.ring
-    out_q = run.presentation.ring
     try:
-        if any(mu_poly(p, ring_q) != g
-               for p, g in zip(state.numerators, run.fractions.numerators)):
-            return False
-        if any(mu_poly(p, out_q) != b
-               for p, b in zip(state.relations, run.presentation.relations)):
-            return False
-        return mu_poly(state.psi, out_q) == run.presentation.inclusion_image
+        return all(mu_poly(p, g.ring) == g
+                   for p, g in zip(_polys(state.fractions, state.presentation),
+                                   _polys(run.fractions, run.presentation)))
     except LiftError:
         return False

@@ -86,6 +86,11 @@ def parse_problem(text: str) -> ProblemFile:
     indvars = tuple(v.strip() for v in fields["indvars"].split(",") if v.strip())
     if not indvars:
         raise ProblemError("indvars must list at least one variable")
+    for i, v in enumerate(indvars):
+        if not v.isidentifier():
+            raise ProblemError(f"bad independent variable name {v!r}")
+        if v in indvars[:i]:
+            raise ProblemError(f"independent variable {v!r} repeated")
     depvar = fields["depvar"]
     if not depvar.isidentifier():
         raise ProblemError(f"bad dependent variable name {depvar!r}")
@@ -101,6 +106,9 @@ def parse_problem(text: str) -> ProblemFile:
         weights = normalize_weights(rows, 1 + len(indvars))
     except Exception as exc:
         raise ProblemError(f"bad weight matrix: {exc}") from None
+    bad = [x for r in rows for x in r if type(x) is not int]  # int() took them
+    if bad:
+        raise ProblemError(f"bad weight matrix: entry {bad[0]!r} is not an integer")
     char = None
     if "characteristic" in fields:
         try:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from intclose import (GF, RunConfig, canonical_conductor, crt,
                       induce_presentation, is_minimal_reduced_gb,
                       minimize_denominator, module_reduce, mu_poly,
-                      normal_form, qth_closure, qth_power_step, rat_recon,
+                      normal_form, psi_combination, qth_closure, qth_power_step, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
                       verify_candidate, frobenius_images, PrimeRun, Ring,
                       weight_over_grevlex)
@@ -39,23 +39,23 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
 
     st55 = res.stages[1].state
     assert st55.modulus == 55
-    assert str(st55.crt_numerators[-1]) == "x - 9"
-    assert [str(b) for b in st55.crt_relations] == ["ybar^2 + 26*x"]
-    assert str(st55.numerators[-1]) == "x + 1/6"
-    assert [str(b) for b in st55.relations] == ["ybar^2 - 3/2*x"]
+    assert str(st55.crt_fractions.numerators[-1]) == "x - 9"
+    assert [str(b) for b in st55.crt_presentation.relations] == ["ybar^2 + 26*x"]
+    assert str(st55.fractions.numerators[-1]) == "x + 1/6"
+    assert [str(b) for b in st55.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert not res.stages[1].certificate.accepted
 
     st715 = res.stages[2].state
     assert st715.modulus == 715
-    assert str(st715.crt_numerators[-1]) == "x + 101"
-    assert [str(b) for b in st715.crt_relations] == ["ybar^2 + 356*x"]
-    assert str(st715.numerators[-1]) == "x - 8/7"
-    assert [str(b) for b in st715.relations] == ["ybar^2 - 3/2*x"]
+    assert str(st715.crt_fractions.numerators[-1]) == "x + 101"
+    assert [str(b) for b in st715.crt_presentation.relations] == ["ybar^2 + 356*x"]
+    assert str(st715.fractions.numerators[-1]) == "x - 8/7"
+    assert [str(b) for b in st715.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert res.accepted and res.stages[2].certificate.accepted
 
     out = res.presentation.ring
     assert res.presentation.inclusion_image == out.parse("ybar*x - 8/7*ybar")
-    assert res.presentation.inclusion_combo[0] == ring.parse("x - 8/7")
+    assert psi_combination(res.presentation.inclusion_image, ring)[0] == ring.parse("x - 8/7")
 
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -113,7 +113,7 @@ def test_criterion_3_trident():
     assert state.modulus == 55
     cert = verify_candidate(state, f, [r5, r11])
     assert not cert.accepted
-    assert cert.residual == state.relations[0].ring.parse("55/7*ybar1*x")
+    assert cert.residual == state.presentation.relations[0].ring.parse("55/7*ybar1*x")
 
     # acceptance for a usable product beyond 65
     res = run_algorithm1(ring, f, RunConfig(primes=(7, 13)))

@@ -1,5 +1,6 @@
 """Frobenius fixpoint iteration, canonical fraction sets, presentations."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from intclose import (GF, QQ, ClosureError, ConductorError, FractionSet,
                       canonical_generators, dep_block, frobenius_images,
                       frobenius_nf, induce_presentation, is_minimal_reduced_gb,
                       is_prime_usable, minimal_reduced, minimize_denominator,
-                      module_reduce, mu_poly, normal_form, qth_closure,
-                      qth_power_step, run_prime, weight_over_grevlex)
+                      module_reduce, mu_poly, normal_form, psi_combination,
+                      qth_closure, qth_power_step, run_prime,
+                      weight_over_grevlex)
+from intclose.closure import combination
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
                       sextic_relations)
 from oracles import (canonical_generators_restart, kernel_step_oracle,
@@ -317,21 +320,38 @@ def test_presentation_is_its_minimal_reduced_basis(curve):
     assert_presentation_as_built(induce_presentation(fs, f), fs, f)
 
 
-@pytest.mark.parametrize("name", sorted(CURVES))
-def test_fixture_closures_as_built(name):
+@functools.lru_cache(maxsize=None)
+def fixture_runs(name):
+    """(q, f_q, delta_q, run) at each usable q of FIXTURE_PRIMES."""
     ring, f = make_curve(name)
     delta0 = canonical_conductor(f, ring)
-    used = 0
+    out = []
     for q in FIXTURE_PRIMES:
-        status, delta_q = is_prime_usable(q, f, delta0)
-        if status != "usable":
-            continue
-        f_q = mu_poly(f, delta_q.ring)
+        status, info = is_prime_usable(q, f, delta0)
+        if status == "usable":
+            out.append((q, *info, run_prime(q, f, delta0)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_fixture_closures_as_built(name):
+    assert fixture_runs(name)
+    for q, f_q, delta_q, run in fixture_runs(name):
         assert_steps_match_scratch(delta_q.ring, f_q, delta_q, q)
-        run = run_prime(q, f, delta0)
         assert_presentation_as_built(run.presentation, run.fractions, f_q)
-        used += 1
-    assert used
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_psi_combination_inverts_combination(name):
+    # psi(y) is built as the combination of y*delta's coefficients over the
+    # numerators; psi_combination reads those coefficients back from psi(y)
+    for q, f_q, delta_q, run in fixture_runs(name):
+        fs, pres = run.fractions, run.presentation
+        y_delta = fs.ring.var("y") * fs.denominator
+        _, coeffs = module_reduce(normal_form(y_delta, [f_q]), fs.numerators,
+                                  want_combination=True)
+        assert psi_combination(pres.inclusion_image, fs.ring) == tuple(coeffs)
+        assert combination(coeffs, pres.ring) == pres.inclusion_image
 
 
 def test_induce_presentation_needs_one_independent_variable():
@@ -367,7 +387,7 @@ def test_quadratic_curve_per_prime():
         assert len(pres.relations) == 1
         assert pres.relations[0] == pres.ring.parse(rtxt)
         # psi(y) = ybar * delta
-        assert pres.inclusion_combo[0] == delta
+        assert psi_combination(pres.inclusion_image, ring)[0] == delta
         assert strict_shape_ok(pres) and weight_balance_ok(pres)
 
 
@@ -498,13 +518,12 @@ def test_fraction_numerators_identify_with_module_elements():
 def test_fraction_variables_identify_with_numerators():
     # psi(g_j) and ybar_j * delta agree modulo the induced relations
     from intclose import psi_substitute
-    from intclose.closure import _transport_p
     for name, q in (("trident", 7), ("quadratic", 13)):
         ring, f, delta, fs = closure_run(name, q)
         pres = induce_presentation(fs, f)
         out = pres.ring
         J = out.ndep
-        delta_out = _transport_p(fs.denominator, out, J)
+        delta_out = psi_substitute(fs.denominator, pres.inclusion_image, out)
         for pos in range(J):
             g = fs.numerators[pos]
             image = psi_substitute(g, pres.inclusion_image, out)

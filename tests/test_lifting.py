@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ZZ, LiftError, Ring, canonical_conductor,
                       compatibility_check, crt, crt_poly, is_prime_usable,
-                      lift_poly, mu_poly, rat_recon, reconcile_and_lift,
+                      lift_poly, mu_poly, psi_combination, rat_recon, reconcile_and_lift,
                       run_algorithm1, run_charq, run_prime, verify_candidate,
                       RunConfig)
 from intclose.lifting import closure_run
@@ -253,7 +253,7 @@ def test_verify_rejects_undersized_modulus(quadratic):
     stage = res.stages[-1]
     assert stage.certificate.gb_ok
     assert not stage.certificate.containment_ok
-    qq = stage.state.relations[0].ring
+    qq = stage.state.presentation.relations[0].ring
     assert stage.certificate.residual == qq.parse("55/14*x^2 - 2255/1176*x")
 
 
@@ -266,8 +266,8 @@ def test_trident_rejects_at_55_with_reference_residual():
     assert compatibility_check([r5, r11])
     state = reconcile_and_lift([r5, r11], ring)
     assert state.modulus == 55
-    out = state.relations[0].ring
-    texts = sorted(str(r) for r in state.relations)
+    out = state.presentation.relations[0].ring
+    texts = sorted(str(r) for r in state.presentation.relations)
     assert texts == sorted(["ybar2^2 + 1/7*ybar2 + ybar1*x^5",
                             "ybar2*ybar1 + 1/7*ybar1 + x^6",
                             "ybar1^2 - ybar2*x"])
@@ -294,7 +294,7 @@ def test_specialization_of_accepted_candidate(quadratic):
     for q in (5, 11, 13):
         rq = curve_ring((3, 2), GF(q))
         run = next(r for r in res.runs if r.q == q)
-        assert [mu_poly(p, rq) for p in state.numerators] == \
+        assert [mu_poly(p, rq) for p in state.fractions.numerators] == \
             list(run.fractions.numerators)
 
 
@@ -361,7 +361,7 @@ def test_closure_family_with_known_answer():
         out = res.presentation.ring
         expect_rel = out.parse("ybar^2") - out.var("x").scale(c)
         assert list(res.presentation.relations) == [expect_rel]
-        assert res.presentation.inclusion_combo[0] == shifted
+        assert psi_combination(res.presentation.inclusion_image, ring)[0] == shifted
         assert list(res.fractions.numerators) == [y, shifted.monic()]
 
 
@@ -384,7 +384,7 @@ def test_cubic_closure_family_with_known_answer():
         y2, y1 = out.parse("ybar2"), out.parse("ybar1")
         expect = {y2 * y2 - cx * y1, y2 * y1 - cx, y1 * y1 - y2}
         assert set(res.presentation.relations) == expect
-        assert res.presentation.inclusion_combo[1] == shifted
+        assert psi_combination(res.presentation.inclusion_image, ring)[1] == shifted
         assert list(res.fractions.numerators) == \
             [y * y, (y * shifted).monic(), (shifted * shifted).monic()]
 
@@ -406,7 +406,7 @@ def test_numerator_consistency_rejects_presentation_only_lift():
     assert stage.certificate.gb_ok
     assert stage.certificate.containment_ok
     assert not stage.certificate.numerators_ok
-    assert str(stage.state.numerators[-1]) == "x^2 - 3*x - 2/3"
+    assert str(stage.state.fractions.numerators[-1]) == "x^2 - 3*x - 2/3"
     res2 = run_algorithm1(ring, f, RunConfig(primes=(5, 7, 11)))
     assert res2.accepted
     assert res2.fractions.denominator == (shifted * shifted)
@@ -470,4 +470,4 @@ def test_psi_combination_handles_vanishing_coefficients():
     f = y * y - shifted * shifted * x
     res = run_algorithm1(ring, f, RunConfig(primes=(5, 7, 11)))
     assert res.accepted
-    assert res.presentation.inclusion_combo[0] == shifted
+    assert psi_combination(res.presentation.inclusion_image, ring)[0] == shifted

@@ -49,6 +49,13 @@ def test_parse_problem_with_characteristic():
     (lambda t: t.replace("relation: y", "relation: z + y"), "parse"),
     (lambda t: t.replace("indvars: x\n", ""), "missing"),
     (lambda t: t + "mystery: 3\n", "unknown"),
+    (lambda t: t.replace("indvars: x", "indvars: x, x").replace("[[3,2]]", "[[3,2,2]]"),
+     "independent variable 'x' repeated"),
+    (lambda t: t.replace("indvars: x", "indvars: 2"), "bad independent variable name '2'"),
+    (lambda t: t.replace("indvars: x", "indvars: x y"),
+     "bad independent variable name 'x y'"),
+    (lambda t: t.replace("[[3,2]]", "[[3.5,2]]"), "entry 3.5 is not an integer"),
+    (lambda t: t.replace("[[3,2]]", "[[3,True]]"), "entry True is not an integer"),
 ])
 def test_parse_problem_rejections(mutation, message):
     with pytest.raises(ProblemError) as err:
@@ -231,6 +238,19 @@ def test_cli_rejects_unusable_primes_up_front(tmp_path, capsys, text, bad_args, 
     assert cap.err.splitlines() == [message]
     assert not (tmp_path / "audit.log").exists()
 
+@pytest.mark.parametrize("mode_args", [["--primes", "5,7"], ["--mode", "charq", "--prime", "7"]],
+                         ids=["char0", "charq"])
+def test_cli_rejects_fraction_name_collision_up_front(tmp_path, capsys, mode_args):
+    # y^2 - ybar^3 has one fraction, named ybar: known before any prime runs
+    text = "indvars: ybar\ndepvar: y\nweights: [[3,2]]\nrelation: y^2 - ybar^3\n"
+    code = main([_write(tmp_path, text)] + mode_args)
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err == ("error: fraction variable names collide with ring"
+                       " variables: ybar\n")
+
+
 @pytest.mark.parametrize("mode_args", [[], ["--mode", "charq", "--prime", "5"]])
 def test_cli_rejects_zero_max_iter(tmp_path, capsys, mode_args):
     # rejected before any prime is tried, in both modes
@@ -389,6 +409,102 @@ N=715 primes=5,11,13 lift=ok gb=True containment=True numerators=True accepted=T
 ], ids=["charq-text", "charq-structured", "char0-structured"])
 def test_readme_problem_golden_output(tmp_path, capsys, args, out, log):
     path = _write(tmp_path, QUADRATIC)
+    log_path = tmp_path / "audit.log"
+    code = main([path, "--log", str(log_path)] + args)
+    cap = capsys.readouterr()
+    assert code == 0
+    assert cap.out == out
+    assert cap.err == ""
+    assert log_path.read_text() == log
+
+
+# Byte-exact outputs of a curve with two fractions (J = 2) whose psi(y) has a
+# constant part: y^3 = 1/3 x (x - 3/2)^3 shifted by y -> y - 1.
+J2_CURVE = """\
+indvars: x
+depvar: y
+weights: [[4,3]]
+relation: (y - 1)^3 - 1/3*x*(x - 3/2)^3
+"""
+
+J2_CHAR0_TEXT = """\
+mode: char0
+status: accepted
+Delta: x^2 - 3*x + 9/4
+primes: 5,7,11
+delta: x^2 - 3*x + 9/4
+numerators:
+  y^2 - 2*y + 1
+  y*x - 3/2*y - x + 3/2
+  x^2 - 3*x + 9/4
+induced_weights: 2,1,3
+relation: ybar2^2 - 1/3*ybar1*x
+relation: ybar2*ybar1 - 1/3*x
+relation: ybar1^2 - ybar2
+psi(y): ybar1*(x - 3/2) + (1)
+certificate: gb=true containment=true numerators=true accepted=true
+"""
+
+J2_CHAR0_DOC = {
+    "mode": "char0", "accepted": True, "conductor": "x^2 - 3*x + 9/4",
+    "primes": [5, 7, 11], "delta": "x^2 - 3*x + 9/4",
+    "numerators": ["y^2 - 2*y + 1", "y*x - 3/2*y - x + 3/2", "x^2 - 3*x + 9/4"],
+    "induced_weights": [[2, 1, 3]],
+    "relations": ["ybar2^2 - 1/3*ybar1*x", "ybar2*ybar1 - 1/3*x", "ybar1^2 - ybar2"],
+    "psi": "ybar1*x - 3/2*ybar1 + 1", "psi_factored": "ybar1*(x - 3/2) + (1)",
+    "certificate": {"gb": True, "containment": True, "numerators": True,
+                    "per_prime": [[5, True], [7, True], [11, True]],
+                    "accepted": True},
+    "skipped": [],
+}
+
+J2_CHAR0_LOG = """\
+conductor: x^2 - 3*x + 9/4
+q=5 usable delta=x^2 + 2*x + 1 J=2 lm_g=[y^2,y*x,x^2] K=3 lm_b=[ybar2^2,ybar2*ybar1,ybar1^2]
+N=5 primes=5 lift=ok gb=True containment=False numerators=True accepted=False
+q=7 usable delta=x^2 - 3*x - 3 J=2 lm_g=[y^2,y*x,x^2] K=3 lm_b=[ybar2^2,ybar2*ybar1,ybar1^2]
+N=35 primes=5,7 lift=ok gb=True containment=True numerators=False accepted=False
+q=11 usable delta=x^2 - 3*x + 5 J=2 lm_g=[y^2,y*x,x^2] K=3 lm_b=[ybar2^2,ybar2*ybar1,ybar1^2]
+N=385 primes=5,7,11 lift=ok gb=True containment=True numerators=True accepted=True
+"""
+
+J2_CHARQ7_TEXT = """\
+mode: charq
+q: 7
+Delta: x^2 - 3*x - 3
+delta: x^2 - 3*x - 3
+numerators:
+  y^2 - 2*y + 1
+  y*x + 2*y - x - 2
+  x^2 - 3*x - 3
+induced_weights: 2,1,3
+relation: ybar2^2 + 2*ybar1*x
+relation: ybar2*ybar1 + 2*x
+relation: ybar1^2 - ybar2
+psi(y): ybar1*(x + 2) + (1)
+"""
+
+J2_CHARQ7_DOC = {
+    "mode": "charq", "q": 7, "conductor": "x^2 - 3*x - 3", "delta": "x^2 - 3*x - 3",
+    "numerators": ["y^2 - 2*y + 1", "y*x + 2*y - x - 2", "x^2 - 3*x - 3"],
+    "induced_weights": [[2, 1, 3]],
+    "relations": ["ybar2^2 + 2*ybar1*x", "ybar2*ybar1 + 2*x", "ybar1^2 - ybar2"],
+    "psi": "ybar1*x + 2*ybar1 + 1", "psi_factored": "ybar1*(x + 2) + (1)",
+}
+
+J2_CHARQ7_LOG = "q=7 delta=x^2 - 3*x - 3\n"
+
+
+@pytest.mark.parametrize("args,out,log", [
+    (["--primes", "5,7,11"], J2_CHAR0_TEXT, J2_CHAR0_LOG),
+    (["--primes", "5,7,11", "--format", "structured"],
+     json.dumps(J2_CHAR0_DOC, indent=2) + "\n", J2_CHAR0_LOG),
+    (["--mode", "charq", "--prime", "7"], J2_CHARQ7_TEXT, J2_CHARQ7_LOG),
+    (["--mode", "charq", "--prime", "7", "--format", "structured"],
+     json.dumps(J2_CHARQ7_DOC, indent=2) + "\n", J2_CHARQ7_LOG),
+], ids=["char0-text", "char0-structured", "charq-text", "charq-structured"])
+def test_two_fraction_golden_output(tmp_path, capsys, args, out, log):
+    path = _write(tmp_path, J2_CURVE)
     log_path = tmp_path / "audit.log"
     code = main([path, "--log", str(log_path)] + args)
     cap = capsys.readouterr()
