@@ -160,11 +160,11 @@ def main(argv=None) -> int:
     mode = args.mode
     if mode is None:
         mode = "charq" if problem.characteristic else "char0"
-    prime = args.prime or problem.characteristic
+    prime = args.prime if args.prime is not None else problem.characteristic
 
     try:
         if mode == "charq":
-            if not prime:
+            if prime is None:
                 raise DriverError("charq mode requires --prime or a characteristic field")
             try:
                 field = GF(prime)

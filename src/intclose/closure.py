@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
 
-import numpy as np
-
 from .domains import MODP
 from .groebner import normal_form, reduce_terms
 from .linalg import nullspace_mod
@@ -247,24 +245,18 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     frobenius_d = ring.poly({tuple(q * e for e in m): c for m, c in conductor.terms})
     scale = exact_divide(frobenius_d, conductor)
     targets = [scale * g for g in numerators]
-    cols = []
+    rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col_ids = []
-    support: dict = {}
     for j, g in enumerate(numerators):
         rem = frobenius_nf(g, q, images)
         for alpha in range(xdeg):
             rem, _ = module_reduce(rem if alpha == 0 else rem.mul_term((0, q)), targets)
-            cols.append(rem)
+            for m, c in rem.terms:
+                rows.setdefault(m, {})[len(col_ids)] = c
             col_ids.append((j, alpha))
-            for m, _ in rem.terms:
-                support.setdefault(m, len(support))
-    if all(r.is_zero() for r in cols):
+    if not rows:
         return numerators
-    rows = np.zeros((len(support), len(cols)), dtype=np.int64)  # entries < q < 2^63
-    for cidx, rem in enumerate(cols):
-        for m, c in rem.terms:
-            rows[support[m], cidx] = c
-    kernel = nullspace_mod(rows, len(cols), q)
+    kernel = nullspace_mod(list(rows.values()), len(col_ids), q)
     new_gens = [conductor * g for g in numerators]
     for vec in kernel:
         acc = ring.zero()

@@ -106,9 +106,6 @@ def parse_problem(text: str) -> ProblemFile:
         weights = normalize_weights(rows, 1 + len(indvars))
     except Exception as exc:
         raise ProblemError(f"bad weight matrix: {exc}") from None
-    bad = [x for r in rows for x in r if type(x) is not int]  # int() took them
-    if bad:
-        raise ProblemError(f"bad weight matrix: entry {bad[0]!r} is not an integer")
     char = None
     if "characteristic" in fields:
         try:

@@ -22,6 +22,9 @@ def normalize_weights(rows: Sequence[Sequence[int]], nvars: int) -> WeightMatrix
         raise WeightError(f"weight matrix must have {nvars} columns")
     if any(x < 0 for r in w for x in r):
         raise WeightError("weight entries must be non-negative")
+    bad = [x for r in rows for x in r if type(x) is not int]  # int() took them
+    if bad:
+        raise WeightError(f"entry {bad[0]!r} is not an integer")
     return w
 
 

@@ -113,24 +113,18 @@ def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tupl
     scale = conductor ** (q - 1)
     targets = [scale * g for g in numerators]
     phis = [frobenius_nf(g, q, images) for g in numerators]
-    cols = []
+    rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col_ids = []
-    support: dict = {}
     for j, g in enumerate(numerators):
         for alpha in range(xdeg):
             shifted = phis[j].mul_term((0, q * alpha))
             rem, _ = module_reduce(shifted, targets)
-            cols.append(rem)
+            for m, c in rem.terms:
+                rows.setdefault(m, {})[len(col_ids)] = int(c)
             col_ids.append((j, alpha))
-            for m, _ in rem.terms:
-                support.setdefault(m, len(support))
-    if all(r.is_zero() for r in cols):
+    if not rows:
         return numerators
-    rows = [[0] * len(cols) for _ in range(len(support))]
-    for cidx, rem in enumerate(cols):
-        for m, c in rem.terms:
-            rows[support[m]][cidx] = int(c)
-    kernel = nullspace_mod(rows, len(cols), q)
+    kernel = nullspace_mod(list(rows.values()), len(col_ids), q)
     new_gens = [conductor * g for g in numerators]
     for vec in kernel:
         acc = ring.zero()

@@ -429,13 +429,16 @@ def test_octic_full_rational_run():
 
 def test_nullspace_with_large_modulus():
     from intclose.linalg import nullspace_mod
-    q = (1 << 61) - 1  # a Mersenne prime beyond the int64-product range
-    rows = [[1, 2, 3], [2, 4, 6]]
+    q = (1 << 61) - 1  # a Mersenne prime: products of entries exceed 2^64
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}]
     basis = nullspace_mod(rows, 3, q)
     assert len(basis) == 2
     for v in basis:
         for row in rows:
-            assert sum(r * x for r, x in zip(row, v)) % q == 0
+            assert sum(x * v[c] for c, x in row.items()) % q == 0
+    for bad in ({3: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            nullspace_mod([bad], 3, q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -447,17 +450,22 @@ def test_nullspace_matches_rref_oracle(data):
     entry = st.integers(-q, 2 * q - 1) | st.sampled_from([0, 1, q - 1])
     if ncols and data.draw(st.booleans(), label="sparse"):
         # tall, at most two nonzeros a row, like the Frobenius matrices
-        row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=2).map(
-            lambda d: [d.get(c, 0) for c in range(ncols)])
+        row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=2)
         max_rows = 4 * ncols + 4
     else:
-        row = (st.lists(entry, min_size=ncols, max_size=ncols)
-               | st.just([0] * ncols))
+        row = (st.lists(entry, min_size=ncols, max_size=ncols).map(
+            lambda r: {c: x for c, x in enumerate(r) if x})
+            | st.just({}))
         max_rows = 8
     rows = data.draw(st.lists(row, max_size=max_rows), label="rows")
+    dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
     basis = nullspace_mod(rows, ncols, q)
-    assert basis == nullspace_rref(rows, ncols, q)
+    assert [[r.get(c, 0) for c in range(ncols)] for r in rows] == dense  # input kept
+    assert basis == nullspace_rref(dense, ncols, q)
     assert all(type(x) is int for v in basis for x in v)
+    # the RREF is unique, so the order the rows come in cannot matter
+    shuffled = data.draw(st.permutations(rows), label="permuted rows")
+    assert nullspace_mod(shuffled, ncols, q) == basis
 
 
 def test_psi_combination_handles_vanishing_coefficients():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ZZ, Domain, DomainError, OrderError, Ring,
                       RingError, WeightError, dep_block, format_poly,
-                      grevlex_over_weight, validate_weight_function,
-                      weight_of, weight_over_grevlex)
+                      grevlex_over_weight, normalize_weights,
+                      validate_weight_function, weight_of, weight_over_grevlex)
 from conftest import CURVES, curve_ring, make_curve
 from oracles import completed_rows, grevlex, key_sign
 
@@ -331,6 +331,21 @@ def test_monomial_quotient_requires_divisibility():
     assert mono_div((3, 2), (1, 2)) == (2, 0)
     with pytest.raises(OrderError):
         mono_div((1, 2), (2, 0))
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[3.5, 2]], "entry 3.5 is not an integer"),
+    ([[True, 2]], "entry True is not an integer"),
+    ([[3, "2"]], "entry '2' is not an integer"),
+    # the shape and sign checks come first, as problem-file messages expect
+    ([[3.5, 2, 1]], "weight matrix must have 2 columns"),
+    ([[3.5, -2]], "weight entries must be non-negative"),
+])
+def test_normalize_weights_rejects_bad_entries(rows, message):
+    # a library caller gets the same checks as a problem file, not int()'s reading
+    with pytest.raises(WeightError) as err:
+        normalize_weights(rows, 2)
+    assert str(err.value) == message
 
 
 def test_weight_of_zero_polynomial_rejected():

@@ -1,6 +1,9 @@
 """Problem-file parsing and the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,7 +230,11 @@ BEYOND_WORD_REASON = f"{BEYOND_WORD} is not below the word limit 2^63"
     (QUADRATIC, ["--start-prime", str(BEYOND_WORD)],
      f"error: prime schedule: {BEYOND_WORD_REASON}"),
     (QUADRATIC, ["--primes", ""], "error: --primes expects comma-separated integers, got ''"),
-], ids=["characteristic", "prime", "primes", "start-prime", "empty-primes"])
+    # an explicit --prime 0 is a value, not an absent flag
+    (TRIDENT_Q7, ["--prime", "0"], "error: --prime 0 is not prime"),
+    (QUADRATIC, ["--mode", "charq", "--prime", "0"], "error: --prime 0 is not prime"),
+], ids=["characteristic", "prime", "primes", "start-prime", "empty-primes",
+        "prime-0-over-characteristic", "charq-prime-0"])
 def test_cli_rejects_unusable_primes_up_front(tmp_path, capsys, text, bad_args, message):
     # rejected before the conductor runs, with one error line and exit 2
     path = _write(tmp_path, text)
@@ -415,6 +422,35 @@ def test_readme_problem_golden_output(tmp_path, capsys, args, out, log):
     assert code == 0
     assert cap.out == out
     assert cap.err == ""
+    assert log_path.read_text() == log
+
+
+# a fresh interpreter in which every import of numpy raises ImportError
+WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from intclose.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("args,out,log", [
+    (["--primes", "5,11,13", "--format", "structured"],
+     json.dumps(CHAR0_DOC, indent=2) + "\n", CHAR0_LOG),
+    (["--mode", "charq", "--prime", "5"], CHARQ5_TEXT, CHARQ5_LOG),
+], ids=["char0", "charq"])
+def test_runs_without_numpy(tmp_path, args, out, log):
+    path = _write(tmp_path, QUADRATIC)
+    log_path = tmp_path / "audit.log"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, path,
+                           "--log", str(log_path)] + args,
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out
+    assert proc.stderr == ""
     assert log_path.read_text() == log
 
 
