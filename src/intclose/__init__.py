@@ -8,7 +8,7 @@ by a Groebner-basis and ideal-containment check.
 
 from .closure import (ClosurePresentation, ClosureError, FractionSet,
                       canonical_generators, exact_divide, frobenius_images,
-                      frobenius_nf, gcd_in_p, induce_presentation,
+                      frobenius_nf, frobenius_scale, gcd_in_p, induce_presentation,
                       minimize_denominator, module_reduce, psi_combination,
                       qth_closure, qth_power_step)
 from .conductor import ConductorError, canonical_conductor, partial_derivative

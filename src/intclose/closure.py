@@ -224,14 +224,110 @@ def frobenius_nf(g: Polynomial, q: int, images: tuple) -> Polynomial:
     return ring.poly(acc)
 
 
+def frobenius_scale(conductor: Polynomial, q: int) -> Polynomial:
+    """D^(q-1) over F_q, as D(x^q) / D: D^q = D(x^q), since c^q = c on F_q."""
+    ring = conductor.ring
+    frobenius_d = ring.poly({tuple(q * e for e in m): c for m, c in conductor.terms})
+    return exact_divide(frobenius_d, conductor)
+
+
+def xpoly_rem(a: dict, m: dict, q: int) -> dict:
+    """Remainder of a modulo m != 0 in F_q[x], each a dict x-exponent -> coefficient.
+
+    Returns a itself when its degree is below m's.
+    """
+    n = max(m)
+    top = max(a, default=-1)
+    if top < n:
+        return a
+    inv = pow(m[n], -1, q)
+    tail = [(e - n, c * inv % q) for e, c in m.items() if e != n]
+    if not tail:                       # m = c*x^n: a truncation
+        return {e: c for e, c in a.items() if e < n}
+    buf = [0] * (top + 1)
+    for e, c in a.items():
+        buf[e] = c
+    for e in range(top, n - 1, -1):    # cancel x^e with (c / lc(m)) * x^(e-n) * m
+        c = buf[e] % q
+        if c:
+            for off, t in tail:
+                buf[e + off] -= c * t
+    return {e: c for e in range(n) if (c := buf[e] % q)}
+
+
+def _columns_by_y_degree(numerators: tuple, q: int, images: tuple,
+                         scale: Polynomial, xdeg: int):
+    """The step's columns by remainders in F_q[x], as ``qth_power_step`` says.
+
+    None unless every numerator is p_k(x)*y^(i_k), with distinct i_k.  The
+    y-coefficient of degree i_k is reduced modulo scale*p_k; one of a
+    y-degree no target lies in is kept.  The Frobenius image of y^i is
+    images[i] itself, so the start S needs no ``frobenius_nf``.
+    """
+    moduli: dict = {}              # y-degree -> x-part of its target
+    for g in numerators:
+        i = g.lm[0]
+        if i in moduli or any(m[0] != i for m, _ in g.terms):
+            return None
+        moduli[i] = {m[1]: c for m, c in (scale * g).terms}
+    rows: dict = {}  # monomial -> sparse row {column index: coefficient}
+    for j, g in enumerate(numerators):
+        i = g.lm[0]
+        phi = images[i] if g.terms == (((i, 0), 1),) else frobenius_nf(g, q, images)
+        column: dict = {}          # y-degree -> x-coefficient dict
+        for (k, e), c in phi.terms:
+            column.setdefault(k, {})[e] = c
+        for alpha in range(xdeg):
+            for k, coeff in column.items():
+                if alpha:
+                    coeff = {e + q: c for e, c in coeff.items()}
+                if k in moduli:
+                    coeff = xpoly_rem(coeff, moduli[k], q)
+                column[k] = coeff
+                for e, c in coeff.items():
+                    rows.setdefault((k, e), {})[j * xdeg + alpha] = c
+    return rows
+
+
+def _columns_by_division(numerators: tuple, q: int, images: tuple,
+                         scale: Polynomial, xdeg: int) -> dict:
+    """The step's columns by P-module division by the targets scale*g."""
+    targets = [scale * g for g in numerators]
+    rows: dict = {}  # monomial -> sparse row {column index: coefficient}
+    for j, g in enumerate(numerators):
+        rem = frobenius_nf(g, q, images)
+        for alpha in range(xdeg):
+            rem, _ = module_reduce(rem if alpha == 0 else rem.mul_term((0, q)), targets)
+            for m, c in rem.terms:
+                rows.setdefault(m, {})[j * xdeg + alpha] = c
+    return rows
+
+
 def qth_power_step(numerators: tuple, q: int, images: tuple,
-                   conductor: Polynomial) -> tuple:
+                   conductor: Polynomial, scale: Polynomial) -> tuple:
     """One contraction: members whose Frobenius image stays in D^(q-1)*module.
 
-    Works on the finite quotient module/(D*module); D*module always survives
-    the step, so the kernel there plus D*module generates the next module.
-    Column (j, alpha) reduces x^q * column (j, alpha-1): the targets lead in
-    distinct dependent parts, a Groebner basis, so remainders are canonical.
+    ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1), and the
+    targets are scale*g over the numerators g.  Works on the finite quotient
+    module/(D*module); D*module always survives the step, so the kernel
+    there plus D*module generates the next module.  Column (j, alpha) holds
+    the remainder of x^(q*alpha) * NF(g_j^q, f) by the targets.
+
+    The targets lead in distinct dependent parts, so they have no S-pairs:
+    they are a Groebner basis of the P-module they span, and the remainder
+    of any h is unique, zero exactly on that module.  Two consequences:
+
+    * Chaining.  Column (j, alpha) is the remainder of x^q times column
+      (j, alpha-1): the two dividends differ by x^q times a member of the
+      module, which is again a member, so they share their remainder.
+    * Coefficientwise remainders.  When every numerator is p_k(x)*y^(i_k)
+      with distinct i_k (always at the start S, sometimes later), target k
+      lies in y-degree i_k alone: its lead cancels only terms of that
+      y-degree, and its multiples change no other.  So the unique remainder
+      is that of each y-coefficient modulo its target's x-part in F_q[x]
+      (``_columns_by_y_degree``; a truncation when that x-part is a
+      monomial, as at the start when D = x^k).  Other steps divide in the
+      P-module (``_columns_by_division``).  Both give the same columns.
     """
     ring = conductor.ring
     if ring.nindep != 1:
@@ -241,28 +337,18 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     xdeg = conductor.degree_in(1)
     if xdeg == 0:
         return numerators
-    # over F_q, D^q = D(x^q): scale the exponents, then divide once by D
-    frobenius_d = ring.poly({tuple(q * e for e in m): c for m, c in conductor.terms})
-    scale = exact_divide(frobenius_d, conductor)
-    targets = [scale * g for g in numerators]
-    rows: dict = {}  # monomial -> sparse row {column index: coefficient}
-    col_ids = []
-    for j, g in enumerate(numerators):
-        rem = frobenius_nf(g, q, images)
-        for alpha in range(xdeg):
-            rem, _ = module_reduce(rem if alpha == 0 else rem.mul_term((0, q)), targets)
-            for m, c in rem.terms:
-                rows.setdefault(m, {})[len(col_ids)] = c
-            col_ids.append((j, alpha))
+    rows = _columns_by_y_degree(numerators, q, images, scale, xdeg)
+    if rows is None:
+        rows = _columns_by_division(numerators, q, images, scale, xdeg)
     if not rows:
         return numerators
-    kernel = nullspace_mod(list(rows.values()), len(col_ids), q)
+    kernel = nullspace_mod(list(rows.values()), len(numerators) * xdeg, q)
     new_gens = [conductor * g for g in numerators]
     for vec in kernel:
         acc = ring.zero()
         for cidx, coeff in enumerate(vec):
             if coeff:
-                j, alpha = col_ids[cidx]
+                j, alpha = divmod(cidx, xdeg)
                 acc = acc + numerators[j].mul_term((0, alpha), coeff)
         if not acc.is_zero():
             new_gens.append(acc)
@@ -277,9 +363,10 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int,
     if ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
     images = frobenius_images(f)
+    scale = frobenius_scale(conductor, q)
     nums = tuple(ring.monomial((k, 0)) for k in range(len(images) - 1, -1, -1))
     for _ in range(max_iter):
-        nxt = qth_power_step(nums, q, images, conductor)
+        nxt = qth_power_step(nums, q, images, conductor, scale)
         if list(nxt) == list(nums):
             if nums[-1] != conductor.monic():
                 raise ClosureError("fixpoint does not contain the conductor fraction")

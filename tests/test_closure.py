@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 from intclose import (GF, QQ, ClosureError, ConductorError, FractionSet,
                       Ring, buchberger, canonical_conductor,
                       canonical_generators, dep_block, frobenius_images,
-                      frobenius_nf, induce_presentation, is_minimal_reduced_gb,
-                      is_prime_usable, minimal_reduced, minimize_denominator,
-                      module_reduce, mu_poly, normal_form, psi_combination,
-                      qth_closure, qth_power_step, run_prime,
-                      weight_over_grevlex)
-from intclose.closure import combination
+                      frobenius_nf, frobenius_scale, induce_presentation,
+                      is_minimal_reduced_gb, is_prime_usable, minimal_reduced,
+                      minimize_denominator, module_reduce, mu_poly,
+                      normal_form, psi_combination, qth_closure,
+                      qth_power_step, run_prime, weight_over_grevlex)
+from intclose.closure import (_columns_by_division, _columns_by_y_degree,
+                              combination, xpoly_rem)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
                       sextic_relations)
 from oracles import (canonical_generators_restart, kernel_step_oracle,
-                     qth_power_step_scratch, strict_shape_ok, weight_balance_ok)
+                     qth_power_step_scratch, reduce_terms_scan, strict_shape_ok,
+                     weight_balance_ok)
 
 
 def closure_run(name, q, minimize=True):
@@ -135,6 +137,42 @@ def test_module_reduce_stuck_below_leads():
     assert rem == ring.parse("y")  # no P-multiple of the leads divides y
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coefficientwise_remainder_matches_module_division(data):
+    # targets M_k(x)*p_k(x)*y^k, M_k = x^e or (x - a)^e, on some y-degrees k
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 13, 29]), label="q")
+    d = data.draw(st.integers(1, 4), label="d")
+    weights = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)), label="w")
+    ring = curve_ring(weights, GF(q))
+    x = ring.var("x")
+    coeffs = st.integers(0, q - 1)
+    moduli = {}
+    for k in sorted(data.draw(st.sets(st.integers(0, d - 1)), label="degrees")):
+        a = data.draw(coeffs, label="a")
+        e = data.draw(st.integers(0, 6), label="e")
+        p = data.draw(st.lists(coeffs, max_size=4), label="p")
+        lc = data.draw(st.integers(1, q - 1), label="lc")
+        pk = ring.poly({(0, i): c for i, c in enumerate(p + [lc])})
+        moduli[k] = (x - ring.const(a)) ** e * pk
+    top = 3 * max([m.degree_in(1) for m in moduli.values()] + [1])
+    h = ring.poly(data.draw(st.dictionaries(
+        st.tuples(st.integers(0, d - 1), st.integers(0, top)), coeffs,
+        max_size=3 * top), label="h"))
+    targets = [m.mul_term((k, 0)) for k, m in moduli.items()]
+    got = {}
+    for k in range(d):
+        coeff = {m[1]: c for m, c in h.terms if m[0] == k}
+        if k in moduli:
+            coeff = xpoly_rem(coeff, {m[1]: c for m, c in moduli[k].terms}, q)
+        got.update({(k, e): c for e, c in coeff.items()})
+    rem = ring.poly(got)
+    assert rem == module_reduce(h, targets)[0]
+    leads = [(t.lm, t.lc, t.terms) for t in targets]
+    assert rem == ring.poly(reduce_terms_scan(dict(h.terms), leads, ring.domain,
+                                              ring.order.key, fixed=ring.ndep))
+
+
 def test_canonical_generators_echelonize():
     ring, _ = make_curve("trident", q=7)
     gens = [ring.parse("y^2 + y*x"), ring.parse("y*x"), ring.parse("x^2"),
@@ -190,7 +228,7 @@ def test_step_fixpoint_is_idempotent():
     for name, q in (("quadratic", 5), ("trident", 7)):
         ring, f, delta, fs = closure_run(name, q, minimize=False)
         images = frobenius_images(f)
-        again = qth_power_step(fs.numerators, q, images, delta)
+        again = qth_power_step(fs.numerators, q, images, delta, delta ** (q - 1))
         assert list(again) == list(fs.numerators)
 
 
@@ -201,7 +239,7 @@ def test_step_nesting():
     d = f.degree_in(0)
     current = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
     for _ in range(6):
-        nxt = qth_power_step(current, 7, images, delta)
+        nxt = qth_power_step(current, 7, images, delta, delta ** 6)
         stair_prev = {g.lm[0]: g.lm[1] for g in current}
         for g in nxt:
             i, e = g.lm
@@ -236,7 +274,7 @@ def test_step_against_linear_algebra_oracle():
         delta = ring.poly(dacc)
         images = frobenius_images(f)
         start = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
-        engine = qth_power_step(start, q, images, delta)
+        engine = qth_power_step(start, q, images, delta, delta ** (q - 1))
         expect = kernel_step_oracle(list(start), f, delta, q)
         got = {g.lm[0]: g.lm[1] for g in engine}
         assert got == expect
@@ -273,7 +311,7 @@ def assert_steps_match_scratch(ring, f, delta, q):
     images = frobenius_images(f)
     nums = tuple(ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(64):
-        nxt = qth_power_step(nums, q, images, delta)
+        nxt = qth_power_step(nums, q, images, delta, delta ** (q - 1))
         assert nxt == qth_power_step_scratch(nums, q, images, delta)
         if nxt == nums:
             return
@@ -339,6 +377,32 @@ def test_fixture_closures_as_built(name):
     for q, f_q, delta_q, run in fixture_runs(name):
         assert_steps_match_scratch(delta_q.ring, f_q, delta_q, q)
         assert_presentation_as_built(run.presentation, run.fractions, f_q)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_fixture_walk_columns_by_y_degree(name):
+    # every step of the walk from S whose numerators lie in distinct single
+    # y-degrees (the first one at least) builds the same columns both ways
+    shaped = 0
+    for q, f_q, delta_q, run in fixture_runs(name):
+        images = frobenius_images(f_q)
+        scale = frobenius_scale(delta_q, q)
+        assert scale == delta_q ** (q - 1)
+        xdeg = delta_q.degree_in(1)
+        nums = tuple(f_q.ring.monomial((k, 0))
+                     for k in range(f_q.degree_in(0) - 1, -1, -1))
+        for _ in range(64):
+            rows = _columns_by_y_degree(nums, q, images, scale, xdeg)
+            if rows is not None:
+                shaped += 1
+                assert rows == _columns_by_division(nums, q, images, scale, xdeg)
+            nxt = qth_power_step(nums, q, images, delta_q, scale)
+            if nxt == nums:
+                break
+            nums = nxt
+        else:
+            raise AssertionError("no fixpoint within 64 steps")
+    assert shaped >= len(fixture_runs(name))
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
