@@ -205,7 +205,9 @@ def frobenius_images(f: Polynomial) -> tuple:
 def frobenius_nf(g: Polynomial, q: int, images: tuple) -> Polynomial:
     """NF(g^q, f) using termwise Frobenius: (sum t_i)^q = sum t_i^q.
 
-    ``images`` is ``frobenius_images(f)``; g must be reduced modulo f.
+    ``images`` is ``frobenius_images(f)``; g must be reduced modulo f.  With
+    images whose y-coefficients are reduced modulo m_k in F_q[x], the
+    y^k-coefficient of the result is NF(g^q, f)'s modulo m_k, unreduced.
     """
     ring = g.ring
     if ring.domain.kind != MODP or ring.domain.char != q:
@@ -255,51 +257,88 @@ def xpoly_rem(a: dict, m: dict, q: int) -> dict:
     return {e: c for e in range(n) if (c := buf[e] % q)}
 
 
-def _columns_by_y_degree(numerators: tuple, q: int, images: tuple,
-                         scale: Polynomial, xdeg: int):
-    """The step's columns by remainders in F_q[x], as ``qth_power_step`` says.
+def _by_y(p: Polynomial) -> dict:
+    """The y-coefficients of p over F_q[y; x]: y-degree -> x-exponent -> coefficient."""
+    out: dict = {}
+    for (k, e), c in p.terms:
+        out.setdefault(k, {})[e] = c
+    return out
 
-    None unless every numerator is p_k(x)*y^(i_k), with distinct i_k.  The
-    y-coefficient of degree i_k is reduced modulo scale*p_k; one of a
-    y-degree no target lies in is kept.  The Frobenius image of y^i is
-    images[i] itself, so the start S needs no ``frobenius_nf``.
+
+def _rem_by_y(p: Polynomial, moduli: dict, q: int) -> Polynomial:
+    """p with its y^k-coefficient reduced modulo moduli[k] in F_q[x], for each k.
+
+    Returns p itself when every coefficient is already reduced.
     """
-    moduli: dict = {}              # y-degree -> x-part of its target
+    coeffs = _by_y(p)
+    rems = {k: xpoly_rem(a, moduli[k], q) for k, a in coeffs.items()}
+    if all(rems[k] is a for k, a in coeffs.items()):
+        return p
+    return p.ring.poly({(k, e): c for k, a in rems.items() for e, c in a.items()})
+
+
+def _moduli_by_y_degree(numerators: tuple, scale: Polynomial):
+    """y-degree i_k -> x-part of scale*g_k, when each g_k lies in y-degree i_k alone.
+
+    None when some numerator has terms in two y-degrees.
+    """
+    moduli: dict = {}
     for g in numerators:
         i = g.lm[0]
-        if i in moduli or any(m[0] != i for m, _ in g.terms):
+        if any(m[0] != i for m, _ in g.terms):
             return None
         moduli[i] = {m[1]: c for m, c in (scale * g).terms}
+    return moduli
+
+
+def _basis_prefix(numerators: tuple, xdeg: int) -> list:
+    """a_j = deg D - e_j, e_j the x-degree of LM(g_j): the x^alpha*g_j with
+    alpha < a_j are an F_q-basis of N/DS, as ``qth_power_step`` says."""
+    return [xdeg - g.lm[1] for g in numerators]
+
+
+def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomial,
+                  scale: Polynomial, prefix: list, moduli) -> dict:
+    """The step's columns, as ``qth_power_step`` says: sparse rows by monomial.
+
+    Column (j, alpha), for alpha < prefix[j] and numbered in that order, is
+    the remainder of x^(q*alpha) * gbar_j^q by the targets scale*g, where
+    gbar_j is g_j with its y-coefficients reduced modulo D.  ``moduli`` is
+    ``_moduli_by_y_degree(numerators, scale)``: the remainder is then taken
+    coefficientwise.  When it is None, the images and each column have
+    their y-coefficients reduced modulo D^q, and the column is then divided
+    in the P-module.
+    """
+    ring = conductor.ring
+    delta = {m[1]: c for m, c in conductor.terms}
+    targets = None
+    if moduli is None:
+        targets = [scale * g for g in numerators]
+        moduli = dict.fromkeys(range(len(images)), {q * e: c for e, c in delta.items()})
+        images = tuple(_rem_by_y(img, moduli, q) for img in images)
+    mod_delta = dict.fromkeys(range(len(images)), delta)
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
-    for j, g in enumerate(numerators):
-        i = g.lm[0]
-        phi = images[i] if g.terms == (((i, 0), 1),) else frobenius_nf(g, q, images)
-        column: dict = {}          # y-degree -> x-coefficient dict
-        for (k, e), c in phi.terms:
-            column.setdefault(k, {})[e] = c
-        for alpha in range(xdeg):
+    col = 0
+    for g, a in zip(numerators, prefix):
+        if not a:
+            continue
+        gbar = _rem_by_y(g, mod_delta, q)
+        i = gbar.lm[0]
+        phi = images[i] if gbar.terms == (((i, 0), 1),) else frobenius_nf(gbar, q, images)
+        column = _by_y(phi)
+        for alpha in range(a):
+            if alpha:
+                column = {k: {e + q: c for e, c in coeff.items()}
+                          for k, coeff in column.items()}
+            column = {k: xpoly_rem(coeff, moduli[k], q) for k, coeff in column.items()}
+            if targets is not None:
+                column = _by_y(module_reduce(ring.poly(
+                    {(k, e): c for k, coeff in column.items() for e, c in coeff.items()}),
+                    targets)[0])
             for k, coeff in column.items():
-                if alpha:
-                    coeff = {e + q: c for e, c in coeff.items()}
-                if k in moduli:
-                    coeff = xpoly_rem(coeff, moduli[k], q)
-                column[k] = coeff
                 for e, c in coeff.items():
-                    rows.setdefault((k, e), {})[j * xdeg + alpha] = c
-    return rows
-
-
-def _columns_by_division(numerators: tuple, q: int, images: tuple,
-                         scale: Polynomial, xdeg: int) -> dict:
-    """The step's columns by P-module division by the targets scale*g."""
-    targets = [scale * g for g in numerators]
-    rows: dict = {}  # monomial -> sparse row {column index: coefficient}
-    for j, g in enumerate(numerators):
-        rem = frobenius_nf(g, q, images)
-        for alpha in range(xdeg):
-            rem, _ = module_reduce(rem if alpha == 0 else rem.mul_term((0, q)), targets)
-            for m, c in rem.terms:
-                rows.setdefault(m, {})[j * xdeg + alpha] = c
+                    rows.setdefault((k, e), {})[col] = c
+            col += 1
     return rows
 
 
@@ -307,27 +346,37 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
                    conductor: Polynomial, scale: Polynomial) -> tuple:
     """One contraction: members whose Frobenius image stays in D^(q-1)*module.
 
-    ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1), and the
-    targets are scale*g over the numerators g.  Works on the finite quotient
-    module/(D*module); D*module always survives the step, so the kernel
-    there plus D*module generates the next module.  Column (j, alpha) holds
-    the remainder of x^(q*alpha) * NF(g_j^q, f) by the targets.
+    ``numerators`` are the canonical generators g_j of a module N between
+    D*S and S, and ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1).
+    The next module is the g in N with g^q in T = D^(q-1)*N, the span of
+    the targets scale*g_j.  The targets lead in distinct dependent parts, so
+    they are a Groebner basis of T, and the remainder of any h by them is
+    unique, zero exactly on T.
 
-    The targets lead in distinct dependent parts, so they have no S-pairs:
-    they are a Groebner basis of the P-module they span, and the remainder
-    of any h is unique, zero exactly on that module.  Two consequences:
-
+    * Columns only for N/DS.  N contains D*S, and g -> g^q mod T is
+      F_q-linear (c^q = c on F_q) and zero there: (D*s)^q = D^q*s^q lies
+      in D^(q-1)*D*S.  So the next module is D*S plus the kernel of that
+      map on an F_q-basis of N/DS: it is generated by D*y^k (k < d) and the
+      kernel elements.  As the g_j are a Groebner basis of N with leads
+      y^(i_j)*x^(e_j), the x^alpha*g_j with e_j + alpha < deg D are such a
+      basis: reducing them modulo D*S keeps those distinct leads, and there
+      are d*deg D - sum(e_j) = dim N/DS of them.  So g_j keeps the prefix
+      alpha < deg D - e_j; at S that is every alpha < deg D.
+    * Reduce before dividing.  S has characteristic q, so
+      (g + D*s)^q = g^q + D^q*s^q, and D^q*S lies in T.  So the column of
+      g depends only on g mod D*S, and its Frobenius image only modulo D^q:
+      each numerator's y-coefficients are reduced modulo D before its image
+      is taken, and the images modulo D^q (a truncation when D = x^k).
     * Chaining.  Column (j, alpha) is the remainder of x^q times column
-      (j, alpha-1): the two dividends differ by x^q times a member of the
-      module, which is again a member, so they share their remainder.
+      (j, alpha-1): the two dividends differ by x^q times a member of T,
+      which is again a member, so they share their remainder.
     * Coefficientwise remainders.  When every numerator is p_k(x)*y^(i_k)
-      with distinct i_k (always at the start S, sometimes later), target k
-      lies in y-degree i_k alone: its lead cancels only terms of that
-      y-degree, and its multiples change no other.  So the unique remainder
-      is that of each y-coefficient modulo its target's x-part in F_q[x]
-      (``_columns_by_y_degree``; a truncation when that x-part is a
-      monomial, as at the start when D = x^k).  Other steps divide in the
-      P-module (``_columns_by_division``).  Both give the same columns.
+      (always at the start S, sometimes later), target k lies in y-degree
+      i_k alone: its lead cancels only terms of that y-degree, and its
+      multiples change no other.  So the unique remainder is that of each
+      y-coefficient modulo its target's x-part in F_q[x] (a truncation when
+      that x-part is a monomial, as at the start when D = x^k).  Other steps
+      divide in the P-module.  Both give the same columns.
     """
     ring = conductor.ring
     if ring.nindep != 1:
@@ -337,21 +386,24 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     xdeg = conductor.degree_in(1)
     if xdeg == 0:
         return numerators
-    rows = _columns_by_y_degree(numerators, q, images, scale, xdeg)
-    if rows is None:
-        rows = _columns_by_division(numerators, q, images, scale, xdeg)
+    prefix = _basis_prefix(numerators, xdeg)
+    if ({g.lm[0] for g in numerators} != set(range(len(images)))
+            or len(numerators) != len(images) or min(prefix) < 0):
+        raise ClosureError("numerators must generate a module between D*S and S")
+    rows = _step_columns(numerators, q, images, conductor, scale, prefix,
+                         _moduli_by_y_degree(numerators, scale))
     if not rows:
         return numerators
-    kernel = nullspace_mod(list(rows.values()), len(numerators) * xdeg, q)
-    new_gens = [conductor * g for g in numerators]
+    cols = [(j, alpha) for j, a in enumerate(prefix) for alpha in range(a)]
+    kernel = nullspace_mod(list(rows.values()), len(cols), q)
+    new_gens = [conductor.mul_term((k, 0)) for k in range(len(images))]
     for vec in kernel:
-        acc = ring.zero()
-        for cidx, coeff in enumerate(vec):
+        acc: dict = {}
+        for (j, alpha), coeff in zip(cols, vec):
             if coeff:
-                j, alpha = divmod(cidx, xdeg)
-                acc = acc + numerators[j].mul_term((0, alpha), coeff)
-        if not acc.is_zero():
-            new_gens.append(acc)
+                for (k, e), c in numerators[j].terms:
+                    acc[k, e + alpha] = (acc.get((k, e + alpha), 0) + coeff * c) % q
+        new_gens.append(ring.poly(acc))
     return canonical_generators(new_gens, ring)
 
 

@@ -84,7 +84,8 @@ class Domain:
                 return value.numerator
             return int(value)
         if self.kind == RAT:
-            return Fraction(value)
+            # a Fraction is immutable and already canonical; a subclass is not kept
+            return value if type(value) is Fraction else Fraction(value)
         q = self.char
         if isinstance(value, Fraction):
             if value.denominator % q == 0:

@@ -264,12 +264,18 @@ def reconcile_and_lift(runs, input_ring: Ring) -> LiftState:
     return LiftState(primes, modulus, *crt_closure, *lifted, lift_error=err)
 
 
-def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring) -> Polynomial:
-    """Image of f under y -> psi, x_i -> x_i inside the output ring."""
+def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,
+                   psi_pows: list | None = None) -> Polynomial:
+    """Image of f under y -> psi, x_i -> x_i inside the output ring.
+
+    ``psi_pows`` is a list [1, psi, psi^2, ...] that is extended as needed,
+    so calls that pass the same list build each power of psi once.
+    """
     src = f.ring
     pad = out_ring.ndep
     image = out_ring.zero()
-    psi_pows = [out_ring.one()]
+    if psi_pows is None:
+        psi_pows = [out_ring.one()]
     for m, c in f.terms:
         ydeg = m[0]
         while len(psi_pows) <= ydeg:
@@ -295,12 +301,13 @@ def verify_candidate(state: LiftState, f: Polynomial, runs) -> Certificate:
     psi = state.presentation.inclusion_image
     out_ring = state.presentation.ring
     gb_ok = is_minimal_reduced_gb(rels) if rels else True
-    residual = normal_form(psi_substitute(f, psi, out_ring), rels)
+    psi_pows = [out_ring.one()]
+    residual = normal_form(psi_substitute(f, psi, out_ring, psi_pows), rels)
     containment_ok = residual.is_zero()
-    delta_out = psi_substitute(nums[-1], psi, out_ring)
+    delta_out = psi_substitute(nums[-1], psi, out_ring, psi_pows)
     numerators_ok = True
     for k in range(out_ring.ndep):
-        image = psi_substitute(nums[k], psi, out_ring)
+        image = psi_substitute(nums[k], psi, out_ring, psi_pows)
         ybar = out_ring.monomial(tuple(1 if i == k else 0
                                        for i in range(out_ring.nvars)))
         if not normal_form(image - ybar * delta_out, rels).is_zero():

@@ -13,9 +13,9 @@ from fractions import Fraction
 from intclose import (ConductorError, LiftError, MonomialOrder, Ring, balanced,
                       buchberger, canonical_generators, dep_block, frobenius_nf,
                       mono_weight, module_reduce, normal_form,
-                      partial_derivative)
+                      partial_derivative, s_poly)
 from intclose.linalg import nullspace_mod
-from intclose.orders import _block_grevlex_rows
+from intclose.orders import _block_grevlex_rows, mono_divides
 
 
 def grevlex(nvars: int) -> MonomialOrder:
@@ -135,6 +135,79 @@ def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tupl
         if not acc.is_zero():
             new_gens.append(acc)
     return canonical_generators(new_gens, ring)
+
+
+def is_minimal_reduced_gb_full(gens) -> bool:
+    """Reference Groebner check: monic, interreduced, and every S-polynomial
+    reduces to zero, coprime leads included.
+
+    Same contract as ``intclose.is_minimal_reduced_gb``, which skips the
+    pairs with coprime leading monomials.
+    """
+    gens = list(gens)
+    if not gens or any(g.is_zero() for g in gens):
+        return False
+    if any(not g.is_monic() for g in gens):
+        return False
+    for i, g in enumerate(gens):
+        for j, h in enumerate(gens):
+            if i != j and any(mono_divides(h.lm, m) for m, _ in g.terms):
+                return False
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if not normal_form(s_poly(gens[i], gens[j]), gens).is_zero():
+                return False
+    return True
+
+
+def rank_mod_conductor(elements, conductor, d: int, q: int) -> int:
+    """dim over F_q of the span of elements in S/(conductor*S), S = F_q[y; x]/(f).
+
+    Each element of S (y-degree below d) becomes a dense vector of the
+    coefficients of y^k*x^e, e < deg conductor, after each y-coefficient is
+    reduced modulo the conductor by the plain division loop; the rank is
+    read off ``rref_mod``.
+    """
+    ring = conductor.ring
+    xdeg = conductor.degree_in(1)
+    rows = []
+    for g in elements:
+        row = [0] * (d * xdeg)
+        for k in range(d):
+            coeff = ring.poly({(0, e): c for (i, e), c in g.terms if i == k})
+            for (_, e), c in normal_form(coeff, [conductor]).terms:
+                row[k * xdeg + e] = c
+        rows.append(row)
+    return len(rref_mod(rows, q)[1]) if rows else 0
+
+
+def codim_in_s(gens, conductor, d: int, q: int) -> int:
+    """dim over F_q of S/N, N the P-module spanned by gens, conductor*S inside N.
+
+    N/(conductor*S) is spanned by the x^alpha*g, alpha < deg conductor, and
+    S/(conductor*S) has dimension d * deg conductor.
+    """
+    xdeg = conductor.degree_in(1)
+    shifted = [g.mul_term((0, alpha)) for g in gens for alpha in range(xdeg)]
+    return d * xdeg - rank_mod_conductor(shifted, conductor, d, q)
+
+
+def step_columns_unreduced(numerators, q: int, images, conductor, prefix) -> dict:
+    """Columns (j, alpha), alpha < prefix[j], of the contraction step, as
+    sparse rows by monomial: x^(q*alpha) * NF(g_j^q, f) from the full images
+    and the unreduced numerators, each divided by the targets from scratch.
+    """
+    targets = [conductor ** (q - 1) * g for g in numerators]
+    rows: dict = {}
+    col = 0
+    for g, a in zip(numerators, prefix):
+        phi = frobenius_nf(g, q, images)
+        for alpha in range(a):
+            rem, _ = module_reduce(phi.mul_term((0, q * alpha)), targets)
+            for m, c in rem.terms:
+                rows.setdefault(m, {})[col] = c
+            col += 1
+    return rows
 
 
 def conductor_oracle(f):

@@ -16,13 +16,13 @@ from intclose import (GF, QQ, ClosureError, ConductorError, FractionSet,
                       minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure,
                       qth_power_step, run_prime, weight_over_grevlex)
-from intclose.closure import (_columns_by_division, _columns_by_y_degree,
+from intclose.closure import (_basis_prefix, _moduli_by_y_degree, _step_columns,
                               combination, xpoly_rem)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
                       sextic_relations)
-from oracles import (canonical_generators_restart, kernel_step_oracle,
-                     qth_power_step_scratch, reduce_terms_scan, strict_shape_ok,
-                     weight_balance_ok)
+from oracles import (canonical_generators_restart, codim_in_s, kernel_step_oracle,
+                     qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
+                     step_columns_unreduced, strict_shape_ok, weight_balance_ok)
 
 
 def closure_run(name, q, minimize=True):
@@ -319,6 +319,19 @@ def assert_steps_match_scratch(ring, f, delta, q):
     raise AssertionError("no fixpoint within 64 steps")
 
 
+def walk(f, delta, q):
+    """The numerators of each step of qth_closure's walk from S, the fixpoint last."""
+    images, scale = frobenius_images(f), frobenius_scale(delta, q)
+    nums = tuple(f.ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
+    for _ in range(64):
+        yield nums
+        nxt = qth_power_step(nums, q, images, delta, scale)
+        if nxt == nums:
+            return
+        nums = nxt
+    raise AssertionError("no fixpoint within 64 steps")
+
+
 def in_s(p, fs):
     """delta^2 * p with every ybar_k replaced by g_k / delta, in the ring of S."""
     ring, J = fs.ring, p.ring.ndep
@@ -389,20 +402,41 @@ def test_fixture_walk_columns_by_y_degree(name):
         scale = frobenius_scale(delta_q, q)
         assert scale == delta_q ** (q - 1)
         xdeg = delta_q.degree_in(1)
-        nums = tuple(f_q.ring.monomial((k, 0))
-                     for k in range(f_q.degree_in(0) - 1, -1, -1))
-        for _ in range(64):
-            rows = _columns_by_y_degree(nums, q, images, scale, xdeg)
-            if rows is not None:
+        for nums in walk(f_q, delta_q, q):
+            moduli = _moduli_by_y_degree(nums, scale)
+            if moduli is not None:
                 shaped += 1
-                assert rows == _columns_by_division(nums, q, images, scale, xdeg)
-            nxt = qth_power_step(nums, q, images, delta_q, scale)
-            if nxt == nums:
-                break
-            nums = nxt
-        else:
-            raise AssertionError("no fixpoint within 64 steps")
+                prefix = _basis_prefix(nums, xdeg)
+                rows = _step_columns(nums, q, images, delta_q, scale, prefix, moduli)
+                assert rows == _step_columns(nums, q, images, delta_q, scale, prefix, None)
     assert shaped >= len(fixture_runs(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_curves())
+def test_step_columns_are_a_basis_of_n_mod_delta_s(curve):
+    # the x^alpha*g_j with alpha < a_j are independent modulo delta*S, and
+    # there are dim N/(delta*S) = d*deg(delta) - dim S/N of them
+    ring, f, delta, q = curve
+    d, xdeg = f.degree_in(0), delta.degree_in(1)
+    for nums in walk(f, delta, q):
+        prefix = _basis_prefix(nums, xdeg)
+        chosen = [g.mul_term((0, alpha)) for g, a in zip(nums, prefix)
+                  for alpha in range(a)]
+        assert rank_mod_conductor(chosen, delta, d, q) == len(chosen)
+        assert len(chosen) == d * xdeg - codim_in_s(nums, delta, d, q)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_reduced_columns_match_unreduced_division(name):
+    # numerators reduced mod delta and images mod delta^q give each step the
+    # columns of x^(q*alpha)*NF(g_j^q) divided in full by the targets
+    for q, f_q, delta_q, run in fixture_runs(name):
+        images, scale = frobenius_images(f_q), frobenius_scale(delta_q, q)
+        for nums in walk(f_q, delta_q, q):
+            prefix = _basis_prefix(nums, delta_q.degree_in(1))
+            assert (_step_columns(nums, q, images, delta_q, scale, prefix, None)
+                    == step_columns_unreduced(nums, q, images, delta_q, prefix))
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -548,6 +582,19 @@ def test_closure_requires_matching_characteristic():
     ring, f = make_curve("quadratic", q=5)
     with pytest.raises(ClosureError):
         qth_closure(ring, f, ring.one(), 7)
+
+
+def test_step_rejects_numerators_outside_delta_s():
+    # a step reads its F_q-basis of N/(delta*S) off the leads, which needs
+    # one lead per y-degree, none above delta's x-degree
+    ring, f = make_curve("trident", q=7)
+    delta = canonical_conductor(f, ring)
+    images, scale = frobenius_images(f), frobenius_scale(delta, 7)
+    start = (ring.parse("y^2"), ring.parse("y"), ring.one())
+    high = ring.monomial((0, delta.degree_in(1) + 1))
+    for nums in (start[:2], start[:2] + (high,), (start[0], start[0], start[2])):
+        with pytest.raises(ClosureError):
+            qth_power_step(nums, 7, images, delta, scale)
 
 
 def test_nontermination_guard():

@@ -14,7 +14,8 @@ from intclose import (GF, QQ, ModuleVector, Ring, RingError, buchberger,
                       weight_of)
 from intclose.orders import mono_divides
 from conftest import curve_ring, make_curve, sextic_relations
-from oracles import grevlex, ideal_contains, membership_oracle, reduce_terms_scan
+from oracles import (grevlex, ideal_contains, is_minimal_reduced_gb_full,
+                     membership_oracle, reduce_terms_scan)
 
 
 def test_normal_form_empty_gens():
@@ -100,6 +101,21 @@ def test_is_minimal_reduced_gb_cases():
     bad_ring = curve_ring((1, 1))
     assert not is_minimal_reduced_gb([bad_ring.parse("y^2 - x"),
                                       bad_ring.parse("y^2")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pruned_gb_check_matches_full_check(data):
+    # monic interreduced sets that are Groebner bases (a Buchberger
+    # completion, in two variables, where it stays small) or need not be
+    # (the drawn generators, interreduced)
+    ring, polys = _ring_and_polys(data)
+    gens = data.draw(st.lists(polys.filter(bool), min_size=1, max_size=4))
+    complete = ring.nvars == 2 and data.draw(st.booleans(), label="complete")
+    basis = minimal_reduced(buchberger(gens) if complete else gens)
+    assert is_minimal_reduced_gb(basis) == is_minimal_reduced_gb_full(basis)
+    if complete:
+        assert is_minimal_reduced_gb(basis)
 
 
 def _trident_qq(c):
