@@ -17,7 +17,7 @@ from itertools import count
 from .domains import MODP
 from .groebner import normal_form, reduce_terms
 from .linalg import nullspace_mod
-from .orders import grevlex_over_weight, mono_divides, mono_mul
+from .orders import grevlex_over_weight, mono_divides
 from .rings import Polynomial, Ring, RingError
 from .weights import weight_of
 
@@ -162,12 +162,14 @@ class FractionSet:
 
 
 def frobenius_images(f: Polynomial) -> tuple:
-    """(NF(y^0), NF(y^q), ..., NF(y^(q(d-1)))) modulo f over F_q[y; x].
+    """(y^0, y^q, ..., y^(q(d-1))) modulo f over F_q[y; x], on y-coefficients.
 
-    These d images are all that ``frobenius_nf`` reads.  y^i mod f is held as
-    its d coefficients in F_q[x], each a dict from x-exponent to coefficient;
-    multiplying by y shifts them up one place and folds the top coefficient
-    back through y^d = tail.  Only every q-th power becomes a Polynomial.
+    These d images are all that ``frobenius_nf`` reads.  An element of
+    S = F_q[y; x]/(f) of y-degree below d = deg_y f is held as the list of
+    its d y-coefficients in F_q[x], each a dict from x-exponent to a nonzero
+    coefficient; image k is that list for NF(y^(qk), f).  Multiplying by y
+    shifts the coefficients up one place and folds the top one back through
+    y^d = tail, and every q-th power is kept.
     """
     ring = f.ring
     dom = ring.domain
@@ -176,54 +178,47 @@ def frobenius_images(f: Polynomial) -> tuple:
     q, d = dom.char, f.degree_in(0)
     if f.coeff_of((d, 0)) != dom.one:
         raise ClosureError("relation must be monic in the dependent variable")
-    tail = [{} for _ in range(d)]      # y^d = sum_i tail[i](x) * y^i
+    tail = [[] for _ in range(d)]      # y^d = sum_i tail[i](x) * y^i
     for (i, e), c in f.terms:
         if i == d and e:
             raise ClosureError("relation has extra terms of top dependent degree")
         if i < d:
-            tail[i][e] = dom.neg(c)
-    coeffs = [{0: dom.one}] + [{} for _ in range(d - 1)]
-    images = []
-    for k in range(q * (d - 1) + 1):
-        if k:
-            top = coeffs.pop()
-            coeffs.insert(0, {})
-            for row, t in zip(coeffs, tail):
-                for e2, c2 in t.items():
-                    for e1, c1 in top.items():
-                        s = (row.get(e1 + e2, 0) + c1 * c2) % q
-                        if s:
-                            row[e1 + e2] = s
-                        else:
-                            row.pop(e1 + e2, None)
+            tail[i].append((e, q - c))
+    coeffs = [{0: 1}] + [{} for _ in range(d - 1)]
+    images = [[dict(a) for a in coeffs]]
+    for k in range(1, q * (d - 1) + 1):
+        # entries are reduced modulo q only when folded or kept: a coefficient
+        # takes part in at most d folds before it reaches the top
+        top = {e: r for e, c in coeffs.pop().items() if (r := c % q)}
+        coeffs.insert(0, {})
+        for row, t in zip(coeffs, tail):
+            for e2, c2 in t:
+                for e1, c1 in top.items():
+                    row[e1 + e2] = row.get(e1 + e2, 0) + c1 * c2
         if k % q == 0:
-            images.append(ring.poly({(i, e): c for i, row in enumerate(coeffs)
-                                     for e, c in row.items()}))
+            images.append([{e: r for e, c in a.items() if (r := c % q)} for a in coeffs])
     return tuple(images)
 
 
-def frobenius_nf(g: Polynomial, q: int, images: tuple) -> Polynomial:
+def frobenius_nf(g: Polynomial, q: int, images: tuple) -> list:
     """NF(g^q, f) using termwise Frobenius: (sum t_i)^q = sum t_i^q.
 
-    ``images`` is ``frobenius_images(f)``; g must be reduced modulo f.  With
-    images whose y-coefficients are reduced modulo m_k in F_q[x], the
-    y^k-coefficient of the result is NF(g^q, f)'s modulo m_k, unreduced.
+    ``images`` is ``frobenius_images(f)``; g must be reduced modulo f.  The
+    result is on y-coefficients, as the images are: the term c*y^k*x^e adds
+    c*x^(q*e) times image k into each of them.  With images whose
+    y-coefficients are reduced modulo m_k in F_q[x], the y^k-coefficient of
+    the result is NF(g^q, f)'s modulo m_k, unreduced.
     """
     ring = g.ring
     if ring.domain.kind != MODP or ring.domain.char != q:
         raise ClosureError(f"ring characteristic is not {q}")
-    dom = ring.domain
-    acc: dict = {}
-    for m, c in g.terms:
-        shift = (0,) + tuple(q * e for e in m[1:])
-        for m2, c2 in images[m[0]].terms:
-            mono = mono_mul(shift, m2)
-            s = dom.add(acc.get(mono, 0), dom.mul(c, c2))
-            if dom.is_zero(s):
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
-    return ring.poly(acc)
+    acc = [{} for _ in images]
+    for (k, e), c in g.terms:
+        shift = q * e
+        for row, a in zip(acc, images[k]):
+            for e2, c2 in a.items():
+                row[shift + e2] = row.get(shift + e2, 0) + c * c2
+    return [{e: r for e, c in row.items() if (r := c % q)} for row in acc]
 
 
 def frobenius_scale(conductor: Polynomial, q: int) -> Polynomial:
@@ -257,24 +252,17 @@ def xpoly_rem(a: dict, m: dict, q: int) -> dict:
     return {e: c for e in range(n) if (c := buf[e] % q)}
 
 
-def _by_y(p: Polynomial) -> dict:
-    """The y-coefficients of p over F_q[y; x]: y-degree -> x-exponent -> coefficient."""
-    out: dict = {}
+def _by_y(p: Polynomial, d: int) -> list:
+    """The d y-coefficients of p over F_q[y; x], each x-exponent -> coefficient."""
+    out: list = [{} for _ in range(d)]
     for (k, e), c in p.terms:
-        out.setdefault(k, {})[e] = c
+        out[k][e] = c
     return out
 
 
-def _rem_by_y(p: Polynomial, moduli: dict, q: int) -> Polynomial:
-    """p with its y^k-coefficient reduced modulo moduli[k] in F_q[x], for each k.
-
-    Returns p itself when every coefficient is already reduced.
-    """
-    coeffs = _by_y(p)
-    rems = {k: xpoly_rem(a, moduli[k], q) for k, a in coeffs.items()}
-    if all(rems[k] is a for k, a in coeffs.items()):
-        return p
-    return p.ring.poly({(k, e): c for k, a in rems.items() for e, c in a.items()})
+def _from_y(ring: Ring, coeffs: list) -> Polynomial:
+    """The element of ``ring`` with the y-coefficients ``coeffs``."""
+    return ring.poly({(k, e): c for k, a in enumerate(coeffs) for e, c in a.items()})
 
 
 def _moduli_by_y_degree(numerators: tuple, scale: Polynomial):
@@ -303,39 +291,39 @@ def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomia
 
     Column (j, alpha), for alpha < prefix[j] and numbered in that order, is
     the remainder of x^(q*alpha) * gbar_j^q by the targets scale*g, where
-    gbar_j is g_j with its y-coefficients reduced modulo D.  ``moduli`` is
+    gbar_j is g_j with its y-coefficients reduced modulo D.  Columns are
+    chained and reduced on y-coefficients.  ``moduli`` is
     ``_moduli_by_y_degree(numerators, scale)``: the remainder is then taken
-    coefficientwise.  When it is None, the images and each column have
-    their y-coefficients reduced modulo D^q, and the column is then divided
-    in the P-module.
+    coefficientwise.  When it is None, each column has its y-coefficients
+    reduced modulo D^q and is then divided in the P-module.
     """
     ring = conductor.ring
+    d = len(images)
     delta = {m[1]: c for m, c in conductor.terms}
     targets = None
     if moduli is None:
         targets = [scale * g for g in numerators]
-        moduli = dict.fromkeys(range(len(images)), {q * e: c for e, c in delta.items()})
-        images = tuple(_rem_by_y(img, moduli, q) for img in images)
-    mod_delta = dict.fromkeys(range(len(images)), delta)
+        moduli = [{q * e: c for e, c in delta.items()}] * d
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col = 0
     for g, a in zip(numerators, prefix):
         if not a:
             continue
-        gbar = _rem_by_y(g, mod_delta, q)
-        i = gbar.lm[0]
-        phi = images[i] if gbar.terms == (((i, 0), 1),) else frobenius_nf(gbar, q, images)
-        column = _by_y(phi)
+        coeffs = _by_y(g, d)
+        reduced = [xpoly_rem(c, delta, q) for c in coeffs]
+        i = g.lm[0]
+        if reduced[i] == {0: 1} and sum(map(len, reduced)) == 1:
+            column = images[i]
+        else:
+            changed = any(r is not c for r, c in zip(reduced, coeffs))
+            column = frobenius_nf(_from_y(ring, reduced) if changed else g, q, images)
         for alpha in range(a):
             if alpha:
-                column = {k: {e + q: c for e, c in coeff.items()}
-                          for k, coeff in column.items()}
-            column = {k: xpoly_rem(coeff, moduli[k], q) for k, coeff in column.items()}
+                column = [{e + q: c for e, c in coeff.items()} for coeff in column]
+            column = [xpoly_rem(coeff, moduli[k], q) for k, coeff in enumerate(column)]
             if targets is not None:
-                column = _by_y(module_reduce(ring.poly(
-                    {(k, e): c for k, coeff in column.items() for e, c in coeff.items()}),
-                    targets)[0])
-            for k, coeff in column.items():
+                column = _by_y(module_reduce(_from_y(ring, column), targets)[0], d)
+            for k, coeff in enumerate(column):
                 for e, c in coeff.items():
                     rows.setdefault((k, e), {})[col] = c
             col += 1
@@ -348,6 +336,9 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
 
     ``numerators`` are the canonical generators g_j of a module N between
     D*S and S, and ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1).
+    ``images`` is ``frobenius_images(f)``, full or with each y-coefficient
+    reduced modulo D^q, as ``qth_closure`` builds them once per prime: the
+    columns are the same (second and last bullets).
     The next module is the g in N with g^q in T = D^(q-1)*N, the span of
     the targets scale*g_j.  The targets lead in distinct dependent parts, so
     they are a Groebner basis of T, and the remainder of any h by them is
@@ -366,7 +357,7 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
       (g + D*s)^q = g^q + D^q*s^q, and D^q*S lies in T.  So the column of
       g depends only on g mod D*S, and its Frobenius image only modulo D^q:
       each numerator's y-coefficients are reduced modulo D before its image
-      is taken, and the images modulo D^q (a truncation when D = x^k).
+      is taken, and the images may be reduced modulo D^q = D(x^q).
     * Chaining.  Column (j, alpha) is the remainder of x^q times column
       (j, alpha-1): the two dividends differ by x^q times a member of T,
       which is again a member, so they share their remainder.
@@ -375,8 +366,9 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
       i_k alone: its lead cancels only terms of that y-degree, and its
       multiples change no other.  So the unique remainder is that of each
       y-coefficient modulo its target's x-part in F_q[x] (a truncation when
-      that x-part is a monomial, as at the start when D = x^k).  Other steps
-      divide in the P-module.  Both give the same columns.
+      that x-part is a monomial, as at the start when D = x^k).  That x-part
+      D^(q-1)*p_k divides D^q, as D*y^(i_k) lies in N.  Other steps divide
+      in the P-module.  Both give the same columns.
     """
     ring = conductor.ring
     if ring.nindep != 1:
@@ -414,7 +406,9 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int,
         raise ClosureError(f"expected a ring of characteristic {q}")
     if ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
-    images = frobenius_images(f)
+    # each step reads the images only modulo D^q = D(x^q): reduce them once
+    delta_q = {q * m[1]: c for m, c in conductor.terms}
+    images = tuple([xpoly_rem(a, delta_q, q) for a in img] for img in frobenius_images(f))
     scale = frobenius_scale(conductor, q)
     nums = tuple(ring.monomial((k, 0)) for k in range(len(images) - 1, -1, -1))
     for _ in range(max_iter):

@@ -3,14 +3,32 @@
 The conductor element Delta is the monic generator of the ideal
 (f, f_y, f_x) intersected with P = F[x].  An element a of P lies in
 (f, f_y, f_x) exactly when its image lies in the ideal (f_y, f_x)*S, the
-P-module spanned by y^k*f_y and y^k*f_x mod f for k < deg_y f.  Under the
-y-eliminating block order an interreduced P-module basis of it is in echelon
-form, so its one element inside P generates the module's intersection with P.
+P-module M spanned by y^k*f_y and y^k*f_x mod f for k < d = deg_y f.  So
+Delta generates M's intersection with P = P*y^0.  Two routes read it off.
+
+* Over Q, by a module basis.  Under the y-eliminating block order an
+  interreduced P-module basis of M is in echelon form, so its one element
+  inside P generates the intersection.
+* Over GF(q), by triangularization (Mulders & Storjohann, "On lattice
+  reduction for polynomial matrices", JSC 2003).  The 2d generators are the
+  rows of a matrix over F_q[x], one column per y^k.  For c = d-1 .. 1, Euclid
+  on column c (the row with the least-degree entry there is the pivot, every
+  other row becomes row - quotient*pivot) leaves one row, the pivot, with a
+  nonzero entry in column c; it is set aside.  Row operations are
+  unimodular, so the pivots set aside and the rows left span M, and the rows
+  left are zero in columns 1 .. d-1.  Write an element of M inside P as a
+  combination of the pivots and the rows left.  In column d-1 only the first
+  pivot is nonzero, so its multiplier is zero (F_q[x] is a domain), and so
+  on down to column 1.  So the rows left span M's intersection with P*y^0,
+  and Delta is the monic gcd of their y^0 entries, which Euclid on column 0
+  leaves in one row.  Over Q the same elimination lets the coefficients
+  grow; it was 4-5 times slower than the module basis on the sextic.
 """
 
 from __future__ import annotations
 
 from .closure import canonical_generators
+from .domains import MODP
 from .groebner import normal_form
 from .orders import dep_block
 from .rings import Polynomial, Ring
@@ -40,17 +58,100 @@ def canonical_conductor(f: Polynomial, ring: Ring) -> Polynomial:
     """The canonical monic conductor element Delta of P for the relation f."""
     if ring.ndep != 1 or ring.nindep != 1:
         raise ConductorError("conductor supports rings F[y; x] only")
+    d = f.degree_in(0)
+    if [(m[1], c) for m, c in f.terms if m[0] == d] != [(0, ring.domain.one)]:
+        raise ConductorError("relation must be monic in the dependent variable")
+    if ring.domain.kind == MODP:
+        return _conductor_by_triangularization(f, ring)
+    return _conductor_by_module_basis(f, ring)
+
+
+def _conductor_by_module_basis(f: Polynomial, ring: Ring) -> Polynomial:
+    """Delta read off the reduced P-module basis of M under ``dep_block``."""
     cring = Ring(ring.names, 1, ring.domain, dep_block(1, 2), ring.weights)
     f = cring.poly(dict(f.terms))
-    d = f.degree_in(0)
-    if f.lm != (d, 0) or not f.is_monic():
-        raise ConductorError("relation must be monic in the dependent variable")
     module = []
     for g in (partial_derivative(f, 0), partial_derivative(f, 1)):
-        for _ in range(d):
+        for _ in range(f.degree_in(0)):
             module.append(g)
             g = normal_form(g.mul_term((1, 0)), [f])
     in_p = [g for g in canonical_generators(module, cring) if g.in_subring(1)]
     if not in_p:
         raise ConductorError("degenerate extension: no conductor entries in P")
     return ring.poly(dict(in_p[0].terms))
+
+
+def _conductor_by_triangularization(f: Polynomial, ring: Ring) -> Polynomial:
+    """Delta over GF(q), by Euclid on the columns y^(d-1) .. y^0 of M's rows.
+
+    An element of F_q[x] is a dense list of coefficients, lowest degree
+    first, with no trailing zero; a row is its d y-coefficients.
+    """
+    q, d = ring.domain.char, f.degree_in(0)
+    low = _dense_by_y(f, d)            # f = y^d + sum_i low[i](x) * y^i
+    rows = []
+    for g in (partial_derivative(f, 0), partial_derivative(f, 1)):
+        g = _dense_by_y(g, d)
+        for _ in range(d):
+            rows.append(g)
+            top = g[-1]                # y * g, with y^d = -sum_i low[i] * y^i
+            g = [_sub_mul(a, top, b, q) for a, b in zip([[]] + g[:-1], low)]
+    live: list = []
+    for c in range(d - 1, -1, -1):     # column 0 last: Euclid there is the gcd
+        live = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: len(r[c]))
+            kept = [pivot]
+            for r in live:
+                if r is not pivot:
+                    s = _quotient(r[c], pivot[c], q)
+                    r = [_sub_mul(a, s, b, q) for a, b in zip(r[:c + 1], pivot)]
+                    (kept if r[c] else rows).append(r)
+            live = kept
+    if not live:
+        raise ConductorError("degenerate extension: no conductor entries in P")
+    delta = live[0][0]
+    inv = pow(delta[-1], -1, q)
+    return ring.poly({(0, e): c * inv for e, c in enumerate(delta) if c})
+
+
+def _dense_by_y(p: Polynomial, d: int) -> list:
+    """The y^0 .. y^(d-1) coefficients of p over F_q[y; x], as dense lists."""
+    out: list = [[] for _ in range(d + 1)]
+    for (i, e), c in p.terms:
+        out[i].extend([0] * (e + 1 - len(out[i])))
+        out[i][e] = c
+    return out[:d]
+
+
+def _quotient(a: list, b: list, q: int) -> list:
+    """Quotient of a by b != 0 in F_q[x], dense lists."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return []
+    inv = pow(b[-1], -1, q)
+    a = a[:]
+    quot = [0] * (len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        s = a[i] * inv % q
+        if s:
+            quot[i - n] = s
+            for j in range(n):
+                a[i - n + j] -= s * b[j]
+    return quot
+
+
+def _sub_mul(a: list, s: list, b: list, q: int) -> list:
+    """a - s*b in F_q[x], dense lists."""
+    if not s or not b:
+        return a
+    out = a + [0] * (len(s) + len(b) - 1 - len(a))
+    for i, si in enumerate(s):
+        if si:
+            for j, bj in enumerate(b):
+                out[i + j] -= si * bj
+    out = [c % q for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out

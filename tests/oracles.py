@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from intclose import (ConductorError, LiftError, MonomialOrder, Ring, balanced,
-                      buchberger, canonical_generators, dep_block, frobenius_nf,
-                      mono_weight, module_reduce, normal_form,
-                      partial_derivative, s_poly)
+from intclose import (MODP, ClosureError, ConductorError, LiftError,
+                      MonomialOrder, Ring, balanced, buchberger,
+                      canonical_generators, dep_block, mono_weight,
+                      module_reduce, normal_form, partial_derivative, s_poly)
 from intclose.linalg import nullspace_mod
-from intclose.orders import _block_grevlex_rows, mono_divides
+from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
 
 
 def grevlex(nvars: int) -> MonomialOrder:
@@ -100,11 +100,84 @@ def canonical_generators_restart(gens, ring) -> tuple:
     return tuple(work)
 
 
+def frobenius_images_poly(f) -> tuple:
+    """Reference images (NF(y^0), NF(y^q), ..., NF(y^(q(d-1)))) modulo f, as
+    Polynomials over F_q[y; x].
+
+    Same contract as ``intclose.frobenius_images``, which returns each image
+    on y-coefficients.
+    """
+    ring = f.ring
+    dom = ring.domain
+    if dom.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
+        raise ClosureError("Frobenius images need a ring F_q[y; x]")
+    q, d = dom.char, f.degree_in(0)
+    if f.coeff_of((d, 0)) != dom.one:
+        raise ClosureError("relation must be monic in the dependent variable")
+    tail = [{} for _ in range(d)]      # y^d = sum_i tail[i](x) * y^i
+    for (i, e), c in f.terms:
+        if i == d and e:
+            raise ClosureError("relation has extra terms of top dependent degree")
+        if i < d:
+            tail[i][e] = dom.neg(c)
+    coeffs = [{0: dom.one}] + [{} for _ in range(d - 1)]
+    images = []
+    for k in range(q * (d - 1) + 1):
+        if k:
+            top = coeffs.pop()
+            coeffs.insert(0, {})
+            for row, t in zip(coeffs, tail):
+                for e2, c2 in t.items():
+                    for e1, c1 in top.items():
+                        s = (row.get(e1 + e2, 0) + c1 * c2) % q
+                        if s:
+                            row[e1 + e2] = s
+                        else:
+                            row.pop(e1 + e2, None)
+        if k % q == 0:
+            images.append(ring.poly({(i, e): c for i, row in enumerate(coeffs)
+                                     for e, c in row.items()}))
+    return tuple(images)
+
+
+def frobenius_nf_poly(g, q: int, images: tuple):
+    """Reference NF(g^q, f) as a Polynomial, from ``frobenius_images_poly(f)``.
+
+    Same contract as ``intclose.frobenius_nf``, which returns the result on
+    y-coefficients.
+    """
+    ring = g.ring
+    if ring.domain.kind != MODP or ring.domain.char != q:
+        raise ClosureError(f"ring characteristic is not {q}")
+    dom = ring.domain
+    acc: dict = {}
+    for m, c in g.terms:
+        shift = (0,) + tuple(q * e for e in m[1:])
+        for m2, c2 in images[m[0]].terms:
+            mono = mono_mul(shift, m2)
+            s = dom.add(acc.get(mono, 0), dom.mul(c, c2))
+            if dom.is_zero(s):
+                acc.pop(mono, None)
+            else:
+                acc[mono] = s
+    return ring.poly(acc)
+
+
+def y_coefficients(p, d: int) -> list:
+    """The y^0 .. y^(d-1) coefficients of p over F[y; x], as x-exponent ->
+    coefficient dicts: the form of ``frobenius_images`` and ``frobenius_nf``."""
+    out = [{} for _ in range(d)]
+    for (k, e), c in p.terms:
+        out[k][e] = c
+    return out
+
+
 def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tuple:
     """Reference contraction step: divide every x^(q*alpha)*phi_j from scratch.
 
     Same contract as ``intclose.closure.qth_power_step``, which instead
-    reduces x^q times the previous column's remainder.
+    reduces x^q times the previous column's remainder, except that
+    ``images`` is ``frobenius_images_poly(f)``.
     """
     ring = conductor.ring
     xdeg = conductor.degree_in(1)
@@ -112,7 +185,7 @@ def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tupl
         return numerators
     scale = conductor ** (q - 1)
     targets = [scale * g for g in numerators]
-    phis = [frobenius_nf(g, q, images) for g in numerators]
+    phis = [frobenius_nf_poly(g, q, images) for g in numerators]
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col_ids = []
     for j, g in enumerate(numerators):
@@ -195,13 +268,14 @@ def codim_in_s(gens, conductor, d: int, q: int) -> int:
 def step_columns_unreduced(numerators, q: int, images, conductor, prefix) -> dict:
     """Columns (j, alpha), alpha < prefix[j], of the contraction step, as
     sparse rows by monomial: x^(q*alpha) * NF(g_j^q, f) from the full images
-    and the unreduced numerators, each divided by the targets from scratch.
+    ``frobenius_images_poly(f)`` and the unreduced numerators, each divided
+    by the targets from scratch.
     """
     targets = [conductor ** (q - 1) * g for g in numerators]
     rows: dict = {}
     col = 0
     for g, a in zip(numerators, prefix):
-        phi = frobenius_nf(g, q, images)
+        phi = frobenius_nf_poly(g, q, images)
         for alpha in range(a):
             rem, _ = module_reduce(phi.mul_term((0, q * alpha)), targets)
             for m, c in rem.terms:

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,10 @@ from intclose.closure import (_basis_prefix, _moduli_by_y_degree, _step_columns,
                               combination, xpoly_rem)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
                       sextic_relations)
-from oracles import (canonical_generators_restart, codim_in_s, kernel_step_oracle,
-                     qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
-                     step_columns_unreduced, strict_shape_ok, weight_balance_ok)
+from oracles import (canonical_generators_restart, codim_in_s, frobenius_images_poly,
+                     frobenius_nf_poly, kernel_step_oracle, qth_power_step_scratch,
+                     rank_mod_conductor, reduce_terms_scan, step_columns_unreduced,
+                     strict_shape_ok, weight_balance_ok, y_coefficients)
 
 
 def closure_run(name, q, minimize=True):
@@ -41,15 +43,16 @@ def closure_run(name, q, minimize=True):
 def test_frobenius_constants_and_variables():
     ring, f = make_curve("trident", q=3)
     images = frobenius_images(f)
-    assert frobenius_nf(ring.one(), 3, images) == ring.one()
-    assert frobenius_nf(ring.parse("x"), 3, images) == ring.parse("x^3")
+    assert frobenius_nf(ring.one(), 3, images) == y_coefficients(ring.one(), 3)
+    assert frobenius_nf(ring.parse("x"), 3, images) == y_coefficients(ring.parse("x^3"), 3)
 
 
 def test_frobenius_reduces_dependent_cube():
     ring, f = make_curve("trident", q=3)
     images = frobenius_images(f)
     # y^3 = -x^7 - 8yx = -x^7 + yx with coefficients mod 3
-    assert frobenius_nf(ring.parse("y"), 3, images) == ring.parse("-x^7 + y*x")
+    assert frobenius_nf(ring.parse("y"), 3, images) == y_coefficients(
+        ring.parse("-x^7 + y*x"), 3)
 
 
 def test_frobenius_matches_direct_powering():
@@ -60,12 +63,12 @@ def test_frobenius_matches_direct_powering():
         for _ in range(5):
             g = ring.poly({(rng.randint(0, 7), rng.randint(0, 4)):
                            rng.randint(1, q - 1) for _ in range(4)})
-            assert frobenius_nf(g, q, images) == normal_form(g ** q, [f])
+            assert frobenius_nf(g, q, images) == y_coefficients(normal_form(g ** q, [f]), 8)
 
 
 def test_frobenius_wrong_characteristic():
     ring, f = make_curve("trident", q=3)
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError, match="ring characteristic is not 5"):
         frobenius_nf(ring.one(), 5, frobenius_images(f))
 
 
@@ -91,21 +94,52 @@ def test_frobenius_images_match_powering(curve, data):
     images = frobenius_images(f)
     assert len(images) == d
     for k in range(d):
-        assert images[k] == normal_form(ring.monomial((q * k, 0)), [f])
+        assert images[k] == y_coefficients(normal_form(ring.monomial((q * k, 0)), [f]), d)
     g = ring.poly(data.draw(st.dictionaries(
         st.tuples(st.integers(0, d - 1), st.integers(0, 3)), st.integers(1, q - 1),
         max_size=4), label="g"))
-    assert frobenius_nf(g, q, images) == normal_form(g ** q, [f])
+    assert frobenius_nf(g, q, images) == y_coefficients(normal_form(g ** q, [f]), d)
 
 
-@pytest.mark.parametrize("ring,text", [
-    (curve_ring((3, 2), QQ), "y^2 - x^3"),
-    (curve_ring((2, 1, 1), GF(5)), "y^2 - x2*x1"),
-    (curve_ring((3, 1), GF(5)), "y^2 + y^2*x - x^3"),
-    (curve_ring((3, 2), GF(5)), "2*y^2 - x^3"),
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_frobenius_on_y_coefficients_match_polynomial_references(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 13, 29]), label="q")
+    d = data.draw(st.integers(1, 5), label="d")
+    ring = curve_ring((data.draw(st.integers(1, 6), label="wy"),
+                       data.draw(st.integers(1, 6), label="wx")), GF(q))
+    acc = data.draw(st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, 6)),
+                                    st.integers(1, q - 1), max_size=5), label="tail")
+    acc[(d, 0)] = 1
+    f = ring.poly(acc)
+    images, reference = frobenius_images(f), frobenius_images_poly(f)
+    assert images == tuple(y_coefficients(p, d) for p in reference)
+    # x-degrees up to 12: the numerator need not be reduced modulo a conductor
+    g = ring.poly(data.draw(st.dictionaries(
+        st.tuples(st.integers(0, d - 1), st.integers(0, 12)), st.integers(1, q - 1),
+        max_size=6), label="g"))
+    want = y_coefficients(frobenius_nf_poly(g, q, reference), d)
+    assert frobenius_nf(g, q, images) == want
+    # images reduced modulo m^q give each y-coefficient modulo m^q
+    m = ring.poly(data.draw(st.dictionaries(st.tuples(st.just(0), st.integers(0, 2)),
+                                            st.integers(1, q - 1), max_size=2), label="m")
+                  | {(0, data.draw(st.integers(1, 3), label="deg m")): 1})
+    mq = {e: c for (_, e), c in (m ** q).terms}
+    reduced = tuple([xpoly_rem(a, mq, q) for a in img] for img in images)
+    assert ([xpoly_rem(a, mq, q) for a in frobenius_nf(g, q, reduced)]
+            == [xpoly_rem(a, mq, q) for a in want])
+
+
+@pytest.mark.parametrize("ring,text,message", [
+    (curve_ring((3, 2), QQ), "y^2 - x^3", "Frobenius images need a ring F_q[y; x]"),
+    (curve_ring((2, 1, 1), GF(5)), "y^2 - x2*x1", "Frobenius images need a ring F_q[y; x]"),
+    (curve_ring((3, 1), GF(5)), "y^2 + y^2*x - x^3",
+     "relation has extra terms of top dependent degree"),
+    (curve_ring((3, 2), GF(5)), "2*y^2 - x^3",
+     "relation must be monic in the dependent variable"),
 ], ids=["over-QQ", "two-independent", "second-top-term", "not-monic"])
-def test_frobenius_images_reject_unsupported_relations(ring, text):
-    with pytest.raises(ClosureError):
+def test_frobenius_images_reject_unsupported_relations(ring, text, message):
+    with pytest.raises(ClosureError, match=f"^{re.escape(message)}$"):
         frobenius_images(ring.parse(text))
 
 
@@ -308,11 +342,11 @@ def small_curves(draw):
 
 def assert_steps_match_scratch(ring, f, delta, q):
     """Walk qth_closure's steps; each equals the step dividing from scratch."""
-    images = frobenius_images(f)
+    images, poly_images = frobenius_images(f), frobenius_images_poly(f)
     nums = tuple(ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(64):
         nxt = qth_power_step(nums, q, images, delta, delta ** (q - 1))
-        assert nxt == qth_power_step_scratch(nums, q, images, delta)
+        assert nxt == qth_power_step_scratch(nums, q, poly_images, delta)
         if nxt == nums:
             return
         nums = nxt
@@ -430,13 +464,21 @@ def test_step_columns_are_a_basis_of_n_mod_delta_s(curve):
 @pytest.mark.parametrize("name", sorted(CURVES))
 def test_reduced_columns_match_unreduced_division(name):
     # numerators reduced mod delta and images mod delta^q give each step the
-    # columns of x^(q*alpha)*NF(g_j^q) divided in full by the targets
+    # columns of x^(q*alpha)*NF(g_j^q) divided in full by the targets, from
+    # full images and from images reduced mod delta^q as qth_closure reads them
     for q, f_q, delta_q, run in fixture_runs(name):
         images, scale = frobenius_images(f_q), frobenius_scale(delta_q, q)
+        poly_images = frobenius_images_poly(f_q)
+        delta_to_q = {e: c for (_, e), c in (delta_q ** q).terms}
+        reduced = tuple([xpoly_rem(a, delta_to_q, q) for a in img] for img in images)
         for nums in walk(f_q, delta_q, q):
             prefix = _basis_prefix(nums, delta_q.degree_in(1))
-            assert (_step_columns(nums, q, images, delta_q, scale, prefix, None)
-                    == step_columns_unreduced(nums, q, images, delta_q, prefix))
+            want = step_columns_unreduced(nums, q, poly_images, delta_q, prefix)
+            assert _step_columns(nums, q, images, delta_q, scale, prefix, None) == want
+            assert _step_columns(nums, q, reduced, delta_q, scale, prefix, None) == want
+            moduli = _moduli_by_y_degree(nums, scale)
+            if moduli is not None:
+                assert _step_columns(nums, q, reduced, delta_q, scale, prefix, moduli) == want
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))

@@ -1,15 +1,17 @@
 """Partial derivatives, P-gcds, and canonical conductor elements."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ClosureError, ConductorError, Ring,
-                      canonical_conductor, exact_divide, gcd_in_p, mu_poly,
-                      partial_derivative, weight_over_grevlex)
-from conftest import curve_ring, make_curve
+from intclose import (GF, QQ, ClosureError, ConductorError, DomainError, Ring,
+                      canonical_conductor, exact_divide, gcd_in_p, is_prime,
+                      mu_poly, partial_derivative, weight_over_grevlex)
+from intclose.conductor import _conductor_by_module_basis
+from conftest import CURVES, curve_ring, make_curve
 from oracles import conductor_oracle
 
 
@@ -134,6 +136,62 @@ def test_conductor_matches_ideal_oracle(data):
         conductor_oracle(f)
     with pytest.raises(ConductorError):
         canonical_conductor(f, ring)
+
+
+def _conductor_or_error(route, f, ring):
+    try:
+        return route(f, ring)
+    except ConductorError as exc:
+        return f"ConductorError: {exc}"
+
+
+def assert_routes_agree(f, ring):
+    # over GF(q) canonical_conductor triangularizes; the module basis is the
+    # route it replaced there, and the one it keeps over Q
+    assert (_conductor_or_error(canonical_conductor, f, ring)
+            == _conductor_or_error(_conductor_by_module_basis, f, ring))
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_triangularization_matches_module_basis_on_fixtures(name):
+    checked = 0
+    for q in filter(is_prime, range(2, 54)):
+        try:
+            ring, f = make_curve(name, q=q)
+        except DomainError:            # q divides a coefficient denominator
+            continue
+        assert_routes_agree(f, ring)
+        checked += 1
+    assert checked >= 12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_triangularization_matches_module_basis(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 13, 29, 53]), label="q")
+    ring = curve_ring((data.draw(st.integers(1, 5), label="wy"),
+                       data.draw(st.integers(1, 5), label="wx")), GF(q))
+    d = data.draw(st.integers(1, 8), label="d")
+    terms = data.draw(st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, 12)),
+                                      st.integers(1, q - 1), max_size=8), label="tail")
+    terms[(d, 0)] = 1
+    f = ring.poly(terms)
+    if d <= 4 and data.draw(st.booleans(), label="square factor"):
+        f = f * f                      # the ideal lies in (f): both routes raise
+    assert_routes_agree(f, ring)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("weights,text,message", [
+    ((1, 1, 1), "y^2 - x2*x1", "conductor supports rings F[y; x] only"),
+    ((3, 2), "2*y^2 - x^3", "relation must be monic in the dependent variable"),
+    ((3, 1), "y^2 + y^2*x - x^3", "relation must be monic in the dependent variable"),
+    ((1, 1), "y^2", "degenerate extension: no conductor entries in P"),
+], ids=["two-independent", "not-monic", "top-term-in-x", "degenerate"])
+def test_conductor_error_texts(domain, weights, text, message):
+    ring = curve_ring(weights, domain)
+    with pytest.raises(ConductorError, match=f"^{re.escape(message)}$"):
+        canonical_conductor(ring.parse(text), ring)
 
 
 # ---------------------------------------------------------------------------
