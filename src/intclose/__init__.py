@@ -7,10 +7,9 @@ by a Groebner-basis and ideal-containment check.
 """
 
 from .closure import (ClosurePresentation, ClosureError, FractionSet,
-                      canonical_generators, exact_divide, frobenius_images,
-                      frobenius_nf, frobenius_scale, gcd_in_p, induce_presentation,
-                      minimize_denominator, module_reduce, psi_combination,
-                      qth_closure, qth_power_step)
+                      canonical_generators, frobenius_images, frobenius_nf,
+                      frobenius_scale, induce_presentation, minimize_denominator,
+                      module_reduce, psi_combination, qth_closure, qth_power_step)
 from .conductor import ConductorError, canonical_conductor, partial_derivative
 from .domains import GF, INT, MODP, QQ, RAT, ZZ, Domain, DomainError, balanced, is_prime
 from .driver import (Algorithm1Result, DriverError, RunConfig, run_algorithm1,

@@ -141,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="first candidate prime for the default schedule")
     ap.add_argument("--max-primes", type=int, default=12,
                     help="maximum number of usable primes to incorporate")
-    ap.add_argument("--max-iter", type=int, default=64,
-                    help="fixpoint iteration bound for the closure")
     ap.add_argument("--format", choices=("text", "structured"), default="text")
     ap.add_argument("--log", default=None, help="write the audit log to this file")
     return ap
@@ -172,7 +170,7 @@ def main(argv=None) -> int:
                 raise DriverError(f"--prime {exc}") from None
             ring = problem.ring(field)
             f = problem.relation(ring)
-            result = run_charq(ring, f, prime, max_iter=args.max_iter)
+            result = run_charq(ring, f, prime)
             audit = [f"q={prime} delta={result.delta_q}"]
         else:
             ring = problem.ring(QQ)
@@ -186,8 +184,7 @@ def main(argv=None) -> int:
                                       f" got {args.primes!r}") from None
             config = RunConfig(primes=primes,
                                start_prime=args.start_prime,
-                               max_primes=args.max_primes,
-                               max_iter=args.max_iter)
+                               max_primes=args.max_primes)
             result = run_algorithm1(ring, f, config)
             audit = result.audit
     except (DriverError, ProblemError) as exc:

@@ -18,7 +18,7 @@ from .domains import MODP
 from .groebner import normal_form, reduce_terms
 from .linalg import nullspace_mod
 from .orders import grevlex_over_weight, mono_divides
-from .rings import Polynomial, Ring, RingError
+from .rings import Polynomial, Ring
 from .weights import weight_of
 
 
@@ -46,32 +46,6 @@ def module_reduce(h: Polynomial, gens, want_combination: bool = False):
                        fixed=ring.ndep, quotients=quotients)
     coeffs = None if quotients is None else [ring.poly(c) for c in quotients]
     return ring.poly(rem), coeffs
-
-
-def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Quotient p / d when d divides p exactly; RingError otherwise."""
-    if d.is_zero():
-        raise RingError("division by the zero polynomial")
-    ring = p.ring
-    quot: dict = {}
-    rem = reduce_terms(dict(p.terms), [(d.lm, d.lc, d.terms)], ring.domain,
-                       ring.order.key, full=False, quotients=[quot])
-    if rem:
-        raise RingError("inexact polynomial division")
-    return ring.poly(quot)
-
-
-def gcd_in_p(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two polynomials of P = F[x], by Euclid's algorithm."""
-    ring = a.ring
-    if ring.nindep != 1:
-        raise ClosureError("gcd in P supports one independent variable,"
-                           f" the ring has {ring.nindep}")
-    if not a.in_subring(ring.ndep) or not b.in_subring(ring.ndep):
-        raise ClosureError("gcd arguments must lie in the independent subring")
-    while not b.is_zero():
-        a, b = b, normal_form(a, [b])
-    return a.monic()
 
 
 def canonical_generators(gens, ring: Ring) -> tuple:
@@ -200,64 +174,92 @@ def frobenius_images(f: Polynomial) -> tuple:
     return tuple(images)
 
 
-def frobenius_nf(g: Polynomial, q: int, images: tuple) -> list:
+def frobenius_nf(g: list, q: int, images: tuple) -> list:
     """NF(g^q, f) using termwise Frobenius: (sum t_i)^q = sum t_i^q.
 
-    ``images`` is ``frobenius_images(f)``; g must be reduced modulo f.  The
-    result is on y-coefficients, as the images are: the term c*y^k*x^e adds
-    c*x^(q*e) times image k into each of them.  With images whose
-    y-coefficients are reduced modulo m_k in F_q[x], the y^k-coefficient of
-    the result is NF(g^q, f)'s modulo m_k, unreduced.
+    ``images`` is ``frobenius_images(f)``, and g, an element of S given by
+    its y-coefficients (``by_y``), is returned as g^q in the same form: the
+    term c*y^k*x^e adds c*x^(q*e) times image k into each y-coefficient.
+    With images whose y-coefficients are reduced modulo m_k in F_q[x], the
+    y^k-coefficient of the result is NF(g^q, f)'s modulo m_k, unreduced.
     """
-    ring = g.ring
-    if ring.domain.kind != MODP or ring.domain.char != q:
-        raise ClosureError(f"ring characteristic is not {q}")
     acc = [{} for _ in images]
-    for (k, e), c in g.terms:
-        shift = q * e
-        for row, a in zip(acc, images[k]):
-            for e2, c2 in a.items():
-                row[shift + e2] = row.get(shift + e2, 0) + c * c2
+    for k, coeff in enumerate(g):
+        for e, c in coeff.items():
+            shift = q * e
+            for row, a in zip(acc, images[k]):
+                for e2, c2 in a.items():
+                    row[shift + e2] = row.get(shift + e2, 0) + c * c2
     return [{e: r for e, c in row.items() if (r := c % q)} for row in acc]
 
 
 def frobenius_scale(conductor: Polynomial, q: int) -> Polynomial:
     """D^(q-1) over F_q, as D(x^q) / D: D^q = D(x^q), since c^q = c on F_q."""
-    ring = conductor.ring
-    frobenius_d = ring.poly({tuple(q * e for e in m): c for m, c in conductor.terms})
-    return exact_divide(frobenius_d, conductor)
+    delta = {m[1]: c for m, c in conductor.terms}
+    scale, _ = xpoly_divmod({q * e: c for e, c in delta.items()}, delta, q)
+    return conductor.ring.poly({(0, e): c for e, c in scale.items()})
+
+
+# F_q[x] on x-exponent -> coefficient dicts with coefficients in 0 .. q-1
 
 
 def xpoly_rem(a: dict, m: dict, q: int) -> dict:
-    """Remainder of a modulo m != 0 in F_q[x], each a dict x-exponent -> coefficient.
-
-    Returns a itself when its degree is below m's.
-    """
+    """Remainder of a modulo m != 0 in F_q[x]; a itself when its degree is below m's."""
     n = max(m)
-    top = max(a, default=-1)
-    if top < n:
+    if max(a, default=-1) < n:
         return a
-    inv = pow(m[n], -1, q)
-    tail = [(e - n, c * inv % q) for e, c in m.items() if e != n]
-    if not tail:                       # m = c*x^n: a truncation
+    if len(m) == 1:                    # m = c*x^n: a truncation
         return {e: c for e, c in a.items() if e < n}
-    buf = [0] * (top + 1)
+    return xpoly_divmod(a, m, q)[1]
+
+
+def xpoly_divmod(a: dict, m: dict, q: int) -> tuple:
+    """(quotient, remainder) of a by m != 0 in F_q[x]."""
+    n = max(m)
+    inv = pow(m[n], -1, q)
+    buf = [0] * (max(a, default=-1) + 1)
     for e, c in a.items():
         buf[e] = c
-    for e in range(top, n - 1, -1):    # cancel x^e with (c / lc(m)) * x^(e-n) * m
-        c = buf[e] % q
-        if c:
-            for off, t in tail:
-                buf[e + off] -= c * t
-    return {e: c for e in range(n) if (c := buf[e] % q)}
+    quot = {}
+    for e in range(len(buf) - 1, n - 1, -1):
+        s = buf[e] * inv % q
+        if s:
+            quot[e - n] = s
+            for e2, c2 in m.items():
+                buf[e - n + e2] -= s * c2
+    return quot, {e: r for e, c in enumerate(buf[:n]) if (r := c % q)}
 
 
-def _by_y(p: Polynomial, d: int) -> list:
-    """The d y-coefficients of p over F_q[y; x], each x-exponent -> coefficient."""
-    out: list = [{} for _ in range(d)]
+def xpoly_sub_mul(a: dict, s: dict, b: dict, q: int) -> dict:
+    """a - s*b in F_q[x]; a itself when s or b is zero."""
+    if not s or not b:
+        return a
+    out = dict(a)
+    for e1, c1 in s.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) - c1 * c2
+    return {e: r for e, c in out.items() if (r := c % q)}
+
+
+def xpoly_gcd(a: dict, b: dict, q: int) -> dict:
+    """Monic gcd of a and b in F_q[x], by Euclid's algorithm; {} when both are zero."""
+    while b:
+        a, b = b, xpoly_rem(a, b, q)
+    if not a:
+        return a
+    inv = pow(a[max(a)], -1, q)
+    return {e: c * inv % q for e, c in a.items()}
+
+
+def by_y(p: Polynomial, d: int) -> list:
+    """The y^0 .. y^(d-1) coefficients of p over F_q[y; x], as F_q[x] dicts.
+
+    A term of y-degree d, such as the leading y^d of a relation f, is dropped.
+    """
+    out: list = [{} for _ in range(d + 1)]
     for (k, e), c in p.terms:
         out[k][e] = c
-    return out
+    return out[:d]
 
 
 def _from_y(ring: Ring, coeffs: list) -> Polynomial:
@@ -309,20 +311,13 @@ def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomia
     for g, a in zip(numerators, prefix):
         if not a:
             continue
-        coeffs = _by_y(g, d)
-        reduced = [xpoly_rem(c, delta, q) for c in coeffs]
-        i = g.lm[0]
-        if reduced[i] == {0: 1} and sum(map(len, reduced)) == 1:
-            column = images[i]
-        else:
-            changed = any(r is not c for r, c in zip(reduced, coeffs))
-            column = frobenius_nf(_from_y(ring, reduced) if changed else g, q, images)
+        column = frobenius_nf([xpoly_rem(c, delta, q) for c in by_y(g, d)], q, images)
         for alpha in range(a):
             if alpha:
                 column = [{e + q: c for e, c in coeff.items()} for coeff in column]
             column = [xpoly_rem(coeff, moduli[k], q) for k, coeff in enumerate(column)]
             if targets is not None:
-                column = _by_y(module_reduce(_from_y(ring, column), targets)[0], d)
+                column = by_y(module_reduce(_from_y(ring, column), targets)[0], d)
             for k, coeff in enumerate(column):
                 for e, c in coeff.items():
                     rows.setdefault((k, e), {})[col] = c
@@ -399,9 +394,14 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     return canonical_generators(new_gens, ring)
 
 
-def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int,
-                max_iter: int = 64) -> FractionSet:
-    """Fixpoint of the contraction, started from all of (1/D)S."""
+def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> FractionSet:
+    """Fixpoint of the contraction, started from all of (1/D)S.
+
+    A step that is not a fixpoint returns a strictly smaller module between
+    D*S and S (canonical generators are unique, so an equal module returns
+    the same numerators), and S/DS has dimension d*deg D over F_q: the walk
+    ends within d*deg D + 1 steps.
+    """
     if ring.domain.kind != MODP or ring.domain.char != q:
         raise ClosureError(f"expected a ring of characteristic {q}")
     if ring.ndep != 1 or ring.nindep != 1:
@@ -411,36 +411,32 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int,
     images = tuple([xpoly_rem(a, delta_q, q) for a in img] for img in frobenius_images(f))
     scale = frobenius_scale(conductor, q)
     nums = tuple(ring.monomial((k, 0)) for k in range(len(images) - 1, -1, -1))
-    for _ in range(max_iter):
+    bound = len(images) * conductor.degree_in(1) + 1
+    for _ in range(bound):
         nxt = qth_power_step(nums, q, images, conductor, scale)
         if list(nxt) == list(nums):
             if nums[-1] != conductor.monic():
                 raise ClosureError("fixpoint does not contain the conductor fraction")
             return FractionSet(ring, nums)
         nums = nxt
-    raise ClosureError(f"no fixpoint within {max_iter} iterations")
-
-
-def _y_contents(g: Polynomial) -> list[Polynomial]:
-    """Coefficient polynomials of g grouped by dependent part (all lie in P)."""
-    ring = g.ring
-    ndep = ring.ndep
-    groups: dict = {}
-    for m, c in g.terms:
-        groups.setdefault(m[:ndep], {})[(0,) * ndep + m[ndep:]] = c
-    return [ring.poly(d) for d in groups.values()]
+    raise ClosureError(f"no fixpoint within {bound} iterations")
 
 
 def minimize_denominator(fs: FractionSet) -> FractionSet:
-    """Divide out the common P-content of the denominator and all numerators."""
+    """Divide out the common P-content of the denominator and all numerators:
+    the monic gcd in F_q[x] of all their y-coefficients."""
     ring = fs.ring
-    c = fs.denominator
-    for g in fs.numerators[:-1]:
-        for coeff in _y_contents(g):
-            c = gcd_in_p(c, coeff)
-    if c == ring.one():
+    q, d = ring.domain.char, 1 + max(g.degree_in(0) for g in fs.numerators)
+    coeffs = [by_y(g, d) for g in fs.numerators]
+    c: dict = {}
+    for row in coeffs:
+        for a in row:
+            c = xpoly_gcd(c, a, q)
+    if c == {0: 1}:
         return fs
-    return FractionSet(ring, tuple(exact_divide(g, c).monic() for g in fs.numerators))
+    quotients = ([xpoly_divmod(a, c, q)[0] for a in row] for row in coeffs)
+    return FractionSet(ring, tuple(ring.poly({(k, e): v for k, a in enumerate(row)
+                                              for e, v in a.items()}) for row in quotients))
 
 
 YBAR = "ybar"                        # stem of the fraction variable names

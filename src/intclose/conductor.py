@@ -20,14 +20,14 @@ Delta generates M's intersection with P = P*y^0.  Two routes read it off.
   combination of the pivots and the rows left.  In column d-1 only the first
   pivot is nonzero, so its multiplier is zero (F_q[x] is a domain), and so
   on down to column 1.  So the rows left span M's intersection with P*y^0,
-  and Delta is the monic gcd of their y^0 entries, which Euclid on column 0
-  leaves in one row.  Over Q the same elimination lets the coefficients
-  grow; it was 4-5 times slower than the module basis on the sextic.
+  and Delta is the monic gcd of their y^0 entries.  Over Q the same
+  elimination lets the coefficients grow; it was 4-5 times slower than the
+  module basis on the sextic.
 """
 
 from __future__ import annotations
 
-from .closure import canonical_generators
+from .closure import by_y, canonical_generators, xpoly_divmod, xpoly_gcd, xpoly_sub_mul
 from .domains import MODP
 from .groebner import normal_form
 from .orders import dep_block
@@ -82,76 +82,34 @@ def _conductor_by_module_basis(f: Polynomial, ring: Ring) -> Polynomial:
 
 
 def _conductor_by_triangularization(f: Polynomial, ring: Ring) -> Polynomial:
-    """Delta over GF(q), by Euclid on the columns y^(d-1) .. y^0 of M's rows.
+    """Delta over GF(q), by Euclid on the columns y^(d-1) .. y^1 of M's rows.
 
-    An element of F_q[x] is a dense list of coefficients, lowest degree
-    first, with no trailing zero; a row is its d y-coefficients.
+    A row is the list of its d y-coefficients, each an F_q[x] dict.
     """
     q, d = ring.domain.char, f.degree_in(0)
-    low = _dense_by_y(f, d)            # f = y^d + sum_i low[i](x) * y^i
+    low = by_y(f, d)                   # f = y^d + sum_i low[i](x) * y^i
     rows = []
     for g in (partial_derivative(f, 0), partial_derivative(f, 1)):
-        g = _dense_by_y(g, d)
+        g = by_y(g, d)
         for _ in range(d):
             rows.append(g)
             top = g[-1]                # y * g, with y^d = -sum_i low[i] * y^i
-            g = [_sub_mul(a, top, b, q) for a, b in zip([[]] + g[:-1], low)]
-    live: list = []
-    for c in range(d - 1, -1, -1):     # column 0 last: Euclid there is the gcd
+            g = [xpoly_sub_mul(a, top, b, q) for a, b in zip([{}] + g[:-1], low)]
+    for c in range(d - 1, 0, -1):
         live = [r for r in rows if r[c]]
         rows = [r for r in rows if not r[c]]
         while len(live) > 1:
-            pivot = min(live, key=lambda r: len(r[c]))
+            pivot = min(live, key=lambda r: max(r[c]))
             kept = [pivot]
             for r in live:
                 if r is not pivot:
-                    s = _quotient(r[c], pivot[c], q)
-                    r = [_sub_mul(a, s, b, q) for a, b in zip(r[:c + 1], pivot)]
+                    s, rem = xpoly_divmod(r[c], pivot[c], q)
+                    r = [xpoly_sub_mul(a, s, b, q) for a, b in zip(r[:c], pivot)] + [rem]
                     (kept if r[c] else rows).append(r)
             live = kept
-    if not live:
+    delta: dict = {}
+    for r in rows:
+        delta = xpoly_gcd(delta, r[0], q)
+    if not delta:
         raise ConductorError("degenerate extension: no conductor entries in P")
-    delta = live[0][0]
-    inv = pow(delta[-1], -1, q)
-    return ring.poly({(0, e): c * inv for e, c in enumerate(delta) if c})
-
-
-def _dense_by_y(p: Polynomial, d: int) -> list:
-    """The y^0 .. y^(d-1) coefficients of p over F_q[y; x], as dense lists."""
-    out: list = [[] for _ in range(d + 1)]
-    for (i, e), c in p.terms:
-        out[i].extend([0] * (e + 1 - len(out[i])))
-        out[i][e] = c
-    return out[:d]
-
-
-def _quotient(a: list, b: list, q: int) -> list:
-    """Quotient of a by b != 0 in F_q[x], dense lists."""
-    n = len(b) - 1
-    if len(a) <= n:
-        return []
-    inv = pow(b[-1], -1, q)
-    a = a[:]
-    quot = [0] * (len(a) - n)
-    for i in range(len(a) - 1, n - 1, -1):
-        s = a[i] * inv % q
-        if s:
-            quot[i - n] = s
-            for j in range(n):
-                a[i - n + j] -= s * b[j]
-    return quot
-
-
-def _sub_mul(a: list, s: list, b: list, q: int) -> list:
-    """a - s*b in F_q[x], dense lists."""
-    if not s or not b:
-        return a
-    out = a + [0] * (len(s) + len(b) - 1 - len(a))
-    for i, si in enumerate(s):
-        if si:
-            for j, bj in enumerate(b):
-                out[i + j] -= si * bj
-    out = [c % q for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return ring.poly({(0, e): c for e, c in delta.items()})

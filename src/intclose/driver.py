@@ -18,22 +18,15 @@ class DriverError(ValueError):
     pass
 
 
-def _check_max_iter(max_iter: int):
-    if max_iter < 1:
-        raise DriverError("max iterations must be at least 1")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     primes: tuple | None = None      # explicit schedule; otherwise ascending
     start_prime: int = 5
     max_primes: int = 12             # max usable primes incorporated
-    max_iter: int = 64               # closure fixpoint bound
 
     def __post_init__(self):
         if self.max_primes < 1:
             raise DriverError("max primes must be at least 1")
-        _check_max_iter(self.max_iter)
         if self.primes is not None and len(set(self.primes)) != len(self.primes):
             raise DriverError("prime schedule contains duplicates")
         # every explicit prime, or the first one of the ascending schedule
@@ -125,7 +118,7 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
     for q in _prime_schedule(config):
         if len(usable) >= config.max_primes:
             break
-        run = run_prime(q, f, delta0, max_iter=config.max_iter)
+        run = run_prime(q, f, delta0)
         if run.usable and usable and not compatibility_check(usable + [run]):
             run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
@@ -156,10 +149,9 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
     return result
 
 
-def run_charq(ring: Ring, f: Polynomial, q: int, max_iter: int = 64) -> PrimeRun:
+def run_charq(ring: Ring, f: Polynomial, q: int) -> PrimeRun:
     """Single characteristic-q closure with its induced presentation."""
-    _check_max_iter(max_iter)
     if ring.domain != GF(q):
         raise DriverError(f"ring domain must be GF({q})")
     validate_problem(ring, f)
-    return closure_run(q, f, canonical_conductor(f, ring), max_iter=max_iter)
+    return closure_run(q, f, canonical_conductor(f, ring))

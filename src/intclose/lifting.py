@@ -156,23 +156,20 @@ def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial):
     return "usable", (f_q, delta_q)
 
 
-def closure_run(q: int, f_q: Polynomial, delta_q: Polynomial,
-                max_iter: int = 64) -> PrimeRun:
+def closure_run(q: int, f_q: Polynomial, delta_q: Polynomial) -> PrimeRun:
     """The characteristic-q closure of f_q over its conductor, as a usable run."""
-    fractions = minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q,
-                                                 max_iter=max_iter))
+    fractions = minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q))
     return PrimeRun(q, delta_q=delta_q, fractions=fractions,
                     presentation=induce_presentation(fractions, f_q))
 
 
-def run_prime(q: int, f: Polynomial, delta0: Polynomial,
-              max_iter: int = 64) -> PrimeRun:
+def run_prime(q: int, f: Polynomial, delta0: Polynomial) -> PrimeRun:
     """Usability filter plus the full characteristic-q pipeline."""
     status, info = is_prime_usable(q, f, delta0)
     if status == "skipped":
         return PrimeRun(q, reason=info)
     try:
-        return closure_run(q, *info, max_iter=max_iter)
+        return closure_run(q, *info)
     except ClosureError as exc:
         return PrimeRun(q, reason=f"closure failed: {exc}")
 

@@ -11,9 +11,10 @@ import math
 from fractions import Fraction
 
 from intclose import (MODP, ClosureError, ConductorError, LiftError,
-                      MonomialOrder, Ring, balanced, buchberger,
+                      MonomialOrder, Ring, RingError, balanced, buchberger,
                       canonical_generators, dep_block, mono_weight,
                       module_reduce, normal_form, partial_derivative, s_poly)
+from intclose.groebner import reduce_terms
 from intclose.linalg import nullspace_mod
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
 
@@ -143,8 +144,8 @@ def frobenius_images_poly(f) -> tuple:
 def frobenius_nf_poly(g, q: int, images: tuple):
     """Reference NF(g^q, f) as a Polynomial, from ``frobenius_images_poly(f)``.
 
-    Same contract as ``intclose.frobenius_nf``, which returns the result on
-    y-coefficients.
+    Same contract as ``intclose.frobenius_nf``, which takes and returns its
+    element on y-coefficients.
     """
     ring = g.ring
     if ring.domain.kind != MODP or ring.domain.char != q:
@@ -161,6 +162,34 @@ def frobenius_nf_poly(g, q: int, images: tuple):
             else:
                 acc[mono] = s
     return ring.poly(acc)
+
+
+def gcd_in_p(a, b):
+    """Reference monic gcd of two polynomials of P = F[x], by Euclid's
+    algorithm on Polynomials; ``intclose.closure.xpoly_gcd`` is the F_q[x]
+    version on coefficient dicts."""
+    ring = a.ring
+    if ring.nindep != 1:
+        raise ClosureError("gcd in P supports one independent variable,"
+                           f" the ring has {ring.nindep}")
+    if not a.in_subring(ring.ndep) or not b.in_subring(ring.ndep):
+        raise ClosureError("gcd arguments must lie in the independent subring")
+    while not b.is_zero():
+        a, b = b, normal_form(a, [b])
+    return a.monic()
+
+
+def exact_divide(p, d):
+    """Reference quotient p / d when d divides p exactly; RingError otherwise."""
+    if d.is_zero():
+        raise RingError("division by the zero polynomial")
+    ring = p.ring
+    quot: dict = {}
+    rem = reduce_terms(dict(p.terms), [(d.lm, d.lc, d.terms)], ring.domain,
+                       ring.order.key, full=False, quotients=[quot])
+    if rem:
+        raise RingError("inexact polynomial division")
+    return ring.poly(quot)
 
 
 def y_coefficients(p, d: int) -> list:

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ClosureError, ConductorError, FractionSet,
-                      Ring, buchberger, canonical_conductor,
+from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
+                      FractionSet, Ring, buchberger, canonical_conductor,
                       canonical_generators, dep_block, frobenius_images,
                       frobenius_nf, frobenius_scale, induce_presentation,
-                      is_minimal_reduced_gb, is_prime_usable, minimal_reduced,
+                      is_minimal_reduced_gb, is_prime, is_prime_usable, minimal_reduced,
                       minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure,
                       qth_power_step, run_prime, weight_over_grevlex)
@@ -43,15 +43,16 @@ def closure_run(name, q, minimize=True):
 def test_frobenius_constants_and_variables():
     ring, f = make_curve("trident", q=3)
     images = frobenius_images(f)
-    assert frobenius_nf(ring.one(), 3, images) == y_coefficients(ring.one(), 3)
-    assert frobenius_nf(ring.parse("x"), 3, images) == y_coefficients(ring.parse("x^3"), 3)
+    one, x = y_coefficients(ring.one(), 3), y_coefficients(ring.parse("x"), 3)
+    assert frobenius_nf(one, 3, images) == one
+    assert frobenius_nf(x, 3, images) == y_coefficients(ring.parse("x^3"), 3)
 
 
 def test_frobenius_reduces_dependent_cube():
     ring, f = make_curve("trident", q=3)
     images = frobenius_images(f)
     # y^3 = -x^7 - 8yx = -x^7 + yx with coefficients mod 3
-    assert frobenius_nf(ring.parse("y"), 3, images) == y_coefficients(
+    assert frobenius_nf(y_coefficients(ring.parse("y"), 3), 3, images) == y_coefficients(
         ring.parse("-x^7 + y*x"), 3)
 
 
@@ -63,13 +64,16 @@ def test_frobenius_matches_direct_powering():
         for _ in range(5):
             g = ring.poly({(rng.randint(0, 7), rng.randint(0, 4)):
                            rng.randint(1, q - 1) for _ in range(4)})
-            assert frobenius_nf(g, q, images) == y_coefficients(normal_form(g ** q, [f]), 8)
+            assert (frobenius_nf(y_coefficients(g, 8), q, images)
+                    == y_coefficients(normal_form(g ** q, [f]), 8))
 
 
-def test_frobenius_wrong_characteristic():
+def test_step_wrong_characteristic():
     ring, f = make_curve("trident", q=3)
+    delta = canonical_conductor(f, ring)
+    start = (ring.parse("y^2"), ring.parse("y"), ring.one())
     with pytest.raises(ClosureError, match="ring characteristic is not 5"):
-        frobenius_nf(ring.one(), 5, frobenius_images(f))
+        qth_power_step(start, 5, frobenius_images(f), delta, delta ** 4)
 
 
 @st.composite
@@ -98,7 +102,8 @@ def test_frobenius_images_match_powering(curve, data):
     g = ring.poly(data.draw(st.dictionaries(
         st.tuples(st.integers(0, d - 1), st.integers(0, 3)), st.integers(1, q - 1),
         max_size=4), label="g"))
-    assert frobenius_nf(g, q, images) == y_coefficients(normal_form(g ** q, [f]), d)
+    assert frobenius_nf(y_coefficients(g, d), q, images) == y_coefficients(
+        normal_form(g ** q, [f]), d)
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,14 +124,14 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
         st.tuples(st.integers(0, d - 1), st.integers(0, 12)), st.integers(1, q - 1),
         max_size=6), label="g"))
     want = y_coefficients(frobenius_nf_poly(g, q, reference), d)
-    assert frobenius_nf(g, q, images) == want
+    assert frobenius_nf(y_coefficients(g, d), q, images) == want
     # images reduced modulo m^q give each y-coefficient modulo m^q
     m = ring.poly(data.draw(st.dictionaries(st.tuples(st.just(0), st.integers(0, 2)),
                                             st.integers(1, q - 1), max_size=2), label="m")
                   | {(0, data.draw(st.integers(1, 3), label="deg m")): 1})
     mq = {e: c for (_, e), c in (m ** q).terms}
     reduced = tuple([xpoly_rem(a, mq, q) for a in img] for img in images)
-    assert ([xpoly_rem(a, mq, q) for a in frobenius_nf(g, q, reduced)]
+    assert ([xpoly_rem(a, mq, q) for a in frobenius_nf(y_coefficients(g, d), q, reduced)]
             == [xpoly_rem(a, mq, q) for a in want])
 
 
@@ -357,13 +362,13 @@ def walk(f, delta, q):
     """The numerators of each step of qth_closure's walk from S, the fixpoint last."""
     images, scale = frobenius_images(f), frobenius_scale(delta, q)
     nums = tuple(f.ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
-    for _ in range(64):
+    for _ in range(f.degree_in(0) * delta.degree_in(1) + 1):
         yield nums
         nxt = qth_power_step(nums, q, images, delta, scale)
         if nxt == nums:
             return
         nums = nxt
-    raise AssertionError("no fixpoint within 64 steps")
+    raise AssertionError("no fixpoint within d*deg(delta) + 1 steps")
 
 
 def in_s(p, fs):
@@ -444,6 +449,24 @@ def test_fixture_walk_columns_by_y_degree(name):
                 rows = _step_columns(nums, q, images, delta_q, scale, prefix, moduli)
                 assert rows == _step_columns(nums, q, images, delta_q, scale, prefix, None)
     assert shaped >= len(fixture_runs(name))
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_fixture_walks_end_within_the_derived_bound(name):
+    # a step that is not a fixpoint returns a strictly smaller module between
+    # delta*S and S, and dim S/(delta*S) = d*deg(delta): qth_closure's bound
+    walked = 0
+    for q in filter(is_prime, range(2, 54)):
+        try:
+            ring, f = make_curve(name, q=q)
+            delta = canonical_conductor(f, ring)
+        except (DomainError, ConductorError):
+            continue
+        steps = list(walk(f, delta, q))
+        assert len(steps) <= f.degree_in(0) * delta.degree_in(1) + 1
+        assert qth_closure(ring, f, delta, q).numerators == steps[-1]
+        walked += 1
+    assert walked >= 12
 
 
 @settings(max_examples=100, deadline=None)
@@ -637,13 +660,6 @@ def test_step_rejects_numerators_outside_delta_s():
     for nums in (start[:2], start[:2] + (high,), (start[0], start[0], start[2])):
         with pytest.raises(ClosureError):
             qth_power_step(nums, 7, images, delta, scale)
-
-
-def test_nontermination_guard():
-    ring, f = make_curve("octic", q=7)
-    delta = canonical_conductor(f, ring)
-    with pytest.raises(ClosureError):
-        qth_closure(ring, f, delta, 7, max_iter=1)
 
 
 def test_per_prime_containment_of_input_ideal():

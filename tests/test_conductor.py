@@ -1,4 +1,4 @@
-"""Partial derivatives, P-gcds, and canonical conductor elements."""
+"""Partial derivatives, F_q[x] arithmetic, and canonical conductor elements."""
 
 import re
 from fractions import Fraction
@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ClosureError, ConductorError, DomainError, Ring,
-                      canonical_conductor, exact_divide, gcd_in_p, is_prime,
-                      mu_poly, partial_derivative, weight_over_grevlex)
+from intclose import (GF, QQ, ConductorError, DomainError, canonical_conductor,
+                      is_prime, mu_poly, normal_form, partial_derivative)
+from intclose.closure import xpoly_divmod, xpoly_gcd, xpoly_rem, xpoly_sub_mul
 from intclose.conductor import _conductor_by_module_basis
 from conftest import CURVES, curve_ring, make_curve
-from oracles import conductor_oracle
+from oracles import conductor_oracle, exact_divide, gcd_in_p
 
 
 def test_partial_derivatives_basic():
@@ -195,44 +195,63 @@ def test_conductor_error_texts(domain, weights, text, message):
 
 
 # ---------------------------------------------------------------------------
-# gcd in P
+# F_q[x] arithmetic on coefficient dicts
+
+
+def xpoly(ring, text):
+    """The x-exponent -> coefficient dict of a polynomial of P."""
+    return {m[1]: c for m, c in ring.parse(text).terms}
 
 
 def test_gcd_univariate():
-    ring = curve_ring((1, 1))
-    a = ring.parse("x^3 - x")
-    b = ring.parse("x^2 - 1")
-    assert gcd_in_p(a, b) == ring.parse("x^2 - 1")
-    # x^2 + 1 is coprime to x(x-1)(x+1) over Q
-    assert gcd_in_p(a, ring.parse("x^2 + 1")) == ring.one()
+    ring = curve_ring((1, 1), GF(7))
+    a, b = xpoly(ring, "x^3 - x"), xpoly(ring, "x^2 - 1")
+    assert xpoly_gcd(a, b, 7) == b
+    # x^2 + 1 is irreducible mod 7 and coprime to x(x-1)(x+1)
+    assert xpoly_gcd(a, xpoly(ring, "x^2 + 1"), 7) == {0: 1}
 
 
 def test_gcd_with_zero_and_constants():
-    ring = curve_ring((1, 1))
-    x = ring.parse("x")
-    assert gcd_in_p(ring.zero(), x) == x
-    assert gcd_in_p(x, ring.zero()) == x
-    assert gcd_in_p(ring.const(6), ring.const(4)) == ring.one()
+    ring = curve_ring((1, 1), GF(7))
+    x = xpoly(ring, "x")
+    assert xpoly_gcd({}, x, 7) == x
+    assert xpoly_gcd(x, {}, 7) == x
+    assert xpoly_gcd({}, {}, 7) == {}
+    assert xpoly_gcd({0: 6}, {0: 4}, 7) == {0: 1}
 
 
 def test_gcd_mod_q():
     ring = curve_ring((1, 1), GF(3))
-    a = ring.parse("x^9 + x^7 + x^5")
-    b = ring.parse("x^6 + 2*x^4")
-    assert gcd_in_p(a, b) == ring.parse("x^6 - x^4")
+    a = xpoly(ring, "x^9 + x^7 + x^5")
+    b = xpoly(ring, "x^6 + 2*x^4")
+    assert xpoly_gcd(a, b, 3) == xpoly(ring, "x^6 - x^4")
 
 
-def test_gcd_rejects_dependent_arguments():
-    ring = curve_ring((1, 1))
-    with pytest.raises(ClosureError):
-        gcd_in_p(ring.parse("y"), ring.parse("x"))
+SMALL_PRIMES = [p for p in range(5, 54) if is_prime(p)]
 
 
-def test_gcd_rejects_two_independent_variables():
-    w = ((1, 1, 1),)
-    ring = Ring(("y", "x2", "x1"), 1, QQ, weight_over_grevlex(w, 3), w)
-    with pytest.raises(ClosureError):
-        gcd_in_p(ring.parse("x1"), ring.parse("x1^2"))
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_xpoly_routines_match_polynomial_references(data):
+    q = data.draw(st.sampled_from(SMALL_PRIMES), label="q")
+    ring = curve_ring((1, 1), GF(q))
+    xpolys = st.dictionaries(st.integers(0, 12), st.integers(1, q - 1), max_size=8)
+    a, s, b = (data.draw(xpolys, label=name) for name in "asb")
+    m = data.draw(xpolys.filter(bool), label="m")
+
+    def poly(p):
+        return ring.poly({(0, e): c for e, c in p.items()})
+
+    quot, rem = xpoly_divmod(a, m, q)
+    assert poly(a) == poly(quot) * poly(m) + poly(rem)
+    assert max(rem, default=-1) < max(m)
+    assert poly(rem) == normal_form(poly(a), [poly(m)])
+    assert xpoly_rem(a, m, q) == rem
+    prod = poly(a) * poly(m)
+    assert xpoly_divmod({e: c for (_, e), c in prod.terms}, m, q) == (a, {})
+    assert poly(a) == exact_divide(prod, poly(m))
+    assert poly(xpoly_gcd(a, m, q)) == gcd_in_p(poly(a), poly(m))
+    assert poly(xpoly_sub_mul(a, s, b, q)) == poly(a) - poly(s) * poly(b)
 
 
 def test_exact_divide_roundtrip():

@@ -3,15 +3,14 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ModuleVector, Ring, RingError, buchberger,
-                      exact_divide, head_reduce,
+from intclose import (GF, QQ, ModuleVector, Ring, buchberger, head_reduce,
                       is_minimal_reduced_gb, minimal_reduced, module_gb,
                       module_normal_form, module_reduce, normal_form, s_poly,
                       weight_of)
+from intclose.groebner import reduce_terms
 from intclose.orders import mono_divides
 from conftest import curve_ring, make_curve, sextic_relations
 from oracles import (grevlex, ideal_contains, is_minimal_reduced_gb_full,
@@ -313,16 +312,18 @@ def test_division_matches_scanning_reference(data):
                                        full=False))
     assert head_reduce(f, targets) == head
     assert head.is_zero() or not any(_cancels(t.lm, head.lm, 0) for t in targets)
+    # head division by one divisor records its quotient, exact on a multiple
     d = targets[0]
-    assert exact_divide(f * d, d) == f
     quot: dict = {}
-    rest = reduce_terms_scan(dict(f.terms), _leads([d]), dom, key, full=False,
-                             quotients=[quot])
-    if rest:
-        with pytest.raises(RingError):
-            exact_divide(f, d)
-    else:
-        assert exact_divide(f, d) == ring.poly(quot)
+    assert reduce_terms(dict((f * d).terms), _leads([d]), dom, key, full=False,
+                        quotients=[quot]) == {}
+    assert ring.poly(quot) == f
+    quots = [{}, {}]
+    assert (reduce_terms(dict(f.terms), _leads([d]), dom, key, full=False,
+                         quotients=quots[:1])
+            == reduce_terms_scan(dict(f.terms), _leads([d]), dom, key, full=False,
+                                 quotients=quots[1:]))
+    assert quots[0] == quots[1]
 
 
 @settings(max_examples=100, deadline=None)

@@ -258,19 +258,6 @@ def test_cli_rejects_fraction_name_collision_up_front(tmp_path, capsys, mode_arg
                        " variables: ybar\n")
 
 
-@pytest.mark.parametrize("mode_args", [[], ["--mode", "charq", "--prime", "5"]])
-def test_cli_rejects_zero_max_iter(tmp_path, capsys, mode_args):
-    # rejected before any prime is tried, in both modes
-    path = _write(tmp_path, QUADRATIC)
-    code = main([path, "--max-iter", "0", "--log", str(tmp_path / "audit.log")]
-                + mode_args)
-    cap = capsys.readouterr()
-    assert code == 2
-    assert cap.out == ""
-    assert cap.err.splitlines() == ["error: max iterations must be at least 1"]
-    assert not (tmp_path / "audit.log").exists()
-
-
 DENOMINATOR_MESSAGE = ("error: relation has no image in GF(7):"
                        " denominator of 24/7 vanishes mod 7")
 
@@ -324,14 +311,6 @@ def test_cli_charq_prime_flag(tmp_path, capsys):
     assert code == 0
     assert "q: 5" in out
     assert "relation: ybar^2 + x" in out
-
-
-def test_cli_iteration_bound_failure_is_reported(tmp_path, capsys):
-    path = _write(tmp_path, TRIDENT_Q7)
-    code = main([path, "--max-iter", "1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "computation failed" in err
 
 
 def test_cli_charq_structured(tmp_path, capsys):
