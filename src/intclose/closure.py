@@ -203,21 +203,20 @@ def frobenius_scale(conductor: Polynomial, q: int) -> Polynomial:
 # F_q[x] on x-exponent -> coefficient dicts with coefficients in 0 .. q-1
 
 
-def xpoly_rem(a: dict, m: dict, q: int) -> dict:
-    """Remainder of a modulo m != 0 in F_q[x]; a itself when its degree is below m's."""
-    n = max(m)
-    if max(a, default=-1) < n:
-        return a
-    if len(m) == 1:                    # m = c*x^n: a truncation
-        return {e: c for e, c in a.items() if e < n}
-    return xpoly_divmod(a, m, q)[1]
-
-
 def xpoly_divmod(a: dict, m: dict, q: int) -> tuple:
-    """(quotient, remainder) of a by m != 0 in F_q[x]."""
-    n = max(m)
+    """(quotient, remainder) of a by m != 0 in F_q[x].
+
+    The remainder is a itself when a's degree is below m's, and a truncation
+    when m is a monomial.
+    """
+    n, top = max(m), max(a, default=-1)
+    if top < n:
+        return {}, a
     inv = pow(m[n], -1, q)
-    buf = [0] * (max(a, default=-1) + 1)
+    if len(m) == 1:                    # m = c*x^n: a shift and a truncation
+        return ({e - n: c * inv % q for e, c in a.items() if e >= n},
+                {e: c for e, c in a.items() if e < n})
+    buf = [0] * (top + 1)
     for e, c in a.items():
         buf[e] = c
     quot = {}
@@ -244,7 +243,7 @@ def xpoly_sub_mul(a: dict, s: dict, b: dict, q: int) -> dict:
 def xpoly_gcd(a: dict, b: dict, q: int) -> dict:
     """Monic gcd of a and b in F_q[x], by Euclid's algorithm; {} when both are zero."""
     while b:
-        a, b = b, xpoly_rem(a, b, q)
+        a, b = b, xpoly_divmod(a, b, q)[1]
     if not a:
         return a
     inv = pow(a[max(a)], -1, q)
@@ -262,62 +261,55 @@ def by_y(p: Polynomial, d: int) -> list:
     return out[:d]
 
 
-def _from_y(ring: Ring, coeffs: list) -> Polynomial:
-    """The element of ``ring`` with the y-coefficients ``coeffs``."""
-    return ring.poly({(k, e): c for k, a in enumerate(coeffs) for e, c in a.items()})
-
-
-def _moduli_by_y_degree(numerators: tuple, scale: Polynomial):
-    """y-degree i_k -> x-part of scale*g_k, when each g_k lies in y-degree i_k alone.
-
-    None when some numerator has terms in two y-degrees.
-    """
-    moduli: dict = {}
-    for g in numerators:
-        i = g.lm[0]
-        if any(m[0] != i for m, _ in g.terms):
-            return None
-        moduli[i] = {m[1]: c for m, c in (scale * g).terms}
-    return moduli
-
-
 def _basis_prefix(numerators: tuple, xdeg: int) -> list:
     """a_j = deg D - e_j, e_j the x-degree of LM(g_j): the x^alpha*g_j with
     alpha < a_j are an F_q-basis of N/DS, as ``qth_power_step`` says."""
     return [xdeg - g.lm[1] for g in numerators]
 
 
+def _rem_by_targets(v: list, targets: dict, q: int) -> list:
+    """Remainder of v by the targets, both on y-coefficients.
+
+    ``targets`` maps y-degree k to the target that leads in y^k, so that its
+    lead's x-degree is the degree of its y^k-entry t[k].  A y^k-coefficient
+    of v that reaches that degree is divided by t[k], and the quotient times
+    t's other entries is taken from v's other coefficients; sweeps repeat
+    until no coefficient reaches its lead's degree (``qth_power_step``).
+    """
+    leads = {k: max(t[k]) for k, t in targets.items()}
+    v = list(v)
+    while reducible := [k for k, n in leads.items() if max(v[k], default=-1) >= n]:
+        for k in reducible:
+            t = targets[k]
+            quot, v[k] = xpoly_divmod(v[k], t[k], q)
+            for j, b in enumerate(t):
+                if j != k:
+                    v[j] = xpoly_sub_mul(v[j], quot, b, q)
+    return v
+
+
 def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomial,
-                  scale: Polynomial, prefix: list, moduli) -> dict:
+                  scale: Polynomial, prefix: list) -> dict:
     """The step's columns, as ``qth_power_step`` says: sparse rows by monomial.
 
     Column (j, alpha), for alpha < prefix[j] and numbered in that order, is
     the remainder of x^(q*alpha) * gbar_j^q by the targets scale*g, where
     gbar_j is g_j with its y-coefficients reduced modulo D.  Columns are
-    chained and reduced on y-coefficients.  ``moduli`` is
-    ``_moduli_by_y_degree(numerators, scale)``: the remainder is then taken
-    coefficientwise.  When it is None, each column has its y-coefficients
-    reduced modulo D^q and is then divided in the P-module.
+    chained and divided on y-coefficients.
     """
-    ring = conductor.ring
     d = len(images)
     delta = {m[1]: c for m, c in conductor.terms}
-    targets = None
-    if moduli is None:
-        targets = [scale * g for g in numerators]
-        moduli = [{q * e: c for e, c in delta.items()}] * d
+    targets = {g.lm[0]: by_y(scale * g, d) for g in numerators}
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col = 0
     for g, a in zip(numerators, prefix):
         if not a:
             continue
-        column = frobenius_nf([xpoly_rem(c, delta, q) for c in by_y(g, d)], q, images)
+        column = frobenius_nf([xpoly_divmod(c, delta, q)[1] for c in by_y(g, d)], q, images)
         for alpha in range(a):
             if alpha:
                 column = [{e + q: c for e, c in coeff.items()} for coeff in column]
-            column = [xpoly_rem(coeff, moduli[k], q) for k, coeff in enumerate(column)]
-            if targets is not None:
-                column = by_y(module_reduce(_from_y(ring, column), targets)[0], d)
+            column = _rem_by_targets(column, targets, q)
             for k, coeff in enumerate(column):
                 for e, c in coeff.items():
                     rows.setdefault((k, e), {})[col] = c
@@ -333,7 +325,7 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     D*S and S, and ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1).
     ``images`` is ``frobenius_images(f)``, full or with each y-coefficient
     reduced modulo D^q, as ``qth_closure`` builds them once per prime: the
-    columns are the same (second and last bullets).
+    columns are the same (second bullet).
     The next module is the g in N with g^q in T = D^(q-1)*N, the span of
     the targets scale*g_j.  The targets lead in distinct dependent parts, so
     they are a Groebner basis of T, and the remainder of any h by them is
@@ -356,14 +348,19 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     * Chaining.  Column (j, alpha) is the remainder of x^q times column
       (j, alpha-1): the two dividends differ by x^q times a member of T,
       which is again a member, so they share their remainder.
-    * Coefficientwise remainders.  When every numerator is p_k(x)*y^(i_k)
-      (always at the start S, sometimes later), target k lies in y-degree
-      i_k alone: its lead cancels only terms of that y-degree, and its
-      multiples change no other.  So the unique remainder is that of each
-      y-coefficient modulo its target's x-part in F_q[x] (a truncation when
-      that x-part is a monomial, as at the start when D = x^k).  That x-part
-      D^(q-1)*p_k divides D^q, as D*y^(i_k) lies in N.  Other steps divide
-      in the P-module.  Both give the same columns.
+    * One remainder.  The target leading in y^k cancels the terms of
+      y-degree k and x-degree at least that of its y^k-entry, so the
+      remainder of h is the one member of h + T whose y^k-coefficient has
+      degree below that entry's for every k: the normal form modulo a Popov
+      basis (Mulders & Storjohann, JSC 2003).  ``_rem_by_targets`` divides
+      each y-coefficient that reaches that degree by the entry in F_q[x] and
+      subtracts the quotient times the target's other entries.  Each such
+      division is a run of reduction steps, each replacing a term by
+      strictly smaller ones under the ring order, so the sweeps end in any
+      order, at that remainder.  When every numerator is p_k(x)*y^k (always
+      at the start S), every target lies in one y-degree, and one division
+      per coefficient suffices: a truncation when its x-part is a monomial,
+      as at the start when D = x^n.
     """
     ring = conductor.ring
     if ring.nindep != 1:
@@ -377,8 +374,7 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     if ({g.lm[0] for g in numerators} != set(range(len(images)))
             or len(numerators) != len(images) or min(prefix) < 0):
         raise ClosureError("numerators must generate a module between D*S and S")
-    rows = _step_columns(numerators, q, images, conductor, scale, prefix,
-                         _moduli_by_y_degree(numerators, scale))
+    rows = _step_columns(numerators, q, images, conductor, scale, prefix)
     if not rows:
         return numerators
     cols = [(j, alpha) for j, a in enumerate(prefix) for alpha in range(a)]
@@ -408,7 +404,8 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> Fra
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
     # each step reads the images only modulo D^q = D(x^q): reduce them once
     delta_q = {q * m[1]: c for m, c in conductor.terms}
-    images = tuple([xpoly_rem(a, delta_q, q) for a in img] for img in frobenius_images(f))
+    images = tuple([xpoly_divmod(a, delta_q, q)[1] for a in img]
+                   for img in frobenius_images(f))
     scale = frobenius_scale(conductor, q)
     nums = tuple(ring.monomial((k, 0)) for k in range(len(images) - 1, -1, -1))
     bound = len(images) * conductor.degree_in(1) + 1

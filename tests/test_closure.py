@@ -17,8 +17,8 @@ from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
                       minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure,
                       qth_power_step, run_prime, weight_over_grevlex)
-from intclose.closure import (_basis_prefix, _moduli_by_y_degree, _step_columns,
-                              combination, xpoly_rem)
+from intclose.closure import (_basis_prefix, _rem_by_targets, _step_columns,
+                              combination, xpoly_divmod)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
                       sextic_relations)
 from oracles import (canonical_generators_restart, codim_in_s, frobenius_images_poly,
@@ -130,9 +130,9 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
                                             st.integers(1, q - 1), max_size=2), label="m")
                   | {(0, data.draw(st.integers(1, 3), label="deg m")): 1})
     mq = {e: c for (_, e), c in (m ** q).terms}
-    reduced = tuple([xpoly_rem(a, mq, q) for a in img] for img in images)
-    assert ([xpoly_rem(a, mq, q) for a in frobenius_nf(y_coefficients(g, d), q, reduced)]
-            == [xpoly_rem(a, mq, q) for a in want])
+    reduced = tuple([xpoly_divmod(a, mq, q)[1] for a in img] for img in images)
+    assert ([xpoly_divmod(a, mq, q)[1] for a in frobenius_nf(y_coefficients(g, d), q, reduced)]
+            == [xpoly_divmod(a, mq, q)[1] for a in want])
 
 
 @pytest.mark.parametrize("ring,text,message", [
@@ -176,10 +176,26 @@ def test_module_reduce_stuck_below_leads():
     assert rem == ring.parse("y")  # no P-multiple of the leads divides y
 
 
+def assert_remainder_by_targets(h, targets, want, d, data):
+    """want is h's P-module remainder by targets, by the scanning reference,
+    and by _rem_by_targets with the targets in descending and shuffled order."""
+    ring, q = h.ring, h.ring.domain.char
+    assert want == module_reduce(h, targets)[0]
+    leads = [(t.lm, t.lc, t.terms) for t in targets]
+    assert want == ring.poly(reduce_terms_scan(dict(h.terms), leads, ring.domain,
+                                               ring.order.key, fixed=ring.ndep))
+    descending = sorted(targets, key=lambda t: ring.order.key(t.lm), reverse=True)
+    for order in (descending, data.draw(st.permutations(targets), label="order")):
+        got = _rem_by_targets(y_coefficients(h, d),
+                              {t.lm[0]: y_coefficients(t, d) for t in order}, q)
+        assert ring.poly({(k, e): c for k, a in enumerate(got) for e, c in a.items()}) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_coefficientwise_remainder_matches_module_division(data):
-    # targets M_k(x)*p_k(x)*y^k, M_k = x^e or (x - a)^e, on some y-degrees k
+    # targets M_k(x)*p_k(x)*y^k, M_k = x^e or (x - a)^e, on some y-degrees k:
+    # the remainder is each y-coefficient's modulo its target's x-part
     q = data.draw(st.sampled_from([2, 3, 5, 7, 13, 29]), label="q")
     d = data.draw(st.integers(1, 4), label="d")
     weights = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)), label="w")
@@ -203,13 +219,20 @@ def test_coefficientwise_remainder_matches_module_division(data):
     for k in range(d):
         coeff = {m[1]: c for m, c in h.terms if m[0] == k}
         if k in moduli:
-            coeff = xpoly_rem(coeff, {m[1]: c for m, c in moduli[k].terms}, q)
+            coeff = xpoly_divmod(coeff, {m[1]: c for m, c in moduli[k].terms}, q)[1]
         got.update({(k, e): c for e, c in coeff.items()})
-    rem = ring.poly(got)
-    assert rem == module_reduce(h, targets)[0]
-    leads = [(t.lm, t.lc, t.terms) for t in targets]
-    assert rem == ring.poly(reduce_terms_scan(dict(h.terms), leads, ring.domain,
-                                              ring.order.key, fixed=ring.ndep))
+    assert_remainder_by_targets(h, targets, ring.poly(got), d, data)
+    # general targets: s times the canonical generators of a few elements,
+    # whose tails reach other y-degrees
+    elements = data.draw(st.lists(st.dictionaries(
+        st.tuples(st.integers(0, d - 1), st.integers(0, 5)), st.integers(1, q - 1),
+        min_size=1, max_size=5), min_size=1, max_size=d), label="elements")
+    gens = canonical_generators([ring.poly(g) for g in elements], ring)
+    s = ring.poly({(0, i): c for i, c in enumerate(
+        data.draw(st.lists(coeffs, max_size=3), label="s")
+        + [data.draw(st.integers(1, q - 1), label="lc s")])})
+    general = [s * g for g in gens]
+    assert_remainder_by_targets(h, general, module_reduce(h, general)[0], d, data)
 
 
 def test_canonical_generators_echelonize():
@@ -432,26 +455,6 @@ def test_fixture_closures_as_built(name):
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
-def test_fixture_walk_columns_by_y_degree(name):
-    # every step of the walk from S whose numerators lie in distinct single
-    # y-degrees (the first one at least) builds the same columns both ways
-    shaped = 0
-    for q, f_q, delta_q, run in fixture_runs(name):
-        images = frobenius_images(f_q)
-        scale = frobenius_scale(delta_q, q)
-        assert scale == delta_q ** (q - 1)
-        xdeg = delta_q.degree_in(1)
-        for nums in walk(f_q, delta_q, q):
-            moduli = _moduli_by_y_degree(nums, scale)
-            if moduli is not None:
-                shaped += 1
-                prefix = _basis_prefix(nums, xdeg)
-                rows = _step_columns(nums, q, images, delta_q, scale, prefix, moduli)
-                assert rows == _step_columns(nums, q, images, delta_q, scale, prefix, None)
-    assert shaped >= len(fixture_runs(name))
-
-
-@pytest.mark.parametrize("name", sorted(CURVES))
 def test_fixture_walks_end_within_the_derived_bound(name):
     # a step that is not a fixpoint returns a strictly smaller module between
     # delta*S and S, and dim S/(delta*S) = d*deg(delta): qth_closure's bound
@@ -491,17 +494,15 @@ def test_reduced_columns_match_unreduced_division(name):
     # full images and from images reduced mod delta^q as qth_closure reads them
     for q, f_q, delta_q, run in fixture_runs(name):
         images, scale = frobenius_images(f_q), frobenius_scale(delta_q, q)
+        assert scale == delta_q ** (q - 1)
         poly_images = frobenius_images_poly(f_q)
         delta_to_q = {e: c for (_, e), c in (delta_q ** q).terms}
-        reduced = tuple([xpoly_rem(a, delta_to_q, q) for a in img] for img in images)
+        reduced = tuple([xpoly_divmod(a, delta_to_q, q)[1] for a in img] for img in images)
         for nums in walk(f_q, delta_q, q):
             prefix = _basis_prefix(nums, delta_q.degree_in(1))
             want = step_columns_unreduced(nums, q, poly_images, delta_q, prefix)
-            assert _step_columns(nums, q, images, delta_q, scale, prefix, None) == want
-            assert _step_columns(nums, q, reduced, delta_q, scale, prefix, None) == want
-            moduli = _moduli_by_y_degree(nums, scale)
-            if moduli is not None:
-                assert _step_columns(nums, q, reduced, delta_q, scale, prefix, moduli) == want
+            assert _step_columns(nums, q, images, delta_q, scale, prefix) == want
+            assert _step_columns(nums, q, reduced, delta_q, scale, prefix) == want
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))

@@ -4,12 +4,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ConductorError, DomainError, canonical_conductor,
                       is_prime, mu_poly, normal_form, partial_derivative)
-from intclose.closure import xpoly_divmod, xpoly_gcd, xpoly_rem, xpoly_sub_mul
+from intclose.closure import xpoly_divmod, xpoly_gcd, xpoly_sub_mul
 from intclose.conductor import _conductor_by_module_basis
 from conftest import CURVES, curve_ring, make_curve
 from oracles import conductor_oracle, exact_divide, gcd_in_p
@@ -230,23 +230,34 @@ def test_gcd_mod_q():
 SMALL_PRIMES = [p for p in range(5, 54) if is_prime(p)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_xpoly_routines_match_polynomial_references(data):
-    q = data.draw(st.sampled_from(SMALL_PRIMES), label="q")
-    ring = curve_ring((1, 1), GF(q))
+@st.composite
+def xpoly_cases(draw):
+    """(q, a, s, b, m): elements of F_q[x] as x-exponent -> coefficient dicts, m != 0."""
+    q = draw(st.sampled_from(SMALL_PRIMES), label="q")
     xpolys = st.dictionaries(st.integers(0, 12), st.integers(1, q - 1), max_size=8)
-    a, s, b = (data.draw(xpolys, label=name) for name in "asb")
-    m = data.draw(xpolys.filter(bool), label="m")
+    a, s, b = (draw(xpolys, label=name) for name in "asb")
+    return q, a, s, b, draw(xpolys.filter(bool), label="m")
+
+
+@settings(max_examples=200, deadline=None)
+@given(xpoly_cases())
+# a non-monic monomial divisor with dividend terms above and below it (the
+# shift's quotient), and a dividend of lower degree than the divisor
+@example((7, {9: 2, 6: 5, 4: 1, 1: 3}, {1: 2}, {2: 6}, {4: 3}))
+@example((7, {3: 4, 0: 1}, {}, {1: 1}, {5: 2, 1: 6}))
+def test_xpoly_routines_match_polynomial_references(case):
+    q, a, s, b, m = case
+    ring = curve_ring((1, 1), GF(q))
 
     def poly(p):
         return ring.poly({(0, e): c for e, c in p.items()})
 
     quot, rem = xpoly_divmod(a, m, q)
     assert poly(a) == poly(quot) * poly(m) + poly(rem)
+    assert all(0 < c < q for c in [*quot.values(), *rem.values()])
     assert max(rem, default=-1) < max(m)
     assert poly(rem) == normal_form(poly(a), [poly(m)])
-    assert xpoly_rem(a, m, q) == rem
+    assert xpoly_divmod(rem, m, q) == ({}, rem)
     prod = poly(a) * poly(m)
     assert xpoly_divmod({e: c for (_, e), c in prod.terms}, m, q) == (a, {})
     assert poly(a) == exact_divide(prod, poly(m))
