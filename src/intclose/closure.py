@@ -295,11 +295,13 @@ def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomia
     Column (j, alpha), for alpha < prefix[j] and numbered in that order, is
     the remainder of x^(q*alpha) * gbar_j^q by the targets scale*g, where
     gbar_j is g_j with its y-coefficients reduced modulo D.  Columns are
-    chained and divided on y-coefficients.
+    chained; they and the targets are on y-coefficients.
     """
     d = len(images)
     delta = {m[1]: c for m, c in conductor.terms}
-    targets = {g.lm[0]: by_y(scale * g, d) for g in numerators}
+    neg_scale = {m[1]: q - c for m, c in scale.terms}    # 0 - (-scale)*c = scale*c
+    targets = {g.lm[0]: [xpoly_sub_mul({}, neg_scale, c, q) for c in by_y(g, d)]
+               for g in numerators}
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col = 0
     for g, a in zip(numerators, prefix):

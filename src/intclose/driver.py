@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .closure import ClosureError, ClosurePresentation, FractionSet, fraction_names
 from .conductor import canonical_conductor
 from .domains import GF, DomainError, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, closure_run,
                       compatibility_check, reconcile_and_lift, run_prime,
-                      verify_candidate)
+                      specializations, verify_candidate)
 from .rings import Polynomial, Ring, _mono_str
 from .weights import validate_weight_function
 
@@ -131,8 +131,9 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
             f" lm_g={_lm_names(run.fractions.numerators)}"
             f" K={len(run.presentation.relations)}"
             f" lm_b={_lm_names(run.presentation.relations) if run.presentation.relations else '[]'}")
-        state = reconcile_and_lift(usable, ring)
-        cert = verify_candidate(state, f, usable) if state.lifted else None
+        state = reconcile_and_lift(usable, ring,
+                                   result.stages[-1].state if result.stages else None)
+        cert = verify_candidate(state, f, ()) if state.lifted else None
         result.stages.append(Stage(state, cert))
         if cert is None:
             result.audit.append(
@@ -144,8 +145,16 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
             f" gb={cert.gb_ok} containment={cert.containment_ok}"
             f" numerators={cert.numerators_ok} accepted={cert.accepted}")
         if cert.accepted:
-            return result
-    result.audit.append("prime budget exhausted without an accepted certificate")
+            break
+    if not result.accepted:
+        result.audit.append("prime budget exhausted without an accepted certificate")
+    # per_prime holds on every lifted stage (``specializations``), so the
+    # certificates above check no run; the printed one gets all of its runs
+    lifted = [i for i, s in enumerate(result.stages) if s.certificate is not None]
+    if lifted:
+        s = result.stages[lifted[-1]]
+        cert = replace(s.certificate, per_prime=specializations(s.state, usable))
+        result.stages[lifted[-1]] = replace(s, certificate=cert)
     return result
 
 

@@ -1,10 +1,11 @@
 """Characteristic-0 reconstruction: mod-q runs, CRT, rational lifting, certification.
 
 Per-prime closures are reconciled coefficientwise by the Chinese remainder
-map into data mod N, lifted to small rationals by extended-Euclidean
-reconstruction, and the lifted candidate is accepted exactly when its
-relation set is a Groebner basis and the inclusion image of the input ideal
-reduces to zero against it.
+map into data mod N, one prime per stage (Garner's step, ``crt``), lifted to
+small rationals by extended-Euclidean reconstruction, and the lifted
+candidate is accepted exactly when its relation set is a Groebner basis and
+the inclusion image of the input ideal reduces to zero against it.  The lift
+implies per-prime specialization; it is evaluated for the printed stage.
 """
 
 from __future__ import annotations
@@ -61,18 +62,14 @@ def rat_recon(c: int, n: int) -> Fraction:
     raise LiftError(f"no reconstruction of {c} mod {n}")  # unreachable
 
 
-def crt(values) -> tuple[int, int]:
-    """Balanced residue mod the product of the (distinct-prime) moduli."""
-    values = list(values)
-    primes = [q for _, q in values]
-    if len(set(primes)) != len(primes):
-        raise LiftError("duplicate primes in CRT input")
-    n = math.prod(primes)
-    x = 0
+def crt(values, x: int = 0, n: int = 1) -> tuple[int, int]:
+    """Balanced residue mod n times the (distinct-prime) moduli, from x mod n,
+    by Garner's step (TAOCP 4.3.2) x + n*((a - x)/n mod q) per prime q."""
     for a, q in values:
-        m = n // q
-        x += a * pow(m, -1, q) * m
-    return balanced(x % n, n), n
+        if n % q == 0:
+            raise LiftError("duplicate primes in CRT input")
+        x, n = balanced(x + n * ((a - x) * pow(n, -1, q) % q), n * q), n * q
+    return x, n
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +84,18 @@ def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
         raise LiftError(str(exc)) from None
 
 
-def crt_poly(polys, target: Ring) -> Polynomial:
-    """CRT over the union of supports; inputs must share their leading monomial."""
-    polys = list(polys)
-    lms = {p.lm for p, _ in polys}
-    if len(lms) != 1:
-        raise LiftError(f"leading monomials disagree: {sorted(lms)}")
-    primes = [q for _, q in polys]
-    support = set()
-    for p, _ in polys:
-        support.update(m for m, _ in p.terms)
-    acc = {}
-    for m in support:
-        residues = [(balanced(int(p.coeff_of(m)), q), q) for p, q in polys]
-        acc[m], _ = crt(residues)
-    out = target.poly(acc)
-    if out.is_zero() or out.lm != next(iter(lms)):
-        raise LiftError("CRT collapsed the leading monomial")
-    return out
+def crt_poly(polys, target: Ring, acc: Polynomial | None = None, n: int = 1) -> Polynomial:
+    """CRT over the union of supports, folded one prime at a time by ``crt`` into
+    the record acc mod n (by default zero mod 1); all share one leading monomial."""
+    acc = target.zero() if acc is None else acc
+    for p, q in polys:
+        if acc and acc.lm != p.lm:
+            raise LiftError(f"leading monomials disagree: {sorted((acc.lm, p.lm))}")
+        old, new = dict(acc.terms), dict(p.terms)
+        acc = target._sorted({m: c for m in old.keys() | new.keys()
+                              if (c := crt([(new.get(m, 0), q)], old.get(m, 0), n)[0])})
+        n *= q
+    return acc
 
 
 def lift_poly(p: Polynomial, n: int, target: Ring) -> Polynomial:
@@ -230,7 +221,7 @@ class Certificate:
     gb_ok: bool
     containment_ok: bool
     numerators_ok: bool              # psi(g_j) = ybar_j * delta mod relations
-    per_prime: tuple                 # ((q, bool), ...)
+    per_prime: tuple                 # ((q, bool), ...) over the runs checked
     residual: Polynomial | None
 
     @property
@@ -238,8 +229,9 @@ class Certificate:
         return self.gb_ok and self.containment_ok and self.numerators_ok
 
 
-def reconcile_and_lift(runs, input_ring: Ring) -> LiftState:
-    """CRT the usable runs into data mod N, then lift coefficientwise to Q."""
+def reconcile_and_lift(runs, input_ring: Ring, prev: LiftState | None = None) -> LiftState:
+    """CRT the usable runs into data mod N (folding only the last into ``prev``,
+    the stage of the others, when given), then lift coefficientwise to Q."""
     runs = [r for r in runs if r.usable]
     if not runs:
         raise LiftError("no usable runs to reconcile")
@@ -248,9 +240,15 @@ def reconcile_and_lift(runs, input_ring: Ring) -> LiftState:
     primes = tuple(r.q for r in runs)
     modulus = math.prod(primes)
     out_ring = runs[0].presentation.ring
-    crt_closure = _closure_map(lambda polys, ring: crt_poly(zip(polys, primes), ring),
-                               [(r.fractions, r.presentation) for r in runs],
-                               input_ring.with_domain(ZZ), out_ring.with_domain(ZZ))
+    closures = [(r.fractions, r.presentation) for r in runs]
+    if prev is not None and prev.primes == primes[:-1]:
+        closures[:-1] = [(prev.crt_fractions, prev.crt_presentation)]
+        fold = lambda polys, ring: crt_poly([(polys[1], primes[-1])], ring,
+                                              polys[0], prev.modulus)
+    else:
+        fold = lambda polys, ring: crt_poly(zip(polys, primes), ring)
+    crt_closure = _closure_map(fold, closures, input_ring.with_domain(ZZ),
+                               out_ring.with_domain(ZZ))
     try:
         lifted = _closure_map(lambda polys, ring: lift_poly(polys[0], modulus, ring),
                               [crt_closure], input_ring.with_domain(QQ),
@@ -289,8 +287,8 @@ def verify_candidate(state: LiftState, f: Polynomial, runs) -> Certificate:
     the inclusion image, and consistency of the lifted numerators (the
     fraction named ybar_j must actually be g_j / delta, i.e. psi(g_j) must
     reduce to ybar_j * delta; an undersized modulus can mangle a numerator
-    coefficient without disturbing the other two checks).
-    """
+    coefficient without disturbing the other two checks).  ``per_prime`` is
+    the ``specializations`` to ``runs``."""
     if not state.lifted:
         return Certificate(False, False, False, (), None)
     nums = state.fractions.numerators
@@ -310,10 +308,16 @@ def verify_candidate(state: LiftState, f: Polynomial, runs) -> Certificate:
         if not normal_form(image - ybar * delta_out, rels).is_zero():
             numerators_ok = False
             break
-    per_prime = tuple((run.q, _specializes(state, run)) for run in runs
-                      if run.usable and run.q in state.primes)
-    return Certificate(gb_ok, containment_ok, numerators_ok, per_prime,
+    return Certificate(gb_ok, containment_ok, numerators_ok, specializations(state, runs),
                        None if containment_ok else residual)
+
+
+def specializations(state: LiftState, runs) -> tuple:
+    """((q, ok), ...): whether the lifted candidate reduces mod q to q's run; true on
+    every lifted stage, as ``rat_recon`` returns alpha/beta with gcd(beta, N) = 1
+    and c*beta = alpha (mod N), and ``lift_poly`` keeps the leading monomial."""
+    return tuple((run.q, _specializes(state, run)) for run in runs
+                 if run.usable and run.q in state.primes)
 
 
 def _specializes(state: LiftState, run: PrimeRun) -> bool:

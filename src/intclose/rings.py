@@ -58,7 +58,9 @@ class Ring:
     # construction -------------------------------------------------------
 
     def poly(self, terms: dict) -> "Polynomial":
-        """Canonicalize a monomial -> coefficient mapping into a Polynomial."""
+        """Canonicalize a monomial -> coefficient mapping into a Polynomial: for
+        input from outside the arithmetic (the parser, ``mu_poly``, per-prime and
+        lifted records, tests).  ``+``, ``*`` and ``crt_poly`` use ``_sorted``."""
         dom = self.domain
         clean = {}
         for mono, c in terms.items():
@@ -68,8 +70,12 @@ class Ring:
             c = dom.convert(c)
             if not dom.is_zero(c):
                 clean[mono] = c
-        ordered = sorted(clean, key=self.order.key, reverse=True)
-        return Polynomial(self, tuple((m, clean[m]) for m in ordered))
+        return self._sorted(clean)
+
+    def _sorted(self, terms: dict) -> "Polynomial":
+        """A Polynomial from canonical nonzero coefficients on valid monomials."""
+        ordered = sorted(terms, key=self.order.key, reverse=True)
+        return Polynomial(self, tuple((m, terms[m]) for m in ordered))
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -164,7 +170,7 @@ class Polynomial:
                 acc.pop(m, None)
             else:
                 acc[m] = s
-        return self.ring.poly(acc)
+        return self.ring._sorted(acc)
 
     def __neg__(self):
         dom = self.ring.domain
@@ -185,7 +191,7 @@ class Polynomial:
                     acc.pop(m, None)
                 else:
                     acc[m] = s
-        return self.ring.poly(acc)
+        return self.ring._sorted(acc)
 
     def __pow__(self, k: int):
         if k < 0:

@@ -2,7 +2,9 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ZZ, LiftError, Ring, canonical_conductor,
                       compatibility_check, crt, crt_poly, is_prime_usable,
-                      lift_poly, mu_poly, psi_combination, rat_recon, reconcile_and_lift,
-                      run_algorithm1, run_charq, run_prime, verify_candidate,
-                      RunConfig)
-from intclose.lifting import closure_run
-from conftest import curve_ring, make_curve
+                      lift_poly, mu_poly, parse_problem, psi_combination, rat_recon,
+                      reconcile_and_lift, run_algorithm1, run_charq, run_prime,
+                      verify_candidate, RunConfig)
+from intclose.lifting import _specializes, closure_run, specializations
+from conftest import CURVES, curve_ring, make_curve
 from oracles import mod_n, nullspace_rref
 
 
@@ -162,6 +164,56 @@ def test_crt_poly_lm_mismatch():
         crt_poly([(r5.parse("x + 1"), 5), (r11.parse("x^2"), 11)], zz)
 
 
+def _assert_crt_folds(polys, zz):
+    """Folding one prime at a time into the last record equals crt_poly over
+    all the primes at every prefix, the balanced residue of every input
+    coefficient."""
+    acc, n = zz.zero(), 1
+    monos = {m for p, _ in polys for m, _ in p.terms}
+    for k, (p, q) in enumerate(polys, 1):
+        acc, n = crt_poly([(p, q)], zz, acc, n), n * q
+        assert acc == crt_poly(polys[:k], zz)
+        assert acc.lm == p.lm and acc.ring == zz
+        for m in monos:
+            c = acc.coeff_of(m)
+            assert -n < 2 * c <= n
+            assert all((c - p2.coeff_of(m)) % q2 == 0 for p2, q2 in polys[:k])
+    return acc
+
+
+def test_crt_fold_with_one_prime_support_and_zero_residue():
+    rings = {q: curve_ring((3, 2), GF(q)) for q in (5, 7, 11)}
+    zz = curve_ring((3, 2), ZZ)
+    polys = [(rings[5].parse("x^2 + 3*x"), 5),        # no constant term mod 5
+             (rings[7].parse("x^2 + 1"), 7),           # x residue 0 mod 7
+             (rings[11].parse("x^2 + 5*x + 2"), 11)]
+    assert _assert_crt_folds(polys[:2], zz) == zz.parse("x^2 - 7*x + 15")
+    assert _assert_crt_folds(polys, zz) == zz.parse("x^2 - 182*x - 20")
+    assert crt_poly(polys[:1], zz, zz.zero(), 1) == zz.parse("x^2 - 2*x")
+    assert crt([(5, 11)], -7, 35) == (-182, 385)
+    with pytest.raises(LiftError):
+        crt_poly(polys[:1], zz, crt_poly(polys[:1], zz), 5)
+    with pytest.raises(LiftError):
+        crt_poly([(rings[7].parse("x^3"), 7)], zz, zz.parse("x^2"), 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_crt_fold_matches_crt_poly_at_every_prefix(data):
+    # supports differ from prime to prime, and a drawn 0 is a zero residue
+    zz = curve_ring((3, 2), ZZ)
+    monos = [(i, e) for i in range(3) for e in range(4)]
+    lm = max(monos, key=zz.order.key)
+    primes = data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17]),
+                                min_size=1, max_size=5, unique=True))
+    polys = []
+    for q in primes:
+        coeffs = data.draw(st.dictionaries(st.sampled_from(monos), st.integers(0, q - 1)))
+        coeffs[lm] = data.draw(st.integers(1, q - 1))
+        polys.append((curve_ring((3, 2), GF(q)).poly(coeffs), q))
+    _assert_crt_folds(polys, zz)
+
+
 def test_rat_recon_skips_invalid_candidates():
     # 22 shares a factor with 55; the tempting (0, 5) remainder pair does not
     # satisfy the congruence and must be passed over for -11/2
@@ -285,6 +337,40 @@ def test_trident_accepts_beyond_65():
         out.parse("ybar2^2 + 8*ybar2 + ybar1*x^5"),
         out.parse("ybar2*ybar1 + 8*ybar1 + x^6"),
         out.parse("ybar1^2 - ybar2*x")}
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _problem(name):
+    if name in CURVES:
+        return make_curve(name)
+    pf = parse_problem((GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
+    ring = pf.ring()
+    return ring, pf.relation(ring)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES) + [f"tall-7-{i:03d}" for i in range(10)])
+def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
+    # per_prime is evaluated only for the printed stage, the last that
+    # lifted; it holds on all of them.  Each stage's CRT record, folded from
+    # the previous one, is the one reconciled from all its runs at once.
+    ring, f = _problem(name)
+    res = run_algorithm1(ring, f)
+    usable = [r for r in res.runs if r.usable]
+    assert len(res.stages) == len(usable)
+    lifted = [k for k, stage in enumerate(res.stages, 1) if stage.state.lifted]
+    for k, stage in enumerate(res.stages, 1):
+        assert stage.state == reconcile_and_lift(usable[:k], ring)
+        if not stage.state.lifted:
+            continue
+        assert all(_specializes(stage.state, r) for r in usable[:k])
+        assert specializations(stage.state, res.runs) == \
+            tuple((r.q, True) for r in usable[:k])
+        cert = verify_candidate(stage.state, f, usable[:k])
+        assert cert.per_prime == specializations(stage.state, usable)
+        assert stage.certificate == (cert if k == lifted[-1] else replace(cert, per_prime=()))
+    assert res.certificate.per_prime == tuple((r.q, True) for r in usable)
 
 
 def test_specialization_of_accepted_candidate(quadratic):

@@ -259,6 +259,50 @@ def test_mul_against_naive_convolution():
         assert dict(((m, c) for m, c in (f * g).terms)) == expect
 
 
+def _naive(op, f, g) -> dict:
+    """f op g on rational term dicts, zeros kept; Ring.poly reduces it."""
+    out = {}
+    if op == "*":
+        for mf, cf in f.terms:
+            for mg, cg in g.terms:
+                m = (mf[0] + mg[0], mf[1] + mg[1])
+                out[m] = out.get(m, 0) + Fraction(cf) * cg
+        return out
+    sign = 1 if op == "+" else -1
+    out.update((m, Fraction(c)) for m, c in f.terms)
+    for m, c in g.terms:
+        out[m] = out.get(m, 0) + sign * c
+    return out
+
+
+# denominators are units in every field drawn below
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         st.builds(Fraction, st.integers(-20, 20),
+                                   st.sampled_from([1, 11, 17, 19])),
+                         max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7), GF(13)]), _TERMS, _TERMS,
+       _TERMS)
+def test_arithmetic_results_match_validated_construction(domain, a, b, c):
+    # + and * sort their results with Ring._sorted, skipping Ring.poly's
+    # checks; Ring.poly on the same terms must give the same polynomial,
+    # coefficient types included.  g = c - f makes f + g cancel f's terms.
+    ring = curve_ring((3, 2), domain)
+    f, h = ring.poly(a), ring.poly(b)
+    g = ring.poly(_naive("-", ring.poly(c), f))
+    for op, left, right in [("+", f, g), ("-", f, g), ("*", f, g), ("+", f, h),
+                            ("-", f, h), ("*", f, h), ("-", f, f), ("+", g, -g)]:
+        got = {"+": left + right, "-": left - right, "*": left * right}[op]
+        want = ring.poly(_naive(op, left, right))
+        assert got == want == ring.poly(dict(got.terms)), (op, left, right)
+        assert [type(x) for _, x in got.terms] == [type(x) for _, x in want.terms]
+        assert ring._sorted(dict(want.terms)) == want
+    assert (f - f).is_zero() and (g + (-g)).is_zero()
+    assert f + g == ring.poly(c)
+
+
 def test_power_and_scale():
     ring, _ = make_curve("quadratic")
     f = ring.parse("y - x")

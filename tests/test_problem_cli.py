@@ -527,3 +527,48 @@ def test_two_fraction_golden_output(tmp_path, capsys, args, out, log):
     assert cap.out == out
     assert cap.err == ""
     assert log_path.read_text() == log
+
+
+# A char0 run that does not certify: the schedule ends after the one stage
+# that lifts (3 is skipped), and the certificate printed is that stage's,
+# per_prime included.
+CUSP = """\
+indvars: x
+depvar: y
+weights: [[3,2]]
+relation: y^2 - x^3
+"""
+
+CUSP_NOT_ACCEPTED_DOC = {
+    "mode": "char0", "accepted": False, "conductor": "x^2", "primes": [2],
+    "certificate": {"gb": True, "containment": False, "numerators": True,
+                    "per_prime": [[2, True]], "accepted": False},
+    "skipped": [{"q": 3, "reason": "conductor disagrees with the rational one"}],
+}
+
+
+def test_not_accepted_run_prints_per_prime_of_last_lifted_stage(tmp_path, capsys):
+    code = main([_write(tmp_path, CUSP), "--primes", "2,3", "--format", "structured"])
+    cap = capsys.readouterr()
+    assert code == 1
+    assert cap.out == json.dumps(CUSP_NOT_ACCEPTED_DOC, indent=2) + "\n"
+    assert cap.err == "not accepted: prime budget exhausted before certification\n"
+
+
+# Structured output and audit log, byte for byte, of the sextic and of the
+# first ten problems of the seeded tall-char0 set (seed 7) with the default
+# schedule: they pin N, the primes and the certificate bits of every stage.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["sextic"] + [f"tall-7-{i:03d}" for i in range(10)])
+def test_golden_structured_output_and_log(tmp_path, capsys, name):
+    log_path = tmp_path / "audit.log"
+    code = main([str(GOLDEN / f"{name}.txt"), "--format", "structured",
+                 "--log", str(log_path)])
+    cap = capsys.readouterr()
+    assert code == 0
+    assert cap.out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert cap.err == ""
+    assert log_path.read_text(encoding="utf-8") == \
+        (GOLDEN / f"{name}.log").read_text(encoding="utf-8")
