@@ -21,7 +21,7 @@ from .lifting import (Certificate, LiftError, LiftState, PrimeRun,
                       compatibility_check, crt, crt_poly, is_prime_usable,
                       lift_poly, mu_poly, psi_substitute, rat_recon,
                       reconcile_and_lift, run_prime, verify_candidate)
-from .orders import (MonomialOrder, OrderError, dep_block, grevlex_over_weight,
+from .orders import (MonomialOrder, OrderError, grevlex_over_weight,
                      weight_over_grevlex)
 from .problem import ProblemError, ProblemFile, parse_problem
 from .rings import ParseError, Polynomial, Ring, RingError, format_poly

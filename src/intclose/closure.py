@@ -44,8 +44,8 @@ def module_reduce(h: Polynomial, gens, want_combination: bool = False):
     quotients = [{} for _ in leads] if want_combination else None
     rem = reduce_terms(dict(h.terms), leads, ring.domain, ring.order.key,
                        fixed=ring.ndep, quotients=quotients)
-    coeffs = None if quotients is None else [ring.poly(c) for c in quotients]
-    return ring.poly(rem), coeffs
+    coeffs = None if quotients is None else [ring._sorted(c) for c in quotients]
+    return ring._sorted(rem), coeffs
 
 
 def canonical_generators(gens, ring: Ring) -> tuple:

@@ -1,36 +1,34 @@
 """Canonical monic conductor elements of S = F[y; x]/(f), f monic in y.
 
 The conductor element Delta is the monic generator of the ideal
-(f, f_y, f_x) intersected with P = F[x].  An element a of P lies in
-(f, f_y, f_x) exactly when its image lies in the ideal (f_y, f_x)*S, the
-P-module M spanned by y^k*f_y and y^k*f_x mod f for k < d = deg_y f.  So
-Delta generates M's intersection with P = P*y^0.  Two routes read it off.
+(f, f_y, f_x) intersected with P = F[x].  An element of P lies in that ideal
+exactly when its image lies in (f_y, f_x)*S, the P-module M spanned by
+y^k*f_y and y^k*f_x mod f for k < d = deg_y f.  So Delta generates M's
+intersection with P*y^0.
 
-* Over Q, by a module basis.  Under the y-eliminating block order an
-  interreduced P-module basis of M is in echelon form, so its one element
-  inside P generates the intersection.
-* Over GF(q), by triangularization (Mulders & Storjohann, "On lattice
-  reduction for polynomial matrices", JSC 2003).  The 2d generators are the
-  rows of a matrix over F_q[x], one column per y^k.  For c = d-1 .. 1, Euclid
-  on column c (the row with the least-degree entry there is the pivot, every
-  other row becomes row - quotient*pivot) leaves one row, the pivot, with a
-  nonzero entry in column c; it is set aside.  Row operations are
-  unimodular, so the pivots set aside and the rows left span M, and the rows
-  left are zero in columns 1 .. d-1.  Write an element of M inside P as a
-  combination of the pivots and the rows left.  In column d-1 only the first
-  pivot is nonzero, so its multiplier is zero (F_q[x] is a domain), and so
-  on down to column 1.  So the rows left span M's intersection with P*y^0,
-  and Delta is the monic gcd of their y^0 entries.  Over Q the same
-  elimination lets the coefficients grow; it was 4-5 times slower than the
-  module basis on the sextic.
+It is read off by triangularization over Q and GF(q) alike (Mulders &
+Storjohann, "On lattice reduction for polynomial matrices", JSC 2003).  The
+2d generators are the rows of a matrix over F[x], one column per y^k.  For
+c = d-1 .. 0, Euclid on column c (the pivot is the row of least degree
+there; every other row becomes its remainder by the pivot) leaves one row
+with a nonzero entry in column c, the pivot, which is set aside.  Row
+operations are unimodular, so the pivots span M.  Written as a combination
+of the pivots, an element of M inside P has first multiplier zero, as only
+the first pivot is nonzero in column d-1 (F[x] is a domain), and so on down
+to column 1.  So Delta is the last pivot's y^0 entry, made monic.
+
+Over GF(q) a remainder is r - s*p, s the quotient of the column-c entries.
+Over Q the rows stay primitive in Z[x]^d, with no fractions: a remainder
+repeats r <- (lc p/g)*r - (lc r/g)*x^(m-n)*p, g = gcd(lc p, lc r), on
+column-c entries of degrees m >= n, and divides the row by its content.
+Nonzero rationals are units of Q[x], so these steps are unimodular too.
 """
 
 from __future__ import annotations
 
-from .closure import by_y, canonical_generators, xpoly_divmod, xpoly_gcd, xpoly_sub_mul
-from .domains import MODP
-from .groebner import normal_form
-from .orders import dep_block
+from math import gcd, lcm
+
+from .closure import by_y, xpoly_divmod, xpoly_sub_mul
 from .rings import Polynomial, Ring
 
 
@@ -58,58 +56,68 @@ def canonical_conductor(f: Polynomial, ring: Ring) -> Polynomial:
     """The canonical monic conductor element Delta of P for the relation f."""
     if ring.ndep != 1 or ring.nindep != 1:
         raise ConductorError("conductor supports rings F[y; x] only")
-    d = f.degree_in(0)
-    if [(m[1], c) for m, c in f.terms if m[0] == d] != [(0, ring.domain.one)]:
+    dom, d = ring.domain, f.degree_in(0)
+    if [(m[1], c) for m, c in f.terms if m[0] == d] != [(0, dom.one)]:
         raise ConductorError("relation must be monic in the dependent variable")
-    if ring.domain.kind == MODP:
-        return _conductor_by_triangularization(f, ring)
-    return _conductor_by_module_basis(f, ring)
-
-
-def _conductor_by_module_basis(f: Polynomial, ring: Ring) -> Polynomial:
-    """Delta read off the reduced P-module basis of M under ``dep_block``."""
-    cring = Ring(ring.names, 1, ring.domain, dep_block(1, 2), ring.weights)
-    f = cring.poly(dict(f.terms))
-    module = []
+    q, scale = dom.char, lcm(*(c.denominator for _, c in f.terms))
+    if q:
+        sub_mul = lambda a, s, b: xpoly_sub_mul(a, s, b, q)
+        tidy = lambda r: r
+        rem = lambda r, p, c: _euclid_rem(r, p, c, q)
+    else:                              # rows of Q[x]^d scaled into Z[x]^d
+        sub_mul = lambda a, s, b: _zx_sub_mul(scale, a, s, b)
+        tidy, rem = _primitive, _pseudo_rem
+    scaled = lambda p: [{e: int(c * scale) for e, c in a.items()} for a in by_y(p, d)]
+    low = scaled(f)                    # scale*f = scale*y^d + sum_i low[i](x) * y^i
+    rows, live = [], []
     for g in (partial_derivative(f, 0), partial_derivative(f, 1)):
-        for _ in range(f.degree_in(0)):
-            module.append(g)
-            g = normal_form(g.mul_term((1, 0)), [f])
-    in_p = [g for g in canonical_generators(module, cring) if g.in_subring(1)]
-    if not in_p:
-        raise ConductorError("degenerate extension: no conductor entries in P")
-    return ring.poly(dict(in_p[0].terms))
-
-
-def _conductor_by_triangularization(f: Polynomial, ring: Ring) -> Polynomial:
-    """Delta over GF(q), by Euclid on the columns y^(d-1) .. y^1 of M's rows.
-
-    A row is the list of its d y-coefficients, each an F_q[x] dict.
-    """
-    q, d = ring.domain.char, f.degree_in(0)
-    low = by_y(f, d)                   # f = y^d + sum_i low[i](x) * y^i
-    rows = []
-    for g in (partial_derivative(f, 0), partial_derivative(f, 1)):
-        g = by_y(g, d)
+        g = tidy(scaled(g))
         for _ in range(d):
             rows.append(g)
-            top = g[-1]                # y * g, with y^d = -sum_i low[i] * y^i
-            g = [xpoly_sub_mul(a, top, b, q) for a, b in zip([{}] + g[:-1], low)]
-    for c in range(d - 1, 0, -1):
+            top = g[-1]                # scale * y*g mod f
+            g = tidy([sub_mul(a, top, b) for a, b in zip([{}] + g[:-1], low)])
+    for c in range(d - 1, -1, -1):
         live = [r for r in rows if r[c]]
         rows = [r for r in rows if not r[c]]
         while len(live) > 1:
-            pivot = min(live, key=lambda r: max(r[c]))
-            kept = [pivot]
-            for r in live:
-                if r is not pivot:
-                    s, rem = xpoly_divmod(r[c], pivot[c], q)
-                    r = [xpoly_sub_mul(a, s, b, q) for a, b in zip(r[:c], pivot)] + [rem]
-                    (kept if r[c] else rows).append(r)
-            live = kept
-    delta: dict = {}
-    for r in rows:
-        delta = xpoly_gcd(delta, r[0], q)
-    if not delta:
+            # ties go to the smallest leading coefficient, which grows the rest least in Z[x]
+            pivot = min(live, key=lambda r: (max(r[c]), abs(r[c][max(r[c])]).bit_length()))
+            rest = [rem(r, pivot, c) for r in live if r is not pivot]
+            rows += [r for r in rest if not r[c]]
+            live = [pivot] + [r for r in rest if r[c]]
+    if not live:
         raise ConductorError("degenerate extension: no conductor entries in P")
-    return ring.poly({(0, e): c for e, c in delta.items()})
+    delta = live[0][0]
+    lead = dom.convert(delta[max(delta)])
+    return ring.poly({(0, e): dom.div(dom.convert(c), lead) for e, c in delta.items()})
+
+
+def _euclid_rem(r: list, p: list, c: int, q: int) -> list:
+    """r - s*p over F_q[x], s the quotient of r[c] by p[c]; columns 0 .. c."""
+    s, rem = xpoly_divmod(r[c], p[c], q)
+    return [xpoly_sub_mul(a, s, b, q) for a, b in zip(r[:c], p)] + [rem]
+
+
+def _pseudo_rem(r: list, p: list, c: int) -> list:
+    """The primitive part of r reduced by p over Z[x] until deg r[c] < deg p[c]."""
+    n = max(p[c])
+    while r[c] and (m := max(r[c])) >= n:
+        g = gcd(p[c][n], r[c][m])
+        r = [_zx_sub_mul(p[c][n] // g, a, {m - n: r[c][m] // g}, b)
+             for a, b in zip(r[:c + 1], p)]
+    return _primitive(r)
+
+
+def _zx_sub_mul(u: int, a: dict, s: dict, b: dict) -> dict:
+    """u*a - s*b in Z[x]."""
+    out = {e: u * v for e, v in a.items()}
+    for e1, c1 in s.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) - c1 * c2
+    return {e: v for e, v in out.items() if v}
+
+
+def _primitive(row: list) -> list:
+    """A row of Z[x]^d divided by the gcd of its coefficients."""
+    g = gcd(*(v for a in row for v in a.values()))
+    return row if g < 2 else [{e: v // g for e, v in a.items()} for a in row]

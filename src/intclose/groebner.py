@@ -81,7 +81,7 @@ def normal_form(f: Polynomial, gens) -> Polynomial:
     if not leads:
         return f
     ring = f.ring
-    return ring.poly(reduce_terms(dict(f.terms), leads, ring.domain, ring.order.key))
+    return ring._sorted(reduce_terms(dict(f.terms), leads, ring.domain, ring.order.key))
 
 
 def head_reduce(f: Polynomial, gens) -> Polynomial:

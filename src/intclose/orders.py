@@ -108,12 +108,3 @@ def grevlex_over_weight(weights: Sequence[Sequence[int]], ndep: int,
     return MonomialOrder(tuple(_block_grevlex_rows(0, ndep, nvars) + w
                                + tail[1:] + tail[:1]))
 
-
-def dep_block(ndep: int, nvars: int) -> MonomialOrder:
-    """Block order: grevlex on dependent variables, then grevlex on the rest.
-
-    It eliminates dependent variables: the conductor reads its element of P
-    off a module basis reduced under this order.
-    """
-    return MonomialOrder(tuple(_block_grevlex_rows(0, ndep, nvars)
-                               + _block_grevlex_rows(ndep, nvars, nvars)))

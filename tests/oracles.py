@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from intclose import (MODP, ClosureError, ConductorError, LiftError,
                       MonomialOrder, Ring, RingError, balanced, buchberger,
-                      canonical_generators, dep_block, mono_weight,
-                      module_reduce, normal_form, partial_derivative, s_poly)
+                      canonical_generators, mono_weight, module_reduce,
+                      normal_form, partial_derivative, s_poly)
 from intclose.groebner import reduce_terms
 from intclose.linalg import nullspace_mod
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
@@ -22,6 +22,17 @@ from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
 def grevlex(nvars: int) -> MonomialOrder:
     """Plain grevlex on all variables, one block."""
     return MonomialOrder(tuple(_block_grevlex_rows(0, nvars, nvars)))
+
+
+def dep_block(ndep: int, nvars: int) -> MonomialOrder:
+    """Block order: grevlex on dependent variables, then grevlex on the rest.
+
+    It eliminates dependent variables: ``conductor_oracle`` and
+    ``conductor_by_module_basis`` read their element of P off a basis
+    reduced under this order.
+    """
+    return MonomialOrder(tuple(_block_grevlex_rows(0, ndep, nvars)
+                               + _block_grevlex_rows(ndep, nvars, nvars)))
 
 
 def mod_n(value, n: int) -> int:
@@ -329,6 +340,29 @@ def conductor_oracle(f):
     if not in_p:
         raise ConductorError("degenerate extension: no conductor entries in P")
     return ring.poly(dict(in_p[0].monic().terms))
+
+
+def conductor_by_module_basis(f, ring):
+    """Delta read off an interreduced P-module basis of M = (f_y, f_x)*S.
+
+    M is spanned by y^k*f_y and y^k*f_x mod f for k < deg_y f.  Under
+    ``dep_block`` an interreduced basis of M (``canonical_generators``) is in
+    echelon form, so its one element inside P generates M's intersection
+    with P.  Same contract as ``intclose.canonical_conductor`` on rings
+    F[y; x] with f monic in y, and the same ``ConductorError`` text when M
+    meets P only in zero.
+    """
+    cring = Ring(ring.names, 1, ring.domain, dep_block(1, 2), ring.weights)
+    f = cring.poly(dict(f.terms))
+    module = []
+    for g in (partial_derivative(f, 0), partial_derivative(f, 1)):
+        for _ in range(f.degree_in(0)):
+            module.append(g)
+            g = normal_form(g.mul_term((1, 0)), [f])
+    in_p = [g for g in canonical_generators(module, cring) if g.in_subring(1)]
+    if not in_p:
+        raise ConductorError("degenerate extension: no conductor entries in P")
+    return ring.poly(dict(in_p[0].terms))
 
 
 def nullspace_rref(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:

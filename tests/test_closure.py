@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
                       FractionSet, Ring, buchberger, canonical_conductor,
-                      canonical_generators, dep_block, frobenius_images,
+                      canonical_generators, frobenius_images,
                       frobenius_nf, frobenius_scale, induce_presentation,
                       is_minimal_reduced_gb, is_prime, is_prime_usable, minimal_reduced,
                       minimize_denominator, module_reduce, mu_poly,
@@ -21,10 +21,11 @@ from intclose.closure import (_basis_prefix, _rem_by_targets, _step_columns,
                               combination, xpoly_divmod)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
                       sextic_relations)
-from oracles import (canonical_generators_restart, codim_in_s, frobenius_images_poly,
-                     frobenius_nf_poly, kernel_step_oracle, qth_power_step_scratch,
-                     rank_mod_conductor, reduce_terms_scan, step_columns_unreduced,
-                     strict_shape_ok, weight_balance_ok, y_coefficients)
+from oracles import (canonical_generators_restart, codim_in_s, dep_block,
+                     frobenius_images_poly, frobenius_nf_poly, kernel_step_oracle,
+                     qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
+                     step_columns_unreduced, strict_shape_ok, weight_balance_ok,
+                     y_coefficients)
 
 
 def closure_run(name, q, minimize=True):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from intclose import (GF, QQ, ConductorError, DomainError, canonical_conductor,
                       is_prime, mu_poly, normal_form, partial_derivative)
 from intclose.closure import xpoly_divmod, xpoly_gcd, xpoly_sub_mul
-from intclose.conductor import _conductor_by_module_basis
 from conftest import CURVES, curve_ring, make_curve
-from oracles import conductor_oracle, exact_divide, gcd_in_p
+from oracles import conductor_by_module_basis, conductor_oracle, exact_divide, gcd_in_p
 
 
 def test_partial_derivatives_basic():
@@ -146,23 +145,21 @@ def _conductor_or_error(route, f, ring):
 
 
 def assert_routes_agree(f, ring):
-    # over GF(q) canonical_conductor triangularizes; the module basis is the
-    # route it replaced there, and the one it keeps over Q
     assert (_conductor_or_error(canonical_conductor, f, ring)
-            == _conductor_or_error(_conductor_by_module_basis, f, ring))
+            == _conductor_or_error(conductor_by_module_basis, f, ring))
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
 def test_triangularization_matches_module_basis_on_fixtures(name):
     checked = 0
-    for q in filter(is_prime, range(2, 54)):
+    for q in [None, *filter(is_prime, range(2, 54))]:
         try:
             ring, f = make_curve(name, q=q)
         except DomainError:            # q divides a coefficient denominator
             continue
         assert_routes_agree(f, ring)
         checked += 1
-    assert checked >= 12
+    assert checked >= 13
 
 
 @settings(max_examples=150, deadline=None)
@@ -178,6 +175,26 @@ def test_triangularization_matches_module_basis(data):
     f = ring.poly(terms)
     if d <= 4 and data.draw(st.booleans(), label="square factor"):
         f = f * f                      # the ideal lies in (f): both routes raise
+    assert_routes_agree(f, ring)
+
+
+# numerators and denominators up to 10^5, as in the `tall-char0` benchmark curves
+_BIG_RATIONALS = st.builds(Fraction, st.integers(-10 ** 5, 10 ** 5).filter(bool),
+                           st.integers(1, 10 ** 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_triangularization_matches_module_basis_over_q(data):
+    # the fraction-free sweep: the same Delta, or the same error when g^2 divides f
+    ring = curve_ring((data.draw(st.integers(1, 5), label="wy"),
+                       data.draw(st.integers(1, 5), label="wx")), QQ)
+    if data.draw(st.booleans(), label="square factor"):
+        g = _monic_in_y(data.draw, ring, _BIG_RATIONALS, data.draw(st.integers(1, 2)))
+        h = _monic_in_y(data.draw, ring, _BIG_RATIONALS, data.draw(st.integers(1, 2)))
+        f = g * g * h
+    else:
+        f = _monic_in_y(data.draw, ring, _BIG_RATIONALS, data.draw(st.integers(1, 6)))
     assert_routes_agree(f, ring)
 
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ZZ, Domain, DomainError, OrderError, Ring,
-                      RingError, WeightError, dep_block, format_poly,
-                      grevlex_over_weight, normalize_weights,
+                      RingError, WeightError, format_poly, grevlex_over_weight,
+                      module_reduce, normal_form, normalize_weights,
                       validate_weight_function, weight_of, weight_over_grevlex)
 from conftest import CURVES, curve_ring, make_curve
-from oracles import completed_rows, grevlex, key_sign
+from oracles import completed_rows, dep_block, grevlex, key_sign, reduce_terms_scan
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +286,10 @@ _TERMS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
 @given(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7), GF(13)]), _TERMS, _TERMS,
        _TERMS)
 def test_arithmetic_results_match_validated_construction(domain, a, b, c):
-    # + and * sort their results with Ring._sorted, skipping Ring.poly's
-    # checks; Ring.poly on the same terms must give the same polynomial,
-    # coefficient types included.  g = c - f makes f + g cancel f's terms.
+    # +, * and the reductions build their results with Ring._sorted,
+    # skipping Ring.poly's checks; Ring.poly on the same terms must give the
+    # same polynomial, coefficient types included.  g = c - f makes f + g
+    # cancel f's terms.
     ring = curve_ring((3, 2), domain)
     f, h = ring.poly(a), ring.poly(b)
     g = ring.poly(_naive("-", ring.poly(c), f))
@@ -301,6 +302,21 @@ def test_arithmetic_results_match_validated_construction(domain, a, b, c):
         assert ring._sorted(dict(want.terms)) == want
     assert (f - f).is_zero() and (g + (-g)).is_zero()
     assert f + g == ring.poly(c)
+    # normal_form's and module_reduce's remainders, and module_reduce's quotients
+    key = ring.order.key
+    for num, den in [(f, h), (f * h + g, h), (g, f)]:
+        if den.is_zero():
+            continue
+        leads = [(den.lm, den.lc, den.terms)]
+        rem, (quot,) = module_reduce(num, [den], want_combination=True)
+        assert quot * den + rem == num
+        for got, want in [
+                (normal_form(num, [den]), reduce_terms_scan(dict(num.terms), leads, domain, key)),
+                (rem, reduce_terms_scan(dict(num.terms), leads, domain, key, fixed=ring.ndep)),
+                (quot, dict(quot.terms))]:
+            want = ring.poly(want)
+            assert got == want
+            assert [type(x) for _, x in got.terms] == [type(x) for _, x in want.terms]
 
 
 def test_power_and_scale():
