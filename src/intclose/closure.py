@@ -10,6 +10,8 @@ new variables, one per non-trivial fraction.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
@@ -135,15 +137,17 @@ class FractionSet:
         return out
 
 
-def frobenius_images(f: Polynomial) -> tuple:
-    """(y^0, y^q, ..., y^(q(d-1))) modulo f over F_q[y; x], on y-coefficients.
+def frobenius_images(f: Polynomial, conductor: Polynomial) -> tuple:
+    """(y^0, y^q, ..., y^(q(d-1))) modulo f and D^q over F_q[y; x], on y-coefficients.
 
-    These d images are all that ``frobenius_nf`` reads.  An element of
-    S = F_q[y; x]/(f) of y-degree below d = deg_y f is held as the list of
-    its d y-coefficients in F_q[x], each a dict from x-exponent to a nonzero
-    coefficient; image k is that list for NF(y^(qk), f).  Multiplying by y
-    shifts the coefficients up one place and folds the top one back through
-    y^d = tail, and every q-th power is kept.
+    All that ``frobenius_nf`` reads, which a step needs only modulo
+    D^q = D(x^q), D the conductor; each is the list of its d y-coefficients,
+    dicts from x-exponent to nonzero coefficient.  y^q comes by
+    square-and-multiply, and y^(qk) = y^(q(k-1)) * y^q.  An element is held
+    as d packed ints, one per y-coefficient reduced modulo q and D^q, so each
+    F_q[x] product is one int product (Kronecker substitution); a product's
+    y^s-coefficients, s < 2d - 1, fold down through y^d = tail.  That is
+    about log(q) + d products of d^2 coefficient pairs of q * deg D slots.
     """
     ring = f.ring
     dom = ring.domain
@@ -152,32 +156,89 @@ def frobenius_images(f: Polynomial) -> tuple:
     q, d = dom.char, f.degree_in(0)
     if f.coeff_of((d, 0)) != dom.one:
         raise ClosureError("relation must be monic in the dependent variable")
-    tail = [[] for _ in range(d)]      # y^d = sum_i tail[i](x) * y^i
+    tail = [{} for _ in range(d)]      # y^d = sum_i tail[i](x) * y^i
     for (i, e), c in f.terms:
         if i == d and e:
             raise ClosureError("relation has extra terms of top dependent degree")
         if i < d:
-            tail[i].append((e, q - c))
-    coeffs = [{0: 1}] + [{} for _ in range(d - 1)]
-    images = [[dict(a) for a in coeffs]]
-    for k in range(1, q * (d - 1) + 1):
-        # entries are reduced modulo q only when folded or kept: a coefficient
-        # takes part in at most d folds before it reaches the top
-        top = {e: r for e, c in coeffs.pop().items() if (r := c % q)}
-        coeffs.insert(0, {})
-        for row, t in zip(coeffs, tail):
-            for e2, c2 in t:
-                for e1, c1 in top.items():
-                    row[e1 + e2] = row.get(e1 + e2, 0) + c1 * c2
-        if k % q == 0:
-            images.append([{e: r for e, c in a.items() if (r := c % q)} for a in coeffs])
-    return tuple(images)
+            tail[i][e] = q - c
+    inv = pow(conductor.lc, -1, q)
+    mod = {q * m[1]: c * inv % q for m, c in conductor.terms}    # D^q = D(x^q), monic
+    top = max(mod)
+    low = [(e, q - c) for e, c in mod.items() if e < top]    # x^top = sum c*x^e
+    tlen = 1 + max((e for t in tail for e in t), default=0)
+    # a slot sums at most d*top products of residues, and its folds d*tlen more
+    w = _slot_bytes(q, d * (top + tlen))
+    packed_tail = [_pack([t.get(e, 0) for e in range(tlen)], w) for t in tail]
+
+    def reduce(n: int) -> int:
+        v = _unpack(n, w)
+        for i in range(len(v) - 1, top - 1, -1) if low else ():
+            if t := v[i] % q:
+                for e, c in low:
+                    v[i - top + e] += t * c
+        return _pack([c % q for c in v[:top]], w)
+
+    def fold(prods: list) -> list:
+        for s in range(len(prods) - 1, d - 1, -1):
+            if c := reduce(prods.pop()):
+                for i, t in enumerate(packed_tail):
+                    prods[s - d + i] += c * t
+        return [reduce(p) for p in prods]
+
+    def mul(a: list, b: list) -> list:
+        prods = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):     # a square sums each pair i < j once, doubled
+            for j in range(i if a is b else 0, d) if ai else ():
+                prods[i + j] += ai * b[j] << (a is b and i != j)
+        return fold(prods)
+
+    power = fold([0, 1] + [0] * (d - 2))
+    for bit in bin(q)[3:]:
+        power = mul(power, power)
+        if bit == "1":
+            power = fold([0] + power)
+    images = [fold([1] + [0] * (d - 1)), power]
+    while len(images) < d:
+        images.append(mul(images[-1], power))
+    return tuple([{e: c for e, c in enumerate(_unpack(p, w)) if c} for p in img]
+                 for img in images[:d])
+
+
+# Kronecker substitution: F_q[x] elements as ints, one coefficient per w-byte
+# slot, slot i at bits 8*w*i and up
+_SLOT_TYPES = {array(c).itemsize: c for c in "BHILQ"}   # slot bytes -> array typecode
+
+
+def _slot_bytes(q: int, terms: int) -> int:
+    """Bytes per slot for a sum of ``terms`` products of residues mod q."""
+    need = -(-(2 * (q - 1).bit_length() + terms.bit_length()) // 8)
+    return next((s for s in sorted(_SLOT_TYPES) if s >= need), need)
+
+
+def _pack(v: list, w: int) -> int:
+    if not (code := _SLOT_TYPES.get(w)):
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
+    a = array(code, v)
+    if sys.byteorder == "big":         # array bytes are in the host's order
+        a.byteswap()
+    return int.from_bytes(a.tobytes(), "little")
+
+
+def _unpack(n: int, w: int) -> list:      # the slots up to n's highest nonzero one
+    raw = n.to_bytes(-(-n.bit_length() // (8 * w)) * w, "little")
+    if not (code := _SLOT_TYPES.get(w)):
+        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+    a = array(code, raw)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tolist()
 
 
 def frobenius_nf(g: list, q: int, images: tuple) -> list:
     """NF(g^q, f) using termwise Frobenius: (sum t_i)^q = sum t_i^q.
 
-    ``images`` is ``frobenius_images(f)``, and g, an element of S given by
+    ``images`` is ``frobenius_images(f, D)``, and g, an element of S given by
     its y-coefficients (``by_y``), is returned as g^q in the same form: the
     term c*y^k*x^e adds c*x^(q*e) times image k into each y-coefficient.
     With images whose y-coefficients are reduced modulo m_k in F_q[x], the
@@ -193,11 +254,10 @@ def frobenius_nf(g: list, q: int, images: tuple) -> list:
     return [{e: r for e, c in row.items() if (r := c % q)} for row in acc]
 
 
-def frobenius_scale(conductor: Polynomial, q: int) -> Polynomial:
-    """D^(q-1) over F_q, as D(x^q) / D: D^q = D(x^q), since c^q = c on F_q."""
+def frobenius_scale(conductor: Polynomial, q: int) -> dict:
+    """D^(q-1) over F_q as an F_q[x] dict: D(x^q) / D, as c^q = c on F_q."""
     delta = {m[1]: c for m, c in conductor.terms}
-    scale, _ = xpoly_divmod({q * e: c for e, c in delta.items()}, delta, q)
-    return conductor.ring.poly({(0, e): c for e, c in scale.items()})
+    return xpoly_divmod({q * e: c for e, c in delta.items()}, delta, q)[0]
 
 
 # F_q[x] on x-exponent -> coefficient dicts with coefficients in 0 .. q-1
@@ -289,7 +349,7 @@ def _rem_by_targets(v: list, targets: dict, q: int) -> list:
 
 
 def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomial,
-                  scale: Polynomial, prefix: list) -> dict:
+                  scale: dict, prefix: list) -> dict:
     """The step's columns, as ``qth_power_step`` says: sparse rows by monomial.
 
     Column (j, alpha), for alpha < prefix[j] and numbered in that order, is
@@ -299,7 +359,7 @@ def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomia
     """
     d = len(images)
     delta = {m[1]: c for m, c in conductor.terms}
-    neg_scale = {m[1]: q - c for m, c in scale.terms}    # 0 - (-scale)*c = scale*c
+    neg_scale = {e: q - c for e, c in scale.items()}    # 0 - (-scale)*c = scale*c
     targets = {g.lm[0]: [xpoly_sub_mul({}, neg_scale, c, q) for c in by_y(g, d)]
                for g in numerators}
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
@@ -320,14 +380,14 @@ def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomia
 
 
 def qth_power_step(numerators: tuple, q: int, images: tuple,
-                   conductor: Polynomial, scale: Polynomial) -> tuple:
+                   conductor: Polynomial, scale: dict) -> tuple:
     """One contraction: members whose Frobenius image stays in D^(q-1)*module.
 
     ``numerators`` are the canonical generators g_j of a module N between
     D*S and S, and ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1).
-    ``images`` is ``frobenius_images(f)``, full or with each y-coefficient
-    reduced modulo D^q, as ``qth_closure`` builds them once per prime: the
-    columns are the same (second bullet).
+    ``images`` is ``frobenius_images(f, conductor)``, reduced modulo D^q as
+    ``qth_closure`` builds them once per prime; images reduced modulo a
+    multiple of D^q, or not at all, give the same columns (second bullet).
     The next module is the g in N with g^q in T = D^(q-1)*N, the span of
     the targets scale*g_j.  The targets lead in distinct dependent parts, so
     they are a Groebner basis of T, and the remainder of any h by them is
@@ -347,6 +407,7 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
       g depends only on g mod D*S, and its Frobenius image only modulo D^q:
       each numerator's y-coefficients are reduced modulo D before its image
       is taken, and the images may be reduced modulo D^q = D(x^q).
+      ``frobenius_images`` builds them so, squaring modulo f and D^q.
     * Chaining.  Column (j, alpha) is the remainder of x^q times column
       (j, alpha-1): the two dividends differ by x^q times a member of T,
       which is again a member, so they share their remainder.
@@ -398,16 +459,13 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> Fra
     A step that is not a fixpoint returns a strictly smaller module between
     D*S and S (canonical generators are unique, so an equal module returns
     the same numerators), and S/DS has dimension d*deg D over F_q: the walk
-    ends within d*deg D + 1 steps.
+    ends within d*deg D + 1 steps.  The images modulo D^q are built once.
     """
     if ring.domain.kind != MODP or ring.domain.char != q:
         raise ClosureError(f"expected a ring of characteristic {q}")
     if ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
-    # each step reads the images only modulo D^q = D(x^q): reduce them once
-    delta_q = {q * m[1]: c for m, c in conductor.terms}
-    images = tuple([xpoly_divmod(a, delta_q, q)[1] for a in img]
-                   for img in frobenius_images(f))
+    images = frobenius_images(f, conductor)
     scale = frobenius_scale(conductor, q)
     nums = tuple(ring.monomial((k, 0)) for k in range(len(images) - 1, -1, -1))
     bound = len(images) * conductor.degree_in(1) + 1

@@ -27,9 +27,9 @@ def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
     """
     pivots: dict = {}  # pivot column -> row: 1 there, 0 at every other pivot
     for row in rows:
-        if any(not 0 <= c < ncols for c in row):
+        if row and (min(row) < 0 or max(row) >= ncols):
             raise ValueError(f"column index out of range for {ncols} columns")
-        r = {c: v % q for c, v in row.items() if v % q}
+        r = {c: s for c, v in row.items() if (s := v % q)}
         # a pivot row is 0 at the other pivots, so each r[c] here stays put
         for c in [c for c in r if c in pivots]:
             _subtract(r, r[c], pivots[c], q)

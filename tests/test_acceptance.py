@@ -14,7 +14,7 @@ from intclose import (GF, RunConfig, canonical_conductor, crt,
                       minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure, qth_power_step, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
-                      verify_candidate, frobenius_images, PrimeRun, Ring,
+                      verify_candidate, frobenius_images, frobenius_scale, PrimeRun, Ring,
                       weight_over_grevlex)
 from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring,
                       make_curve, sextic_relations)
@@ -221,8 +221,8 @@ def test_criterion_6c_fixpoint_and_ring_property():
         ring, f = make_curve(name, q=q)
         delta = canonical_conductor(f, ring)
         fs = qth_closure(ring, f, delta, q)
-        images = frobenius_images(f)
-        again = qth_power_step(fs.numerators, q, images, delta, delta ** (q - 1))
+        images = frobenius_images(f, delta)
+        again = qth_power_step(fs.numerators, q, images, delta, frobenius_scale(delta, q))
         assert list(again) == list(fs.numerators)
         nums = list(minimize_denominator(fs).numerators)
         dd = minimize_denominator(fs).denominator
@@ -271,9 +271,9 @@ def test_criterion_6e_semilinear_kernel_oracle():
             if rng.random() < 0.5:
                 dacc[(0, e)] = rng.randint(1, q - 1)
         delta = ring.poly(dacc)
-        images = frobenius_images(f)
+        images = frobenius_images(f, delta)
         start = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
-        engine = qth_power_step(start, q, images, delta, delta ** (q - 1))
+        engine = qth_power_step(start, q, images, delta, frobenius_scale(delta, q))
         assert {g.lm[0]: g.lm[1] for g in engine} == \
             kernel_step_oracle(list(start), f, delta, q)
         trials += 1

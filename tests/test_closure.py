@@ -17,8 +17,8 @@ from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
                       minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure,
                       qth_power_step, run_prime, weight_over_grevlex)
-from intclose.closure import (_basis_prefix, _rem_by_targets, _step_columns,
-                              combination, xpoly_divmod)
+from intclose.closure import (_basis_prefix, _pack, _rem_by_targets, _slot_bytes,
+                              _step_columns, _unpack, combination, xpoly_divmod)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
                       sextic_relations)
 from oracles import (canonical_generators_restart, codim_in_s, dep_block,
@@ -41,9 +41,16 @@ def closure_run(name, q, minimize=True):
 # frobenius
 
 
+def unreduced(f):
+    """A conductor x^n with x^(q*n) above the x-degree of every y^m mod f,
+    m <= q(d-1), so ``frobenius_images`` reduces nothing: each fold through
+    y^d raises the x-degree by at most deg_x f."""
+    return f.ring.monomial((0, f.degree_in(0) * f.degree_in(1) + 1))
+
+
 def test_frobenius_constants_and_variables():
     ring, f = make_curve("trident", q=3)
-    images = frobenius_images(f)
+    images = frobenius_images(f, unreduced(f))
     one, x = y_coefficients(ring.one(), 3), y_coefficients(ring.parse("x"), 3)
     assert frobenius_nf(one, 3, images) == one
     assert frobenius_nf(x, 3, images) == y_coefficients(ring.parse("x^3"), 3)
@@ -51,7 +58,7 @@ def test_frobenius_constants_and_variables():
 
 def test_frobenius_reduces_dependent_cube():
     ring, f = make_curve("trident", q=3)
-    images = frobenius_images(f)
+    images = frobenius_images(f, unreduced(f))
     # y^3 = -x^7 - 8yx = -x^7 + yx with coefficients mod 3
     assert frobenius_nf(y_coefficients(ring.parse("y"), 3), 3, images) == y_coefficients(
         ring.parse("-x^7 + y*x"), 3)
@@ -61,7 +68,7 @@ def test_frobenius_matches_direct_powering():
     rng = random.Random(17)
     for q in (3, 5):
         ring, f = make_curve("octic", q=q)
-        images = frobenius_images(f)
+        images = frobenius_images(f, unreduced(f))
         for _ in range(5):
             g = ring.poly({(rng.randint(0, 7), rng.randint(0, 4)):
                            rng.randint(1, q - 1) for _ in range(4)})
@@ -74,7 +81,7 @@ def test_step_wrong_characteristic():
     delta = canonical_conductor(f, ring)
     start = (ring.parse("y^2"), ring.parse("y"), ring.one())
     with pytest.raises(ClosureError, match="ring characteristic is not 5"):
-        qth_power_step(start, 5, frobenius_images(f), delta, delta ** 4)
+        qth_power_step(start, 5, frobenius_images(f, delta), delta, frobenius_scale(delta, 5))
 
 
 @st.composite
@@ -96,7 +103,7 @@ def monic_curves(draw):
 def test_frobenius_images_match_powering(curve, data):
     f, q = curve
     ring, d = f.ring, f.degree_in(0)
-    images = frobenius_images(f)
+    images = frobenius_images(f, unreduced(f))
     assert len(images) == d
     for k in range(d):
         assert images[k] == y_coefficients(normal_form(ring.monomial((q * k, 0)), [f]), d)
@@ -118,7 +125,7 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
                                     st.integers(1, q - 1), max_size=5), label="tail")
     acc[(d, 0)] = 1
     f = ring.poly(acc)
-    images, reference = frobenius_images(f), frobenius_images_poly(f)
+    images, reference = frobenius_images(f, unreduced(f)), frobenius_images_poly(f)
     assert images == tuple(y_coefficients(p, d) for p in reference)
     # x-degrees up to 12: the numerator need not be reduced modulo a conductor
     g = ring.poly(data.draw(st.dictionaries(
@@ -131,9 +138,64 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
                                             st.integers(1, q - 1), max_size=2), label="m")
                   | {(0, data.draw(st.integers(1, 3), label="deg m")): 1})
     mq = {e: c for (_, e), c in (m ** q).terms}
-    reduced = tuple([xpoly_divmod(a, mq, q)[1] for a in img] for img in images)
+    reduced = frobenius_images(f, m)
+    assert reduced == tuple([xpoly_divmod(a, mq, q)[1] for a in img] for img in images)
     assert ([xpoly_divmod(a, mq, q)[1] for a in frobenius_nf(y_coefficients(g, d), q, reduced)]
             == [xpoly_divmod(a, mq, q)[1] for a in want])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_images_match_oracle_modulo_delta_q(data):
+    # the oracle's NF(y^(qk), f) with every y-coefficient reduced modulo
+    # D^q = D(x^q), for dense and sparse tails and monomial and other D
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 13, 29, 53, 101]), label="q")
+    dense = data.draw(st.booleans(), label="dense")
+    # the oracle steps through all q(d-1) powers unreduced: a dense d = 6 tail
+    # at q = 101 takes it seconds, so dense tails above q = 29 keep d <= 3
+    d = data.draw(st.integers(1, 3 if dense and q > 29 else 6), label="d")
+    ring = curve_ring((data.draw(st.integers(1, 6), label="wy"),
+                       data.draw(st.integers(1, 6), label="wx")), GF(q))
+    acc = data.draw(st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, 4)),
+                                    st.integers(1, q - 1), min_size=2 * d if dense else 0,
+                                    max_size=5 * d if dense else 3), label="tail")
+    acc[(d, 0)] = 1
+    f = ring.poly(acc)
+    n = data.draw(st.integers(0, 3), label="deg D")
+    low = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, q - 1),
+                                    max_size=n), label="D below its lead") if n else {}
+    delta = ring.poly({(0, e): c for e, c in low.items()}
+                      | {(0, n): data.draw(st.integers(1, q - 1), label="lc D")})
+    mq = {e: c for (_, e), c in (delta.monic() ** q).terms}
+    want = tuple([xpoly_divmod(a, mq, q)[1] for a in y_coefficients(p, d)]
+                 for p in frobenius_images_poly(f))
+    assert frobenius_images(f, delta) == want
+
+
+@pytest.mark.parametrize("q", [7, 65521, 2 ** 31 - 1, 2 ** 62 - 57, 2 ** 63 - 25])
+def test_packed_products_match_dict_products(q):
+    # a sum of k products of length-n residue vectors needs slots for k*n
+    # products of residues; the slots widen past one machine word with q.
+    # Slot i is read at bits 8*w*i and up whatever the host's byte order,
+    # which array-backed slot widths (1, 2, 4, 8 bytes) must correct for
+    rng = random.Random(q)
+    for k, n, top in ((1, 1, False), (3, 17, False), (4, 40, True), (9, 5, True)):
+        w = _slot_bytes(q, k * n)
+        pairs = [[[q - 1 if top else rng.randrange(q) for _ in range(n)] for _ in "ab"]
+                 for _ in range(k)]
+        packed = sum(_pack(a, w) * _pack(b, w) for a, b in pairs)
+        want: dict = {}
+        for a, b in pairs:
+            for i, c1 in enumerate(a):
+                for j, c2 in enumerate(b):
+                    want[i + j] = (want.get(i + j, 0) + c1 * c2) % q
+        assert {e: c % q for e, c in enumerate(_unpack(packed, w)) if c % q} == \
+            {e: c for e, c in want.items() if c}
+        assert _unpack(_pack(pairs[0][0], w), w) == pairs[0][0][:max(
+            (i + 1 for i, c in enumerate(pairs[0][0]) if c), default=0)]
+        assert _pack(pairs[0][0], w) == sum(c << 8 * w * i for i, c in enumerate(pairs[0][0]))
+    assert _slot_bytes(7, 1) == 1 and _slot_bytes(2 ** 31 - 1, 1) == 8
+    assert _slot_bytes(2 ** 63 - 25, 2 ** 20) == 19    # 2*63 + 21 bits
 
 
 @pytest.mark.parametrize("ring,text,message", [
@@ -146,7 +208,7 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
 ], ids=["over-QQ", "two-independent", "second-top-term", "not-monic"])
 def test_frobenius_images_reject_unsupported_relations(ring, text, message):
     with pytest.raises(ClosureError, match=f"^{re.escape(message)}$"):
-        frobenius_images(ring.parse(text))
+        frobenius_images(ring.parse(text), ring.one())
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +352,19 @@ def test_canonical_generators_need_one_independent_variable():
 def test_step_fixpoint_is_idempotent():
     for name, q in (("quadratic", 5), ("trident", 7)):
         ring, f, delta, fs = closure_run(name, q, minimize=False)
-        images = frobenius_images(f)
-        again = qth_power_step(fs.numerators, q, images, delta, delta ** (q - 1))
+        images = frobenius_images(f, delta)
+        again = qth_power_step(fs.numerators, q, images, delta, frobenius_scale(delta, q))
         assert list(again) == list(fs.numerators)
 
 
 def test_step_nesting():
     ring, f = make_curve("octic", q=7)
     delta = canonical_conductor(f, ring)
-    images = frobenius_images(f)
+    images, scale = frobenius_images(f, delta), frobenius_scale(delta, 7)
     d = f.degree_in(0)
     current = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
     for _ in range(6):
-        nxt = qth_power_step(current, 7, images, delta, delta ** 6)
+        nxt = qth_power_step(current, 7, images, delta, scale)
         stair_prev = {g.lm[0]: g.lm[1] for g in current}
         for g in nxt:
             i, e = g.lm
@@ -335,9 +397,9 @@ def test_step_against_linear_algebra_oracle():
             if rng.random() < 0.5:
                 dacc[(0, e)] = rng.randint(1, q - 1)
         delta = ring.poly(dacc)
-        images = frobenius_images(f)
+        images = frobenius_images(f, delta)
         start = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
-        engine = qth_power_step(start, q, images, delta, delta ** (q - 1))
+        engine = qth_power_step(start, q, images, delta, frobenius_scale(delta, q))
         expect = kernel_step_oracle(list(start), f, delta, q)
         got = {g.lm[0]: g.lm[1] for g in engine}
         assert got == expect
@@ -371,10 +433,11 @@ def small_curves(draw):
 
 def assert_steps_match_scratch(ring, f, delta, q):
     """Walk qth_closure's steps; each equals the step dividing from scratch."""
-    images, poly_images = frobenius_images(f), frobenius_images_poly(f)
+    images, poly_images = frobenius_images(f, delta), frobenius_images_poly(f)
+    scale = frobenius_scale(delta, q)
     nums = tuple(ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(64):
-        nxt = qth_power_step(nums, q, images, delta, delta ** (q - 1))
+        nxt = qth_power_step(nums, q, images, delta, scale)
         assert nxt == qth_power_step_scratch(nums, q, poly_images, delta)
         if nxt == nums:
             return
@@ -384,7 +447,7 @@ def assert_steps_match_scratch(ring, f, delta, q):
 
 def walk(f, delta, q):
     """The numerators of each step of qth_closure's walk from S, the fixpoint last."""
-    images, scale = frobenius_images(f), frobenius_scale(delta, q)
+    images, scale = frobenius_images(f, delta), frobenius_scale(delta, q)
     nums = tuple(f.ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(f.degree_in(0) * delta.degree_in(1) + 1):
         yield nums
@@ -494,11 +557,13 @@ def test_reduced_columns_match_unreduced_division(name):
     # columns of x^(q*alpha)*NF(g_j^q) divided in full by the targets, from
     # full images and from images reduced mod delta^q as qth_closure reads them
     for q, f_q, delta_q, run in fixture_runs(name):
-        images, scale = frobenius_images(f_q), frobenius_scale(delta_q, q)
-        assert scale == delta_q ** (q - 1)
+        images, scale = frobenius_images(f_q, unreduced(f_q)), frobenius_scale(delta_q, q)
+        assert scale == {e: c for (_, e), c in (delta_q ** (q - 1)).terms}
         poly_images = frobenius_images_poly(f_q)
         delta_to_q = {e: c for (_, e), c in (delta_q ** q).terms}
-        reduced = tuple([xpoly_divmod(a, delta_to_q, q)[1] for a in img] for img in images)
+        reduced = frobenius_images(f_q, delta_q)
+        assert reduced == tuple([xpoly_divmod(a, delta_to_q, q)[1] for a in img]
+                                for img in images)
         for nums in walk(f_q, delta_q, q):
             prefix = _basis_prefix(nums, delta_q.degree_in(1))
             want = step_columns_unreduced(nums, q, poly_images, delta_q, prefix)
@@ -656,7 +721,7 @@ def test_step_rejects_numerators_outside_delta_s():
     # one lead per y-degree, none above delta's x-degree
     ring, f = make_curve("trident", q=7)
     delta = canonical_conductor(f, ring)
-    images, scale = frobenius_images(f), frobenius_scale(delta, 7)
+    images, scale = frobenius_images(f, delta), frobenius_scale(delta, 7)
     start = (ring.parse("y^2"), ring.parse("y"), ring.one())
     high = ring.monomial((0, delta.degree_in(1) + 1))
     for nums in (start[:2], start[:2] + (high,), (start[0], start[0], start[2])):

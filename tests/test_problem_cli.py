@@ -572,3 +572,20 @@ def test_golden_structured_output_and_log(tmp_path, capsys, name):
     assert cap.err == ""
     assert log_path.read_text(encoding="utf-8") == \
         (GOLDEN / f"{name}.log").read_text(encoding="utf-8")
+
+
+# The sextic over GF(53) and GF(101), text and structured, with the audit log.
+# These primes lie above every prime of the char-0 goldens, where the cost of
+# the Frobenius images (``frobenius_images``) grows fastest.
+@pytest.mark.parametrize("q", [53, 101])
+@pytest.mark.parametrize("fmt,suffix", [("text", "out"), ("structured", "json")])
+def test_golden_charq_output_and_log(tmp_path, capsys, q, fmt, suffix):
+    log_path = tmp_path / "audit.log"
+    code = main([str(GOLDEN / "sextic.txt"), "--mode", "charq", "--prime", str(q),
+                 "--format", fmt, "--log", str(log_path)])
+    cap = capsys.readouterr()
+    assert code == 0
+    assert cap.out == (GOLDEN / f"sextic-q{q}.{suffix}").read_text(encoding="utf-8")
+    assert cap.err == ""
+    assert log_path.read_text(encoding="utf-8") == \
+        (GOLDEN / f"sextic-q{q}.log").read_text(encoding="utf-8")
