@@ -1,7 +1,8 @@
 """Integral closure in characteristic q by Frobenius fixpoint iteration.
 
 The module of fractions between S = P[y]/(f) and (1/D)S (D a conductor
-element) is represented by its canonical ordered set of monic numerators.
+element) is represented by its canonical ordered set of monic numerators,
+each held through the walk as its y-coefficients in F_q[x].
 One iteration keeps the sub-module whose members g satisfy
 NF(g^q, f) in D^(q-1) * (current module); the chain stabilizes on the
 integral closure.  The fixpoint is turned into a quadratic presentation over
@@ -28,66 +29,63 @@ class ClosureError(ValueError):
     pass
 
 
-def module_reduce(h: Polynomial, gens, want_combination: bool = False):
+def module_reduce(h: Polynomial, gens):
     """P-module division of h by gens.
 
     Reduction only cancels leading monomials through independent-variable
     multiples, i.e. a term reduces against g when the dependent parts
     agree and the independent part of LM(g) divides it.  Returns
-    ``(remainder, coefficients)``; coefficients (in P) satisfy
-    h = sum(c_j * g_j) + remainder when requested, else None.
+    ``(remainder, coefficients)``: the coefficients c_j in P satisfy
+    h = sum(c_j * g_j) + remainder.
     """
     ring = h.ring
-    leads = []
-    for g in gens:
-        if g.is_zero():
-            raise ClosureError("zero generator in module reduction")
-        leads.append((g.lm, g.lc, g.terms))
-    quotients = [{} for _ in leads] if want_combination else None
+    if any(g.is_zero() for g in gens):
+        raise ClosureError("zero generator in module reduction")
+    leads = [(g.lm, g.lc, g.terms) for g in gens]
+    quotients = [{} for _ in leads]
     rem = reduce_terms(dict(h.terms), leads, ring.domain, ring.order.key,
                        fixed=ring.ndep, quotients=quotients)
-    coeffs = None if quotients is None else [ring._sorted(c) for c in quotients]
-    return ring._sorted(rem), coeffs
+    return ring._sorted(rem), [ring._sorted(c) for c in quotients]
 
 
-def canonical_generators(gens, ring: Ring) -> tuple:
-    """Monic, fully interreduced, order-descending generating set (P-module).
+def canonical_generators(vectors, ring: Ring) -> tuple:
+    """Monic, fully interreduced, order-descending generators of a P-module.
 
-    With one independent variable x, two leads divide one another exactly
-    when their dependent parts agree, so a set whose leads have distinct
-    dependent parts has no S-pairs: it is a Groebner basis of the P-module it
-    spans, and its monic, fully interreduced form is unique.  Generators are
-    inserted smallest lead first, each reduced by the basis; one whose
-    lead divides a basis lead sends that element back to the pending list.
-    A last pass, ascending, reduces each tail by the smaller elements only,
-    as no larger lead divides a smaller term.
-
-    Read as a basis of an F_q[x]-submodule of F_q[x]^d (the coefficients of
-    y^0 .. y^(d-1)), the result is its shifted Popov basis (Beckermann,
-    Labahn & Villard, "Normal forms for general polynomial matrices", JSC
-    2006), the shift coming from the weight of y.  It is not a y-triangular
-    Hermite basis: at q = 7 the octic numerator
-    y^6*x^8 + y^7*x^5 + x^11 - y*x^8 has a y^7 term under its y^6 lead.  A
-    Hermite-form representation would need a conversion back to this basis
-    to keep the output the same.
+    Each generator is a vector of F_q[x]^d, the y-coefficients of an element
+    of F_q[y; x] (``by_y``), led by its ``_lead``.  With one independent
+    variable x, two leads divide one another exactly when their y-degrees
+    agree, so a set whose leads have distinct y-degrees has no S-pairs: it is
+    a Groebner basis of the module it spans, and its monic, fully
+    interreduced form is unique, the module's shifted Popov basis
+    (Beckermann, Labahn & Villard, "Normal forms for general polynomial
+    matrices", JSC 2006), the shift coming from the weight of y.  Generators
+    are inserted smallest lead first, each reduced by the basis with
+    ``_rem_by_targets``; one whose lead has the y-degree of a basis element
+    sends that element back to the pending list.  A last pass, ascending,
+    reduces each tail by the smaller elements only, as no larger lead
+    divides a smaller term.  It is not a y-triangular Hermite basis: at
+    q = 7 the octic numerator y^6*x^8 + y^7*x^5 + x^11 - y*x^8 has a y^7 term
+    under its y^6 lead, so a Hermite-form representation would need a
+    conversion back to this basis to keep the output the same.
     """
-    if ring.nindep != 1:
-        raise ClosureError("canonical generators need one independent variable")
-    key, tick = ring.order.key, count()
-    pending = [(key(g.lm), next(tick), g) for g in gens if not g.is_zero()]
+    if ring.domain.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
+        raise ClosureError("canonical generators need a ring F_q[y; x]")
+    q, key, tick = ring.domain.char, ring.order.key, count()
+    pending = [(key(_lead(v, key)), next(tick), v) for v in vectors if any(v)]
     heapify(pending)
-    basis: dict = {}                   # dependent part of the lead -> element
+    basis: dict = {}                   # y-degree of the lead -> element
     while pending:
-        g, _ = module_reduce(heappop(pending)[2], basis.values())
-        if not g.is_zero():
-            old = basis.get(g.lm[:ring.ndep])
-            if old is not None:
-                heappush(pending, (key(old.lm), next(tick), old))
-            basis[g.lm[:ring.ndep]] = g.monic()
-    out: list = []
-    for g in sorted(basis.values(), key=lambda g: key(g.lm)):
-        out.append(module_reduce(g, out)[0])
-    return tuple(reversed(out))
+        v = _rem_by_targets(heappop(pending)[2], basis, q)
+        if any(v):
+            k, e = _lead(v, key)
+            if k in basis:
+                heappush(pending, (key((k, max(basis[k][k]))), next(tick), basis[k]))
+            inv = pow(v[k][e], -1, q)
+            basis[k] = [{e2: c * inv % q for e2, c in a.items()} for a in v]
+    out: dict = {}
+    for k in sorted(basis, key=lambda k: key((k, max(basis[k][k])))):
+        out[k] = _rem_by_targets(basis[k], out, q)
+    return tuple(reversed(out.values()))
 
 
 @dataclass(frozen=True)
@@ -321,20 +319,30 @@ def by_y(p: Polynomial, d: int) -> list:
     return out[:d]
 
 
-def _basis_prefix(numerators: tuple, xdeg: int) -> list:
-    """a_j = deg D - e_j, e_j the x-degree of LM(g_j): the x^alpha*g_j with
-    alpha < a_j are an F_q-basis of N/DS, as ``qth_power_step`` says."""
-    return [xdeg - g.lm[1] for g in numerators]
+def from_y(vectors, ring: Ring) -> tuple:
+    """The Polynomials of ring with the given y-coefficients: ``by_y`` undone."""
+    return tuple(ring.poly({(k, e): c for k, a in enumerate(v) for e, c in a.items()})
+                 for v in vectors)
+
+
+def _lead(v: list, key) -> tuple:
+    """(k, e) of v's lead y^k*x^e: of the y^k*x^deg(v[k]), the largest under key."""
+    return max(((k, max(a)) for k, a in enumerate(v) if a), key=key)
 
 
 def _rem_by_targets(v: list, targets: dict, q: int) -> list:
-    """Remainder of v by the targets, both on y-coefficients.
+    """Remainder of v by the targets, both on y-coefficients: the normal form
+    modulo a Popov basis (Mulders & Storjohann, JSC 2003).
 
-    ``targets`` maps y-degree k to the target that leads in y^k, so that its
-    lead's x-degree is the degree of its y^k-entry t[k].  A y^k-coefficient
-    of v that reaches that degree is divided by t[k], and the quotient times
-    t's other entries is taken from v's other coefficients; sweeps repeat
-    until no coefficient reaches its lead's degree (``qth_power_step``).
+    ``targets`` maps y-degree k to the target t that leads in y^k, at x-degree
+    deg t[k].  Each y^k-coefficient of v that reaches that degree is divided
+    by t[k] in F_q[x], and the quotient times t's other entries is taken from
+    v's other coefficients, until none does.  Each division is a run of
+    reduction steps, each replacing a term by strictly smaller ones under the
+    ring order, so the sweeps end, in any order, at the one member of v plus
+    the targets' span whose y^k-coefficients all have degree below t[k]'s.
+    When every target lies in one y-degree, one division per coefficient
+    suffices: a truncation when its x-part is a monomial.
     """
     leads = {k: max(t[k]) for k, t in targets.items()}
     v = list(v)
@@ -348,33 +356,31 @@ def _rem_by_targets(v: list, targets: dict, q: int) -> list:
     return v
 
 
-def _step_columns(numerators: tuple, q: int, images: tuple, conductor: Polynomial,
-                  scale: dict, prefix: list) -> dict:
+def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
+                  delta: dict, scale: dict) -> dict:
     """The step's columns, as ``qth_power_step`` says: sparse rows by monomial.
 
-    Column (j, alpha), for alpha < prefix[j] and numbered in that order, is
-    the remainder of x^(q*alpha) * gbar_j^q by the targets scale*g, where
-    gbar_j is g_j with its y-coefficients reduced modulo D.  Columns are
-    chained; they and the targets are on y-coefficients.
+    Column (j, alpha), for alpha < deg D - e_j (g_j's lead y^k_j*x^e_j) and
+    numbered in that order, is the remainder of x^(q*alpha) * gbar_j^q by the
+    targets scale*g, gbar_j being g_j with its y-coefficients reduced mod D.
     """
-    d = len(images)
-    delta = {m[1]: c for m, c in conductor.terms}
+    xdeg = max(delta)
     neg_scale = {e: q - c for e, c in scale.items()}    # 0 - (-scale)*c = scale*c
-    targets = {g.lm[0]: [xpoly_sub_mul({}, neg_scale, c, q) for c in by_y(g, d)]
-               for g in numerators}
+    targets = {k: [xpoly_sub_mul({}, neg_scale, c, q) for c in g]
+               for g, (k, _) in zip(numerators, leads)}
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col = 0
-    for g, a in zip(numerators, prefix):
-        if not a:
+    for g, (_, e) in zip(numerators, leads):
+        if e == xdeg:
             continue
-        column = frobenius_nf([xpoly_divmod(c, delta, q)[1] for c in by_y(g, d)], q, images)
-        for alpha in range(a):
+        column = frobenius_nf([xpoly_divmod(c, delta, q)[1] for c in g], q, images)
+        for alpha in range(xdeg - e):
             if alpha:
-                column = [{e + q: c for e, c in coeff.items()} for coeff in column]
+                column = [{e2 + q: c for e2, c in coeff.items()} for coeff in column]
             column = _rem_by_targets(column, targets, q)
             for k, coeff in enumerate(column):
-                for e, c in coeff.items():
-                    rows.setdefault((k, e), {})[col] = c
+                for e2, c in coeff.items():
+                    rows.setdefault((k, e2), {})[col] = c
             col += 1
     return rows
 
@@ -384,12 +390,14 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     """One contraction: members whose Frobenius image stays in D^(q-1)*module.
 
     ``numerators`` are the canonical generators g_j of a module N between
-    D*S and S, and ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1).
+    D*S and S, each as its d y-coefficients (``by_y``), and the step returns
+    the next module's in the same form, from ``canonical_generators``.
+    ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1).
     ``images`` is ``frobenius_images(f, conductor)``, reduced modulo D^q as
     ``qth_closure`` builds them once per prime; images reduced modulo a
     multiple of D^q, or not at all, give the same columns (second bullet).
     The next module is the g in N with g^q in T = D^(q-1)*N, the span of
-    the targets scale*g_j.  The targets lead in distinct dependent parts, so
+    the targets scale*g_j.  The targets lead in distinct y-degrees, so
     they are a Groebner basis of T, and the remainder of any h by them is
     unique, zero exactly on T.
 
@@ -411,45 +419,33 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     * Chaining.  Column (j, alpha) is the remainder of x^q times column
       (j, alpha-1): the two dividends differ by x^q times a member of T,
       which is again a member, so they share their remainder.
-    * One remainder.  The target leading in y^k cancels the terms of
-      y-degree k and x-degree at least that of its y^k-entry, so the
-      remainder of h is the one member of h + T whose y^k-coefficient has
-      degree below that entry's for every k: the normal form modulo a Popov
-      basis (Mulders & Storjohann, JSC 2003).  ``_rem_by_targets`` divides
-      each y-coefficient that reaches that degree by the entry in F_q[x] and
-      subtracts the quotient times the target's other entries.  Each such
-      division is a run of reduction steps, each replacing a term by
-      strictly smaller ones under the ring order, so the sweeps end in any
-      order, at that remainder.  When every numerator is p_k(x)*y^k (always
-      at the start S), every target lies in one y-degree, and one division
-      per coefficient suffices: a truncation when its x-part is a monomial,
-      as at the start when D = x^n.
+    * One remainder.  ``_rem_by_targets`` gives it, and
+      ``canonical_generators`` interreduces the next generators with it.
     """
     ring = conductor.ring
     if ring.nindep != 1:
         raise ClosureError("closure iteration supports one independent variable")
     if ring.domain.kind != MODP or ring.domain.char != q:
         raise ClosureError(f"ring characteristic is not {q}")
-    xdeg = conductor.degree_in(1)
-    if xdeg == 0:
-        return numerators
-    prefix = _basis_prefix(numerators, xdeg)
-    if ({g.lm[0] for g in numerators} != set(range(len(images)))
-            or len(numerators) != len(images) or min(prefix) < 0):
+    xdeg, d = conductor.degree_in(1), len(images)
+    leads = [_lead(g, ring.order.key) for g in numerators]
+    if ({k for k, _ in leads} != set(range(d)) or len(numerators) != d
+            or any(e > xdeg for _, e in leads)):
         raise ClosureError("numerators must generate a module between D*S and S")
-    rows = _step_columns(numerators, q, images, conductor, scale, prefix)
+    delta = {m[1]: c for m, c in conductor.terms}
+    rows = _step_columns(numerators, leads, q, images, delta, scale)
     if not rows:
         return numerators
-    cols = [(j, alpha) for j, a in enumerate(prefix) for alpha in range(a)]
+    cols = [(j, alpha) for j, (_, e) in enumerate(leads) for alpha in range(xdeg - e)]
     kernel = nullspace_mod(list(rows.values()), len(cols), q)
-    new_gens = [conductor.mul_term((k, 0)) for k in range(len(images))]
+    new_gens = [[delta if i == k else {} for i in range(d)] for k in range(d)]   # D*y^k
     for vec in kernel:
-        acc: dict = {}
+        acc = [{} for _ in range(d)]
         for (j, alpha), coeff in zip(cols, vec):
-            if coeff:
-                for (k, e), c in numerators[j].terms:
-                    acc[k, e + alpha] = (acc.get((k, e + alpha), 0) + coeff * c) % q
-        new_gens.append(ring.poly(acc))
+            if coeff:                  # acc + coeff*x^alpha*g_j
+                acc = [xpoly_sub_mul(r, {alpha: q - coeff}, a, q)
+                       for r, a in zip(acc, numerators[j])]
+        new_gens.append(acc)
     return canonical_generators(new_gens, ring)
 
 
@@ -460,6 +456,7 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> Fra
     D*S and S (canonical generators are unique, so an equal module returns
     the same numerators), and S/DS has dimension d*deg D over F_q: the walk
     ends within d*deg D + 1 steps.  The images modulo D^q are built once.
+    Numerators are y-coefficients (``by_y``) until the fixpoint's ``from_y``.
     """
     if ring.domain.kind != MODP or ring.domain.char != q:
         raise ClosureError(f"expected a ring of characteristic {q}")
@@ -467,14 +464,16 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> Fra
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
     images = frobenius_images(f, conductor)
     scale = frobenius_scale(conductor, q)
-    nums = tuple(ring.monomial((k, 0)) for k in range(len(images) - 1, -1, -1))
-    bound = len(images) * conductor.degree_in(1) + 1
+    d = len(images)
+    nums = tuple([{0: 1} if i == k else {} for i in range(d)] for k in range(d - 1, -1, -1))
+    bound = d * conductor.degree_in(1) + 1
     for _ in range(bound):
         nxt = qth_power_step(nums, q, images, conductor, scale)
-        if list(nxt) == list(nums):
-            if nums[-1] != conductor.monic():
+        if nxt == nums:
+            out = from_y(nums, ring)
+            if out[-1] != conductor.monic():
                 raise ClosureError("fixpoint does not contain the conductor fraction")
-            return FractionSet(ring, nums)
+            return FractionSet(ring, out)
         nums = nxt
     raise ClosureError(f"no fixpoint within {bound} iterations")
 
@@ -491,9 +490,8 @@ def minimize_denominator(fs: FractionSet) -> FractionSet:
             c = xpoly_gcd(c, a, q)
     if c == {0: 1}:
         return fs
-    quotients = ([xpoly_divmod(a, c, q)[0] for a in row] for row in coeffs)
-    return FractionSet(ring, tuple(ring.poly({(k, e): v for k, a in enumerate(row)
-                                              for e, v in a.items()}) for row in quotients))
+    return FractionSet(ring, from_y(([xpoly_divmod(a, c, q)[0] for a in row]
+                                     for row in coeffs), ring))
 
 
 YBAR = "ybar"                        # stem of the fraction variable names
@@ -576,7 +574,7 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     for a in range(J):          # position a <-> numerator nums[a]
         for b in range(a, J):
             prod = normal_form(nums[a] * nums[b], [f])
-            rem, coeffs = module_reduce(prod, targets, want_combination=True)
+            rem, coeffs = module_reduce(prod, targets)
             if not rem.is_zero():
                 raise ClosureError(
                     f"fraction product {a},{b} leaves the module: not a fixpoint")
@@ -585,7 +583,7 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     relations.sort(key=lambda r: key(r.lm), reverse=True)
 
     y_delta = ring.var(ring.names[0]) * fs.denominator
-    rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums, want_combination=True)
+    rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums)
     if not rem.is_zero():
         raise ClosureError("inclusion image of y is not in the module")
     return ClosurePresentation(out_ring, tuple(relations), combination(coeffs, out_ring))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from intclose import GF, QQ, Ring, weight_over_grevlex
+from intclose import GF, QQ, Ring, qth_power_step, weight_over_grevlex
+from intclose.closure import by_y, from_y
 
 # name -> (relation text, (wt_y, wt_x))
 CURVES = {
@@ -30,6 +31,13 @@ def make_curve(name, q=None):
     text, weights = CURVES[name]
     ring = curve_ring(weights, QQ if q is None else GF(q))
     return ring, ring.parse(text)
+
+
+def poly_step(numerators, q, images, conductor, scale):
+    """``qth_power_step`` on Polynomials: the numerators go in through
+    ``by_y`` and come out through ``from_y``."""
+    vectors = tuple(by_y(g, len(images)) for g in numerators)
+    return from_y(qth_power_step(vectors, q, images, conductor, scale), conductor.ring)
 
 
 @pytest.fixture

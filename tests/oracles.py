@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 from intclose import (MODP, ClosureError, ConductorError, LiftError,
                       MonomialOrder, Ring, RingError, balanced, buchberger,
-                      canonical_generators, mono_weight, module_reduce,
+                      mono_weight, module_reduce,
                       normal_form, partial_derivative, s_poly)
 from intclose.groebner import reduce_terms
 from intclose.linalg import nullspace_mod
@@ -83,12 +85,44 @@ def reduce_terms_scan(work: dict, leads, dom, key, fixed: int = 0,
     return rem
 
 
+def canonical_generators_poly(gens, ring) -> tuple:
+    """Monic, fully interreduced, order-descending P-module generators, on
+    Polynomials over any field and order.
+
+    Same insertion as ``intclose.closure.canonical_generators``, which works
+    on the y-coefficient vectors of F_q[y; x]: generators are inserted
+    smallest lead first, each reduced by the basis (``module_reduce``); one
+    whose lead divides a basis lead sends that element back to the pending
+    list, and a last ascending pass reduces each tail by the smaller
+    elements.  Needs one independent variable, so that leads with distinct
+    dependent parts never divide one another.
+    """
+    if ring.nindep != 1:
+        raise ClosureError("canonical generators need one independent variable")
+    key, tick = ring.order.key, count()
+    pending = [(key(g.lm), next(tick), g) for g in gens if not g.is_zero()]
+    heapify(pending)
+    basis: dict = {}                   # dependent part of the lead -> element
+    while pending:
+        g, _ = module_reduce(heappop(pending)[2], basis.values())
+        if not g.is_zero():
+            old = basis.get(g.lm[:ring.ndep])
+            if old is not None:
+                heappush(pending, (key(old.lm), next(tick), old))
+            basis[g.lm[:ring.ndep]] = g.monic()
+    out: list = []
+    for g in sorted(basis.values(), key=lambda g: key(g.lm)):
+        out.append(module_reduce(g, out)[0])
+    return tuple(reversed(out))
+
+
 def canonical_generators_restart(gens, ring) -> tuple:
     """Reference interreduction: restart the scan after every change.
 
     Sort descending, reduce each generator by all the others, and start over
     as soon as one changes (is dropped at zero, else made monic); stop when a
-    whole scan changes nothing.  Same contract as
+    whole scan changes nothing.  Same contract as ``canonical_generators_poly``
+    and, on the y-coefficients of F_q[y; x], as
     ``intclose.closure.canonical_generators``.
     """
     work = [g.monic() for g in gens if not g.is_zero()]
@@ -247,7 +281,7 @@ def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tupl
                 acc = acc + numerators[j].mul_term((0, alpha), coeff)
         if not acc.is_zero():
             new_gens.append(acc)
-    return canonical_generators(new_gens, ring)
+    return canonical_generators_poly(new_gens, ring)
 
 
 def is_minimal_reduced_gb_full(gens) -> bool:
@@ -346,7 +380,7 @@ def conductor_by_module_basis(f, ring):
     """Delta read off an interreduced P-module basis of M = (f_y, f_x)*S.
 
     M is spanned by y^k*f_y and y^k*f_x mod f for k < deg_y f.  Under
-    ``dep_block`` an interreduced basis of M (``canonical_generators``) is in
+    ``dep_block`` an interreduced basis of M (``canonical_generators_poly``) is in
     echelon form, so its one element inside P generates M's intersection
     with P.  Same contract as ``intclose.canonical_conductor`` on rings
     F[y; x] with f monic in y, and the same ``ConductorError`` text when M
@@ -359,7 +393,7 @@ def conductor_by_module_basis(f, ring):
         for _ in range(f.degree_in(0)):
             module.append(g)
             g = normal_form(g.mul_term((1, 0)), [f])
-    in_p = [g for g in canonical_generators(module, cring) if g.in_subring(1)]
+    in_p = [g for g in canonical_generators_poly(module, cring) if g.in_subring(1)]
     if not in_p:
         raise ConductorError("degenerate extension: no conductor entries in P")
     return ring.poly(dict(in_p[0].terms))

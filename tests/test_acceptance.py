@@ -12,12 +12,12 @@ from fractions import Fraction
 from intclose import (GF, RunConfig, canonical_conductor, crt,
                       induce_presentation, is_minimal_reduced_gb,
                       minimize_denominator, module_reduce, mu_poly,
-                      normal_form, psi_combination, qth_closure, qth_power_step, rat_recon,
+                      normal_form, psi_combination, qth_closure, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
                       verify_candidate, frobenius_images, frobenius_scale, PrimeRun, Ring,
                       weight_over_grevlex)
 from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring,
-                      make_curve, sextic_relations)
+                      make_curve, poly_step, sextic_relations)
 from oracles import kernel_step_oracle, mod_n, strict_shape_ok, weight_balance_ok
 
 
@@ -222,7 +222,7 @@ def test_criterion_6c_fixpoint_and_ring_property():
         delta = canonical_conductor(f, ring)
         fs = qth_closure(ring, f, delta, q)
         images = frobenius_images(f, delta)
-        again = qth_power_step(fs.numerators, q, images, delta, frobenius_scale(delta, q))
+        again = poly_step(fs.numerators, q, images, delta, frobenius_scale(delta, q))
         assert list(again) == list(fs.numerators)
         nums = list(minimize_denominator(fs).numerators)
         dd = minimize_denominator(fs).denominator
@@ -273,7 +273,7 @@ def test_criterion_6e_semilinear_kernel_oracle():
         delta = ring.poly(dacc)
         images = frobenius_images(f, delta)
         start = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
-        engine = qth_power_step(start, q, images, delta, frobenius_scale(delta, q))
+        engine = poly_step(start, q, images, delta, frobenius_scale(delta, q))
         assert {g.lm[0]: g.lm[1] for g in engine} == \
             kernel_step_oracle(list(start), f, delta, q)
         trials += 1

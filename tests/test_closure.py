@@ -1,9 +1,11 @@
 """Frobenius fixpoint iteration, canonical fraction sets, presentations."""
 
 import functools
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,13 +18,13 @@ from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
                       is_minimal_reduced_gb, is_prime, is_prime_usable, minimal_reduced,
                       minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure,
-                      qth_power_step, run_prime, weight_over_grevlex)
-from intclose.closure import (_basis_prefix, _pack, _rem_by_targets, _slot_bytes,
-                              _step_columns, _unpack, combination, xpoly_divmod)
-from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve,
+                      run_prime, weight_over_grevlex)
+from intclose.closure import (_pack, _rem_by_targets, _slot_bytes, _step_columns, _unpack,
+                              by_y, combination, from_y, xpoly_divmod)
+from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve, poly_step,
                       sextic_relations)
-from oracles import (canonical_generators_restart, codim_in_s, dep_block,
-                     frobenius_images_poly, frobenius_nf_poly, kernel_step_oracle,
+from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
+                     dep_block, frobenius_images_poly, frobenius_nf_poly, kernel_step_oracle,
                      qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
                      step_columns_unreduced, strict_shape_ok, weight_balance_ok,
                      y_coefficients)
@@ -81,7 +83,7 @@ def test_step_wrong_characteristic():
     delta = canonical_conductor(f, ring)
     start = (ring.parse("y^2"), ring.parse("y"), ring.one())
     with pytest.raises(ClosureError, match="ring characteristic is not 5"):
-        qth_power_step(start, 5, frobenius_images(f, delta), delta, frobenius_scale(delta, 5))
+        poly_step(start, 5, frobenius_images(f, delta), delta, frobenius_scale(delta, 5))
 
 
 @st.composite
@@ -220,7 +222,7 @@ def test_module_reduce_exact_member():
     gens = [ring.parse("y^2"), ring.parse("y*x"), ring.parse("x")]
     scale = ring.parse("x")
     h = scale * gens[1]
-    rem, coeffs = module_reduce(h, [scale * g for g in gens], want_combination=True)
+    rem, coeffs = module_reduce(h, [scale * g for g in gens])
     assert rem.is_zero()
     assert coeffs[1] == ring.one()
     assert coeffs[0].is_zero() and coeffs[2].is_zero()
@@ -290,7 +292,7 @@ def test_coefficientwise_remainder_matches_module_division(data):
     elements = data.draw(st.lists(st.dictionaries(
         st.tuples(st.integers(0, d - 1), st.integers(0, 5)), st.integers(1, q - 1),
         min_size=1, max_size=5), min_size=1, max_size=d), label="elements")
-    gens = canonical_generators([ring.poly(g) for g in elements], ring)
+    gens = canonical_generators_poly([ring.poly(g) for g in elements], ring)
     s = ring.poly({(0, i): c for i, c in enumerate(
         data.draw(st.lists(coeffs, max_size=3), label="s")
         + [data.draw(st.integers(1, q - 1), label="lc s")])})
@@ -298,12 +300,26 @@ def test_coefficientwise_remainder_matches_module_division(data):
     assert_remainder_by_targets(h, general, module_reduce(h, general)[0], d, data)
 
 
+def test_by_y_and_from_y_round_trip():
+    rng = random.Random(11)
+    for q in (2, 7, 29):
+        for d in (1, 3, 6):
+            ring = curve_ring((rng.randint(1, 6), rng.randint(1, 6)), GF(q))
+            g = ring.poly({(rng.randrange(d), rng.randint(0, 6)): rng.randint(1, q - 1)
+                           for _ in range(rng.randint(0, 8))})
+            v = by_y(g, d)
+            assert len(v) == d and all(0 not in a.values() for a in v)
+            assert from_y([v], ring) == (g,) and by_y(from_y([v], ring)[0], d) == v
+            # a term of y-degree d, the lead of a relation, is dropped
+            assert by_y(g + ring.monomial((d, 1)), d) == v
+
+
 def test_canonical_generators_echelonize():
     ring, _ = make_curve("trident", q=7)
-    gens = [ring.parse("y^2 + y*x"), ring.parse("y*x"), ring.parse("x^2"),
-            ring.parse("x^3")]
+    gens = [by_y(ring.parse(t), 3) for t in ("y^2 + y*x", "y*x", "x^2", "x^3")]
     out = canonical_generators(gens, ring)
-    assert [str(g) for g in out] == ["y^2", "y*x", "x^2"]
+    assert out == ([{}, {}, {0: 1}], [{}, {1: 1}, {}], [{2: 1}, {}, {}])
+    assert [str(g) for g in from_y(out, ring)] == ["y^2", "y*x", "x^2"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,7 +328,8 @@ def test_canonical_generators_match_restart_oracle(data):
     q = data.draw(st.sampled_from([None, 2, 3, 7, 29]), label="q")
     weights = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)), label="w")
     ring = curve_ring(weights, QQ if q is None else GF(q))
-    if data.draw(st.booleans(), label="dep_block"):  # the conductor's order
+    block = data.draw(st.booleans(), label="dep_block")
+    if block:                          # the conductor oracle's order
         ring = Ring(ring.names, 1, ring.domain, dep_block(1, 2), ring.weights)
     if q is None:
         coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
@@ -335,14 +352,22 @@ def test_canonical_generators_match_restart_oracle(data):
         else:
             gens.append(g + h.mul_term((0, 1)))
     gens = data.draw(st.permutations(gens), label="order")
-    assert canonical_generators(gens, ring) == canonical_generators_restart(gens, ring)
+    want = canonical_generators_restart(gens, ring)
+    if q is None or block:
+        # the Polynomial interreduction, as the conductor oracle runs it
+        assert canonical_generators_poly(gens, ring) == want
+    else:           # the walk's: F_q[y; x] under its weight order, on y-coefficients
+        assert from_y(canonical_generators([by_y(g, 4) for g in gens], ring), ring) == want
 
 
 def test_canonical_generators_need_one_independent_variable():
     w = ((1, 1, 1),)
     ring = Ring(("y", "x2", "x1"), 1, GF(7), weight_over_grevlex(w, 3), w)
-    with pytest.raises(ClosureError):
-        canonical_generators([ring.parse("y*x1"), ring.parse("y*x2")], ring)
+    for bad in (ring, curve_ring((1, 1), QQ)):
+        with pytest.raises(ClosureError, match=re.escape("need a ring F_q[y; x]")):
+            canonical_generators([[{}, {1: 1}], [{}, {2: 1}]], bad)
+    with pytest.raises(ClosureError, match="one independent variable"):
+        canonical_generators_poly([ring.parse("y*x1"), ring.parse("y*x2")], ring)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +378,7 @@ def test_step_fixpoint_is_idempotent():
     for name, q in (("quadratic", 5), ("trident", 7)):
         ring, f, delta, fs = closure_run(name, q, minimize=False)
         images = frobenius_images(f, delta)
-        again = qth_power_step(fs.numerators, q, images, delta, frobenius_scale(delta, q))
+        again = poly_step(fs.numerators, q, images, delta, frobenius_scale(delta, q))
         assert list(again) == list(fs.numerators)
 
 
@@ -364,7 +389,7 @@ def test_step_nesting():
     d = f.degree_in(0)
     current = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
     for _ in range(6):
-        nxt = qth_power_step(current, 7, images, delta, scale)
+        nxt = poly_step(current, 7, images, delta, scale)
         stair_prev = {g.lm[0]: g.lm[1] for g in current}
         for g in nxt:
             i, e = g.lm
@@ -399,7 +424,7 @@ def test_step_against_linear_algebra_oracle():
         delta = ring.poly(dacc)
         images = frobenius_images(f, delta)
         start = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
-        engine = qth_power_step(start, q, images, delta, frobenius_scale(delta, q))
+        engine = poly_step(start, q, images, delta, frobenius_scale(delta, q))
         expect = kernel_step_oracle(list(start), f, delta, q)
         got = {g.lm[0]: g.lm[1] for g in engine}
         assert got == expect
@@ -437,7 +462,7 @@ def assert_steps_match_scratch(ring, f, delta, q):
     scale = frobenius_scale(delta, q)
     nums = tuple(ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(64):
-        nxt = qth_power_step(nums, q, images, delta, scale)
+        nxt = poly_step(nums, q, images, delta, scale)
         assert nxt == qth_power_step_scratch(nums, q, poly_images, delta)
         if nxt == nums:
             return
@@ -451,7 +476,7 @@ def walk(f, delta, q):
     nums = tuple(f.ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(f.degree_in(0) * delta.degree_in(1) + 1):
         yield nums
-        nxt = qth_power_step(nums, q, images, delta, scale)
+        nxt = poly_step(nums, q, images, delta, scale)
         if nxt == nums:
             return
         nums = nxt
@@ -544,7 +569,7 @@ def test_step_columns_are_a_basis_of_n_mod_delta_s(curve):
     ring, f, delta, q = curve
     d, xdeg = f.degree_in(0), delta.degree_in(1)
     for nums in walk(f, delta, q):
-        prefix = _basis_prefix(nums, xdeg)
+        prefix = [xdeg - g.lm[1] for g in nums]
         chosen = [g.mul_term((0, alpha)) for g, a in zip(nums, prefix)
                   for alpha in range(a)]
         assert rank_mod_conductor(chosen, delta, d, q) == len(chosen)
@@ -564,11 +589,35 @@ def test_reduced_columns_match_unreduced_division(name):
         reduced = frobenius_images(f_q, delta_q)
         assert reduced == tuple([xpoly_divmod(a, delta_to_q, q)[1] for a in img]
                                 for img in images)
+        delta = {e: c for (_, e), c in delta_q.terms}
         for nums in walk(f_q, delta_q, q):
-            prefix = _basis_prefix(nums, delta_q.degree_in(1))
+            prefix = [max(delta) - g.lm[1] for g in nums]
             want = step_columns_unreduced(nums, q, poly_images, delta_q, prefix)
-            assert _step_columns(nums, q, images, delta_q, scale, prefix) == want
-            assert _step_columns(nums, q, reduced, delta_q, scale, prefix) == want
+            vectors, leads = [by_y(g, f_q.degree_in(0)) for g in nums], [g.lm for g in nums]
+            assert _step_columns(vectors, leads, q, images, delta, scale) == want
+            assert _step_columns(vectors, leads, q, reduced, delta, scale) == want
+
+
+def fixture_closures(name):
+    """The fixture curve's per-prime closure at each usable prime 5..53 as
+    printed: numerators, relations and psi(y), keyed by the prime."""
+    ring, f = make_curve(name)
+    delta0 = canonical_conductor(f, ring)
+    runs = (run_prime(q, f, delta0) for q in filter(is_prime, range(5, 54)))
+    return {str(run.q): {"numerators": [str(g) for g in run.fractions.numerators],
+                         "relations": [str(r) for r in run.presentation.relations],
+                         "psi": str(run.presentation.inclusion_image)}
+            for run in runs if run.usable}
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_fixture_closures_match_golden(name):
+    # fixture-closures.json holds {name: fixture_closures(name)} for every curve
+    golden = json.loads((GOLDEN / "fixture-closures.json").read_text(encoding="utf-8"))
+    assert fixture_closures(name) == golden[name]
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -578,8 +627,7 @@ def test_psi_combination_inverts_combination(name):
     for q, f_q, delta_q, run in fixture_runs(name):
         fs, pres = run.fractions, run.presentation
         y_delta = fs.ring.var("y") * fs.denominator
-        _, coeffs = module_reduce(normal_form(y_delta, [f_q]), fs.numerators,
-                                  want_combination=True)
+        _, coeffs = module_reduce(normal_form(y_delta, [f_q]), fs.numerators)
         assert psi_combination(pres.inclusion_image, fs.ring) == tuple(coeffs)
         assert combination(coeffs, pres.ring) == pres.inclusion_image
 
@@ -726,7 +774,7 @@ def test_step_rejects_numerators_outside_delta_s():
     high = ring.monomial((0, delta.degree_in(1) + 1))
     for nums in (start[:2], start[:2] + (high,), (start[0], start[0], start[2])):
         with pytest.raises(ClosureError):
-            qth_power_step(nums, 7, images, delta, scale)
+            poly_step(nums, 7, images, delta, scale)
 
 
 def test_per_prime_containment_of_input_ideal():
@@ -745,7 +793,7 @@ def test_fraction_numerators_identify_with_module_elements():
     ring, f, delta, fs = closure_run("trident", 7)
     nums = list(fs.numerators)
     for j, g in enumerate(nums):
-        rem, coeffs = module_reduce(g, nums, want_combination=True)
+        rem, coeffs = module_reduce(g, nums)
         assert rem.is_zero()
         assert coeffs[j] == ring.one()
         assert all(c.is_zero() for k, c in enumerate(coeffs) if k != j)

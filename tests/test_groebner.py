@@ -298,7 +298,7 @@ def test_division_matches_scanning_reference(data):
     targets = gens if scale is None else [scale * g for g in gens]
     for fixed, got, coeffs in (
             (0, normal_form(f, targets), None),
-            (ring.ndep, *module_reduce(f, targets, want_combination=True))):
+            (ring.ndep, *module_reduce(f, targets))):
         quots = [{} for _ in targets]
         rem = ring.poly(reduce_terms_scan(dict(f.terms), _leads(targets), dom, key,
                                           fixed, quotients=quots))
