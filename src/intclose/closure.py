@@ -15,10 +15,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import combinations_with_replacement, count
 
 from .domains import MODP
-from .groebner import normal_form, reduce_terms
+from .groebner import reduce_terms
 from .linalg import nullspace_mod
 from .orders import grevlex_over_weight, mono_divides
 from .rings import Polynomial, Ring
@@ -30,21 +30,13 @@ class ClosureError(ValueError):
 
 
 def module_reduce(h: Polynomial, gens):
-    """P-module division of h by gens.
-
-    Reduction only cancels leading monomials through independent-variable
-    multiples, i.e. a term reduces against g when the dependent parts
-    agree and the independent part of LM(g) divides it.  Returns
-    ``(remainder, coefficients)``: the coefficients c_j in P satisfy
-    h = sum(c_j * g_j) + remainder.
-    """
-    ring = h.ring
+    """P-module division: (remainder, c_j in P) with h = sum(c_j * g_j) + remainder.
+    No library code calls it; perfbench/tracing.py wraps it by name."""
+    ring, quotients = h.ring, [{} for _ in gens]
     if any(g.is_zero() for g in gens):
         raise ClosureError("zero generator in module reduction")
-    leads = [(g.lm, g.lc, g.terms) for g in gens]
-    quotients = [{} for _ in leads]
-    rem = reduce_terms(dict(h.terms), leads, ring.domain, ring.order.key,
-                       fixed=ring.ndep, quotients=quotients)
+    rem = reduce_terms(dict(h.terms), [(g.lm, g.lc, g.terms) for g in gens], ring.domain,
+                       ring.order.key, fixed=ring.ndep, quotients=quotients)
     return ring._sorted(rem), [ring._sorted(c) for c in quotients]
 
 
@@ -73,19 +65,19 @@ def canonical_generators(vectors, ring: Ring) -> tuple:
     q, key, tick = ring.domain.char, ring.order.key, count()
     pending = [(key(_lead(v, key)), next(tick), v) for v in vectors if any(v)]
     heapify(pending)
-    basis: dict = {}                   # y-degree of the lead -> element
+    basis: dict = {}                   # y-degree k of the lead y^k*x^e -> (e, element)
     while pending:
         v = _rem_by_targets(heappop(pending)[2], basis, q)
         if any(v):
             k, e = _lead(v, key)
             if k in basis:
-                heappush(pending, (key((k, max(basis[k][k]))), next(tick), basis[k]))
+                heappush(pending, (key((k, basis[k][0])), next(tick), basis[k][1]))
             inv = pow(v[k][e], -1, q)
-            basis[k] = [{e2: c * inv % q for e2, c in a.items()} for a in v]
-    out: dict = {}
-    for k in sorted(basis, key=lambda k: key((k, max(basis[k][k])))):
-        out[k] = _rem_by_targets(basis[k], out, q)
-    return tuple(reversed(out.values()))
+            basis[k] = e, [{e2: c * inv % q for e2, c in a.items()} for a in v]
+    out: dict = {}                     # the last pass keeps every lead
+    for k, (e, v) in sorted(basis.items(), key=lambda item: key((item[0], item[1][0]))):
+        out[k] = e, _rem_by_targets(v, out, q)
+    return tuple(v for _, v in reversed(out.values()))
 
 
 @dataclass(frozen=True)
@@ -104,22 +96,17 @@ class FractionSet:
         if not self.numerators:
             raise ClosureError("empty fraction set")
         ndep = self.ring.ndep
-        for g in self.numerators:
-            if g.is_zero() or not g.is_monic():
-                raise ClosureError("numerators must be monic and nonzero")
+        if any(g.is_zero() or not g.is_monic() for g in self.numerators):
+            raise ClosureError("numerators must be monic and nonzero")
         if not self.denominator.in_subring(ndep):
             raise ClosureError("g_0 must lie in the independent subring")
-        key = self.ring.order.key
-        keys = [key(g.lm) for g in self.numerators]
+        keys = [self.ring.order.key(g.lm) for g in self.numerators]
         if keys != sorted(keys, reverse=True):
             raise ClosureError("numerators must descend under the ring order")
         for i, g in enumerate(self.numerators):
-            for j, h in enumerate(self.numerators):
-                if i == j:
-                    continue
-                for m, _ in g.terms:
-                    if h.lm[:ndep] == m[:ndep] and mono_divides(h.lm, m):
-                        raise ClosureError("numerators are not interreduced")
+            for h in self.numerators[:i] + self.numerators[i + 1:]:
+                if any(h.lm[:ndep] == m[:ndep] and mono_divides(h.lm, m) for m, _ in g.terms):
+                    raise ClosureError("numerators are not interreduced")
 
     @property
     def denominator(self) -> Polynomial:
@@ -128,11 +115,7 @@ class FractionSet:
 
     def fraction_weights(self) -> list[tuple]:
         wd = weight_of(self.denominator)
-        out = []
-        for g in self.numerators:
-            wg = weight_of(g)
-            out.append(tuple(a - b for a, b in zip(wg, wd)))
-        return out
+        return [tuple(a - b for a, b in zip(weight_of(g), wd)) for g in self.numerators]
 
 
 def frobenius_images(f: Polynomial, conductor: Polynomial) -> tuple:
@@ -330,29 +313,32 @@ def _lead(v: list, key) -> tuple:
     return max(((k, max(a)) for k, a in enumerate(v) if a), key=key)
 
 
-def _rem_by_targets(v: list, targets: dict, q: int) -> list:
+def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = None) -> list:
     """Remainder of v by the targets, both on y-coefficients: the normal form
     modulo a Popov basis (Mulders & Storjohann, JSC 2003).
 
-    ``targets`` maps y-degree k to the target t that leads in y^k, at x-degree
-    deg t[k].  Each y^k-coefficient of v that reaches that degree is divided
-    by t[k] in F_q[x], and the quotient times t's other entries is taken from
-    v's other coefficients, until none does.  Each division is a run of
-    reduction steps, each replacing a term by strictly smaller ones under the
-    ring order, so the sweeps end, in any order, at the one member of v plus
-    the targets' span whose y^k-coefficients all have degree below t[k]'s.
-    When every target lies in one y-degree, one division per coefficient
-    suffices: a truncation when its x-part is a monomial.
+    ``targets`` maps y-degree k to (n, t), t the target that leads in y^k at
+    x-degree n = deg t[k].  Each y^k-coefficient of v that reaches n is
+    divided by t[k] in F_q[x], and the quotient times t's other entries is
+    taken from v's other coefficients, until none does; only a coefficient a
+    division changed is looked at again.  Each division is a run of reduction
+    steps, each replacing a term by strictly smaller ones, so they end, in
+    any order, at the one member of v plus the targets' span whose
+    y^k-coefficients all have degree below n; targets each in one y-degree
+    take one division apiece.  quotients[k], if given, sums the quotients by t.
     """
-    leads = {k: max(t[k]) for k, t in targets.items()}
-    v = list(v)
-    while reducible := [k for k, n in leads.items() if max(v[k], default=-1) >= n]:
-        for k in reducible:
-            t = targets[k]
-            quot, v[k] = xpoly_divmod(v[k], t[k], q)
-            for j, b in enumerate(t):
-                if j != k:
-                    v[j] = xpoly_sub_mul(v[j], quot, b, q)
+    v, todo = list(v), [k for k, (n, _) in targets.items() if max(v[k], default=-1) >= n]
+    while todo:                        # a division here has a nonzero quotient
+        k = todo.pop()
+        t = targets[k][1]
+        quot, v[k] = xpoly_divmod(v[k], t[k], q)
+        if quotients is not None:      # quotients[k] - (-1)*quot
+            quotients[k] = xpoly_sub_mul(quotients.get(k, {}), {0: q - 1}, quot, q)
+        for j, b in enumerate(t):
+            if j != k and b:
+                v[j] = xpoly_sub_mul(v[j], quot, b, q)
+                if j in targets and j not in todo and max(v[j], default=-1) >= targets[j][0]:
+                    todo.append(j)
     return v
 
 
@@ -366,8 +352,8 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     """
     xdeg = max(delta)
     neg_scale = {e: q - c for e, c in scale.items()}    # 0 - (-scale)*c = scale*c
-    targets = {k: [xpoly_sub_mul({}, neg_scale, c, q) for c in g]
-               for g, (k, _) in zip(numerators, leads)}
+    targets = {k: (e + max(scale), [xpoly_sub_mul({}, neg_scale, c, q) for c in g])
+               for g, (k, e) in zip(numerators, leads)}
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col = 0
     for g, (_, e) in zip(numerators, leads):
@@ -516,19 +502,8 @@ class ClosurePresentation:
     inclusion_image: Polynomial      # psi(y) inside the output ring
 
 
-def combination(coeffs, out_ring: Ring) -> Polynomial:
-    """sum c_k*ybar_k in the output ring, c_k in P; the trivial fraction's ybar is 1."""
-    nbar = out_ring.ndep
-    acc = out_ring.zero()
-    for k, ck in enumerate(coeffs):
-        if not ck.is_zero():
-            moved = out_ring.poly({(0,) * nbar + m[ck.ring.ndep:]: c for m, c in ck.terms})
-            acc = acc + (moved * out_ring.var(out_ring.names[k]) if k < nbar else moved)
-    return acc
-
-
 def psi_combination(psi: Polynomial, input_ring: Ring) -> tuple:
-    """The coefficients c_k in P of ``combination``: its inverse on linear psi."""
+    """The c_k in P with psi = sum c_k*ybar_k, the trivial fraction's ybar being 1."""
     nbar = psi.ring.ndep
     combos: list[dict] = [{} for _ in range(nbar + 1)]
     for m, c in psi.terms:
@@ -552,13 +527,20 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     monomials x^e, x^e*ybar_k map onto the free P-basis g_k/delta of the
     fixpoint ring, so no nonzero combination of them lies in the ideal: the
     set is a Groebner basis, and as that basis is unique, it is what
-    Buchberger plus ``minimal_reduced`` returns.
+    Buchberger plus ``minimal_reduced`` returns.  On y-coefficients
+    (``by_y``), a product g_a*g_b is d^2 F_q[x] products, its
+    y^s-coefficients, s >= d, folded through y^d = y^d - f; its coefficients
+    over the targets delta*g_j, and psi(y)'s, those of y*delta over the g_j,
+    are ``_rem_by_targets``' quotients.  The targets lead in distinct
+    y-degrees, so they are a free P-basis of their span: remainder 0 leaves
+    one combination, and any other a product off the module.
     """
     ring = fs.ring
     if ring.nindep != 1:
         raise ClosureError("presentation needs one independent variable")
-    nums = fs.numerators
-    J = len(nums) - 1
+    if ring.domain.kind != MODP or ring.ndep != 1:
+        raise ClosureError("presentation needs a ring F_q[y; x]")
+    nums, J = fs.numerators, len(fs.numerators) - 1
     ybar_names = fraction_names(J, ring)
     fw = fs.fraction_weights()[:-1]
     wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
@@ -568,22 +550,40 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
                     grevlex_over_weight(wbar, J, J + ring.nindep), wbar)
 
-    ybar = [out_ring.var(name) for name in ybar_names]
-    targets = [fs.denominator * g for g in nums]
-    relations = []
-    for a in range(J):          # position a <-> numerator nums[a]
-        for b in range(a, J):
-            prod = normal_form(nums[a] * nums[b], [f])
-            rem, coeffs = module_reduce(prod, targets)
-            if not rem.is_zero():
-                raise ClosureError(
-                    f"fraction product {a},{b} leaves the module: not a fixpoint")
-            relations.append(ybar[a] * ybar[b] - combination(coeffs, out_ring))
-    key = out_ring.order.key
-    relations.sort(key=lambda r: key(r.lm), reverse=True)
+    q, d = ring.domain.char, f.degree_in(0)
+    tail, vecs = by_y(f, d), [by_y(g, d) for g in nums]   # f = y^d + tail, monic in y
+    units = [tuple(int(i == j) for i in range(J)) for j in range(J + 1)]   # g_0/g_0 = 1
+    pos = {g.lm[0]: j for j, g in enumerate(nums)}     # lead y-degree -> position
 
-    y_delta = ring.var(ring.names[0]) * fs.denominator
-    rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums)
-    if not rem.is_zero():
-        raise ClosureError("inclusion image of y is not in the module")
-    return ClosurePresentation(out_ring, tuple(relations), combination(coeffs, out_ring))
+    def fold(prods: list) -> list:     # y^s = y^(s-d) * (y^d - f), s >= d
+        for s in range(len(prods) - 1, d - 1, -1):
+            c = prods.pop()
+            for i, t in enumerate(tail):
+                prods[s - d + i] = xpoly_sub_mul(prods[s - d + i], c, t, q)
+        return prods + [{} for _ in range(d - len(prods))]
+
+    def combination(v: list, targets: dict, off_span: str) -> dict:
+        """The terms of sum c_j*ybar_j for v = sum c_j*target_j, else off_span."""
+        if any(_rem_by_targets(v, targets, q, quots := {})):
+            raise ClosureError(off_span)
+        return {units[pos[k]] + (e,): c for k, quot in quots.items() for e, c in quot.items()}
+
+    delta = vecs[-1][0]
+    neg_delta = {e: q - c for e, c in delta.items()}    # 0 - (-delta)*c = delta*c
+    scaled = {g.lm[0]: (g.lm[1] + max(delta), [xpoly_sub_mul({}, neg_delta, c, q) for c in v])
+              for g, v in zip(nums, vecs)}
+    relations = []
+    for a, b in combinations_with_replacement(range(J), 2):   # position a <-> nums[a]
+        prods = [{} for _ in range(2 * d - 1)]
+        for i, ai in enumerate(vecs[a]):
+            for j, bj in enumerate(vecs[b]) if ai else ():
+                prods[i + j] = xpoly_sub_mul(prods[i + j], ai, bj, q)
+        terms = combination(fold(prods), scaled,    # of -g_a*g_b
+                            f"fraction product {a},{b} leaves the module: not a fixpoint")
+        terms[tuple(x + y for x, y in zip(units[a], units[b])) + (0,)] = 1
+        relations.append(out_ring._sorted(terms))
+    relations.sort(key=lambda r: out_ring.order.key(r.lm), reverse=True)
+
+    psi = combination(fold([{}, delta]), {g.lm[0]: (g.lm[1], v) for g, v in zip(nums, vecs)},
+                      "inclusion image of y is not in the module")
+    return ClosurePresentation(out_ring, tuple(relations), out_ring._sorted(psi))

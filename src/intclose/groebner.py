@@ -76,12 +76,12 @@ def _leads(gens):
 
 
 def normal_form(f: Polynomial, gens) -> Polynomial:
-    """Remainder of f under division by the polynomial list gens."""
+    """Remainder of f under division by gens; reduce_terms fills it in order."""
     leads = _leads(gens)
     if not leads:
         return f
-    ring = f.ring
-    return ring._sorted(reduce_terms(dict(f.terms), leads, ring.domain, ring.order.key))
+    rem = reduce_terms(dict(f.terms), leads, f.ring.domain, f.ring.order.key)
+    return Polynomial(f.ring, tuple(rem.items()))
 
 
 def head_reduce(f: Polynomial, gens) -> Polynomial:

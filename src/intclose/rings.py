@@ -58,9 +58,9 @@ class Ring:
     # construction -------------------------------------------------------
 
     def poly(self, terms: dict) -> "Polynomial":
-        """Canonicalize a monomial -> coefficient mapping into a Polynomial: for input
-        from outside the arithmetic (the parser, ``mu_poly``, per-prime and lifted records,
-        tests).  ``+``, ``*``, ``crt_poly``, ``normal_form``, ``module_reduce`` use ``_sorted``."""
+        """Canonicalize a monomial -> coefficient mapping into a Polynomial, for input from
+        outside the arithmetic (parser, ``mu_poly``, per-prime and lifted records, tests).
+        ``+``, ``*``, ``crt_poly``, ``module_reduce``, ``induce_presentation`` use ``_sorted``."""
         dom = self.domain
         clean = {}
         for mono, c in terms.items():

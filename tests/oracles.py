@@ -12,10 +12,11 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
 
-from intclose import (MODP, ClosureError, ConductorError, LiftError,
-                      MonomialOrder, Ring, RingError, balanced, buchberger,
-                      mono_weight, module_reduce,
+from intclose import (MODP, ClosureError, ClosurePresentation, ConductorError,
+                      LiftError, MonomialOrder, Ring, RingError, balanced, buchberger,
+                      grevlex_over_weight, mono_weight, module_reduce,
                       normal_form, partial_derivative, s_poly)
+from intclose.closure import fraction_names
 from intclose.groebner import reduce_terms
 from intclose.linalg import nullspace_mod
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
@@ -144,6 +145,57 @@ def canonical_generators_restart(gens, ring) -> tuple:
                     work[i] = r.monic()
                 break
     return tuple(work)
+
+
+def combination(coeffs, out_ring: Ring):
+    """sum c_k*ybar_k in the output ring, c_k in P; the trivial fraction's ybar is 1."""
+    nbar = out_ring.ndep
+    acc = out_ring.zero()
+    for k, ck in enumerate(coeffs):
+        if not ck.is_zero():
+            moved = out_ring.poly({(0,) * nbar + m[ck.ring.ndep:]: c for m, c in ck.terms})
+            acc = acc + (moved * out_ring.var(out_ring.names[k]) if k < nbar else moved)
+    return acc
+
+
+def induce_presentation_poly(fs, f) -> ClosurePresentation:
+    """Reference presentation on Polynomials, over any field.
+
+    Same contract and error texts as ``intclose.closure.induce_presentation``,
+    which works on y-coefficients over F_q: each product of numerators is
+    reduced modulo f by ``normal_form`` and divided by the targets
+    delta*g_j with ``module_reduce``, and psi(y) divides y*delta by the g_j.
+    """
+    ring = fs.ring
+    if ring.nindep != 1:
+        raise ClosureError("presentation needs one independent variable")
+    nums = fs.numerators
+    J = len(nums) - 1
+    ybar_names = fraction_names(J, ring)
+    fw = fs.fraction_weights()[:-1]
+    wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
+                 for r, row in enumerate(ring.weights))
+    if any(x < 0 for row in wbar for x in row):
+        raise ClosureError("negative induced weight: not an integral fraction set")
+    out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
+                    grevlex_over_weight(wbar, J, J + ring.nindep), wbar)
+    ybar = [out_ring.var(name) for name in ybar_names]
+    targets = [fs.denominator * g for g in nums]
+    relations = []
+    for a in range(J):
+        for b in range(a, J):
+            rem, coeffs = module_reduce(normal_form(nums[a] * nums[b], [f]), targets)
+            if not rem.is_zero():
+                raise ClosureError(
+                    f"fraction product {a},{b} leaves the module: not a fixpoint")
+            relations.append(ybar[a] * ybar[b] - combination(coeffs, out_ring))
+    key = out_ring.order.key
+    relations.sort(key=lambda r: key(r.lm), reverse=True)
+    y_delta = ring.var(ring.names[0]) * fs.denominator
+    rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums)
+    if not rem.is_zero():
+        raise ClosureError("inclusion image of y is not in the module")
+    return ClosurePresentation(out_ring, tuple(relations), combination(coeffs, out_ring))
 
 
 def frobenius_images_poly(f) -> tuple:

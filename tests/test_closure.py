@@ -20,14 +20,14 @@ from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
                       normal_form, psi_combination, qth_closure,
                       run_prime, weight_over_grevlex)
 from intclose.closure import (_pack, _rem_by_targets, _slot_bytes, _step_columns, _unpack,
-                              by_y, combination, from_y, xpoly_divmod)
+                              by_y, from_y, xpoly_divmod)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve, poly_step,
                       sextic_relations)
 from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
-                     dep_block, frobenius_images_poly, frobenius_nf_poly, kernel_step_oracle,
-                     qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
-                     step_columns_unreduced, strict_shape_ok, weight_balance_ok,
-                     y_coefficients)
+                     combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
+                     induce_presentation_poly, kernel_step_oracle, qth_power_step_scratch,
+                     rank_mod_conductor, reduce_terms_scan, step_columns_unreduced,
+                     strict_shape_ok, weight_balance_ok, y_coefficients)
 
 
 def closure_run(name, q, minimize=True):
@@ -243,17 +243,24 @@ def test_module_reduce_stuck_below_leads():
 
 def assert_remainder_by_targets(h, targets, want, d, data):
     """want is h's P-module remainder by targets, by the scanning reference,
-    and by _rem_by_targets with the targets in descending and shuffled order."""
+    and by _rem_by_targets with the targets in descending and shuffled order;
+    _rem_by_targets' quotients are module_reduce's coefficients."""
     ring, q = h.ring, h.ring.domain.char
-    assert want == module_reduce(h, targets)[0]
+    rem, coeffs = module_reduce(h, targets)
+    assert want == rem
     leads = [(t.lm, t.lc, t.terms) for t in targets]
     assert want == ring.poly(reduce_terms_scan(dict(h.terms), leads, ring.domain,
                                                ring.order.key, fixed=ring.ndep))
     descending = sorted(targets, key=lambda t: ring.order.key(t.lm), reverse=True)
     for order in (descending, data.draw(st.permutations(targets), label="order")):
+        quotients = {}
         got = _rem_by_targets(y_coefficients(h, d),
-                              {t.lm[0]: y_coefficients(t, d) for t in order}, q)
+                              {t.lm[0]: (t.lm[1], y_coefficients(t, d)) for t in order},
+                              q, quotients)
         assert ring.poly({(k, e): c for k, a in enumerate(got) for e, c in a.items()}) == want
+        assert quotients.keys() <= {t.lm[0] for t in targets}
+        for t, c in zip(targets, coeffs):
+            assert quotients.get(t.lm[0], {}) == {m[1]: x for m, x in c.terms}
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,10 +445,10 @@ FIXTURE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
 
 
 @st.composite
-def small_curves(draw):
+def small_curves(draw, min_degree=2):
     """(ring, f, conductor, q): a random monic curve over GF(q), y^d leading."""
     q = draw(st.sampled_from([2, 3, 5, 7, 13]), label="q")
-    d = draw(st.integers(2, 4), label="d")
+    d = draw(st.integers(min_degree, 4), label="d")
     wy, wx = draw(st.integers(1, 6), label="wy"), draw(st.integers(1, 6), label="wx")
     ring = curve_ring((wy, wx), GF(q))
     tails = [(i, e) for i in range(d) for e in range(7) if wy * i + wx * e < wy * d]
@@ -618,6 +625,68 @@ def test_fixture_closures_match_golden(name):
     # fixture-closures.json holds {name: fixture_closures(name)} for every curve
     golden = json.loads((GOLDEN / "fixture-closures.json").read_text(encoding="utf-8"))
     assert fixture_closures(name) == golden[name]
+
+
+def presentations_agree(fs, f):
+    """induce_presentation equals the Polynomial oracle on fs, or both raise
+    the same ClosureError, whose message is returned (None otherwise)."""
+    try:
+        want = induce_presentation_poly(fs, f)
+    except ClosureError as exc:
+        with pytest.raises(ClosureError) as got:
+            induce_presentation(fs, f)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = induce_presentation(fs, f)
+    assert got.ring == want.ring
+    assert got.relations == want.relations
+    assert got.inclusion_image == want.inclusion_image
+    for a, b in zip(got.relations + (got.inclusion_image,),
+                    want.relations + (want.inclusion_image,)):
+        assert [type(c) for _, c in a.terms] == [type(c) for _, c in b.terms]
+    return None
+
+
+MISSES_Y = "inclusion image of y is not in the module"
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_curves(min_degree=1))
+def test_presentation_matches_polynomial_oracle(curve):
+    ring, f, delta, q = curve
+    fs = minimize_denominator(qth_closure(ring, f, delta, q))
+    assert presentations_agree(fs, f) is None
+    if f.degree_in(0) > 1:             # the denominator alone misses y*delta
+        assert presentations_agree(FractionSet(ring, fs.numerators[-1:]), f) == MISSES_Y
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_fixture_presentations_match_polynomial_oracle(name):
+    # the closures at every usable prime 5..53, their denominators alone, and
+    # the walks' modules short of the fixpoint that make fraction sets: on
+    # the octic and the sextic some are not rings
+    ring, f = make_curve(name)
+    delta0 = canonical_conductor(f, ring)
+    seen = set()
+    for q in filter(is_prime, range(5, 54)):
+        status, info = is_prime_usable(q, f, delta0)
+        if status != "usable":
+            continue
+        f_q, delta_q = info
+        fs = minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q))
+        assert presentations_agree(fs, f_q) is None
+        if f.degree_in(0) > 1:
+            seen.add(presentations_agree(FractionSet(f_q.ring, fs.numerators[-1:]), f_q))
+        for nums in list(walk(f_q, delta_q, q))[:-1]:
+            try:
+                partial = FractionSet(f_q.ring, nums)
+            except ClosureError:
+                continue
+            seen.add(presentations_agree(partial, f_q))
+    off = seen - {None, MISSES_Y}
+    assert all(re.fullmatch(r"fraction product \d+,\d+ leaves the module: not a fixpoint", m)
+               for m in off)
+    assert bool(off) == (name in ("octic", "sextic"))
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))

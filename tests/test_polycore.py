@@ -12,6 +12,7 @@ from intclose import (GF, QQ, ZZ, Domain, DomainError, OrderError, Ring,
                       RingError, WeightError, format_poly, grevlex_over_weight,
                       module_reduce, normal_form, normalize_weights,
                       validate_weight_function, weight_of, weight_over_grevlex)
+from intclose.groebner import reduce_terms
 from conftest import CURVES, curve_ring, make_curve
 from oracles import completed_rows, dep_block, grevlex, key_sign, reduce_terms_scan
 
@@ -317,6 +318,26 @@ def test_arithmetic_results_match_validated_construction(domain, a, b, c):
             want = ring.poly(want)
             assert got == want
             assert [type(x) for _, x in got.terms] == [type(x) for _, x in want.terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7), GF(13)]), _TERMS,
+       st.lists(_TERMS, min_size=1, max_size=3), st.sampled_from([(3, 2), (1, 1), (2, 5)]))
+def test_normal_form_takes_its_remainder_unsorted(domain, a, divisors, weights):
+    # normal_form wraps reduce_terms' remainder dict as it comes, without a
+    # sort: the dict is filled largest term first, so Ring.poly on the same
+    # terms gives the same polynomial, coefficient types included
+    ring = curve_ring(weights, domain)
+    f, gens = ring.poly(a), [ring.poly(t) for t in divisors]
+    leads = [(g.lm, g.lc, g.terms) for g in gens if not g.is_zero()]
+    rem = reduce_terms(dict(f.terms), leads, domain, ring.order.key)
+    got = normal_form(f, gens)
+    want = ring.poly(rem) if leads else f
+    assert got == want
+    assert [type(x) for _, x in got.terms] == [type(x) for _, x in want.terms]
+    if leads:
+        assert want == ring.poly(reduce_terms_scan(dict(f.terms), leads, domain,
+                                                   ring.order.key))
 
 
 def test_power_and_scale():
