@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, count
 
@@ -244,13 +245,13 @@ def frobenius_scale(conductor: Polynomial, q: int) -> dict:
 # F_q[x] on x-exponent -> coefficient dicts with coefficients in 0 .. q-1
 
 
-def xpoly_divmod(a: dict, m: dict, q: int) -> tuple:
-    """(quotient, remainder) of a by m != 0 in F_q[x].
+def xpoly_divmod(a: dict, m: dict, q: int, n: int | None = None) -> tuple:
+    """(quotient, remainder) of a by m != 0 in F_q[x]; n, if given, is deg m.
 
     The remainder is a itself when a's degree is below m's, and a truncation
     when m is a monomial.
     """
-    n, top = max(m), max(a, default=-1)
+    n, top = max(m) if n is None else n, max(a, default=-1)
     if top < n:
         return {}, a
     inv = pow(m[n], -1, q)
@@ -315,7 +316,7 @@ def _lead(v: list, key) -> tuple:
 
 def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = None) -> list:
     """Remainder of v by the targets, both on y-coefficients: the normal form
-    modulo a Popov basis (Mulders & Storjohann, JSC 2003).
+    modulo a Popov basis (Mulders & Storjohann, JSC 2003); v is left as it is.
 
     ``targets`` maps y-degree k to (n, t), t the target that leads in y^k at
     x-degree n = deg t[k].  Each y^k-coefficient of v that reaches n is
@@ -330,8 +331,8 @@ def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = Non
     v, todo = list(v), [k for k, (n, _) in targets.items() if max(v[k], default=-1) >= n]
     while todo:                        # a division here has a nonzero quotient
         k = todo.pop()
-        t = targets[k][1]
-        quot, v[k] = xpoly_divmod(v[k], t[k], q)
+        n, t = targets[k]
+        quot, v[k] = xpoly_divmod(v[k], t[k], q, n)
         if quotients is not None:      # quotients[k] - (-1)*quot
             quotients[k] = xpoly_sub_mul(quotients.get(k, {}), {0: q - 1}, quot, q)
         for j, b in enumerate(t):
@@ -359,7 +360,9 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     for g, (_, e) in zip(numerators, leads):
         if e == xdeg:
             continue
-        column = frobenius_nf([xpoly_divmod(c, delta, q)[1] for c in g], q, images)
+        gbar = [xpoly_divmod(c, delta, q, xdeg)[1] for c in g]
+        unit = sum(map(len, gbar)) == 1 and {0: 1} in gbar     # gbar = y^k: image k
+        column = images[gbar.index({0: 1})] if unit else frobenius_nf(gbar, q, images)
         for alpha in range(xdeg - e):
             if alpha:
                 column = [{e2 + q: c for e2, c in coeff.items()} for coeff in column]
@@ -481,6 +484,8 @@ def minimize_denominator(fs: FractionSet) -> FractionSet:
 
 
 YBAR = "ybar"                        # stem of the fraction variable names
+# induced weights repeat across primes and problems: one output order per (weights, J)
+_output_order = lru_cache(maxsize=64)(grevlex_over_weight)
 
 
 def fraction_names(count: int, ring: Ring) -> tuple:
@@ -548,7 +553,7 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     if any(x < 0 for row in wbar for x in row):
         raise ClosureError("negative induced weight: not an integral fraction set")
     out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
-                    grevlex_over_weight(wbar, J, J + ring.nindep), wbar)
+                    _output_order(wbar, J, J + ring.nindep), wbar)
 
     q, d = ring.domain.char, f.degree_in(0)
     tail, vecs = by_y(f, d), [by_y(g, d) for g in nums]   # f = y^d + tail, monic in y

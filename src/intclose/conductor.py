@@ -22,11 +22,20 @@ Over Q the rows stay primitive in Z[x]^d, with no fractions: a remainder
 repeats r <- (lc p/g)*r - (lc r/g)*x^(m-n)*p, g = gcd(lc p, lc r), on
 column-c entries of degrees m >= n, and divides the row by its content.
 Nonzero rationals are units of Q[x], so these steps are unimodular too.
+
+Lucky primes (Brown, "On Euclid's algorithm and the computation of
+polynomial greatest common divisors", JACM 1971).  Over Q the sweep also
+returns B, the product of every integer it scales a row by: the lcm of f's
+denominators, each content it divides out, each factor lc p/g of a
+pseudo-remainder step, and each column's last pivot lead, Delta's among
+them.  If q does not divide B, these are units mod q, so the sweep read mod q
+is unimodular over F_q[x] on the generators for f mod q and ends in a
+triangular basis whose leads survive: Delta_q = Delta mod q.  Over GF(q), B = 1.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .closure import by_y, xpoly_divmod, xpoly_sub_mul
 from .rings import Polynomial, Ring
@@ -52,21 +61,23 @@ def partial_derivative(p: Polynomial, var_index: int) -> Polynomial:
 # the conductor
 
 
-def canonical_conductor(f: Polynomial, ring: Ring) -> Polynomial:
-    """The canonical monic conductor element Delta of P for the relation f."""
+def canonical_conductor(f: Polynomial, ring: Ring) -> tuple:
+    """(Delta, B): the canonical monic conductor element of P for f, and B (above)."""
     if ring.ndep != 1 or ring.nindep != 1:
         raise ConductorError("conductor supports rings F[y; x] only")
     dom, d = ring.domain, f.degree_in(0)
     if [(m[1], c) for m, c in f.terms if m[0] == d] != [(0, dom.one)]:
         raise ConductorError("relation must be monic in the dependent variable")
     q, scale = dom.char, lcm(*(c.denominator for _, c in f.terms))
+    scalars = [scale]                  # B's factors; the column leads join over Q only
     if q:
         sub_mul = lambda a, s, b: xpoly_sub_mul(a, s, b, q)
         tidy = lambda r: r
         rem = lambda r, p, c: _euclid_rem(r, p, c, q)
     else:                              # rows of Q[x]^d scaled into Z[x]^d
         sub_mul = lambda a, s, b: _zx_sub_mul(scale, a, s, b)
-        tidy, rem = _primitive, _pseudo_rem
+        tidy = lambda r: _primitive(r, scalars)
+        rem = lambda r, p, c: _pseudo_rem(r, p, c, scalars)
     scaled = lambda p: [{e: int(c * scale) for e, c in a.items()} for a in by_y(p, d)]
     low = scaled(f)                    # scale*f = scale*y^d + sum_i low[i](x) * y^i
     rows, live = [], []
@@ -85,11 +96,14 @@ def canonical_conductor(f: Polynomial, ring: Ring) -> Polynomial:
             rest = [rem(r, pivot, c) for r in live if r is not pivot]
             rows += [r for r in rest if not r[c]]
             live = [pivot] + [r for r in rest if r[c]]
+        if live and not q:
+            scalars.append(live[0][c][max(live[0][c])])
     if not live:
         raise ConductorError("degenerate extension: no conductor entries in P")
     delta = live[0][0]
     lead = dom.convert(delta[max(delta)])
-    return ring.poly({(0, e): dom.div(dom.convert(c), lead) for e, c in delta.items()})
+    return (ring.poly({(0, e): dom.div(dom.convert(c), lead) for e, c in delta.items()}),
+            prod(scalars))
 
 
 def _euclid_rem(r: list, p: list, c: int, q: int) -> list:
@@ -98,14 +112,16 @@ def _euclid_rem(r: list, p: list, c: int, q: int) -> list:
     return [xpoly_sub_mul(a, s, b, q) for a, b in zip(r[:c], p)] + [rem]
 
 
-def _pseudo_rem(r: list, p: list, c: int) -> list:
-    """The primitive part of r reduced by p over Z[x] until deg r[c] < deg p[c]."""
+def _pseudo_rem(r: list, p: list, c: int, scalars: list) -> list:
+    """The primitive part of r reduced by p over Z[x] until deg r[c] < deg p[c];
+    each factor r is multiplied by, and its content, go to scalars."""
     n = max(p[c])
     while r[c] and (m := max(r[c])) >= n:
         g = gcd(p[c][n], r[c][m])
+        scalars.append(p[c][n] // g)
         r = [_zx_sub_mul(p[c][n] // g, a, {m - n: r[c][m] // g}, b)
              for a, b in zip(r[:c + 1], p)]
-    return _primitive(r)
+    return _primitive(r, scalars)
 
 
 def _zx_sub_mul(u: int, a: dict, s: dict, b: dict) -> dict:
@@ -117,7 +133,7 @@ def _zx_sub_mul(u: int, a: dict, s: dict, b: dict) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
-def _primitive(row: list) -> list:
-    """A row of Z[x]^d divided by the gcd of its coefficients."""
-    g = gcd(*(v for a in row for v in a.values()))
-    return row if g < 2 else [{e: v // g for e, v in a.items()} for a in row]
+def _primitive(row: list, scalars: list) -> list:
+    """A row of Z[x]^d divided by the gcd of its coefficients, which goes to scalars."""
+    scalars.append(g := gcd(*(v for a in row for v in a.values())) or 1)
+    return row if g == 1 else [{e: v // g for e, v in a.items()} for a in row]

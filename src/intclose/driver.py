@@ -111,14 +111,14 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
     """Steps of the multi-modular pipeline, stopping at the first certificate."""
     config = config or RunConfig()
     validate_problem(ring, f)
-    delta0 = canonical_conductor(f, ring)
+    delta0, B = canonical_conductor(f, ring)
     result = Algorithm1Result(delta0)
     result.audit.append(f"conductor: {delta0}")
     usable: list[PrimeRun] = []
     for q in _prime_schedule(config):
         if len(usable) >= config.max_primes:
             break
-        run = run_prime(q, f, delta0)
+        run = run_prime(q, f, delta0, B)
         if run.usable and usable and not compatibility_check(usable + [run]):
             run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
@@ -163,4 +163,4 @@ def run_charq(ring: Ring, f: Polynomial, q: int) -> PrimeRun:
     if ring.domain != GF(q):
         raise DriverError(f"ring domain must be GF({q})")
     validate_problem(ring, f)
-    return closure_run(q, f, canonical_conductor(f, ring))
+    return closure_run(q, f, canonical_conductor(f, ring)[0])

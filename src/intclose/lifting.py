@@ -125,21 +125,22 @@ class PrimeRun:
         return self.reason is None
 
 
-def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial):
-    """Algorithm step-3/4 filter: ("usable", (f_q, delta_q)) or ("skipped", why)."""
+def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial, B: int):
+    """Algorithm step-3/4 filter: ("usable", (f_q, delta_q)) or ("skipped", why).
+    B is ``canonical_conductor(f, ring)[1]``: when q does not divide it, delta_q is
+    delta0 mod q (``conductor``'s lucky primes), with no conductor over GF(q)."""
     if not is_prime(q):
         return "skipped", f"{q} is not prime"
-    for p in (f, delta0):
-        for _, c in p.terms:
-            if Fraction(c).denominator % q == 0:
-                return "skipped", "divides a coefficient denominator"
-    for _, c in f.terms:
-        if Fraction(c).numerator % q == 0:
-            return "skipped", "divides a coefficient numerator"
+    if any(c.denominator % q == 0 for p in (f, delta0) for _, c in p.terms):
+        return "skipped", "divides a coefficient denominator"
+    if any(c.numerator % q == 0 for _, c in f.terms):
+        return "skipped", "divides a coefficient numerator"
     ring_q = f.ring.with_domain(GF(q))
     f_q = mu_poly(f, ring_q)
+    if B % q:
+        return "usable", (f_q, mu_poly(delta0, ring_q))
     try:
-        delta_q = canonical_conductor(f_q, ring_q)
+        delta_q = canonical_conductor(f_q, ring_q)[0]
     except ConductorError as exc:
         return "skipped", f"degenerate mod {q}: {exc}"
     if delta_q != mu_poly(delta0, ring_q):
@@ -154,9 +155,9 @@ def closure_run(q: int, f_q: Polynomial, delta_q: Polynomial) -> PrimeRun:
                     presentation=induce_presentation(fractions, f_q))
 
 
-def run_prime(q: int, f: Polynomial, delta0: Polynomial) -> PrimeRun:
+def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
     """Usability filter plus the full characteristic-q pipeline."""
-    status, info = is_prime_usable(q, f, delta0)
+    status, info = is_prime_usable(q, f, delta0, B)
     if status == "skipped":
         return PrimeRun(q, reason=info)
     try:

@@ -12,10 +12,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
 
-from intclose import (MODP, ClosureError, ClosurePresentation, ConductorError,
+from intclose import (GF, MODP, ClosureError, ClosurePresentation, ConductorError,
                       LiftError, MonomialOrder, Ring, RingError, balanced, buchberger,
-                      grevlex_over_weight, mono_weight, module_reduce,
-                      normal_form, partial_derivative, s_poly)
+                      canonical_conductor, grevlex_over_weight, is_prime, mono_weight,
+                      module_reduce, mu_poly, normal_form, partial_derivative, s_poly)
 from intclose.closure import fraction_names
 from intclose.groebner import reduce_terms
 from intclose.linalg import nullspace_mod
@@ -434,9 +434,9 @@ def conductor_by_module_basis(f, ring):
     M is spanned by y^k*f_y and y^k*f_x mod f for k < deg_y f.  Under
     ``dep_block`` an interreduced basis of M (``canonical_generators_poly``) is in
     echelon form, so its one element inside P generates M's intersection
-    with P.  Same contract as ``intclose.canonical_conductor`` on rings
-    F[y; x] with f monic in y, and the same ``ConductorError`` text when M
-    meets P only in zero.
+    with P.  Same contract as ``intclose.canonical_conductor``'s Delta on
+    rings F[y; x] with f monic in y, and the same ``ConductorError`` text when
+    M meets P only in zero.
     """
     cring = Ring(ring.names, 1, ring.domain, dep_block(1, 2), ring.weights)
     f = cring.poly(dict(f.terms))
@@ -449,6 +449,30 @@ def conductor_by_module_basis(f, ring):
     if not in_p:
         raise ConductorError("degenerate extension: no conductor entries in P")
     return ring.poly(dict(in_p[0].terms))
+
+
+def is_prime_usable_reference(q: int, f, delta0):
+    """``lifting.is_prime_usable`` with no lucky-prime shortcut: every prime
+    that passes the denominator and numerator checks runs the conductor over
+    GF(q) and compares it with delta0 mod q."""
+    if not is_prime(q):
+        return "skipped", f"{q} is not prime"
+    for p in (f, delta0):
+        for _, c in p.terms:
+            if Fraction(c).denominator % q == 0:
+                return "skipped", "divides a coefficient denominator"
+    for _, c in f.terms:
+        if Fraction(c).numerator % q == 0:
+            return "skipped", "divides a coefficient numerator"
+    ring_q = f.ring.with_domain(GF(q))
+    f_q = mu_poly(f, ring_q)
+    try:
+        delta_q = canonical_conductor(f_q, ring_q)[0]
+    except ConductorError as exc:
+        return "skipped", f"degenerate mod {q}: {exc}"
+    if delta_q != mu_poly(delta0, ring_q):
+        return "skipped", "conductor disagrees with the rational one"
+    return "usable", (f_q, delta_q)
 
 
 def nullspace_rref(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:

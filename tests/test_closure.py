@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
                       FractionSet, Ring, buchberger, canonical_conductor,
-                      canonical_generators, frobenius_images,
-                      frobenius_nf, frobenius_scale, induce_presentation,
+                      canonical_generators, frobenius_images, frobenius_nf,
+                      frobenius_scale, grevlex_over_weight, induce_presentation,
                       is_minimal_reduced_gb, is_prime, is_prime_usable, minimal_reduced,
                       minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure,
@@ -32,7 +32,7 @@ from oracles import (canonical_generators_poly, canonical_generators_restart, co
 
 def closure_run(name, q, minimize=True):
     ring, f = make_curve(name, q=q)
-    delta = canonical_conductor(f, ring)
+    delta = canonical_conductor(f, ring)[0]
     fs = qth_closure(ring, f, delta, q)
     if minimize:
         fs = minimize_denominator(fs)
@@ -80,7 +80,7 @@ def test_frobenius_matches_direct_powering():
 
 def test_step_wrong_characteristic():
     ring, f = make_curve("trident", q=3)
-    delta = canonical_conductor(f, ring)
+    delta = canonical_conductor(f, ring)[0]
     start = (ring.parse("y^2"), ring.parse("y"), ring.one())
     with pytest.raises(ClosureError, match="ring characteristic is not 5"):
         poly_step(start, 5, frobenius_images(f, delta), delta, frobenius_scale(delta, 5))
@@ -391,7 +391,7 @@ def test_step_fixpoint_is_idempotent():
 
 def test_step_nesting():
     ring, f = make_curve("octic", q=7)
-    delta = canonical_conductor(f, ring)
+    delta = canonical_conductor(f, ring)[0]
     images, scale = frobenius_images(f, delta), frobenius_scale(delta, 7)
     d = f.degree_in(0)
     current = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
@@ -457,7 +457,7 @@ def small_curves(draw, min_degree=2):
     acc[(d, 0)] = 1
     f = ring.poly(acc)
     try:
-        delta = canonical_conductor(f, ring)
+        delta = canonical_conductor(f, ring)[0]
     except ConductorError:
         assume(False)
     return ring, f, delta, q
@@ -533,13 +533,30 @@ def test_presentation_is_its_minimal_reduced_basis(curve):
 def fixture_runs(name):
     """(q, f_q, delta_q, run) at each usable q of FIXTURE_PRIMES."""
     ring, f = make_curve(name)
-    delta0 = canonical_conductor(f, ring)
+    delta0, B = canonical_conductor(f, ring)
     out = []
     for q in FIXTURE_PRIMES:
-        status, info = is_prime_usable(q, f, delta0)
+        status, info = is_prime_usable(q, f, delta0, B)
         if status == "usable":
-            out.append((q, *info, run_prime(q, f, delta0)))
+            out.append((q, *info, run_prime(q, f, delta0, B)))
     return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CURVES)), st.data())
+def test_memoized_output_order_acts_as_a_fresh_one(name, data):
+    # the output ring's order comes from a memo, its key cache warm from
+    # earlier presentations; a ring on a freshly built order must agree
+    _, f_q, _, run = data.draw(st.sampled_from(fixture_runs(name)), label="run")
+    pres = run.presentation
+    ring = pres.ring
+    fresh = Ring(ring.names, ring.ndep, ring.domain,
+                 grevlex_over_weight(ring.weights, ring.ndep, ring.nvars), ring.weights)
+    assert fresh.order is not ring.order and fresh == ring
+    assert induce_presentation(run.fractions, f_q).ring.order is ring.order
+    for p in pres.relations + (pres.inclusion_image,):
+        again = fresh.poly(dict(p.terms))
+        assert again == p and again.terms == p.terms and str(again) == str(p)
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -558,7 +575,7 @@ def test_fixture_walks_end_within_the_derived_bound(name):
     for q in filter(is_prime, range(2, 54)):
         try:
             ring, f = make_curve(name, q=q)
-            delta = canonical_conductor(f, ring)
+            delta = canonical_conductor(f, ring)[0]
         except (DomainError, ConductorError):
             continue
         steps = list(walk(f, delta, q))
@@ -609,8 +626,8 @@ def fixture_closures(name):
     """The fixture curve's per-prime closure at each usable prime 5..53 as
     printed: numerators, relations and psi(y), keyed by the prime."""
     ring, f = make_curve(name)
-    delta0 = canonical_conductor(f, ring)
-    runs = (run_prime(q, f, delta0) for q in filter(is_prime, range(5, 54)))
+    delta0, B = canonical_conductor(f, ring)
+    runs = (run_prime(q, f, delta0, B) for q in filter(is_prime, range(5, 54)))
     return {str(run.q): {"numerators": [str(g) for g in run.fractions.numerators],
                          "relations": [str(r) for r in run.presentation.relations],
                          "psi": str(run.presentation.inclusion_image)}
@@ -666,10 +683,10 @@ def test_fixture_presentations_match_polynomial_oracle(name):
     # the walks' modules short of the fixpoint that make fraction sets: on
     # the octic and the sextic some are not rings
     ring, f = make_curve(name)
-    delta0 = canonical_conductor(f, ring)
+    delta0, B = canonical_conductor(f, ring)
     seen = set()
     for q in filter(is_prime, range(5, 54)):
-        status, info = is_prime_usable(q, f, delta0)
+        status, info = is_prime_usable(q, f, delta0, B)
         if status != "usable":
             continue
         f_q, delta_q = info
@@ -837,7 +854,7 @@ def test_step_rejects_numerators_outside_delta_s():
     # a step reads its F_q-basis of N/(delta*S) off the leads, which needs
     # one lead per y-degree, none above delta's x-degree
     ring, f = make_curve("trident", q=7)
-    delta = canonical_conductor(f, ring)
+    delta = canonical_conductor(f, ring)[0]
     images, scale = frobenius_images(f, delta), frobenius_scale(delta, 7)
     start = (ring.parse("y^2"), ring.parse("y"), ring.one())
     high = ring.monomial((0, delta.degree_in(1) + 1))

@@ -17,7 +17,8 @@ from intclose import (GF, QQ, ZZ, LiftError, Ring, canonical_conductor,
                       verify_candidate, RunConfig)
 from intclose.lifting import _specializes, closure_run, specializations
 from conftest import CURVES, curve_ring, make_curve
-from oracles import mod_n, nullspace_rref
+from corpus import workloads
+from oracles import is_prime_usable_reference, mod_n, nullspace_rref
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +228,50 @@ def test_rat_recon_skips_invalid_candidates():
 
 def test_usability_radical_curve():
     ring, f = make_curve("radical")
-    delta0 = canonical_conductor(f, ring)
+    delta0, B = canonical_conductor(f, ring)
     expect = {2: "denominator", 11: "denominator", 13: "numerator",
               3: "conductor", 5: "conductor"}
     for q, why in expect.items():
-        status, info = is_prime_usable(q, f, delta0)
+        status, info = is_prime_usable(q, f, delta0, B)
         assert status == "skipped" and why in info
     for q in (7, 17, 19):
-        status, _ = is_prime_usable(q, f, delta0)
+        status, _ = is_prime_usable(q, f, delta0, B)
         assert status == "usable"
 
 
 def test_usability_quadratic_curve():
     ring, f = make_curve("quadratic")
-    delta0 = canonical_conductor(f, ring)
-    assert is_prime_usable(2, f, delta0)[0] == "skipped"
-    assert is_prime_usable(7, f, delta0)[0] == "skipped"
-    assert is_prime_usable(3, f, delta0)[0] == "skipped"
-    assert "numerator" in is_prime_usable(3, f, delta0)[1]
-    assert is_prime_usable(101, f, delta0)[0] == "usable"
+    delta0, B = canonical_conductor(f, ring)
+    assert is_prime_usable(2, f, delta0, B)[0] == "skipped"
+    assert is_prime_usable(7, f, delta0, B)[0] == "skipped"
+    assert is_prime_usable(3, f, delta0, B)[0] == "skipped"
+    assert "numerator" in is_prime_usable(3, f, delta0, B)[1]
+    assert is_prime_usable(101, f, delta0, B)[0] == "usable"
+
+
+TALL_7 = {solve.label: solve.text for solve in workloads().tall_solves(7)[:20]}
+
+
+@pytest.mark.parametrize("name", sorted(CURVES) + sorted(TALL_7))
+def test_usability_matches_the_reference(name):
+    # the lucky-prime shortcut changes no status, reason, f_q or delta_q
+    if name in CURVES:
+        ring, f = make_curve(name)
+    else:
+        problem = parse_problem(TALL_7[name])
+        ring = problem.ring(QQ)
+        f = problem.relation(ring)
+    delta0, B = canonical_conductor(f, ring)
+    for q in range(2, 200):
+        assert is_prime_usable(q, f, delta0, B) == is_prime_usable_reference(q, f, delta0)
 
 
 def test_compatibility_single_and_pair():
     ring, f = make_curve("quadratic")
-    delta0 = canonical_conductor(f, ring)
-    r5 = run_prime(5, f, delta0)
+    delta0, B = canonical_conductor(f, ring)
+    r5 = run_prime(5, f, delta0, B)
     assert compatibility_check([r5])
-    r11 = run_prime(11, f, delta0)
+    r11 = run_prime(11, f, delta0, B)
     assert compatibility_check([r5, r11])
 
 
@@ -263,7 +281,7 @@ def test_charq_run_equals_the_prime_run(name):
     ring, f = make_curve(name)
     ring_q, f_q = make_curve(name, q=7)
     charq = run_charq(ring_q, f_q, 7)
-    run = run_prime(7, f, canonical_conductor(f, ring))
+    run = run_prime(7, f, *canonical_conductor(f, ring))
     assert charq.usable and run.usable
     assert charq.delta_q == run.delta_q
     assert charq.fractions == run.fractions
@@ -275,7 +293,7 @@ def _forced_run(name, q, delta=None):
     denominator, e.g. the image of the rational conductor)."""
     ring, f = make_curve(name, q=q)
     if delta is None:
-        delta = canonical_conductor(f, ring)
+        delta = canonical_conductor(f, ring)[0]
     else:
         delta = mu_poly(delta, ring)
     return closure_run(q, f, delta)
@@ -311,8 +329,8 @@ def test_verify_rejects_undersized_modulus(quadratic):
 
 def test_trident_rejects_at_55_with_reference_residual():
     ring, f = make_curve("trident")
-    delta0 = canonical_conductor(f, ring)
-    r5 = run_prime(5, f, delta0)
+    delta0, B = canonical_conductor(f, ring)
+    r5 = run_prime(5, f, delta0, B)
     # the conductor filter would skip 11; force the rational conductor image
     r11 = _forced_run("trident", 11, delta=delta0)
     assert compatibility_check([r5, r11])
@@ -423,8 +441,8 @@ def test_run_config_rejects_duplicate_or_composite_primes(quadratic):
 
 def test_reconcile_rejects_incompatible_runs():
     ring, f = make_curve("trident")
-    delta0 = canonical_conductor(f, ring)
-    r7 = run_prime(7, f, delta0)
+    delta0, B = canonical_conductor(f, ring)
+    r7 = run_prime(7, f, delta0, B)
     r2 = _forced_run("trident", 2)
     with pytest.raises(LiftError):
         reconcile_and_lift([r2, r7], ring)
