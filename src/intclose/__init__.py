@@ -3,7 +3,7 @@
 Characteristic q: Frobenius fixpoint iteration on modules of fractions.
 Characteristic 0: per-prime closures reconciled by the Chinese remainder
 theorem, lifted by extended-Euclidean rational reconstruction, and certified
-by a Groebner-basis and ideal-containment check.
+by Groebner-basis, ideal-containment and numerator checks.
 """
 
 from .closure import (ClosurePresentation, ClosureError, FractionSet,

@@ -36,94 +36,63 @@ def _psi_factored(fractions, presentation) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _weights_line(weights) -> str:
-    return ";".join(",".join(str(x) for x in row) for row in weights)
-
-
-def _emit_common(lines, fractions, presentation):
-    lines.append(f"delta: {fractions.denominator}")
-    lines.append("numerators:")
-    for g in fractions.numerators:
-        lines.append(f"  {g}")
-    lines.append(f"induced_weights: {_weights_line(presentation.ring.weights)}")
-    if presentation.relations:
-        for rel in presentation.relations:
-            lines.append(f"relation: {rel}")
+def _document(result) -> dict:
+    """The run's report, its fields in print order: ``emit_structured`` dumps it
+    as JSON and ``emit_text`` renders it line by line."""
+    if isinstance(result, PrimeRun):
+        head = {"mode": "charq", "q": result.q, "conductor": format_poly(result.delta_q)}
+        tail = {}
     else:
-        lines.append("relations: (none)")
-    lines.append(f"psi(y): {_psi_factored(fractions, presentation)}")
+        head = {"mode": "char0", "accepted": result.accepted,
+                "conductor": format_poly(result.conductor),
+                "primes": list(result.primes_used)}
+        cert = result.certificate
+        tail = {} if cert is None else {"certificate": {
+            "gb": cert.gb_ok, "containment": cert.containment_ok,
+            "numerators": cert.numerators_ok,
+            "per_prime": [[q, ok] for q, ok in cert.per_prime],
+            "accepted": cert.accepted}}
+        tail["skipped"] = [{"q": r.q, "reason": r.reason}
+                           for r in result.runs if not r.usable]
+    fractions, presentation = result.fractions, result.presentation
+    if presentation is not None:
+        head.update(
+            delta=format_poly(fractions.denominator),
+            numerators=[format_poly(g) for g in fractions.numerators],
+            induced_weights=[list(r) for r in presentation.ring.weights],
+            relations=[format_poly(r) for r in presentation.relations],
+            psi=format_poly(presentation.inclusion_image),
+            psi_factored=_psi_factored(fractions, presentation))
+    return {**head, **tail}
+
+
+# each report field as text lines; psi is printed only factored
+_TEXT = {
+    "mode": lambda v: [f"mode: {v}"],
+    "q": lambda v: [f"q: {v}"],
+    "accepted": lambda v: [f"status: {'accepted' if v else 'not accepted'}"],
+    "conductor": lambda v: [f"Delta: {v}"],
+    "primes": lambda v: [f"primes: {','.join(map(str, v))}"],
+    "delta": lambda v: [f"delta: {v}"],
+    "numerators": lambda v: ["numerators:"] + [f"  {g}" for g in v],
+    "induced_weights": lambda v: [
+        "induced_weights: " + ";".join(",".join(map(str, row)) for row in v)],
+    "relations": lambda v: [f"relation: {r}" for r in v] or ["relations: (none)"],
+    "psi": lambda v: [],
+    "psi_factored": lambda v: [f"psi(y): {v}"],
+    "certificate": lambda v: ["certificate: " + " ".join(
+        f"{k}={json.dumps(v[k])}" for k in ("gb", "containment", "numerators", "accepted"))],
+    "skipped": lambda v: [f"skipped: q={s['q']} ({s['reason']})" for s in v],
+}
 
 
 def emit_text(result) -> str:
-    lines = []
-    if isinstance(result, PrimeRun):
-        lines.append("mode: charq")
-        lines.append(f"q: {result.q}")
-        lines.append(f"Delta: {result.delta_q}")
-        _emit_common(lines, result.fractions, result.presentation)
-    else:
-        lines.append("mode: char0")
-        lines.append(f"status: {'accepted' if result.accepted else 'not accepted'}")
-        lines.append(f"Delta: {result.conductor}")
-        lines.append(f"primes: {','.join(str(q) for q in result.primes_used)}")
-        if result.presentation is not None:
-            _emit_common(lines, result.fractions, result.presentation)
-        cert = result.certificate
-        if cert is not None:
-            lines.append(f"certificate: gb={str(cert.gb_ok).lower()}"
-                         f" containment={str(cert.containment_ok).lower()}"
-                         f" numerators={str(cert.numerators_ok).lower()}"
-                         f" accepted={str(cert.accepted).lower()}")
-        skipped = [r for r in result.runs if not r.usable]
-        for r in skipped:
-            lines.append(f"skipped: q={r.q} ({r.reason})")
-    return "\n".join(lines) + "\n"
-
-
-def _poly_list(polys) -> list:
-    return [format_poly(p) for p in polys]
-
-
-def _structured_presentation(fractions, presentation) -> dict:
-    return {
-        "delta": format_poly(fractions.denominator),
-        "numerators": _poly_list(fractions.numerators),
-        "induced_weights": [list(r) for r in presentation.ring.weights],
-        "relations": _poly_list(presentation.relations),
-        "psi": format_poly(presentation.inclusion_image),
-        "psi_factored": _psi_factored(fractions, presentation),
-    }
+    return "".join(f"{line}\n" for key, value in _document(result).items()
+                   for line in _TEXT[key](value))
 
 
 def emit_structured(result) -> str:
-    if isinstance(result, PrimeRun):
-        doc = {
-            "mode": "charq",
-            "q": result.q,
-            "conductor": format_poly(result.delta_q),
-            **_structured_presentation(result.fractions, result.presentation),
-        }
-    else:
-        doc = {
-            "mode": "char0",
-            "accepted": result.accepted,
-            "conductor": format_poly(result.conductor),
-            "primes": list(result.primes_used),
-        }
-        if result.presentation is not None:
-            doc.update(_structured_presentation(result.fractions, result.presentation))
-        cert = result.certificate
-        if cert is not None:
-            doc["certificate"] = {
-                "gb": cert.gb_ok,
-                "containment": cert.containment_ok,
-                "numerators": cert.numerators_ok,
-                "per_prime": [[q, ok] for q, ok in cert.per_prime],
-                "accepted": cert.accepted,
-            }
-        doc["skipped"] = [{"q": r.q, "reason": r.reason}
-                          for r in result.runs if not r.usable]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_document(result), indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class Stage:
     state: LiftState
-    certificate: Certificate | None
+    certificate: Certificate
 
 
 @dataclass
@@ -53,9 +53,8 @@ class Algorithm1Result:
 
     @property
     def certificate(self) -> Certificate | None:
-        """The certificate of the last stage that lifted."""
-        return next((s.certificate for s in reversed(self.stages)
-                     if s.certificate is not None), None)
+        """The last stage's certificate (None when no prime was usable)."""
+        return self.stages[-1].certificate if self.stages else None
 
     @property
     def accepted(self) -> bool:
@@ -108,7 +107,11 @@ def validate_problem(ring: Ring, f: Polynomial):
 
 
 def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -> Algorithm1Result:
-    """Steps of the multi-modular pipeline, stopping at the first certificate."""
+    """Steps of the multi-modular pipeline, stopping at the first certificate.
+
+    Each usable prime adds one stage: the usable runs CRT'd and lifted, and the
+    lift's certificate.  A run whose signature differs from the first usable
+    run's, which every usable run shares, is skipped."""
     config = config or RunConfig()
     validate_problem(ring, f)
     delta0, B = canonical_conductor(f, ring)
@@ -119,7 +122,7 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
         if len(usable) >= config.max_primes:
             break
         run = run_prime(q, f, delta0, B)
-        if run.usable and usable and not compatibility_check(usable + [run]):
+        if run.usable and usable and not compatibility_check([usable[0], run]):
             run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
         if not run.usable:
@@ -133,13 +136,8 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
             f" lm_b={_lm_names(run.presentation.relations) if run.presentation.relations else '[]'}")
         state = reconcile_and_lift(usable, ring,
                                    result.stages[-1].state if result.stages else None)
-        cert = verify_candidate(state, f, ()) if state.lifted else None
+        cert = verify_candidate(state, f)
         result.stages.append(Stage(state, cert))
-        if cert is None:
-            result.audit.append(
-                f"N={state.modulus} primes={','.join(map(str, state.primes))}"
-                f" lift=failed ({state.lift_error})")
-            continue
         result.audit.append(
             f"N={state.modulus} primes={','.join(map(str, state.primes))} lift=ok"
             f" gb={cert.gb_ok} containment={cert.containment_ok}"
@@ -148,13 +146,12 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
             break
     if not result.accepted:
         result.audit.append("prime budget exhausted without an accepted certificate")
-    # per_prime holds on every lifted stage (``specializations``), so the
-    # certificates above check no run; the printed one gets all of its runs
-    lifted = [i for i, s in enumerate(result.stages) if s.certificate is not None]
-    if lifted:
-        s = result.stages[lifted[-1]]
+    # per_prime holds on every stage (``specializations``), so the certificates
+    # above check no run; the printed one, the last, gets all of its runs
+    if result.stages:
+        s = result.stages[-1]
         cert = replace(s.certificate, per_prime=specializations(s.state, usable))
-        result.stages[lifted[-1]] = replace(s, certificate=cert)
+        result.stages[-1] = replace(s, certificate=cert)
     return result
 
 

@@ -111,7 +111,7 @@ def test_criterion_3_trident():
                    fractions=fs11, presentation=p11)
     state = reconcile_and_lift([r5, r11], ring)
     assert state.modulus == 55
-    cert = verify_candidate(state, f, [r5, r11])
+    cert = verify_candidate(state, f)
     assert not cert.accepted
     assert cert.residual == state.presentation.relations[0].ring.parse("55/7*ybar1*x")
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ZZ, LiftError, Ring, canonical_conductor,
-                      compatibility_check, crt, crt_poly, is_prime_usable,
+from intclose import (GF, QQ, ZZ, LiftError, Ring, balanced, canonical_conductor,
+                      compatibility_check, crt, crt_poly, is_prime, is_prime_usable,
                       lift_poly, mu_poly, parse_problem, psi_combination, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_charq, run_prime,
                       verify_candidate, RunConfig)
@@ -215,6 +215,28 @@ def test_crt_fold_matches_crt_poly_at_every_prefix(data):
     _assert_crt_folds(polys, zz)
 
 
+PRIMES_BELOW_200 = [q for q in range(2, 200) if is_prime(q)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(PRIMES_BELOW_200), min_size=1, max_size=6, unique=True),
+       st.data())
+def test_lift_keeps_support_and_specializes(primes, data):
+    # a CRT record has only coefficients that are nonzero mod N; lifting each
+    # cannot fail, keeps every term, and reduces back to the record mod q | N
+    n = math.prod(primes)
+    zz = curve_ring((3, 2), ZZ)
+    monos = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)),
+                               min_size=1, max_size=8, unique=True))
+    record = zz.poly({m: balanced(data.draw(st.integers(1, n - 1)), n) for m in monos})
+    lifted = lift_poly(record, n, zz.with_domain(QQ))
+    assert [m for m, _ in lifted.terms] == [m for m, _ in record.terms]
+    assert lifted.lm == record.lm
+    for q in primes:
+        ring_q = zz.with_domain(GF(q))
+        assert mu_poly(lifted, ring_q) == mu_poly(record, ring_q)
+
+
 def test_rat_recon_skips_invalid_candidates():
     # 22 shares a factor with 55; the tempting (0, 5) remainder pair does not
     # satisfy the congruence and must be passed over for -11/2
@@ -307,6 +329,22 @@ def test_compatibility_rejects_oversized_closure():
     assert not compatibility_check([r2, r7])
 
 
+def test_run_incompatible_with_the_first_usable_one_is_skipped(monkeypatch):
+    # forced usable at q = 2, the oversized trident closure comes first, so
+    # the generic closure at q = 7 is the one that does not match
+    import intclose.driver
+    real_run_prime = intclose.driver.run_prime
+    r2 = _forced_run("trident", 2)
+    monkeypatch.setattr(intclose.driver, "run_prime",
+                        lambda q, *args: r2 if q == 2 else real_run_prime(q, *args))
+    ring, f = make_curve("trident")
+    res = run_algorithm1(ring, f, RunConfig(primes=(2, 7)))
+    assert [(r.q, r.reason) for r in res.runs] == \
+        [(2, None), (7, "incompatible closure signature")]
+    assert "q=7 skipped: incompatible closure signature" in res.audit
+    assert [stage.state.primes for stage in res.stages] == [(2,)]
+
+
 def test_verify_accepts_large_enough_modulus(quadratic):
     ring, f = quadratic
     res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
@@ -341,7 +379,7 @@ def test_trident_rejects_at_55_with_reference_residual():
     assert texts == sorted(["ybar2^2 + 1/7*ybar2 + ybar1*x^5",
                             "ybar2*ybar1 + 1/7*ybar1 + x^6",
                             "ybar1^2 - ybar2*x"])
-    cert = verify_candidate(state, f, [r5, r11])
+    cert = verify_candidate(state, f)
     assert cert.gb_ok and not cert.containment_ok
     assert cert.residual == out.parse("55/7*ybar1*x")
 
@@ -385,9 +423,9 @@ def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
         assert all(_specializes(stage.state, r) for r in usable[:k])
         assert specializations(stage.state, res.runs) == \
             tuple((r.q, True) for r in usable[:k])
-        cert = verify_candidate(stage.state, f, usable[:k])
-        assert cert.per_prime == specializations(stage.state, usable)
-        assert stage.certificate == (cert if k == lifted[-1] else replace(cert, per_prime=()))
+        cert = verify_candidate(stage.state, f)
+        per_prime = specializations(stage.state, usable) if k == lifted[-1] else ()
+        assert stage.certificate == replace(cert, per_prime=per_prime)
     assert res.certificate.per_prime == tuple((r.q, True) for r in usable)
 
 

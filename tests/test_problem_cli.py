@@ -180,6 +180,23 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "monic" in err
 
 
+@pytest.mark.parametrize("relation,message", [
+    ("y^2 - x^", "expected a number (at position 8)"),
+    ("y^2 - 3/0*x", "zero denominator (at position 9)"),
+    ("y^2 + (x", "expected ')' (at position 8)"),
+    ("y^2 - z", "unknown variable 'z' (at position 6)"),
+    ("y^2 x", "trailing input (at position 4)"),
+    ("y^2 - x*-1", "expected a factor (at position 8)"),
+    ("y^2 - x^2^3", "trailing input (at position 9)"),
+])
+def test_cli_relation_parse_errors(tmp_path, capsys, relation, message):
+    path = _write(tmp_path, QUADRATIC.replace("y^2 - 3/2*x^3 + 24/7*x^2 - 96/49*x", relation))
+    assert main([path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: relation does not parse: {message}\n"
+
+
 TWO_INDEP = """\
 indvars: x, z
 depvar: y
