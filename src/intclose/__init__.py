@@ -3,7 +3,7 @@
 Characteristic q: Frobenius fixpoint iteration on modules of fractions.
 Characteristic 0: per-prime closures reconciled by the Chinese remainder
 theorem, lifted by extended-Euclidean rational reconstruction, and certified
-by Groebner-basis, ideal-containment and numerator checks.
+by ideal-containment, numerator and Groebner-basis checks.
 """
 
 from .closure import (ClosurePresentation, ClosureError, FractionSet,

@@ -155,7 +155,11 @@ def main(argv=None) -> int:
                                start_prime=args.start_prime,
                                max_primes=args.max_primes)
             result = run_algorithm1(ring, f, config)
-            audit = result.audit
+            # the log, and the printed certificate of a stage that was not
+            # accepted, read the bits the decision skipped: here, so an error
+            # in a check fails the run before anything is printed
+            audit = result.audit if args.log else None
+        out = emit_text(result) if args.format == "text" else emit_structured(result)
     except (DriverError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -163,7 +167,6 @@ def main(argv=None) -> int:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
 
-    out = emit_text(result) if args.format == "text" else emit_structured(result)
     sys.stdout.write(out)
     if args.log:
         try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .closure import ClosureError, ClosurePresentation, FractionSet, fraction_names
 from .conductor import canonical_conductor
@@ -49,7 +49,31 @@ class Algorithm1Result:
     conductor: Polynomial
     runs: list = field(default_factory=list)
     stages: list = field(default_factory=list)
-    audit: list = field(default_factory=list)
+
+    @property
+    def audit(self) -> list:
+        """The audit log's lines, rendered from the runs and stages (one stage
+        per usable run); reading it computes every certificate bit."""
+        lines = [f"conductor: {self.conductor}"]
+        stages = iter(self.stages)
+        for run in self.runs:
+            if not run.usable:
+                lines.append(f"q={run.q} skipped: {run.reason}")
+                continue
+            fs, pres = run.fractions, run.presentation
+            lines.append(
+                f"q={run.q} usable delta={run.delta_q} J={len(fs.numerators) - 1}"
+                f" lm_g={_lm_names(fs.numerators)} K={len(pres.relations)}"
+                f" lm_b={_lm_names(pres.relations) if pres.relations else '[]'}")
+            stage = next(stages)
+            state, cert = stage.state, stage.certificate
+            lines.append(
+                f"N={state.modulus} primes={','.join(map(str, state.primes))} lift=ok"
+                f" gb={cert.gb_ok} containment={cert.containment_ok}"
+                f" numerators={cert.numerators_ok} accepted={cert.accepted}")
+        if not self.accepted:
+            lines.append("prime budget exhausted without an accepted certificate")
+        return lines
 
     @property
     def certificate(self) -> Certificate | None:
@@ -116,7 +140,6 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
     validate_problem(ring, f)
     delta0, B = canonical_conductor(f, ring)
     result = Algorithm1Result(delta0)
-    result.audit.append(f"conductor: {delta0}")
     usable: list[PrimeRun] = []
     for q in _prime_schedule(config):
         if len(usable) >= config.max_primes:
@@ -126,32 +149,18 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
             run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
         if not run.usable:
-            result.audit.append(f"q={q} skipped: {run.reason}")
             continue
         usable.append(run)
-        result.audit.append(
-            f"q={q} usable delta={run.delta_q} J={len(run.fractions.numerators) - 1}"
-            f" lm_g={_lm_names(run.fractions.numerators)}"
-            f" K={len(run.presentation.relations)}"
-            f" lm_b={_lm_names(run.presentation.relations) if run.presentation.relations else '[]'}")
         state = reconcile_and_lift(usable, ring,
                                    result.stages[-1].state if result.stages else None)
-        cert = verify_candidate(state, f)
-        result.stages.append(Stage(state, cert))
-        result.audit.append(
-            f"N={state.modulus} primes={','.join(map(str, state.primes))} lift=ok"
-            f" gb={cert.gb_ok} containment={cert.containment_ok}"
-            f" numerators={cert.numerators_ok} accepted={cert.accepted}")
-        if cert.accepted:
+        result.stages.append(Stage(state, verify_candidate(state, f)))
+        if result.accepted:
             break
-    if not result.accepted:
-        result.audit.append("prime budget exhausted without an accepted certificate")
     # per_prime holds on every stage (``specializations``), so the certificates
     # above check no run; the printed one, the last, gets all of its runs
     if result.stages:
         s = result.stages[-1]
-        cert = replace(s.certificate, per_prime=specializations(s.state, usable))
-        result.stages[-1] = replace(s, certificate=cert)
+        s.certificate.per_prime = specializations(s.state, usable)
     return result
 
 

@@ -4,15 +4,19 @@ Per-prime closures are reconciled coefficientwise by the Chinese remainder
 map into data mod N, one prime per stage (Garner's step, ``crt``), lifted to
 small rationals by extended-Euclidean reconstruction, which cannot fail on
 the CRT records (``rat_recon``), and the lifted candidate is accepted
-exactly when its relation set is a Groebner basis and the inclusion image of
-the input ideal reduces to zero against it.  The lift implies per-prime
-specialization; it is evaluated for the printed stage.
+exactly when the inclusion image of the input ideal reduces to zero against
+its relations, its numerators are consistent with them, and the relations are
+a Groebner basis.  The decision runs those checks in that order and stops at
+the first that fails; a bit it did not need is computed when first read (the
+audit log, or the printed certificate of a stage that was not accepted).  The
+lift implies per-prime specialization; it is evaluated for the printed stage.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .closure import (ClosurePresentation, ClosureError, FractionSet,
@@ -85,25 +89,33 @@ def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
 
 
 def crt_poly(polys, target: Ring, acc: Polynomial | None = None, n: int = 1) -> Polynomial:
-    """CRT over the union of supports, folded one prime at a time by ``crt`` into
-    the record acc mod n (by default zero mod 1); all share one leading monomial."""
+    """CRT over the union of supports, folded one prime at a time by Garner's step
+    (as in ``crt``, with 1/n mod q taken once per fold) into the record acc mod n
+    (by default zero mod 1); all share one leading monomial."""
     acc = target.zero() if acc is None else acc
     for p, q in polys:
         if acc and acc.lm != p.lm:
             raise LiftError(f"leading monomials disagree: {sorted((acc.lm, p.lm))}")
+        if n % q == 0:
+            raise LiftError("duplicate primes in CRT input")
+        inv, nq = pow(n, -1, q), n * q
         old, new = dict(acc.terms), dict(p.terms)
         acc = target._sorted({m: c for m in old.keys() | new.keys()
-                              if (c := crt([(new.get(m, 0), q)], old.get(m, 0), n)[0])})
-        n *= q
+                              if (c := balanced((x := old.get(m, 0))
+                                                + n * ((new.get(m, 0) - x) * inv % q), nq))})
+        n = nq
     return acc
 
 
 def lift_poly(p: Polynomial, n: int, target: Ring) -> Polynomial:
-    """Rational reconstruction of every coefficient of a mod-n polynomial."""
-    out = target.poly({m: rat_recon(int(c) % n, n) for m, c in p.terms})
-    if out.is_zero() or out.lm != p.lm:
+    """Rational reconstruction of every coefficient of a mod-n polynomial.
+
+    ``target`` has p's variables and order, so the lifted terms keep p's
+    order; a coefficient that vanishes mod n is dropped."""
+    terms = tuple((m, a) for m, c in p.terms if (a := rat_recon(int(c) % n, n)))
+    if not terms or terms[0][0] != p.lm:
         raise LiftError("lift changed the leading monomial")
-    return out
+    return Polynomial(target, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +231,6 @@ class LiftState:
         return True
 
 
-@dataclass(frozen=True)
-class Certificate:
-    gb_ok: bool
-    containment_ok: bool
-    numerators_ok: bool              # psi(g_j) = ybar_j * delta mod relations
-    per_prime: tuple                 # ((q, bool), ...) over the runs checked
-    residual: Polynomial | None
-
-    @property
-    def accepted(self) -> bool:
-        return self.gb_ok and self.containment_ok and self.numerators_ok
-
-
 def reconcile_and_lift(runs, input_ring: Ring, prev: LiftState | None = None) -> LiftState:
     """CRT the usable runs into data mod N (folding only the last into ``prev``,
     the stage of the others, when given), then lift coefficientwise to Q."""
@@ -279,34 +278,63 @@ def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,
     return image
 
 
-def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
-    """Certificate checks on a lifted candidate.
+class Certificate:
+    """A lifted candidate's certificate (``verify_candidate``): ``accepted`` is
+    decided on construction, and each bit is computed, and kept, when first read."""
 
-    Groebner property of the relations, containment of the input ideal under
-    the inclusion image, and consistency of the lifted numerators (the
-    fraction named ybar_j must actually be g_j / delta, i.e. psi(g_j) must
-    reduce to ybar_j * delta; an undersized modulus can mangle a numerator
-    coefficient without disturbing the other two checks).  ``per_prime`` is
-    left empty: it holds on every stage (``specializations``)."""
-    nums = state.fractions.numerators
-    rels = list(state.presentation.relations)
-    psi = state.presentation.inclusion_image
-    out_ring = state.presentation.ring
-    gb_ok = is_minimal_reduced_gb(rels) if rels else True
-    psi_pows = [out_ring.one()]
-    residual = normal_form(psi_substitute(f, psi, out_ring, psi_pows), rels)
-    containment_ok = residual.is_zero()
-    delta_out = psi_substitute(nums[-1], psi, out_ring, psi_pows)
-    numerators_ok = True
-    for k in range(out_ring.ndep):
-        image = psi_substitute(nums[k], psi, out_ring, psi_pows)
-        ybar = out_ring.monomial(tuple(1 if i == k else 0
-                                       for i in range(out_ring.nvars)))
-        if not normal_form(image - ybar * delta_out, rels).is_zero():
-            numerators_ok = False
-            break
-    return Certificate(gb_ok, containment_ok, numerators_ok, (),
-                       None if containment_ok else residual)
+    def __init__(self, state: LiftState, f: Polynomial):
+        self._state, self._f = state, f
+        self._psi_pows = [state.presentation.ring.one()]
+        self.per_prime: tuple = ()   # ((q, bool), ...) over the runs checked
+        self.accepted = self.containment_ok and self.numerators_ok and self.gb_ok
+
+    def _image(self, p: Polynomial) -> Polynomial:
+        """p under y -> psi, each power of psi built once per certificate."""
+        pres = self._state.presentation
+        return psi_substitute(p, pres.inclusion_image, pres.ring, self._psi_pows)
+
+    @cached_property
+    def gb_ok(self) -> bool:
+        rels = list(self._state.presentation.relations)
+        return is_minimal_reduced_gb(rels) if rels else True
+
+    @cached_property
+    def residual(self) -> Polynomial | None:
+        """psi(f) reduced by the relations; None when it vanishes."""
+        nf = normal_form(self._image(self._f), list(self._state.presentation.relations))
+        return None if nf.is_zero() else nf
+
+    @property
+    def containment_ok(self) -> bool:
+        return self.residual is None
+
+    @cached_property
+    def numerators_ok(self) -> bool:
+        """psi(g_j) = ybar_j * delta mod the relations, for every j."""
+        nums = self._state.fractions.numerators
+        ring = self._state.presentation.ring
+        rels = list(self._state.presentation.relations)
+        delta_out = self._image(nums[-1])
+
+        def ybar(k):
+            return ring.monomial(tuple(int(i == k) for i in range(ring.nvars)))
+
+        return all(normal_form(self._image(nums[k]) - ybar(k) * delta_out, rels).is_zero()
+                   for k in range(ring.ndep))
+
+
+def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
+    """Certificate checks on a lifted candidate, decided in the order that
+    rejects soonest: containment of the input ideal under the inclusion image,
+    then consistency of the lifted numerators (the fraction named ybar_j must
+    actually be g_j / delta, i.e. psi(g_j) must reduce to ybar_j * delta; an
+    undersized modulus can mangle a numerator coefficient without disturbing
+    the other two checks), then the Groebner property of the relations, the
+    costliest.  The decision stops at the first check that fails; the bits it
+    skipped are computed when first read, by the audit log or the printed
+    certificate.  ``per_prime`` is left empty: it holds on every stage
+    (``specializations``)."""
+    return Certificate(state, f)
 
 
 def specializations(state: LiftState, runs) -> tuple:

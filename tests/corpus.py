@@ -6,12 +6,14 @@ with the default schedule and with ``--mode charq --prime 13``; and the README
 example with ``--primes 5,11,13``, ``--mode charq --prime 5`` and
 ``--mode charq --prime 7``.  Each problem runs through ``intclose.cli.main``
 in-process, in text and in structured format, with ``--log``: 1220 runs.  A
-run's digest is the sha256 of its stdout, stderr, exit status and log.
+run's digest is the sha256 of its stdout, stderr, exit status and log.  The
+604 char-0 runs (no ``--mode``) are made again without ``--log``, and must
+print the same stdout and stderr and exit with the same status.
 
 The problem texts come from ``perfbench/workloads.py``, loaded by path and
 left as it is.  Run as a script, it reruns the set and lists the runs whose
-digest differs, with no test framework; to rewrite the digest file after an
-intended output change::
+digest differs, or whose output changes without ``--log``, with no test
+framework; to rewrite the digest file after an intended output change::
 
     PYTHONPATH=src python tests/corpus.py --write
 """
@@ -67,22 +69,32 @@ def problems() -> list:
     return out
 
 
-def run_digest(main, path: Path, args: tuple, fmt: str, log: Path) -> str:
-    """sha256 of one ``main`` run's stdout, stderr, exit status and log."""
-    log.unlink(missing_ok=True)
+def run_record(main, path: Path, args: tuple, fmt: str, log: Path | None = None) -> list:
+    """[stdout, stderr, exit status, log text] of one ``main`` run, with
+    ``--log`` when a log path is given (the log text is None without one)."""
+    argv = [str(path), *args, "--format", fmt]
+    if log is not None:
+        log.unlink(missing_ok=True)
+        argv += ["--log", str(log)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([str(path), *args, "--format", fmt, "--log", str(log)])
-    text = log.read_text(encoding="utf-8") if log.exists() else None
-    record = json.dumps([out.getvalue(), err.getvalue(), rc, text])
-    return hashlib.sha256(record.encode("utf-8")).hexdigest()
+        rc = main(argv)
+    text = log.read_text(encoding="utf-8") if log is not None and log.exists() else None
+    return [out.getvalue(), err.getvalue(), rc, text]
 
 
-def digests(select=None) -> dict:
-    """Run id ("name format") -> digest, over the problems whose name passes
-    ``select`` (all by default)."""
+def run_digest(record: list) -> str:
+    """sha256 of a run's stdout, stderr, exit status and log."""
+    return hashlib.sha256(json.dumps(record).encode("utf-8")).hexdigest()
+
+
+def check(select=None) -> tuple:
+    """(run id ("name format") -> digest, unlogged) over the problems whose
+    name passes ``select`` (all by default).  Every char-0 run is made a second
+    time without ``--log``; ``unlogged`` lists those whose stdout, stderr or
+    exit status differ from the logged run's."""
     from intclose.cli import main
-    out = {}
+    found, unlogged = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         path, log = Path(tmp) / "problem.txt", Path(tmp) / "audit.log"
         for name, text, args in problems():
@@ -90,8 +102,12 @@ def digests(select=None) -> dict:
                 continue
             path.write_text(text, encoding="utf-8")
             for fmt in FORMATS:
-                out[f"{name} {fmt}"] = run_digest(main, path, args, fmt, log)
-    return out
+                run = f"{name} {fmt}"
+                record = run_record(main, path, args, fmt, log)
+                found[run] = run_digest(record)
+                if "--mode" not in args and run_record(main, path, args, fmt)[:3] != record[:3]:
+                    unlogged.append(run)
+    return found, unlogged
 
 
 def read_digests() -> dict:
@@ -104,10 +120,12 @@ def write_digests(found: dict) -> None:
 
 
 if __name__ == "__main__":
+    found, unlogged = check()
     if sys.argv[1:] == ["--write"]:
-        write_digests(digests())
+        write_digests(found)
     else:
-        stored, found = read_digests(), digests()
+        stored = read_digests()
         bad = [run for run in stored.keys() | found.keys() if stored.get(run) != found.get(run)]
+        bad += [f"{run} (without --log)" for run in unlogged]
         print("\n".join(sorted(bad)) or f"all {len(found)} runs match")
         sys.exit(1 if bad else 0)

@@ -11,11 +11,13 @@ import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
+from typing import NamedTuple
 
 from intclose import (GF, MODP, ClosureError, ClosurePresentation, ConductorError,
                       LiftError, MonomialOrder, Ring, RingError, balanced, buchberger,
-                      canonical_conductor, grevlex_over_weight, is_prime, mono_weight,
-                      module_reduce, mu_poly, normal_form, partial_derivative, s_poly)
+                      canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
+                      is_prime, mono_weight, module_reduce, mu_poly, normal_form,
+                      partial_derivative, psi_substitute, s_poly)
 from intclose.closure import fraction_names
 from intclose.groebner import reduce_terms
 from intclose.linalg import nullspace_mod
@@ -473,6 +475,41 @@ def is_prime_usable_reference(q: int, f, delta0):
     if delta_q != mu_poly(delta0, ring_q):
         return "skipped", "conductor disagrees with the rational one"
     return "usable", (f_q, delta_q)
+
+
+class ReferenceCertificate(NamedTuple):
+    gb_ok: bool
+    containment_ok: bool
+    numerators_ok: bool
+    residual: object             # psi(f) mod the relations; None when zero
+
+    @property
+    def accepted(self) -> bool:
+        return self.gb_ok and self.containment_ok and self.numerators_ok
+
+
+def verify_candidate_reference(state, f) -> ReferenceCertificate:
+    """``lifting.verify_candidate`` computing every bit eagerly: the Groebner
+    property, then containment, then numerator consistency."""
+    nums = state.fractions.numerators
+    rels = list(state.presentation.relations)
+    psi = state.presentation.inclusion_image
+    out_ring = state.presentation.ring
+    gb_ok = is_minimal_reduced_gb(rels) if rels else True
+    psi_pows = [out_ring.one()]
+    residual = normal_form(psi_substitute(f, psi, out_ring, psi_pows), rels)
+    containment_ok = residual.is_zero()
+    delta_out = psi_substitute(nums[-1], psi, out_ring, psi_pows)
+    numerators_ok = True
+    for k in range(out_ring.ndep):
+        image = psi_substitute(nums[k], psi, out_ring, psi_pows)
+        ybar = out_ring.monomial(tuple(1 if i == k else 0
+                                       for i in range(out_ring.nvars)))
+        if not normal_form(image - ybar * delta_out, rels).is_zero():
+            numerators_ok = False
+            break
+    return ReferenceCertificate(gb_ok, containment_ok, numerators_ok,
+                                None if containment_ok else residual)
 
 
 def nullspace_rref(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:

@@ -1,12 +1,13 @@
 """Byte identity of the CLI on the 610-problem corpus (``corpus.py``).
 
 Every run's stdout, stderr, exit status and audit log must hash to the digest
-committed in ``golden/corpus.sha256``.  The whole corpus takes about 13 s.
+committed in ``golden/corpus.sha256``, and every char-0 run must print the same
+and exit the same without ``--log``.  The whole corpus takes about 13 s.
 """
 
 import pytest
 
-from corpus import DIGESTS, digests, problems, read_digests
+from corpus import DIGESTS, check, problems, read_digests
 
 GROUPS = ("sextic", "octic-", "tall-1-", "tall-7-", "tall-51-", "readme-")
 
@@ -21,7 +22,8 @@ def test_corpus_has_every_run():
 @pytest.mark.parametrize("group", GROUPS)
 def test_corpus_outputs_match_digests(group):
     stored = {run: d for run, d in read_digests().items() if run.startswith(group)}
-    found = digests(lambda name: name.startswith(group))
+    found, unlogged = check(lambda name: name.startswith(group))
     assert stored and found.keys() == stored.keys()
     changed = sorted(run for run in stored if stored[run] != found[run])
     assert not changed, f"outputs differ from {DIGESTS.name}: {changed}"
+    assert not unlogged, f"outputs differ without --log: {unlogged}"

@@ -2,8 +2,8 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,8 @@ from intclose import (GF, QQ, ZZ, LiftError, Ring, balanced, canonical_conductor
 from intclose.lifting import _specializes, closure_run, specializations
 from conftest import CURVES, curve_ring, make_curve
 from corpus import workloads
-from oracles import is_prime_usable_reference, mod_n, nullspace_rref
+from oracles import (is_prime_usable_reference, mod_n, nullspace_rref,
+                     verify_candidate_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +275,19 @@ def test_usability_quadratic_curve():
 TALL_7 = {solve.label: solve.text for solve in workloads().tall_solves(7)[:20]}
 
 
+def _curve_or_tall(name):
+    """(ring, f) of a fixture curve, or of a ``TALL_7`` problem."""
+    if name in CURVES:
+        return make_curve(name)
+    problem = parse_problem(TALL_7[name])
+    ring = problem.ring(QQ)
+    return ring, problem.relation(ring)
+
+
 @pytest.mark.parametrize("name", sorted(CURVES) + sorted(TALL_7))
 def test_usability_matches_the_reference(name):
     # the lucky-prime shortcut changes no status, reason, f_q or delta_q
-    if name in CURVES:
-        ring, f = make_curve(name)
-    else:
-        problem = parse_problem(TALL_7[name])
-        ring = problem.ring(QQ)
-        f = problem.relation(ring)
+    ring, f = _curve_or_tall(name)
     delta0, B = canonical_conductor(f, ring)
     for q in range(2, 200):
         assert is_prime_usable(q, f, delta0, B) == is_prime_usable_reference(q, f, delta0)
@@ -423,10 +428,58 @@ def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
         assert all(_specializes(stage.state, r) for r in usable[:k])
         assert specializations(stage.state, res.runs) == \
             tuple((r.q, True) for r in usable[:k])
-        cert = verify_candidate(stage.state, f)
         per_prime = specializations(stage.state, usable) if k == lifted[-1] else ()
-        assert stage.certificate == replace(cert, per_prime=per_prime)
+        assert stage.certificate.per_prime == per_prime
     assert res.certificate.per_prime == tuple((r.q, True) for r in usable)
+
+
+BITS = ("gb_ok", "containment_ok", "numerators_ok")
+
+
+@pytest.mark.parametrize("name", sorted(CURVES) + sorted(TALL_7))
+def test_lazy_certificate_matches_the_eager_reference(name):
+    # every stage's decision, bits and residual are the reference's, whichever
+    # bit is read first after the decision
+    ring, f = _curve_or_tall(name)
+    res = run_algorithm1(ring, f)
+    assert res.accepted
+    for stage in res.stages:
+        ref = verify_candidate_reference(stage.state, f)
+        cert = stage.certificate
+        assert (cert.accepted, cert.gb_ok, cert.containment_ok, cert.numerators_ok,
+                cert.residual) == (ref.accepted, *ref)
+        for order in permutations(BITS):
+            cert = verify_candidate(stage.state, f)
+            assert cert.accepted == ref.accepted
+            assert [getattr(cert, bit) for bit in order] == [getattr(ref, bit) for bit in order]
+            assert cert.residual == ref.residual
+
+
+def test_gb_check_runs_only_where_the_decision_or_the_log_needs_it(tmp_path, monkeypatch, capsys):
+    # a cubic whose rejected stages fail containment: without --log the Groebner
+    # check runs only on the stages whose containment and numerators hold
+    import intclose.lifting
+    from intclose import cli
+    name = "tall-001"
+    ring, f = _curve_or_tall(name)
+    assert f.degree_in(0) == 3
+    refs = [verify_candidate_reference(s.state, f) for s in run_algorithm1(ring, f).stages]
+    decided = sum(r.containment_ok and r.numerators_ok for r in refs)
+    assert 0 < decided < len(refs)
+    calls = []
+    real = intclose.lifting.is_minimal_reduced_gb
+    monkeypatch.setattr(intclose.lifting, "is_minimal_reduced_gb",
+                        lambda rels: calls.append(1) or real(rels))
+    path, log = tmp_path / "problem.txt", tmp_path / "audit.log"
+    path.write_text(TALL_7[name], encoding="utf-8")
+    assert cli.main([str(path)]) == 0
+    bare = capsys.readouterr()
+    assert len(calls) == decided
+    calls.clear()
+    assert cli.main([str(path), "--log", str(log)]) == 0
+    assert len(calls) == len(refs)
+    assert capsys.readouterr() == bare
+    assert log.read_text(encoding="utf-8").count(" gb=") == len(refs)
 
 
 def test_specialization_of_accepted_candidate(quadratic):
