@@ -133,9 +133,10 @@ def validate_problem(ring: Ring, f: Polynomial):
 def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -> Algorithm1Result:
     """Steps of the multi-modular pipeline, stopping at the first certificate.
 
-    Each usable prime adds one stage: the usable runs CRT'd and lifted, and the
-    lift's certificate.  A run whose signature differs from the first usable
-    run's, which every usable run shares, is skipped."""
+    Each usable prime adds one stage: its run folded into the previous stage's
+    CRT record and lifted, and the lift's certificate.  A run whose signature
+    differs from the first usable run's, which every usable run shares, is
+    skipped."""
     config = config or RunConfig()
     validate_problem(ring, f)
     delta0, B = canonical_conductor(f, ring)
@@ -151,8 +152,7 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
         if not run.usable:
             continue
         usable.append(run)
-        state = reconcile_and_lift(usable, ring,
-                                   result.stages[-1].state if result.stages else None)
+        state = reconcile_and_lift(run, ring, result.stages[-1].state if result.stages else None)
         result.stages.append(Stage(state, verify_candidate(state, f)))
         if result.accepted:
             break

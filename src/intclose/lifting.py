@@ -1,20 +1,20 @@
 """Characteristic-0 reconstruction: mod-q runs, CRT, rational lifting, certification.
 
-Per-prime closures are reconciled coefficientwise by the Chinese remainder
-map into data mod N, one prime per stage (Garner's step, ``crt``), lifted to
-small rationals by extended-Euclidean reconstruction, which cannot fail on
-the CRT records (``rat_recon``), and the lifted candidate is accepted
-exactly when the inclusion image of the input ideal reduces to zero against
-its relations, its numerators are consistent with them, and the relations are
-a Groebner basis.  The decision runs those checks in that order and stops at
-the first that fails; a bit it did not need is computed when first read (the
-audit log, or the printed certificate of a stage that was not accepted).  The
-lift implies per-prime specialization; it is evaluated for the printed stage.
+Each stage folds one per-prime closure coefficientwise into the previous
+stage's record mod N, a plain tuple of polynomials over ZZ, by the Chinese
+remainder map (Garner's step, ``crt``), lifts it to small rationals by
+extended-Euclidean reconstruction, which cannot fail on a CRT record
+(``rat_recon``), and accepts the lifted candidate exactly when the inclusion
+image of the input ideal reduces to zero against its relations, its numerators
+are consistent with them, and the relations are a Groebner basis.  The
+decision runs those checks in that order and stops at the first that fails; a
+bit it did not need is computed when first read (the audit log, or the printed
+certificate of a stage that was not accepted).  The lift implies per-prime
+specialization; it is evaluated for the printed stage.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -179,26 +179,12 @@ def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
 
 
 # ---------------------------------------------------------------------------
-# maps over a closure's polynomials
+# reconciliation and verification
 
 
 def _polys(fractions: FractionSet, presentation: ClosurePresentation) -> tuple:
     """The closure's polynomials: numerators, relations, then psi(y)."""
     return fractions.numerators + presentation.relations + (presentation.inclusion_image,)
-
-
-def _closure_map(fn, closures, input_ring: Ring, output_ring: Ring) -> tuple:
-    """(fractions, presentation) of fn(polys, ring), slot by slot.
-
-    ``closures`` are (fractions, presentation) pairs of one shape; polys holds
-    one slot's polynomial from each of them, and ring is the input or output
-    ring the slot's image lies in.
-    """
-    nnum = len(closures[0][0].numerators)
-    out = [fn(polys, input_ring if i < nnum else output_ring)
-           for i, polys in enumerate(zip(*(_polys(*c) for c in closures)))]
-    return (FractionSet(input_ring, tuple(out[:nnum])),
-            ClosurePresentation(output_ring, tuple(out[nnum:-1]), out[-1]))
 
 
 def compatibility_check(runs) -> bool:
@@ -208,18 +194,13 @@ def compatibility_check(runs) -> bool:
                 for r in runs if r.usable}) == 1
 
 
-# ---------------------------------------------------------------------------
-# reconciliation and verification
-
-
 @dataclass(frozen=True)
 class LiftState:
     """The usable runs' closure by CRT over ZZ, and its lift over QQ."""
 
     primes: tuple
     modulus: int
-    crt_fractions: FractionSet       # over ZZ, balanced mod modulus
-    crt_presentation: ClosurePresentation
+    crt: tuple                       # ``_polys`` over ZZ, balanced mod modulus
     fractions: FractionSet           # lifted over QQ
     presentation: ClosurePresentation
 
@@ -231,30 +212,34 @@ class LiftState:
         return True
 
 
-def reconcile_and_lift(runs, input_ring: Ring, prev: LiftState | None = None) -> LiftState:
-    """CRT the usable runs into data mod N (folding only the last into ``prev``,
-    the stage of the others, when given), then lift coefficientwise to Q."""
-    runs = [r for r in runs if r.usable]
-    if not runs:
-        raise LiftError("no usable runs to reconcile")
-    if not compatibility_check(runs):
-        raise LiftError("runs have incompatible closure signatures")
-    primes = tuple(r.q for r in runs)
-    modulus = math.prod(primes)
-    out_ring = runs[0].presentation.ring
-    closures = [(r.fractions, r.presentation) for r in runs]
-    if prev is not None and prev.primes == primes[:-1]:
-        closures[:-1] = [(prev.crt_fractions, prev.crt_presentation)]
-        fold = lambda polys, ring: crt_poly([(polys[1], primes[-1])], ring,
-                                              polys[0], prev.modulus)
+def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None = None) -> LiftState:
+    """Fold one usable run into ``prev``'s CRT record (the zero record mod 1 at
+    the first stage), then lift coefficientwise to Q.
+
+    The ZZ and QQ copies of the input and output rings are built at the first
+    stage; later stages read them off ``prev``'s polynomials."""
+    if not run.usable:
+        raise LiftError(f"run at q={run.q} is not usable")
+    polys = _polys(run.fractions, run.presentation)
+    if prev is None:
+        out_ring = run.presentation.ring
+        zz_in, zz_out, qq_in, qq_out = (input_ring.with_domain(ZZ), out_ring.with_domain(ZZ),
+                                        input_ring.with_domain(QQ), out_ring.with_domain(QQ))
+        primes, n, acc = (), 1, (None,) * len(polys)
     else:
-        fold = lambda polys, ring: crt_poly(zip(polys, primes), ring)
-    crt_closure = _closure_map(fold, closures, input_ring.with_domain(ZZ),
-                               out_ring.with_domain(ZZ))
-    lifted = _closure_map(lambda polys, ring: lift_poly(polys[0], modulus, ring),
-                          [crt_closure], input_ring.with_domain(QQ),
-                          out_ring.with_domain(QQ))
-    return LiftState(primes, modulus, *crt_closure, *lifted)
+        if tuple(p.lm for p in polys) != tuple(p.lm for p in prev.crt):
+            raise LiftError("runs have incompatible closure signatures")
+        zz_in, zz_out, qq_in, qq_out = (prev.crt[0].ring, prev.crt[-1].ring,
+                                        prev.fractions.ring, prev.presentation.ring)
+        primes, n, acc = prev.primes, prev.modulus, prev.crt
+    nnum, modulus = len(run.fractions.numerators), n * run.q
+    record = tuple(crt_poly([(p, run.q)], zz_in if i < nnum else zz_out, a, n)
+                   for i, (p, a) in enumerate(zip(polys, acc)))
+    lifted = [lift_poly(c, modulus, qq_in if i < nnum else qq_out)
+              for i, c in enumerate(record)]
+    return LiftState(primes + (run.q,), modulus, record,
+                     FractionSet(qq_in, tuple(lifted[:nnum])),
+                     ClosurePresentation(qq_out, tuple(lifted[nnum:-1]), lifted[-1]))
 
 
 def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,

@@ -13,13 +13,15 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import NamedTuple
 
-from intclose import (GF, MODP, ClosureError, ClosurePresentation, ConductorError,
-                      LiftError, MonomialOrder, Ring, RingError, balanced, buchberger,
-                      canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
-                      is_prime, mono_weight, module_reduce, mu_poly, normal_form,
-                      partial_derivative, psi_substitute, s_poly)
+from intclose import (GF, MODP, QQ, ZZ, ClosureError, ClosurePresentation,
+                      ConductorError, FractionSet, LiftError, LiftState, MonomialOrder,
+                      Ring, RingError, balanced, buchberger, canonical_conductor,
+                      compatibility_check, grevlex_over_weight, is_minimal_reduced_gb,
+                      is_prime, lift_poly, mono_weight, module_reduce, mu_poly,
+                      normal_form, partial_derivative, psi_substitute, s_poly)
 from intclose.closure import fraction_names
 from intclose.groebner import reduce_terms
+from intclose.lifting import _polys
 from intclose.linalg import nullspace_mod
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
 
@@ -475,6 +477,36 @@ def is_prime_usable_reference(q: int, f, delta0):
     if delta_q != mu_poly(delta0, ring_q):
         return "skipped", "conductor disagrees with the rational one"
     return "usable", (f_q, delta_q)
+
+
+def reconcile_and_lift_reference(runs, input_ring: Ring) -> LiftState:
+    """``lifting.reconcile_and_lift`` over all the usable runs at once, not one
+    fold per stage: every coefficient is the balanced CRT sum of a_i*M_i*(M_i^-1
+    mod q_i), M_i = N/q_i, over the union of the runs' supports, then lifted."""
+    runs = [r for r in runs if r.usable]
+    if not runs:
+        raise LiftError("no usable runs to reconcile")
+    if not compatibility_check(runs):
+        raise LiftError("runs have incompatible closure signatures")
+    primes = tuple(r.q for r in runs)
+    if len(set(primes)) != len(primes):
+        raise LiftError("duplicate primes in CRT input")
+    modulus = math.prod(primes)
+    units = [(modulus // q) * pow(modulus // q, -1, q) for q in primes]
+    nnum = len(runs[0].fractions.numerators)
+    out_ring = runs[0].presentation.ring
+    zz = (input_ring.with_domain(ZZ), out_ring.with_domain(ZZ))
+    qq = (input_ring.with_domain(QQ), out_ring.with_domain(QQ))
+    record = []
+    for i, slot in enumerate(zip(*(_polys(r.fractions, r.presentation) for r in runs))):
+        coeffs = [dict(p.terms) for p in slot]
+        sums = {m: balanced(sum(int(c.get(m, 0)) * u for c, u in zip(coeffs, units)), modulus)
+                for m in set().union(*coeffs)}
+        record.append(zz[i >= nnum].poly({m: c for m, c in sums.items() if c}))
+    lifted = [lift_poly(p, modulus, qq[i >= nnum]) for i, p in enumerate(record)]
+    return LiftState(primes, modulus, tuple(record),
+                     FractionSet(qq[0], tuple(lifted[:nnum])),
+                     ClosurePresentation(qq[1], tuple(lifted[nnum:-1]), lifted[-1]))
 
 
 class ReferenceCertificate(NamedTuple):

@@ -39,16 +39,17 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
 
     st55 = res.stages[1].state
     assert st55.modulus == 55
-    assert str(st55.crt_fractions.numerators[-1]) == "x - 9"
-    assert [str(b) for b in st55.crt_presentation.relations] == ["ybar^2 + 26*x"]
+    nnum = len(st55.fractions.numerators)
+    assert str(st55.crt[nnum - 1]) == "x - 9"
+    assert [str(b) for b in st55.crt[nnum:-1]] == ["ybar^2 + 26*x"]
     assert str(st55.fractions.numerators[-1]) == "x + 1/6"
     assert [str(b) for b in st55.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert not res.stages[1].certificate.accepted
 
     st715 = res.stages[2].state
     assert st715.modulus == 715
-    assert str(st715.crt_fractions.numerators[-1]) == "x + 101"
-    assert [str(b) for b in st715.crt_presentation.relations] == ["ybar^2 + 356*x"]
+    assert str(st715.crt[nnum - 1]) == "x + 101"
+    assert [str(b) for b in st715.crt[nnum:-1]] == ["ybar^2 + 356*x"]
     assert str(st715.fractions.numerators[-1]) == "x - 8/7"
     assert [str(b) for b in st715.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert res.accepted and res.stages[2].certificate.accepted
@@ -109,7 +110,7 @@ def test_criterion_3_trident():
     p11 = induce_presentation(fs11, f11)
     r11 = PrimeRun(11, delta_q=mu_poly(delta0, ring11),
                    fractions=fs11, presentation=p11)
-    state = reconcile_and_lift([r5, r11], ring)
+    state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
     assert state.modulus == 55
     cert = verify_candidate(state, f)
     assert not cert.accepted

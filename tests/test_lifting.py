@@ -19,7 +19,7 @@ from intclose.lifting import _specializes, closure_run, specializations
 from conftest import CURVES, curve_ring, make_curve
 from corpus import workloads
 from oracles import (is_prime_usable_reference, mod_n, nullspace_rref,
-                     verify_candidate_reference)
+                     reconcile_and_lift_reference, verify_candidate_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def test_trident_rejects_at_55_with_reference_residual():
     # the conductor filter would skip 11; force the rational conductor image
     r11 = _forced_run("trident", 11, delta=delta0)
     assert compatibility_check([r5, r11])
-    state = reconcile_and_lift([r5, r11], ring)
+    state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
     assert state.modulus == 55
     out = state.presentation.relations[0].ring
     texts = sorted(str(r) for r in state.presentation.relations)
@@ -415,14 +415,15 @@ def _problem(name):
 def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
     # per_prime is evaluated only for the printed stage, the last that
     # lifted; it holds on all of them.  Each stage's CRT record, folded from
-    # the previous one, is the one reconciled from all its runs at once.
+    # the previous one, is the one reconciled from all its runs at once by
+    # the reference.
     ring, f = _problem(name)
     res = run_algorithm1(ring, f)
     usable = [r for r in res.runs if r.usable]
     assert len(res.stages) == len(usable)
     lifted = [k for k, stage in enumerate(res.stages, 1) if stage.state.lifted]
     for k, stage in enumerate(res.stages, 1):
-        assert stage.state == reconcile_and_lift(usable[:k], ring)
+        assert stage.state == reconcile_and_lift_reference(usable[:k], ring)
         if not stage.state.lifted:
             continue
         assert all(_specializes(stage.state, r) for r in usable[:k])
@@ -531,12 +532,62 @@ def test_run_config_rejects_duplicate_or_composite_primes(quadratic):
 
 
 def test_reconcile_rejects_incompatible_runs():
+    # the oversized trident closure at q = 2 against the generic one at q = 7,
+    # folded in either order
     ring, f = make_curve("trident")
     delta0, B = canonical_conductor(f, ring)
     r7 = run_prime(7, f, delta0, B)
     r2 = _forced_run("trident", 2)
-    with pytest.raises(LiftError):
-        reconcile_and_lift([r2, r7], ring)
+    for first, second in ((r2, r7), (r7, r2)):
+        prev = reconcile_and_lift(first, ring)
+        with pytest.raises(LiftError, match="^runs have incompatible closure signatures$"):
+            reconcile_and_lift(second, ring, prev)
+
+
+def test_reconcile_rejects_an_unusable_run_and_a_prime_already_folded(quadratic):
+    ring, f = quadratic
+    delta0, B = canonical_conductor(f, ring)
+    r5, r11 = run_prime(5, f, delta0, B), run_prime(11, f, delta0, B)
+    skipped = run_prime(3, f, delta0, B)
+    assert not skipped.usable
+    prev = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
+    for p in (None, prev):
+        with pytest.raises(LiftError, match="^run at q=3 is not usable$"):
+            reconcile_and_lift(skipped, ring, p)
+    for run in (r5, r11):
+        with pytest.raises(LiftError, match="^duplicate primes in CRT input$"):
+            reconcile_and_lift(run, ring, prev)
+
+
+def test_fold_order_does_not_change_the_record(quadratic):
+    # the balanced residue mod N is unique, so every order of folding the
+    # runs at 5, 11 and 13 gives the all-at-once reference's record and lift
+    ring, f = quadratic
+    delta0, B = canonical_conductor(f, ring)
+    runs = [run_prime(q, f, delta0, B) for q in (5, 11, 13)]
+    ref = reconcile_and_lift_reference(runs, ring)
+    orders = list(permutations(runs))
+    assert len(orders) == 6
+    for order in orders:
+        state = None
+        for run in order:
+            state = reconcile_and_lift(run, ring, state)
+        assert state.primes == tuple(r.q for r in order)
+        assert (state.modulus, state.crt, state.fractions, state.presentation) == \
+            (ref.modulus, ref.crt, ref.fractions, ref.presentation)
+
+
+def test_rings_over_zz_and_qq_are_built_once_per_problem(monkeypatch):
+    # the first stage builds the ZZ and QQ copies of the input and output
+    # rings; every later stage reads them off the previous stage's record
+    ring, f = _problem("tall-7-001")
+    calls = []
+    real = Ring.with_domain
+    monkeypatch.setattr(Ring, "with_domain",
+                        lambda self, domain: calls.append(domain) or real(self, domain))
+    res = run_algorithm1(ring, f)
+    assert len(res.stages) == 8
+    assert sum(domain in (ZZ, QQ) for domain in calls) == 4
 
 
 def test_closure_family_with_known_answer():
