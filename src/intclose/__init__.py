@@ -17,9 +17,8 @@ from .driver import (Algorithm1Result, DriverError, RunConfig, run_algorithm1,
 from .groebner import (GroebnerError, ModuleVector, buchberger, head_reduce,
                        is_minimal_reduced_gb, minimal_reduced, module_gb,
                        module_normal_form, normal_form, s_poly)
-from .lifting import (Certificate, LiftError, LiftState, PrimeRun,
-                      compatibility_check, crt, crt_poly, is_prime_usable,
-                      lift_poly, mu_poly, psi_substitute, rat_recon,
+from .lifting import (Certificate, LiftError, LiftState, PrimeRun, SignatureError,
+                      crt, is_prime_usable, mu_poly, psi_substitute, rat_recon,
                       reconcile_and_lift, run_prime, verify_candidate)
 from .orders import (MonomialOrder, OrderError, grevlex_over_weight,
                      weight_over_grevlex)

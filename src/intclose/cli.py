@@ -124,13 +124,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    mode = args.mode
-    if mode is None:
-        mode = "charq" if problem.characteristic else "char0"
+    mode = args.mode or ("charq" if problem.characteristic else "char0")
     prime = args.prime if args.prime is not None else problem.characteristic
 
     try:
         if mode == "charq":
+            if args.primes is not None:
+                raise DriverError("--primes applies to char0 mode only")
             if prime is None:
                 raise DriverError("charq mode requires --prime or a characteristic field")
             try:
@@ -142,6 +142,8 @@ def main(argv=None) -> int:
             result = run_charq(ring, f, prime)
             audit = [f"q={prime} delta={result.delta_q}"]
         else:
+            if args.prime is not None:
+                raise DriverError("--prime applies to charq mode only")
             ring = problem.ring(QQ)
             f = problem.relation(ring)
             primes = None

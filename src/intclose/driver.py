@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from .closure import ClosureError, ClosurePresentation, FractionSet, fraction_names
 from .conductor import canonical_conductor
 from .domains import GF, DomainError, is_prime
-from .lifting import (Certificate, LiftState, PrimeRun, closure_run,
-                      compatibility_check, reconcile_and_lift, run_prime,
-                      specializations, verify_candidate)
+from .lifting import (Certificate, LiftState, PrimeRun, SignatureError, closure_run,
+                      reconcile_and_lift, run_prime, specializations, verify_candidate)
 from .rings import Polynomial, Ring, _mono_str
 from .weights import validate_weight_function
 
@@ -135,32 +134,31 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
 
     Each usable prime adds one stage: its run folded into the previous stage's
     CRT record and lifted, and the lift's certificate.  A run whose signature
-    differs from the first usable run's, which every usable run shares, is
-    skipped."""
+    differs from the first usable run's, which every stage's lift keeps, is
+    skipped (the fold's ``SignatureError``)."""
     config = config or RunConfig()
     validate_problem(ring, f)
     delta0, B = canonical_conductor(f, ring)
-    result = Algorithm1Result(delta0)
-    usable: list[PrimeRun] = []
+    result, state = Algorithm1Result(delta0), None
     for q in _prime_schedule(config):
-        if len(usable) >= config.max_primes:
+        if len(result.stages) >= config.max_primes:
             break
         run = run_prime(q, f, delta0, B)
-        if run.usable and usable and not compatibility_check([usable[0], run]):
-            run = PrimeRun(q, reason="incompatible closure signature")
+        if run.usable:
+            try:
+                state = reconcile_and_lift(run, ring, state)
+            except SignatureError:
+                run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
-        if not run.usable:
-            continue
-        usable.append(run)
-        state = reconcile_and_lift(run, ring, result.stages[-1].state if result.stages else None)
-        result.stages.append(Stage(state, verify_candidate(state, f)))
-        if result.accepted:
-            break
+        if run.usable:
+            result.stages.append(Stage(state, verify_candidate(state, f)))
+            if result.accepted:
+                break
     # per_prime holds on every stage (``specializations``), so the certificates
     # above check no run; the printed one, the last, gets all of its runs
     if result.stages:
         s = result.stages[-1]
-        s.certificate.per_prime = specializations(s.state, usable)
+        s.certificate.per_prime = specializations(s.state, result.runs)
     return result
 
 

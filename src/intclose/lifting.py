@@ -1,7 +1,7 @@
 """Characteristic-0 reconstruction: mod-q runs, CRT, rational lifting, certification.
 
 Each stage folds one per-prime closure coefficientwise into the previous
-stage's record mod N, a plain tuple of polynomials over ZZ, by the Chinese
+stage's record mod N, a plain tuple of {monomial: int} maps, by the Chinese
 remainder map (Garner's step, ``crt``), lifts it to small rationals by
 extended-Euclidean reconstruction, which cannot fail on a CRT record
 (``rat_recon``), and accepts the lifted candidate exactly when the inclusion
@@ -22,13 +22,17 @@ from fractions import Fraction
 from .closure import (ClosurePresentation, ClosureError, FractionSet,
                       induce_presentation, minimize_denominator, qth_closure)
 from .conductor import ConductorError, canonical_conductor
-from .domains import GF, QQ, ZZ, DomainError, balanced, is_prime
+from .domains import GF, QQ, DomainError, balanced, is_prime
 from .groebner import is_minimal_reduced_gb, normal_form
 from .rings import Polynomial, Ring
 
 
 class LiftError(ArithmeticError):
     """A coefficient map (mod N or its rational inverse) is undefined."""
+
+
+class SignatureError(LiftError):
+    """A run's leading monomials differ from those of the record it joins."""
 
 
 # ---------------------------------------------------------------------------
@@ -86,36 +90,6 @@ def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
         return target.poly(dict(p.terms))
     except DomainError as exc:
         raise LiftError(str(exc)) from None
-
-
-def crt_poly(polys, target: Ring, acc: Polynomial | None = None, n: int = 1) -> Polynomial:
-    """CRT over the union of supports, folded one prime at a time by Garner's step
-    (as in ``crt``, with 1/n mod q taken once per fold) into the record acc mod n
-    (by default zero mod 1); all share one leading monomial."""
-    acc = target.zero() if acc is None else acc
-    for p, q in polys:
-        if acc and acc.lm != p.lm:
-            raise LiftError(f"leading monomials disagree: {sorted((acc.lm, p.lm))}")
-        if n % q == 0:
-            raise LiftError("duplicate primes in CRT input")
-        inv, nq = pow(n, -1, q), n * q
-        old, new = dict(acc.terms), dict(p.terms)
-        acc = target._sorted({m: c for m in old.keys() | new.keys()
-                              if (c := balanced((x := old.get(m, 0))
-                                                + n * ((new.get(m, 0) - x) * inv % q), nq))})
-        n = nq
-    return acc
-
-
-def lift_poly(p: Polynomial, n: int, target: Ring) -> Polynomial:
-    """Rational reconstruction of every coefficient of a mod-n polynomial.
-
-    ``target`` has p's variables and order, so the lifted terms keep p's
-    order; a coefficient that vanishes mod n is dropped."""
-    terms = tuple((m, a) for m, c in p.terms if (a := rat_recon(int(c) % n, n)))
-    if not terms or terms[0][0] != p.lm:
-        raise LiftError("lift changed the leading monomial")
-    return Polynomial(target, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +161,21 @@ def _polys(fractions: FractionSet, presentation: ClosurePresentation) -> tuple:
     return fractions.numerators + presentation.relations + (presentation.inclusion_image,)
 
 
-def compatibility_check(runs) -> bool:
-    """Counts and leading-monomial signatures agree across all usable runs."""
-    return len({(len(r.fractions.numerators),
-                 tuple(p.lm for p in _polys(r.fractions, r.presentation)))
-                for r in runs if r.usable}) == 1
-
-
 @dataclass(frozen=True)
 class LiftState:
-    """The usable runs' closure by CRT over ZZ, and its lift over QQ."""
+    """The usable runs' closure by CRT, and its lift over QQ."""
 
     primes: tuple
     modulus: int
-    crt: tuple                       # ``_polys`` over ZZ, balanced mod modulus
+    crt: tuple                       # ``_polys`` as {monomial: int} maps, balanced mod N
     fractions: FractionSet           # lifted over QQ
     presentation: ClosurePresentation
 
     @property
     def lifted(self) -> bool:
-        """Always true: ``crt_poly`` keeps only coefficients that are nonzero mod
-        N, and ``rat_recon`` lifts each to a nonzero alpha/beta with
-        gcd(beta, N) = 1.  Kept because the benchmark's lift counter reads it."""
+        """Always true: a CRT record's coefficients are nonzero mod N, and
+        ``rat_recon`` lifts each to a nonzero alpha/beta with gcd(beta, N) = 1.
+        Kept because the benchmark's lift counter reads it."""
         return True
 
 
@@ -216,28 +183,34 @@ def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None =
     """Fold one usable run into ``prev``'s CRT record (the zero record mod 1 at
     the first stage), then lift coefficientwise to Q.
 
-    The ZZ and QQ copies of the input and output rings are built at the first
-    stage; later stages read them off ``prev``'s polynomials."""
+    The fold is Garner's step (as in ``crt``) over the union of each map's
+    support and its polynomial's, with 1/N mod q taken once; every monomial
+    there has a nonzero residue mod N or mod q, so the record holds no zero.
+    The run's leading monomials must be those of ``prev``'s lift, which keeps
+    its record's support (``SignatureError`` otherwise).  The QQ copies of the
+    input and output rings are built at the first stage, and read off
+    ``prev``'s lift after it."""
     if not run.usable:
         raise LiftError(f"run at q={run.q} is not usable")
-    polys = _polys(run.fractions, run.presentation)
+    polys, q = _polys(run.fractions, run.presentation), run.q
     if prev is None:
-        out_ring = run.presentation.ring
-        zz_in, zz_out, qq_in, qq_out = (input_ring.with_domain(ZZ), out_ring.with_domain(ZZ),
-                                        input_ring.with_domain(QQ), out_ring.with_domain(QQ))
-        primes, n, acc = (), 1, (None,) * len(polys)
+        qq_in, qq_out = input_ring.with_domain(QQ), run.presentation.ring.with_domain(QQ)
+        primes, n, acc = (), 1, ({},) * len(polys)
     else:
-        if tuple(p.lm for p in polys) != tuple(p.lm for p in prev.crt):
-            raise LiftError("runs have incompatible closure signatures")
-        zz_in, zz_out, qq_in, qq_out = (prev.crt[0].ring, prev.crt[-1].ring,
-                                        prev.fractions.ring, prev.presentation.ring)
+        if tuple(p.lm for p in polys) != tuple(p.lm for p in
+                                               _polys(prev.fractions, prev.presentation)):
+            raise SignatureError("runs have incompatible closure signatures")
+        qq_in, qq_out = prev.fractions.ring, prev.presentation.ring
         primes, n, acc = prev.primes, prev.modulus, prev.crt
-    nnum, modulus = len(run.fractions.numerators), n * run.q
-    record = tuple(crt_poly([(p, run.q)], zz_in if i < nnum else zz_out, a, n)
-                   for i, (p, a) in enumerate(zip(polys, acc)))
-    lifted = [lift_poly(c, modulus, qq_in if i < nnum else qq_out)
-              for i, c in enumerate(record)]
-    return LiftState(primes + (run.q,), modulus, record,
+    if n % q == 0:
+        raise LiftError("duplicate primes in CRT input")
+    inv, nq, nnum = pow(n, -1, q), n * q, len(run.fractions.numerators)
+    record = tuple({m: balanced((x := old.get(m, 0)) + n * ((new.get(m, 0) - x) * inv % q), nq)
+                    for m in old.keys() | new.keys()}
+                   for old, new in zip(acc, (dict(p.terms) for p in polys)))
+    lifted = [(qq_in if i < nnum else qq_out)._sorted({m: rat_recon(c, nq) for m, c in r.items()})
+              for i, r in enumerate(record)]
+    return LiftState(primes + (q,), nq, record,
                      FractionSet(qq_in, tuple(lifted[:nnum])),
                      ClosurePresentation(qq_out, tuple(lifted[nnum:-1]), lifted[-1]))
 
@@ -325,12 +298,19 @@ def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
 def specializations(state: LiftState, runs) -> tuple:
     """((q, ok), ...): whether the lifted candidate reduces mod q to q's run; true on
     every stage, as ``rat_recon`` returns alpha/beta with gcd(beta, N) = 1
-    and c*beta = alpha (mod N), and ``lift_poly`` keeps the leading monomial."""
+    and c*beta = alpha (mod N), on the record's whole support."""
     return tuple((run.q, _specializes(state, run)) for run in runs
                  if run.usable and run.q in state.primes)
 
 
 def _specializes(state: LiftState, run: PrimeRun) -> bool:
-    return all(mu_poly(p, g.ring) == g
-               for p, g in zip(_polys(state.fractions, state.presentation),
-                               _polys(run.fractions, run.presentation)))
+    """Each lifted coefficient a/b taken mod q as a*b^-1 (a denominator that q
+    divides raises), zeros dropped, against the run's terms."""
+    q = run.q
+    try:
+        return all({m: r for m, c in p.terms if (r := c.numerator * pow(c.denominator, -1, q) % q)}
+                   == dict(g.terms)
+                   for p, g in zip(_polys(state.fractions, state.presentation),
+                                   _polys(run.fractions, run.presentation)))
+    except ValueError:
+        raise LiftError(f"a lifted denominator vanishes mod {q}") from None

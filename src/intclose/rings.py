@@ -60,7 +60,7 @@ class Ring:
     def poly(self, terms: dict) -> "Polynomial":
         """Canonicalize a monomial -> coefficient mapping into a Polynomial, for input from
         outside the arithmetic (parser, ``mu_poly``, per-prime records, tests).
-        ``+``, ``*``, ``crt_poly``, ``module_reduce``, ``induce_presentation`` use ``_sorted``."""
+        ``+``, ``*``, the lift, ``module_reduce``, ``induce_presentation`` use ``_sorted``."""
         dom = self.domain
         clean = {}
         for mono, c in terms.items():

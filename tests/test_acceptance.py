@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from intclose import (GF, RunConfig, canonical_conductor, crt,
+from intclose import (GF, ZZ, RunConfig, canonical_conductor, crt,
                       induce_presentation, is_minimal_reduced_gb,
                       minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure, rat_recon,
@@ -37,19 +37,21 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
     assert str(runs[13].delta_q) == "x - 3"
     assert [str(b) for b in runs[13].presentation.relations] == ["ybar^2 + 5*x"]
 
+    # the CRT records are integer maps: print them over ZZ
+    zz_in, zz_out = ring.with_domain(ZZ), res.stages[1].state.presentation.ring.with_domain(ZZ)
     st55 = res.stages[1].state
     assert st55.modulus == 55
     nnum = len(st55.fractions.numerators)
-    assert str(st55.crt[nnum - 1]) == "x - 9"
-    assert [str(b) for b in st55.crt[nnum:-1]] == ["ybar^2 + 26*x"]
+    assert str(zz_in.poly(st55.crt[nnum - 1])) == "x - 9"
+    assert [str(zz_out.poly(b)) for b in st55.crt[nnum:-1]] == ["ybar^2 + 26*x"]
     assert str(st55.fractions.numerators[-1]) == "x + 1/6"
     assert [str(b) for b in st55.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert not res.stages[1].certificate.accepted
 
     st715 = res.stages[2].state
     assert st715.modulus == 715
-    assert str(st715.crt[nnum - 1]) == "x + 101"
-    assert [str(b) for b in st715.crt[nnum:-1]] == ["ybar^2 + 356*x"]
+    assert str(zz_in.poly(st715.crt[nnum - 1])) == "x + 101"
+    assert [str(zz_out.poly(b)) for b in st715.crt[nnum:-1]] == ["ybar^2 + 356*x"]
     assert str(st715.fractions.numerators[-1]) == "x - 8/7"
     assert [str(b) for b in st715.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert res.accepted and res.stages[2].certificate.accepted

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -10,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ZZ, LiftError, Ring, balanced, canonical_conductor,
-                      compatibility_check, crt, crt_poly, is_prime, is_prime_usable,
-                      lift_poly, mu_poly, parse_problem, psi_combination, rat_recon,
+from intclose import (GF, QQ, ZZ, ClosurePresentation, FractionSet, LiftError, PrimeRun,
+                      Ring, SignatureError, balanced, canonical_conductor, crt, is_prime,
+                      is_prime_usable, mu_poly, parse_problem, psi_combination, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_charq, run_prime,
                       verify_candidate, RunConfig)
 from intclose.lifting import _specializes, closure_run, specializations
 from conftest import CURVES, curve_ring, make_curve
 from corpus import workloads
-from oracles import (is_prime_usable_reference, mod_n, nullspace_rref,
+from oracles import (crt_sum_reference, is_prime_usable_reference, mod_n, nullspace_rref,
                      reconcile_and_lift_reference, verify_candidate_reference)
 
 
@@ -114,7 +115,7 @@ def test_crt_congruences_random():
 
 
 # ---------------------------------------------------------------------------
-# polynomial maps
+# polynomial maps: the fold and lift of one polynomial, through reconcile_and_lift
 
 
 def _ybar_ring(domain):
@@ -123,61 +124,85 @@ def _ybar_ring(domain):
     return Ring(("ybar", "x"), 1, domain, grevlex_over_weight(w, 1, 2), w)
 
 
+def _psi_run(p, q):
+    """A usable run at q whose closure is the denominator x alone and p as psi(y),
+    so that its record's last map is p's CRT record and its psi(y) p's lift."""
+    return PrimeRun(q, fractions=FractionSet(p.ring, (p.ring.parse("x"),)),
+                    presentation=ClosurePresentation(p.ring, (), p))
+
+
+def _fold_psi(polys, ring):
+    """Each stage's state, folding the ``_psi_run`` of every (p, q) in turn."""
+    state, states = None, []
+    for p, q in polys:
+        state = reconcile_and_lift(_psi_run(p, q), ring, state)
+        states.append(state)
+    return states
+
+
+def _record(ring, text):
+    """A polynomial's {monomial: int} map, as a CRT record holds it."""
+    return dict(ring.with_domain(ZZ).parse(text).terms)
+
+
 def test_crt_poly_and_lift_chain():
     r5, r11, r13 = (_ybar_ring(GF(q)) for q in (5, 11, 13))
-    zz, qq = _ybar_ring(ZZ), _ybar_ring(QQ)
+    qq = _ybar_ring(QQ)
     b5 = r5.parse("ybar^2 + x")
     b11 = r11.parse("ybar^2 + 4*x")
-    c55 = crt_poly([(b5, 5), (b11, 11)], zz)
-    assert c55 == zz.parse("ybar^2 + 26*x")
-    assert lift_poly(c55, 55, qq) == qq.parse("ybar^2 - 3/2*x")
     b13 = r13.parse("ybar^2 + 5*x")
-    c715 = crt_poly([(b5, 5), (b11, 11), (b13, 13)], zz)
-    assert c715 == zz.parse("ybar^2 + 356*x")
-    assert lift_poly(c715, 715, qq) == qq.parse("ybar^2 - 3/2*x")
+    _, st55, st715 = _fold_psi([(b5, 5), (b11, 11), (b13, 13)], qq)
+    assert st55.crt[-1] == _record(qq, "ybar^2 + 26*x") == crt_sum_reference([b5, b11], (5, 11))
+    assert st55.presentation.inclusion_image == qq.parse("ybar^2 - 3/2*x")
+    assert st715.crt[-1] == _record(qq, "ybar^2 + 356*x") == \
+        crt_sum_reference([b5, b11, b13], (5, 11, 13))
+    assert st715.presentation.inclusion_image == qq.parse("ybar^2 - 3/2*x")
 
 
 def test_crt_poly_denominator_chain():
     r5, r11, r13 = (curve_ring((3, 2), GF(q)) for q in (5, 11, 13))
-    zz, qq = curve_ring((3, 2), ZZ), curve_ring((3, 2), QQ)
+    qq = curve_ring((3, 2), QQ)
     g5, g11, g13 = r5.parse("x + 1"), r11.parse("x + 2"), r13.parse("x - 3")
-    c = crt_poly([(g5, 5), (g11, 11)], zz)
-    assert c == zz.parse("x - 9")
-    assert lift_poly(c, 55, qq) == qq.parse("x + 1/6")
-    c2 = crt_poly([(g5, 5), (g11, 11), (g13, 13)], zz)
-    assert c2 == zz.parse("x + 101")
-    assert lift_poly(c2, 715, qq) == qq.parse("x - 8/7")
+    _, st55, st715 = _fold_psi([(g5, 5), (g11, 11), (g13, 13)], qq)
+    assert st55.crt[-1] == _record(qq, "x - 9") == crt_sum_reference([g5, g11], (5, 11))
+    assert st55.presentation.inclusion_image == qq.parse("x + 1/6")
+    assert st715.crt[-1] == _record(qq, "x + 101") == \
+        crt_sum_reference([g5, g11, g13], (5, 11, 13))
+    assert st715.presentation.inclusion_image == qq.parse("x - 8/7")
 
 
 def test_crt_poly_monicity_and_union_support():
     r5, r11 = (curve_ring((3, 2), GF(q)) for q in (5, 11))
-    zz = curve_ring((3, 2), ZZ)
     a = r5.parse("x^2 + 1")       # x term vanishes mod 5
     b = r11.parse("x^2 + 5*x + 1")
-    out = crt_poly([(a, 5), (b, 11)], zz)
-    assert out.is_monic()
-    assert out.coeff_of((0, 1)) % 5 == 0 and out.coeff_of((0, 1)) % 11 == 5
+    state = _fold_psi([(a, 5), (b, 11)], curve_ring((3, 2)))[-1]
+    out = state.crt[-1]
+    assert out[(0, 2)] == 1 and state.presentation.inclusion_image.is_monic()
+    assert out[(0, 1)] % 5 == 0 and out[(0, 1)] % 11 == 5
 
 
 def test_crt_poly_lm_mismatch():
+    # the run's leading monomials are compared with the previous lift's, once
     r5, r11 = (curve_ring((3, 2), GF(q)) for q in (5, 11))
-    zz = curve_ring((3, 2), ZZ)
-    with pytest.raises(LiftError):
-        crt_poly([(r5.parse("x + 1"), 5), (r11.parse("x^2"), 11)], zz)
+    ring = curve_ring((3, 2))
+    prev = reconcile_and_lift(_psi_run(r5.parse("x + 1"), 5), ring)
+    with pytest.raises(SignatureError, match="^runs have incompatible closure signatures$"):
+        reconcile_and_lift(_psi_run(r11.parse("x^2"), 11), ring, prev)
 
 
-def _assert_crt_folds(polys, zz):
-    """Folding one prime at a time into the last record equals crt_poly over
-    all the primes at every prefix, the balanced residue of every input
-    coefficient."""
-    acc, n = zz.zero(), 1
+def _assert_crt_folds(polys):
+    """Folding one prime at a time into the last record equals the reference's
+    all-at-once CRT sum over the primes at every prefix, the balanced residue
+    of every input coefficient."""
+    ring = curve_ring((3, 2))
     monos = {m for p, _ in polys for m, _ in p.terms}
-    for k, (p, q) in enumerate(polys, 1):
-        acc, n = crt_poly([(p, q)], zz, acc, n), n * q
-        assert acc == crt_poly(polys[:k], zz)
-        assert acc.lm == p.lm and acc.ring == zz
+    for k, state in enumerate(_fold_psi(polys, ring), 1):
+        (p, _), n, acc = polys[k - 1], state.modulus, state.crt[-1]
+        assert n == math.prod(q for _, q in polys[:k])
+        assert acc == crt_sum_reference([p2 for p2, _ in polys[:k]], [q for _, q in polys[:k]])
+        assert max(acc, key=ring.order.key) == p.lm == state.presentation.inclusion_image.lm
         for m in monos:
-            c = acc.coeff_of(m)
+            c = acc.get(m, 0)
             assert -n < 2 * c <= n
             assert all((c - p2.coeff_of(m)) % q2 == 0 for p2, q2 in polys[:k])
     return acc
@@ -185,27 +210,28 @@ def _assert_crt_folds(polys, zz):
 
 def test_crt_fold_with_one_prime_support_and_zero_residue():
     rings = {q: curve_ring((3, 2), GF(q)) for q in (5, 7, 11)}
-    zz = curve_ring((3, 2), ZZ)
+    ring = curve_ring((3, 2))
     polys = [(rings[5].parse("x^2 + 3*x"), 5),        # no constant term mod 5
              (rings[7].parse("x^2 + 1"), 7),           # x residue 0 mod 7
              (rings[11].parse("x^2 + 5*x + 2"), 11)]
-    assert _assert_crt_folds(polys[:2], zz) == zz.parse("x^2 - 7*x + 15")
-    assert _assert_crt_folds(polys, zz) == zz.parse("x^2 - 182*x - 20")
-    assert crt_poly(polys[:1], zz, zz.zero(), 1) == zz.parse("x^2 - 2*x")
+    assert _assert_crt_folds(polys[:2]) == _record(ring, "x^2 - 7*x + 15")
+    assert _assert_crt_folds(polys) == _record(ring, "x^2 - 182*x - 20")
+    first = reconcile_and_lift(_psi_run(*polys[0]), ring)
+    assert first.crt[-1] == _record(ring, "x^2 - 2*x")
     assert crt([(5, 11)], -7, 35) == (-182, 385)
-    with pytest.raises(LiftError):
-        crt_poly(polys[:1], zz, crt_poly(polys[:1], zz), 5)
-    with pytest.raises(LiftError):
-        crt_poly([(rings[7].parse("x^3"), 7)], zz, zz.parse("x^2"), 5)
+    with pytest.raises(LiftError, match="^duplicate primes in CRT input$"):
+        reconcile_and_lift(_psi_run(*polys[0]), ring, first)
+    with pytest.raises(SignatureError):
+        reconcile_and_lift(_psi_run(rings[7].parse("x^3"), 7), ring, first)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_crt_fold_matches_crt_poly_at_every_prefix(data):
     # supports differ from prime to prime, and a drawn 0 is a zero residue
-    zz = curve_ring((3, 2), ZZ)
+    order = curve_ring((3, 2)).order
     monos = [(i, e) for i in range(3) for e in range(4)]
-    lm = max(monos, key=zz.order.key)
+    lm = max(monos, key=order.key)
     primes = data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17]),
                                 min_size=1, max_size=5, unique=True))
     polys = []
@@ -213,7 +239,7 @@ def test_crt_fold_matches_crt_poly_at_every_prefix(data):
         coeffs = data.draw(st.dictionaries(st.sampled_from(monos), st.integers(0, q - 1)))
         coeffs[lm] = data.draw(st.integers(1, q - 1))
         polys.append((curve_ring((3, 2), GF(q)).poly(coeffs), q))
-    _assert_crt_folds(polys, zz)
+    _assert_crt_folds(polys)
 
 
 PRIMES_BELOW_200 = [q for q in range(2, 200) if is_prime(q)]
@@ -223,19 +249,28 @@ PRIMES_BELOW_200 = [q for q in range(2, 200) if is_prime(q)]
 @given(st.lists(st.sampled_from(PRIMES_BELOW_200), min_size=1, max_size=6, unique=True),
        st.data())
 def test_lift_keeps_support_and_specializes(primes, data):
-    # a CRT record has only coefficients that are nonzero mod N; lifting each
+    # a CRT record has only coefficients that are nonzero mod N, and a leading
+    # one prime to N, as its runs share their leading monomial; lifting each
     # cannot fail, keeps every term, and reduces back to the record mod q | N
     n = math.prod(primes)
-    zz = curve_ring((3, 2), ZZ)
+    ring = curve_ring((3, 2))
     monos = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)),
                                min_size=1, max_size=8, unique=True))
-    record = zz.poly({m: balanced(data.draw(st.integers(1, n - 1)), n) for m in monos})
-    lifted = lift_poly(record, n, zz.with_domain(QQ))
-    assert [m for m, _ in lifted.terms] == [m for m, _ in record.terms]
-    assert lifted.lm == record.lm
+    monos.sort(key=ring.order.key, reverse=True)
+    record = {m: balanced(data.draw(st.integers(1, n - 1)), n) for m in monos[1:]}
+    record[monos[0]] = balanced(data.draw(
+        st.integers(1, n - 1).filter(lambda c: math.gcd(c, n) == 1)), n)
+    runs = [_psi_run(curve_ring((3, 2), GF(q)).poly(record), q) for q in primes]
+    state = None
+    for run in runs:
+        state = reconcile_and_lift(run, ring, state)
+    assert state.crt[-1] == record
+    lifted = state.presentation.inclusion_image
+    assert [m for m, _ in lifted.terms] == monos
+    assert specializations(state, runs) == tuple((q, True) for q in primes)
     for q in primes:
-        ring_q = zz.with_domain(GF(q))
-        assert mu_poly(lifted, ring_q) == mu_poly(record, ring_q)
+        ring_q = curve_ring((3, 2), GF(q))
+        assert mu_poly(lifted, ring_q) == ring_q.poly(record)
 
 
 def test_rat_recon_skips_invalid_candidates():
@@ -296,10 +331,11 @@ def test_usability_matches_the_reference(name):
 def test_compatibility_single_and_pair():
     ring, f = make_curve("quadratic")
     delta0, B = canonical_conductor(f, ring)
+    # one run folds alone, and a second of the same signature onto it
     r5 = run_prime(5, f, delta0, B)
-    assert compatibility_check([r5])
+    state = reconcile_and_lift(r5, ring)
     r11 = run_prime(11, f, delta0, B)
-    assert compatibility_check([r5, r11])
+    assert reconcile_and_lift(r11, ring, state).primes == (5, 11)
 
 
 @pytest.mark.parametrize("name", ["trident", "octic"])
@@ -329,9 +365,13 @@ def _forced_run(name, q, delta=None):
 def test_compatibility_rejects_oversized_closure():
     # mod 2 the trident closure is generated by a single stray fraction and
     # its signature cannot be reconciled with the generic one
+    ring, _ = make_curve("trident")
     r2 = _forced_run("trident", 2)
     r7 = _forced_run("trident", 7)
-    assert not compatibility_check([r2, r7])
+    with pytest.raises(SignatureError):
+        reconcile_and_lift(r7, ring, reconcile_and_lift(r2, ring))
+    with pytest.raises(SignatureError):
+        reconcile_and_lift_reference([r2, r7], ring)
 
 
 def test_run_incompatible_with_the_first_usable_one_is_skipped(monkeypatch):
@@ -376,8 +416,8 @@ def test_trident_rejects_at_55_with_reference_residual():
     r5 = run_prime(5, f, delta0, B)
     # the conductor filter would skip 11; force the rational conductor image
     r11 = _forced_run("trident", 11, delta=delta0)
-    assert compatibility_check([r5, r11])
     state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
+    assert state == reconcile_and_lift_reference([r5, r11], ring)
     assert state.modulus == 55
     out = state.presentation.relations[0].ring
     texts = sorted(str(r) for r in state.presentation.relations)
@@ -494,6 +534,26 @@ def test_specialization_of_accepted_candidate(quadratic):
             list(run.fractions.numerators)
 
 
+def test_specializations_catch_a_perturbed_lift(quadratic):
+    # one lifted coefficient plus 1 no longer reduces to the run at any used
+    # prime; one whose denominator a used prime divides cannot be reduced
+    ring, f = quadratic
+    res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
+    state = res.stages[-1].state
+    nums = state.fractions.numerators
+    qq = state.fractions.ring
+
+    def with_denominator(text):
+        return replace(state, fractions=FractionSet(qq, nums[:-1] + (qq.parse(text),)))
+
+    assert nums[-1] == qq.parse("x - 8/7")
+    assert specializations(state, res.runs) == ((5, True), (11, True), (13, True))
+    assert specializations(with_denominator("x - 1/7"), res.runs) == \
+        ((5, False), (11, False), (13, False))
+    with pytest.raises(LiftError, match="^a lifted denominator vanishes mod 5$"):
+        specializations(with_denominator("x - 8/35"), res.runs)
+
+
 def test_cubic_family_restores_coefficients():
     ring, f = make_curve("cubic_family")
     res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
@@ -540,7 +600,7 @@ def test_reconcile_rejects_incompatible_runs():
     r2 = _forced_run("trident", 2)
     for first, second in ((r2, r7), (r7, r2)):
         prev = reconcile_and_lift(first, ring)
-        with pytest.raises(LiftError, match="^runs have incompatible closure signatures$"):
+        with pytest.raises(SignatureError, match="^runs have incompatible closure signatures$"):
             reconcile_and_lift(second, ring, prev)
 
 
@@ -578,16 +638,20 @@ def test_fold_order_does_not_change_the_record(quadratic):
 
 
 def test_rings_over_zz_and_qq_are_built_once_per_problem(monkeypatch):
-    # the first stage builds the ZZ and QQ copies of the input and output
-    # rings; every later stage reads them off the previous stage's record
+    # the first stage builds the QQ copies of the input and output rings, and
+    # every later stage reads them off the previous stage's lift; the CRT
+    # record is plain integer maps, so no ring over ZZ is built at all
     ring, f = _problem("tall-7-001")
-    calls = []
-    real = Ring.with_domain
+    calls, built = [], []
+    real, real_init = Ring.with_domain, Ring.__post_init__
     monkeypatch.setattr(Ring, "with_domain",
                         lambda self, domain: calls.append(domain) or real(self, domain))
+    monkeypatch.setattr(Ring, "__post_init__",
+                        lambda self: built.append(self.domain) or real_init(self))
     res = run_algorithm1(ring, f)
     assert len(res.stages) == 8
-    assert sum(domain in (ZZ, QQ) for domain in calls) == 4
+    assert sum(domain in (ZZ, QQ) for domain in calls) == calls.count(QQ) == 2
+    assert ZZ not in built
 
 
 def test_closure_family_with_known_answer():

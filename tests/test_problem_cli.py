@@ -221,7 +221,11 @@ def test_cli_rejects_two_independent_variables(tmp_path, capsys, mode_args):
 @pytest.mark.parametrize("bad_args,message", [
     (["--primes", "5,a"], "error: --primes expects comma-separated integers, got '5,a'"),
     (["--mode", "charq", "--prime", "4"], "error: --prime 4 is not prime"),
-], ids=["primes", "prime"])
+    # an option of the other mode is an error, not ignored
+    (["--primes", "5,11,13", "--prime", "7"], "error: --prime applies to charq mode only"),
+    (["--mode", "charq", "--prime", "7", "--primes", "5,11,13"],
+     "error: --primes applies to char0 mode only"),
+], ids=["primes", "prime", "prime-in-char0", "primes-in-charq"])
 def test_cli_rejects_malformed_primes(tmp_path, capsys, bad_args, message):
     path = _write(tmp_path, QUADRATIC)
     code = main([path, "--log", str(tmp_path / "audit.log")] + bad_args)
@@ -250,8 +254,10 @@ BEYOND_WORD_REASON = f"{BEYOND_WORD} is not below the word limit 2^63"
     # an explicit --prime 0 is a value, not an absent flag
     (TRIDENT_Q7, ["--prime", "0"], "error: --prime 0 is not prime"),
     (QUADRATIC, ["--mode", "charq", "--prime", "0"], "error: --prime 0 is not prime"),
+    # the characteristic selects charq mode, where a schedule does not apply
+    (TRIDENT_Q7, ["--primes", "5,7"], "error: --primes applies to char0 mode only"),
 ], ids=["characteristic", "prime", "primes", "start-prime", "empty-primes",
-        "prime-0-over-characteristic", "charq-prime-0"])
+        "prime-0-over-characteristic", "charq-prime-0", "primes-over-characteristic"])
 def test_cli_rejects_unusable_primes_up_front(tmp_path, capsys, text, bad_args, message):
     # rejected before the conductor runs, with one error line and exit 2
     path = _write(tmp_path, text)
