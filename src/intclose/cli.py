@@ -20,11 +20,12 @@ from .problem import ProblemError, parse_problem
 from .rings import format_poly
 
 
-def _psi_factored(fractions, presentation) -> str:
+def _psi_factored(presentation) -> str:
     """psi(y) as a combination of the fraction variables, e.g. ybar*(x - 8/7)."""
     ring = presentation.ring
     parts = []
-    for k, c in enumerate(psi_combination(presentation.inclusion_image, fractions.ring)):
+    for k, c in enumerate(psi_combination(presentation.inclusion_image,
+                                          presentation.denominator.ring)):
         if c.is_zero():
             continue
         if k == ring.ndep:
@@ -54,15 +55,15 @@ def _document(result) -> dict:
             "accepted": cert.accepted}}
         tail["skipped"] = [{"q": r.q, "reason": r.reason}
                            for r in result.runs if not r.usable]
-    fractions, presentation = result.fractions, result.presentation
+    presentation = result.presentation
     if presentation is not None:
         head.update(
-            delta=format_poly(fractions.denominator),
-            numerators=[format_poly(g) for g in fractions.numerators],
+            delta=format_poly(presentation.denominator),
+            numerators=[format_poly(g) for g in presentation.numerators],
             induced_weights=[list(r) for r in presentation.ring.weights],
             relations=[format_poly(r) for r in presentation.relations],
             psi=format_poly(presentation.inclusion_image),
-            psi_factored=_psi_factored(fractions, presentation))
+            psi_factored=_psi_factored(presentation))
     return {**head, **tail}
 
 
@@ -106,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="the prime for charq mode")
     ap.add_argument("--primes", default=None,
                     help="explicit comma-separated prime schedule for char0 mode")
-    ap.add_argument("--start-prime", type=int, default=5,
+    ap.add_argument("--start-prime", type=int, default=None,
                     help="first candidate prime for the default schedule")
-    ap.add_argument("--max-primes", type=int, default=12,
+    ap.add_argument("--max-primes", type=int, default=None,
                     help="maximum number of usable primes to incorporate")
     ap.add_argument("--format", choices=("text", "structured"), default="text")
     ap.add_argument("--log", default=None, help="write the audit log to this file")
@@ -126,11 +127,15 @@ def main(argv=None) -> int:
 
     mode = args.mode or ("charq" if problem.characteristic else "char0")
     prime = args.prime if args.prime is not None else problem.characteristic
+    # the char0 schedule options given; RunConfig holds the defaults of the others
+    schedule = {o: v for o in ("primes", "start_prime", "max_primes")
+                if (v := getattr(args, o)) is not None}
 
     try:
         if mode == "charq":
-            if args.primes is not None:
-                raise DriverError("--primes applies to char0 mode only")
+            if schedule:
+                stray = next(iter(schedule)).replace("_", "-")
+                raise DriverError(f"--{stray} applies to char0 mode only")
             if prime is None:
                 raise DriverError("charq mode requires --prime or a characteristic field")
             try:
@@ -146,17 +151,13 @@ def main(argv=None) -> int:
                 raise DriverError("--prime applies to charq mode only")
             ring = problem.ring(QQ)
             f = problem.relation(ring)
-            primes = None
             if args.primes is not None:
                 try:
-                    primes = tuple(int(p) for p in args.primes.split(","))
+                    schedule["primes"] = tuple(int(p) for p in args.primes.split(","))
                 except ValueError:
                     raise DriverError("--primes expects comma-separated integers,"
                                       f" got {args.primes!r}") from None
-            config = RunConfig(primes=primes,
-                               start_prime=args.start_prime,
-                               max_primes=args.max_primes)
-            result = run_algorithm1(ring, f, config)
+            result = run_algorithm1(ring, f, RunConfig(**schedule))
             # the log, and the printed certificate of a stage that was not
             # accepted, read the bits the decision skipped: here, so an error
             # in a check fails the run before anything is printed

@@ -2,11 +2,12 @@
 
 The module of fractions between S = P[y]/(f) and (1/D)S (D a conductor
 element) is represented by its canonical ordered set of monic numerators,
-each held through the walk as its y-coefficients in F_q[x].
-One iteration keeps the sub-module whose members g satisfy
+each held as its y-coefficients in F_q[x] from the walk's start to the
+presentation.  One iteration keeps the sub-module whose members g satisfy
 NF(g^q, f) in D^(q-1) * (current module); the chain stabilizes on the
 integral closure.  The fixpoint is turned into a quadratic presentation over
-new variables, one per non-trivial fraction.
+new variables, one per non-trivial fraction, and one record,
+``ClosurePresentation``, holds it with the numerators as Polynomials.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations_with_replacement, count
 from .domains import MODP
 from .groebner import reduce_terms
 from .linalg import nullspace_mod
-from .orders import grevlex_over_weight, mono_divides
+from .orders import grevlex_over_weight
 from .rings import Polynomial, Ring
 from .weights import weight_of
 
@@ -79,44 +80,6 @@ def canonical_generators(vectors, ring: Ring) -> tuple:
     for k, (e, v) in sorted(basis.items(), key=lambda item: key((item[0], item[1][0]))):
         out[k] = e, _rem_by_targets(v, out, q)
     return tuple(v for _, v in reversed(out.values()))
-
-
-@dataclass(frozen=True)
-class FractionSet:
-    """Canonical numerators (g_J, ..., g_1, g_0) over the denominator g_0.
-
-    The represented P-module is spanned by the fractions g_j / g_0; g_0 is
-    the unique pure-P generator, so the module contains 1 and, at a fixpoint
-    of the iteration, is a ring.
-    """
-
-    ring: Ring
-    numerators: tuple
-
-    def __post_init__(self):
-        if not self.numerators:
-            raise ClosureError("empty fraction set")
-        ndep = self.ring.ndep
-        if any(g.is_zero() or not g.is_monic() for g in self.numerators):
-            raise ClosureError("numerators must be monic and nonzero")
-        if not self.denominator.in_subring(ndep):
-            raise ClosureError("g_0 must lie in the independent subring")
-        keys = [self.ring.order.key(g.lm) for g in self.numerators]
-        if keys != sorted(keys, reverse=True):
-            raise ClosureError("numerators must descend under the ring order")
-        for i, g in enumerate(self.numerators):
-            for h in self.numerators[:i] + self.numerators[i + 1:]:
-                if any(h.lm[:ndep] == m[:ndep] and mono_divides(h.lm, m) for m, _ in g.terms):
-                    raise ClosureError("numerators are not interreduced")
-
-    @property
-    def denominator(self) -> Polynomial:
-        """g_0, the common denominator of the fractions."""
-        return self.numerators[-1]
-
-    def fraction_weights(self) -> list[tuple]:
-        wd = weight_of(self.denominator)
-        return [tuple(a - b for a, b in zip(weight_of(g), wd)) for g in self.numerators]
 
 
 def frobenius_images(f: Polynomial, conductor: Polynomial) -> tuple:
@@ -296,6 +259,7 @@ def by_y(p: Polynomial, d: int) -> list:
     """The y^0 .. y^(d-1) coefficients of p over F_q[y; x], as F_q[x] dicts.
 
     A term of y-degree d, such as the leading y^d of a relation f, is dropped.
+    The library reads f's tail and the conductor this way.
     """
     out: list = [{} for _ in range(d + 1)]
     for (k, e), c in p.terms:
@@ -438,14 +402,14 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     return canonical_generators(new_gens, ring)
 
 
-def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> FractionSet:
-    """Fixpoint of the contraction, started from all of (1/D)S.
+def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> tuple:
+    """Fixpoint of the contraction, started from all of (1/D)S: its numerators
+    g_J .. g_0, each as its y-coefficients (``by_y``).
 
     A step that is not a fixpoint returns a strictly smaller module between
     D*S and S (canonical generators are unique, so an equal module returns
     the same numerators), and S/DS has dimension d*deg D over F_q: the walk
     ends within d*deg D + 1 steps.  The images modulo D^q are built once.
-    Numerators are y-coefficients (``by_y``) until the fixpoint's ``from_y``.
     """
     if ring.domain.kind != MODP or ring.domain.char != q:
         raise ClosureError(f"expected a ring of characteristic {q}")
@@ -459,28 +423,23 @@ def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> Fra
     for _ in range(bound):
         nxt = qth_power_step(nums, q, images, conductor, scale)
         if nxt == nums:
-            out = from_y(nums, ring)
-            if out[-1] != conductor.monic():
+            if nums[-1] != by_y(conductor.monic(), d):
                 raise ClosureError("fixpoint does not contain the conductor fraction")
-            return FractionSet(ring, out)
+            return nums
         nums = nxt
     raise ClosureError(f"no fixpoint within {bound} iterations")
 
 
-def minimize_denominator(fs: FractionSet) -> FractionSet:
-    """Divide out the common P-content of the denominator and all numerators:
-    the monic gcd in F_q[x] of all their y-coefficients."""
-    ring = fs.ring
-    q, d = ring.domain.char, 1 + max(g.degree_in(0) for g in fs.numerators)
-    coeffs = [by_y(g, d) for g in fs.numerators]
+def minimize_denominator(vectors: tuple, q: int) -> tuple:
+    """Divide out the common P-content of the denominator and all numerators,
+    each given by its y-coefficients: the monic gcd in F_q[x] of all of them."""
     c: dict = {}
-    for row in coeffs:
-        for a in row:
+    for v in vectors:
+        for a in v:
             c = xpoly_gcd(c, a, q)
     if c == {0: 1}:
-        return fs
-    return FractionSet(ring, from_y(([xpoly_divmod(a, c, q)[0] for a in row]
-                                     for row in coeffs), ring))
+        return vectors
+    return tuple([xpoly_divmod(a, c, q)[0] for a in v] for v in vectors)
 
 
 YBAR = "ybar"                        # stem of the fraction variable names
@@ -500,11 +459,51 @@ def fraction_names(count: int, ring: Ring) -> tuple:
 
 @dataclass(frozen=True)
 class ClosurePresentation:
-    """Quadratic presentation of the closure over new fraction variables."""
+    """The closure at one prime, or lifted: numerators (g_J, ..., g_1, g_0) over
+    the denominator g_0, and their quadratic presentation over new fraction
+    variables ybar_j = g_j / g_0.
 
+    The fractions span the closure as a P-module; g_0 is the unique pure-P
+    numerator, so the module contains 1.  Only the shape is checked here: the
+    numerators are monic, g_0 lies in P, and the leads descend with one per
+    y-degree.  A closure's numerators are also interreduced, which
+    ``tests/oracles.numerators_interreduced`` checks.
+    """
+
+    numerators: tuple                # g_J .. g_0 over the input ring
     ring: Ring                       # output ring: ybar block then x block
     relations: tuple                 # minimal reduced basis of induced relations
     inclusion_image: Polynomial      # psi(y) inside the output ring
+
+    def __post_init__(self):
+        nums = self.numerators
+        if not nums:
+            raise ClosureError("empty fraction set")
+        if not all(g.is_monic() for g in nums):
+            raise ClosureError("numerators must be monic and nonzero")
+        ring = nums[0].ring
+        if not self.denominator.in_subring(ring.ndep):
+            raise ClosureError("g_0 must lie in the independent subring")
+        keys = [ring.order.key(g.lm) for g in nums]
+        if (any(a <= b for a, b in zip(keys, keys[1:]))
+                or len({g.lm[:ring.ndep] for g in nums}) < len(nums)):
+            raise ClosureError("numerator leads must descend, one per y-degree")
+
+    @property
+    def denominator(self) -> Polynomial:
+        """g_0, the common denominator of the fractions."""
+        return self.numerators[-1]
+
+    @property
+    def polys(self) -> tuple:
+        """Numerators, relations, then psi(y): the order in which the lift folds them."""
+        return self.numerators + self.relations + (self.inclusion_image,)
+
+
+def fraction_weights(numerators) -> list[tuple]:
+    """wt(g_j) - wt(g_0) for each numerator g_j, the denominator g_0 last."""
+    wd = weight_of(numerators[-1])
+    return [tuple(a - b for a, b in zip(weight_of(g), wd)) for g in numerators]
 
 
 def psi_combination(psi: Polynomial, input_ring: Ring) -> tuple:
@@ -520,7 +519,7 @@ def psi_combination(psi: Polynomial, input_ring: Ring) -> tuple:
     return tuple(input_ring.poly(d) for d in combos)
 
 
-def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
+def induce_presentation(vectors: tuple, f: Polynomial) -> ClosurePresentation:
     """Presentation of the fixpoint module as a quadratic P-algebra.
 
     Every product of fraction generators reduces to a P-linear combination of
@@ -532,22 +531,23 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
     monomials x^e, x^e*ybar_k map onto the free P-basis g_k/delta of the
     fixpoint ring, so no nonzero combination of them lies in the ideal: the
     set is a Groebner basis, and as that basis is unique, it is what
-    Buchberger plus ``minimal_reduced`` returns.  On y-coefficients
-    (``by_y``), a product g_a*g_b is d^2 F_q[x] products, its
-    y^s-coefficients, s >= d, folded through y^d = y^d - f; its coefficients
-    over the targets delta*g_j, and psi(y)'s, those of y*delta over the g_j,
-    are ``_rem_by_targets``' quotients.  The targets lead in distinct
+    Buchberger plus ``minimal_reduced`` returns.  The numerators come as
+    y-coefficient vectors (``by_y``), and ``from_y`` makes them Polynomials
+    once, for the record.  On the vectors, a product g_a*g_b is d^2 F_q[x]
+    products, its y^s-coefficients, s >= d, folded through y^d = y^d - f;
+    its coefficients over the targets delta*g_j, and psi(y)'s, those of
+    y*delta over the g_j, are ``_rem_by_targets``' quotients.  The targets lead in distinct
     y-degrees, so they are a free P-basis of their span: remainder 0 leaves
     one combination, and any other a product off the module.
     """
-    ring = fs.ring
+    ring = f.ring
     if ring.nindep != 1:
         raise ClosureError("presentation needs one independent variable")
     if ring.domain.kind != MODP or ring.ndep != 1:
         raise ClosureError("presentation needs a ring F_q[y; x]")
-    nums, J = fs.numerators, len(fs.numerators) - 1
+    nums, J = from_y(vectors, ring), len(vectors) - 1
     ybar_names = fraction_names(J, ring)
-    fw = fs.fraction_weights()[:-1]
+    fw = fraction_weights(nums)[:-1]
     wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
                  for r, row in enumerate(ring.weights))
     if any(x < 0 for row in wbar for x in row):
@@ -556,7 +556,7 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
                     _output_order(wbar, J, J + ring.nindep), wbar)
 
     q, d = ring.domain.char, f.degree_in(0)
-    tail, vecs = by_y(f, d), [by_y(g, d) for g in nums]   # f = y^d + tail, monic in y
+    tail = by_y(f, d)                  # f = y^d + tail, monic in y
     units = [tuple(int(i == j) for i in range(J)) for j in range(J + 1)]   # g_0/g_0 = 1
     pos = {g.lm[0]: j for j, g in enumerate(nums)}     # lead y-degree -> position
 
@@ -573,15 +573,15 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
             raise ClosureError(off_span)
         return {units[pos[k]] + (e,): c for k, quot in quots.items() for e, c in quot.items()}
 
-    delta = vecs[-1][0]
+    delta = vectors[-1][0]
     neg_delta = {e: q - c for e, c in delta.items()}    # 0 - (-delta)*c = delta*c
     scaled = {g.lm[0]: (g.lm[1] + max(delta), [xpoly_sub_mul({}, neg_delta, c, q) for c in v])
-              for g, v in zip(nums, vecs)}
+              for g, v in zip(nums, vectors)}
     relations = []
     for a, b in combinations_with_replacement(range(J), 2):   # position a <-> nums[a]
         prods = [{} for _ in range(2 * d - 1)]
-        for i, ai in enumerate(vecs[a]):
-            for j, bj in enumerate(vecs[b]) if ai else ():
+        for i, ai in enumerate(vectors[a]):
+            for j, bj in enumerate(vectors[b]) if ai else ():
                 prods[i + j] = xpoly_sub_mul(prods[i + j], ai, bj, q)
         terms = combination(fold(prods), scaled,    # of -g_a*g_b
                             f"fraction product {a},{b} leaves the module: not a fixpoint")
@@ -589,6 +589,6 @@ def induce_presentation(fs: FractionSet, f: Polynomial) -> ClosurePresentation:
         relations.append(out_ring._sorted(terms))
     relations.sort(key=lambda r: out_ring.order.key(r.lm), reverse=True)
 
-    psi = combination(fold([{}, delta]), {g.lm[0]: (g.lm[1], v) for g, v in zip(nums, vecs)},
+    psi = combination(fold([{}, delta]), {g.lm[0]: (g.lm[1], v) for g, v in zip(nums, vectors)},
                       "inclusion image of y is not in the module")
-    return ClosurePresentation(out_ring, tuple(relations), out_ring._sorted(psi))
+    return ClosurePresentation(nums, out_ring, tuple(relations), out_ring._sorted(psi))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closure import ClosureError, ClosurePresentation, FractionSet, fraction_names
+from .closure import ClosureError, ClosurePresentation, fraction_names
 from .conductor import canonical_conductor
 from .domains import GF, DomainError, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, SignatureError, closure_run,
@@ -59,10 +59,10 @@ class Algorithm1Result:
             if not run.usable:
                 lines.append(f"q={run.q} skipped: {run.reason}")
                 continue
-            fs, pres = run.fractions, run.presentation
+            pres = run.presentation
             lines.append(
-                f"q={run.q} usable delta={run.delta_q} J={len(fs.numerators) - 1}"
-                f" lm_g={_lm_names(fs.numerators)} K={len(pres.relations)}"
+                f"q={run.q} usable delta={run.delta_q} J={len(pres.numerators) - 1}"
+                f" lm_g={_lm_names(pres.numerators)} K={len(pres.relations)}"
                 f" lm_b={_lm_names(pres.relations) if pres.relations else '[]'}")
             stage = next(stages)
             state, cert = stage.state, stage.certificate
@@ -84,12 +84,8 @@ class Algorithm1Result:
         return self.certificate is not None and self.certificate.accepted
 
     @property
-    def fractions(self) -> FractionSet | None:
-        """The accepted closure's numerators (the accepted stage is the last)."""
-        return self.stages[-1].state.fractions if self.accepted else None
-
-    @property
     def presentation(self) -> ClosurePresentation | None:
+        """The accepted closure (the accepted stage is the last)."""
         return self.stages[-1].state.presentation if self.accepted else None
 
     @property

@@ -1,16 +1,17 @@
 """Characteristic-0 reconstruction: mod-q runs, CRT, rational lifting, certification.
 
-Each stage folds one per-prime closure coefficientwise into the previous
+Each prime's closure is one ``ClosurePresentation``.  Each stage folds its
+``polys`` (numerators, relations, psi(y)) coefficientwise into the previous
 stage's record mod N, a plain tuple of {monomial: int} maps, by the Chinese
-remainder map (Garner's step, ``crt``), lifts it to small rationals by
+remainder map (Garner's step), lifts that to small rationals by
 extended-Euclidean reconstruction, which cannot fail on a CRT record
-(``rat_recon``), and accepts the lifted candidate exactly when the inclusion
-image of the input ideal reduces to zero against its relations, its numerators
-are consistent with them, and the relations are a Groebner basis.  The
-decision runs those checks in that order and stops at the first that fails; a
-bit it did not need is computed when first read (the audit log, or the printed
-certificate of a stage that was not accepted).  The lift implies per-prime
-specialization; it is evaluated for the printed stage.
+(``rat_recon``), as one lifted record, and accepts it exactly when the
+inclusion image of the input ideal reduces to zero against its relations, its
+numerators are consistent with them, and the relations are a Groebner basis.
+The decision runs those checks in that order and stops at the first that
+fails; a bit it did not need is computed when first read (the audit log, or
+the printed certificate of a stage that was not accepted).  The lift implies
+per-prime specialization; it is evaluated for the printed stage.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .closure import (ClosurePresentation, ClosureError, FractionSet,
-                      induce_presentation, minimize_denominator, qth_closure)
+from .closure import (ClosurePresentation, ClosureError, induce_presentation,
+                      minimize_denominator, qth_closure)
 from .conductor import ConductorError, canonical_conductor
 from .domains import GF, QQ, DomainError, balanced, is_prime
 from .groebner import is_minimal_reduced_gb, normal_form
@@ -70,16 +71,6 @@ def rat_recon(c: int, n: int) -> Fraction:
             return frac
 
 
-def crt(values, x: int = 0, n: int = 1) -> tuple[int, int]:
-    """Balanced residue mod n times the (distinct-prime) moduli, from x mod n,
-    by Garner's step (TAOCP 4.3.2) x + n*((a - x)/n mod q) per prime q."""
-    for a, q in values:
-        if n % q == 0:
-            raise LiftError("duplicate primes in CRT input")
-        x, n = balanced(x + n * ((a - x) * pow(n, -1, q) % q), n * q), n * q
-    return x, n
-
-
 # ---------------------------------------------------------------------------
 # polynomial maps (coefficientwise, variables identified by position)
 
@@ -98,12 +89,11 @@ def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
 
 @dataclass(frozen=True)
 class PrimeRun:
-    """One prime's closure, or the reason the prime was skipped."""
+    """One prime's closure as one record, or the reason the prime was skipped."""
 
     q: int
     reason: str | None = None        # None exactly when the run is usable
     delta_q: Polynomial | None = None
-    fractions: FractionSet | None = None
     presentation: ClosurePresentation | None = None
 
     @property
@@ -136,9 +126,8 @@ def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial, B: int):
 
 def closure_run(q: int, f_q: Polynomial, delta_q: Polynomial) -> PrimeRun:
     """The characteristic-q closure of f_q over its conductor, as a usable run."""
-    fractions = minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q))
-    return PrimeRun(q, delta_q=delta_q, fractions=fractions,
-                    presentation=induce_presentation(fractions, f_q))
+    vectors = minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q), q)
+    return PrimeRun(q, delta_q=delta_q, presentation=induce_presentation(vectors, f_q))
 
 
 def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
@@ -156,20 +145,14 @@ def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
 # reconciliation and verification
 
 
-def _polys(fractions: FractionSet, presentation: ClosurePresentation) -> tuple:
-    """The closure's polynomials: numerators, relations, then psi(y)."""
-    return fractions.numerators + presentation.relations + (presentation.inclusion_image,)
-
-
 @dataclass(frozen=True)
 class LiftState:
     """The usable runs' closure by CRT, and its lift over QQ."""
 
     primes: tuple
     modulus: int
-    crt: tuple                       # ``_polys`` as {monomial: int} maps, balanced mod N
-    fractions: FractionSet           # lifted over QQ
-    presentation: ClosurePresentation
+    crt: tuple                       # ``polys`` as {monomial: int} maps, balanced mod N
+    presentation: ClosurePresentation    # lifted over QQ
 
     @property
     def lifted(self) -> bool:
@@ -183,36 +166,35 @@ def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None =
     """Fold one usable run into ``prev``'s CRT record (the zero record mod 1 at
     the first stage), then lift coefficientwise to Q.
 
-    The fold is Garner's step (as in ``crt``) over the union of each map's
-    support and its polynomial's, with 1/N mod q taken once; every monomial
-    there has a nonzero residue mod N or mod q, so the record holds no zero.
-    The run's leading monomials must be those of ``prev``'s lift, which keeps
-    its record's support (``SignatureError`` otherwise).  The QQ copies of the
-    input and output rings are built at the first stage, and read off
-    ``prev``'s lift after it."""
+    The fold takes the run's ``presentation.polys`` against ``prev``'s, and is
+    Garner's step (TAOCP 4.3.2), x + N*((a - x)/N mod q), over the union of
+    each map's support and its polynomial's, with 1/N mod q taken once; every
+    monomial there has a nonzero residue mod N or mod q, so the record holds
+    no zero.  The run's leading monomials must be those of ``prev``'s lift,
+    which keeps its record's support (``SignatureError`` otherwise).  The QQ
+    copies of the input and output rings are built at the first stage, and
+    read off ``prev``'s lift after it; the lift is one record."""
     if not run.usable:
         raise LiftError(f"run at q={run.q} is not usable")
-    polys, q = _polys(run.fractions, run.presentation), run.q
+    polys, q = run.presentation.polys, run.q
     if prev is None:
         qq_in, qq_out = input_ring.with_domain(QQ), run.presentation.ring.with_domain(QQ)
         primes, n, acc = (), 1, ({},) * len(polys)
     else:
-        if tuple(p.lm for p in polys) != tuple(p.lm for p in
-                                               _polys(prev.fractions, prev.presentation)):
+        if tuple(p.lm for p in polys) != tuple(p.lm for p in prev.presentation.polys):
             raise SignatureError("runs have incompatible closure signatures")
-        qq_in, qq_out = prev.fractions.ring, prev.presentation.ring
+        qq_in, qq_out = prev.presentation.denominator.ring, prev.presentation.ring
         primes, n, acc = prev.primes, prev.modulus, prev.crt
     if n % q == 0:
         raise LiftError("duplicate primes in CRT input")
-    inv, nq, nnum = pow(n, -1, q), n * q, len(run.fractions.numerators)
+    inv, nq, nnum = pow(n, -1, q), n * q, len(run.presentation.numerators)
     record = tuple({m: balanced((x := old.get(m, 0)) + n * ((new.get(m, 0) - x) * inv % q), nq)
                     for m in old.keys() | new.keys()}
                    for old, new in zip(acc, (dict(p.terms) for p in polys)))
     lifted = [(qq_in if i < nnum else qq_out)._sorted({m: rat_recon(c, nq) for m, c in r.items()})
               for i, r in enumerate(record)]
-    return LiftState(primes + (q,), nq, record,
-                     FractionSet(qq_in, tuple(lifted[:nnum])),
-                     ClosurePresentation(qq_out, tuple(lifted[nnum:-1]), lifted[-1]))
+    return LiftState(primes + (q,), nq, record, ClosurePresentation(
+        tuple(lifted[:nnum]), qq_out, tuple(lifted[nnum:-1]), lifted[-1]))
 
 
 def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,
@@ -269,7 +251,7 @@ class Certificate:
     @cached_property
     def numerators_ok(self) -> bool:
         """psi(g_j) = ybar_j * delta mod the relations, for every j."""
-        nums = self._state.fractions.numerators
+        nums = self._state.presentation.numerators
         ring = self._state.presentation.ring
         rels = list(self._state.presentation.relations)
         delta_out = self._image(nums[-1])
@@ -310,7 +292,6 @@ def _specializes(state: LiftState, run: PrimeRun) -> bool:
     try:
         return all({m: r for m, c in p.terms if (r := c.numerator * pow(c.denominator, -1, q) % q)}
                    == dict(g.terms)
-                   for p, g in zip(_polys(state.fractions, state.presentation),
-                                   _polys(run.fractions, run.presentation)))
+                   for p, g in zip(state.presentation.polys, run.presentation.polys))
     except ValueError:
         raise LiftError(f"a lifted denominator vanishes mod {q}") from None

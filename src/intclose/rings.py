@@ -59,7 +59,7 @@ class Ring:
 
     def poly(self, terms: dict) -> "Polynomial":
         """Canonicalize a monomial -> coefficient mapping into a Polynomial, for input from
-        outside the arithmetic (parser, ``mu_poly``, per-prime records, tests).
+        outside the arithmetic (parser, ``mu_poly``, ``from_y`` once per prime, tests).
         ``+``, ``*``, the lift, ``module_reduce``, ``induce_presentation`` use ``_sorted``."""
         dom = self.domain
         clean = {}

@@ -14,14 +14,13 @@ from itertools import count
 from typing import NamedTuple
 
 from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation,
-                      ConductorError, FractionSet, LiftError, LiftState, MonomialOrder,
+                      ConductorError, LiftError, LiftState, MonomialOrder,
                       Ring, RingError, SignatureError, balanced, buchberger,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
                       is_prime, mono_weight, module_reduce, mu_poly, normal_form,
                       partial_derivative, psi_substitute, rat_recon, s_poly)
-from intclose.closure import fraction_names
+from intclose.closure import fraction_names, fraction_weights
 from intclose.groebner import reduce_terms
-from intclose.lifting import _polys
 from intclose.linalg import nullspace_mod
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
 
@@ -162,21 +161,21 @@ def combination(coeffs, out_ring: Ring):
     return acc
 
 
-def induce_presentation_poly(fs, f) -> ClosurePresentation:
-    """Reference presentation on Polynomials, over any field.
+def induce_presentation_poly(nums, f) -> ClosurePresentation:
+    """Reference presentation of numerators g_J .. g_0 on Polynomials, any field.
 
     Same contract and error texts as ``intclose.closure.induce_presentation``,
-    which works on y-coefficients over F_q: each product of numerators is
-    reduced modulo f by ``normal_form`` and divided by the targets
-    delta*g_j with ``module_reduce``, and psi(y) divides y*delta by the g_j.
+    which takes the numerators' y-coefficients over F_q: each product of
+    numerators is reduced modulo f by ``normal_form`` and divided by the
+    targets delta*g_j with ``module_reduce``, and psi(y) divides y*delta by
+    the g_j.
     """
-    ring = fs.ring
+    ring = f.ring
     if ring.nindep != 1:
         raise ClosureError("presentation needs one independent variable")
-    nums = fs.numerators
     J = len(nums) - 1
     ybar_names = fraction_names(J, ring)
-    fw = fs.fraction_weights()[:-1]
+    fw = fraction_weights(nums)[:-1]
     wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
                  for r, row in enumerate(ring.weights))
     if any(x < 0 for row in wbar for x in row):
@@ -184,7 +183,7 @@ def induce_presentation_poly(fs, f) -> ClosurePresentation:
     out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
                     grevlex_over_weight(wbar, J, J + ring.nindep), wbar)
     ybar = [out_ring.var(name) for name in ybar_names]
-    targets = [fs.denominator * g for g in nums]
+    targets = [nums[-1] * g for g in nums]
     relations = []
     for a in range(J):
         for b in range(a, J):
@@ -195,11 +194,12 @@ def induce_presentation_poly(fs, f) -> ClosurePresentation:
             relations.append(ybar[a] * ybar[b] - combination(coeffs, out_ring))
     key = out_ring.order.key
     relations.sort(key=lambda r: key(r.lm), reverse=True)
-    y_delta = ring.var(ring.names[0]) * fs.denominator
+    y_delta = ring.var(ring.names[0]) * nums[-1]
     rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums)
     if not rem.is_zero():
         raise ClosureError("inclusion image of y is not in the module")
-    return ClosurePresentation(out_ring, tuple(relations), combination(coeffs, out_ring))
+    return ClosurePresentation(tuple(nums), out_ring, tuple(relations),
+                               combination(coeffs, out_ring))
 
 
 def frobenius_images_poly(f) -> tuple:
@@ -479,6 +479,17 @@ def is_prime_usable_reference(q: int, f, delta0):
     return "usable", (f_q, delta_q)
 
 
+def crt(values, x: int = 0, n: int = 1) -> tuple[int, int]:
+    """Balanced residue mod n times the (distinct-prime) moduli, from x mod n,
+    by Garner's step (TAOCP 4.3.2) x + n*((a - x)/n mod q) per prime q: the
+    step that ``reconcile_and_lift`` runs inline on every coefficient."""
+    for a, q in values:
+        if n % q == 0:
+            raise LiftError("duplicate primes in CRT input")
+        x, n = balanced(x + n * ((a - x) * pow(n, -1, q) % q), n * q), n * q
+    return x, n
+
+
 def crt_sum_reference(polys, primes) -> dict:
     """The CRT record of one polynomial's residues, all at once: every coefficient
     is the balanced sum of a_i*M_i*(M_i^-1 mod q_i), M_i = N/q_i, over the union
@@ -498,21 +509,20 @@ def reconcile_and_lift_reference(runs, input_ring: Ring) -> LiftState:
     runs = [r for r in runs if r.usable]
     if not runs:
         raise LiftError("no usable runs to reconcile")
-    polys = [_polys(r.fractions, r.presentation) for r in runs]
+    polys = [r.presentation.polys for r in runs]
     if len({tuple(p.lm for p in ps) for ps in polys}) != 1:
         raise SignatureError("runs have incompatible closure signatures")
     primes = tuple(r.q for r in runs)
     if len(set(primes)) != len(primes):
         raise LiftError("duplicate primes in CRT input")
     modulus = math.prod(primes)
-    nnum = len(runs[0].fractions.numerators)
+    nnum = len(runs[0].presentation.numerators)
     qq = (input_ring.with_domain(QQ), runs[0].presentation.ring.with_domain(QQ))
     record = tuple(crt_sum_reference(slot, primes) for slot in zip(*polys))
     lifted = [qq[i >= nnum].poly({m: rat_recon(c, modulus) for m, c in rec.items()})
               for i, rec in enumerate(record)]
-    return LiftState(primes, modulus, record,
-                     FractionSet(qq[0], tuple(lifted[:nnum])),
-                     ClosurePresentation(qq[1], tuple(lifted[nnum:-1]), lifted[-1]))
+    return LiftState(primes, modulus, record, ClosurePresentation(
+        tuple(lifted[:nnum]), qq[1], tuple(lifted[nnum:-1]), lifted[-1]))
 
 
 class ReferenceCertificate(NamedTuple):
@@ -529,7 +539,7 @@ class ReferenceCertificate(NamedTuple):
 def verify_candidate_reference(state, f) -> ReferenceCertificate:
     """``lifting.verify_candidate`` computing every bit eagerly: the Groebner
     property, then containment, then numerator consistency."""
-    nums = state.fractions.numerators
+    nums = state.presentation.numerators
     rels = list(state.presentation.relations)
     psi = state.presentation.inclusion_image
     out_ring = state.presentation.ring
@@ -712,6 +722,18 @@ def kernel_step_oracle(numerators, f, conductor, q: int):
         if not acc.is_zero():
             new_gens.append(acc)
     return staircase_oracle(new_gens, f, q, bound)
+
+
+def numerators_interreduced(nums) -> bool:
+    """No numerator has a term that another numerator's lead divides with the
+    same dependent part: a closure's numerators are fully interreduced.
+
+    The full check, O(n^2) in the numerators' terms, that ``ClosurePresentation``
+    leaves out of its shape check."""
+    ndep = nums[0].ring.ndep
+    return not any(h.lm[:ndep] == m[:ndep] and mono_divides(h.lm, m)
+                   for i, g in enumerate(nums) for h in nums[:i] + nums[i + 1:]
+                   for m, _ in g.terms)
 
 
 def ideal_contains(basis, f) -> bool:

@@ -9,16 +9,16 @@ import random
 import time
 from fractions import Fraction
 
-from intclose import (GF, ZZ, RunConfig, canonical_conductor, crt,
-                      induce_presentation, is_minimal_reduced_gb,
-                      minimize_denominator, module_reduce, mu_poly,
+from intclose import (GF, ZZ, RunConfig, canonical_conductor, induce_presentation,
+                      is_minimal_reduced_gb, minimize_denominator, module_reduce, mu_poly,
                       normal_form, psi_combination, qth_closure, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
                       verify_candidate, frobenius_images, frobenius_scale, PrimeRun, Ring,
                       weight_over_grevlex)
 from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring,
                       make_curve, poly_step, sextic_relations)
-from oracles import kernel_step_oracle, mod_n, strict_shape_ok, weight_balance_ok
+from intclose.closure import from_y
+from oracles import crt, kernel_step_oracle, mod_n, strict_shape_ok, weight_balance_ok
 
 
 def test_criterion_1_quadratic_end_to_end(quadratic):
@@ -29,7 +29,7 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
     runs = {r.q: r for r in res.runs}
     x_plus_1 = curve_ring((3, 2), GF(5)).parse("x + 1")
     assert runs[5].delta_q == x_plus_1
-    assert runs[5].fractions.denominator == x_plus_1
+    assert runs[5].presentation.denominator == x_plus_1
     assert [str(b) for b in runs[5].presentation.relations] == ["ybar^2 + x"]
     assert str(runs[11].delta_q) == "x + 2"
     # relation mod 11: the CRT value 26 = 4 mod 11 pins the + sign
@@ -41,10 +41,10 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
     zz_in, zz_out = ring.with_domain(ZZ), res.stages[1].state.presentation.ring.with_domain(ZZ)
     st55 = res.stages[1].state
     assert st55.modulus == 55
-    nnum = len(st55.fractions.numerators)
+    nnum = len(st55.presentation.numerators)
     assert str(zz_in.poly(st55.crt[nnum - 1])) == "x - 9"
     assert [str(zz_out.poly(b)) for b in st55.crt[nnum:-1]] == ["ybar^2 + 26*x"]
-    assert str(st55.fractions.numerators[-1]) == "x + 1/6"
+    assert str(st55.presentation.numerators[-1]) == "x + 1/6"
     assert [str(b) for b in st55.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert not res.stages[1].certificate.accepted
 
@@ -52,7 +52,7 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
     assert st715.modulus == 715
     assert str(zz_in.poly(st715.crt[nnum - 1])) == "x + 101"
     assert [str(zz_out.poly(b)) for b in st715.crt[nnum:-1]] == ["ybar^2 + 356*x"]
-    assert str(st715.fractions.numerators[-1]) == "x - 8/7"
+    assert str(st715.presentation.numerators[-1]) == "x - 8/7"
     assert [str(b) for b in st715.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert res.accepted and res.stages[2].certificate.accepted
 
@@ -107,11 +107,10 @@ def test_criterion_3_trident():
     # rejection at N = 55 with the reference residual
     r5 = run_prime(5, f, delta0, B)
     ring11, f11 = make_curve("trident", q=11)
-    fs11 = minimize_denominator(
-        qth_closure(ring11, f11, mu_poly(delta0, ring11), 11))
-    p11 = induce_presentation(fs11, f11)
-    r11 = PrimeRun(11, delta_q=mu_poly(delta0, ring11),
-                   fractions=fs11, presentation=p11)
+    v11 = minimize_denominator(
+        qth_closure(ring11, f11, mu_poly(delta0, ring11), 11), 11)
+    p11 = induce_presentation(v11, f11)
+    r11 = PrimeRun(11, delta_q=mu_poly(delta0, ring11), presentation=p11)
     state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
     assert state.modulus == 55
     cert = verify_candidate(state, f)
@@ -152,9 +151,9 @@ def test_criterion_5_sextic_full_run(sextic):
     assert skipped == {5, 17}
     assert res.primes_used == (7, 11, 13, 19, 23, 29)
     assert res.conductor == ring.parse("x^9")
-    assert res.fractions.denominator == ring.parse("x^5")
+    assert res.presentation.denominator == ring.parse("x^5")
     expect_nums = {ring.parse(t) for t in SEXTIC_NUMERATORS}
-    assert set(res.fractions.numerators) == expect_nums
+    assert set(res.presentation.numerators) == expect_nums
     _, expect_rels = sextic_relations()
     assert set(res.presentation.relations) == set(expect_rels)
     assert len(res.presentation.relations) == 15
@@ -223,12 +222,12 @@ def test_criterion_6c_fixpoint_and_ring_property():
                     ("cubic_family", 11)):
         ring, f = make_curve(name, q=q)
         delta = canonical_conductor(f, ring)[0]
-        fs = qth_closure(ring, f, delta, q)
+        fixed = qth_closure(ring, f, delta, q)
         images = frobenius_images(f, delta)
-        again = poly_step(fs.numerators, q, images, delta, frobenius_scale(delta, q))
-        assert list(again) == list(fs.numerators)
-        nums = list(minimize_denominator(fs).numerators)
-        dd = minimize_denominator(fs).denominator
+        again = poly_step(from_y(fixed, ring), q, images, delta, frobenius_scale(delta, q))
+        assert list(again) == list(from_y(fixed, ring))
+        nums = list(from_y(minimize_denominator(fixed, q), ring))
+        dd = nums[-1]
         for i in range(len(nums)):
             for j in range(i, len(nums)):
                 prod = normal_form(nums[i] * nums[j], [f])
@@ -244,8 +243,7 @@ def test_criterion_6d_strict_shape_and_weight_balance():
                     ("cubic_family", 5), ("octic", 7), ("sextic", 23)):
         ring, f = make_curve(name, q=q)
         delta = canonical_conductor(f, ring)[0]
-        fs = minimize_denominator(qth_closure(ring, f, delta, q))
-        pres = induce_presentation(fs, f)
+        pres = induce_presentation(minimize_denominator(qth_closure(ring, f, delta, q), q), f)
         assert strict_shape_ok(pres)
         assert weight_balance_ok(pres)
     print(f"\n[criterion 6d] PASS strict shape and weight balance "

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
-                      FractionSet, Ring, buchberger, canonical_conductor,
+from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
+                      DomainError, Ring, buchberger, canonical_conductor,
                       canonical_generators, frobenius_images, frobenius_nf,
                       frobenius_scale, grevlex_over_weight, induce_presentation,
                       is_minimal_reduced_gb, is_prime, is_prime_usable, minimal_reduced,
@@ -20,23 +20,33 @@ from intclose import (GF, QQ, ClosureError, ConductorError, DomainError,
                       normal_form, psi_combination, qth_closure,
                       run_prime, weight_over_grevlex)
 from intclose.closure import (_pack, _rem_by_targets, _slot_bytes, _step_columns, _unpack,
-                              by_y, from_y, xpoly_divmod)
+                              by_y, fraction_weights, from_y, xpoly_divmod)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve, poly_step,
                       sextic_relations)
 from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
                      combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
-                     induce_presentation_poly, kernel_step_oracle, qth_power_step_scratch,
-                     rank_mod_conductor, reduce_terms_scan, step_columns_unreduced,
-                     strict_shape_ok, weight_balance_ok, y_coefficients)
+                     induce_presentation_poly, kernel_step_oracle, numerators_interreduced,
+                     qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
+                     step_columns_unreduced, strict_shape_ok, weight_balance_ok,
+                     y_coefficients)
 
 
-def closure_run(name, q, minimize=True):
+def fixpoint(name, q):
+    """(ring, f, delta, vectors): a fixture curve's fixpoint at q, on y-coefficients."""
     ring, f = make_curve(name, q=q)
     delta = canonical_conductor(f, ring)[0]
-    fs = qth_closure(ring, f, delta, q)
-    if minimize:
-        fs = minimize_denominator(fs)
-    return ring, f, delta, fs
+    return ring, f, delta, qth_closure(ring, f, delta, q)
+
+
+def closure_run(name, q):
+    """(ring, f, delta, record): the closure at q as a prime's run builds it."""
+    ring, f, delta, vectors = fixpoint(name, q)
+    return ring, f, delta, induce_presentation(minimize_denominator(vectors, q), f)
+
+
+def vectors_of(nums, f):
+    """The numerators' y-coefficients, as ``induce_presentation`` takes them."""
+    return tuple(by_y(g, f.degree_in(0)) for g in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +393,10 @@ def test_canonical_generators_need_one_independent_variable():
 
 def test_step_fixpoint_is_idempotent():
     for name, q in (("quadratic", 5), ("trident", 7)):
-        ring, f, delta, fs = closure_run(name, q, minimize=False)
-        images = frobenius_images(f, delta)
-        again = poly_step(fs.numerators, q, images, delta, frobenius_scale(delta, q))
-        assert list(again) == list(fs.numerators)
+        ring, f, delta, vectors = fixpoint(name, q)
+        images, nums = frobenius_images(f, delta), from_y(vectors, ring)
+        again = poly_step(nums, q, images, delta, frobenius_scale(delta, q))
+        assert list(again) == list(nums)
 
 
 def test_step_nesting():
@@ -490,29 +500,31 @@ def walk(f, delta, q):
     raise AssertionError("no fixpoint within d*deg(delta) + 1 steps")
 
 
-def in_s(p, fs):
+def in_s(p, pres):
     """delta^2 * p with every ybar_k replaced by g_k / delta, in the ring of S."""
-    ring, J = fs.ring, p.ring.ndep
+    ring, J = pres.denominator.ring, p.ring.ndep
     acc = ring.zero()
     for m, c in p.terms:
-        term = ring.monomial((0,) + m[J:], c) * fs.denominator ** (2 - sum(m[:J]))
+        term = ring.monomial((0,) + m[J:], c) * pres.denominator ** (2 - sum(m[:J]))
         for k, e in enumerate(m[:J]):
-            term = term * fs.numerators[k] ** e
+            term = term * pres.numerators[k] ** e
         acc = acc + term
     return acc
 
 
-def assert_presentation_as_built(pres, fs, f):
-    """The relations are the minimal reduced basis and hold in S, as does psi."""
+def assert_presentation_as_built(pres, f):
+    """The numerators are interreduced, and the relations are the minimal
+    reduced basis and hold in S, as does psi."""
+    assert numerators_interreduced(pres.numerators)
     rels = pres.relations
     J = pres.ring.ndep
     assert len(rels) == J * (J + 1) // 2
     assert rels == tuple(minimal_reduced(buchberger(list(rels))))
     assert is_minimal_reduced_gb(rels)
     for rel in rels:
-        assert normal_form(in_s(rel, fs), [f]).is_zero()
-    y_delta2 = f.ring.var("y") * fs.denominator ** 2
-    assert normal_form(in_s(pres.inclusion_image, fs) - y_delta2, [f]).is_zero()
+        assert normal_form(in_s(rel, pres), [f]).is_zero()
+    y_delta2 = f.ring.var("y") * pres.denominator ** 2
+    assert normal_form(in_s(pres.inclusion_image, pres) - y_delta2, [f]).is_zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -525,8 +537,8 @@ def test_closure_steps_match_scratch_division(curve):
 @given(small_curves())
 def test_presentation_is_its_minimal_reduced_basis(curve):
     ring, f, delta, q = curve
-    fs = minimize_denominator(qth_closure(ring, f, delta, q))
-    assert_presentation_as_built(induce_presentation(fs, f), fs, f)
+    vectors = minimize_denominator(qth_closure(ring, f, delta, q), q)
+    assert_presentation_as_built(induce_presentation(vectors, f), f)
 
 
 @functools.lru_cache(maxsize=None)
@@ -553,7 +565,7 @@ def test_memoized_output_order_acts_as_a_fresh_one(name, data):
     fresh = Ring(ring.names, ring.ndep, ring.domain,
                  grevlex_over_weight(ring.weights, ring.ndep, ring.nvars), ring.weights)
     assert fresh.order is not ring.order and fresh == ring
-    assert induce_presentation(run.fractions, f_q).ring.order is ring.order
+    assert induce_presentation(vectors_of(pres.numerators, f_q), f_q).ring.order is ring.order
     for p in pres.relations + (pres.inclusion_image,):
         again = fresh.poly(dict(p.terms))
         assert again == p and again.terms == p.terms and str(again) == str(p)
@@ -564,7 +576,7 @@ def test_fixture_closures_as_built(name):
     assert fixture_runs(name)
     for q, f_q, delta_q, run in fixture_runs(name):
         assert_steps_match_scratch(delta_q.ring, f_q, delta_q, q)
-        assert_presentation_as_built(run.presentation, run.fractions, f_q)
+        assert_presentation_as_built(run.presentation, f_q)
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -580,7 +592,7 @@ def test_fixture_walks_end_within_the_derived_bound(name):
             continue
         steps = list(walk(f, delta, q))
         assert len(steps) <= f.degree_in(0) * delta.degree_in(1) + 1
-        assert qth_closure(ring, f, delta, q).numerators == steps[-1]
+        assert from_y(qth_closure(ring, f, delta, q), ring) == steps[-1]
         walked += 1
     assert walked >= 12
 
@@ -628,7 +640,7 @@ def fixture_closures(name):
     ring, f = make_curve(name)
     delta0, B = canonical_conductor(f, ring)
     runs = (run_prime(q, f, delta0, B) for q in filter(is_prime, range(5, 54)))
-    return {str(run.q): {"numerators": [str(g) for g in run.fractions.numerators],
+    return {str(run.q): {"numerators": [str(g) for g in run.presentation.numerators],
                          "relations": [str(r) for r in run.presentation.relations],
                          "psi": str(run.presentation.inclusion_image)}
             for run in runs if run.usable}
@@ -644,17 +656,18 @@ def test_fixture_closures_match_golden(name):
     assert fixture_closures(name) == golden[name]
 
 
-def presentations_agree(fs, f):
-    """induce_presentation equals the Polynomial oracle on fs, or both raise
-    the same ClosureError, whose message is returned (None otherwise)."""
+def presentations_agree(nums, f):
+    """induce_presentation equals the Polynomial oracle on the numerators, or
+    both raise the same ClosureError, whose message is returned (None otherwise)."""
     try:
-        want = induce_presentation_poly(fs, f)
+        want = induce_presentation_poly(nums, f)
     except ClosureError as exc:
         with pytest.raises(ClosureError) as got:
-            induce_presentation(fs, f)
+            induce_presentation(vectors_of(nums, f), f)
         assert str(got.value) == str(exc)
         return str(exc)
-    got = induce_presentation(fs, f)
+    got = induce_presentation(vectors_of(nums, f), f)
+    assert got.numerators == want.numerators == tuple(nums)
     assert got.ring == want.ring
     assert got.relations == want.relations
     assert got.inclusion_image == want.inclusion_image
@@ -671,10 +684,11 @@ MISSES_Y = "inclusion image of y is not in the module"
 @given(small_curves(min_degree=1))
 def test_presentation_matches_polynomial_oracle(curve):
     ring, f, delta, q = curve
-    fs = minimize_denominator(qth_closure(ring, f, delta, q))
-    assert presentations_agree(fs, f) is None
+    nums = from_y(minimize_denominator(qth_closure(ring, f, delta, q), q), ring)
+    assert numerators_interreduced(nums)
+    assert presentations_agree(nums, f) is None
     if f.degree_in(0) > 1:             # the denominator alone misses y*delta
-        assert presentations_agree(FractionSet(ring, fs.numerators[-1:]), f) == MISSES_Y
+        assert presentations_agree(nums[-1:], f) == MISSES_Y
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -690,16 +704,16 @@ def test_fixture_presentations_match_polynomial_oracle(name):
         if status != "usable":
             continue
         f_q, delta_q = info
-        fs = minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q))
-        assert presentations_agree(fs, f_q) is None
+        nums = from_y(minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q), q),
+                      f_q.ring)
+        assert presentations_agree(nums, f_q) is None
         if f.degree_in(0) > 1:
-            seen.add(presentations_agree(FractionSet(f_q.ring, fs.numerators[-1:]), f_q))
-        for nums in list(walk(f_q, delta_q, q))[:-1]:
-            try:
-                partial = FractionSet(f_q.ring, nums)
-            except ClosureError:
-                continue
-            seen.add(presentations_agree(partial, f_q))
+            seen.add(presentations_agree(nums[-1:], f_q))
+        for partial in list(walk(f_q, delta_q, q))[:-1]:
+            # the walk's numerators are canonical: they make a fraction set
+            # exactly when the one of y-degree 0 lies in P
+            if partial[-1].in_subring(1):
+                seen.add(presentations_agree(partial, f_q))
     off = seen - {None, MISSES_Y}
     assert all(re.fullmatch(r"fraction product \d+,\d+ leaves the module: not a fixpoint", m)
                for m in off)
@@ -711,19 +725,19 @@ def test_psi_combination_inverts_combination(name):
     # psi(y) is built as the combination of y*delta's coefficients over the
     # numerators; psi_combination reads those coefficients back from psi(y)
     for q, f_q, delta_q, run in fixture_runs(name):
-        fs, pres = run.fractions, run.presentation
-        y_delta = fs.ring.var("y") * fs.denominator
-        _, coeffs = module_reduce(normal_form(y_delta, [f_q]), fs.numerators)
-        assert psi_combination(pres.inclusion_image, fs.ring) == tuple(coeffs)
+        pres = run.presentation
+        y_delta = f_q.ring.var("y") * pres.denominator
+        _, coeffs = module_reduce(normal_form(y_delta, [f_q]), pres.numerators)
+        assert psi_combination(pres.inclusion_image, f_q.ring) == tuple(coeffs)
         assert combination(coeffs, pres.ring) == pres.inclusion_image
 
 
 def test_induce_presentation_needs_one_independent_variable():
     w = ((2, 1, 3),)
     ring = Ring(("y", "x2", "x1"), 1, GF(7), weight_over_grevlex(w, 3), w)
-    fs = FractionSet(ring, (ring.parse("y"), ring.one()))
+    vectors = ([{}, {0: 1}], [{0: 1}, {}])     # y, 1
     with pytest.raises(ClosureError, match="one independent variable"):
-        induce_presentation(fs, ring.parse("y^2 - x1*x2"))
+        induce_presentation(vectors, ring.parse("y^2 - x1*x2"))
 
 
 # ---------------------------------------------------------------------------
@@ -731,10 +745,9 @@ def test_induce_presentation_needs_one_independent_variable():
 
 
 def test_closure_of_integrally_closed_curve():
-    ring, f, delta, fs = closure_run("parabola", 5)
+    ring, f, delta, pres = closure_run("parabola", 5)
     assert delta == ring.one()
-    assert [str(g) for g in fs.numerators] == ["y", "1"]
-    pres = induce_presentation(fs, f)
+    assert [str(g) for g in pres.numerators] == ["y", "1"]
     assert [str(r) for r in pres.relations] == ["ybar^2 - x"]
     assert str(pres.inclusion_image) == "ybar"
 
@@ -744,10 +757,9 @@ def test_quadratic_curve_per_prime():
               11: ("x + 2", "ybar^2 + 4*x"),
               13: ("x - 3", "ybar^2 + 5*x")}
     for q, (dtxt, rtxt) in expect.items():
-        ring, f, delta, fs = closure_run("quadratic", q)
+        ring, f, delta, pres = closure_run("quadratic", q)
         assert delta == ring.parse(dtxt)
-        assert [str(g) for g in fs.numerators] == ["y", dtxt]
-        pres = induce_presentation(fs, f)
+        assert [str(g) for g in pres.numerators] == ["y", dtxt]
         assert len(pres.relations) == 1
         assert pres.relations[0] == pres.ring.parse(rtxt)
         # psi(y) = ybar * delta
@@ -757,9 +769,8 @@ def test_quadratic_curve_per_prime():
 
 def test_trident_per_prime_signature():
     for q in (3, 7, 13):
-        ring, f, delta, fs = closure_run("trident", q)
-        assert sorted(w[0] for w in fs.fraction_weights()) == [0, 7, 11]
-        pres = induce_presentation(fs, f)
+        ring, f, delta, pres = closure_run("trident", q)
+        assert sorted(w[0] for w in fraction_weights(pres.numerators)) == [0, 7, 11]
         assert len(pres.relations) == 3
         lms = {str_mono(r.lm, pres.ring) for r in pres.relations}
         assert lms == {"ybar2^2", "ybar2*ybar1", "ybar1^2"}
@@ -781,8 +792,7 @@ def str_mono(mono, ring):
 
 def test_cubic_family_mod5_coefficients():
     # a = 1/3 -> 2, b = 8/7 -> -1 mod 5
-    ring, f, delta, fs = closure_run("cubic_family", 5)
-    pres = induce_presentation(fs, f)
+    ring, f, delta, pres = closure_run("cubic_family", 5)
     texts = sorted(str(r) for r in pres.relations)
     assert texts == sorted([
         "ybar2^2 + 2*ybar2 - ybar1*x^3",
@@ -792,32 +802,32 @@ def test_cubic_family_mod5_coefficients():
 
 
 def test_octic_fraction_weights_mod7():
-    ring, f, delta, fs = closure_run("octic", 7)
+    ring, f, delta, pres = closure_run("octic", 7)
     assert delta == ring.parse("x^24")
-    assert fs.denominator == ring.parse("x^13")
-    assert sorted(w[0] for w in fs.fraction_weights()) == [0, 4, 5, 9, 10, 14, 15, 19]
+    assert pres.denominator == ring.parse("x^13")
+    assert sorted(w[0] for w in fraction_weights(pres.numerators)) == [0, 4, 5, 9, 10, 14, 15, 19]
 
 
 def test_octic_reduced_denominator_mod5():
     # the bad-prime case: conductor x^26 (x^3+1)^5 shrinks to x^13 (x^3+1)^2
-    ring, f, delta, fs = closure_run("octic", 5)
+    ring, f, delta, pres = closure_run("octic", 5)
     assert delta == ring.parse("x^26*(x^3 + 1)^5")
-    assert fs.denominator == ring.parse("x^13*(x^3 + 1)^2")
+    assert pres.denominator == ring.parse("x^13*(x^3 + 1)^2")
 
 
 def test_minimize_denominator_noop_when_minimal():
-    ring, f, delta, fs = closure_run("quadratic", 5)
-    assert minimize_denominator(fs) == fs
+    ring, f, delta, vectors = fixpoint("quadratic", 5)
+    vectors = minimize_denominator(vectors, 5)
+    assert minimize_denominator(vectors, 5) == vectors
 
 
 def test_sextic_mod23_matches_reduced_rational_numerators():
-    ring, f, delta, fs = closure_run("sextic", 23)
+    ring, f, delta, pres = closure_run("sextic", 23)
     assert delta == ring.parse("x^9")
-    assert fs.denominator == ring.parse("x^5")
+    assert pres.denominator == ring.parse("x^5")
     ring0, _ = make_curve("sextic")
     expect = {mu_poly(ring0.parse(t), ring) for t in SEXTIC_NUMERATORS}
-    assert set(fs.numerators) == expect
-    pres = induce_presentation(fs, f)
+    assert set(pres.numerators) == expect
     assert len(pres.relations) == 15
     _, rels0 = sextic_relations()
     expect_rels = {mu_poly(r, pres.ring) for r in rels0}
@@ -827,21 +837,21 @@ def test_sextic_mod23_matches_reduced_rational_numerators():
 
 
 def test_ring_property_of_fixpoint():
-    ring, f, delta, fs = closure_run("trident", 7)
-    nums = list(fs.numerators)
+    ring, f, delta, pres = closure_run("trident", 7)
+    nums = list(pres.numerators)
     for i in range(len(nums)):
         for j in range(i, len(nums)):
             prod = normal_form(nums[i] * nums[j], [f])
-            rem, _ = module_reduce(prod, [fs.denominator * g for g in nums])
+            rem, _ = module_reduce(prod, [pres.denominator * g for g in nums])
             assert rem.is_zero()
 
 
 def test_fraction_set_validation():
     ring, _ = make_curve("quadratic", q=5)
     with pytest.raises(ClosureError):
-        FractionSet(ring, (ring.parse("2*y"), ring.one()))
-    with pytest.raises(ClosureError):  # not interreduced: x divides x^2
-        FractionSet(ring, (ring.parse("x^2"), ring.parse("x")))
+        ClosurePresentation((ring.parse("2*y"), ring.one()), ring, (), ring.zero())
+    with pytest.raises(ClosureError):  # two leads in y-degree 0: x divides x^2
+        ClosurePresentation((ring.parse("x^2"), ring.parse("x")), ring, (), ring.zero())
 
 
 def test_closure_requires_matching_characteristic():
@@ -867,8 +877,7 @@ def test_per_prime_containment_of_input_ideal():
     # the inclusion image of the defining relation lies in the induced ideal
     from intclose import psi_substitute
     for name, q in (("quadratic", 5), ("trident", 7), ("cubic_family", 11)):
-        ring, f, delta, fs = closure_run(name, q)
-        pres = induce_presentation(fs, f)
+        ring, f, delta, pres = closure_run(name, q)
         image = psi_substitute(f, pres.inclusion_image, pres.ring)
         assert normal_form(image, list(pres.relations)).is_zero()
 
@@ -876,8 +885,8 @@ def test_per_prime_containment_of_input_ideal():
 def test_fraction_numerators_identify_with_module_elements():
     # ybar_j * delta = g_j inside S: expressing g_j over the module returns
     # the unit combination
-    ring, f, delta, fs = closure_run("trident", 7)
-    nums = list(fs.numerators)
+    ring, f, delta, pres = closure_run("trident", 7)
+    nums = list(pres.numerators)
     for j, g in enumerate(nums):
         rem, coeffs = module_reduce(g, nums)
         assert rem.is_zero()
@@ -889,13 +898,12 @@ def test_fraction_variables_identify_with_numerators():
     # psi(g_j) and ybar_j * delta agree modulo the induced relations
     from intclose import psi_substitute
     for name, q in (("trident", 7), ("quadratic", 13)):
-        ring, f, delta, fs = closure_run(name, q)
-        pres = induce_presentation(fs, f)
+        ring, f, delta, pres = closure_run(name, q)
         out = pres.ring
         J = out.ndep
-        delta_out = psi_substitute(fs.denominator, pres.inclusion_image, out)
+        delta_out = psi_substitute(pres.denominator, pres.inclusion_image, out)
         for pos in range(J):
-            g = fs.numerators[pos]
+            g = pres.numerators[pos]
             image = psi_substitute(g, pres.inclusion_image, out)
             ybar_delta = out.monomial(tuple(1 if i == pos else 0
                                             for i in range(out.nvars))) * delta_out
@@ -904,8 +912,8 @@ def test_fraction_variables_identify_with_numerators():
 
 def test_induce_detects_incomplete_module():
     # dropping a generator breaks the expression of y over the module
-    ring, f, delta, fs = closure_run("quadratic", 5)
-    broken = FractionSet(ring, (fs.numerators[-1],))
+    ring, f, delta, vectors = fixpoint("quadratic", 5)
+    broken = minimize_denominator(vectors, 5)[-1:]
     with pytest.raises(ClosureError):
         induce_presentation(broken, f)
 
@@ -913,10 +921,9 @@ def test_induce_detects_incomplete_module():
 def test_trident_mod2_oversized_closure_values():
     # mod 2 the curve normalizes by a single cube root w = y/x^2 (w^3 = x):
     # fractions 1, w, w^2 over the reduced denominator x^4
-    ring, f, delta, fs = closure_run("trident", 2)
+    ring, f, delta, pres = closure_run("trident", 2)
     assert delta == ring.parse("x^6")
-    assert fs.denominator == ring.parse("x^4")
-    assert [str(g) for g in fs.numerators] == ["y^2", "y*x^2", "x^4"]
-    assert [w[0] for w in fs.fraction_weights()] == [2, 1, 0]
-    pres = induce_presentation(fs, f)
+    assert pres.denominator == ring.parse("x^4")
+    assert [str(g) for g in pres.numerators] == ["y^2", "y*x^2", "x^4"]
+    assert [w[0] for w in fraction_weights(pres.numerators)] == [2, 1, 0]
     assert strict_shape_ok(pres) and weight_balance_ok(pres)

@@ -11,16 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ZZ, ClosurePresentation, FractionSet, LiftError, PrimeRun,
-                      Ring, SignatureError, balanced, canonical_conductor, crt, is_prime,
+from intclose import (GF, QQ, ZZ, ClosurePresentation, LiftError, PrimeRun,
+                      Ring, SignatureError, balanced, canonical_conductor, is_prime,
                       is_prime_usable, mu_poly, parse_problem, psi_combination, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_charq, run_prime,
                       verify_candidate, RunConfig)
+from intclose.closure import fraction_weights
 from intclose.lifting import _specializes, closure_run, specializations
 from conftest import CURVES, curve_ring, make_curve
 from corpus import workloads
-from oracles import (crt_sum_reference, is_prime_usable_reference, mod_n, nullspace_rref,
-                     reconcile_and_lift_reference, verify_candidate_reference)
+from oracles import (crt, crt_sum_reference, is_prime_usable_reference, mod_n,
+                     nullspace_rref, numerators_interreduced, reconcile_and_lift_reference,
+                     verify_candidate_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +129,7 @@ def _ybar_ring(domain):
 def _psi_run(p, q):
     """A usable run at q whose closure is the denominator x alone and p as psi(y),
     so that its record's last map is p's CRT record and its psi(y) p's lift."""
-    return PrimeRun(q, fractions=FractionSet(p.ring, (p.ring.parse("x"),)),
-                    presentation=ClosurePresentation(p.ring, (), p))
+    return PrimeRun(q, presentation=ClosurePresentation((p.ring.parse("x"),), p.ring, (), p))
 
 
 def _fold_psi(polys, ring):
@@ -347,7 +348,7 @@ def test_charq_run_equals_the_prime_run(name):
     run = run_prime(7, f, *canonical_conductor(f, ring))
     assert charq.usable and run.usable
     assert charq.delta_q == run.delta_q
-    assert charq.fractions == run.fractions
+    assert charq.presentation.numerators == run.presentation.numerators
     assert charq.presentation == run.presentation
 
 
@@ -464,6 +465,8 @@ def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
     lifted = [k for k, stage in enumerate(res.stages, 1) if stage.state.lifted]
     for k, stage in enumerate(res.stages, 1):
         assert stage.state == reconcile_and_lift_reference(usable[:k], ring)
+        # the lifted support is the union of the runs' under the same leads
+        assert numerators_interreduced(stage.state.presentation.numerators)
         if not stage.state.lifted:
             continue
         assert all(_specializes(stage.state, r) for r in usable[:k])
@@ -530,8 +533,8 @@ def test_specialization_of_accepted_candidate(quadratic):
     for q in (5, 11, 13):
         rq = curve_ring((3, 2), GF(q))
         run = next(r for r in res.runs if r.q == q)
-        assert [mu_poly(p, rq) for p in state.fractions.numerators] == \
-            list(run.fractions.numerators)
+        assert [mu_poly(p, rq) for p in state.presentation.numerators] == \
+            list(run.presentation.numerators)
 
 
 def test_specializations_catch_a_perturbed_lift(quadratic):
@@ -540,11 +543,12 @@ def test_specializations_catch_a_perturbed_lift(quadratic):
     ring, f = quadratic
     res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
     state = res.stages[-1].state
-    nums = state.fractions.numerators
-    qq = state.fractions.ring
+    nums = state.presentation.numerators
+    qq = state.presentation.denominator.ring
 
     def with_denominator(text):
-        return replace(state, fractions=FractionSet(qq, nums[:-1] + (qq.parse(text),)))
+        return replace(state, presentation=replace(
+            state.presentation, numerators=nums[:-1] + (qq.parse(text),)))
 
     assert nums[-1] == qq.parse("x - 8/7")
     assert specializations(state, res.runs) == ((5, True), (11, True), (13, True))
@@ -633,8 +637,8 @@ def test_fold_order_does_not_change_the_record(quadratic):
         for run in order:
             state = reconcile_and_lift(run, ring, state)
         assert state.primes == tuple(r.q for r in order)
-        assert (state.modulus, state.crt, state.fractions, state.presentation) == \
-            (ref.modulus, ref.crt, ref.fractions, ref.presentation)
+        assert (state.modulus, state.crt, state.presentation) == \
+            (ref.modulus, ref.crt, ref.presentation)
 
 
 def test_rings_over_zz_and_qq_are_built_once_per_problem(monkeypatch):
@@ -672,7 +676,7 @@ def test_closure_family_with_known_answer():
         expect_rel = out.parse("ybar^2") - out.var("x").scale(c)
         assert list(res.presentation.relations) == [expect_rel]
         assert psi_combination(res.presentation.inclusion_image, ring)[0] == shifted
-        assert list(res.fractions.numerators) == [y, shifted.monic()]
+        assert list(res.presentation.numerators) == [y, shifted.monic()]
 
 
 def test_cubic_closure_family_with_known_answer():
@@ -695,7 +699,7 @@ def test_cubic_closure_family_with_known_answer():
         expect = {y2 * y2 - cx * y1, y2 * y1 - cx, y1 * y1 - y2}
         assert set(res.presentation.relations) == expect
         assert psi_combination(res.presentation.inclusion_image, ring)[1] == shifted
-        assert list(res.fractions.numerators) == \
+        assert list(res.presentation.numerators) == \
             [y * y, (y * shifted).monic(), (shifted * shifted).monic()]
 
 
@@ -716,10 +720,10 @@ def test_numerator_consistency_rejects_presentation_only_lift():
     assert stage.certificate.gb_ok
     assert stage.certificate.containment_ok
     assert not stage.certificate.numerators_ok
-    assert str(stage.state.fractions.numerators[-1]) == "x^2 - 3*x - 2/3"
+    assert str(stage.state.presentation.numerators[-1]) == "x^2 - 3*x - 2/3"
     res2 = run_algorithm1(ring, f, RunConfig(primes=(5, 7, 11)))
     assert res2.accepted
-    assert res2.fractions.denominator == (shifted * shifted)
+    assert res2.presentation.denominator == (shifted * shifted)
 
 
 def test_octic_full_rational_run():
@@ -731,8 +735,8 @@ def test_octic_full_rational_run():
     assert any(r.q == 5 and not r.usable and "conductor" in r.reason
                for r in res.runs)
     assert res.conductor == ring.parse("x^24")
-    assert res.fractions.denominator == ring.parse("x^13")
-    assert sorted(w[0] for w in res.fractions.fraction_weights()) == \
+    assert res.presentation.denominator == ring.parse("x^13")
+    assert sorted(w[0] for w in fraction_weights(res.presentation.numerators)) == \
         [0, 4, 5, 9, 10, 14, 15, 19]
     assert len(res.presentation.relations) == 28
 

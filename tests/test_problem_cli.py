@@ -225,7 +225,12 @@ def test_cli_rejects_two_independent_variables(tmp_path, capsys, mode_args):
     (["--primes", "5,11,13", "--prime", "7"], "error: --prime applies to charq mode only"),
     (["--mode", "charq", "--prime", "7", "--primes", "5,11,13"],
      "error: --primes applies to char0 mode only"),
-], ids=["primes", "prime", "prime-in-char0", "primes-in-charq"])
+    (["--mode", "charq", "--prime", "5", "--start-prime", "101"],
+     "error: --start-prime applies to char0 mode only"),
+    (["--mode", "charq", "--prime", "5", "--max-primes", "3"],
+     "error: --max-primes applies to char0 mode only"),
+], ids=["primes", "prime", "prime-in-char0", "primes-in-charq", "start-prime-in-charq",
+        "max-primes-in-charq"])
 def test_cli_rejects_malformed_primes(tmp_path, capsys, bad_args, message):
     path = _write(tmp_path, QUADRATIC)
     code = main([path, "--log", str(tmp_path / "audit.log")] + bad_args)
