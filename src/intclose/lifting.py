@@ -3,15 +3,21 @@
 Each prime's closure is one ``ClosurePresentation``.  Each stage folds its
 ``polys`` (numerators, relations, psi(y)) coefficientwise into the previous
 stage's record mod N, a plain tuple of {monomial: int} maps, by the Chinese
-remainder map (Garner's step), lifts that to small rationals by
+remainder map (Garner's step), and lifts that to small rationals by
 extended-Euclidean reconstruction, which cannot fail on a CRT record
-(``rat_recon``), as one lifted record, and accepts it exactly when the
-inclusion image of the input ideal reduces to zero against its relations, its
-numerators are consistent with them, and the relations are a Groebner basis.
-The decision runs those checks in that order and stops at the first that
-fails; a bit it did not need is computed when first read (the audit log, or
-the printed certificate of a stage that was not accepted).  The lift implies
-per-prime specialization; it is evaluated for the printed stage.
+(``rat_recon``).  The lift stays maps of rationals; the lifted record, one
+``ClosurePresentation`` over QQ, is built when something first reads it.  A
+stage is accepted exactly when the inclusion image of the input ideal reduces
+to zero against its relations, its numerators are consistent with them, and
+the relations are a Groebner basis.
+
+The decision first takes psi(f) at one point mod a 61-bit prime, through the
+lifted multiplication table (``rejects_at_point``), and rejects the stage when
+that value is nonzero, which can only happen when the stage is not accepted.
+Otherwise it runs the exact checks in the order above and stops at the first
+that fails; a bit it did not need is computed when first read (the audit log,
+or the printed certificate of a stage that was not accepted).  The lift
+implies per-prime specialization; it is evaluated for the printed stage.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 
 from .closure import (ClosurePresentation, ClosureError, induce_presentation,
                       minimize_denominator, qth_closure)
@@ -51,24 +58,30 @@ def rat_recon(c: int, n: int) -> Fraction:
     gcd(beta, n) = 1, as a prime of n that divides beta divides alpha too,
     and alpha != 0 when c != 0 (mod n), as then c*beta != 0 (mod n) (Wang,
     Guy & Davenport, "P-adic reconstruction of rational numbers", 1982).
+
+    One pass keeps the least eligible (r^2 + u^2, i) so far, testing only a
+    candidate that beats it; the walk stops once u^2 alone reaches the best,
+    as u never falls along the sequence.  Every candidate's r = (-1)^i u*c
+    (mod n), so one with gcd(r, u) = 1 is eligible without a test.
     """
     if n <= 1:
         raise LiftError("modulus must exceed 1")
     c %= n
-    cands = [(c * c + 1, 0, c, 1)]
+    best, alpha, beta = c * c + 1, c, 1
     r_prev, r = n, c
     u_prev, u = 0, 1
-    i = 0
-    while r != 0:
+    sign = 1
+    while r != 0 and u * u < best:
         quot = r_prev // r
         r_prev, r = r, r_prev - quot * r
         u_prev, u = u, quot * u + u_prev
-        i += 1
-        cands.append((r * r + u * u, i, r, u))
-    for _, i, r, u in sorted(cands):
-        frac = Fraction(r if i % 2 == 0 else -r, u)
-        if (c * frac.denominator - frac.numerator) % n == 0:
-            return frac
+        sign = -sign
+        if (norm := r * r + u * u) < best:
+            g = gcd(r, u)
+            a, b = sign * r // g, u // g
+            if g == 1 or (c * b - a) % n == 0:
+                best, alpha, beta = norm, a, b
+    return Fraction(alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +160,26 @@ def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
 
 @dataclass(frozen=True)
 class LiftState:
-    """The usable runs' closure by CRT, and its lift over QQ."""
+    """The usable runs' closure by CRT, and its lift over QQ.
+
+    The lift is kept as maps; ``presentation``, the lifted record, is built
+    from them when first read (by an exact certificate bit, the audit log or
+    the printer), so a stage that the point test rejects builds none."""
 
     primes: tuple
     modulus: int
     crt: tuple                       # ``polys`` as {monomial: int} maps, balanced mod N
-    presentation: ClosurePresentation    # lifted over QQ
+    lift: tuple                      # their ``rat_recon`` values, {monomial: Fraction}
+    rings: tuple                     # (input ring, output ring) over QQ
+    nnum: int                        # the first nnum maps are the numerators'
+    leads: tuple                     # the maps' leading monomials: the runs' signature
+
+    @cached_property
+    def presentation(self) -> ClosurePresentation:
+        """The lifted record: numerators, relations and psi(y) over QQ."""
+        (qq_in, qq_out), nnum = self.rings, self.nnum
+        polys = [(qq_in if i < nnum else qq_out)._sorted(m) for i, m in enumerate(self.lift)]
+        return ClosurePresentation(tuple(polys[:nnum]), qq_out, tuple(polys[nnum:-1]), polys[-1])
 
     @property
     def lifted(self) -> bool:
@@ -170,31 +197,31 @@ def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None =
     Garner's step (TAOCP 4.3.2), x + N*((a - x)/N mod q), over the union of
     each map's support and its polynomial's, with 1/N mod q taken once; every
     monomial there has a nonzero residue mod N or mod q, so the record holds
-    no zero.  The run's leading monomials must be those of ``prev``'s lift,
-    which keeps its record's support (``SignatureError`` otherwise).  The QQ
-    copies of the input and output rings are built at the first stage, and
-    read off ``prev``'s lift after it; the lift is one record."""
+    no zero.  The run's leading monomials must be ``prev``'s ``leads``, which
+    the lift keeps, as it keeps its record's support (``SignatureError``
+    otherwise).  The QQ copies of the input and output rings are built at the
+    first stage, and read off ``prev`` after it.  The lift is one ``rat_recon``
+    per coefficient, kept as maps; no Polynomial is built here."""
     if not run.usable:
         raise LiftError(f"run at q={run.q} is not usable")
-    polys, q = run.presentation.polys, run.q
+    pres, q = run.presentation, run.q
+    polys = pres.polys
+    leads = tuple(p.lm for p in polys)
     if prev is None:
-        qq_in, qq_out = input_ring.with_domain(QQ), run.presentation.ring.with_domain(QQ)
+        rings = (input_ring.with_domain(QQ), pres.ring.with_domain(QQ))
         primes, n, acc = (), 1, ({},) * len(polys)
     else:
-        if tuple(p.lm for p in polys) != tuple(p.lm for p in prev.presentation.polys):
+        if leads != prev.leads:
             raise SignatureError("runs have incompatible closure signatures")
-        qq_in, qq_out = prev.presentation.denominator.ring, prev.presentation.ring
-        primes, n, acc = prev.primes, prev.modulus, prev.crt
+        rings, primes, n, acc = prev.rings, prev.primes, prev.modulus, prev.crt
     if n % q == 0:
         raise LiftError("duplicate primes in CRT input")
-    inv, nq, nnum = pow(n, -1, q), n * q, len(run.presentation.numerators)
+    inv, nq = pow(n, -1, q), n * q
     record = tuple({m: balanced((x := old.get(m, 0)) + n * ((new.get(m, 0) - x) * inv % q), nq)
                     for m in old.keys() | new.keys()}
                    for old, new in zip(acc, (dict(p.terms) for p in polys)))
-    lifted = [(qq_in if i < nnum else qq_out)._sorted({m: rat_recon(c, nq) for m, c in r.items()})
-              for i, r in enumerate(record)]
-    return LiftState(primes + (q,), nq, record, ClosurePresentation(
-        tuple(lifted[:nnum]), qq_out, tuple(lifted[nnum:-1]), lifted[-1]))
+    lift = tuple({m: rat_recon(c, nq) for m, c in r.items()} for r in record)
+    return LiftState(primes + (q,), nq, record, lift, rings, len(pres.numerators), leads)
 
 
 def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,
@@ -218,15 +245,89 @@ def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,
     return image
 
 
+# the point test's prime, 2^61 - 1, and its fixed value of x
+POINT_PRIME = (1 << 61) - 1
+POINT_X = 1234567890123456789
+
+
+def _at_point(terms: dict, nbar: int, lead=None) -> list:
+    """A map that is linear in the ybar, ``lead`` left out, at x = POINT_X mod
+    POINT_PRIME: [c_0, .., c_(nbar-1), c] for sum c_k*ybar_k + c.  A term of
+    higher ybar-degree, or a denominator POINT_PRIME divides, raises ValueError."""
+    p, vec = POINT_PRIME, [0] * (nbar + 1)
+    for m, c in terms.items():
+        if m == lead:
+            continue
+        dep = m[:nbar]
+        if sum(dep) > 1:
+            raise ValueError("not linear in the fraction variables")
+        k = dep.index(1) if any(dep) else nbar
+        num, den = c.numerator, c.denominator
+        vec[k] += (num if den == 1 else num * pow(den, -1, p)) * pow(POINT_X, m[nbar], p)
+    return [v % p for v in vec]
+
+
+def rejects_at_point(state: LiftState, f: Polynomial) -> bool:
+    """Whether psi(f), reduced by the lifted multiplication table, is nonzero
+    at x = POINT_X mod POINT_PRIME; when it is, the stage is not accepted.
+
+    Each lifted relation ybar_a*ybar_b - L_ab gives the table entry
+    ybar_a*ybar_b = L_ab, linear in the ybar, and psi(y) is linear in them;
+    psi(f) is one Horner pass over f's y-coefficients, each step a product of
+    (J+1)-vectors in the table, every lifted a/b taken mod the prime as
+    a*b^-1.  The reduced psi(f) has only standard monomials, so when the
+    relations are a Groebner basis it is NF(psi(f)), and a nonzero value
+    means containment fails; when they are not, gb fails.  Either way the
+    stage is not accepted, whatever the point and the prime.  False, leaving
+    the decision to the exact checks, when the value is 0, a denominator is
+    divisible by the prime, or the relations are not one table entry per pair
+    a <= b.  The test only ever rejects: a nonzero reduced psi(f) vanishes at
+    few points (Schwartz, "Fast probabilistic algorithms for verification of
+    polynomial identities", JACM 1980), and then the exact checks decide."""
+    p, nbar, nnum = POINT_PRIME, state.rings[1].ndep, state.nnum
+    table = {}
+    try:
+        for lead, rel in zip(state.leads[nnum:-1], state.lift[nnum:-1]):
+            pair = tuple(k for k, e in enumerate(lead[:nbar]) for _ in range(e))
+            if len(pair) != 2 or any(lead[nbar:]) or rel.get(lead) != 1:
+                return False
+            table[pair] = [-v % p for v in _at_point(rel, nbar, lead)]
+        psi = _at_point(state.lift[-1], nbar)
+        ys = [0] * (f.degree_in(0) + 1)        # f's y-coefficients at the point
+        for (k, e), c in f.terms:
+            ys[k] += c.numerator * pow(c.denominator, -1, p) * pow(POINT_X, e, p)
+    except ValueError:
+        return False
+    if not len(table) == len(state.lift) - nnum - 1 == nbar * (nbar + 1) // 2:
+        return False
+    value = [0] * nbar + [ys[-1]]
+    for k in range(len(ys) - 2, -1, -1):       # value = value*psi + ys[k]
+        out = [value[nbar] * psi[i] + value[i] * psi[nbar] for i in range(nbar)]
+        out.append(value[nbar] * psi[nbar] + ys[k])
+        for a, va in enumerate(value[:nbar]):
+            for b, pb in enumerate(psi[:nbar]) if va else ():
+                for i, t in enumerate(table[(a, b) if a <= b else (b, a)]):
+                    out[i] += va * pb * t
+        value = [v % p for v in out]
+    return any(value)
+
+
 class Certificate:
     """A lifted candidate's certificate (``verify_candidate``): ``accepted`` is
-    decided on construction, and each bit is computed, and kept, when first read."""
+    decided on construction, and each bit is computed, and kept, when first
+    read.  A stage that ``rejects_at_point`` rejects reads no bit on
+    construction, so it builds neither its lifted record nor psi(f)."""
 
     def __init__(self, state: LiftState, f: Polynomial):
         self._state, self._f = state, f
-        self._psi_pows = [state.presentation.ring.one()]
         self.per_prime: tuple = ()   # ((q, bool), ...) over the runs checked
-        self.accepted = self.containment_ok and self.numerators_ok and self.gb_ok
+        self.accepted = (not rejects_at_point(state, f) and self.containment_ok
+                         and self.numerators_ok and self.gb_ok)
+
+    @cached_property
+    def _psi_pows(self) -> list:
+        """[1, psi, psi^2, ...], extended by ``psi_substitute`` as needed."""
+        return [self._state.presentation.ring.one()]
 
     def _image(self, p: Polynomial) -> Polynomial:
         """p under y -> psi, each power of psi built once per certificate."""
@@ -264,16 +365,21 @@ class Certificate:
 
 
 def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
-    """Certificate checks on a lifted candidate, decided in the order that
-    rejects soonest: containment of the input ideal under the inclusion image,
-    then consistency of the lifted numerators (the fraction named ybar_j must
-    actually be g_j / delta, i.e. psi(g_j) must reduce to ybar_j * delta; an
-    undersized modulus can mangle a numerator coefficient without disturbing
-    the other two checks), then the Groebner property of the relations, the
-    costliest.  The decision stops at the first check that fails; the bits it
-    skipped are computed when first read, by the audit log or the printed
-    certificate.  ``per_prime`` is left empty: it holds on every stage
-    (``specializations``)."""
+    """Certificate checks on a lifted candidate.  A stage whose psi(f) is
+    nonzero at the point (``rejects_at_point``) is rejected there, with no
+    exact check and no lifted record built; that value is nonzero only on a
+    stage that the exact checks reject, so it changes no decision, and every
+    bit is still computed exactly when read.
+
+    The exact checks run in the order that rejects soonest: containment of
+    the input ideal under the inclusion image, then consistency of the lifted
+    numerators (the fraction named ybar_j must actually be g_j / delta, i.e.
+    psi(g_j) must reduce to ybar_j * delta; an undersized modulus can mangle a
+    numerator coefficient without disturbing the other two checks), then the
+    Groebner property of the relations, the costliest.  The decision stops at
+    the first check that fails; the bits it skipped are computed when first
+    read, by the audit log or the printed certificate.  ``per_prime`` is left
+    empty: it holds on every stage (``specializations``)."""
     return Certificate(state, f)
 
 
@@ -287,11 +393,12 @@ def specializations(state: LiftState, runs) -> tuple:
 
 def _specializes(state: LiftState, run: PrimeRun) -> bool:
     """Each lifted coefficient a/b taken mod q as a*b^-1 (a denominator that q
-    divides raises), zeros dropped, against the run's terms."""
+    divides raises), zeros dropped, against the run's terms; read off the lift's
+    maps, so no lifted record is built."""
     q = run.q
     try:
-        return all({m: r for m, c in p.terms if (r := c.numerator * pow(c.denominator, -1, q) % q)}
+        return all({m: r for m, c in p.items() if (r := c.numerator * pow(c.denominator, -1, q) % q)}
                    == dict(g.terms)
-                   for p, g in zip(state.presentation.polys, run.presentation.polys))
+                   for p, g in zip(state.lift, run.presentation.polys))
     except ValueError:
         raise LiftError(f"a lifted denominator vanishes mod {q}") from None

@@ -18,7 +18,7 @@ from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation,
                       Ring, RingError, SignatureError, balanced, buchberger,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
                       is_prime, mono_weight, module_reduce, mu_poly, normal_form,
-                      partial_derivative, psi_substitute, rat_recon, s_poly)
+                      partial_derivative, psi_substitute, s_poly)
 from intclose.closure import fraction_names, fraction_weights
 from intclose.groebner import reduce_terms
 from intclose.linalg import nullspace_mod
@@ -502,10 +502,35 @@ def crt_sum_reference(polys, primes) -> dict:
     return {m: c for m, c in sums.items() if c}
 
 
+def rat_recon_reference(c: int, n: int) -> Fraction:
+    """``lifting.rat_recon`` through the whole candidate list: every pair
+    (r_i, u_i) of the remainder sequence, sorted by (r^2 + u^2, i), and the
+    first whose reduced fraction (-1)^i r/u satisfies c*beta = alpha (mod n)."""
+    if n <= 1:
+        raise LiftError("modulus must exceed 1")
+    c %= n
+    cands = [(c * c + 1, 0, c, 1)]
+    r_prev, r = n, c
+    u_prev, u = 0, 1
+    i = 0
+    while r != 0:
+        quot = r_prev // r
+        r_prev, r = r, r_prev - quot * r
+        u_prev, u = u, quot * u + u_prev
+        i += 1
+        cands.append((r * r + u * u, i, r, u))
+    for _, i, r, u in sorted(cands):
+        frac = Fraction(r if i % 2 == 0 else -r, u)
+        if (c * frac.denominator - frac.numerator) % n == 0:
+            return frac
+
+
 def reconcile_and_lift_reference(runs, input_ring: Ring) -> LiftState:
     """``lifting.reconcile_and_lift`` over all the usable runs at once, not one
     fold per stage: each polynomial's ``crt_sum_reference``, lifted by
-    ``rat_recon`` through ``Ring.poly``."""
+    ``rat_recon_reference`` through ``Ring.poly``.  The state's presentation
+    is this lift's own, put in its cache, so that reading it does not run the
+    state's lazy build."""
     runs = [r for r in runs if r.usable]
     if not runs:
         raise LiftError("no usable runs to reconcile")
@@ -519,10 +544,13 @@ def reconcile_and_lift_reference(runs, input_ring: Ring) -> LiftState:
     nnum = len(runs[0].presentation.numerators)
     qq = (input_ring.with_domain(QQ), runs[0].presentation.ring.with_domain(QQ))
     record = tuple(crt_sum_reference(slot, primes) for slot in zip(*polys))
-    lifted = [qq[i >= nnum].poly({m: rat_recon(c, modulus) for m, c in rec.items()})
+    lifted = [qq[i >= nnum].poly({m: rat_recon_reference(c, modulus) for m, c in rec.items()})
               for i, rec in enumerate(record)]
-    return LiftState(primes, modulus, record, ClosurePresentation(
-        tuple(lifted[:nnum]), qq[1], tuple(lifted[nnum:-1]), lifted[-1]))
+    state = LiftState(primes, modulus, record, tuple(dict(p.terms) for p in lifted), qq,
+                      nnum, tuple(p.lm for p in lifted))
+    state.__dict__["presentation"] = ClosurePresentation(
+        tuple(lifted[:nnum]), qq[1], tuple(lifted[nnum:-1]), lifted[-1])
+    return state
 
 
 class ReferenceCertificate(NamedTuple):

@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from functools import cache
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -17,12 +18,12 @@ from intclose import (GF, QQ, ZZ, ClosurePresentation, LiftError, PrimeRun,
                       reconcile_and_lift, run_algorithm1, run_charq, run_prime,
                       verify_candidate, RunConfig)
 from intclose.closure import fraction_weights
-from intclose.lifting import _specializes, closure_run, specializations
+from intclose.lifting import _specializes, closure_run, rejects_at_point, specializations
 from conftest import CURVES, curve_ring, make_curve
-from corpus import workloads
+from corpus import README_PROBLEM, workloads
 from oracles import (crt, crt_sum_reference, is_prime_usable_reference, mod_n,
-                     nullspace_rref, numerators_interreduced, reconcile_and_lift_reference,
-                     verify_candidate_reference)
+                     nullspace_rref, numerators_interreduced, rat_recon_reference,
+                     reconcile_and_lift_reference, verify_candidate_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +275,21 @@ def test_lift_keeps_support_and_specializes(primes, data):
         assert mu_poly(lifted, ring_q) == ring_q.poly(record)
 
 
+PRIMES_FOR_N = PRIMES_BELOW_200 + [1009, 65521, 1000003, 2147483647]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PRIMES_FOR_N), min_size=1, max_size=6, unique=True),
+       st.data())
+def test_rat_recon_matches_the_candidate_list_reference(primes, data):
+    # the one-pass walk returns the sorted candidate list's first eligible
+    # fraction, tie rule included, also when c shares primes with n or c = 0 mod n
+    n = math.prod(primes)
+    shared = math.prod(data.draw(st.lists(st.sampled_from(primes), unique=True)))
+    c = shared * data.draw(st.integers(-n, n))
+    assert rat_recon(c, n) == rat_recon_reference(c, n)
+
+
 def test_rat_recon_skips_invalid_candidates():
     # 22 shares a factor with 55; the tempting (0, 5) remainder pair does not
     # satisfy the congruence and must be passed over for -11/2
@@ -457,14 +473,15 @@ def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
     # per_prime is evaluated only for the printed stage, the last that
     # lifted; it holds on all of them.  Each stage's CRT record, folded from
     # the previous one, is the one reconciled from all its runs at once by
-    # the reference.
+    # the reference, and so is the lifted record it builds when read.
     ring, f = _problem(name)
     res = run_algorithm1(ring, f)
     usable = [r for r in res.runs if r.usable]
     assert len(res.stages) == len(usable)
     lifted = [k for k, stage in enumerate(res.stages, 1) if stage.state.lifted]
     for k, stage in enumerate(res.stages, 1):
-        assert stage.state == reconcile_and_lift_reference(usable[:k], ring)
+        ref = reconcile_and_lift_reference(usable[:k], ring)
+        assert stage.state == ref and stage.state.presentation == ref.presentation
         # the lifted support is the union of the runs' under the same leads
         assert numerators_interreduced(stage.state.presentation.numerators)
         if not stage.state.lifted:
@@ -526,6 +543,105 @@ def test_gb_check_runs_only_where_the_decision_or_the_log_needs_it(tmp_path, mon
     assert log.read_text(encoding="utf-8").count(" gb=") == len(refs)
 
 
+@cache
+def _accepted_stages() -> tuple:
+    """(state, f) of the first stage that the exact reference accepts, folding
+    the usable runs in schedule order: of the README problem at 5, 11, 13 and
+    of the first ten ``TALL_7`` problems.  No point test picks them."""
+    out = []
+    for name in ["quadratic"] + sorted(TALL_7)[:10]:
+        ring, f = _curve_or_tall(name)
+        delta0, B = canonical_conductor(f, ring)
+        state = None
+        for q in (5, 11, 13) if name in CURVES else PRIMES_BELOW_200:
+            run = run_prime(q, f, delta0, B)
+            if run.usable:
+                try:
+                    state = reconcile_and_lift(run, ring, state)
+                except SignatureError:
+                    continue
+                if verify_candidate_reference(state, f).accepted:
+                    break
+        assert verify_candidate_reference(state, f).accepted
+        out.append((state, f))
+    return tuple(out)
+
+
+def test_point_test_rejects_no_accepted_stage():
+    assert not any(rejects_at_point(state, f) for state, f in _accepted_stages())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_rejection_is_an_exact_rejection(data):
+    # one coefficient of a numerator, a relation or psi(y) of an accepted lift
+    # moved by a small rational (or left alone): whenever psi(f) is nonzero at
+    # the point, the exact checks reject the stage, on containment or gb
+    state, f = data.draw(st.sampled_from(_accepted_stages()))
+    lift = list(state.lift)
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(lift) - 1))
+        m = data.draw(st.sampled_from(sorted(lift[k])))
+        lift[k] = dict(lift[k])
+        c = lift[k].pop(m) + Fraction(data.draw(st.integers(-50, 50).filter(bool)),
+                                      data.draw(st.integers(1, 50)))
+        if c:
+            lift[k][m] = c
+    moved = replace(state, lift=tuple(lift))
+    if rejects_at_point(moved, f):
+        ref = verify_candidate_reference(moved, f)
+        cert = verify_candidate(moved, f)
+        assert not cert.accepted and not ref.accepted
+        assert not (ref.containment_ok and ref.gb_ok)
+        assert (cert.containment_ok, cert.gb_ok) == (ref.containment_ok, ref.gb_ok)
+
+
+def test_point_rejected_stages_build_no_lifted_record(tmp_path, monkeypatch, capsys):
+    # the README problem at 5, 11, 13: the two stages that fail containment are
+    # rejected at the point, with no exact normal form and no lifted record;
+    # the accepted one builds its record once, and reduces psi(f) and its one
+    # numerator exactly.  The audit log still holds every stage's exact bits.
+    import intclose.driver
+    import intclose.lifting
+    from intclose import cli
+    stage, counts = [None], {}
+    real_nf, real_init = intclose.lifting.normal_form, ClosurePresentation.__init__
+    real_verify = intclose.driver.verify_candidate
+
+    def count(kind):
+        key = (stage[0], kind)
+        counts[key] = counts.get(key, 0) + 1
+
+    def verify(state, f):
+        stage[0] = state.modulus
+        return real_verify(state, f)
+
+    def init(self, numerators, ring, *rest):
+        if ring.domain == QQ:
+            count("lifted")
+        real_init(self, numerators, ring, *rest)
+
+    monkeypatch.setattr(intclose.driver, "verify_candidate", verify)
+    monkeypatch.setattr(intclose.lifting, "normal_form",
+                        lambda p, rels: count("normal_form") or real_nf(p, rels))
+    monkeypatch.setattr(ClosurePresentation, "__init__", init)
+    path, log = tmp_path / "problem.txt", tmp_path / "audit.log"
+    path.write_text(README_PROBLEM, encoding="utf-8")
+    assert cli.main([str(path), "--primes", "5,11,13"]) == 0
+    bare = capsys.readouterr()
+    assert counts == {(715, "lifted"): 1, (715, "normal_form"): 2}
+    assert cli.main([str(path), "--primes", "5,11,13", "--log", str(log)]) == 0
+    assert capsys.readouterr() == bare
+    assert log.read_bytes() == "".join(line + "\n" for line in [
+        "conductor: x - 8/7",
+        "q=5 usable delta=x + 1 J=1 lm_g=[y,x] K=1 lm_b=[ybar^2]",
+        "N=5 primes=5 lift=ok gb=True containment=False numerators=True accepted=False",
+        "q=11 usable delta=x + 2 J=1 lm_g=[y,x] K=1 lm_b=[ybar^2]",
+        "N=55 primes=5,11 lift=ok gb=True containment=False numerators=True accepted=False",
+        "q=13 usable delta=x - 3 J=1 lm_g=[y,x] K=1 lm_b=[ybar^2]",
+        "N=715 primes=5,11,13 lift=ok gb=True containment=True numerators=True accepted=True"]).encode()
+
+
 def test_specialization_of_accepted_candidate(quadratic):
     ring, f = quadratic
     res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
@@ -545,10 +661,11 @@ def test_specializations_catch_a_perturbed_lift(quadratic):
     state = res.stages[-1].state
     nums = state.presentation.numerators
     qq = state.presentation.denominator.ring
+    k = state.nnum - 1
 
     def with_denominator(text):
-        return replace(state, presentation=replace(
-            state.presentation, numerators=nums[:-1] + (qq.parse(text),)))
+        return replace(state, lift=state.lift[:k] + (dict(qq.parse(text).terms),)
+                       + state.lift[k + 1:])
 
     assert nums[-1] == qq.parse("x - 8/7")
     assert specializations(state, res.runs) == ((5, True), (11, True), (13, True))
