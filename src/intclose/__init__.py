@@ -9,7 +9,7 @@ by ideal-containment, numerator and Groebner-basis checks.
 from .closure import (ClosurePresentation, ClosureError, canonical_generators,
                       frobenius_images, frobenius_nf, frobenius_scale,
                       induce_presentation, minimize_denominator, module_reduce,
-                      psi_combination, qth_closure, qth_power_step)
+                      qth_closure, qth_power_step)
 from .conductor import ConductorError, canonical_conductor, partial_derivative
 from .domains import GF, INT, MODP, QQ, RAT, ZZ, Domain, DomainError, balanced, is_prime
 from .driver import (Algorithm1Result, DriverError, RunConfig, run_algorithm1,

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .closure import ClosureError, psi_combination
+from .closure import ClosureError
 from .conductor import ConductorError
 from .domains import GF, QQ, DomainError
 from .driver import DriverError, RunConfig, run_algorithm1, run_charq
@@ -21,19 +21,18 @@ from .rings import format_poly
 
 
 def _psi_factored(presentation) -> str:
-    """psi(y) as a combination of the fraction variables, e.g. ybar*(x - 8/7)."""
-    ring = presentation.ring
-    parts = []
-    for k, c in enumerate(psi_combination(presentation.inclusion_image,
-                                          presentation.denominator.ring)):
-        if c.is_zero():
+    """psi(y) over the fraction variables, e.g. ybar*(x - 8/7), from its coordinates."""
+    ring, parts = presentation.ring, []
+    for k, c in enumerate(presentation.psi):
+        if not c:
             continue
+        text = format_poly(presentation.input_ring.poly({(0, e): v for e, v in c.items()}))
         if k == ring.ndep:
-            parts.append(f"({format_poly(c)})")
-        elif c == c.ring.one():
+            parts.append(f"({text})")
+        elif c == {0: 1}:
             parts.append(ring.names[k])
         else:
-            parts.append(f"{ring.names[k]}*({format_poly(c)})")
+            parts.append(f"{ring.names[k]}*({text})")
     return " + ".join(parts) if parts else "0"
 
 

@@ -6,8 +6,8 @@ each held as its y-coefficients in F_q[x] from the walk's start to the
 presentation.  One iteration keeps the sub-module whose members g satisfy
 NF(g^q, f) in D^(q-1) * (current module); the chain stabilizes on the
 integral closure.  The fixpoint is turned into a quadratic presentation over
-new variables, one per non-trivial fraction, and one record,
-``ClosurePresentation``, holds it with the numerators as Polynomials.
+new variables, one per non-trivial fraction, kept as plain data in one
+record, ``ClosurePresentation``, which builds Polynomials only when read.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement, count
+from itertools import chain, combinations_with_replacement, count
 
 from .domains import MODP
 from .groebner import reduce_terms
 from .linalg import nullspace_mod
 from .orders import grevlex_over_weight
 from .rings import Polynomial, Ring
-from .weights import weight_of
+from .weights import mono_weight
 
 
 class ClosureError(ValueError):
@@ -259,7 +259,7 @@ def by_y(p: Polynomial, d: int) -> list:
     """The y^0 .. y^(d-1) coefficients of p over F_q[y; x], as F_q[x] dicts.
 
     A term of y-degree d, such as the leading y^d of a relation f, is dropped.
-    The library reads f's tail and the conductor this way.
+    The library reads f's tail, f's y-coefficients and the conductor this way.
     """
     out: list = [{} for _ in range(d + 1)]
     for (k, e), c in p.terms:
@@ -268,8 +268,9 @@ def by_y(p: Polynomial, d: int) -> list:
 
 
 def from_y(vectors, ring: Ring) -> tuple:
-    """The Polynomials of ring with the given y-coefficients: ``by_y`` undone."""
-    return tuple(ring.poly({(k, e): c for k, a in enumerate(v) for e, c in a.items()})
+    """The Polynomials of ring with the given canonical, nonzero y-coefficients:
+    ``by_y`` undone."""
+    return tuple(ring._sorted({(k, e): c for k, a in enumerate(v) for e, c in a.items()})
                  for v in vectors)
 
 
@@ -459,64 +460,98 @@ def fraction_names(count: int, ring: Ring) -> tuple:
 
 @dataclass(frozen=True)
 class ClosurePresentation:
-    """The closure at one prime, or lifted: numerators (g_J, ..., g_1, g_0) over
-    the denominator g_0, and their quadratic presentation over new fraction
-    variables ybar_j = g_j / g_0.
-
-    The fractions span the closure as a P-module; g_0 is the unique pure-P
-    numerator, so the module contains 1.  Only the shape is checked here: the
-    numerators are monic, g_0 lies in P, and the leads descend with one per
-    y-degree.  A closure's numerators are also interreduced, which
-    ``tests/oracles.numerators_interreduced`` checks.
+    """The closure at one prime, or lifted: numerators g_J, .., g_0 over the
+    denominator g_0, and their quadratic presentation over fraction variables
+    ybar_j = g_j / g_0, as one flat tuple of F[x] dicts, J+1 to a vector: the
+    numerators' y-coefficients, one relation tail per pair a <= b
+    (``combinations_with_replacement`` order), then psi(y).  A tail and psi(y)
+    hold the coefficients of ybar_J .. ybar_1 and 1; a relation is
+    ybar_a*ybar_b plus its tail.  ``numerators``, ``relations`` and
+    ``inclusion_image`` are Polynomials built when first read.  Only the shape
+    is checked: the layout, psi(y) != 0, monic numerators, g_0 in P, and leads
+    descending one per y-degree (``tests/oracles.numerators_interreduced``
+    checks that a closure's numerators are also interreduced).
     """
 
-    numerators: tuple                # g_J .. g_0 over the input ring
+    coords: tuple                    # the flat tuple of F[x] dicts above
+    input_ring: Ring                 # the ring of f and of the numerators
     ring: Ring                       # output ring: ybar block then x block
-    relations: tuple                 # minimal reduced basis of induced relations
-    inclusion_image: Polynomial      # psi(y) inside the output ring
 
     def __post_init__(self):
-        nums = self.numerators
-        if not nums:
-            raise ClosureError("empty fraction set")
-        if not all(g.is_monic() for g in nums):
+        J = self.ring.ndep
+        if len(self.coords) != (J + 1) * (J + 2 + J * (J + 1) // 2) or not any(self.psi):
+            raise ClosureError("record does not hold (J+1)-vectors in its layout, or psi(y) = 0")
+        vectors = self.vectors
+        leads = self.leads[:-1] if all(map(any, vectors)) else ()
+        if len(leads) < len(vectors) or any(v[k][e] != 1 for v, (k, e) in zip(vectors, leads)):
             raise ClosureError("numerators must be monic and nonzero")
-        ring = nums[0].ring
-        if not self.denominator.in_subring(ring.ndep):
+        if any(vectors[-1][1:]):
             raise ClosureError("g_0 must lie in the independent subring")
-        keys = [ring.order.key(g.lm) for g in nums]
-        if (any(a <= b for a, b in zip(keys, keys[1:]))
-                or len({g.lm[:ring.ndep] for g in nums}) < len(nums)):
+        keys = [self.input_ring.order.key(m) for m in leads]
+        if any(a <= b for a, b in zip(keys, keys[1:])) or len({k for k, _ in leads}) < len(leads):
             raise ClosureError("numerator leads must descend, one per y-degree")
+
+    @cached_property
+    def parts(self) -> tuple:
+        """``split_record`` of the coordinates: (vectors, {(a, b): tail}, psi)."""
+        return split_record(self.coords, self.ring.ndep + 1)
+
+    vectors = property(lambda self: self.parts[0])     # g_J .. g_0's y-coefficients
+    psi = property(lambda self: self.parts[2])         # psi(y)'s ybar_J .. ybar_1, 1 coordinates
+
+    @cached_property
+    def leads(self) -> tuple:
+        """The signature: the numerators' leads, then psi(y)'s under the output
+        order; J, the numerator count less one, fixes the relations' leads."""
+        J, key = self.ring.ndep, self.ring.order.key
+        psi = max((_ybar(J, k) + (max(a),) for k, a in enumerate(self.psi) if a), key=key)
+        return tuple(_lead(v, self.input_ring.order.key) for v in self.vectors) + (psi,)
+
+    @cached_property
+    def numerators(self) -> tuple:
+        return from_y(self.vectors, self.input_ring)
 
     @property
     def denominator(self) -> Polynomial:
         """g_0, the common denominator of the fractions."""
         return self.numerators[-1]
 
-    @property
-    def polys(self) -> tuple:
-        """Numerators, relations, then psi(y): the order in which the lift folds them."""
-        return self.numerators + self.relations + (self.inclusion_image,)
+    @cached_property
+    def relations(self) -> tuple:
+        """ybar_a*ybar_b plus its tail for each pair a <= b, descending by lead."""
+        J, one = self.ring.ndep, self.ring.domain.one
+        rels = [self._linear(t, {_ybar(J, a, b) + (0,): one}) for (a, b), t in self.parts[1].items()]
+        return tuple(sorted(rels, key=lambda r: self.ring.order.key(r.lm), reverse=True))
+
+    @cached_property
+    def inclusion_image(self) -> Polynomial:
+        """psi(y) inside the output ring."""
+        return self._linear(self.psi, {})
+
+    def _linear(self, v, terms: dict) -> Polynomial:
+        """terms plus sum v_k*ybar_k in the output ring, the last ybar being 1."""
+        J = self.ring.ndep
+        terms.update((_ybar(J, k) + (e,), c) for k, a in enumerate(v) for e, c in a.items())
+        return self.ring._sorted(terms)
 
 
-def fraction_weights(numerators) -> list[tuple]:
-    """wt(g_j) - wt(g_0) for each numerator g_j, the denominator g_0 last."""
-    wd = weight_of(numerators[-1])
-    return [tuple(a - b for a, b in zip(weight_of(g), wd)) for g in numerators]
+def split_record(coords: tuple, d: int) -> tuple:
+    """(numerator vectors, {(a, b): tail}, psi(y)) of a flat record, d = J+1 to a vector."""
+    vecs = [coords[i:i + d] for i in range(0, len(coords), d)]
+    return vecs[:d], dict(zip(combinations_with_replacement(range(d - 1), 2), vecs[d:-1])), vecs[-1]
 
 
-def psi_combination(psi: Polynomial, input_ring: Ring) -> tuple:
-    """The c_k in P with psi = sum c_k*ybar_k, the trivial fraction's ybar being 1."""
-    nbar = psi.ring.ndep
-    combos: list[dict] = [{} for _ in range(nbar + 1)]
-    for m, c in psi.terms:
-        dep = m[:nbar]
-        if sum(dep) > 1:
-            raise ClosureError("inclusion image is not linear in the fraction variables")
-        k = dep.index(1) if any(dep) else nbar
-        combos[k][(0,) * input_ring.ndep + m[nbar:]] = c
-    return tuple(input_ring.poly(d) for d in combos)
+@lru_cache(maxsize=None)
+def _ybar(J: int, *ks) -> tuple:
+    """The ybar exponents of the product of the ybar at positions ks; position J is 1."""
+    return tuple(map(ks.count, range(J)))
+
+
+def fraction_weights(vectors, weights) -> list[tuple]:
+    """wt(g_j) - wt(g_0), wt the largest weight over the support, for each
+    numerator g_j given by its y-coefficients, the denominator g_0 last."""
+    wt = [max(mono_weight((k, e), weights) for k, a in enumerate(v) for e in a) for v in vectors]
+    return [tuple(a - b for a, b in zip(w, wt[-1])) for w in wt]
 
 
 def induce_presentation(vectors: tuple, f: Polynomial) -> ClosurePresentation:
@@ -531,23 +566,23 @@ def induce_presentation(vectors: tuple, f: Polynomial) -> ClosurePresentation:
     monomials x^e, x^e*ybar_k map onto the free P-basis g_k/delta of the
     fixpoint ring, so no nonzero combination of them lies in the ideal: the
     set is a Groebner basis, and as that basis is unique, it is what
-    Buchberger plus ``minimal_reduced`` returns.  The numerators come as
-    y-coefficient vectors (``by_y``), and ``from_y`` makes them Polynomials
-    once, for the record.  On the vectors, a product g_a*g_b is d^2 F_q[x]
+    Buchberger plus ``minimal_reduced`` returns.  On the numerators'
+    y-coefficient vectors (``by_y``), a product g_a*g_b is d^2 F_q[x]
     products, its y^s-coefficients, s >= d, folded through y^d = y^d - f;
-    its coefficients over the targets delta*g_j, and psi(y)'s, those of
-    y*delta over the g_j, are ``_rem_by_targets``' quotients.  The targets lead in distinct
-    y-degrees, so they are a free P-basis of their span: remainder 0 leaves
-    one combination, and any other a product off the module.
+    its coefficients over the targets delta*g_j (a relation's tail), and
+    psi(y)'s, those of y*delta over the g_j, are ``_rem_by_targets``'
+    quotients.  The targets lead in distinct y-degrees, so they are a free
+    P-basis of their span: remainder 0 leaves one combination, and any other
+    a product off the module.
     """
     ring = f.ring
     if ring.nindep != 1:
         raise ClosureError("presentation needs one independent variable")
     if ring.domain.kind != MODP or ring.ndep != 1:
         raise ClosureError("presentation needs a ring F_q[y; x]")
-    nums, J = from_y(vectors, ring), len(vectors) - 1
+    J = len(vectors) - 1
     ybar_names = fraction_names(J, ring)
-    fw = fraction_weights(nums)[:-1]
+    fw = fraction_weights(vectors, ring.weights)[:-1]
     wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
                  for r, row in enumerate(ring.weights))
     if any(x < 0 for row in wbar for x in row):
@@ -557,8 +592,7 @@ def induce_presentation(vectors: tuple, f: Polynomial) -> ClosurePresentation:
 
     q, d = ring.domain.char, f.degree_in(0)
     tail = by_y(f, d)                  # f = y^d + tail, monic in y
-    units = [tuple(int(i == j) for i in range(J)) for j in range(J + 1)]   # g_0/g_0 = 1
-    pos = {g.lm[0]: j for j, g in enumerate(nums)}     # lead y-degree -> position
+    leads = [_lead(v, ring.order.key) for v in vectors]
 
     def fold(prods: list) -> list:     # y^s = y^(s-d) * (y^d - f), s >= d
         for s in range(len(prods) - 1, d - 1, -1):
@@ -567,28 +601,24 @@ def induce_presentation(vectors: tuple, f: Polynomial) -> ClosurePresentation:
                 prods[s - d + i] = xpoly_sub_mul(prods[s - d + i], c, t, q)
         return prods + [{} for _ in range(d - len(prods))]
 
-    def combination(v: list, targets: dict, off_span: str) -> dict:
-        """The terms of sum c_j*ybar_j for v = sum c_j*target_j, else off_span."""
+    def combination(v: list, targets: dict, off_span: str) -> list:
+        """The c_j, in numerator order, with v = sum c_j*target_j, else off_span."""
         if any(_rem_by_targets(v, targets, q, quots := {})):
             raise ClosureError(off_span)
-        return {units[pos[k]] + (e,): c for k, quot in quots.items() for e, c in quot.items()}
+        return [quots.get(k, {}) for k, _ in leads]
 
     delta = vectors[-1][0]
     neg_delta = {e: q - c for e, c in delta.items()}    # 0 - (-delta)*c = delta*c
-    scaled = {g.lm[0]: (g.lm[1] + max(delta), [xpoly_sub_mul({}, neg_delta, c, q) for c in v])
-              for g, v in zip(nums, vectors)}
-    relations = []
-    for a, b in combinations_with_replacement(range(J), 2):   # position a <-> nums[a]
+    scaled = {k: (e + max(delta), [xpoly_sub_mul({}, neg_delta, c, q) for c in v])
+              for (k, e), v in zip(leads, vectors)}
+    tails = []
+    for a, b in combinations_with_replacement(range(J), 2):   # position a <-> vectors[a]
         prods = [{} for _ in range(2 * d - 1)]
         for i, ai in enumerate(vectors[a]):
             for j, bj in enumerate(vectors[b]) if ai else ():
                 prods[i + j] = xpoly_sub_mul(prods[i + j], ai, bj, q)
-        terms = combination(fold(prods), scaled,    # of -g_a*g_b
-                            f"fraction product {a},{b} leaves the module: not a fixpoint")
-        terms[tuple(x + y for x, y in zip(units[a], units[b])) + (0,)] = 1
-        relations.append(out_ring._sorted(terms))
-    relations.sort(key=lambda r: out_ring.order.key(r.lm), reverse=True)
-
-    psi = combination(fold([{}, delta]), {g.lm[0]: (g.lm[1], v) for g, v in zip(nums, vectors)},
+        tails.append(combination(fold(prods), scaled,    # of -g_a*g_b
+                                 f"fraction product {a},{b} leaves the module: not a fixpoint"))
+    psi = combination(fold([{}, delta]), {k: (e, v) for (k, e), v in zip(leads, vectors)},
                       "inclusion image of y is not in the module")
-    return ClosurePresentation(nums, out_ring, tuple(relations), out_ring._sorted(psi))
+    return ClosurePresentation(tuple(chain(*vectors, *tails, psi)), ring, out_ring)

@@ -1,15 +1,15 @@
 """Characteristic-0 reconstruction: mod-q runs, CRT, rational lifting, certification.
 
-Each prime's closure is one ``ClosurePresentation``.  Each stage folds its
-``polys`` (numerators, relations, psi(y)) coefficientwise into the previous
-stage's record mod N, a plain tuple of {monomial: int} maps, by the Chinese
-remainder map (Garner's step), and lifts that to small rationals by
-extended-Euclidean reconstruction, which cannot fail on a CRT record
-(``rat_recon``).  The lift stays maps of rationals; the lifted record, one
-``ClosurePresentation`` over QQ, is built when something first reads it.  A
-stage is accepted exactly when the inclusion image of the input ideal reduces
-to zero against its relations, its numerators are consistent with them, and
-the relations are a Groebner basis.
+Each prime's closure is one ``ClosurePresentation``, a flat tuple of F_q[x]
+dicts.  Each stage folds them into the previous stage's record mod N, a tuple
+of {x-exponent: int} maps, by the Chinese remainder map (Garner's step), and
+lifts that to small rationals by extended-Euclidean reconstruction, which
+cannot fail on a CRT record (``rat_recon``).  The lift stays maps of
+rationals; the lifted record, one ``ClosurePresentation`` over QQ, is built
+when something first reads it.  A stage is accepted exactly when the
+inclusion image of the input ideal reduces to zero against its relations,
+its numerators are consistent with them, and the relations are a Groebner
+basis.
 
 The decision first takes psi(f) at one point mod a 61-bit prime, through the
 lifted multiplication table (``rejects_at_point``), and rejects the stage when
@@ -27,8 +27,8 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
-from .closure import (ClosurePresentation, ClosureError, induce_presentation,
-                      minimize_denominator, qth_closure)
+from .closure import (ClosurePresentation, ClosureError, by_y, induce_presentation,
+                      minimize_denominator, qth_closure, split_record)
 from .conductor import ConductorError, canonical_conductor
 from .domains import GF, QQ, DomainError, balanced, is_prime
 from .groebner import is_minimal_reduced_gb, normal_form
@@ -162,24 +162,21 @@ def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
 class LiftState:
     """The usable runs' closure by CRT, and its lift over QQ.
 
-    The lift is kept as maps; ``presentation``, the lifted record, is built
-    from them when first read (by an exact certificate bit, the audit log or
-    the printer), so a stage that the point test rejects builds none."""
+    The lift is kept as maps, one per coordinate; ``presentation``, the lifted
+    record, is built from them when first read (by an exact certificate bit,
+    the audit log or the printer), so a stage the point test rejects builds none."""
 
     primes: tuple
     modulus: int
-    crt: tuple                       # ``polys`` as {monomial: int} maps, balanced mod N
-    lift: tuple                      # their ``rat_recon`` values, {monomial: Fraction}
+    crt: tuple                       # {x-exponent: int} maps, balanced mod N
+    lift: tuple                      # their ``rat_recon`` values, {x-exponent: Fraction}
     rings: tuple                     # (input ring, output ring) over QQ
-    nnum: int                        # the first nnum maps are the numerators'
-    leads: tuple                     # the maps' leading monomials: the runs' signature
+    leads: tuple                     # the runs' signature, ``ClosurePresentation.leads``
 
     @cached_property
     def presentation(self) -> ClosurePresentation:
-        """The lifted record: numerators, relations and psi(y) over QQ."""
-        (qq_in, qq_out), nnum = self.rings, self.nnum
-        polys = [(qq_in if i < nnum else qq_out)._sorted(m) for i, m in enumerate(self.lift)]
-        return ClosurePresentation(tuple(polys[:nnum]), qq_out, tuple(polys[nnum:-1]), polys[-1])
+        """The lifted record: numerators, multiplication table and psi(y) over QQ."""
+        return ClosurePresentation(self.lift, *self.rings)
 
     @property
     def lifted(self) -> bool:
@@ -193,23 +190,21 @@ def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None =
     """Fold one usable run into ``prev``'s CRT record (the zero record mod 1 at
     the first stage), then lift coefficientwise to Q.
 
-    The fold takes the run's ``presentation.polys`` against ``prev``'s, and is
-    Garner's step (TAOCP 4.3.2), x + N*((a - x)/N mod q), over the union of
-    each map's support and its polynomial's, with 1/N mod q taken once; every
-    monomial there has a nonzero residue mod N or mod q, so the record holds
-    no zero.  The run's leading monomials must be ``prev``'s ``leads``, which
-    the lift keeps, as it keeps its record's support (``SignatureError``
-    otherwise).  The QQ copies of the input and output rings are built at the
-    first stage, and read off ``prev`` after it.  The lift is one ``rat_recon``
-    per coefficient, kept as maps; no Polynomial is built here."""
+    The fold takes the run's ``presentation.coords`` against ``prev``'s, and
+    is Garner's step (TAOCP 4.3.2), x + N*((a - x)/N mod q), over the union
+    of each map's support and its coordinate's, with 1/N mod q taken once;
+    every exponent there has a nonzero residue mod N or mod q, so the record
+    holds no zero.  The run's ``leads`` must be ``prev``'s, which the lift
+    keeps, as it keeps its record's support (``SignatureError`` otherwise).
+    The QQ copies of the input and output rings are built at the first stage,
+    and read off ``prev`` after it.  The lift is one ``rat_recon`` per
+    coefficient, kept as maps; no Polynomial is built here."""
     if not run.usable:
         raise LiftError(f"run at q={run.q} is not usable")
-    pres, q = run.presentation, run.q
-    polys = pres.polys
-    leads = tuple(p.lm for p in polys)
+    pres, q, leads = run.presentation, run.q, run.presentation.leads
     if prev is None:
         rings = (input_ring.with_domain(QQ), pres.ring.with_domain(QQ))
-        primes, n, acc = (), 1, ({},) * len(polys)
+        primes, n, acc = (), 1, ({},) * len(pres.coords)
     else:
         if leads != prev.leads:
             raise SignatureError("runs have incompatible closure signatures")
@@ -217,11 +212,11 @@ def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None =
     if n % q == 0:
         raise LiftError("duplicate primes in CRT input")
     inv, nq = pow(n, -1, q), n * q
-    record = tuple({m: balanced((x := old.get(m, 0)) + n * ((new.get(m, 0) - x) * inv % q), nq)
-                    for m in old.keys() | new.keys()}
-                   for old, new in zip(acc, (dict(p.terms) for p in polys)))
-    lift = tuple({m: rat_recon(c, nq) for m, c in r.items()} for r in record)
-    return LiftState(primes + (q,), nq, record, lift, rings, len(pres.numerators), leads)
+    record = tuple({e: balanced((x := old.get(e, 0)) + n * ((new.get(e, 0) - x) * inv % q), nq)
+                    for e in old.keys() | new.keys()}
+                   for old, new in zip(acc, pres.coords))
+    lift = tuple({e: rat_recon(c, nq) for e, c in r.items()} for r in record)
+    return LiftState(primes + (q,), nq, record, lift, rings, leads)
 
 
 def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,
@@ -250,55 +245,35 @@ POINT_PRIME = (1 << 61) - 1
 POINT_X = 1234567890123456789
 
 
-def _at_point(terms: dict, nbar: int, lead=None) -> list:
-    """A map that is linear in the ybar, ``lead`` left out, at x = POINT_X mod
-    POINT_PRIME: [c_0, .., c_(nbar-1), c] for sum c_k*ybar_k + c.  A term of
-    higher ybar-degree, or a denominator POINT_PRIME divides, raises ValueError."""
-    p, vec = POINT_PRIME, [0] * (nbar + 1)
-    for m, c in terms.items():
-        if m == lead:
-            continue
-        dep = m[:nbar]
-        if sum(dep) > 1:
-            raise ValueError("not linear in the fraction variables")
-        k = dep.index(1) if any(dep) else nbar
-        num, den = c.numerator, c.denominator
-        vec[k] += (num if den == 1 else num * pow(den, -1, p)) * pow(POINT_X, m[nbar], p)
-    return [v % p for v in vec]
-
-
 def rejects_at_point(state: LiftState, f: Polynomial) -> bool:
     """Whether psi(f), reduced by the lifted multiplication table, is nonzero
     at x = POINT_X mod POINT_PRIME; when it is, the stage is not accepted.
 
-    Each lifted relation ybar_a*ybar_b - L_ab gives the table entry
-    ybar_a*ybar_b = L_ab, linear in the ybar, and psi(y) is linear in them;
-    psi(f) is one Horner pass over f's y-coefficients, each step a product of
-    (J+1)-vectors in the table, every lifted a/b taken mod the prime as
-    a*b^-1.  The reduced psi(f) has only standard monomials, so when the
-    relations are a Groebner basis it is NF(psi(f)), and a nonzero value
-    means containment fails; when they are not, gb fails.  Either way the
-    stage is not accepted, whatever the point and the prime.  False, leaving
-    the decision to the exact checks, when the value is 0, a denominator is
-    divisible by the prime, or the relations are not one table entry per pair
-    a <= b.  The test only ever rejects: a nonzero reduced psi(f) vanishes at
-    few points (Schwartz, "Fast probabilistic algorithms for verification of
-    polynomial identities", JACM 1980), and then the exact checks decide."""
-    p, nbar, nnum = POINT_PRIME, state.rings[1].ndep, state.nnum
-    table = {}
+    The lift holds each relation ybar_a*ybar_b + tail_ab, a <= b, as the J+1
+    coordinates of its tail: the table entry ybar_a*ybar_b = -tail_ab is
+    linear in the ybar, as is psi(y).  psi(f) is one Horner pass over f's
+    y-coefficients, each step a product of (J+1)-vectors in the table, every
+    lifted a/b taken mod the prime as a*b^-1.  The reduced psi(f) has only
+    standard monomials, so when the relations are a Groebner basis it is
+    NF(psi(f)), and a nonzero value means containment fails; when they are
+    not, gb fails.  Either way the stage is not accepted, whatever the point
+    and the prime.  False, leaving the decision to the exact checks, when the
+    value is 0 or a denominator is divisible by the prime.  The test only
+    ever rejects: a nonzero reduced psi(f) vanishes at few points (Schwartz,
+    "Fast probabilistic algorithms for verification of polynomial
+    identities", JACM 1980), and then the exact checks decide."""
+    p, nbar = POINT_PRIME, state.rings[1].ndep
+    _, tails, psi = split_record(state.lift, nbar + 1)
+
+    def at_point(v) -> list:           # each F[x] coordinate at x = POINT_X
+        return [sum(c.numerator * pow(c.denominator, -1, p) * pow(POINT_X, e, p)
+                    for e, c in a.items()) % p for a in v]
+
     try:
-        for lead, rel in zip(state.leads[nnum:-1], state.lift[nnum:-1]):
-            pair = tuple(k for k, e in enumerate(lead[:nbar]) for _ in range(e))
-            if len(pair) != 2 or any(lead[nbar:]) or rel.get(lead) != 1:
-                return False
-            table[pair] = [-v % p for v in _at_point(rel, nbar, lead)]
-        psi = _at_point(state.lift[-1], nbar)
-        ys = [0] * (f.degree_in(0) + 1)        # f's y-coefficients at the point
-        for (k, e), c in f.terms:
-            ys[k] += c.numerator * pow(c.denominator, -1, p) * pow(POINT_X, e, p)
+        table = {pair: at_point(tail) for pair, tail in tails.items()}
+        psi = at_point(psi)
+        ys = at_point(by_y(f, f.degree_in(0) + 1))     # f's y-coefficients
     except ValueError:
-        return False
-    if not len(table) == len(state.lift) - nnum - 1 == nbar * (nbar + 1) // 2:
         return False
     value = [0] * nbar + [ys[-1]]
     for k in range(len(ys) - 2, -1, -1):       # value = value*psi + ys[k]
@@ -307,7 +282,7 @@ def rejects_at_point(state: LiftState, f: Polynomial) -> bool:
         for a, va in enumerate(value[:nbar]):
             for b, pb in enumerate(psi[:nbar]) if va else ():
                 for i, t in enumerate(table[(a, b) if a <= b else (b, a)]):
-                    out[i] += va * pb * t
+                    out[i] -= va * pb * t
         value = [v % p for v in out]
     return any(value)
 
@@ -356,12 +331,8 @@ class Certificate:
         ring = self._state.presentation.ring
         rels = list(self._state.presentation.relations)
         delta_out = self._image(nums[-1])
-
-        def ybar(k):
-            return ring.monomial(tuple(int(i == k) for i in range(ring.nvars)))
-
-        return all(normal_form(self._image(nums[k]) - ybar(k) * delta_out, rels).is_zero()
-                   for k in range(ring.ndep))
+        return all(normal_form(self._image(nums[k]) - ring.var(ring.names[k]) * delta_out,
+                               rels).is_zero() for k in range(ring.ndep))
 
 
 def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
@@ -393,12 +364,11 @@ def specializations(state: LiftState, runs) -> tuple:
 
 def _specializes(state: LiftState, run: PrimeRun) -> bool:
     """Each lifted coefficient a/b taken mod q as a*b^-1 (a denominator that q
-    divides raises), zeros dropped, against the run's terms; read off the lift's
-    maps, so no lifted record is built."""
+    divides raises), zeros dropped, against the run's coordinates; read off
+    the lift's maps, so no lifted record is built."""
     q = run.q
     try:
-        return all({m: r for m, c in p.items() if (r := c.numerator * pow(c.denominator, -1, q) % q)}
-                   == dict(g.terms)
-                   for p, g in zip(state.lift, run.presentation.polys))
+        return all({e: r for e, c in a.items() if (r := c.numerator * pow(c.denominator, -1, q) % q)}
+                   == b for a, b in zip(state.lift, run.presentation.coords))
     except ValueError:
         raise LiftError(f"a lifted denominator vanishes mod {q}") from None

@@ -59,8 +59,8 @@ class Ring:
 
     def poly(self, terms: dict) -> "Polynomial":
         """Canonicalize a monomial -> coefficient mapping into a Polynomial, for input from
-        outside the arithmetic (parser, ``mu_poly``, ``from_y`` once per prime, tests).
-        ``+``, ``*``, the lift, ``module_reduce``, ``induce_presentation`` use ``_sorted``."""
+        outside the arithmetic (parser, ``mu_poly``, tests).  ``+``, ``*``,
+        ``module_reduce`` and a record's Polynomials, built when read, use ``_sorted``."""
         dom = self.domain
         clean = {}
         for mono, c in terms.items():

@@ -18,8 +18,8 @@ from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation,
                       Ring, RingError, SignatureError, balanced, buchberger,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
                       is_prime, mono_weight, module_reduce, mu_poly, normal_form,
-                      partial_derivative, psi_substitute, s_poly)
-from intclose.closure import fraction_names, fraction_weights
+                      Polynomial, partial_derivative, psi_substitute, s_poly)
+from intclose.closure import by_y, fraction_names, fraction_weights
 from intclose.groebner import reduce_terms
 from intclose.linalg import nullspace_mod
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
@@ -161,6 +161,20 @@ def combination(coeffs, out_ring: Ring):
     return acc
 
 
+def psi_combination(psi: Polynomial, input_ring: Ring) -> tuple:
+    """The c_k in P with psi = sum c_k*ybar_k, the trivial fraction's ybar being 1:
+    psi(y)'s coordinates read back off the Polynomial, as input-ring Polynomials."""
+    nbar = psi.ring.ndep
+    combos: list[dict] = [{} for _ in range(nbar + 1)]
+    for m, c in psi.terms:
+        dep = m[:nbar]
+        if sum(dep) > 1:
+            raise ClosureError("inclusion image is not linear in the fraction variables")
+        k = dep.index(1) if any(dep) else nbar
+        combos[k][(0,) * input_ring.ndep + m[nbar:]] = c
+    return tuple(input_ring.poly(d) for d in combos)
+
+
 def induce_presentation_poly(nums, f) -> ClosurePresentation:
     """Reference presentation of numerators g_J .. g_0 on Polynomials, any field.
 
@@ -168,14 +182,15 @@ def induce_presentation_poly(nums, f) -> ClosurePresentation:
     which takes the numerators' y-coefficients over F_q: each product of
     numerators is reduced modulo f by ``normal_form`` and divided by the
     targets delta*g_j with ``module_reduce``, and psi(y) divides y*delta by
-    the g_j.
+    the g_j.  The record's coordinates are read back off the Polynomials:
+    each relation's tail by ``psi_combination``, after its lead ybar_a*ybar_b.
     """
     ring = f.ring
     if ring.nindep != 1:
         raise ClosureError("presentation needs one independent variable")
-    J = len(nums) - 1
+    J, d = len(nums) - 1, f.degree_in(0)
     ybar_names = fraction_names(J, ring)
-    fw = fraction_weights(nums)[:-1]
+    fw = fraction_weights([by_y(g, d) for g in nums], ring.weights)[:-1]
     wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
                  for r, row in enumerate(ring.weights))
     if any(x < 0 for row in wbar for x in row):
@@ -184,22 +199,26 @@ def induce_presentation_poly(nums, f) -> ClosurePresentation:
                     grevlex_over_weight(wbar, J, J + ring.nindep), wbar)
     ybar = [out_ring.var(name) for name in ybar_names]
     targets = [nums[-1] * g for g in nums]
-    relations = []
+
+    def coords(p: Polynomial) -> list:
+        """A P-linear combination of the ybar and 1 as its J+1 F[x] dicts."""
+        return [{m[1]: c for m, c in ck.terms} for ck in psi_combination(p, ring)]
+
+    tails = []
     for a in range(J):
         for b in range(a, J):
             rem, coeffs = module_reduce(normal_form(nums[a] * nums[b], [f]), targets)
             if not rem.is_zero():
                 raise ClosureError(
                     f"fraction product {a},{b} leaves the module: not a fixpoint")
-            relations.append(ybar[a] * ybar[b] - combination(coeffs, out_ring))
-    key = out_ring.order.key
-    relations.sort(key=lambda r: key(r.lm), reverse=True)
+            tails += coords(-combination(coeffs, out_ring))
     y_delta = ring.var(ring.names[0]) * nums[-1]
     rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums)
     if not rem.is_zero():
         raise ClosureError("inclusion image of y is not in the module")
-    return ClosurePresentation(tuple(nums), out_ring, tuple(relations),
-                               combination(coeffs, out_ring))
+    vectors = [a for g in nums for a in by_y(g, d)]
+    return ClosurePresentation(tuple(vectors + tails + coords(combination(coeffs, out_ring))),
+                               ring, out_ring)
 
 
 def frobenius_images_poly(f) -> tuple:
@@ -490,13 +509,14 @@ def crt(values, x: int = 0, n: int = 1) -> tuple[int, int]:
     return x, n
 
 
-def crt_sum_reference(polys, primes) -> dict:
-    """The CRT record of one polynomial's residues, all at once: every coefficient
-    is the balanced sum of a_i*M_i*(M_i^-1 mod q_i), M_i = N/q_i, over the union
-    of the supports; a coefficient that vanishes mod N is dropped."""
+def crt_sum_reference(maps, primes) -> dict:
+    """The CRT record of one coefficient map's residues (a Polynomial's terms,
+    or an F[x] dict), all at once: every coefficient is the balanced sum of
+    a_i*M_i*(M_i^-1 mod q_i), M_i = N/q_i, over the union of the supports; a
+    coefficient that vanishes mod N is dropped."""
     modulus = math.prod(primes)
     units = [(modulus // q) * pow(modulus // q, -1, q) for q in primes]
-    coeffs = [dict(p.terms) for p in polys]
+    coeffs = [m if isinstance(m, dict) else dict(m.terms) for m in maps]
     sums = {m: balanced(sum(int(c.get(m, 0)) * u for c, u in zip(coeffs, units)), modulus)
             for m in set().union(*coeffs)}
     return {m: c for m, c in sums.items() if c}
@@ -527,30 +547,53 @@ def rat_recon_reference(c: int, n: int) -> Fraction:
 
 def reconcile_and_lift_reference(runs, input_ring: Ring) -> LiftState:
     """``lifting.reconcile_and_lift`` over all the usable runs at once, not one
-    fold per stage: each polynomial's ``crt_sum_reference``, lifted by
-    ``rat_recon_reference`` through ``Ring.poly``.  The state's presentation
-    is this lift's own, put in its cache, so that reading it does not run the
-    state's lazy build."""
+    fold per stage: each coordinate's ``crt_sum_reference``, lifted by
+    ``rat_recon_reference``.  The signature is every Polynomial's leading
+    monomial, numerators, relations and psi(y), the same for all runs; the
+    state keeps the record's own ``leads``.  The state's presentation holds,
+    in its caches, the lifted Polynomials built here by ``lifted_views``, so
+    reading them runs none of the record's own build."""
     runs = [r for r in runs if r.usable]
     if not runs:
         raise LiftError("no usable runs to reconcile")
-    polys = [r.presentation.polys for r in runs]
-    if len({tuple(p.lm for p in ps) for ps in polys}) != 1:
+    pres = [r.presentation for r in runs]
+    if len({tuple(p.lm for p in x.numerators + x.relations + (x.inclusion_image,))
+            for x in pres}) != 1:
         raise SignatureError("runs have incompatible closure signatures")
     primes = tuple(r.q for r in runs)
     if len(set(primes)) != len(primes):
         raise LiftError("duplicate primes in CRT input")
     modulus = math.prod(primes)
-    nnum = len(runs[0].presentation.numerators)
-    qq = (input_ring.with_domain(QQ), runs[0].presentation.ring.with_domain(QQ))
-    record = tuple(crt_sum_reference(slot, primes) for slot in zip(*polys))
-    lifted = [qq[i >= nnum].poly({m: rat_recon_reference(c, modulus) for m, c in rec.items()})
-              for i, rec in enumerate(record)]
-    state = LiftState(primes, modulus, record, tuple(dict(p.terms) for p in lifted), qq,
-                      nnum, tuple(p.lm for p in lifted))
-    state.__dict__["presentation"] = ClosurePresentation(
-        tuple(lifted[:nnum]), qq[1], tuple(lifted[nnum:-1]), lifted[-1])
+    qq = (input_ring.with_domain(QQ), pres[0].ring.with_domain(QQ))
+    record = tuple(crt_sum_reference(slot, primes) for slot in zip(*(x.coords for x in pres)))
+    lift = tuple({e: rat_recon_reference(c, modulus) for e, c in rec.items()} for rec in record)
+    state = LiftState(primes, modulus, record, lift, qq, pres[0].leads)
+    state.__dict__["presentation"] = ClosurePresentation(lift, *qq)
+    state.presentation.__dict__.update(zip(("numerators", "relations", "inclusion_image"),
+                                           lifted_views(lift, *qq)))
     return state
+
+
+def lifted_views(coords, input_ring: Ring, out_ring: Ring) -> tuple:
+    """(numerators, relations, psi(y)) of a flat record as Polynomials, each
+    built by ``Ring.poly`` from its own slice of the coordinates: J+1 maps per
+    numerator, then per relation ybar_a*ybar_b, a <= b, in row order, then
+    psi(y); the relations descending by lead, as ``ClosurePresentation`` has them."""
+    J = out_ring.ndep
+    chunks = [coords[i:i + J + 1] for i in range(0, len(coords), J + 1)]
+
+    def linear(v, terms: dict):        # terms plus sum v_k*ybar_k, ybar_J being 1
+        for k, a in enumerate(v):
+            terms.update({tuple(int(i == k) for i in range(J)) + (e,): c for e, c in a.items()})
+        return out_ring.poly(terms)
+
+    nums = tuple(input_ring.poly({(k, e): c for k, a in enumerate(v) for e, c in a.items()})
+                 for v in chunks[:J + 1])
+    pairs = [(a, b) for a in range(J) for b in range(a, J)]
+    rels = [linear(t, {tuple(int(i == a) + int(i == b) for i in range(J)) + (0,): 1})
+            for (a, b), t in zip(pairs, chunks[J + 1:-1], strict=True)]
+    rels.sort(key=lambda r: out_ring.order.key(r.lm), reverse=True)
+    return nums, tuple(rels), linear(chunks[-1], {})
 
 
 class ReferenceCertificate(NamedTuple):

@@ -9,16 +9,17 @@ import random
 import time
 from fractions import Fraction
 
-from intclose import (GF, ZZ, RunConfig, canonical_conductor, induce_presentation,
-                      is_minimal_reduced_gb, minimize_denominator, module_reduce, mu_poly,
-                      normal_form, psi_combination, qth_closure, rat_recon,
+from intclose import (GF, ZZ, ClosurePresentation, RunConfig, canonical_conductor,
+                      induce_presentation, is_minimal_reduced_gb, minimize_denominator,
+                      module_reduce, mu_poly, normal_form, qth_closure, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
                       verify_candidate, frobenius_images, frobenius_scale, PrimeRun, Ring,
                       weight_over_grevlex)
 from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring,
                       make_curve, poly_step, sextic_relations)
 from intclose.closure import from_y
-from oracles import crt, kernel_step_oracle, mod_n, strict_shape_ok, weight_balance_ok
+from oracles import (crt, kernel_step_oracle, mod_n, psi_combination, strict_shape_ok,
+                     weight_balance_ok)
 
 
 def test_criterion_1_quadratic_end_to_end(quadratic):
@@ -37,21 +38,22 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
     assert str(runs[13].delta_q) == "x - 3"
     assert [str(b) for b in runs[13].presentation.relations] == ["ybar^2 + 5*x"]
 
-    # the CRT records are integer maps: print them over ZZ
-    zz_in, zz_out = ring.with_domain(ZZ), res.stages[1].state.presentation.ring.with_domain(ZZ)
+    # the CRT records are integer maps: print them as records over ZZ
+    zz = (ring.with_domain(ZZ), res.stages[1].state.presentation.ring.with_domain(ZZ))
     st55 = res.stages[1].state
     assert st55.modulus == 55
-    nnum = len(st55.presentation.numerators)
-    assert str(zz_in.poly(st55.crt[nnum - 1])) == "x - 9"
-    assert [str(zz_out.poly(b)) for b in st55.crt[nnum:-1]] == ["ybar^2 + 26*x"]
+    crt55 = ClosurePresentation(st55.crt, *zz)
+    assert str(crt55.denominator) == "x - 9"
+    assert [str(b) for b in crt55.relations] == ["ybar^2 + 26*x"]
     assert str(st55.presentation.numerators[-1]) == "x + 1/6"
     assert [str(b) for b in st55.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert not res.stages[1].certificate.accepted
 
     st715 = res.stages[2].state
     assert st715.modulus == 715
-    assert str(zz_in.poly(st715.crt[nnum - 1])) == "x + 101"
-    assert [str(zz_out.poly(b)) for b in st715.crt[nnum:-1]] == ["ybar^2 + 356*x"]
+    crt715 = ClosurePresentation(st715.crt, *zz)
+    assert str(crt715.denominator) == "x + 101"
+    assert [str(b) for b in crt715.relations] == ["ybar^2 + 356*x"]
     assert str(st715.presentation.numerators[-1]) == "x - 8/7"
     assert [str(b) for b in st715.presentation.relations] == ["ybar^2 - 3/2*x"]
     assert res.accepted and res.stages[2].certificate.accepted

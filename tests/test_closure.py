@@ -17,7 +17,7 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
                       frobenius_scale, grevlex_over_weight, induce_presentation,
                       is_minimal_reduced_gb, is_prime, is_prime_usable, minimal_reduced,
                       minimize_denominator, module_reduce, mu_poly,
-                      normal_form, psi_combination, qth_closure,
+                      normal_form, qth_closure,
                       run_prime, weight_over_grevlex)
 from intclose.closure import (_pack, _rem_by_targets, _slot_bytes, _step_columns, _unpack,
                               by_y, fraction_weights, from_y, xpoly_divmod)
@@ -26,7 +26,7 @@ from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve, poly_st
 from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
                      combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
                      induce_presentation_poly, kernel_step_oracle, numerators_interreduced,
-                     qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
+                     psi_combination, qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
                      step_columns_unreduced, strict_shape_ok, weight_balance_ok,
                      y_coefficients)
 
@@ -729,6 +729,7 @@ def test_psi_combination_inverts_combination(name):
         y_delta = f_q.ring.var("y") * pres.denominator
         _, coeffs = module_reduce(normal_form(y_delta, [f_q]), pres.numerators)
         assert psi_combination(pres.inclusion_image, f_q.ring) == tuple(coeffs)
+        assert list(pres.psi) == [{m[1]: c for m, c in ck.terms} for ck in coeffs]
         assert combination(coeffs, pres.ring) == pres.inclusion_image
 
 
@@ -770,7 +771,7 @@ def test_quadratic_curve_per_prime():
 def test_trident_per_prime_signature():
     for q in (3, 7, 13):
         ring, f, delta, pres = closure_run("trident", q)
-        assert sorted(w[0] for w in fraction_weights(pres.numerators)) == [0, 7, 11]
+        assert sorted(w[0] for w in fraction_weights(pres.vectors, ring.weights)) == [0, 7, 11]
         assert len(pres.relations) == 3
         lms = {str_mono(r.lm, pres.ring) for r in pres.relations}
         assert lms == {"ybar2^2", "ybar2*ybar1", "ybar1^2"}
@@ -805,7 +806,7 @@ def test_octic_fraction_weights_mod7():
     ring, f, delta, pres = closure_run("octic", 7)
     assert delta == ring.parse("x^24")
     assert pres.denominator == ring.parse("x^13")
-    assert sorted(w[0] for w in fraction_weights(pres.numerators)) == [0, 4, 5, 9, 10, 14, 15, 19]
+    assert sorted(w[0] for w in fraction_weights(pres.vectors, ring.weights)) == [0, 4, 5, 9, 10, 14, 15, 19]
 
 
 def test_octic_reduced_denominator_mod5():
@@ -848,10 +849,18 @@ def test_ring_property_of_fixpoint():
 
 def test_fraction_set_validation():
     ring, _ = make_curve("quadratic", q=5)
-    with pytest.raises(ClosureError):
-        ClosurePresentation((ring.parse("2*y"), ring.one()), ring, (), ring.zero())
-    with pytest.raises(ClosureError):  # two leads in y-degree 0: x divides x^2
-        ClosurePresentation((ring.parse("x^2"), ring.parse("x")), ring, (), ring.zero())
+    rest = ({}, {}, {0: 1}, {})        # J = 1: a zero relation tail, and psi(y) = ybar
+    with pytest.raises(ClosureError):  # 2*y, 1
+        ClosurePresentation(({}, {0: 2}, {0: 1}, {}) + rest, ring, ring)
+    with pytest.raises(ClosureError):  # x^2, x: two leads in y-degree 0, x divides x^2
+        ClosurePresentation(({2: 1}, {}, {1: 1}, {}) + rest, ring, ring)
+    # y, 1 is a record; J = 1 takes 8 maps, and one of another length, or
+    # with psi(y) = 0, is refused before it is read
+    nums = ({}, {0: 1}, {0: 1}, {})
+    assert ClosurePresentation(nums + rest, ring, ring).leads == ((1, 0), (0, 0), (1, 0))
+    for coords in (nums + rest[:3], nums + rest + ({}, {}), nums + ({},) * 4, nums[:2] + rest[2:]):
+        with pytest.raises(ClosureError, match=r"layout, or psi\(y\) = 0$"):
+            ClosurePresentation(coords, ring, ring)
 
 
 def test_closure_requires_matching_characteristic():
@@ -925,5 +934,5 @@ def test_trident_mod2_oversized_closure_values():
     assert delta == ring.parse("x^6")
     assert pres.denominator == ring.parse("x^4")
     assert [str(g) for g in pres.numerators] == ["y^2", "y*x^2", "x^4"]
-    assert [w[0] for w in fraction_weights(pres.numerators)] == [2, 1, 0]
+    assert [w[0] for w in fraction_weights(pres.vectors, ring.weights)] == [2, 1, 0]
     assert strict_shape_ok(pres) and weight_balance_ok(pres)

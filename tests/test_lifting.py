@@ -5,25 +5,27 @@ import random
 from dataclasses import replace
 from functools import cache
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ZZ, ClosurePresentation, LiftError, PrimeRun,
-                      Ring, SignatureError, balanced, canonical_conductor, is_prime,
-                      is_prime_usable, mu_poly, parse_problem, psi_combination, rat_recon,
+from intclose import (GF, MODP, QQ, ZZ, ClosureError, ClosurePresentation, ConductorError,
+                      DomainError, LiftError, MonomialOrder, PrimeRun, Ring, SignatureError,
+                      balanced, canonical_conductor, grevlex_over_weight, is_prime,
+                      is_prime_usable, mu_poly, parse_problem, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_charq, run_prime,
                       verify_candidate, RunConfig)
-from intclose.closure import fraction_weights
+from intclose.closure import YBAR, by_y, fraction_weights, split_record
 from intclose.lifting import _specializes, closure_run, rejects_at_point, specializations
-from conftest import CURVES, curve_ring, make_curve
+from conftest import CURVES, SEXTIC_INDUCED_WEIGHTS, curve_ring, make_curve
 from corpus import README_PROBLEM, workloads
 from oracles import (crt, crt_sum_reference, is_prime_usable_reference, mod_n,
-                     nullspace_rref, numerators_interreduced, rat_recon_reference,
-                     reconcile_and_lift_reference, verify_candidate_reference)
+                     nullspace_rref, numerators_interreduced, psi_combination,
+                     rat_recon_reference, reconcile_and_lift_reference,
+                     verify_candidate_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +129,43 @@ def _ybar_ring(domain):
     return Ring(("ybar", "x"), 1, domain, grevlex_over_weight(w, 1, 2), w)
 
 
+PSI_J = 4                              # psi(y)'s J+1 coordinates hold y^0 .. y^4 of p
+
+
 def _psi_run(p, q):
-    """A usable run at q whose closure is the denominator x alone and p as psi(y),
-    so that its record's last map is p's CRT record and its psi(y) p's lift."""
-    return PrimeRun(q, presentation=ClosurePresentation((p.ring.parse("x"),), p.ring, (), p))
+    """A usable run at q whose record carries p's y-coefficients as psi(y): the
+    coordinate of ybar_k holds p's y^k-coefficient, that of 1 its y^0 one, and
+    the output order ranks ybar_k*x^e as p's ring ranks y^k*x^e, so psi(y)'s
+    lead is p's.  The numerators are y^J, .., y, 1 and the relation tails zero,
+    so the record's last J+1 maps are p's CRT record and its psi(y) p's lift."""
+    ring, J = p.ring, PSI_J
+    rows = tuple(tuple(r[0] * (J - j) for j in range(J)) + (r[1],) for r in ring.order.rows)
+    out = Ring(tuple(f"ybar{j}" for j in range(J, 0, -1)) + ("x",), J, ring.domain,
+               MonomialOrder(rows))
+    nums = [a for k in range(J, -1, -1) for a in by_y(ring.monomial((k, 0)), J + 1)]
+    tails = [{}] * ((J + 1) * J * (J + 1) // 2)
+    coords = tuple(nums + tails + by_y(p, J + 1)[::-1])
+    return PrimeRun(q, presentation=ClosurePresentation(coords, ring, out))
+
+
+def _psi_terms(coords) -> dict:
+    """p's {monomial: coefficient} map back off a record's psi(y) maps."""
+    psi = split_record(coords, PSI_J + 1)[2]
+    return {(PSI_J - j, e): c for j, a in enumerate(psi) for e, c in a.items()}
+
+
+def _lifted_psi(state, ring):
+    """The lifted record's own psi(y), ``inclusion_image``, taken back to ring:
+    ybar_k to y^k and 1 to y^0, as ``_psi_run`` placed p's y-coefficients."""
+    psi = state.presentation.inclusion_image
+    J = psi.ring.ndep
+    return ring.poly({(J - m[:J].index(1) if any(m[:J]) else 0, m[J]): c for m, c in psi.terms})
+
+
+def _views(state) -> tuple:
+    """The state's lifted numerators, relations and psi(y), as Polynomials."""
+    pres = state.presentation
+    return pres.numerators, pres.relations, pres.inclusion_image
 
 
 def _fold_psi(polys, ring):
@@ -154,11 +189,12 @@ def test_crt_poly_and_lift_chain():
     b11 = r11.parse("ybar^2 + 4*x")
     b13 = r13.parse("ybar^2 + 5*x")
     _, st55, st715 = _fold_psi([(b5, 5), (b11, 11), (b13, 13)], qq)
-    assert st55.crt[-1] == _record(qq, "ybar^2 + 26*x") == crt_sum_reference([b5, b11], (5, 11))
-    assert st55.presentation.inclusion_image == qq.parse("ybar^2 - 3/2*x")
-    assert st715.crt[-1] == _record(qq, "ybar^2 + 356*x") == \
+    assert _psi_terms(st55.crt) == _record(qq, "ybar^2 + 26*x") == \
+        crt_sum_reference([b5, b11], (5, 11))
+    assert _lifted_psi(st55, qq) == qq.parse("ybar^2 - 3/2*x")
+    assert _psi_terms(st715.crt) == _record(qq, "ybar^2 + 356*x") == \
         crt_sum_reference([b5, b11, b13], (5, 11, 13))
-    assert st715.presentation.inclusion_image == qq.parse("ybar^2 - 3/2*x")
+    assert _lifted_psi(st715, qq) == qq.parse("ybar^2 - 3/2*x")
 
 
 def test_crt_poly_denominator_chain():
@@ -166,11 +202,11 @@ def test_crt_poly_denominator_chain():
     qq = curve_ring((3, 2), QQ)
     g5, g11, g13 = r5.parse("x + 1"), r11.parse("x + 2"), r13.parse("x - 3")
     _, st55, st715 = _fold_psi([(g5, 5), (g11, 11), (g13, 13)], qq)
-    assert st55.crt[-1] == _record(qq, "x - 9") == crt_sum_reference([g5, g11], (5, 11))
-    assert st55.presentation.inclusion_image == qq.parse("x + 1/6")
-    assert st715.crt[-1] == _record(qq, "x + 101") == \
+    assert _psi_terms(st55.crt) == _record(qq, "x - 9") == crt_sum_reference([g5, g11], (5, 11))
+    assert _lifted_psi(st55, qq) == qq.parse("x + 1/6")
+    assert _psi_terms(st715.crt) == _record(qq, "x + 101") == \
         crt_sum_reference([g5, g11, g13], (5, 11, 13))
-    assert st715.presentation.inclusion_image == qq.parse("x - 8/7")
+    assert _lifted_psi(st715, qq) == qq.parse("x - 8/7")
 
 
 def test_crt_poly_monicity_and_union_support():
@@ -178,8 +214,8 @@ def test_crt_poly_monicity_and_union_support():
     a = r5.parse("x^2 + 1")       # x term vanishes mod 5
     b = r11.parse("x^2 + 5*x + 1")
     state = _fold_psi([(a, 5), (b, 11)], curve_ring((3, 2)))[-1]
-    out = state.crt[-1]
-    assert out[(0, 2)] == 1 and state.presentation.inclusion_image.is_monic()
+    out = _psi_terms(state.crt)
+    assert out[(0, 2)] == 1 and _lifted_psi(state, curve_ring((3, 2))).is_monic()
     assert out[(0, 1)] % 5 == 0 and out[(0, 1)] % 11 == 5
 
 
@@ -199,10 +235,11 @@ def _assert_crt_folds(polys):
     ring = curve_ring((3, 2))
     monos = {m for p, _ in polys for m, _ in p.terms}
     for k, state in enumerate(_fold_psi(polys, ring), 1):
-        (p, _), n, acc = polys[k - 1], state.modulus, state.crt[-1]
+        (p, _), n, acc = polys[k - 1], state.modulus, _psi_terms(state.crt)
         assert n == math.prod(q for _, q in polys[:k])
         assert acc == crt_sum_reference([p2 for p2, _ in polys[:k]], [q for _, q in polys[:k]])
-        assert max(acc, key=ring.order.key) == p.lm == state.presentation.inclusion_image.lm
+        assert max(acc, key=ring.order.key) == p.lm == _lifted_psi(state, ring).lm
+        assert state.leads[-1] == state.presentation.inclusion_image.lm
         for m in monos:
             c = acc.get(m, 0)
             assert -n < 2 * c <= n
@@ -219,7 +256,7 @@ def test_crt_fold_with_one_prime_support_and_zero_residue():
     assert _assert_crt_folds(polys[:2]) == _record(ring, "x^2 - 7*x + 15")
     assert _assert_crt_folds(polys) == _record(ring, "x^2 - 182*x - 20")
     first = reconcile_and_lift(_psi_run(*polys[0]), ring)
-    assert first.crt[-1] == _record(ring, "x^2 - 2*x")
+    assert _psi_terms(first.crt) == _record(ring, "x^2 - 2*x")
     assert crt([(5, 11)], -7, 35) == (-182, 385)
     with pytest.raises(LiftError, match="^duplicate primes in CRT input$"):
         reconcile_and_lift(_psi_run(*polys[0]), ring, first)
@@ -266,8 +303,8 @@ def test_lift_keeps_support_and_specializes(primes, data):
     state = None
     for run in runs:
         state = reconcile_and_lift(run, ring, state)
-    assert state.crt[-1] == record
-    lifted = state.presentation.inclusion_image
+    assert _psi_terms(state.crt) == record
+    lifted = _lifted_psi(state, ring)
     assert [m for m, _ in lifted.terms] == monos
     assert specializations(state, runs) == tuple((q, True) for q in primes)
     for q in primes:
@@ -379,6 +416,88 @@ def _forced_run(name, q, delta=None):
     return closure_run(q, f, delta)
 
 
+@pytest.mark.parametrize("J", range(1, 8))
+def test_relation_leads_sort_by_j_alone(J):
+    # the output order puts ybar-block grevlex on top, so the relations' leads
+    # ybar_a*ybar_b, a <= b, sort alike under every weight matrix, the
+    # sextic's and the octic's induced weights among them: J alone fixes them,
+    # and a run's signature leaves them out
+    rng = random.Random(J)
+    weights = [((0,) * (J + 1),), ((1,) * (J + 1),), ((0,) * J + (50,),),
+               tuple(tuple(rng.randint(0, 30) for _ in range(J + 1)) for _ in range(2))]
+    if J == 5:
+        weights.append((SEXTIC_INDUCED_WEIGHTS,))
+    if J == 7:
+        weights.append(_forced_run("octic", 7).presentation.ring.weights)
+    leads = [tuple(int(i == a) + int(i == b) for i in range(J)) + (0,)
+             for a, b in combinations_with_replacement(range(J), 2)]
+    assert len({tuple(sorted(leads, key=grevlex_over_weight(w, J, J + 1).key, reverse=True))
+                for w in weights}) == 1
+
+
+@cache
+def _fixture_runs_to_31() -> dict:
+    """{(curve, q): run} for every fixture curve at every prime 2 .. 31 where a
+    closure run, forced past the usability filter as ``_forced_run`` is, succeeds."""
+    runs = {}
+    for name in sorted(CURVES):
+        for q in filter(is_prime, range(2, 32)):
+            try:
+                runs[name, q] = _forced_run(name, q)
+            except (ClosureError, ConductorError, DomainError):
+                continue
+    return runs
+
+
+def test_signature_decides_as_every_leading_monomial():
+    # the fold compares the numerators' leads and psi(y)'s, read off the
+    # record's coordinates; on every pair of runs that decides as comparing
+    # the leading monomials of all the record's Polynomials does
+    runs = _fixture_runs_to_31()
+    assert len(runs) == 77
+    full = {key: tuple(p.lm for p in run.presentation.numerators + run.presentation.relations
+                       + (run.presentation.inclusion_image,)) for key, run in runs.items()}
+    sig = {key: run.presentation.leads for key, run in runs.items()}
+    for a in runs:
+        assert all((sig[a] == sig[b]) == (full[a] == full[b]) for b in runs)
+        assert sig[a][-1] == runs[a].presentation.inclusion_image.lm
+    assert sig["trident", 2] != sig["trident", 7]
+
+
+def test_char0_runs_build_no_per_prime_polynomial(tmp_path, monkeypatch, capsys):
+    # the README problem at 5, 11, 13: without --log, each prime's record is
+    # read only as plain data, so no Polynomial over GF(q) is built for its
+    # numerators (from_y) or its relations and psi(y) (an output ring's
+    # _sorted); the audit log names their leads, so a logged run builds them.
+    # test_point_rejected_stages_build_no_lifted_record counts the stages'
+    # exact work on the same runs, and holds the log to its bytes
+    import intclose.closure
+    from intclose import cli
+    built = []
+    real_from_y, real_sorted = intclose.closure.from_y, Ring._sorted
+
+    def from_y(vectors, ring):
+        if ring.domain.kind == MODP:
+            built.append("from_y")
+        return real_from_y(vectors, ring)
+
+    def _sorted(self, terms):
+        if self.domain.kind == MODP and self.names[0].startswith(YBAR):
+            built.append("_sorted")
+        return real_sorted(self, terms)
+
+    monkeypatch.setattr(intclose.closure, "from_y", from_y)
+    monkeypatch.setattr(Ring, "_sorted", _sorted)
+    path = tmp_path / "problem.txt"
+    path.write_text(README_PROBLEM, encoding="utf-8")
+    assert cli.main([str(path), "--primes", "5,11,13"]) == 0
+    bare = capsys.readouterr()
+    assert built == []
+    assert cli.main([str(path), "--primes", "5,11,13", "--log", str(tmp_path / "log")]) == 0
+    assert capsys.readouterr() == bare
+    assert sorted(built) == ["_sorted"] * 3 + ["from_y"] * 3
+
+
 def test_compatibility_rejects_oversized_closure():
     # mod 2 the trident closure is generated by a single stray fraction and
     # its signature cannot be reconciled with the generic one
@@ -434,7 +553,8 @@ def test_trident_rejects_at_55_with_reference_residual():
     # the conductor filter would skip 11; force the rational conductor image
     r11 = _forced_run("trident", 11, delta=delta0)
     state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
-    assert state == reconcile_and_lift_reference([r5, r11], ring)
+    ref = reconcile_and_lift_reference([r5, r11], ring)
+    assert state == ref and _views(state) == _views(ref)
     assert state.modulus == 55
     out = state.presentation.relations[0].ring
     texts = sorted(str(r) for r in state.presentation.relations)
@@ -481,7 +601,7 @@ def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
     lifted = [k for k, stage in enumerate(res.stages, 1) if stage.state.lifted]
     for k, stage in enumerate(res.stages, 1):
         ref = reconcile_and_lift_reference(usable[:k], ring)
-        assert stage.state == ref and stage.state.presentation == ref.presentation
+        assert stage.state == ref and _views(stage.state) == _views(ref)
         # the lifted support is the union of the runs' under the same leads
         assert numerators_interreduced(stage.state.presentation.numerators)
         if not stage.state.lifted:
@@ -574,13 +694,13 @@ def test_point_test_rejects_no_accepted_stage():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_point_rejection_is_an_exact_rejection(data):
-    # one coefficient of a numerator, a relation or psi(y) of an accepted lift
-    # moved by a small rational (or left alone): whenever psi(f) is nonzero at
-    # the point, the exact checks reject the stage, on containment or gb
+    # one coefficient of a numerator, a relation's tail or psi(y) of an accepted
+    # lift moved by a small rational (or left alone): whenever psi(f) is nonzero
+    # at the point, the exact checks reject the stage, on containment or gb
     state, f = data.draw(st.sampled_from(_accepted_stages()))
     lift = list(state.lift)
-    if data.draw(st.booleans()):
-        k = data.draw(st.integers(0, len(lift) - 1))
+    if data.draw(st.booleans()):           # a coordinate with a coefficient to move
+        k = data.draw(st.sampled_from([i for i, a in enumerate(lift) if a]))
         m = data.draw(st.sampled_from(sorted(lift[k])))
         lift[k] = dict(lift[k])
         c = lift[k].pop(m) + Fraction(data.draw(st.integers(-50, 50).filter(bool)),
@@ -616,10 +736,10 @@ def test_point_rejected_stages_build_no_lifted_record(tmp_path, monkeypatch, cap
         stage[0] = state.modulus
         return real_verify(state, f)
 
-    def init(self, numerators, ring, *rest):
-        if ring.domain == QQ:
+    def init(self, coords, input_ring, *rest):
+        if input_ring.domain == QQ:
             count("lifted")
-        real_init(self, numerators, ring, *rest)
+        real_init(self, coords, input_ring, *rest)
 
     monkeypatch.setattr(intclose.driver, "verify_candidate", verify)
     monkeypatch.setattr(intclose.lifting, "normal_form",
@@ -661,10 +781,11 @@ def test_specializations_catch_a_perturbed_lift(quadratic):
     state = res.stages[-1].state
     nums = state.presentation.numerators
     qq = state.presentation.denominator.ring
-    k = state.nnum - 1
+    # the lift's map that the record reads as g_0's y^0-coefficient
+    k = next(i for i, a in enumerate(state.lift) if a is state.presentation.vectors[-1][0])
 
     def with_denominator(text):
-        return replace(state, lift=state.lift[:k] + (dict(qq.parse(text).terms),)
+        return replace(state, lift=state.lift[:k] + ({m[1]: c for m, c in qq.parse(text).terms},)
                        + state.lift[k + 1:])
 
     assert nums[-1] == qq.parse("x - 8/7")
@@ -754,8 +875,7 @@ def test_fold_order_does_not_change_the_record(quadratic):
         for run in order:
             state = reconcile_and_lift(run, ring, state)
         assert state.primes == tuple(r.q for r in order)
-        assert (state.modulus, state.crt, state.presentation) == \
-            (ref.modulus, ref.crt, ref.presentation)
+        assert (state.modulus, state.crt, _views(state)) == (ref.modulus, ref.crt, _views(ref))
 
 
 def test_rings_over_zz_and_qq_are_built_once_per_problem(monkeypatch):
@@ -853,7 +973,7 @@ def test_octic_full_rational_run():
                for r in res.runs)
     assert res.conductor == ring.parse("x^24")
     assert res.presentation.denominator == ring.parse("x^13")
-    assert sorted(w[0] for w in fraction_weights(res.presentation.numerators)) == \
+    assert sorted(w[0] for w in fraction_weights(res.presentation.vectors, ring.weights)) == \
         [0, 4, 5, 9, 10, 14, 15, 19]
     assert len(res.presentation.relations) == 28
 
