@@ -8,6 +8,8 @@ NF(g^q, f) in D^(q-1) * (current module); the chain stabilizes on the
 integral closure.  The fixpoint is turned into a quadratic presentation over
 new variables, one per non-trivial fraction, kept as plain data in one
 record, ``ClosurePresentation``, which builds Polynomials only when read.
+The relation f = y^d + sum_i tail[i](x) * y^i comes in as its tail,
+``by_y(f, d)``, and D as an F_q[x] dict; no Polynomial goes in.
 """
 
 from __future__ import annotations
@@ -82,39 +84,28 @@ def canonical_generators(vectors, ring: Ring) -> tuple:
     return tuple(v for _, v in reversed(out.values()))
 
 
-def frobenius_images(f: Polynomial, conductor: Polynomial) -> tuple:
+def frobenius_images(tail: list, delta: dict, q: int) -> tuple:
     """(y^0, y^q, ..., y^(q(d-1))) modulo f and D^q over F_q[y; x], on y-coefficients.
 
     All that ``frobenius_nf`` reads, which a step needs only modulo
-    D^q = D(x^q), D the conductor; each is the list of its d y-coefficients,
-    dicts from x-exponent to nonzero coefficient.  y^q comes by
-    square-and-multiply, and y^(qk) = y^(q(k-1)) * y^q.  An element is held
-    as d packed ints, one per y-coefficient reduced modulo q and D^q, so each
-    F_q[x] product is one int product (Kronecker substitution); a product's
-    y^s-coefficients, s < 2d - 1, fold down through y^d = tail.  That is
-    about log(q) + d products of d^2 coefficient pairs of q * deg D slots.
+    D^q = D(x^q), for f's tail and D as the module says; each is the list of
+    its d y-coefficients, dicts from x-exponent to nonzero coefficient.  y^q
+    comes by square-and-multiply, and y^(qk) = y^(q(k-1)) * y^q.  An element
+    is held as d packed ints, one per y-coefficient reduced modulo q and D^q,
+    so each F_q[x] product is one int product (Kronecker substitution); a
+    product's y^s-coefficients, s < 2d - 1, fold down through y^d = -tail.
+    That is about log(q) + d products of d^2 coefficient pairs of q * deg D slots.
     """
-    ring = f.ring
-    dom = ring.domain
-    if dom.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
-        raise ClosureError("Frobenius images need a ring F_q[y; x]")
-    q, d = dom.char, f.degree_in(0)
-    if f.coeff_of((d, 0)) != dom.one:
-        raise ClosureError("relation must be monic in the dependent variable")
-    tail = [{} for _ in range(d)]      # y^d = sum_i tail[i](x) * y^i
-    for (i, e), c in f.terms:
-        if i == d and e:
-            raise ClosureError("relation has extra terms of top dependent degree")
-        if i < d:
-            tail[i][e] = q - c
-    inv = pow(conductor.lc, -1, q)
-    mod = {q * m[1]: c * inv % q for m, c in conductor.terms}    # D^q = D(x^q), monic
+    d = len(tail)
+    neg = [{e: q - c for e, c in t.items()} for t in tail]     # y^d = sum_i neg[i](x) * y^i
+    inv = pow(delta[max(delta)], -1, q)
+    mod = {q * e: c * inv % q for e, c in delta.items()}    # D^q = D(x^q), monic
     top = max(mod)
     low = [(e, q - c) for e, c in mod.items() if e < top]    # x^top = sum c*x^e
-    tlen = 1 + max((e for t in tail for e in t), default=0)
+    tlen = 1 + max((e for t in neg for e in t), default=0)
     # a slot sums at most d*top products of residues, and its folds d*tlen more
     w = _slot_bytes(q, d * (top + tlen))
-    packed_tail = [_pack([t.get(e, 0) for e in range(tlen)], w) for t in tail]
+    packed_tail = [_pack([t.get(e, 0) for e in range(tlen)], w) for t in neg]
 
     def reduce(n: int) -> int:
         v = _unpack(n, w)
@@ -183,7 +174,7 @@ def _unpack(n: int, w: int) -> list:      # the slots up to n's highest nonzero 
 def frobenius_nf(g: list, q: int, images: tuple) -> list:
     """NF(g^q, f) using termwise Frobenius: (sum t_i)^q = sum t_i^q.
 
-    ``images`` is ``frobenius_images(f, D)``, and g, an element of S given by
+    ``images`` is ``frobenius_images(tail, D, q)``, and g, an element of S given by
     its y-coefficients (``by_y``), is returned as g^q in the same form: the
     term c*y^k*x^e adds c*x^(q*e) times image k into each y-coefficient.
     With images whose y-coefficients are reduced modulo m_k in F_q[x], the
@@ -199,9 +190,8 @@ def frobenius_nf(g: list, q: int, images: tuple) -> list:
     return [{e: r for e, c in row.items() if (r := c % q)} for row in acc]
 
 
-def frobenius_scale(conductor: Polynomial, q: int) -> dict:
-    """D^(q-1) over F_q as an F_q[x] dict: D(x^q) / D, as c^q = c on F_q."""
-    delta = {m[1]: c for m, c in conductor.terms}
+def frobenius_scale(delta: dict, q: int) -> dict:
+    """D^(q-1) over F_q, D and the result F_q[x] dicts: D(x^q) / D, as c^q = c on F_q."""
     return xpoly_divmod({q * e: c for e, c in delta.items()}, delta, q)[0]
 
 
@@ -256,7 +246,7 @@ def xpoly_gcd(a: dict, b: dict, q: int) -> dict:
 
 
 def by_y(p: Polynomial, d: int) -> list:
-    """The y^0 .. y^(d-1) coefficients of p over F_q[y; x], as F_q[x] dicts.
+    """The y^0 .. y^(d-1) coefficients of p over F[y; x], as F[x] dicts.
 
     A term of y-degree d, such as the leading y^d of a relation f, is dropped.
     The library reads f's tail, f's y-coefficients and the conductor this way.
@@ -339,15 +329,15 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     return rows
 
 
-def qth_power_step(numerators: tuple, q: int, images: tuple,
-                   conductor: Polynomial, scale: dict) -> tuple:
+def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
+                   delta: dict, scale: dict) -> tuple:
     """One contraction: members whose Frobenius image stays in D^(q-1)*module.
 
     ``numerators`` are the canonical generators g_j of a module N between
     D*S and S, each as its d y-coefficients (``by_y``), and the step returns
-    the next module's in the same form, from ``canonical_generators``.
-    ``scale`` is ``frobenius_scale(conductor, q)`` = D^(q-1).
-    ``images`` is ``frobenius_images(f, conductor)``, reduced modulo D^q as
+    the next module's in the same form, from ``canonical_generators`` over
+    ring.  ``delta`` is D, and ``scale`` is ``frobenius_scale(delta, q)`` = D^(q-1).
+    ``images`` is ``frobenius_images(tail, delta, q)``, reduced modulo D^q as
     ``qth_closure`` builds them once per prime; images reduced modulo a
     multiple of D^q, or not at all, give the same columns (second bullet).
     The next module is the g in N with g^q in T = D^(q-1)*N, the span of
@@ -376,17 +366,11 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     * One remainder.  ``_rem_by_targets`` gives it, and
       ``canonical_generators`` interreduces the next generators with it.
     """
-    ring = conductor.ring
-    if ring.nindep != 1:
-        raise ClosureError("closure iteration supports one independent variable")
-    if ring.domain.kind != MODP or ring.domain.char != q:
-        raise ClosureError(f"ring characteristic is not {q}")
-    xdeg, d = conductor.degree_in(1), len(images)
+    q, xdeg, d = ring.domain.char, max(delta), len(images)
     leads = [_lead(g, ring.order.key) for g in numerators]
     if ({k for k, _ in leads} != set(range(d)) or len(numerators) != d
             or any(e > xdeg for _, e in leads)):
         raise ClosureError("numerators must generate a module between D*S and S")
-    delta = {m[1]: c for m, c in conductor.terms}
     rows = _step_columns(numerators, leads, q, images, delta, scale)
     if not rows:
         return numerators
@@ -403,28 +387,26 @@ def qth_power_step(numerators: tuple, q: int, images: tuple,
     return canonical_generators(new_gens, ring)
 
 
-def qth_closure(ring: Ring, f: Polynomial, conductor: Polynomial, q: int) -> tuple:
+def qth_closure(ring: Ring, tail: list, delta: dict) -> tuple:
     """Fixpoint of the contraction, started from all of (1/D)S: its numerators
-    g_J .. g_0, each as its y-coefficients (``by_y``).
+    g_J .. g_0, each as its y-coefficients (``by_y``), over ring = F_q[y; x],
+    with f's tail and D, monic, as the module says.
 
     A step that is not a fixpoint returns a strictly smaller module between
     D*S and S (canonical generators are unique, so an equal module returns
     the same numerators), and S/DS has dimension d*deg D over F_q: the walk
     ends within d*deg D + 1 steps.  The images modulo D^q are built once.
     """
-    if ring.domain.kind != MODP or ring.domain.char != q:
-        raise ClosureError(f"expected a ring of characteristic {q}")
-    if ring.ndep != 1 or ring.nindep != 1:
+    if ring.domain.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
-    images = frobenius_images(f, conductor)
-    scale = frobenius_scale(conductor, q)
-    d = len(images)
+    q, d = ring.domain.char, len(tail)
+    images, scale = frobenius_images(tail, delta, q), frobenius_scale(delta, q)
     nums = tuple([{0: 1} if i == k else {} for i in range(d)] for k in range(d - 1, -1, -1))
-    bound = d * conductor.degree_in(1) + 1
+    bound = d * max(delta) + 1
     for _ in range(bound):
-        nxt = qth_power_step(nums, q, images, conductor, scale)
+        nxt = qth_power_step(nums, ring, images, delta, scale)
         if nxt == nums:
-            if nums[-1] != by_y(conductor.monic(), d):
+            if nums[-1] != [delta] + [{}] * (d - 1):
                 raise ClosureError("fixpoint does not contain the conductor fraction")
             return nums
         nums = nxt
@@ -554,7 +536,7 @@ def fraction_weights(vectors, weights) -> list[tuple]:
     return [tuple(a - b for a, b in zip(w, wt[-1])) for w in wt]
 
 
-def induce_presentation(vectors: tuple, f: Polynomial) -> ClosurePresentation:
+def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresentation:
     """Presentation of the fixpoint module as a quadratic P-algebra.
 
     Every product of fraction generators reduces to a P-linear combination of
@@ -573,12 +555,9 @@ def induce_presentation(vectors: tuple, f: Polynomial) -> ClosurePresentation:
     psi(y)'s, those of y*delta over the g_j, are ``_rem_by_targets``'
     quotients.  The targets lead in distinct y-degrees, so they are a free
     P-basis of their span: remainder 0 leaves one combination, and any other
-    a product off the module.
+    a product off the module.  ring = F_q[y; x] is f's, and tail is f's.
     """
-    ring = f.ring
-    if ring.nindep != 1:
-        raise ClosureError("presentation needs one independent variable")
-    if ring.domain.kind != MODP or ring.ndep != 1:
+    if ring.domain.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("presentation needs a ring F_q[y; x]")
     J = len(vectors) - 1
     ybar_names = fraction_names(J, ring)
@@ -590,8 +569,7 @@ def induce_presentation(vectors: tuple, f: Polynomial) -> ClosurePresentation:
     out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
                     _output_order(wbar, J, J + ring.nindep), wbar)
 
-    q, d = ring.domain.char, f.degree_in(0)
-    tail = by_y(f, d)                  # f = y^d + tail, monic in y
+    q, d = ring.domain.char, len(tail)
     leads = [_lead(v, ring.order.key) for v in vectors]
 
     def fold(prods: list) -> list:     # y^s = y^(s-d) * (y^d - f), s >= d

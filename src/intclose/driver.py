@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closure import ClosureError, ClosurePresentation, fraction_names
+from .closure import ClosureError, ClosurePresentation, _ybar, by_y, fraction_names
 from .conductor import canonical_conductor
 from .domains import GF, DomainError, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, SignatureError, closure_run,
@@ -52,18 +52,21 @@ class Algorithm1Result:
     @property
     def audit(self) -> list:
         """The audit log's lines, rendered from the runs and stages (one stage
-        per usable run); reading it computes every certificate bit."""
+        per usable run); reading it computes every certificate bit.  A run's
+        leads are read off its record; only Delta_q is built over GF(q)."""
         lines = [f"conductor: {self.conductor}"]
         stages = iter(self.stages)
         for run in self.runs:
             if not run.usable:
                 lines.append(f"q={run.q} skipped: {run.reason}")
                 continue
-            pres = run.presentation
+            pres, J = run.presentation, run.presentation.ring.ndep
+            pairs = sorted((_ybar(J, a, b) + (0,) for a, b in pres.parts[1]),
+                           key=pres.ring.order.key, reverse=True)
             lines.append(
-                f"q={run.q} usable delta={run.delta_q} J={len(pres.numerators) - 1}"
-                f" lm_g={_lm_names(pres.numerators)} K={len(pres.relations)}"
-                f" lm_b={_lm_names(pres.relations) if pres.relations else '[]'}")
+                f"q={run.q} usable delta={run.delta_q} J={J}"
+                f" lm_g={_lm_names(pres.leads[:-1], pres.input_ring)} K={len(pairs)}"
+                f" lm_b={_lm_names(pairs, pres.ring)}")
             stage = next(stages)
             state, cert = stage.state, stage.certificate
             lines.append(
@@ -107,8 +110,8 @@ def _prime_schedule(config: RunConfig):
         q += 1
 
 
-def _lm_names(polys):
-    return "[" + ",".join(_mono_str(p.lm, p.ring.names) or "1" for p in polys) + "]"
+def _lm_names(monos, ring):
+    return "[" + ",".join(_mono_str(m, ring.names) or "1" for m in monos) + "]"
 
 
 def validate_problem(ring: Ring, f: Polynomial):
@@ -163,4 +166,5 @@ def run_charq(ring: Ring, f: Polynomial, q: int) -> PrimeRun:
     if ring.domain != GF(q):
         raise DriverError(f"ring domain must be GF({q})")
     validate_problem(ring, f)
-    return closure_run(q, f, canonical_conductor(f, ring)[0])
+    delta = by_y(canonical_conductor(f, ring)[0], 1)[0]
+    return closure_run(q, ring, by_y(f, f.degree_in(0)), delta)

@@ -30,7 +30,7 @@ from math import gcd
 from .closure import (ClosurePresentation, ClosureError, by_y, induce_presentation,
                       minimize_denominator, qth_closure, split_record)
 from .conductor import ConductorError, canonical_conductor
-from .domains import GF, QQ, DomainError, balanced, is_prime
+from .domains import GF, QQ, balanced, is_prime
 from .groebner import is_minimal_reduced_gb, normal_form
 from .rings import Polynomial, Ring
 
@@ -84,16 +84,10 @@ def rat_recon(c: int, n: int) -> Fraction:
     return Fraction(alpha, beta)
 
 
-# ---------------------------------------------------------------------------
-# polynomial maps (coefficientwise, variables identified by position)
-
-
-def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
-    """Reduce a rational polynomial mod q (undefined denominators raise)."""
-    try:
-        return target.poly(dict(p.terms))
-    except DomainError as exc:
-        raise LiftError(str(exc)) from None
+def mod_q(a: dict, q: int) -> dict:
+    """An F[x] dict of rationals or integers mod q: {e: a_e * b_e^-1 mod q} for
+    each a_e/b_e, zeros dropped; a denominator that q divides raises ValueError."""
+    return {e: r for e, c in a.items() if (r := c.numerator * pow(c.denominator, -1, q) % q)}
 
 
 # ---------------------------------------------------------------------------
@@ -102,21 +96,28 @@ def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
 
 @dataclass(frozen=True)
 class PrimeRun:
-    """One prime's closure as one record, or the reason the prime was skipped."""
+    """One prime's closure as one record, or the reason the prime was skipped;
+    ``delta``, Delta_q as the walk read it, a monic F_q[x] dict, is built as a
+    Polynomial only when ``delta_q`` is read (the audit log, the charq printer)."""
 
     q: int
     reason: str | None = None        # None exactly when the run is usable
-    delta_q: Polynomial | None = None
+    delta: dict | None = None
     presentation: ClosurePresentation | None = None
 
     @property
     def usable(self) -> bool:
         return self.reason is None
 
+    @property
+    def delta_q(self) -> Polynomial:
+        return self.presentation.input_ring._sorted({(0, e): c for e, c in self.delta.items()})
+
 
 def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial, B: int):
-    """Algorithm step-3/4 filter: ("usable", (f_q, delta_q)) or ("skipped", why).
-    B is ``canonical_conductor(f, ring)[1]``: when q does not divide it, delta_q is
+    """Algorithm step-3/4 filter: ("usable", (ring_q, tail, delta)) or ("skipped", why),
+    f's tail and Delta_q reduced mod q straight from the rationals (``mod_q``).
+    B is ``canonical_conductor(f, ring)[1]``: when q does not divide it, Delta_q is
     delta0 mod q (``conductor``'s lucky primes), with no conductor over GF(q)."""
     if not is_prime(q):
         return "skipped", f"{q} is not prime"
@@ -125,22 +126,22 @@ def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial, B: int):
     if any(c.numerator % q == 0 for _, c in f.terms):
         return "skipped", "divides a coefficient numerator"
     ring_q = f.ring.with_domain(GF(q))
-    f_q = mu_poly(f, ring_q)
-    if B % q:
-        return "usable", (f_q, mu_poly(delta0, ring_q))
-    try:
-        delta_q = canonical_conductor(f_q, ring_q)[0]
-    except ConductorError as exc:
-        return "skipped", f"degenerate mod {q}: {exc}"
-    if delta_q != mu_poly(delta0, ring_q):
-        return "skipped", "conductor disagrees with the rational one"
-    return "usable", (f_q, delta_q)
+    tail = [mod_q(a, q) for a in by_y(f, f.degree_in(0))]
+    delta = mod_q(by_y(delta0, 1)[0], q)
+    if B % q == 0:
+        try:
+            delta_q = canonical_conductor(ring_q.poly(dict(f.terms)), ring_q)[0]
+        except ConductorError as exc:
+            return "skipped", f"degenerate mod {q}: {exc}"
+        if by_y(delta_q, 1)[0] != delta:
+            return "skipped", "conductor disagrees with the rational one"
+    return "usable", (ring_q, tail, delta)
 
 
-def closure_run(q: int, f_q: Polynomial, delta_q: Polynomial) -> PrimeRun:
-    """The characteristic-q closure of f_q over its conductor, as a usable run."""
-    vectors = minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q), q)
-    return PrimeRun(q, delta_q=delta_q, presentation=induce_presentation(vectors, f_q))
+def closure_run(q: int, ring: Ring, tail: list, delta: dict) -> PrimeRun:
+    """The closure of f's tail over its conductor delta in ring = F_q[y; x], as a usable run."""
+    vectors = minimize_denominator(qth_closure(ring, tail, delta), q)
+    return PrimeRun(q, delta=delta, presentation=induce_presentation(vectors, tail, ring))
 
 
 def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
@@ -266,8 +267,7 @@ def rejects_at_point(state: LiftState, f: Polynomial) -> bool:
     _, tails, psi = split_record(state.lift, nbar + 1)
 
     def at_point(v) -> list:           # each F[x] coordinate at x = POINT_X
-        return [sum(c.numerator * pow(c.denominator, -1, p) * pow(POINT_X, e, p)
-                    for e, c in a.items()) % p for a in v]
+        return [sum(c * pow(POINT_X, e, p) for e, c in mod_q(a, p).items()) % p for a in v]
 
     try:
         table = {pair: at_point(tail) for pair, tail in tails.items()}
@@ -363,12 +363,11 @@ def specializations(state: LiftState, runs) -> tuple:
 
 
 def _specializes(state: LiftState, run: PrimeRun) -> bool:
-    """Each lifted coefficient a/b taken mod q as a*b^-1 (a denominator that q
-    divides raises), zeros dropped, against the run's coordinates; read off
-    the lift's maps, so no lifted record is built."""
+    """Each lifted coefficient taken mod q (``mod_q``; a denominator that q
+    divides raises) against the run's coordinates; read off the lift's maps,
+    so no lifted record is built."""
     q = run.q
     try:
-        return all({e: r for e, c in a.items() if (r := c.numerator * pow(c.denominator, -1, q) % q)}
-                   == b for a, b in zip(state.lift, run.presentation.coords))
+        return all(mod_q(a, q) == b for a, b in zip(state.lift, run.presentation.coords))
     except ValueError:
         raise LiftError(f"a lifted denominator vanishes mod {q}") from None

@@ -14,7 +14,7 @@ Weight columns follow the variable layout (dependent variable first).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .domains import GF, QQ, Domain, DomainError
 from .orders import weight_over_grevlex
@@ -33,6 +33,8 @@ class ProblemFile:
     weights: tuple
     relation_text: str
     characteristic: int | None = None
+    # ring -> relation: a run over the ring ``parse_problem`` checked reuses its parse
+    _parsed: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def names(self) -> tuple:
@@ -46,7 +48,10 @@ class ProblemFile:
                     self.weights)
 
     def relation(self, ring: Ring | None = None) -> Polynomial:
+        """The relation over ring (the problem's own by default), parsed once per ring."""
         ring = ring if ring is not None else self.ring()
+        if (f := self._parsed.get(ring)) is not None:
+            return f
         try:
             f = ring.parse(self.relation_text)
         except ParseError as exc:
@@ -60,6 +65,7 @@ class ProblemFile:
         if f.coeff_of(lead) != ring.domain.one:
             raise ProblemError(
                 f"relation is not monic in the dependent variable {self.depvar!r}")
+        self._parsed[ring] = f
         return f
 
 

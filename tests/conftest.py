@@ -2,7 +2,8 @@
 
 import pytest
 
-from intclose import GF, QQ, Ring, qth_power_step, weight_over_grevlex
+from intclose import (GF, QQ, Ring, frobenius_images, frobenius_scale, qth_power_step,
+                      weight_over_grevlex)
 from intclose.closure import by_y, from_y
 
 # name -> (relation text, (wt_y, wt_x))
@@ -33,11 +34,32 @@ def make_curve(name, q=None):
     return ring, ring.parse(text)
 
 
-def poly_step(numerators, q, images, conductor, scale):
+def tail_of(f):
+    """f's y-coefficients below y^d, as the per-prime layer takes f."""
+    return by_y(f, f.degree_in(0))
+
+
+def xdict(p):
+    """An element of P = F[x] as an F[x] dict, as the per-prime layer takes it."""
+    return by_y(p, 1)[0]
+
+
+def images_of(f, conductor):
+    """``frobenius_images`` of a relation and a conductor given as Polynomials."""
+    return frobenius_images(tail_of(f), xdict(conductor), f.ring.domain.char)
+
+
+def scale_of(conductor):
+    """``frobenius_scale`` of a conductor given as a Polynomial."""
+    return frobenius_scale(xdict(conductor), conductor.ring.domain.char)
+
+
+def poly_step(numerators, images, conductor, scale):
     """``qth_power_step`` on Polynomials: the numerators go in through
     ``by_y`` and come out through ``from_y``."""
     vectors = tuple(by_y(g, len(images)) for g in numerators)
-    return from_y(qth_power_step(vectors, q, images, conductor, scale), conductor.ring)
+    ring = conductor.ring
+    return from_y(qth_power_step(vectors, ring, images, xdict(conductor), scale), ring)
 
 
 @pytest.fixture

@@ -14,10 +14,10 @@ from itertools import count
 from typing import NamedTuple
 
 from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation,
-                      ConductorError, LiftError, LiftState, MonomialOrder,
+                      ConductorError, DomainError, LiftError, LiftState, MonomialOrder,
                       Ring, RingError, SignatureError, balanced, buchberger,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
-                      is_prime, mono_weight, module_reduce, mu_poly, normal_form,
+                      is_prime, mono_weight, module_reduce, normal_form,
                       Polynomial, partial_derivative, psi_substitute, s_poly)
 from intclose.closure import by_y, fraction_names, fraction_weights
 from intclose.groebner import reduce_terms
@@ -472,6 +472,15 @@ def conductor_by_module_basis(f, ring):
     if not in_p:
         raise ConductorError("degenerate extension: no conductor entries in P")
     return ring.poly(dict(in_p[0].terms))
+
+
+def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
+    """Reduce a rational polynomial mod q through ``Ring.poly`` (undefined
+    denominators raise): the reference for ``lifting.mod_q`` on a run's input."""
+    try:
+        return target.poly(dict(p.terms))
+    except DomainError as exc:
+        raise LiftError(str(exc)) from None
 
 
 def is_prime_usable_reference(q: int, f, delta0):

@@ -11,15 +11,14 @@ from fractions import Fraction
 
 from intclose import (GF, ZZ, ClosurePresentation, RunConfig, canonical_conductor,
                       induce_presentation, is_minimal_reduced_gb, minimize_denominator,
-                      module_reduce, mu_poly, normal_form, qth_closure, rat_recon,
+                      module_reduce, normal_form, qth_closure, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
-                      verify_candidate, frobenius_images, frobenius_scale, PrimeRun, Ring,
-                      weight_over_grevlex)
-from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring,
-                      make_curve, poly_step, sextic_relations)
+                      verify_candidate, PrimeRun, Ring, weight_over_grevlex)
+from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring, images_of,
+                      make_curve, poly_step, scale_of, sextic_relations, tail_of, xdict)
 from intclose.closure import from_y
-from oracles import (crt, kernel_step_oracle, mod_n, psi_combination, strict_shape_ok,
-                     weight_balance_ok)
+from oracles import (crt, kernel_step_oracle, mod_n, mu_poly, psi_combination,
+                     strict_shape_ok, weight_balance_ok)
 
 
 def test_criterion_1_quadratic_end_to_end(quadratic):
@@ -109,10 +108,10 @@ def test_criterion_3_trident():
     # rejection at N = 55 with the reference residual
     r5 = run_prime(5, f, delta0, B)
     ring11, f11 = make_curve("trident", q=11)
-    v11 = minimize_denominator(
-        qth_closure(ring11, f11, mu_poly(delta0, ring11), 11), 11)
-    p11 = induce_presentation(v11, f11)
-    r11 = PrimeRun(11, delta_q=mu_poly(delta0, ring11), presentation=p11)
+    delta11 = xdict(mu_poly(delta0, ring11))
+    v11 = minimize_denominator(qth_closure(ring11, tail_of(f11), delta11), 11)
+    p11 = induce_presentation(v11, tail_of(f11), ring11)
+    r11 = PrimeRun(11, delta=delta11, presentation=p11)
     state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
     assert state.modulus == 55
     cert = verify_candidate(state, f)
@@ -224,9 +223,9 @@ def test_criterion_6c_fixpoint_and_ring_property():
                     ("cubic_family", 11)):
         ring, f = make_curve(name, q=q)
         delta = canonical_conductor(f, ring)[0]
-        fixed = qth_closure(ring, f, delta, q)
-        images = frobenius_images(f, delta)
-        again = poly_step(from_y(fixed, ring), q, images, delta, frobenius_scale(delta, q))
+        fixed = qth_closure(ring, tail_of(f), xdict(delta))
+        images = images_of(f, delta)
+        again = poly_step(from_y(fixed, ring), images, delta, scale_of(delta))
         assert list(again) == list(from_y(fixed, ring))
         nums = list(from_y(minimize_denominator(fixed, q), ring))
         dd = nums[-1]
@@ -245,7 +244,8 @@ def test_criterion_6d_strict_shape_and_weight_balance():
                     ("cubic_family", 5), ("octic", 7), ("sextic", 23)):
         ring, f = make_curve(name, q=q)
         delta = canonical_conductor(f, ring)[0]
-        pres = induce_presentation(minimize_denominator(qth_closure(ring, f, delta, q), q), f)
+        vectors = minimize_denominator(qth_closure(ring, tail_of(f), xdict(delta)), q)
+        pres = induce_presentation(vectors, tail_of(f), ring)
         assert strict_shape_ok(pres)
         assert weight_balance_ok(pres)
     print(f"\n[criterion 6d] PASS strict shape and weight balance "
@@ -274,9 +274,9 @@ def test_criterion_6e_semilinear_kernel_oracle():
             if rng.random() < 0.5:
                 dacc[(0, e)] = rng.randint(1, q - 1)
         delta = ring.poly(dacc)
-        images = frobenius_images(f, delta)
+        images = images_of(f, delta)
         start = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
-        engine = poly_step(start, q, images, delta, frobenius_scale(delta, q))
+        engine = poly_step(start, images, delta, scale_of(delta))
         assert {g.lm[0]: g.lm[1] for g in engine} == \
             kernel_step_oracle(list(start), f, delta, q)
         trials += 1

@@ -12,21 +12,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
-                      DomainError, Ring, buchberger, canonical_conductor,
-                      canonical_generators, frobenius_images, frobenius_nf,
-                      frobenius_scale, grevlex_over_weight, induce_presentation,
-                      is_minimal_reduced_gb, is_prime, is_prime_usable, minimal_reduced,
-                      minimize_denominator, module_reduce, mu_poly,
-                      normal_form, qth_closure,
-                      run_prime, weight_over_grevlex)
+                      DomainError, DriverError, Ring, buchberger, canonical_conductor,
+                      canonical_generators, frobenius_nf, grevlex_over_weight,
+                      induce_presentation, is_minimal_reduced_gb, is_prime, is_prime_usable,
+                      minimal_reduced, minimize_denominator, module_reduce, normal_form,
+                      qth_closure, run_charq, run_prime, weight_over_grevlex)
 from intclose.closure import (_pack, _rem_by_targets, _slot_bytes, _step_columns, _unpack,
                               by_y, fraction_weights, from_y, xpoly_divmod)
-from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, make_curve, poly_step,
-                      sextic_relations)
+from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, images_of, make_curve,
+                      poly_step, scale_of, sextic_relations, tail_of, xdict)
 from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
                      combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
-                     induce_presentation_poly, kernel_step_oracle, numerators_interreduced,
-                     psi_combination, qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
+                     induce_presentation_poly, kernel_step_oracle, mu_poly,
+                     numerators_interreduced, psi_combination, qth_power_step_scratch,
+                     rank_mod_conductor, reduce_terms_scan,
                      step_columns_unreduced, strict_shape_ok, weight_balance_ok,
                      y_coefficients)
 
@@ -35,13 +34,13 @@ def fixpoint(name, q):
     """(ring, f, delta, vectors): a fixture curve's fixpoint at q, on y-coefficients."""
     ring, f = make_curve(name, q=q)
     delta = canonical_conductor(f, ring)[0]
-    return ring, f, delta, qth_closure(ring, f, delta, q)
+    return ring, f, delta, qth_closure(ring, tail_of(f), xdict(delta))
 
 
 def closure_run(name, q):
     """(ring, f, delta, record): the closure at q as a prime's run builds it."""
     ring, f, delta, vectors = fixpoint(name, q)
-    return ring, f, delta, induce_presentation(minimize_denominator(vectors, q), f)
+    return ring, f, delta, induce_presentation(minimize_denominator(vectors, q), tail_of(f), ring)
 
 
 def vectors_of(nums, f):
@@ -62,7 +61,7 @@ def unreduced(f):
 
 def test_frobenius_constants_and_variables():
     ring, f = make_curve("trident", q=3)
-    images = frobenius_images(f, unreduced(f))
+    images = images_of(f, unreduced(f))
     one, x = y_coefficients(ring.one(), 3), y_coefficients(ring.parse("x"), 3)
     assert frobenius_nf(one, 3, images) == one
     assert frobenius_nf(x, 3, images) == y_coefficients(ring.parse("x^3"), 3)
@@ -70,7 +69,7 @@ def test_frobenius_constants_and_variables():
 
 def test_frobenius_reduces_dependent_cube():
     ring, f = make_curve("trident", q=3)
-    images = frobenius_images(f, unreduced(f))
+    images = images_of(f, unreduced(f))
     # y^3 = -x^7 - 8yx = -x^7 + yx with coefficients mod 3
     assert frobenius_nf(y_coefficients(ring.parse("y"), 3), 3, images) == y_coefficients(
         ring.parse("-x^7 + y*x"), 3)
@@ -80,20 +79,12 @@ def test_frobenius_matches_direct_powering():
     rng = random.Random(17)
     for q in (3, 5):
         ring, f = make_curve("octic", q=q)
-        images = frobenius_images(f, unreduced(f))
+        images = images_of(f, unreduced(f))
         for _ in range(5):
             g = ring.poly({(rng.randint(0, 7), rng.randint(0, 4)):
                            rng.randint(1, q - 1) for _ in range(4)})
             assert (frobenius_nf(y_coefficients(g, 8), q, images)
                     == y_coefficients(normal_form(g ** q, [f]), 8))
-
-
-def test_step_wrong_characteristic():
-    ring, f = make_curve("trident", q=3)
-    delta = canonical_conductor(f, ring)[0]
-    start = (ring.parse("y^2"), ring.parse("y"), ring.one())
-    with pytest.raises(ClosureError, match="ring characteristic is not 5"):
-        poly_step(start, 5, frobenius_images(f, delta), delta, frobenius_scale(delta, 5))
 
 
 @st.composite
@@ -115,7 +106,7 @@ def monic_curves(draw):
 def test_frobenius_images_match_powering(curve, data):
     f, q = curve
     ring, d = f.ring, f.degree_in(0)
-    images = frobenius_images(f, unreduced(f))
+    images = images_of(f, unreduced(f))
     assert len(images) == d
     for k in range(d):
         assert images[k] == y_coefficients(normal_form(ring.monomial((q * k, 0)), [f]), d)
@@ -137,7 +128,7 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
                                     st.integers(1, q - 1), max_size=5), label="tail")
     acc[(d, 0)] = 1
     f = ring.poly(acc)
-    images, reference = frobenius_images(f, unreduced(f)), frobenius_images_poly(f)
+    images, reference = images_of(f, unreduced(f)), frobenius_images_poly(f)
     assert images == tuple(y_coefficients(p, d) for p in reference)
     # x-degrees up to 12: the numerator need not be reduced modulo a conductor
     g = ring.poly(data.draw(st.dictionaries(
@@ -150,7 +141,7 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
                                             st.integers(1, q - 1), max_size=2), label="m")
                   | {(0, data.draw(st.integers(1, 3), label="deg m")): 1})
     mq = {e: c for (_, e), c in (m ** q).terms}
-    reduced = frobenius_images(f, m)
+    reduced = images_of(f, m)
     assert reduced == tuple([xpoly_divmod(a, mq, q)[1] for a in img] for img in images)
     assert ([xpoly_divmod(a, mq, q)[1] for a in frobenius_nf(y_coefficients(g, d), q, reduced)]
             == [xpoly_divmod(a, mq, q)[1] for a in want])
@@ -181,7 +172,7 @@ def test_images_match_oracle_modulo_delta_q(data):
     mq = {e: c for (_, e), c in (delta.monic() ** q).terms}
     want = tuple([xpoly_divmod(a, mq, q)[1] for a in y_coefficients(p, d)]
                  for p in frobenius_images_poly(f))
-    assert frobenius_images(f, delta) == want
+    assert images_of(f, delta) == want
 
 
 @pytest.mark.parametrize("q", [7, 65521, 2 ** 31 - 1, 2 ** 62 - 57, 2 ** 63 - 25])
@@ -210,17 +201,24 @@ def test_packed_products_match_dict_products(q):
     assert _slot_bytes(2 ** 63 - 25, 2 ** 20) == 19    # 2*63 + 21 bits
 
 
-@pytest.mark.parametrize("ring,text,message", [
-    (curve_ring((3, 2), QQ), "y^2 - x^3", "Frobenius images need a ring F_q[y; x]"),
-    (curve_ring((2, 1, 1), GF(5)), "y^2 - x2*x1", "Frobenius images need a ring F_q[y; x]"),
-    (curve_ring((3, 1), GF(5)), "y^2 + y^2*x - x^3",
-     "relation has extra terms of top dependent degree"),
-    (curve_ring((3, 2), GF(5)), "2*y^2 - x^3",
+@pytest.mark.parametrize("ring,text,boundary,message", [
+    (curve_ring((3, 2), QQ), "y^2 - x^3", run_charq, "ring domain must be GF(5)"),
+    (curve_ring((2, 1, 1), GF(5)), "y^2 - x2*x1", run_charq,
+     "closure iteration supports one independent variable, the problem has 2"),
+    (curve_ring((3, 1), GF(5)), "y^2 + y^2*x - x^3", canonical_conductor,
+     "relation must be monic in the dependent variable"),
+    (curve_ring((3, 2), GF(5)), "2*y^2 - x^3", canonical_conductor,
      "relation must be monic in the dependent variable"),
 ], ids=["over-QQ", "two-independent", "second-top-term", "not-monic"])
-def test_frobenius_images_reject_unsupported_relations(ring, text, message):
-    with pytest.raises(ClosureError, match=f"^{re.escape(message)}$"):
-        frobenius_images(ring.parse(text), ring.one())
+def test_frobenius_images_reject_unsupported_relations(ring, text, boundary, message):
+    # the images take f's tail and D as F_q[x] dicts, so a relation they
+    # cannot use is refused where a run's Polynomials become vectors:
+    # run_charq refuses the ring (through validate_problem when it has two
+    # independent variables), and the conductor, which every run takes
+    # before any image, refuses a relation that is not y^d plus lower terms
+    f = ring.parse(text)
+    with pytest.raises((DriverError, ConductorError), match=f"^{re.escape(message)}$"):
+        run_charq(ring, f, 5) if boundary is run_charq else canonical_conductor(f, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +392,19 @@ def test_canonical_generators_need_one_independent_variable():
 def test_step_fixpoint_is_idempotent():
     for name, q in (("quadratic", 5), ("trident", 7)):
         ring, f, delta, vectors = fixpoint(name, q)
-        images, nums = frobenius_images(f, delta), from_y(vectors, ring)
-        again = poly_step(nums, q, images, delta, frobenius_scale(delta, q))
+        images, nums = images_of(f, delta), from_y(vectors, ring)
+        again = poly_step(nums, images, delta, scale_of(delta))
         assert list(again) == list(nums)
 
 
 def test_step_nesting():
     ring, f = make_curve("octic", q=7)
     delta = canonical_conductor(f, ring)[0]
-    images, scale = frobenius_images(f, delta), frobenius_scale(delta, 7)
+    images, scale = images_of(f, delta), scale_of(delta)
     d = f.degree_in(0)
     current = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
     for _ in range(6):
-        nxt = poly_step(current, 7, images, delta, scale)
+        nxt = poly_step(current, images, delta, scale)
         stair_prev = {g.lm[0]: g.lm[1] for g in current}
         for g in nxt:
             i, e = g.lm
@@ -439,9 +437,9 @@ def test_step_against_linear_algebra_oracle():
             if rng.random() < 0.5:
                 dacc[(0, e)] = rng.randint(1, q - 1)
         delta = ring.poly(dacc)
-        images = frobenius_images(f, delta)
+        images = images_of(f, delta)
         start = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
-        engine = poly_step(start, q, images, delta, frobenius_scale(delta, q))
+        engine = poly_step(start, images, delta, scale_of(delta))
         expect = kernel_step_oracle(list(start), f, delta, q)
         got = {g.lm[0]: g.lm[1] for g in engine}
         assert got == expect
@@ -475,11 +473,11 @@ def small_curves(draw, min_degree=2):
 
 def assert_steps_match_scratch(ring, f, delta, q):
     """Walk qth_closure's steps; each equals the step dividing from scratch."""
-    images, poly_images = frobenius_images(f, delta), frobenius_images_poly(f)
-    scale = frobenius_scale(delta, q)
+    images, poly_images = images_of(f, delta), frobenius_images_poly(f)
+    scale = scale_of(delta)
     nums = tuple(ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(64):
-        nxt = poly_step(nums, q, images, delta, scale)
+        nxt = poly_step(nums, images, delta, scale)
         assert nxt == qth_power_step_scratch(nums, q, poly_images, delta)
         if nxt == nums:
             return
@@ -487,13 +485,13 @@ def assert_steps_match_scratch(ring, f, delta, q):
     raise AssertionError("no fixpoint within 64 steps")
 
 
-def walk(f, delta, q):
+def walk(f, delta):
     """The numerators of each step of qth_closure's walk from S, the fixpoint last."""
-    images, scale = frobenius_images(f, delta), frobenius_scale(delta, q)
+    images, scale = images_of(f, delta), scale_of(delta)
     nums = tuple(f.ring.monomial((k, 0)) for k in range(f.degree_in(0) - 1, -1, -1))
     for _ in range(f.degree_in(0) * delta.degree_in(1) + 1):
         yield nums
-        nxt = poly_step(nums, q, images, delta, scale)
+        nxt = poly_step(nums, images, delta, scale)
         if nxt == nums:
             return
         nums = nxt
@@ -537,8 +535,8 @@ def test_closure_steps_match_scratch_division(curve):
 @given(small_curves())
 def test_presentation_is_its_minimal_reduced_basis(curve):
     ring, f, delta, q = curve
-    vectors = minimize_denominator(qth_closure(ring, f, delta, q), q)
-    assert_presentation_as_built(induce_presentation(vectors, f), f)
+    vectors = minimize_denominator(qth_closure(ring, tail_of(f), xdict(delta)), q)
+    assert_presentation_as_built(induce_presentation(vectors, tail_of(f), ring), f)
 
 
 @functools.lru_cache(maxsize=None)
@@ -550,7 +548,8 @@ def fixture_runs(name):
     for q in FIXTURE_PRIMES:
         status, info = is_prime_usable(q, f, delta0, B)
         if status == "usable":
-            out.append((q, *info, run_prime(q, f, delta0, B)))
+            run = run_prime(q, f, delta0, B)
+            out.append((q, mu_poly(f, info[0]), run.delta_q, run))
     return tuple(out)
 
 
@@ -565,7 +564,8 @@ def test_memoized_output_order_acts_as_a_fresh_one(name, data):
     fresh = Ring(ring.names, ring.ndep, ring.domain,
                  grevlex_over_weight(ring.weights, ring.ndep, ring.nvars), ring.weights)
     assert fresh.order is not ring.order and fresh == ring
-    assert induce_presentation(vectors_of(pres.numerators, f_q), f_q).ring.order is ring.order
+    rebuilt = induce_presentation(vectors_of(pres.numerators, f_q), tail_of(f_q), f_q.ring)
+    assert rebuilt.ring.order is ring.order
     for p in pres.relations + (pres.inclusion_image,):
         again = fresh.poly(dict(p.terms))
         assert again == p and again.terms == p.terms and str(again) == str(p)
@@ -590,9 +590,9 @@ def test_fixture_walks_end_within_the_derived_bound(name):
             delta = canonical_conductor(f, ring)[0]
         except (DomainError, ConductorError):
             continue
-        steps = list(walk(f, delta, q))
+        steps = list(walk(f, delta))
         assert len(steps) <= f.degree_in(0) * delta.degree_in(1) + 1
-        assert from_y(qth_closure(ring, f, delta, q), ring) == steps[-1]
+        assert from_y(qth_closure(ring, tail_of(f), xdict(delta)), ring) == steps[-1]
         walked += 1
     assert walked >= 12
 
@@ -604,7 +604,7 @@ def test_step_columns_are_a_basis_of_n_mod_delta_s(curve):
     # there are dim N/(delta*S) = d*deg(delta) - dim S/N of them
     ring, f, delta, q = curve
     d, xdeg = f.degree_in(0), delta.degree_in(1)
-    for nums in walk(f, delta, q):
+    for nums in walk(f, delta):
         prefix = [xdeg - g.lm[1] for g in nums]
         chosen = [g.mul_term((0, alpha)) for g, a in zip(nums, prefix)
                   for alpha in range(a)]
@@ -618,15 +618,15 @@ def test_reduced_columns_match_unreduced_division(name):
     # columns of x^(q*alpha)*NF(g_j^q) divided in full by the targets, from
     # full images and from images reduced mod delta^q as qth_closure reads them
     for q, f_q, delta_q, run in fixture_runs(name):
-        images, scale = frobenius_images(f_q, unreduced(f_q)), frobenius_scale(delta_q, q)
+        images, scale = images_of(f_q, unreduced(f_q)), scale_of(delta_q)
         assert scale == {e: c for (_, e), c in (delta_q ** (q - 1)).terms}
         poly_images = frobenius_images_poly(f_q)
         delta_to_q = {e: c for (_, e), c in (delta_q ** q).terms}
-        reduced = frobenius_images(f_q, delta_q)
+        reduced = images_of(f_q, delta_q)
         assert reduced == tuple([xpoly_divmod(a, delta_to_q, q)[1] for a in img]
                                 for img in images)
         delta = {e: c for (_, e), c in delta_q.terms}
-        for nums in walk(f_q, delta_q, q):
+        for nums in walk(f_q, delta_q):
             prefix = [max(delta) - g.lm[1] for g in nums]
             want = step_columns_unreduced(nums, q, poly_images, delta_q, prefix)
             vectors, leads = [by_y(g, f_q.degree_in(0)) for g in nums], [g.lm for g in nums]
@@ -663,10 +663,10 @@ def presentations_agree(nums, f):
         want = induce_presentation_poly(nums, f)
     except ClosureError as exc:
         with pytest.raises(ClosureError) as got:
-            induce_presentation(vectors_of(nums, f), f)
+            induce_presentation(vectors_of(nums, f), tail_of(f), f.ring)
         assert str(got.value) == str(exc)
         return str(exc)
-    got = induce_presentation(vectors_of(nums, f), f)
+    got = induce_presentation(vectors_of(nums, f), tail_of(f), f.ring)
     assert got.numerators == want.numerators == tuple(nums)
     assert got.ring == want.ring
     assert got.relations == want.relations
@@ -684,7 +684,7 @@ MISSES_Y = "inclusion image of y is not in the module"
 @given(small_curves(min_degree=1))
 def test_presentation_matches_polynomial_oracle(curve):
     ring, f, delta, q = curve
-    nums = from_y(minimize_denominator(qth_closure(ring, f, delta, q), q), ring)
+    nums = from_y(minimize_denominator(qth_closure(ring, tail_of(f), xdict(delta)), q), ring)
     assert numerators_interreduced(nums)
     assert presentations_agree(nums, f) is None
     if f.degree_in(0) > 1:             # the denominator alone misses y*delta
@@ -703,13 +703,13 @@ def test_fixture_presentations_match_polynomial_oracle(name):
         status, info = is_prime_usable(q, f, delta0, B)
         if status != "usable":
             continue
-        f_q, delta_q = info
-        nums = from_y(minimize_denominator(qth_closure(f_q.ring, f_q, delta_q, q), q),
-                      f_q.ring)
+        ring_q, tail, delta = info
+        f_q, delta_q = mu_poly(f, ring_q), mu_poly(delta0, ring_q)
+        nums = from_y(minimize_denominator(qth_closure(ring_q, tail, delta), q), ring_q)
         assert presentations_agree(nums, f_q) is None
         if f.degree_in(0) > 1:
             seen.add(presentations_agree(nums[-1:], f_q))
-        for partial in list(walk(f_q, delta_q, q))[:-1]:
+        for partial in list(walk(f_q, delta_q))[:-1]:
             # the walk's numerators are canonical: they make a fraction set
             # exactly when the one of y-degree 0 lies in P
             if partial[-1].in_subring(1):
@@ -734,11 +734,12 @@ def test_psi_combination_inverts_combination(name):
 
 
 def test_induce_presentation_needs_one_independent_variable():
+    # a presentation takes the numerators and f's tail as F_q[x] vectors, one
+    # x each; a second independent variable is refused before any run
     w = ((2, 1, 3),)
     ring = Ring(("y", "x2", "x1"), 1, GF(7), weight_over_grevlex(w, 3), w)
-    vectors = ([{}, {0: 1}], [{0: 1}, {}])     # y, 1
-    with pytest.raises(ClosureError, match="one independent variable"):
-        induce_presentation(vectors, ring.parse("y^2 - x1*x2"))
+    with pytest.raises(DriverError, match="one independent variable"):
+        run_charq(ring, ring.parse("y^2 - x1*x2"), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -864,9 +865,10 @@ def test_fraction_set_validation():
 
 
 def test_closure_requires_matching_characteristic():
+    # q is read off the ring, which must be F_q[y; x]
     ring, f = make_curve("quadratic", q=5)
-    with pytest.raises(ClosureError):
-        qth_closure(ring, f, ring.one(), 7)
+    with pytest.raises(ClosureError, match=re.escape("supports rings F_q[y; x] only")):
+        qth_closure(ring.with_domain(QQ), tail_of(f), {0: 1})
 
 
 def test_step_rejects_numerators_outside_delta_s():
@@ -874,12 +876,12 @@ def test_step_rejects_numerators_outside_delta_s():
     # one lead per y-degree, none above delta's x-degree
     ring, f = make_curve("trident", q=7)
     delta = canonical_conductor(f, ring)[0]
-    images, scale = frobenius_images(f, delta), frobenius_scale(delta, 7)
+    images, scale = images_of(f, delta), scale_of(delta)
     start = (ring.parse("y^2"), ring.parse("y"), ring.one())
     high = ring.monomial((0, delta.degree_in(1) + 1))
     for nums in (start[:2], start[:2] + (high,), (start[0], start[0], start[2])):
         with pytest.raises(ClosureError):
-            poly_step(nums, 7, images, delta, scale)
+            poly_step(nums, images, delta, scale)
 
 
 def test_per_prime_containment_of_input_ideal():
@@ -924,7 +926,7 @@ def test_induce_detects_incomplete_module():
     ring, f, delta, vectors = fixpoint("quadratic", 5)
     broken = minimize_denominator(vectors, 5)[-1:]
     with pytest.raises(ClosureError):
-        induce_presentation(broken, f)
+        induce_presentation(broken, tail_of(f), ring)
 
 
 def test_trident_mod2_oversized_closure_values():

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ConductorError, DomainError, canonical_conductor,
-                      is_prime, mu_poly, normal_form, partial_derivative)
+                      is_prime, normal_form, partial_derivative)
 from intclose.closure import xpoly_divmod, xpoly_gcd, xpoly_sub_mul
 from conftest import CURVES, curve_ring, make_curve
-from oracles import conductor_by_module_basis, conductor_oracle, exact_divide, gcd_in_p
+from oracles import conductor_by_module_basis, conductor_oracle, exact_divide, gcd_in_p, mu_poly
 
 
 def test_partial_derivatives_basic():

@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 from intclose import (GF, MODP, QQ, ZZ, ClosureError, ClosurePresentation, ConductorError,
                       DomainError, LiftError, MonomialOrder, PrimeRun, Ring, SignatureError,
                       balanced, canonical_conductor, grevlex_over_weight, is_prime,
-                      is_prime_usable, mu_poly, parse_problem, rat_recon,
+                      is_prime_usable, parse_problem, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_charq, run_prime,
                       verify_candidate, RunConfig)
 from intclose.closure import YBAR, by_y, fraction_weights, split_record
 from intclose.lifting import _specializes, closure_run, rejects_at_point, specializations
-from conftest import CURVES, SEXTIC_INDUCED_WEIGHTS, curve_ring, make_curve
+from conftest import CURVES, SEXTIC_INDUCED_WEIGHTS, curve_ring, make_curve, tail_of, xdict
 from corpus import README_PROBLEM, workloads
-from oracles import (crt, crt_sum_reference, is_prime_usable_reference, mod_n,
+from oracles import (crt, crt_sum_reference, is_prime_usable_reference, mod_n, mu_poly,
                      nullspace_rref, numerators_interreduced, psi_combination,
                      rat_recon_reference, reconcile_and_lift_reference,
                      verify_candidate_reference)
@@ -361,25 +361,37 @@ def test_usability_quadratic_curve():
     assert is_prime_usable(101, f, delta0, B)[0] == "usable"
 
 
-TALL_7 = {solve.label: solve.text for solve in workloads().tall_solves(7)[:20]}
+TALL_30 = {solve.label: solve.text for solve in workloads().tall_solves(7)[:30]}
+TALL_7 = {name: TALL_30[name] for name in sorted(TALL_30)[:20]}
 
 
 def _curve_or_tall(name):
-    """(ring, f) of a fixture curve, or of a ``TALL_7`` problem."""
+    """(ring, f) of a fixture curve, or of a ``TALL_30`` problem."""
     if name in CURVES:
         return make_curve(name)
-    problem = parse_problem(TALL_7[name])
+    problem = parse_problem(TALL_30[name])
     ring = problem.ring(QQ)
     return ring, problem.relation(ring)
 
 
-@pytest.mark.parametrize("name", sorted(CURVES) + sorted(TALL_7))
+@pytest.mark.parametrize("name", sorted(CURVES) + sorted(TALL_30))
 def test_usability_matches_the_reference(name):
-    # the lucky-prime shortcut changes no status, reason, f_q or delta_q
+    # the lucky-prime shortcut, and f's tail and delta0 reduced mod q straight
+    # from the rationals, change no status, reason, f_q or delta_q: against
+    # the reference, which runs the GF(q) conductor at every prime and reduces
+    # through mu_poly (``Ring.poly``), at every q, those dividing B included
     ring, f = _curve_or_tall(name)
     delta0, B = canonical_conductor(f, ring)
     for q in range(2, 200):
-        assert is_prime_usable(q, f, delta0, B) == is_prime_usable_reference(q, f, delta0)
+        status, info = is_prime_usable(q, f, delta0, B)
+        want_status, want = is_prime_usable_reference(q, f, delta0)
+        assert status == want_status
+        if status == "skipped":
+            assert info == want
+            continue
+        (ring_q, tail, delta), (f_q, delta_q) = info, want
+        assert ring_q == f_q.ring
+        assert tail == tail_of(f_q) and delta == xdict(delta_q)
 
 
 def test_compatibility_single_and_pair():
@@ -413,7 +425,7 @@ def _forced_run(name, q, delta=None):
         delta = canonical_conductor(f, ring)[0]
     else:
         delta = mu_poly(delta, ring)
-    return closure_run(q, f, delta)
+    return closure_run(q, ring, tail_of(f), xdict(delta))
 
 
 @pytest.mark.parametrize("J", range(1, 8))
@@ -465,10 +477,11 @@ def test_signature_decides_as_every_leading_monomial():
 
 
 def test_char0_runs_build_no_per_prime_polynomial(tmp_path, monkeypatch, capsys):
-    # the README problem at 5, 11, 13: without --log, each prime's record is
-    # read only as plain data, so no Polynomial over GF(q) is built for its
-    # numerators (from_y) or its relations and psi(y) (an output ring's
-    # _sorted); the audit log names their leads, so a logged run builds them.
+    # the README problem at 5, 11, 13: each prime's record is read only as
+    # plain data, so no Polynomial over GF(q) is built for its numerators
+    # (from_y) or its relations and psi(y) (an output ring's _sorted); the
+    # audit log renders their leads off the record, so a logged run builds
+    # none either.
     # test_point_rejected_stages_build_no_lifted_record counts the stages'
     # exact work on the same runs, and holds the log to its bytes
     import intclose.closure
@@ -495,7 +508,7 @@ def test_char0_runs_build_no_per_prime_polynomial(tmp_path, monkeypatch, capsys)
     assert built == []
     assert cli.main([str(path), "--primes", "5,11,13", "--log", str(tmp_path / "log")]) == 0
     assert capsys.readouterr() == bare
-    assert sorted(built) == ["_sorted"] * 3 + ["from_y"] * 3
+    assert built == []
 
 
 def test_compatibility_rejects_oversized_closure():

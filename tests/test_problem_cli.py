@@ -2,13 +2,16 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from intclose import ProblemError, parse_problem
+from intclose import GF, MODP, QQ, ProblemError, Ring, canonical_conductor, parse_problem
 from intclose.cli import main
 
 QUADRATIC = """\
@@ -617,3 +620,111 @@ def test_golden_charq_output_and_log(tmp_path, capsys, q, fmt, suffix):
     assert cap.err == ""
     assert log_path.read_text(encoding="utf-8") == \
         (GOLDEN / f"sextic-q{q}.log").read_text(encoding="utf-8")
+
+
+def test_runs_parse_once_per_ring_and_reduce_mod_q_without_polynomials(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the README problem at 5, 11, 13 without --log: parse_problem's check
+    # parses the relation, and the run over the same ring reuses that parse;
+    # f's tail and Delta are reduced mod q straight into F_q[x] dicts, so no
+    # Polynomial is built or sorted over GF(q) (no GF(q) conductor runs, as
+    # none of the primes divides B), and the package has no mu_poly to call
+    calls = []
+    for name in ("parse", "poly", "_sorted"):
+        def counted(self, arg, _name=name, _real=getattr(Ring, name)):
+            calls.append((_name, self.domain))
+            return _real(self, arg)
+        monkeypatch.setattr(Ring, name, counted)
+    path = _write(tmp_path, QUADRATIC)
+    assert main([path, "--primes", "5,11,13"]) == 0
+    assert [c for c in calls if c[0] == "parse"] == [("parse", QQ)]
+    assert [c for c in calls if c[1].kind == MODP] == []
+    problem = parse_problem(QUADRATIC)
+    assert all(canonical_conductor(problem.relation(), problem.ring())[1] % q for q in (5, 11, 13))
+    assert not [name for name, module in sys.modules.items()
+                if name.startswith("intclose") and hasattr(module, "mu_poly")]
+    # a run over another ring than the problem's own parses again: a
+    # characteristic-7 problem in char0 mode parses over GF(7), then over QQ,
+    # and prints what the file without the characteristic prints
+    capsys.readouterr()
+    calls.clear()
+    code = main([_write(tmp_path, TRIDENT_Q7, "q7.txt"), "--mode", "char0"])
+    printed = capsys.readouterr()
+    assert [c for c in calls if c[0] == "parse"] == [("parse", GF(7)), ("parse", QQ)]
+    plain = _write(tmp_path, TRIDENT_Q7.replace("characteristic: 7\n", ""), "plain.txt")
+    assert (main([plain]), capsys.readouterr()) == (code, printed)
+
+
+# CLI fuzz: seeded mutations of small problem files and flag sets through
+# ``main``, for about FUZZ_SECONDS.  Every run must end with exit 0, 1 or 2 and
+# print no traceback.  Exponents stay small and valid primes below 30, so no
+# single run is long; primes at or past 2^63 and other bad values are usage errors.
+FUZZ_SECONDS = 10.0
+FUZZ_PROBLEMS = (QUADRATIC, TRIDENT_Q7, QUADRATIC.replace("[[3,2]]", "[[2,1]]").replace(
+    "relation: y^2 - 3/2*x^3 + 24/7*x^2 - 96/49*x", "relation: y^2 - x"),
+    "indvars: x\ndepvar: y\nweights: [[5,3]]\nrelation: y^3 + 1/3*y*x + 8/7*x^5\n")
+FUZZ_VALUES = {
+    "indvars": ["x", "x, x", "x1, x2", "ybar", "1x", "", "x,", "y", "ybar1"],
+    "depvar": ["y", "x", "ybar", "2y", ""],
+    "weights": ["[[3,2]]", "[3,2]", "[[7,3]]", "[[1,1],[0,1]]", "[[3]]", "[[3.5,2]]",
+                "[[True,2]]", "[['3',2]]", "[[-1,2]]", "[[0,0]]", "[[", "3,2", "[[2,1,1]]"],
+    "relation": ["y^2 - x^3", "y^3 - x^5 - y*x", "y^2 + 1/0*x", "y^2 - x2*x1", "2*y^2 - x^3",
+                 "y^2 + y^2*x - x^3", "x^3", "y^2 - ybar^3", "y^2 -", "(y - x)^2", "y"],
+    "characteristic": ["5", "7", "4", "0", "-7", "2", "3", str(2 ** 63), "x", "1", "13"],
+    "mystery": ["3"],
+}
+FUZZ_FRAGMENTS = ["y", "x", "^", "*", "+", "-", "/", "(", ")", "2", "3", "7", " ", "0",
+                  "1/2", "ybar", "x2", "^2", "*x", "+ y*x"]
+FUZZ_FLAGS = {
+    "--mode": ["char0", "charq", "chr"],
+    "--prime": ["2", "3", "4", "5", "7", "11", "-5", "0", "x", str(2 ** 63), str(2 ** 64 + 1)],
+    "--primes": ["5,11,13", "5", "7,7", "4,5", "", "5,,7", "x", "3,5,7,11,13", str(2 ** 63)],
+    "--start-prime": ["-5", "0", "2", "3", "29", str(2 ** 63), "x"],
+    "--max-primes": ["-1", "0", "1", "2", "3", "x"],
+    "--format": ["text", "structured", "json"],
+}
+
+
+def _fuzz_text(rng) -> str:
+    lines = rng.choice(FUZZ_PROBLEMS).splitlines()
+    for _ in range(rng.randint(0, 3)):
+        i, kind = rng.randrange(len(lines) + 1), rng.randrange(4)
+        if kind == 0 and i < len(lines):         # drop or repeat a line
+            lines[i:i + 1] = [] if rng.random() < 0.5 else [lines[i]] * 2
+        elif kind == 1:                          # set a field, or add one more
+            key = rng.choice(sorted(FUZZ_VALUES))
+            if rng.random() < 0.7:
+                lines = [line for line in lines if not line.startswith(key + ":")]
+            lines.insert(min(i, len(lines)), f"{key}: {rng.choice(FUZZ_VALUES[key])}")
+        else:                                    # splice the relation's text
+            k = next((j for j, line in enumerate(lines) if line.startswith("relation:")), None)
+            if k is not None:
+                text = lines[k]
+                a = rng.randint(len("relation:"), len(text))
+                b = min(len(text), a + rng.randint(0, 3))
+                lines[k] = text[:a] + (rng.choice(FUZZ_FRAGMENTS) if kind == 2 else "") + text[b:]
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_fuzz_ends_with_a_status_and_no_traceback(tmp_path, capsys):
+    rng, seen, runs = random.Random(31), set(), 0
+    path, log = str(tmp_path / "fuzz.txt"), str(tmp_path / "fuzz.log")
+    start = time.monotonic()
+    while time.monotonic() - start < FUZZ_SECONDS:
+        text = _fuzz_text(rng)
+        if any(int(e) > 12 for e in re.findall(r"\^\s*(\d+)", text)):
+            continue
+        flags = [a for flag in rng.sample(sorted(FUZZ_FLAGS), rng.randint(0, 3))
+                 for a in (flag, rng.choice(FUZZ_FLAGS[flag]))]
+        argv = [path] + flags + (["--log", log] if rng.random() < 0.3 else [])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            code = main(argv)
+        except SystemExit as exc:                # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (text, argv, code, err)
+        seen.add(code)
+        runs += 1
+    assert runs >= 20 and {0, 2} <= seen
