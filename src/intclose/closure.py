@@ -33,6 +33,10 @@ class ClosureError(ValueError):
     pass
 
 
+class NotARingError(ClosureError):
+    """A product of a module's fractions leaves it (``induce_presentation``)."""
+
+
 def module_reduce(h: Polynomial, gens):
     """P-module division: (remainder, c_j in P) with h = sum(c_j * g_j) + remainder.
     No library code calls it; perfbench/tracing.py wraps it by name."""
@@ -387,15 +391,16 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
     return canonical_generators(new_gens, ring)
 
 
-def qth_closure(ring: Ring, tail: list, delta: dict) -> tuple:
-    """Fixpoint of the contraction, started from all of (1/D)S: its numerators
-    g_J .. g_0, each as its y-coefficients (``by_y``), over ring = F_q[y; x],
-    with f's tail and D, monic, as the module says.
+def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:
+    """The contraction's walk from all of (1/D)S to its first ring, as that
+    ring's presentation over ring = F_q[y; x], with f's tail and D, monic.
 
-    A step that is not a fixpoint returns a strictly smaller module between
-    D*S and S (canonical generators are unique, so an equal module returns
-    the same numerators), and S/DS has dimension d*deg D over F_q: the walk
-    ends within d*deg D + 1 steps.  The images modulo D^q are built once.
+    An iterate N/D whose g_0 is D holds 1, and if it is a ring its step keeps
+    each u in it (u^q is in it): it is the fixpoint.  So after each such step
+    the walk tries the presentation, walking on past ``NotARingError``.  A step
+    short of a fixpoint shrinks the module, dim S/DS = d*deg D and S is a ring:
+    the walk returns within max(1, d*deg D) steps, or a fixpoint that is no ring
+    fails a step later.  The images modulo D^q are built once.
     """
     if ring.domain.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
@@ -405,10 +410,14 @@ def qth_closure(ring: Ring, tail: list, delta: dict) -> tuple:
     bound = d * max(delta) + 1
     for _ in range(bound):
         nxt = qth_power_step(nums, ring, images, delta, scale)
-        if nxt == nums:
-            if nums[-1] != [delta] + [{}] * (d - 1):
-                raise ClosureError("fixpoint does not contain the conductor fraction")
-            return nums
+        if nxt[-1] == [delta] + [{}] * (d - 1):
+            try:
+                return induce_presentation(minimize_denominator(nxt, q), tail, ring)
+            except NotARingError:
+                if nxt == nums:
+                    raise
+        elif nxt == nums:
+            raise ClosureError("fixpoint does not contain the conductor fraction")
         nums = nxt
     raise ClosureError(f"no fixpoint within {bound} iterations")
 
@@ -556,19 +565,12 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
     quotients.  The targets lead in distinct y-degrees, so they are a free
     P-basis of their span: remainder 0 leaves one combination, and any other
     a product off the module.  ring = F_q[y; x] is f's, and tail is f's.
+    A module that is no ring raises ``NotARingError`` before any weight is read.
     """
     if ring.domain.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("presentation needs a ring F_q[y; x]")
     J = len(vectors) - 1
     ybar_names = fraction_names(J, ring)
-    fw = fraction_weights(vectors, ring.weights)[:-1]
-    wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
-                 for r, row in enumerate(ring.weights))
-    if any(x < 0 for row in wbar for x in row):
-        raise ClosureError("negative induced weight: not an integral fraction set")
-    out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
-                    _output_order(wbar, J, J + ring.nindep), wbar)
-
     q, d = ring.domain.char, len(tail)
     leads = [_lead(v, ring.order.key) for v in vectors]
 
@@ -579,10 +581,10 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
                 prods[s - d + i] = xpoly_sub_mul(prods[s - d + i], c, t, q)
         return prods + [{} for _ in range(d - len(prods))]
 
-    def combination(v: list, targets: dict, off_span: str) -> list:
-        """The c_j, in numerator order, with v = sum c_j*target_j, else off_span."""
+    def combination(v: list, targets: dict, off_span: str, error=ClosureError) -> list:
+        """The c_j, in numerator order, with v = sum c_j*target_j, else error(off_span)."""
         if any(_rem_by_targets(v, targets, q, quots := {})):
-            raise ClosureError(off_span)
+            raise error(off_span)
         return [quots.get(k, {}) for k, _ in leads]
 
     delta = vectors[-1][0]
@@ -596,7 +598,15 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
             for j, bj in enumerate(vectors[b]) if ai else ():
                 prods[i + j] = xpoly_sub_mul(prods[i + j], ai, bj, q)
         tails.append(combination(fold(prods), scaled,    # of -g_a*g_b
-                                 f"fraction product {a},{b} leaves the module: not a fixpoint"))
+                                 f"fraction product {a},{b} leaves the module: not a fixpoint",
+                                 NotARingError))
     psi = combination(fold([{}, delta]), {k: (e, v) for (k, e), v in zip(leads, vectors)},
                       "inclusion image of y is not in the module")
+    fw = fraction_weights(vectors, ring.weights)[:-1]
+    wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
+                 for r, row in enumerate(ring.weights))
+    if any(x < 0 for row in wbar for x in row):
+        raise ClosureError("negative induced weight: not an integral fraction set")
+    out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
+                    _output_order(wbar, J, J + ring.nindep), wbar)
     return ClosurePresentation(tuple(chain(*vectors, *tails, psi)), ring, out_ring)

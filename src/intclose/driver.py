@@ -10,7 +10,7 @@ from .domains import GF, DomainError, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, SignatureError, closure_run,
                       reconcile_and_lift, run_prime, specializations, verify_candidate)
 from .rings import Polynomial, Ring, _mono_str
-from .weights import validate_weight_function
+from .weights import WeightError, validate_weight_function
 
 
 class DriverError(ValueError):
@@ -118,7 +118,10 @@ def validate_problem(ring: Ring, f: Polynomial):
     if ring.nindep != 1:
         raise DriverError("closure iteration supports one independent variable,"
                           f" the problem has {ring.nindep}")
-    ok, offending = validate_weight_function(f)
+    try:
+        ok, offending = validate_weight_function(f)
+    except WeightError as exc:
+        raise DriverError(str(exc)) from None
     if not ok:
         bad = ", ".join(_mono_str(m, ring.names) or "1" for m in offending)
         raise DriverError(f"no weight function: maximal-weight monomials {{{bad}}}")

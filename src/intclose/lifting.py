@@ -8,16 +8,16 @@ cannot fail on a CRT record (``rat_recon``).  The lift stays maps of
 rationals; the lifted record, one ``ClosurePresentation`` over QQ, is built
 when something first reads it.  A stage is accepted exactly when the
 inclusion image of the input ideal reduces to zero against its relations,
-its numerators are consistent with them, and the relations are a Groebner
-basis.
+its numerators are consistent with them, and its multiplication matrices
+commute, which makes the relations a Groebner basis (``matrices_commute``).
 
-The decision first takes psi(f) at one point mod a 61-bit prime, through the
-lifted multiplication table (``rejects_at_point``), and rejects the stage when
-that value is nonzero, which can only happen when the stage is not accepted.
-Otherwise it runs the exact checks in the order above and stops at the first
-that fails; a bit it did not need is computed when first read (the audit log,
-or the printed certificate of a stage that was not accepted).  The lift
-implies per-prime specialization; it is evaluated for the printed stage.
+The decision first takes psi(f), then the numerators, at one point mod a
+61-bit prime through the lifted table (``rejects_at_point``), and rejects the
+stage on a nonzero value, which only a stage that is not accepted has.  Else
+it runs the exact checks in the order above and stops at the first that
+fails; a bit it did not need is computed when first read (the audit log, or
+the printed certificate of a stage that was not accepted).  The lift implies
+per-prime specialization; it is evaluated for the printed stage.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .closure import (ClosurePresentation, ClosureError, by_y, induce_presentation,
-                      minimize_denominator, qth_closure, split_record)
+from .closure import ClosurePresentation, ClosureError, by_y, qth_closure, split_record
 from .conductor import ConductorError, canonical_conductor
 from .domains import GF, QQ, balanced, is_prime
-from .groebner import is_minimal_reduced_gb, normal_form
+from .groebner import normal_form
 from .rings import Polynomial, Ring
 
 
@@ -140,8 +139,7 @@ def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial, B: int):
 
 def closure_run(q: int, ring: Ring, tail: list, delta: dict) -> PrimeRun:
     """The closure of f's tail over its conductor delta in ring = F_q[y; x], as a usable run."""
-    vectors = minimize_denominator(qth_closure(ring, tail, delta), q)
-    return PrimeRun(q, delta=delta, presentation=induce_presentation(vectors, tail, ring))
+    return PrimeRun(q, delta=delta, presentation=qth_closure(ring, tail, delta))
 
 
 def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
@@ -247,51 +245,82 @@ POINT_X = 1234567890123456789
 
 
 def rejects_at_point(state: LiftState, f: Polynomial) -> bool:
-    """Whether psi(f), reduced by the lifted multiplication table, is nonzero
-    at x = POINT_X mod POINT_PRIME; when it is, the stage is not accepted.
+    """Whether a ``point_residuals`` value is nonzero; False on a denominator the prime divides."""
+    try:
+        return any(map(any, point_residuals(state, f)))
+    except ValueError:
+        return False
 
-    The lift holds each relation ybar_a*ybar_b + tail_ab, a <= b, as the J+1
-    coordinates of its tail: the table entry ybar_a*ybar_b = -tail_ab is
-    linear in the ybar, as is psi(y).  psi(f) is one Horner pass over f's
-    y-coefficients, each step a product of (J+1)-vectors in the table, every
-    lifted a/b taken mod the prime as a*b^-1.  The reduced psi(f) has only
-    standard monomials, so when the relations are a Groebner basis it is
-    NF(psi(f)), and a nonzero value means containment fails; when they are
-    not, gb fails.  Either way the stage is not accepted, whatever the point
-    and the prime.  False, leaving the decision to the exact checks, when the
-    value is 0 or a denominator is divisible by the prime.  The test only
-    ever rejects: a nonzero reduced psi(f) vanishes at few points (Schwartz,
-    "Fast probabilistic algorithms for verification of polynomial
-    identities", JACM 1980), and then the exact checks decide."""
+
+def point_residuals(state: LiftState, f: Polynomial):
+    """psi(f), then psi(g_k) - ybar_k*delta for k < J (delta = g_0), reduced
+    by the lifted table at x = POINT_X mod POINT_PRIME, on ybar_J .. ybar_1, 1;
+    the numerators are reduced mod the prime only when their values are read.
+
+    The table entry ybar_a*ybar_b = -tail_ab is linear in the ybar, as is
+    psi(y): psi(p) is one Horner pass over p's y-coefficients in the table,
+    every a/b taken as a*b^-1 (ValueError when the prime divides b).  A value
+    is reduced, so when the relations are a Groebner basis a nonzero one
+    fails containment (for f) or the numerators, and otherwise gb fails; a
+    nonzero reduced value vanishes at few points (Schwartz, JACM 1980)."""
     p, nbar = POINT_PRIME, state.rings[1].ndep
-    _, tails, psi = split_record(state.lift, nbar + 1)
+    vectors, tails, psi = split_record(state.lift, nbar + 1)
 
     def at_point(v) -> list:           # each F[x] coordinate at x = POINT_X
         return [sum(c * pow(POINT_X, e, p) for e, c in mod_q(a, p).items()) % p for a in v]
 
-    try:
-        table = {pair: at_point(tail) for pair, tail in tails.items()}
-        psi = at_point(psi)
-        ys = at_point(by_y(f, f.degree_in(0) + 1))     # f's y-coefficients
-    except ValueError:
-        return False
-    value = [0] * nbar + [ys[-1]]
-    for k in range(len(ys) - 2, -1, -1):       # value = value*psi + ys[k]
-        out = [value[nbar] * psi[i] + value[i] * psi[nbar] for i in range(nbar)]
-        out.append(value[nbar] * psi[nbar] + ys[k])
-        for a, va in enumerate(value[:nbar]):
-            for b, pb in enumerate(psi[:nbar]) if va else ():
-                for i, t in enumerate(table[(a, b) if a <= b else (b, a)]):
-                    out[i] -= va * pb * t
-        value = [v % p for v in out]
-    return any(value)
+    def image(ys: list) -> list:       # psi(sum_k ys[k]*y^k)
+        value = [0] * nbar + [ys[-1]]
+        for k in range(len(ys) - 2, -1, -1):       # value = value*psi + ys[k]
+            out = [value[nbar] * psi_p[i] + value[i] * psi_p[nbar] for i in range(nbar)]
+            out.append(value[nbar] * psi_p[nbar] + ys[k])
+            for a, va in enumerate(value[:nbar]):
+                for b, pb in enumerate(psi_p[:nbar]) if va else ():
+                    for i, t in enumerate(table[(a, b) if a <= b else (b, a)]):
+                        out[i] -= va * pb * t
+            value = [v % p for v in out]
+        return value
+
+    table = {pair: at_point(tail) for pair, tail in tails.items()}
+    psi_p = at_point(psi)
+    yield image(at_point(by_y(f, f.degree_in(0) + 1)))     # f's y-coefficients
+    nums = [at_point(v) for v in vectors]     # g_J .. g_0, and g_0 = delta
+    for k, v in enumerate(nums[:nbar]):
+        yield [(c - nums[-1][0] * (i == k)) % p for i, c in enumerate(image(v))]
+
+
+def matrices_commute(state: LiftState) -> bool:
+    """Whether M_a*M_b*e_c = M_b*M_a*e_c for a < b and c < J, M_a multiplying
+    by ybar_a on the basis ybar_J .. ybar_1, 1: the Groebner property of the
+    relations over Q[x], whose monic leads ybar_a*ybar_b the layout keeps
+    minimal and reduced (Mourrain, AAECC 1999; Kehrein, Kreuzer & Robbiano,
+    2005).  Each M_a is scaled by the lcm L of the tails' denominators."""
+    J = state.rings[1].ndep
+    _, tails, _ = split_record(state.lift, J + 1)
+    L = lcm(*(c.denominator for t in tails.values() for a in t for c in a.values()))
+    col = {(a, J): [{0: L} if i == a else {} for i in range(J + 1)] for a in range(J)}
+    for (a, b), t in tails.items():             # L*ybar_a*ybar_b = -L*tail_ab
+        col[a, b] = col[b, a] = [{e: -c.numerator * (L // c.denominator)
+                                  for e, c in x.items()} for x in t]
+
+    def times(a: int, v: list) -> list:         # L*M_a*v
+        out = [{} for _ in range(J + 1)]
+        for k, vk in enumerate(v):
+            for acc, m in zip(out, col[a, k]) if vk else ():
+                for e1, c1 in m.items():
+                    for e2, c2 in vk.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        return [{e: c for e, c in acc.items() if c} for acc in out]
+
+    return all(times(a, col[b, c]) == times(b, col[a, c])
+               for b in range(J) for a in range(b) for c in range(J))
 
 
 class Certificate:
     """A lifted candidate's certificate (``verify_candidate``): ``accepted`` is
-    decided on construction, and each bit is computed, and kept, when first
-    read.  A stage that ``rejects_at_point`` rejects reads no bit on
-    construction, so it builds neither its lifted record nor psi(f)."""
+    decided on construction, and each bit is computed, and kept, when first read.
+    A stage that ``rejects_at_point`` rejects (psi(f), then the numerators) builds
+    no lifted record; ``gb_ok``, ``matrices_commute``, is no longer the costliest."""
 
     def __init__(self, state: LiftState, f: Polynomial):
         self._state, self._f = state, f
@@ -309,10 +338,7 @@ class Certificate:
         pres = self._state.presentation
         return psi_substitute(p, pres.inclusion_image, pres.ring, self._psi_pows)
 
-    @cached_property
-    def gb_ok(self) -> bool:
-        rels = list(self._state.presentation.relations)
-        return is_minimal_reduced_gb(rels) if rels else True
+    gb_ok = cached_property(lambda self: matrices_commute(self._state))
 
     @cached_property
     def residual(self) -> Polynomial | None:
@@ -336,21 +362,21 @@ class Certificate:
 
 
 def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
-    """Certificate checks on a lifted candidate.  A stage whose psi(f) is
-    nonzero at the point (``rejects_at_point``) is rejected there, with no
-    exact check and no lifted record built; that value is nonzero only on a
+    """Certificate checks on a lifted candidate.  A stage whose psi(f) or
+    numerators fail at the point (``rejects_at_point``) is rejected there,
+    with no exact check and no lifted record built; that happens only on a
     stage that the exact checks reject, so it changes no decision, and every
     bit is still computed exactly when read.
 
-    The exact checks run in the order that rejects soonest: containment of
-    the input ideal under the inclusion image, then consistency of the lifted
-    numerators (the fraction named ybar_j must actually be g_j / delta, i.e.
-    psi(g_j) must reduce to ybar_j * delta; an undersized modulus can mangle a
-    numerator coefficient without disturbing the other two checks), then the
-    Groebner property of the relations, the costliest.  The decision stops at
-    the first check that fails; the bits it skipped are computed when first
-    read, by the audit log or the printed certificate.  ``per_prime`` is left
-    empty: it holds on every stage (``specializations``)."""
+    The exact checks run in this order: containment of the input ideal under
+    the inclusion image, then consistency of the lifted numerators (the
+    fraction named ybar_j must actually be g_j / delta, i.e. psi(g_j) must
+    reduce to ybar_j * delta; an undersized modulus can mangle a numerator
+    coefficient without disturbing the other two checks), then the Groebner
+    property of the relations: commuting matrices in Z[x], not the costliest.
+    The decision stops at the first check that fails; the bits it skipped are
+    computed when first read, by the audit log or the printed certificate.
+    ``per_prime`` is left empty: it holds on every stage (``specializations``)."""
     return Certificate(state, f)
 
 

@@ -19,9 +19,8 @@ from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
                       is_prime, mono_weight, module_reduce, normal_form,
                       Polynomial, partial_derivative, psi_substitute, s_poly)
-from intclose.closure import by_y, fraction_names, fraction_weights
+from intclose.closure import NotARingError, by_y, fraction_names, fraction_weights
 from intclose.groebner import reduce_terms
-from intclose.linalg import nullspace_mod
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
 
 
@@ -190,6 +189,19 @@ def induce_presentation_poly(nums, f) -> ClosurePresentation:
         raise ClosureError("presentation needs one independent variable")
     J, d = len(nums) - 1, f.degree_in(0)
     ybar_names = fraction_names(J, ring)
+    targets = [nums[-1] * g for g in nums]
+    products = []                      # each product's coefficients over the targets
+    for a in range(J):
+        for b in range(a, J):
+            rem, coeffs = module_reduce(normal_form(nums[a] * nums[b], [f]), targets)
+            if not rem.is_zero():
+                raise NotARingError(
+                    f"fraction product {a},{b} leaves the module: not a fixpoint")
+            products.append(coeffs)
+    y_delta = ring.var(ring.names[0]) * nums[-1]
+    rem, psi_coeffs = module_reduce(normal_form(y_delta, [f]), nums)
+    if not rem.is_zero():
+        raise ClosureError("inclusion image of y is not in the module")
     fw = fraction_weights([by_y(g, d) for g in nums], ring.weights)[:-1]
     wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
                  for r, row in enumerate(ring.weights))
@@ -197,27 +209,14 @@ def induce_presentation_poly(nums, f) -> ClosurePresentation:
         raise ClosureError("negative induced weight: not an integral fraction set")
     out_ring = Ring(ybar_names + ring.names[ring.ndep:], J, ring.domain,
                     grevlex_over_weight(wbar, J, J + ring.nindep), wbar)
-    ybar = [out_ring.var(name) for name in ybar_names]
-    targets = [nums[-1] * g for g in nums]
 
     def coords(p: Polynomial) -> list:
         """A P-linear combination of the ybar and 1 as its J+1 F[x] dicts."""
         return [{m[1]: c for m, c in ck.terms} for ck in psi_combination(p, ring)]
 
-    tails = []
-    for a in range(J):
-        for b in range(a, J):
-            rem, coeffs = module_reduce(normal_form(nums[a] * nums[b], [f]), targets)
-            if not rem.is_zero():
-                raise ClosureError(
-                    f"fraction product {a},{b} leaves the module: not a fixpoint")
-            tails += coords(-combination(coeffs, out_ring))
-    y_delta = ring.var(ring.names[0]) * nums[-1]
-    rem, coeffs = module_reduce(normal_form(y_delta, [f]), nums)
-    if not rem.is_zero():
-        raise ClosureError("inclusion image of y is not in the module")
+    tails = [a for coeffs in products for a in coords(-combination(coeffs, out_ring))]
     vectors = [a for g in nums for a in by_y(g, d)]
-    return ClosurePresentation(tuple(vectors + tails + coords(combination(coeffs, out_ring))),
+    return ClosurePresentation(tuple(vectors + tails + coords(combination(psi_coeffs, out_ring))),
                                ring, out_ring)
 
 
@@ -326,7 +325,8 @@ def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tupl
 
     Same contract as ``intclose.closure.qth_power_step``, which instead
     reduces x^q times the previous column's remainder, except that
-    ``images`` is ``frobenius_images_poly(f)``.
+    ``images`` is ``frobenius_images_poly(f)``.  The kernel is the dense
+    ``nullspace_rref``, not the library's ``nullspace_mod``.
     """
     ring = conductor.ring
     xdeg = conductor.degree_in(1)
@@ -346,7 +346,8 @@ def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tupl
             col_ids.append((j, alpha))
     if not rows:
         return numerators
-    kernel = nullspace_mod(list(rows.values()), len(col_ids), q)
+    dense = [[row.get(c, 0) for c in range(len(col_ids))] for row in rows.values()]
+    kernel = nullspace_rref(dense, len(col_ids), q)
     new_gens = [conductor * g for g in numerators]
     for vec in kernel:
         acc = ring.zero()

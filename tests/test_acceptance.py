@@ -10,14 +10,12 @@ import time
 from fractions import Fraction
 
 from intclose import (GF, ZZ, ClosurePresentation, RunConfig, canonical_conductor,
-                      induce_presentation, is_minimal_reduced_gb, minimize_denominator,
-                      module_reduce, normal_form, qth_closure, rat_recon,
+                      is_minimal_reduced_gb, module_reduce, normal_form, qth_closure, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
                       verify_candidate, PrimeRun, Ring, weight_over_grevlex)
 from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring, images_of,
                       make_curve, poly_step, scale_of, sextic_relations, tail_of, xdict)
-from intclose.closure import from_y
-from oracles import (crt, kernel_step_oracle, mod_n, mu_poly, psi_combination,
+from oracles import (crt, exact_divide, kernel_step_oracle, mod_n, mu_poly, psi_combination,
                      strict_shape_ok, weight_balance_ok)
 
 
@@ -109,8 +107,7 @@ def test_criterion_3_trident():
     r5 = run_prime(5, f, delta0, B)
     ring11, f11 = make_curve("trident", q=11)
     delta11 = xdict(mu_poly(delta0, ring11))
-    v11 = minimize_denominator(qth_closure(ring11, tail_of(f11), delta11), 11)
-    p11 = induce_presentation(v11, tail_of(f11), ring11)
+    p11 = qth_closure(ring11, tail_of(f11), delta11)
     r11 = PrimeRun(11, delta=delta11, presentation=p11)
     state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
     assert state.modulus == 55
@@ -223,11 +220,11 @@ def test_criterion_6c_fixpoint_and_ring_property():
                     ("cubic_family", 11)):
         ring, f = make_curve(name, q=q)
         delta = canonical_conductor(f, ring)[0]
-        fixed = qth_closure(ring, tail_of(f), xdict(delta))
-        images = images_of(f, delta)
-        again = poly_step(from_y(fixed, ring), images, delta, scale_of(delta))
-        assert list(again) == list(from_y(fixed, ring))
-        nums = list(from_y(minimize_denominator(fixed, q), ring))
+        nums = list(qth_closure(ring, tail_of(f), xdict(delta)).numerators)
+        # the fixpoint's numerators over delta: the closure's, scaled by delta / g_0
+        fixed = [exact_divide(delta, nums[-1]) * g for g in nums]
+        again = poly_step(fixed, images_of(f, delta), delta, scale_of(delta))
+        assert list(again) == fixed
         dd = nums[-1]
         for i in range(len(nums)):
             for j in range(i, len(nums)):
@@ -244,8 +241,7 @@ def test_criterion_6d_strict_shape_and_weight_balance():
                     ("cubic_family", 5), ("octic", 7), ("sextic", 23)):
         ring, f = make_curve(name, q=q)
         delta = canonical_conductor(f, ring)[0]
-        vectors = minimize_denominator(qth_closure(ring, tail_of(f), xdict(delta)), q)
-        pres = induce_presentation(vectors, tail_of(f), ring)
+        pres = qth_closure(ring, tail_of(f), xdict(delta))
         assert strict_shape_ok(pres)
         assert weight_balance_ok(pres)
     print(f"\n[criterion 6d] PASS strict shape and weight balance "

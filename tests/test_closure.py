@@ -16,7 +16,8 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
                       canonical_generators, frobenius_nf, grevlex_over_weight,
                       induce_presentation, is_minimal_reduced_gb, is_prime, is_prime_usable,
                       minimal_reduced, minimize_denominator, module_reduce, normal_form,
-                      qth_closure, run_charq, run_prime, weight_over_grevlex)
+                      qth_closure, run_algorithm1, run_charq, run_prime,
+                      weight_over_grevlex)
 from intclose.closure import (_pack, _rem_by_targets, _slot_bytes, _step_columns, _unpack,
                               by_y, fraction_weights, from_y, xpoly_divmod)
 from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, images_of, make_curve,
@@ -34,13 +35,14 @@ def fixpoint(name, q):
     """(ring, f, delta, vectors): a fixture curve's fixpoint at q, on y-coefficients."""
     ring, f = make_curve(name, q=q)
     delta = canonical_conductor(f, ring)[0]
-    return ring, f, delta, qth_closure(ring, tail_of(f), xdict(delta))
+    return ring, f, delta, vectors_of(list(walk(f, delta))[-1], f)
 
 
 def closure_run(name, q):
     """(ring, f, delta, record): the closure at q as a prime's run builds it."""
-    ring, f, delta, vectors = fixpoint(name, q)
-    return ring, f, delta, induce_presentation(minimize_denominator(vectors, q), tail_of(f), ring)
+    ring, f = make_curve(name, q=q)
+    delta = canonical_conductor(f, ring)[0]
+    return ring, f, delta, qth_closure(ring, tail_of(f), xdict(delta))
 
 
 def vectors_of(nums, f):
@@ -219,6 +221,16 @@ def test_frobenius_images_reject_unsupported_relations(ring, text, boundary, mes
     f = ring.parse(text)
     with pytest.raises((DriverError, ConductorError), match=f"^{re.escape(message)}$"):
         run_charq(ring, f, 5) if boundary is run_charq else canonical_conductor(f, ring)
+
+
+@pytest.mark.parametrize("domain", [GF(5), QQ], ids=["charq", "char0"])
+def test_relation_not_monic_in_y_is_a_driver_error(domain):
+    # the weight check reads y^d's coefficient; both entry points refuse a
+    # relation that is not monic in y as a usage error, with its text
+    ring = curve_ring((3, 2), domain)
+    f = ring.parse("2*y^2 - x^3")
+    with pytest.raises(DriverError, match="^relation is not monic in the dependent variable$"):
+        run_charq(ring, f, 5) if domain == GF(5) else run_algorithm1(ring, f)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +547,7 @@ def test_closure_steps_match_scratch_division(curve):
 @given(small_curves())
 def test_presentation_is_its_minimal_reduced_basis(curve):
     ring, f, delta, q = curve
-    vectors = minimize_denominator(qth_closure(ring, tail_of(f), xdict(delta)), q)
-    assert_presentation_as_built(induce_presentation(vectors, tail_of(f), ring), f)
+    assert_presentation_as_built(qth_closure(ring, tail_of(f), xdict(delta)), f)
 
 
 @functools.lru_cache(maxsize=None)
@@ -592,9 +603,48 @@ def test_fixture_walks_end_within_the_derived_bound(name):
             continue
         steps = list(walk(f, delta))
         assert len(steps) <= f.degree_in(0) * delta.degree_in(1) + 1
-        assert from_y(qth_closure(ring, tail_of(f), xdict(delta)), ring) == steps[-1]
         walked += 1
     assert walked >= 12
+
+
+def assert_first_ring_is_the_fixpoint(ring, f, delta):
+    """qth_closure's record is the presentation of the walk's confirmed
+    fixpoint, and it takes one step fewer than the walk (one when the walk
+    starts at its fixpoint), within qth_closure's bound: a module that is a
+    ring is a fixpoint, so the first ring is the last module of the walk."""
+    import intclose.closure
+    steps, calls = list(walk(f, delta)), []
+    real = intclose.closure.qth_power_step
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(intclose.closure, "qth_power_step",
+                            lambda *args: calls.append(1) or real(*args))
+        got = qth_closure(ring, tail_of(f), xdict(delta))
+    q = ring.domain.char
+    want = induce_presentation(minimize_denominator(vectors_of(steps[-1], f), q), tail_of(f), ring)
+    assert got == want
+    assert len(calls) == max(1, len(steps) - 1) <= max(1, f.degree_in(0) * delta.degree_in(1))
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_first_ring_is_the_confirmed_fixpoint(name):
+    # every fixture curve at every prime 2..31 where it has a conductor
+    walked = 0
+    for q in filter(is_prime, range(2, 32)):
+        try:
+            ring, f = make_curve(name, q=q)
+            delta = canonical_conductor(f, ring)[0]
+        except (DomainError, ConductorError):
+            continue
+        assert_first_ring_is_the_fixpoint(ring, f, delta)
+        walked += 1
+    assert walked >= 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_curves())
+def test_first_ring_is_the_confirmed_fixpoint_on_random_curves(curve):
+    ring, f, delta, _ = curve
+    assert_first_ring_is_the_fixpoint(ring, f, delta)
 
 
 @settings(max_examples=100, deadline=None)
@@ -664,7 +714,7 @@ def presentations_agree(nums, f):
     except ClosureError as exc:
         with pytest.raises(ClosureError) as got:
             induce_presentation(vectors_of(nums, f), tail_of(f), f.ring)
-        assert str(got.value) == str(exc)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return str(exc)
     got = induce_presentation(vectors_of(nums, f), tail_of(f), f.ring)
     assert got.numerators == want.numerators == tuple(nums)
@@ -684,7 +734,7 @@ MISSES_Y = "inclusion image of y is not in the module"
 @given(small_curves(min_degree=1))
 def test_presentation_matches_polynomial_oracle(curve):
     ring, f, delta, q = curve
-    nums = from_y(minimize_denominator(qth_closure(ring, tail_of(f), xdict(delta)), q), ring)
+    nums = qth_closure(ring, tail_of(f), xdict(delta)).numerators
     assert numerators_interreduced(nums)
     assert presentations_agree(nums, f) is None
     if f.degree_in(0) > 1:             # the denominator alone misses y*delta
@@ -705,7 +755,7 @@ def test_fixture_presentations_match_polynomial_oracle(name):
             continue
         ring_q, tail, delta = info
         f_q, delta_q = mu_poly(f, ring_q), mu_poly(delta0, ring_q)
-        nums = from_y(minimize_denominator(qth_closure(ring_q, tail, delta), q), ring_q)
+        nums = qth_closure(ring_q, tail, delta).numerators
         assert presentations_agree(nums, f_q) is None
         if f.degree_in(0) > 1:
             seen.add(presentations_agree(nums[-1:], f_q))

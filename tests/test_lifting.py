@@ -19,7 +19,8 @@ from intclose import (GF, MODP, QQ, ZZ, ClosureError, ClosurePresentation, Condu
                       reconcile_and_lift, run_algorithm1, run_charq, run_prime,
                       verify_candidate, RunConfig)
 from intclose.closure import YBAR, by_y, fraction_weights, split_record
-from intclose.lifting import _specializes, closure_run, rejects_at_point, specializations
+from intclose.lifting import (_specializes, closure_run, matrices_commute, point_residuals,
+                              rejects_at_point, specializations)
 from conftest import CURVES, SEXTIC_INDUCED_WEIGHTS, curve_ring, make_curve, tail_of, xdict
 from corpus import README_PROBLEM, workloads
 from oracles import (crt, crt_sum_reference, is_prime_usable_reference, mod_n, mu_poly,
@@ -661,9 +662,9 @@ def test_gb_check_runs_only_where_the_decision_or_the_log_needs_it(tmp_path, mon
     decided = sum(r.containment_ok and r.numerators_ok for r in refs)
     assert 0 < decided < len(refs)
     calls = []
-    real = intclose.lifting.is_minimal_reduced_gb
-    monkeypatch.setattr(intclose.lifting, "is_minimal_reduced_gb",
-                        lambda rels: calls.append(1) or real(rels))
+    real = intclose.lifting.matrices_commute
+    monkeypatch.setattr(intclose.lifting, "matrices_commute",
+                        lambda state: calls.append(1) or real(state))
     path, log = tmp_path / "problem.txt", tmp_path / "audit.log"
     path.write_text(TALL_7[name], encoding="utf-8")
     assert cli.main([str(path)]) == 0
@@ -704,29 +705,91 @@ def test_point_test_rejects_no_accepted_stage():
     assert not any(rejects_at_point(state, f) for state, f in _accepted_stages())
 
 
+def _moved(state, data, coords=None):
+    """``state`` with one coefficient of one of the lift's maps at ``coords``
+    (all of them by default) moved by a small nonzero rational."""
+    lift = list(state.lift)
+    k = data.draw(st.sampled_from([i for i in coords or range(len(lift)) if lift[i]]))
+    m = data.draw(st.sampled_from(sorted(lift[k])))
+    lift[k] = dict(lift[k])
+    c = lift[k].pop(m) + Fraction(data.draw(st.integers(-50, 50).filter(bool)),
+                                  data.draw(st.integers(1, 50)))
+    if c:
+        lift[k][m] = c
+    return replace(state, lift=tuple(lift))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_point_rejection_is_an_exact_rejection(data):
     # one coefficient of a numerator, a relation's tail or psi(y) of an accepted
     # lift moved by a small rational (or left alone): whenever psi(f) is nonzero
-    # at the point, the exact checks reject the stage, on containment or gb
+    # at the point, the exact checks reject the stage, on containment or gb;
+    # whenever psi(f) vanishes there and a numerator's value does not, they
+    # reject it on the numerators or gb.  A moved lead that leaves no lifted
+    # record is rejected at the point, before any record is built.
     state, f = data.draw(st.sampled_from(_accepted_stages()))
-    lift = list(state.lift)
-    if data.draw(st.booleans()):           # a coordinate with a coefficient to move
-        k = data.draw(st.sampled_from([i for i, a in enumerate(lift) if a]))
-        m = data.draw(st.sampled_from(sorted(lift[k])))
-        lift[k] = dict(lift[k])
-        c = lift[k].pop(m) + Fraction(data.draw(st.integers(-50, 50).filter(bool)),
-                                      data.draw(st.integers(1, 50)))
-        if c:
-            lift[k][m] = c
-    moved = replace(state, lift=tuple(lift))
-    if rejects_at_point(moved, f):
+    moved = _moved(state, data) if data.draw(st.booleans()) else state
+    values = list(point_residuals(moved, f))
+    rejected = any(map(any, values))
+    assert rejects_at_point(moved, f) == rejected
+    try:
         ref = verify_candidate_reference(moved, f)
-        cert = verify_candidate(moved, f)
-        assert not cert.accepted and not ref.accepted
+    except ClosureError:
+        assert rejected and not verify_candidate(moved, f).accepted
+        return
+    if any(values[0]):
         assert not (ref.containment_ok and ref.gb_ok)
-        assert (cert.containment_ok, cert.gb_ok) == (ref.containment_ok, ref.gb_ok)
+    elif rejected:
+        assert not (ref.numerators_ok and ref.gb_ok)
+    cert = verify_candidate(moved, f)
+    assert cert.accepted == ref.accepted
+    assert (cert.containment_ok, cert.numerators_ok, cert.gb_ok) == \
+        (ref.containment_ok, ref.numerators_ok, ref.gb_ok)
+
+
+@cache
+def _stages(name) -> tuple:
+    """(state, f) of every stage of a fixture curve, of a ``TALL_30`` problem,
+    or of the README problem at 5, 11, 13."""
+    if name == "readme":
+        pf = parse_problem(README_PROBLEM)
+        ring, config = pf.ring(), RunConfig(primes=(5, 11, 13))
+        f = pf.relation(ring)
+    else:
+        (ring, f), config = _curve_or_tall(name), None
+    return tuple((stage.state, f) for stage in run_algorithm1(ring, f, config).stages)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES) + ["readme"] + sorted(TALL_30))
+def test_gb_bit_is_the_reference_on_every_stage(name):
+    # the commuting-matrices bit is the S-pair reference's on every stage;
+    # the sextic's stages before the accepted one are not Groebner bases
+    bits = [matrices_commute(state) for state, _ in _stages(name)]
+    assert bits == [verify_candidate_reference(*stage).gb_ok for stage in _stages(name)]
+    if name == "sextic":
+        assert bits == [False] * 5 + [True]
+
+
+def test_point_test_rejects_the_sextic_stages_that_fail_on_the_numerators():
+    # psi(f) vanishes on the sextic's stages 3 to 5, which fail on the
+    # numerators: the point test rejects every stage before the accepted one
+    stages = _stages("sextic")
+    refs = [verify_candidate_reference(*stage) for stage in stages]
+    assert [(r.containment_ok, r.numerators_ok) for r in refs] == \
+        [(False, False)] * 2 + [(True, False)] * 3 + [(True, True)]
+    assert [rejects_at_point(*stage) for stage in stages] == [True] * 5 + [False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gb_bit_is_the_reference_on_moved_tables(data):
+    # one coefficient of a relation's tail of an accepted lift moved, so that
+    # the relations are mostly not a Groebner basis: the bits still agree
+    state, f = data.draw(st.sampled_from(_accepted_stages()[1:] + _stages("sextic")[-1:]))
+    J = state.rings[1].ndep
+    moved = _moved(state, data, range((J + 1) ** 2, len(state.lift) - J - 1))
+    assert matrices_commute(moved) == verify_candidate_reference(moved, f).gb_ok
 
 
 def test_point_rejected_stages_build_no_lifted_record(tmp_path, monkeypatch, capsys):
