@@ -18,7 +18,7 @@ from .groebner import (GroebnerError, ModuleVector, buchberger, head_reduce,
                        is_minimal_reduced_gb, minimal_reduced, module_gb,
                        module_normal_form, normal_form, s_poly)
 from .lifting import (Certificate, LiftError, LiftState, PrimeRun, SignatureError,
-                      is_prime_usable, psi_substitute, rat_recon,
+                      is_prime_usable, rat_recon,
                       reconcile_and_lift, run_prime, verify_candidate)
 from .orders import (MonomialOrder, OrderError, grevlex_over_weight,
                      weight_over_grevlex)

@@ -511,19 +511,20 @@ class ClosurePresentation:
     def relations(self) -> tuple:
         """ybar_a*ybar_b plus its tail for each pair a <= b, descending by lead."""
         J, one = self.ring.ndep, self.ring.domain.one
-        rels = [self._linear(t, {_ybar(J, a, b) + (0,): one}) for (a, b), t in self.parts[1].items()]
+        rels = [from_ybar(t, self.ring, {_ybar(J, a, b) + (0,): one})
+                for (a, b), t in self.parts[1].items()]
         return tuple(sorted(rels, key=lambda r: self.ring.order.key(r.lm), reverse=True))
 
     @cached_property
     def inclusion_image(self) -> Polynomial:
         """psi(y) inside the output ring."""
-        return self._linear(self.psi, {})
+        return from_ybar(self.psi, self.ring, {})
 
-    def _linear(self, v, terms: dict) -> Polynomial:
-        """terms plus sum v_k*ybar_k in the output ring, the last ybar being 1."""
-        J = self.ring.ndep
-        terms.update((_ybar(J, k) + (e,), c) for k, a in enumerate(v) for e, c in a.items())
-        return self.ring._sorted(terms)
+
+def from_ybar(v, ring: Ring, terms: dict) -> Polynomial:
+    """terms plus sum v_k*ybar_k in the output ring, the last ybar being 1."""
+    terms.update((_ybar(ring.ndep, k) + (e,), c) for k, a in enumerate(v) for e, c in a.items())
+    return ring._sorted(terms)
 
 
 def split_record(coords: tuple, d: int) -> tuple:

@@ -6,18 +6,19 @@ of {x-exponent: int} maps, by the Chinese remainder map (Garner's step), and
 lifts that to small rationals by extended-Euclidean reconstruction, which
 cannot fail on a CRT record (``rat_recon``).  The lift stays maps of
 rationals; the lifted record, one ``ClosurePresentation`` over QQ, is built
-when something first reads it.  A stage is accepted exactly when the
-inclusion image of the input ideal reduces to zero against its relations,
-its numerators are consistent with them, and its multiplication matrices
-commute, which makes the relations a Groebner basis (``matrices_commute``).
+only to print it.  A stage is accepted exactly when the inclusion image of
+the input ideal reduces to zero in its multiplication table, its numerators
+are consistent with the table, and its multiplication matrices commute,
+which makes the relations a Groebner basis (``matrices_commute``).
 
-The decision first takes psi(f), then the numerators, at one point mod a
-61-bit prime through the lifted table (``rejects_at_point``), and rejects the
-stage on a nonzero value, which only a stage that is not accepted has.  Else
-it runs the exact checks in the order above and stops at the first that
-fails; a bit it did not need is computed when first read (the audit log, or
-the printed certificate of a stage that was not accepted).  The lift implies
-per-prime specialization; it is evaluated for the printed stage.
+The first two are one Horner pass in the table (``table_residuals``), run on
+the lift's maps over Q[x] and, first, at one point mod a 61-bit prime
+(``rejects_at_point``): a nonzero value there is the image of a nonzero
+residual, so it rejects the stage.  Else the exact checks run in the order
+above and stop at the first that fails; a bit they did not need is computed
+when first read (the audit log, or the printed certificate of a stage that
+was not accepted).  The lift implies per-prime specialization; it is
+evaluated for the printed stage.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .closure import ClosurePresentation, ClosureError, by_y, qth_closure, split_record
+from .closure import (ClosurePresentation, ClosureError, by_y, from_ybar, qth_closure,
+                      split_record)
 from .conductor import ConductorError, canonical_conductor
 from .domains import GF, QQ, balanced, is_prime
-from .groebner import normal_form
 from .rings import Polynomial, Ring
 
 
@@ -161,9 +163,8 @@ def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
 class LiftState:
     """The usable runs' closure by CRT, and its lift over QQ.
 
-    The lift is kept as maps, one per coordinate; ``presentation``, the lifted
-    record, is built from them when first read (by an exact certificate bit,
-    the audit log or the printer), so a stage the point test rejects builds none."""
+    The lift is kept as maps, one per coordinate, which the certificate reads;
+    ``presentation``, the lifted record, is built from them only to print it."""
 
     primes: tuple
     modulus: int
@@ -174,7 +175,8 @@ class LiftState:
 
     @cached_property
     def presentation(self) -> ClosurePresentation:
-        """The lifted record: numerators, multiplication table and psi(y) over QQ."""
+        """The lifted record: numerators, multiplication table and psi(y) over
+        QQ, read by the printer (``Algorithm1Result.presentation``)."""
         return ClosurePresentation(self.lift, *self.rings)
 
     @property
@@ -218,30 +220,67 @@ def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None =
     return LiftState(primes + (q,), nq, record, lift, rings, leads)
 
 
-def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,
-                   psi_pows: list | None = None) -> Polynomial:
-    """Image of f under y -> psi, x_i -> x_i inside the output ring.
-
-    ``psi_pows`` is a list [1, psi, psi^2, ...] that is extended as needed,
-    so calls that pass the same list build each power of psi once.
-    """
-    src = f.ring
-    pad = out_ring.ndep
-    image = out_ring.zero()
-    if psi_pows is None:
-        psi_pows = [out_ring.one()]
-    for m, c in f.terms:
-        ydeg = m[0]
-        while len(psi_pows) <= ydeg:
-            psi_pows.append(psi_pows[-1] * psi)
-        xmono = (0,) * pad + m[src.ndep:]
-        image = image + psi_pows[ydeg].mul_term(xmono, c)
-    return image
-
-
 # the point test's prime, 2^61 - 1, and its fixed value of x
 POINT_PRIME = (1 << 61) - 1
 POINT_X = 1234567890123456789
+
+
+def _dot(xs, ys, start: dict | None = None) -> dict:
+    """start plus the sum of x*y over F[x] maps x in xs, y in ys, zeros dropped:
+    the one F[x] product of the exact bits and of ``matrices_commute``."""
+    acc = dict(start) if start else {}
+    for a, b in zip(xs, ys):
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def table_residuals(state: LiftState, f: Polynomial, coord, dot):
+    """psi(f), then psi(g_k) - ybar_k*delta for k < J (delta = g_0), reduced by
+    the lifted table to coordinates on ybar_J .. ybar_1, 1; the numerators
+    are read only when their residuals are.
+
+    Each F[x] map of the lift is taken by ``coord``, each sum of products by
+    ``dot(xs, ys, start)``: values at a point (``point_residuals``), or
+    ``dict`` and ``_dot`` for the exact bits over Q[x].  With
+    ybar_a*ybar_b = -tail_ab, multiplying by psi(y) is one matrix on that
+    basis, and psi(p) is one Horner pass over p's y-coefficients,
+    value = value*psi + p_k.  A residual has ybar-degree <= 1, so it is a
+    normal form, unique when the relations are a Groebner basis."""
+    J = state.rings[1].ndep
+    vectors, tails, psi = split_record(state.lift, J + 1)
+    zero, psi = coord({}), [coord(a) for a in psi]
+    minus_one = coord({0: -1})
+    neg_psi = [dot((minus_one,), (a,)) for a in psi[:J]]
+    tails = {pair: [coord(a) for a in t] for pair, t in tails.items()}
+    cols = [[dot(neg_psi, [tails[min(a, b), max(a, b)][i] for b in range(J)],
+                 psi[J] if i == a else zero) for i in range(J + 1)]
+            for a in range(J)] + [psi]        # column a: ybar_a*psi(y), ybar_J being 1
+    rows = list(zip(*cols))
+
+    def image(ys: list) -> list:       # psi(sum_k ys[k]*y^k)
+        value = [zero] * J + [ys[-1]]
+        for y in reversed(ys[:-1]):
+            value = [dot(row, value, y if i == J else zero) for i, row in enumerate(rows)]
+        return value
+
+    yield image([coord(a) for a in by_y(f, f.degree_in(0) + 1)])
+    nums = [[coord(a) for a in v] for v in vectors]     # g_J .. g_0, and g_0 = delta
+    for k, v in enumerate(nums[:J]):
+        r = image(v)
+        r[k] = dot((minus_one,), (nums[-1][0],), r[k])
+        yield r
+
+
+def point_residuals(state: LiftState, f: Polynomial):
+    """``table_residuals`` at x = POINT_X mod POINT_PRIME, each a/b taken as
+    a*b^-1 (ValueError when the prime divides b): the exact residuals' values,
+    and a nonzero residual vanishes at few points (Schwartz, JACM 1980)."""
+    p = POINT_PRIME
+    return table_residuals(
+        state, f, lambda a: sum(c * pow(POINT_X, e, p) for e, c in mod_q(a, p).items()) % p,
+        lambda xs, ys, start=0: (start + sum(map(mul, xs, ys))) % p)
 
 
 def rejects_at_point(state: LiftState, f: Polynomial) -> bool:
@@ -250,43 +289,6 @@ def rejects_at_point(state: LiftState, f: Polynomial) -> bool:
         return any(map(any, point_residuals(state, f)))
     except ValueError:
         return False
-
-
-def point_residuals(state: LiftState, f: Polynomial):
-    """psi(f), then psi(g_k) - ybar_k*delta for k < J (delta = g_0), reduced
-    by the lifted table at x = POINT_X mod POINT_PRIME, on ybar_J .. ybar_1, 1;
-    the numerators are reduced mod the prime only when their values are read.
-
-    The table entry ybar_a*ybar_b = -tail_ab is linear in the ybar, as is
-    psi(y): psi(p) is one Horner pass over p's y-coefficients in the table,
-    every a/b taken as a*b^-1 (ValueError when the prime divides b).  A value
-    is reduced, so when the relations are a Groebner basis a nonzero one
-    fails containment (for f) or the numerators, and otherwise gb fails; a
-    nonzero reduced value vanishes at few points (Schwartz, JACM 1980)."""
-    p, nbar = POINT_PRIME, state.rings[1].ndep
-    vectors, tails, psi = split_record(state.lift, nbar + 1)
-
-    def at_point(v) -> list:           # each F[x] coordinate at x = POINT_X
-        return [sum(c * pow(POINT_X, e, p) for e, c in mod_q(a, p).items()) % p for a in v]
-
-    def image(ys: list) -> list:       # psi(sum_k ys[k]*y^k)
-        value = [0] * nbar + [ys[-1]]
-        for k in range(len(ys) - 2, -1, -1):       # value = value*psi + ys[k]
-            out = [value[nbar] * psi_p[i] + value[i] * psi_p[nbar] for i in range(nbar)]
-            out.append(value[nbar] * psi_p[nbar] + ys[k])
-            for a, va in enumerate(value[:nbar]):
-                for b, pb in enumerate(psi_p[:nbar]) if va else ():
-                    for i, t in enumerate(table[(a, b) if a <= b else (b, a)]):
-                        out[i] -= va * pb * t
-            value = [v % p for v in out]
-        return value
-
-    table = {pair: at_point(tail) for pair, tail in tails.items()}
-    psi_p = at_point(psi)
-    yield image(at_point(by_y(f, f.degree_in(0) + 1)))     # f's y-coefficients
-    nums = [at_point(v) for v in vectors]     # g_J .. g_0, and g_0 = delta
-    for k, v in enumerate(nums[:nbar]):
-        yield [(c - nums[-1][0] * (i == k)) % p for i, c in enumerate(image(v))]
 
 
 def matrices_commute(state: LiftState) -> bool:
@@ -302,15 +304,10 @@ def matrices_commute(state: LiftState) -> bool:
     for (a, b), t in tails.items():             # L*ybar_a*ybar_b = -L*tail_ab
         col[a, b] = col[b, a] = [{e: -c.numerator * (L // c.denominator)
                                   for e, c in x.items()} for x in t]
+    rows = [list(zip(*(col[a, k] for k in range(J + 1)))) for a in range(J)]
 
     def times(a: int, v: list) -> list:         # L*M_a*v
-        out = [{} for _ in range(J + 1)]
-        for k, vk in enumerate(v):
-            for acc, m in zip(out, col[a, k]) if vk else ():
-                for e1, c1 in m.items():
-                    for e2, c2 in vk.items():
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        return [{e: c for e, c in acc.items() if c} for acc in out]
+        return [_dot(row, v) for row in rows[a]]
 
     return all(times(a, col[b, c]) == times(b, col[a, c])
                for b in range(J) for a in range(b) for c in range(J))
@@ -318,64 +315,63 @@ def matrices_commute(state: LiftState) -> bool:
 
 class Certificate:
     """A lifted candidate's certificate (``verify_candidate``): ``accepted`` is
-    decided on construction, and each bit is computed, and kept, when first read.
-    A stage that ``rejects_at_point`` rejects (psi(f), then the numerators) builds
-    no lifted record; ``gb_ok``, ``matrices_commute``, is no longer the costliest."""
+    decided on construction, and each bit is computed, and kept, when first
+    read.  ``containment_ok`` reads the exact ``table_residuals``' first
+    residual, psi(f)'s, and ``numerators_ok`` the others, so no bit builds the
+    lifted record; ``gb_ok`` is ``matrices_commute``."""
 
     def __init__(self, state: LiftState, f: Polynomial):
-        self._state, self._f = state, f
+        self._state = state
+        self._exact = table_residuals(state, f, dict, _dot)
         self.per_prime: tuple = ()   # ((q, bool), ...) over the runs checked
         self.accepted = (not rejects_at_point(state, f) and self.containment_ok
                          and self.numerators_ok and self.gb_ok)
 
-    @cached_property
-    def _psi_pows(self) -> list:
-        """[1, psi, psi^2, ...], extended by ``psi_substitute`` as needed."""
-        return [self._state.presentation.ring.one()]
-
-    def _image(self, p: Polynomial) -> Polynomial:
-        """p under y -> psi, each power of psi built once per certificate."""
-        pres = self._state.presentation
-        return psi_substitute(p, pres.inclusion_image, pres.ring, self._psi_pows)
-
     gb_ok = cached_property(lambda self: matrices_commute(self._state))
 
     @cached_property
-    def residual(self) -> Polynomial | None:
-        """psi(f) reduced by the relations; None when it vanishes."""
-        nf = normal_form(self._image(self._f), list(self._state.presentation.relations))
-        return None if nf.is_zero() else nf
+    def _psi_f(self) -> list:
+        """psi(f)'s residual, the exact pass's first."""
+        return next(self._exact)
 
     @property
     def containment_ok(self) -> bool:
-        return self.residual is None
+        return not any(self._psi_f)
+
+    @cached_property
+    def residual(self) -> Polynomial | None:
+        """psi(f)'s residual as a Polynomial of the output ring; None when it
+        vanishes.  Where the relations are not a Groebner basis it is one
+        remainder of several, the table's."""
+        return from_ybar(self._psi_f, self._state.rings[1], {}) if any(self._psi_f) else None
 
     @cached_property
     def numerators_ok(self) -> bool:
-        """psi(g_j) = ybar_j * delta mod the relations, for every j."""
-        nums = self._state.presentation.numerators
-        ring = self._state.presentation.ring
-        rels = list(self._state.presentation.relations)
-        delta_out = self._image(nums[-1])
-        return all(normal_form(self._image(nums[k]) - ring.var(ring.names[k]) * delta_out,
-                               rels).is_zero() for k in range(ring.ndep))
+        """psi(g_j) = ybar_j * delta in the table, for every j: the residuals
+        after psi(f)'s, read until one is nonzero."""
+        self._psi_f                   # the pass yields psi(f)'s first
+        return not any(map(any, self._exact))
 
 
 def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
     """Certificate checks on a lifted candidate.  A stage whose psi(f) or
     numerators fail at the point (``rejects_at_point``) is rejected there,
-    with no exact check and no lifted record built; that happens only on a
-    stage that the exact checks reject, so it changes no decision, and every
-    bit is still computed exactly when read.
+    with no exact check; the point pass is the exact one's image mod the
+    prime, so that changes no decision, and every bit is still computed
+    exactly when read.
 
     The exact checks run in this order: containment of the input ideal under
     the inclusion image, then consistency of the lifted numerators (the
     fraction named ybar_j must actually be g_j / delta, i.e. psi(g_j) must
     reduce to ybar_j * delta; an undersized modulus can mangle a numerator
-    coefficient without disturbing the other two checks), then the Groebner
-    property of the relations: commuting matrices in Z[x], not the costliest.
-    The decision stops at the first check that fails; the bits it skipped are
-    computed when first read, by the audit log or the printed certificate.
+    coefficient without disturbing the other two checks), both by the Horner
+    pass over Q[x] (``table_residuals``), then the Groebner property of the
+    relations: commuting matrices in Z[x].  Where the relations are not a
+    Groebner basis a remainder is not unique, and the first two bits are
+    those of the table's order of reduction; gb fails there, so the decision
+    does not hang on that order.  The decision stops at the first check that
+    fails; the bits it skipped are computed when first read, by the audit
+    log or the printed certificate.
     ``per_prime`` is left empty: it holds on every stage (``specializations``)."""
     return Certificate(state, f)
 

@@ -18,7 +18,7 @@ from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation,
                       Ring, RingError, SignatureError, balanced, buchberger,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
                       is_prime, mono_weight, module_reduce, normal_form,
-                      Polynomial, partial_derivative, psi_substitute, s_poly)
+                      Polynomial, partial_derivative, s_poly)
 from intclose.closure import NotARingError, by_y, fraction_names, fraction_weights
 from intclose.groebner import reduce_terms
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
@@ -606,6 +606,28 @@ def lifted_views(coords, input_ring: Ring, out_ring: Ring) -> tuple:
     return nums, tuple(rels), linear(chunks[-1], {})
 
 
+def psi_substitute(f: Polynomial, psi: Polynomial, out_ring: Ring,
+                   psi_pows: list | None = None) -> Polynomial:
+    """Image of f under y -> psi, x_i -> x_i inside the output ring, by
+    Polynomial powers of psi.
+
+    ``psi_pows`` is a list [1, psi, psi^2, ...] that is extended as needed,
+    so calls that pass the same list build each power of psi once.
+    """
+    src = f.ring
+    pad = out_ring.ndep
+    image = out_ring.zero()
+    if psi_pows is None:
+        psi_pows = [out_ring.one()]
+    for m, c in f.terms:
+        ydeg = m[0]
+        while len(psi_pows) <= ydeg:
+            psi_pows.append(psi_pows[-1] * psi)
+        xmono = (0,) * pad + m[src.ndep:]
+        image = image + psi_pows[ydeg].mul_term(xmono, c)
+    return image
+
+
 class ReferenceCertificate(NamedTuple):
     gb_ok: bool
     containment_ok: bool
@@ -619,7 +641,9 @@ class ReferenceCertificate(NamedTuple):
 
 def verify_candidate_reference(state, f) -> ReferenceCertificate:
     """``lifting.verify_candidate`` computing every bit eagerly: the Groebner
-    property, then containment, then numerator consistency."""
+    property by S-pairs, then containment and numerator consistency by
+    ``psi_substitute`` and ``normal_form`` on the lifted record's Polynomials,
+    none of which the certificate itself runs."""
     nums = state.presentation.numerators
     rels = list(state.presentation.relations)
     psi = state.presentation.inclusion_image

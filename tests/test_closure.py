@@ -25,8 +25,8 @@ from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, images_of, make_cur
 from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
                      combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
                      induce_presentation_poly, kernel_step_oracle, mu_poly,
-                     numerators_interreduced, psi_combination, qth_power_step_scratch,
-                     rank_mod_conductor, reduce_terms_scan,
+                     numerators_interreduced, psi_combination, psi_substitute,
+                     qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
                      step_columns_unreduced, strict_shape_ok, weight_balance_ok,
                      y_coefficients)
 
@@ -936,7 +936,6 @@ def test_step_rejects_numerators_outside_delta_s():
 
 def test_per_prime_containment_of_input_ideal():
     # the inclusion image of the defining relation lies in the induced ideal
-    from intclose import psi_substitute
     for name, q in (("quadratic", 5), ("trident", 7), ("cubic_family", 11)):
         ring, f, delta, pres = closure_run(name, q)
         image = psi_substitute(f, pres.inclusion_image, pres.ring)
@@ -957,7 +956,6 @@ def test_fraction_numerators_identify_with_module_elements():
 
 def test_fraction_variables_identify_with_numerators():
     # psi(g_j) and ybar_j * delta agree modulo the induced relations
-    from intclose import psi_substitute
     for name, q in (("trident", 7), ("quadratic", 13)):
         ring, f, delta, pres = closure_run(name, q)
         out = pres.ring
