@@ -10,8 +10,8 @@ from .closure import (ClosurePresentation, ClosureError, canonical_generators,
                       frobenius_images, frobenius_nf, frobenius_scale,
                       induce_presentation, minimize_denominator, module_reduce,
                       qth_closure, qth_power_step)
-from .conductor import ConductorError, canonical_conductor, partial_derivative
-from .domains import GF, INT, MODP, QQ, RAT, ZZ, Domain, DomainError, balanced, is_prime
+from .conductor import ConductorError, canonical_conductor
+from .domains import GF, MODP, QQ, RAT, Domain, DomainError, balanced, is_prime
 from .driver import (Algorithm1Result, DriverError, RunConfig, run_algorithm1,
                      run_charq)
 from .groebner import (GroebnerError, ModuleVector, buchberger, head_reduce,

@@ -253,7 +253,7 @@ def by_y(p: Polynomial, d: int) -> list:
     """The y^0 .. y^(d-1) coefficients of p over F[y; x], as F[x] dicts.
 
     A term of y-degree d, such as the leading y^d of a relation f, is dropped.
-    The library reads f's tail, f's y-coefficients and the conductor this way.
+    The driver reads f through it once per run: f's tail, ``by_y(f, d)``.
     """
     out: list = [{} for _ in range(d + 1)]
     for (k, e), c in p.terms:
@@ -302,6 +302,13 @@ def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = Non
     return v
 
 
+def _scaled_targets(vectors, leads: list, s: dict, q: int) -> dict:
+    """{k: (e + deg s, s*g)}: ``_rem_by_targets``' targets s*g, g of lead y^k*x^e."""
+    neg = {e: q - c for e, c in s.items()}               # 0 - (-s)*c = s*c
+    return {k: (e + max(s), [xpoly_sub_mul({}, neg, c, q) for c in g])
+            for g, (k, e) in zip(vectors, leads)}
+
+
 def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
                   delta: dict, scale: dict) -> dict:
     """The step's columns, as ``qth_power_step`` says: sparse rows by monomial.
@@ -310,10 +317,7 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     numbered in that order, is the remainder of x^(q*alpha) * gbar_j^q by the
     targets scale*g, gbar_j being g_j with its y-coefficients reduced mod D.
     """
-    xdeg = max(delta)
-    neg_scale = {e: q - c for e, c in scale.items()}    # 0 - (-scale)*c = scale*c
-    targets = {k: (e + max(scale), [xpoly_sub_mul({}, neg_scale, c, q) for c in g])
-               for g, (k, e) in zip(numerators, leads)}
+    xdeg, targets = max(delta), _scaled_targets(numerators, leads, scale, q)
     rows: dict = {}  # monomial -> sparse row {column index: coefficient}
     col = 0
     for g, (_, e) in zip(numerators, leads):
@@ -508,12 +512,17 @@ class ClosurePresentation:
         return self.numerators[-1]
 
     @cached_property
+    def relation_leads(self) -> tuple:
+        """((a, b), ybar_a*ybar_b) per relation, descending by lead: print and log order."""
+        J, key = self.ring.ndep, self.ring.order.key
+        return tuple(sorted(((pair, _ybar(J, *pair) + (0,)) for pair in self.parts[1]),
+                            key=lambda item: key(item[1]), reverse=True))
+
+    @cached_property
     def relations(self) -> tuple:
-        """ybar_a*ybar_b plus its tail for each pair a <= b, descending by lead."""
-        J, one = self.ring.ndep, self.ring.domain.one
-        rels = [from_ybar(t, self.ring, {_ybar(J, a, b) + (0,): one})
-                for (a, b), t in self.parts[1].items()]
-        return tuple(sorted(rels, key=lambda r: self.ring.order.key(r.lm), reverse=True))
+        """ybar_a*ybar_b plus its tail for each pair a <= b, in ``relation_leads``' order."""
+        return tuple(from_ybar(self.parts[1][pair], self.ring, {lead: self.ring.domain.one})
+                     for pair, lead in self.relation_leads)
 
     @cached_property
     def inclusion_image(self) -> Polynomial:
@@ -589,9 +598,7 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
         return [quots.get(k, {}) for k, _ in leads]
 
     delta = vectors[-1][0]
-    neg_delta = {e: q - c for e, c in delta.items()}    # 0 - (-delta)*c = delta*c
-    scaled = {k: (e + max(delta), [xpoly_sub_mul({}, neg_delta, c, q) for c in v])
-              for (k, e), v in zip(leads, vectors)}
+    scaled = _scaled_targets(vectors, leads, delta, q)      # delta*g_j
     tails = []
     for a, b in combinations_with_replacement(range(J), 2):   # position a <-> vectors[a]
         prods = [{} for _ in range(2 * d - 1)]

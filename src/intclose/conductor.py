@@ -1,4 +1,4 @@
-"""Canonical monic conductor elements of S = F[y; x]/(f), f monic in y.
+"""Canonical monic conductor elements of S = F[y; x]/(f), f = y^d + its tail.
 
 The conductor element Delta is the monic generator of the ideal
 (f, f_y, f_x) intersected with P = F[x].  An element of P lies in that ideal
@@ -37,38 +37,21 @@ from __future__ import annotations
 
 from math import gcd, lcm, prod
 
-from .closure import by_y, xpoly_divmod, xpoly_sub_mul
-from .rings import Polynomial, Ring
+from .closure import xpoly_divmod, xpoly_sub_mul
+from .rings import Ring
 
 
 class ConductorError(ValueError):
     pass
 
 
-def partial_derivative(p: Polynomial, var_index: int) -> Polynomial:
-    dom = p.ring.domain
-    acc: dict = {}
-    for m, c in p.terms:
-        e = m[var_index]
-        if e == 0:
-            continue
-        mono = tuple(x - 1 if i == var_index else x for i, x in enumerate(m))
-        acc[mono] = dom.add(acc.get(mono, dom.zero), dom.mul(c, dom.convert(e)))
-    return p.ring.poly(acc)
-
-
-# ---------------------------------------------------------------------------
-# the conductor
-
-
-def canonical_conductor(f: Polynomial, ring: Ring) -> tuple:
-    """(Delta, B): the canonical monic conductor element of P for f, and B (above)."""
+def canonical_conductor(tail: list, ring: Ring) -> tuple:
+    """(Delta, B) for f = y^d + sum_i tail[i](x)*y^i over ring = F[y; x]: the
+    canonical monic conductor element of P as an F[x] dict, and B (above)."""
     if ring.ndep != 1 or ring.nindep != 1:
         raise ConductorError("conductor supports rings F[y; x] only")
-    dom, d = ring.domain, f.degree_in(0)
-    if [(m[1], c) for m, c in f.terms if m[0] == d] != [(0, dom.one)]:
-        raise ConductorError("relation must be monic in the dependent variable")
-    q, scale = dom.char, lcm(*(c.denominator for _, c in f.terms))
+    dom, d = ring.domain, len(tail)
+    q, scale = dom.char, lcm(*(c.denominator for a in tail for c in a.values()))
     scalars = [scale]                  # B's factors; the column leads join over Q only
     if q:
         sub_mul = lambda a, s, b: xpoly_sub_mul(a, s, b, q)
@@ -78,10 +61,13 @@ def canonical_conductor(f: Polynomial, ring: Ring) -> tuple:
         sub_mul = lambda a, s, b: _zx_sub_mul(scale, a, s, b)
         tidy = lambda r: _primitive(r, scalars)
         rem = lambda r, p, c: _pseudo_rem(r, p, c, scalars)
-    scaled = lambda p: [{e: int(c * scale) for e, c in a.items()} for a in by_y(p, d)]
-    low = scaled(f)                    # scale*f = scale*y^d + sum_i low[i](x) * y^i
+    scaled = lambda v: [{e: r for e, c in a.items() if (r := c % q if q else int(c * scale))}
+                        for a in v]
+    low = scaled(tail)                 # scale*f = scale*y^d + sum_i low[i](x) * y^i
+    f_y = [{e: k * c for e, c in a.items()} for k, a in enumerate(tail) if k] + [{0: d}]
+    f_x = [{e - 1: e * c for e, c in a.items() if e} for a in tail]
     rows, live = [], []
-    for g in (partial_derivative(f, 0), partial_derivative(f, 1)):
+    for g in (f_y, f_x):
         g = tidy(scaled(g))
         for _ in range(d):
             rows.append(g)
@@ -102,8 +88,7 @@ def canonical_conductor(f: Polynomial, ring: Ring) -> tuple:
         raise ConductorError("degenerate extension: no conductor entries in P")
     delta = live[0][0]
     lead = dom.convert(delta[max(delta)])
-    return (ring.poly({(0, e): dom.div(dom.convert(c), lead) for e, c in delta.items()}),
-            prod(scalars))
+    return {e: dom.div(dom.convert(c), lead) for e, c in delta.items()}, prod(scalars)
 
 
 def _euclid_rem(r: list, p: list, c: int, q: int) -> list:

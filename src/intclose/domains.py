@@ -1,6 +1,6 @@
-"""Exact coefficient domains: big integers, rationals, and prime fields Z_q.
+"""Exact coefficient domains: rationals and prime fields Z_q.
 
-Values are plain Python objects (``int`` for INT/MODP, ``Fraction`` for RAT);
+Values are plain Python objects (``Fraction`` for RAT, ``int`` for MODP);
 a :class:`Domain` carries the arithmetic.  MODP residues are kept in
 ``[0, q)`` and all arithmetic is exact.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-INT = "INT"
 RAT = "RAT"
 MODP = "MODP"
 
@@ -48,13 +47,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Domain:
-    """Tagged coefficient domain: INT, RAT, or MODP(q) for a word-sized prime q."""
+    """Tagged coefficient domain: RAT, or MODP(q) for a word-sized prime q."""
 
     kind: str
     char: int = 0
 
     def __post_init__(self):
-        if self.kind not in (INT, RAT, MODP):
+        if self.kind not in (RAT, MODP):
             raise DomainError(f"unknown domain kind {self.kind!r}")
         if self.kind == MODP:
             if self.char >= _MAX_WORD:
@@ -77,12 +76,6 @@ class Domain:
 
     def convert(self, value):
         """Coerce an int or Fraction into a canonical domain value."""
-        if self.kind == INT:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise DomainError(f"{value} is not an integer")
-                return value.numerator
-            return int(value)
         if self.kind == RAT:
             # a Fraction is immutable and already canonical; a subclass is not kept
             return value if type(value) is Fraction else Fraction(value)
@@ -111,11 +104,7 @@ class Domain:
             raise DomainError("division by zero")
         if self.kind == MODP:
             return a * pow(b, -1, self.char) % self.char
-        if self.kind == RAT:
-            return a / b
-        if a % b != 0:
-            raise DomainError(f"{a} not divisible by {b} over the integers")
-        return a // b
+        return a / b
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -124,7 +113,6 @@ class Domain:
         return a == 1
 
 
-ZZ = Domain(INT)
 QQ = Domain(RAT)
 
 

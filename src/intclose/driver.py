@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closure import ClosureError, ClosurePresentation, _ybar, by_y, fraction_names
+from .closure import ClosureError, ClosurePresentation, by_y, fraction_names, from_y
 from .conductor import canonical_conductor
 from .domains import GF, DomainError, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, SignatureError, closure_run,
@@ -60,13 +60,12 @@ class Algorithm1Result:
             if not run.usable:
                 lines.append(f"q={run.q} skipped: {run.reason}")
                 continue
-            pres, J = run.presentation, run.presentation.ring.ndep
-            pairs = sorted((_ybar(J, a, b) + (0,) for a, b in pres.parts[1]),
-                           key=pres.ring.order.key, reverse=True)
+            pres = run.presentation
+            lm_b = [lead for _, lead in pres.relation_leads]
             lines.append(
-                f"q={run.q} usable delta={run.delta_q} J={J}"
-                f" lm_g={_lm_names(pres.leads[:-1], pres.input_ring)} K={len(pairs)}"
-                f" lm_b={_lm_names(pairs, pres.ring)}")
+                f"q={run.q} usable delta={run.delta_q} J={pres.ring.ndep}"
+                f" lm_g={_lm_names(pres.leads[:-1], pres.input_ring)} K={len(lm_b)}"
+                f" lm_b={_lm_names(lm_b, pres.ring)}")
             stage = next(stages)
             state, cert = stage.state, stage.certificate
             lines.append(
@@ -114,7 +113,8 @@ def _lm_names(monos, ring):
     return "[" + ",".join(_mono_str(m, ring.names) or "1" for m in monos) + "]"
 
 
-def validate_problem(ring: Ring, f: Polynomial):
+def validate_problem(ring: Ring, f: Polynomial) -> list:
+    """f's tail ``by_y(f, d)``, the one form of f below, once f is y^d plus lower terms."""
     if ring.nindep != 1:
         raise DriverError("closure iteration supports one independent variable,"
                           f" the problem has {ring.nindep}")
@@ -129,6 +129,7 @@ def validate_problem(ring: Ring, f: Polynomial):
         fraction_names(f.degree_in(0) - 1, ring)
     except ClosureError as exc:
         raise DriverError(str(exc)) from None
+    return by_y(f, f.degree_in(0))
 
 
 def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -> Algorithm1Result:
@@ -139,13 +140,13 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
     differs from the first usable run's, which every stage's lift keeps, is
     skipped (the fold's ``SignatureError``)."""
     config = config or RunConfig()
-    validate_problem(ring, f)
-    delta0, B = canonical_conductor(f, ring)
-    result, state = Algorithm1Result(delta0), None
+    tail = validate_problem(ring, f)
+    delta0, B = canonical_conductor(tail, ring)
+    result, state = Algorithm1Result(from_y([[delta0]], ring)[0]), None
     for q in _prime_schedule(config):
         if len(result.stages) >= config.max_primes:
             break
-        run = run_prime(q, f, delta0, B)
+        run = run_prime(q, ring, tail, delta0, B)
         if run.usable:
             try:
                 state = reconcile_and_lift(run, ring, state)
@@ -153,7 +154,7 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
                 run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
         if run.usable:
-            result.stages.append(Stage(state, verify_candidate(state, f)))
+            result.stages.append(Stage(state, verify_candidate(state, tail)))
             if result.accepted:
                 break
     # per_prime holds on every stage (``specializations``), so the certificates
@@ -168,6 +169,5 @@ def run_charq(ring: Ring, f: Polynomial, q: int) -> PrimeRun:
     """Single characteristic-q closure with its induced presentation."""
     if ring.domain != GF(q):
         raise DriverError(f"ring domain must be GF({q})")
-    validate_problem(ring, f)
-    delta = by_y(canonical_conductor(f, ring)[0], 1)[0]
-    return closure_run(q, ring, by_y(f, f.degree_in(0)), delta)
+    tail = validate_problem(ring, f)
+    return closure_run(q, ring, tail, canonical_conductor(tail, ring)[0])

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .closure import (ClosurePresentation, ClosureError, by_y, from_ybar, qth_closure,
+from .closure import (ClosurePresentation, ClosureError, from_y, from_ybar, qth_closure,
                       split_record)
 from .conductor import ConductorError, canonical_conductor
 from .domains import GF, QQ, balanced, is_prime
@@ -112,31 +112,30 @@ class PrimeRun:
 
     @property
     def delta_q(self) -> Polynomial:
-        return self.presentation.input_ring._sorted({(0, e): c for e, c in self.delta.items()})
+        return from_y([[self.delta]], self.presentation.input_ring)[0]
 
 
-def is_prime_usable(q: int, f: Polynomial, delta0: Polynomial, B: int):
-    """Algorithm step-3/4 filter: ("usable", (ring_q, tail, delta)) or ("skipped", why),
-    f's tail and Delta_q reduced mod q straight from the rationals (``mod_q``).
-    B is ``canonical_conductor(f, ring)[1]``: when q does not divide it, Delta_q is
-    delta0 mod q (``conductor``'s lucky primes), with no conductor over GF(q)."""
+def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int):
+    """Algorithm step-3/4 filter: ("usable", (ring_q, tail_q, delta)) or ("skipped", why).
+    f's tail and delta0 are reduced mod q once (``mod_q``): a ValueError means q divides
+    a denominator, a dropped zero that q divides a numerator of f.  If q does not divide
+    B, Delta_q is delta0 mod q (lucky primes); else the GF(q) conductor runs on tail_q."""
     if not is_prime(q):
         return "skipped", f"{q} is not prime"
-    if any(c.denominator % q == 0 for p in (f, delta0) for _, c in p.terms):
+    try:
+        tail_q, delta = [mod_q(a, q) for a in tail], mod_q(delta0, q)
+    except ValueError:
         return "skipped", "divides a coefficient denominator"
-    if any(c.numerator % q == 0 for _, c in f.terms):
+    if sum(map(len, tail_q)) < sum(map(len, tail)):
         return "skipped", "divides a coefficient numerator"
-    ring_q = f.ring.with_domain(GF(q))
-    tail = [mod_q(a, q) for a in by_y(f, f.degree_in(0))]
-    delta = mod_q(by_y(delta0, 1)[0], q)
+    ring_q = ring.with_domain(GF(q))
     if B % q == 0:
         try:
-            delta_q = canonical_conductor(ring_q.poly(dict(f.terms)), ring_q)[0]
+            if canonical_conductor(tail_q, ring_q)[0] != delta:
+                return "skipped", "conductor disagrees with the rational one"
         except ConductorError as exc:
             return "skipped", f"degenerate mod {q}: {exc}"
-        if by_y(delta_q, 1)[0] != delta:
-            return "skipped", "conductor disagrees with the rational one"
-    return "usable", (ring_q, tail, delta)
+    return "usable", (ring_q, tail_q, delta)
 
 
 def closure_run(q: int, ring: Ring, tail: list, delta: dict) -> PrimeRun:
@@ -144,9 +143,9 @@ def closure_run(q: int, ring: Ring, tail: list, delta: dict) -> PrimeRun:
     return PrimeRun(q, delta=delta, presentation=qth_closure(ring, tail, delta))
 
 
-def run_prime(q: int, f: Polynomial, delta0: Polynomial, B: int) -> PrimeRun:
+def run_prime(q: int, ring: Ring, tail: list, delta0: dict, B: int) -> PrimeRun:
     """Usability filter plus the full characteristic-q pipeline."""
-    status, info = is_prime_usable(q, f, delta0, B)
+    status, info = is_prime_usable(q, ring, tail, delta0, B)
     if status == "skipped":
         return PrimeRun(q, reason=info)
     try:
@@ -236,18 +235,18 @@ def _dot(xs, ys, start: dict | None = None) -> dict:
     return {e: c for e, c in acc.items() if c}
 
 
-def table_residuals(state: LiftState, f: Polynomial, coord, dot):
+def table_residuals(state: LiftState, tail: list, coord, dot):
     """psi(f), then psi(g_k) - ybar_k*delta for k < J (delta = g_0), reduced by
-    the lifted table to coordinates on ybar_J .. ybar_1, 1; the numerators
-    are read only when their residuals are.
+    the lifted table to coordinates on ybar_J .. ybar_1, 1, f given by its tail;
+    the numerators are read only when their residuals are.
 
     Each F[x] map of the lift is taken by ``coord``, each sum of products by
     ``dot(xs, ys, start)``: values at a point (``point_residuals``), or
     ``dict`` and ``_dot`` for the exact bits over Q[x].  With
     ybar_a*ybar_b = -tail_ab, multiplying by psi(y) is one matrix on that
     basis, and psi(p) is one Horner pass over p's y-coefficients,
-    value = value*psi + p_k.  A residual has ybar-degree <= 1, so it is a
-    normal form, unique when the relations are a Groebner basis."""
+    value = value*psi + p_k, f's last p_k the monic 1.  A residual has
+    ybar-degree <= 1: a normal form, unique when the relations are a Groebner basis."""
     J = state.rings[1].ndep
     vectors, tails, psi = split_record(state.lift, J + 1)
     zero, psi = coord({}), [coord(a) for a in psi]
@@ -265,7 +264,7 @@ def table_residuals(state: LiftState, f: Polynomial, coord, dot):
             value = [dot(row, value, y if i == J else zero) for i, row in enumerate(rows)]
         return value
 
-    yield image([coord(a) for a in by_y(f, f.degree_in(0) + 1)])
+    yield image([coord(a) for a in tail] + [coord({0: 1})])
     nums = [[coord(a) for a in v] for v in vectors]     # g_J .. g_0, and g_0 = delta
     for k, v in enumerate(nums[:J]):
         r = image(v)
@@ -273,20 +272,20 @@ def table_residuals(state: LiftState, f: Polynomial, coord, dot):
         yield r
 
 
-def point_residuals(state: LiftState, f: Polynomial):
+def point_residuals(state: LiftState, tail: list):
     """``table_residuals`` at x = POINT_X mod POINT_PRIME, each a/b taken as
     a*b^-1 (ValueError when the prime divides b): the exact residuals' values,
     and a nonzero residual vanishes at few points (Schwartz, JACM 1980)."""
     p = POINT_PRIME
     return table_residuals(
-        state, f, lambda a: sum(c * pow(POINT_X, e, p) for e, c in mod_q(a, p).items()) % p,
+        state, tail, lambda a: sum(c * pow(POINT_X, e, p) for e, c in mod_q(a, p).items()) % p,
         lambda xs, ys, start=0: (start + sum(map(mul, xs, ys))) % p)
 
 
-def rejects_at_point(state: LiftState, f: Polynomial) -> bool:
+def rejects_at_point(state: LiftState, tail: list) -> bool:
     """Whether a ``point_residuals`` value is nonzero; False on a denominator the prime divides."""
     try:
-        return any(map(any, point_residuals(state, f)))
+        return any(map(any, point_residuals(state, tail)))
     except ValueError:
         return False
 
@@ -320,11 +319,11 @@ class Certificate:
     residual, psi(f)'s, and ``numerators_ok`` the others, so no bit builds the
     lifted record; ``gb_ok`` is ``matrices_commute``."""
 
-    def __init__(self, state: LiftState, f: Polynomial):
+    def __init__(self, state: LiftState, tail: list):
         self._state = state
-        self._exact = table_residuals(state, f, dict, _dot)
+        self._exact = table_residuals(state, tail, dict, _dot)
         self.per_prime: tuple = ()   # ((q, bool), ...) over the runs checked
-        self.accepted = (not rejects_at_point(state, f) and self.containment_ok
+        self.accepted = (not rejects_at_point(state, tail) and self.containment_ok
                          and self.numerators_ok and self.gb_ok)
 
     gb_ok = cached_property(lambda self: matrices_commute(self._state))
@@ -353,12 +352,12 @@ class Certificate:
         return not any(map(any, self._exact))
 
 
-def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
-    """Certificate checks on a lifted candidate.  A stage whose psi(f) or
-    numerators fail at the point (``rejects_at_point``) is rejected there,
-    with no exact check; the point pass is the exact one's image mod the
-    prime, so that changes no decision, and every bit is still computed
-    exactly when read.
+def verify_candidate(state: LiftState, tail: list) -> Certificate:
+    """Certificate checks on a lifted candidate, for f given by its tail.  A
+    stage whose psi(f) or numerators fail at the point (``rejects_at_point``)
+    is rejected there, with no exact check; the point pass is the exact one's
+    image mod the prime, so that changes no decision, and every bit is still
+    computed exactly when read.
 
     The exact checks run in this order: containment of the input ideal under
     the inclusion image, then consistency of the lifted numerators (the
@@ -373,7 +372,7 @@ def verify_candidate(state: LiftState, f: Polynomial) -> Certificate:
     fails; the bits it skipped are computed when first read, by the audit
     log or the printed certificate.
     ``per_prime`` is left empty: it holds on every stage (``specializations``)."""
-    return Certificate(state, f)
+    return Certificate(state, tail)
 
 
 def specializations(state: LiftState, runs) -> tuple:

@@ -59,8 +59,8 @@ class Ring:
 
     def poly(self, terms: dict) -> "Polynomial":
         """Canonicalize a monomial -> coefficient mapping into a Polynomial, for input from
-        outside the arithmetic (parser, f for the GF(q) conductor, tests).  ``+``, ``*``,
-        ``module_reduce`` and a record's Polynomials, built when read, use ``_sorted``."""
+        outside the arithmetic (the parser, tests).  ``+``, ``*``, ``module_reduce`` and a
+        record's Polynomials, built when read, use ``_sorted``."""
         dom = self.domain
         clean = {}
         for mono, c in terms.items():

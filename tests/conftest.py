@@ -2,8 +2,8 @@
 
 import pytest
 
-from intclose import (GF, QQ, Ring, frobenius_images, frobenius_scale, qth_power_step,
-                      weight_over_grevlex)
+from intclose import (GF, QQ, Ring, canonical_conductor, frobenius_images, frobenius_scale,
+                      qth_power_step, weight_over_grevlex)
 from intclose.closure import by_y, from_y
 
 # name -> (relation text, (wt_y, wt_x))
@@ -42,6 +42,20 @@ def tail_of(f):
 def xdict(p):
     """An element of P = F[x] as an F[x] dict, as the per-prime layer takes it."""
     return by_y(p, 1)[0]
+
+
+def conductor_of(f):
+    """``canonical_conductor`` of a relation given as a Polynomial: (Delta as a
+    Polynomial of f's ring, B)."""
+    delta, B = canonical_conductor(tail_of(f), f.ring)
+    return from_y([[delta]], f.ring)[0], B
+
+
+def run_inputs(f):
+    """(ring, tail, Delta, B) of a relation given as a Polynomial: what
+    ``is_prime_usable`` and ``run_prime`` take after q, as the driver builds it."""
+    tail = tail_of(f)
+    return (f.ring, tail, *canonical_conductor(tail, f.ring))
 
 
 def images_of(f, conductor):

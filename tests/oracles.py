@@ -18,8 +18,8 @@ from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation,
                       Ring, RingError, SignatureError, balanced, buchberger,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
                       is_prime, mono_weight, module_reduce, normal_form,
-                      Polynomial, partial_derivative, s_poly)
-from intclose.closure import NotARingError, by_y, fraction_names, fraction_weights
+                      Polynomial, s_poly)
+from intclose.closure import NotARingError, by_y, fraction_names, fraction_weights, from_y
 from intclose.groebner import reduce_terms
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
 
@@ -434,6 +434,19 @@ def step_columns_unreduced(numerators, q: int, images, conductor, prefix) -> dic
     return rows
 
 
+def partial_derivative(p: Polynomial, var_index: int) -> Polynomial:
+    """d p / d (variable var_index), term by term, over p's ring."""
+    dom = p.ring.domain
+    acc: dict = {}
+    for m, c in p.terms:
+        e = m[var_index]
+        if e == 0:
+            continue
+        mono = tuple(x - 1 if i == var_index else x for i, x in enumerate(m))
+        acc[mono] = dom.add(acc.get(mono, dom.zero), dom.mul(c, dom.convert(e)))
+    return p.ring.poly(acc)
+
+
 def conductor_oracle(f):
     """Delta computed from the ideal (f_y, f_x, f) in F[y; x] directly.
 
@@ -500,7 +513,8 @@ def is_prime_usable_reference(q: int, f, delta0):
     ring_q = f.ring.with_domain(GF(q))
     f_q = mu_poly(f, ring_q)
     try:
-        delta_q = canonical_conductor(f_q, ring_q)[0]
+        delta_q = from_y([[canonical_conductor(by_y(f_q, f_q.degree_in(0)), ring_q)[0]]],
+                         ring_q)[0]
     except ConductorError as exc:
         return "skipped", f"degenerate mod {q}: {exc}"
     if delta_q != mu_poly(delta0, ring_q):

@@ -9,12 +9,12 @@ import random
 import time
 from fractions import Fraction
 
-from intclose import (GF, ZZ, ClosurePresentation, RunConfig, canonical_conductor,
-                      is_minimal_reduced_gb, module_reduce, normal_form, qth_closure, rat_recon,
+from intclose import (GF, ClosurePresentation, RunConfig, is_minimal_reduced_gb, module_reduce, normal_form, qth_closure, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_prime,
                       verify_candidate, PrimeRun, Ring, weight_over_grevlex)
-from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, curve_ring, images_of,
-                      make_curve, poly_step, scale_of, sextic_relations, tail_of, xdict)
+from conftest import (SEXTIC_INDUCED_WEIGHTS, SEXTIC_NUMERATORS, conductor_of, curve_ring,
+                      images_of, make_curve, poly_step, run_inputs, scale_of, sextic_relations,
+                      tail_of, xdict)
 from oracles import (crt, exact_divide, kernel_step_oracle, mod_n, mu_poly, psi_combination,
                      strict_shape_ok, weight_balance_ok)
 
@@ -35,11 +35,10 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
     assert str(runs[13].delta_q) == "x - 3"
     assert [str(b) for b in runs[13].presentation.relations] == ["ybar^2 + 5*x"]
 
-    # the CRT records are integer maps: print them as records over ZZ
-    zz = (ring.with_domain(ZZ), res.stages[1].state.presentation.ring.with_domain(ZZ))
+    # the CRT records are integer maps, which print as records over the QQ rings
     st55 = res.stages[1].state
     assert st55.modulus == 55
-    crt55 = ClosurePresentation(st55.crt, *zz)
+    crt55 = ClosurePresentation(st55.crt, *st55.rings)
     assert str(crt55.denominator) == "x - 9"
     assert [str(b) for b in crt55.relations] == ["ybar^2 + 26*x"]
     assert str(st55.presentation.numerators[-1]) == "x + 1/6"
@@ -48,7 +47,7 @@ def test_criterion_1_quadratic_end_to_end(quadratic):
 
     st715 = res.stages[2].state
     assert st715.modulus == 715
-    crt715 = ClosurePresentation(st715.crt, *zz)
+    crt715 = ClosurePresentation(st715.crt, *st715.rings)
     assert str(crt715.denominator) == "x + 101"
     assert [str(b) for b in crt715.relations] == ["ybar^2 + 356*x"]
     assert str(st715.presentation.numerators[-1]) == "x - 8/7"
@@ -89,11 +88,11 @@ def test_criterion_2_coefficient_pipeline():
 def test_criterion_3_trident():
     t0 = time.monotonic()
     ring, f = make_curve("trident")
-    delta0, B = canonical_conductor(f, ring)
+    inputs, delta0 = run_inputs(f), conductor_of(f)[0]
 
     # per-prime closures at 3, 7, 13
     for q in (3, 7, 13):
-        run = run_prime(q, f, delta0, B)
+        run = run_prime(q, *inputs)
         assert run.usable
         rels = run.presentation.relations
         assert len(rels) == 3
@@ -104,14 +103,14 @@ def test_criterion_3_trident():
         assert int(zrel.coeff_of((1, 0, 0))) == 8 % q
 
     # rejection at N = 55 with the reference residual
-    r5 = run_prime(5, f, delta0, B)
+    r5 = run_prime(5, *inputs)
     ring11, f11 = make_curve("trident", q=11)
     delta11 = xdict(mu_poly(delta0, ring11))
     p11 = qth_closure(ring11, tail_of(f11), delta11)
     r11 = PrimeRun(11, delta=delta11, presentation=p11)
     state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
     assert state.modulus == 55
-    cert = verify_candidate(state, f)
+    cert = verify_candidate(state, tail_of(f))
     assert not cert.accepted
     assert cert.residual == state.presentation.relations[0].ring.parse("55/7*ybar1*x")
 
@@ -129,11 +128,11 @@ def test_criterion_4_conductor_table():
              7: "x^24", 11: "x^24"}
     for q, expect in octic.items():
         ring, f = make_curve("octic", q=q)
-        assert canonical_conductor(f, ring)[0] == ring.parse(expect)
+        assert conductor_of(f)[0] == ring.parse(expect)
     radical = {None: "x^4", 3: "x^6 - x^4", 5: "x^5"}
     for q, expect in radical.items():
         ring, f = make_curve("radical", q=q)
-        assert canonical_conductor(f, ring)[0] == ring.parse(expect)
+        assert conductor_of(f)[0] == ring.parse(expect)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     print(f"\n[criterion 4] PASS conductor table ({elapsed:.2f}s)")
@@ -207,9 +206,7 @@ def test_criterion_6b_groebner_fixtures():
 
 
 def _usable_run(name, q):
-    ring, f = make_curve(name)
-    delta0, B = canonical_conductor(f, ring)
-    run = run_prime(q, f, delta0, B)
+    run = run_prime(q, *run_inputs(make_curve(name)[1]))
     assert run.usable
     return run
 
@@ -219,7 +216,7 @@ def test_criterion_6c_fixpoint_and_ring_property():
     for name, q in (("quadratic", 5), ("quadratic", 13), ("trident", 7),
                     ("cubic_family", 11)):
         ring, f = make_curve(name, q=q)
-        delta = canonical_conductor(f, ring)[0]
+        delta = conductor_of(f)[0]
         nums = list(qth_closure(ring, tail_of(f), xdict(delta)).numerators)
         # the fixpoint's numerators over delta: the closure's, scaled by delta / g_0
         fixed = [exact_divide(delta, nums[-1]) * g for g in nums]
@@ -240,7 +237,7 @@ def test_criterion_6d_strict_shape_and_weight_balance():
     for name, q in (("quadratic", 5), ("trident", 3), ("trident", 13),
                     ("cubic_family", 5), ("octic", 7), ("sextic", 23)):
         ring, f = make_curve(name, q=q)
-        delta = canonical_conductor(f, ring)[0]
+        delta = conductor_of(f)[0]
         pres = qth_closure(ring, tail_of(f), xdict(delta))
         assert strict_shape_ok(pres)
         assert weight_balance_ok(pres)

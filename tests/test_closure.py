@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
-                      DomainError, DriverError, Ring, buchberger, canonical_conductor,
+                      DomainError, DriverError, Ring, buchberger,
                       canonical_generators, frobenius_nf, grevlex_over_weight,
                       induce_presentation, is_minimal_reduced_gb, is_prime, is_prime_usable,
                       minimal_reduced, minimize_denominator, module_reduce, normal_form,
@@ -20,8 +20,9 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
                       weight_over_grevlex)
 from intclose.closure import (_pack, _rem_by_targets, _slot_bytes, _step_columns, _unpack,
                               by_y, fraction_weights, from_y, xpoly_divmod)
-from conftest import (CURVES, SEXTIC_NUMERATORS, curve_ring, images_of, make_curve,
-                      poly_step, scale_of, sextic_relations, tail_of, xdict)
+from conftest import (CURVES, SEXTIC_NUMERATORS, conductor_of, curve_ring, images_of,
+                      make_curve, poly_step, run_inputs, scale_of, sextic_relations, tail_of,
+                      xdict)
 from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
                      combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
                      induce_presentation_poly, kernel_step_oracle, mu_poly,
@@ -34,14 +35,14 @@ from oracles import (canonical_generators_poly, canonical_generators_restart, co
 def fixpoint(name, q):
     """(ring, f, delta, vectors): a fixture curve's fixpoint at q, on y-coefficients."""
     ring, f = make_curve(name, q=q)
-    delta = canonical_conductor(f, ring)[0]
+    delta = conductor_of(f)[0]
     return ring, f, delta, vectors_of(list(walk(f, delta))[-1], f)
 
 
 def closure_run(name, q):
     """(ring, f, delta, record): the closure at q as a prime's run builds it."""
     ring, f = make_curve(name, q=q)
-    delta = canonical_conductor(f, ring)[0]
+    delta = conductor_of(f)[0]
     return ring, f, delta, qth_closure(ring, tail_of(f), xdict(delta))
 
 
@@ -203,24 +204,22 @@ def test_packed_products_match_dict_products(q):
     assert _slot_bytes(2 ** 63 - 25, 2 ** 20) == 19    # 2*63 + 21 bits
 
 
-@pytest.mark.parametrize("ring,text,boundary,message", [
-    (curve_ring((3, 2), QQ), "y^2 - x^3", run_charq, "ring domain must be GF(5)"),
-    (curve_ring((2, 1, 1), GF(5)), "y^2 - x2*x1", run_charq,
+@pytest.mark.parametrize("ring,text,message", [
+    (curve_ring((3, 2), QQ), "y^2 - x^3", "ring domain must be GF(5)"),
+    (curve_ring((2, 1, 1), GF(5)), "y^2 - x2*x1",
      "closure iteration supports one independent variable, the problem has 2"),
-    (curve_ring((3, 1), GF(5)), "y^2 + y^2*x - x^3", canonical_conductor,
-     "relation must be monic in the dependent variable"),
-    (curve_ring((3, 2), GF(5)), "2*y^2 - x^3", canonical_conductor,
-     "relation must be monic in the dependent variable"),
+    (curve_ring((3, 1), GF(5)), "y^2 + y^2*x - x^3",
+     "no weight function: maximal-weight monomials {y^2*x}"),
+    (curve_ring((3, 2), GF(5)), "2*y^2 - x^3", "relation is not monic in the dependent variable"),
 ], ids=["over-QQ", "two-independent", "second-top-term", "not-monic"])
-def test_frobenius_images_reject_unsupported_relations(ring, text, boundary, message):
+def test_frobenius_images_reject_unsupported_relations(ring, text, message):
     # the images take f's tail and D as F_q[x] dicts, so a relation they
-    # cannot use is refused where a run's Polynomials become vectors:
-    # run_charq refuses the ring (through validate_problem when it has two
-    # independent variables), and the conductor, which every run takes
-    # before any image, refuses a relation that is not y^d plus lower terms
-    f = ring.parse(text)
-    with pytest.raises((DriverError, ConductorError), match=f"^{re.escape(message)}$"):
-        run_charq(ring, f, 5) if boundary is run_charq else canonical_conductor(f, ring)
+    # cannot use is refused where a run's Polynomial becomes its tail:
+    # run_charq refuses the ring, and validate_problem, before any tail is
+    # taken, a relation with two independent variables or one that is not
+    # y^d plus lower terms
+    with pytest.raises(DriverError, match=f"^{re.escape(message)}$"):
+        run_charq(ring, ring.parse(text), 5)
 
 
 @pytest.mark.parametrize("domain", [GF(5), QQ], ids=["charq", "char0"])
@@ -411,7 +410,7 @@ def test_step_fixpoint_is_idempotent():
 
 def test_step_nesting():
     ring, f = make_curve("octic", q=7)
-    delta = canonical_conductor(f, ring)[0]
+    delta = conductor_of(f)[0]
     images, scale = images_of(f, delta), scale_of(delta)
     d = f.degree_in(0)
     current = tuple(ring.monomial((k, 0)) for k in range(d - 1, -1, -1))
@@ -477,7 +476,7 @@ def small_curves(draw, min_degree=2):
     acc[(d, 0)] = 1
     f = ring.poly(acc)
     try:
-        delta = canonical_conductor(f, ring)[0]
+        delta = conductor_of(f)[0]
     except ConductorError:
         assume(False)
     return ring, f, delta, q
@@ -554,12 +553,12 @@ def test_presentation_is_its_minimal_reduced_basis(curve):
 def fixture_runs(name):
     """(q, f_q, delta_q, run) at each usable q of FIXTURE_PRIMES."""
     ring, f = make_curve(name)
-    delta0, B = canonical_conductor(f, ring)
+    inputs = run_inputs(f)
     out = []
     for q in FIXTURE_PRIMES:
-        status, info = is_prime_usable(q, f, delta0, B)
+        status, info = is_prime_usable(q, *inputs)
         if status == "usable":
-            run = run_prime(q, f, delta0, B)
+            run = run_prime(q, *inputs)
             out.append((q, mu_poly(f, info[0]), run.delta_q, run))
     return tuple(out)
 
@@ -598,7 +597,7 @@ def test_fixture_walks_end_within_the_derived_bound(name):
     for q in filter(is_prime, range(2, 54)):
         try:
             ring, f = make_curve(name, q=q)
-            delta = canonical_conductor(f, ring)[0]
+            delta = conductor_of(f)[0]
         except (DomainError, ConductorError):
             continue
         steps = list(walk(f, delta))
@@ -632,7 +631,7 @@ def test_first_ring_is_the_confirmed_fixpoint(name):
     for q in filter(is_prime, range(2, 32)):
         try:
             ring, f = make_curve(name, q=q)
-            delta = canonical_conductor(f, ring)[0]
+            delta = conductor_of(f)[0]
         except (DomainError, ConductorError):
             continue
         assert_first_ring_is_the_fixpoint(ring, f, delta)
@@ -688,8 +687,8 @@ def fixture_closures(name):
     """The fixture curve's per-prime closure at each usable prime 5..53 as
     printed: numerators, relations and psi(y), keyed by the prime."""
     ring, f = make_curve(name)
-    delta0, B = canonical_conductor(f, ring)
-    runs = (run_prime(q, f, delta0, B) for q in filter(is_prime, range(5, 54)))
+    inputs = run_inputs(f)
+    runs = (run_prime(q, *inputs) for q in filter(is_prime, range(5, 54)))
     return {str(run.q): {"numerators": [str(g) for g in run.presentation.numerators],
                          "relations": [str(r) for r in run.presentation.relations],
                          "psi": str(run.presentation.inclusion_image)}
@@ -747,10 +746,10 @@ def test_fixture_presentations_match_polynomial_oracle(name):
     # the walks' modules short of the fixpoint that make fraction sets: on
     # the octic and the sextic some are not rings
     ring, f = make_curve(name)
-    delta0, B = canonical_conductor(f, ring)
+    inputs, delta0 = run_inputs(f), conductor_of(f)[0]
     seen = set()
     for q in filter(is_prime, range(5, 54)):
-        status, info = is_prime_usable(q, f, delta0, B)
+        status, info = is_prime_usable(q, *inputs)
         if status != "usable":
             continue
         ring_q, tail, delta = info
@@ -925,7 +924,7 @@ def test_step_rejects_numerators_outside_delta_s():
     # a step reads its F_q-basis of N/(delta*S) off the leads, which needs
     # one lead per y-degree, none above delta's x-degree
     ring, f = make_curve("trident", q=7)
-    delta = canonical_conductor(f, ring)[0]
+    delta = conductor_of(f)[0]
     images, scale = images_of(f, delta), scale_of(delta)
     start = (ring.parse("y^2"), ring.parse("y"), ring.one())
     high = ring.monomial((0, delta.degree_in(1) + 1))

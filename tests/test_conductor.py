@@ -1,4 +1,4 @@
-"""Partial derivatives, F_q[x] arithmetic, and canonical conductor elements."""
+"""The oracles' partial derivatives, F_q[x] arithmetic, and canonical conductor elements."""
 
 import math
 import re
@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, QQ, ConductorError, DomainError, canonical_conductor,
-                      is_prime, normal_form, partial_derivative)
+from intclose import (GF, QQ, ConductorError, DomainError, DriverError, canonical_conductor,
+                      is_prime, normal_form, run_algorithm1, run_charq)
 from intclose.closure import xpoly_divmod, xpoly_gcd, xpoly_sub_mul
-from conftest import CURVES, curve_ring, make_curve
-from oracles import conductor_by_module_basis, conductor_oracle, exact_divide, gcd_in_p, mu_poly
+from conftest import CURVES, conductor_of, curve_ring, make_curve, tail_of
+from oracles import (conductor_by_module_basis, conductor_oracle, exact_divide, gcd_in_p,
+                     mu_poly, partial_derivative)
 
 
 def test_partial_derivatives_basic():
@@ -70,7 +71,7 @@ CONDUCTOR_TABLE = [
 @pytest.mark.parametrize("name,q,expect", CONDUCTOR_TABLE)
 def test_conductor_values(name, q, expect):
     ring, f = make_curve(name, q=q)
-    delta, B = canonical_conductor(f, ring)
+    delta, B = conductor_of(f)
     assert delta == ring.parse(expect)
     assert delta.is_monic()
     assert delta.in_subring(ring.ndep)
@@ -84,21 +85,21 @@ def test_conductor_values(name, q, expect):
 ])
 def test_per_prime_conductor_matches_rational_reduction(name, primes):
     ring, f = make_curve(name)
-    delta0 = canonical_conductor(f, ring)[0]
+    delta0 = conductor_of(f)[0]
     for q in primes:
         ring_q, f_q = make_curve(name, q=q)
-        assert canonical_conductor(f_q, ring_q)[0] == mu_poly(delta0, ring_q)
+        assert conductor_of(f_q)[0] == mu_poly(delta0, ring_q)
 
 
 def test_degenerate_extension_raises():
     ring = curve_ring((1, 1), GF(13))
     with pytest.raises(ConductorError):
-        canonical_conductor(ring.parse("y^2"), ring)
+        canonical_conductor(tail_of(ring.parse("y^2")), ring)
 
 
 def test_integrally_closed_curve_has_unit_conductor():
     ring, f = make_curve("parabola")
-    assert canonical_conductor(f, ring)[0] == ring.one()
+    assert conductor_of(f)[0] == ring.one()
 
 
 def _monic_in_y(draw, ring, coeffs, d):
@@ -125,9 +126,9 @@ def test_conductor_matches_ideal_oracle(data):
             expect = conductor_oracle(f)
         except ConductorError:
             with pytest.raises(ConductorError):
-                canonical_conductor(f, ring)
+                conductor_of(f)
             return
-        assert canonical_conductor(f, ring)[0] == expect
+        assert conductor_of(f)[0] == expect
         return
     # g^2 divides f: the ideal lies in (g), which meets P only in zero
     g = _monic_in_y(data.draw, ring, coeffs, data.draw(st.integers(1, 2)))
@@ -136,7 +137,7 @@ def test_conductor_matches_ideal_oracle(data):
     with pytest.raises(ConductorError):
         conductor_oracle(f)
     with pytest.raises(ConductorError):
-        canonical_conductor(f, ring)
+        conductor_of(f)
 
 
 SMALL_PRIMES = [q for q in range(2, 200) if is_prime(q)]
@@ -158,13 +159,13 @@ def test_lucky_primes_keep_the_rational_conductor(data):
             terms[(i, e)] = content * c
     f = ring.poly(terms)
     try:
-        delta0, B = canonical_conductor(f, ring)
+        delta0, B = conductor_of(f)
     except ConductorError:
         return
     for q in SMALL_PRIMES:
         if B % q:
             ring_q = ring.with_domain(GF(q))
-            assert canonical_conductor(mu_poly(f, ring_q), ring_q)[0] == mu_poly(delta0, ring_q)
+            assert conductor_of(mu_poly(f, ring_q))[0] == mu_poly(delta0, ring_q)
 
 
 def _conductor_or_error(route, f, ring):
@@ -175,7 +176,7 @@ def _conductor_or_error(route, f, ring):
 
 
 def assert_routes_agree(f, ring):
-    assert (_conductor_or_error(lambda f, r: canonical_conductor(f, r)[0], f, ring)
+    assert (_conductor_or_error(lambda f, r: conductor_of(f)[0], f, ring)
             == _conductor_or_error(conductor_by_module_basis, f, ring))
 
 
@@ -231,14 +232,23 @@ def test_triangularization_matches_module_basis_over_q(data):
 @pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("weights,text,message", [
     ((1, 1, 1), "y^2 - x2*x1", "conductor supports rings F[y; x] only"),
-    ((3, 2), "2*y^2 - x^3", "relation must be monic in the dependent variable"),
-    ((3, 1), "y^2 + y^2*x - x^3", "relation must be monic in the dependent variable"),
+    ((3, 2), "2*y^2 - x^3", "relation is not monic in the dependent variable"),
+    ((3, 1), "y^2 + y^2*x - x^3", "no weight function: maximal-weight monomials {y^2*x}"),
     ((1, 1), "y^2", "degenerate extension: no conductor entries in P"),
 ], ids=["two-independent", "not-monic", "top-term-in-x", "degenerate"])
 def test_conductor_error_texts(domain, weights, text, message):
+    # the conductor takes f's tail, which cannot be non-monic: a relation
+    # that is not y^d plus lower terms is refused where its tail is taken, by
+    # the entry point of the domain's mode (``validate_problem``)
     ring = curve_ring(weights, domain)
+    f = ring.parse(text)
+    if "monic" in message or "weight" in message:
+        with pytest.raises(DriverError, match=f"^{re.escape(message)}$"):
+            run_algorithm1(ring, f) if domain == QQ else run_charq(ring, f, 7)
+        return
+    tail = tail_of(f) if ring.nindep == 1 else [{0: -1}, {}]     # by_y reads y and x only
     with pytest.raises(ConductorError, match=f"^{re.escape(message)}$"):
-        canonical_conductor(ring.parse(text), ring)
+        canonical_conductor(tail, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, MODP, QQ, ZZ, ClosureError, ClosurePresentation, ConductorError,
+from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation, ConductorError,
                       DomainError, LiftError, MonomialOrder, PrimeRun, Ring, SignatureError,
-                      balanced, canonical_conductor, grevlex_over_weight, is_prime,
+                      balanced, grevlex_over_weight, is_prime,
                       is_prime_usable, parse_problem, rat_recon,
                       reconcile_and_lift, run_algorithm1, run_charq, run_prime,
                       verify_candidate, RunConfig)
 from intclose.closure import YBAR, by_y, fraction_weights, split_record
 from intclose.lifting import (_specializes, closure_run, matrices_commute, point_residuals,
                               rejects_at_point, specializations)
-from conftest import CURVES, SEXTIC_INDUCED_WEIGHTS, curve_ring, make_curve, tail_of, xdict
+from conftest import (CURVES, SEXTIC_INDUCED_WEIGHTS, conductor_of, curve_ring, make_curve,
+                      run_inputs, tail_of, xdict)
 from corpus import README_PROBLEM, workloads
 from oracles import (crt, crt_sum_reference, is_prime_usable_reference, mod_n, mu_poly,
                      nullspace_rref, numerators_interreduced, psi_combination,
@@ -180,7 +181,7 @@ def _fold_psi(polys, ring):
 
 def _record(ring, text):
     """A polynomial's {monomial: int} map, as a CRT record holds it."""
-    return dict(ring.with_domain(ZZ).parse(text).terms)
+    return dict(ring.with_domain(QQ).parse(text).terms)
 
 
 def test_crt_poly_and_lift_chain():
@@ -341,25 +342,25 @@ def test_rat_recon_skips_invalid_candidates():
 
 def test_usability_radical_curve():
     ring, f = make_curve("radical")
-    delta0, B = canonical_conductor(f, ring)
+    inputs = run_inputs(f)
     expect = {2: "denominator", 11: "denominator", 13: "numerator",
               3: "conductor", 5: "conductor"}
     for q, why in expect.items():
-        status, info = is_prime_usable(q, f, delta0, B)
+        status, info = is_prime_usable(q, *inputs)
         assert status == "skipped" and why in info
     for q in (7, 17, 19):
-        status, _ = is_prime_usable(q, f, delta0, B)
+        status, _ = is_prime_usable(q, *inputs)
         assert status == "usable"
 
 
 def test_usability_quadratic_curve():
     ring, f = make_curve("quadratic")
-    delta0, B = canonical_conductor(f, ring)
-    assert is_prime_usable(2, f, delta0, B)[0] == "skipped"
-    assert is_prime_usable(7, f, delta0, B)[0] == "skipped"
-    assert is_prime_usable(3, f, delta0, B)[0] == "skipped"
-    assert "numerator" in is_prime_usable(3, f, delta0, B)[1]
-    assert is_prime_usable(101, f, delta0, B)[0] == "usable"
+    inputs = run_inputs(f)
+    assert is_prime_usable(2, *inputs)[0] == "skipped"
+    assert is_prime_usable(7, *inputs)[0] == "skipped"
+    assert is_prime_usable(3, *inputs)[0] == "skipped"
+    assert "numerator" in is_prime_usable(3, *inputs)[1]
+    assert is_prime_usable(101, *inputs)[0] == "usable"
 
 
 TALL_30 = {solve.label: solve.text for solve in workloads().tall_solves(7)[:30]}
@@ -382,9 +383,9 @@ def test_usability_matches_the_reference(name):
     # the reference, which runs the GF(q) conductor at every prime and reduces
     # through mu_poly (``Ring.poly``), at every q, those dividing B included
     ring, f = _curve_or_tall(name)
-    delta0, B = canonical_conductor(f, ring)
+    inputs, delta0 = run_inputs(f), conductor_of(f)[0]
     for q in range(2, 200):
-        status, info = is_prime_usable(q, f, delta0, B)
+        status, info = is_prime_usable(q, *inputs)
         want_status, want = is_prime_usable_reference(q, f, delta0)
         assert status == want_status
         if status == "skipped":
@@ -397,11 +398,11 @@ def test_usability_matches_the_reference(name):
 
 def test_compatibility_single_and_pair():
     ring, f = make_curve("quadratic")
-    delta0, B = canonical_conductor(f, ring)
+    inputs = run_inputs(f)
     # one run folds alone, and a second of the same signature onto it
-    r5 = run_prime(5, f, delta0, B)
+    r5 = run_prime(5, *inputs)
     state = reconcile_and_lift(r5, ring)
-    r11 = run_prime(11, f, delta0, B)
+    r11 = run_prime(11, *inputs)
     assert reconcile_and_lift(r11, ring, state).primes == (5, 11)
 
 
@@ -411,7 +412,7 @@ def test_charq_run_equals_the_prime_run(name):
     ring, f = make_curve(name)
     ring_q, f_q = make_curve(name, q=7)
     charq = run_charq(ring_q, f_q, 7)
-    run = run_prime(7, f, *canonical_conductor(f, ring))
+    run = run_prime(7, *run_inputs(f))
     assert charq.usable and run.usable
     assert charq.delta_q == run.delta_q
     assert charq.presentation.numerators == run.presentation.numerators
@@ -423,7 +424,7 @@ def _forced_run(name, q, delta=None):
     denominator, e.g. the image of the rational conductor)."""
     ring, f = make_curve(name, q=q)
     if delta is None:
-        delta = canonical_conductor(f, ring)[0]
+        delta = conductor_of(f)[0]
     else:
         delta = mu_poly(delta, ring)
     return closure_run(q, ring, tail_of(f), xdict(delta))
@@ -562,8 +563,8 @@ def test_verify_rejects_undersized_modulus(quadratic):
 
 def test_trident_rejects_at_55_with_reference_residual():
     ring, f = make_curve("trident")
-    delta0, B = canonical_conductor(f, ring)
-    r5 = run_prime(5, f, delta0, B)
+    delta0 = conductor_of(f)[0]
+    r5 = run_prime(5, *run_inputs(f))
     # the conductor filter would skip 11; force the rational conductor image
     r11 = _forced_run("trident", 11, delta=delta0)
     state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
@@ -575,7 +576,7 @@ def test_trident_rejects_at_55_with_reference_residual():
     assert texts == sorted(["ybar2^2 + 1/7*ybar2 + ybar1*x^5",
                             "ybar2*ybar1 + 1/7*ybar1 + x^6",
                             "ybar1^2 - ybar2*x"])
-    cert = verify_candidate(state, f)
+    cert = verify_candidate(state, tail_of(f))
     assert cert.gb_ok and not cert.containment_ok
     assert cert.residual == out.parse("55/7*ybar1*x")
 
@@ -646,7 +647,7 @@ def test_lazy_certificate_matches_the_eager_reference(name):
         assert (cert.accepted, cert.gb_ok, cert.containment_ok, cert.numerators_ok) == \
             (ref.accepted, *ref[:3])
         for order in permutations(BITS + ("residual",)):
-            cert = verify_candidate(stage.state, f)
+            cert = verify_candidate(stage.state, tail_of(f))
             assert cert.accepted == ref.accepted
             read = [bit for bit in order if ref.gb_ok or bit != "residual"]
             assert [getattr(cert, bit) for bit in read] == [getattr(ref, bit) for bit in read]
@@ -687,10 +688,9 @@ def _accepted_stages() -> tuple:
     out = []
     for name in ["quadratic"] + sorted(TALL_7)[:10]:
         ring, f = _curve_or_tall(name)
-        delta0, B = canonical_conductor(f, ring)
-        state = None
+        inputs, state = run_inputs(f), None
         for q in (5, 11, 13) if name in CURVES else PRIMES_BELOW_200:
-            run = run_prime(q, f, delta0, B)
+            run = run_prime(q, *inputs)
             if run.usable:
                 try:
                     state = reconcile_and_lift(run, ring, state)
@@ -704,7 +704,7 @@ def _accepted_stages() -> tuple:
 
 
 def test_point_test_rejects_no_accepted_stage():
-    assert not any(rejects_at_point(state, f) for state, f in _accepted_stages())
+    assert not any(rejects_at_point(state, tail_of(f)) for state, f in _accepted_stages())
 
 
 def _moved(state, data, coords=None):
@@ -732,19 +732,19 @@ def test_point_rejection_is_an_exact_rejection(data):
     # record is rejected at the point, before any record is built.
     state, f = data.draw(st.sampled_from(_accepted_stages()))
     moved = _moved(state, data) if data.draw(st.booleans()) else state
-    values = list(point_residuals(moved, f))
+    values = list(point_residuals(moved, tail_of(f)))
     rejected = any(map(any, values))
-    assert rejects_at_point(moved, f) == rejected
+    assert rejects_at_point(moved, tail_of(f)) == rejected
     try:
         ref = verify_candidate_reference(moved, f)
     except ClosureError:
-        assert rejected and not verify_candidate(moved, f).accepted
+        assert rejected and not verify_candidate(moved, tail_of(f)).accepted
         return
     if any(values[0]):
         assert not (ref.containment_ok and ref.gb_ok)
     elif rejected:
         assert not (ref.numerators_ok and ref.gb_ok)
-    cert = verify_candidate(moved, f)
+    cert = verify_candidate(moved, tail_of(f))
     assert cert.accepted == ref.accepted
     assert (cert.containment_ok, cert.numerators_ok, cert.gb_ok) == \
         (ref.containment_ok, ref.numerators_ok, ref.gb_ok)
@@ -784,7 +784,7 @@ def test_point_test_rejects_the_sextic_stages_that_fail_on_the_numerators():
     refs = [verify_candidate_reference(*stage) for stage in stages]
     assert [(r.containment_ok, r.numerators_ok) for r in refs] == \
         [(False, False)] * 2 + [(True, False)] * 3 + [(True, True)]
-    assert [rejects_at_point(*stage) for stage in stages] == [True] * 5 + [False]
+    assert [rejects_at_point(state, tail_of(f)) for state, f in stages] == [True] * 5 + [False]
 
 
 @settings(max_examples=100, deadline=None)
@@ -820,9 +820,9 @@ def test_certificate_reads_the_constant_coordinate_of_psi(relation):
     state, f = stages[-1]
     J = state.rings[1].ndep
     assert split_record(state.lift, J + 1)[2][J]
-    assert not rejects_at_point(state, f)
-    for stage in stages:
-        ref, cert = verify_candidate_reference(*stage), verify_candidate(*stage)
+    assert not rejects_at_point(state, tail_of(f))
+    for stage in stages:        # every stage is of the one relation f
+        ref, cert = verify_candidate_reference(*stage), verify_candidate(stage[0], tail_of(f))
         assert (cert.accepted, cert.gb_ok, cert.containment_ok, cert.numerators_ok) == \
             (ref.accepted, *ref[:3])
         assert cert.residual == ref.residual or not ref.gb_ok
@@ -842,7 +842,7 @@ def test_exact_bits_are_the_reference_on_moved_tables(data):
     shifted = sum(map(_shifted_stages, sorted(SHIFTED)), ())
     state, f = data.draw(st.sampled_from(_accepted_stages() + _stages("sextic") + shifted))
     moved = _moved(state, data)
-    cert = verify_candidate(moved, f)
+    cert = verify_candidate(moved, tail_of(f))
     try:
         ref = verify_candidate_reference(moved, f)
     except ClosureError:
@@ -883,9 +883,9 @@ def test_point_rejected_stages_build_no_lifted_record(tmp_path, monkeypatch, cap
         key = (stage[0], kind)
         counts[key] = counts.get(key, 0) + 1
 
-    def verify(state, f):
+    def verify(state, tail):
         stage[0] = state.modulus
-        return real_verify(state, f)
+        return real_verify(state, tail)
 
     def init(self, coords, input_ring, *rest):
         if input_ring.domain == QQ:
@@ -893,8 +893,8 @@ def test_point_rejected_stages_build_no_lifted_record(tmp_path, monkeypatch, cap
         real_init(self, coords, input_ring, *rest)
 
     monkeypatch.setattr(intclose.driver, "verify_candidate", verify)
-    def residuals(state, f, coord, dot):    # counts the exact residuals drawn
-        for r in real_residuals(state, f, coord, dot):
+    def residuals(state, tail, coord, dot):     # counts the exact residuals drawn
+        for r in real_residuals(state, tail, coord, dot):
             if dot is intclose.lifting._dot:
                 count("exact")
             yield r
@@ -993,8 +993,7 @@ def test_reconcile_rejects_incompatible_runs():
     # the oversized trident closure at q = 2 against the generic one at q = 7,
     # folded in either order
     ring, f = make_curve("trident")
-    delta0, B = canonical_conductor(f, ring)
-    r7 = run_prime(7, f, delta0, B)
+    r7 = run_prime(7, *run_inputs(f))
     r2 = _forced_run("trident", 2)
     for first, second in ((r2, r7), (r7, r2)):
         prev = reconcile_and_lift(first, ring)
@@ -1004,9 +1003,9 @@ def test_reconcile_rejects_incompatible_runs():
 
 def test_reconcile_rejects_an_unusable_run_and_a_prime_already_folded(quadratic):
     ring, f = quadratic
-    delta0, B = canonical_conductor(f, ring)
-    r5, r11 = run_prime(5, f, delta0, B), run_prime(11, f, delta0, B)
-    skipped = run_prime(3, f, delta0, B)
+    inputs = run_inputs(f)
+    r5, r11 = run_prime(5, *inputs), run_prime(11, *inputs)
+    skipped = run_prime(3, *inputs)
     assert not skipped.usable
     prev = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
     for p in (None, prev):
@@ -1021,8 +1020,8 @@ def test_fold_order_does_not_change_the_record(quadratic):
     # the balanced residue mod N is unique, so every order of folding the
     # runs at 5, 11 and 13 gives the all-at-once reference's record and lift
     ring, f = quadratic
-    delta0, B = canonical_conductor(f, ring)
-    runs = [run_prime(q, f, delta0, B) for q in (5, 11, 13)]
+    inputs = run_inputs(f)
+    runs = [run_prime(q, *inputs) for q in (5, 11, 13)]
     ref = reconcile_and_lift_reference(runs, ring)
     orders = list(permutations(runs))
     assert len(orders) == 6
@@ -1037,7 +1036,7 @@ def test_fold_order_does_not_change_the_record(quadratic):
 def test_rings_over_zz_and_qq_are_built_once_per_problem(monkeypatch):
     # the first stage builds the QQ copies of the input and output rings, and
     # every later stage reads them off the previous stage's lift; the CRT
-    # record is plain integer maps, so no ring over ZZ is built at all
+    # record is plain integer maps, which need no ring of their own
     ring, f = _problem("tall-7-001")
     calls, built = [], []
     real, real_init = Ring.with_domain, Ring.__post_init__
@@ -1047,8 +1046,7 @@ def test_rings_over_zz_and_qq_are_built_once_per_problem(monkeypatch):
                         lambda self: built.append(self.domain) or real_init(self))
     res = run_algorithm1(ring, f)
     assert len(res.stages) == 8
-    assert sum(domain in (ZZ, QQ) for domain in calls) == calls.count(QQ) == 2
-    assert ZZ not in built
+    assert calls.count(QQ) == built.count(QQ) == 2
 
 
 def test_closure_family_with_known_answer():

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from intclose import GF, MODP, QQ, ProblemError, Ring, canonical_conductor, parse_problem
+from intclose import GF, MODP, QQ, ProblemError, Ring, parse_problem
 from intclose.cli import main
+from conftest import conductor_of
 
 QUADRATIC = """\
 indvars: x
@@ -640,9 +641,17 @@ def test_runs_parse_once_per_ring_and_reduce_mod_q_without_polynomials(tmp_path,
     assert [c for c in calls if c[0] == "parse"] == [("parse", QQ)]
     assert [c for c in calls if c[1].kind == MODP] == []
     problem = parse_problem(QUADRATIC)
-    assert all(canonical_conductor(problem.relation(), problem.ring())[1] % q for q in (5, 11, 13))
+    assert all(conductor_of(problem.relation())[1] % q for q in (5, 11, 13))
     assert not [name for name, module in sys.modules.items()
                 if name.startswith("intclose") and hasattr(module, "mu_poly")]
+    # the sextic at 7 and 11, which both divide B: the GF(q) conductor runs on
+    # the mod-q tail the filter already holds, so it builds no Polynomial either
+    sextic = GOLDEN / "sextic.txt"
+    assert not any(conductor_of(parse_problem(sextic.read_text(encoding="utf-8")).relation())[1]
+                   % q for q in (7, 11))
+    calls.clear()
+    assert main([str(sextic), "--primes", "7,11"]) == 1
+    assert [c for c in calls if c[1].kind == MODP] == []
     # a run over another ring than the problem's own parses again: a
     # characteristic-7 problem in char0 mode parses over GF(7), then over QQ,
     # and prints what the file without the characteristic prints
