@@ -14,8 +14,7 @@ The relation f = y^d + sum_i tail[i](x) * y^i comes in as its tail,
 
 from __future__ import annotations
 
-import sys
-from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
@@ -23,7 +22,7 @@ from itertools import chain, combinations_with_replacement, count
 
 from .domains import MODP
 from .groebner import reduce_terms
-from .linalg import nullspace_mod
+from .linalg import _pack, _slot_bytes, _unpack, nullspace_mod
 from .orders import grevlex_over_weight
 from .rings import Polynomial, Ring
 from .weights import mono_weight
@@ -143,36 +142,6 @@ def frobenius_images(tail: list, delta: dict, q: int) -> tuple:
         images.append(mul(images[-1], power))
     return tuple([{e: c for e, c in enumerate(_unpack(p, w)) if c} for p in img]
                  for img in images[:d])
-
-
-# Kronecker substitution: F_q[x] elements as ints, one coefficient per w-byte
-# slot, slot i at bits 8*w*i and up
-_SLOT_TYPES = {array(c).itemsize: c for c in "BHILQ"}   # slot bytes -> array typecode
-
-
-def _slot_bytes(q: int, terms: int) -> int:
-    """Bytes per slot for a sum of ``terms`` products of residues mod q."""
-    need = -(-(2 * (q - 1).bit_length() + terms.bit_length()) // 8)
-    return next((s for s in sorted(_SLOT_TYPES) if s >= need), need)
-
-
-def _pack(v: list, w: int) -> int:
-    if not (code := _SLOT_TYPES.get(w)):
-        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
-    a = array(code, v)
-    if sys.byteorder == "big":         # array bytes are in the host's order
-        a.byteswap()
-    return int.from_bytes(a.tobytes(), "little")
-
-
-def _unpack(n: int, w: int) -> list:      # the slots up to n's highest nonzero one
-    raw = n.to_bytes(-(-n.bit_length() // (8 * w)) * w, "little")
-    if not (code := _SLOT_TYPES.get(w)):
-        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
-    a = array(code, raw)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a.tolist()
 
 
 def frobenius_nf(g: list, q: int, images: tuple) -> list:
@@ -318,7 +287,7 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     targets scale*g, gbar_j being g_j with its y-coefficients reduced mod D.
     """
     xdeg, targets = max(delta), _scaled_targets(numerators, leads, scale, q)
-    rows: dict = {}  # monomial -> sparse row {column index: coefficient}
+    by_k = [defaultdict(dict) for _ in numerators]   # k -> e -> row of y^k*x^e
     col = 0
     for g, (_, e) in zip(numerators, leads):
         if e == xdeg:
@@ -330,11 +299,11 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
             if alpha:
                 column = [{e2 + q: c for e2, c in coeff.items()} for coeff in column]
             column = _rem_by_targets(column, targets, q)
-            for k, coeff in enumerate(column):
+            for rows, coeff in zip(by_k, column):
                 for e2, c in coeff.items():
-                    rows.setdefault((k, e2), {})[col] = c
+                    rows[e2][col] = c
             col += 1
-    return rows
+    return {(k, e): row for k, rows in enumerate(by_k) for e, row in rows.items()}
 
 
 def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
@@ -373,6 +342,8 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
       which is again a member, so they share their remainder.
     * One remainder.  ``_rem_by_targets`` gives it, and
       ``canonical_generators`` interreduces the next generators with it.
+    * One pass.  A kernel vector's member, the sum of coeff*x^alpha*g_j over
+      its columns (j, alpha), is summed in one pass and reduced mod q once.
     """
     q, xdeg, d = ring.domain.char, max(delta), len(images)
     leads = [_lead(g, ring.order.key) for g in numerators]
@@ -388,10 +359,11 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
     for vec in kernel:
         acc = [{} for _ in range(d)]
         for (j, alpha), coeff in zip(cols, vec):
-            if coeff:                  # acc + coeff*x^alpha*g_j
-                acc = [xpoly_sub_mul(r, {alpha: q - coeff}, a, q)
-                       for r, a in zip(acc, numerators[j])]
-        new_gens.append(acc)
+            if coeff:
+                for r, a in zip(acc, numerators[j]):
+                    for e, c in a.items():
+                        r[e + alpha] = r.get(e + alpha, 0) + coeff * c
+        new_gens.append([{e: r for e, c in row.items() if (r := c % q)} for row in acc])
     return canonical_generators(new_gens, ring)
 
 

@@ -104,7 +104,7 @@ class Domain:
             raise DomainError("division by zero")
         if self.kind == MODP:
             return a * pow(b, -1, self.char) % self.char
-        return a / b
+        return Fraction(a) / b
 
     def is_zero(self, a) -> bool:
         return a == 0

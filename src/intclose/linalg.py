@@ -1,51 +1,99 @@
-"""Sparse linear algebra over prime fields, in plain Python."""
+"""Linear algebra over prime fields in plain Python, on F_q residues packed into ints."""
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import lru_cache
 
-def _subtract(row: dict, k: int, pivot_row: dict, q: int) -> None:
-    """row -= k * pivot_row over Z_q, in place; entries that vanish are dropped."""
-    for c, v in pivot_row.items():
-        s = (row.get(c, 0) - k * v) % q
-        if s:
-            row[c] = s
-        else:
-            del row[c]
+# F_q vectors as ints (Kronecker substitution), one residue per w-byte slot,
+# slot i at bits 8*w*i and up
+_SLOT_TYPES = {array(c).itemsize: c for c in "BHILQ"}   # slot bytes -> array typecode
+
+
+@lru_cache(maxsize=256)               # asked by every kernel and every prime's images
+def _slot_bytes(q: int, terms: int) -> int:
+    """Bytes per slot for a sum of ``terms`` products of residues mod q."""
+    need = -(-(2 * (q - 1).bit_length() + terms.bit_length()) // 8)
+    return next((s for s in sorted(_SLOT_TYPES) if s >= need), need)
+
+
+def _pack(v: list, w: int) -> int:
+    if not (code := _SLOT_TYPES.get(w)):
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
+    a = array(code, v)
+    if sys.byteorder == "big":         # array bytes are in the host's order
+        a.byteswap()
+    return int.from_bytes(a.tobytes(), "little")
+
+
+def _unpack(n: int, w: int) -> list:      # the slots up to n's highest nonzero one
+    raw = n.to_bytes(-(-n.bit_length() // (8 * w)) * w, "little")
+    if not (code := _SLOT_TYPES.get(w)):
+        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+    a = array(code, raw)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tolist()
+
+
+def _bits(m: int) -> list:
+    """The set bits of m, ascending."""
+    out = []
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return out
 
 
 def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
-    """Basis of the right nullspace of the matrix over Z_q.
+    """Basis of the right nullspace of the matrix over Z_q, as the RREF gives it.
 
-    ``rows`` is a list of sparse rows, each a dict from column index
-    (``0 <= c < ncols``) to integer entry, and may be empty (nullspace =
-    identity).  Entries are reduced mod q.  The reduced row echelon form is
-    built one row at a time: each row is reduced by the pivot rows of the
-    columns it touches; a nonzero remainder is scaled to 1 at its smallest
-    column, which is then cleared from the earlier pivot rows.  The RREF is
-    unique, so the basis (one vector per free column) does not depend on the
-    order of the rows.
+    ``rows`` is a list of sparse rows, dicts from column index (``0 <= c <
+    ncols``) to integer entry, reduced mod q; it may be empty (nullspace =
+    identity).  The basis has one vector b_f per free column f, ascending: 1
+    at f, 0 at the other free columns and minus the RREF entry at each pivot
+    column.  It is unique, so the order of the rows does not matter.
+
+    The basis of the rows read so far starts as the identity, with b_f[c] in
+    slot f of the packed int packed[c], so a row's products t_f = r.b_f are
+    the slots of one sum of r[c]*packed[c] (Dumas, Fousse & Salvy, JSC 2011).
+    If some t_f != 0 mod q, the smallest such free f becomes a pivot p and
+    each b_f takes -(t_f/t_p)*b_p: b_f stays 1 at f, 0 at the other free
+    columns and 0 above f, so the last basis is the RREF one.  Slots are
+    reduced mod q only when read.  A slot starts at 0 or 1 and takes at most
+    ncols updates of at most (q-1)^2, so a row's slot sums at most
+    ncols*(1 + ncols*(q-1)) products of residues; ``_slot_bytes`` sizes the
+    slots for that, so no slot carries into the next.  masks[c] (the slots of
+    packed[c] that may be nonzero) and support[f] (the columns where slot f
+    may be) limit the reads and updates.
     """
-    pivots: dict = {}  # pivot column -> row: 1 there, 0 at every other pivot
+    w = _slot_bytes(q, ncols * (1 + ncols * (q - 1)))
+    bits, slot = 8 * w, (1 << 8 * w) - 1
+    packed, masks = [1 << bits * c for c in range(ncols)], [1 << c for c in range(ncols)]
+    support, free = masks[:], (1 << ncols) - 1
     for row in rows:
         if row and (min(row) < 0 or max(row) >= ncols):
             raise ValueError(f"column index out of range for {ncols} columns")
-        r = {c: s for c, v in row.items() if (s := v % q)}
-        # a pivot row is 0 at the other pivots, so each r[c] here stays put
-        for c in [c for c in r if c in pivots]:
-            _subtract(r, r[c], pivots[c], q)
-        if not r:
+        t = m = 0
+        for c, v in row.items():
+            t += v % q * packed[c]
+            m |= masks[c]
+        hits = [(f, r) for f in _bits(m & free) if (r := (t >> bits * f & slot) % q)]
+        if not hits:
             continue
-        p = min(r)
-        inv = pow(r[p], -1, q)
-        r = {c: v * inv % q for c, v in r.items()}
-        for other in pivots.values():
-            if p in other:
-                _subtract(other, other[p], r, q)
-        pivots[p] = r
-    basis = {c: [0] * c + [1] + [0] * (ncols - 1 - c)
-             for c in range(ncols) if c not in pivots}
-    for p, r in pivots.items():
-        for c, v in r.items():
-            if c != p:
-                basis[c][p] = -v % q
+        p, inv, new, new_mask = hits[0][0], pow(hits[0][1], -1, q), 0, 0
+        for f, r in hits[1:]:
+            new += r * inv % q << bits * f
+            new_mask |= 1 << f
+            support[f] |= support[p]
+        for c in _bits(support[p]) if new else ():
+            if s := (packed[c] >> bits * p & slot) % q:
+                packed[c] += (q - s) * new
+                masks[c] |= new_mask
+        free ^= 1 << p
+    basis = {f: [0] * ncols for f in _bits(free)}
+    for f, v in basis.items():         # support[f]: f and pivot columns only
+        for c in _bits(support[f]):
+            v[c] = (packed[c] >> bits * f & slot) % q
     return list(basis.values())

@@ -1144,6 +1144,12 @@ def test_nullspace_with_large_modulus():
     for bad in ({3: 1}, {-1: 1}):
         with pytest.raises(ValueError):
             nullspace_mod([bad], 3, q)
+    # dense, rank 47 of 48, all entries at the top residues: every pivot
+    # updates the earlier pivot columns, so the packed slots sum the most
+    rng = random.Random(48)
+    dense = [[q - rng.randint(1, 2) for _ in range(48)] for _ in range(47)]
+    basis = nullspace_mod([dict(enumerate(r)) for r in dense], 48, q)
+    assert len(basis) == 1 and basis == nullspace_rref(dense, 48, q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1153,16 +1159,24 @@ def test_nullspace_matches_rref_oracle(data):
     q = data.draw(st.sampled_from([2, 3, 29, (1 << 31) - 1, (1 << 61) - 1]), label="q")
     ncols = data.draw(st.integers(0, 10), label="ncols")
     entry = st.integers(-q, 2 * q - 1) | st.sampled_from([0, 1, q - 1])
+    min_rows = 0
     if ncols and data.draw(st.booleans(), label="sparse"):
         # tall, at most two nonzeros a row, like the Frobenius matrices
         row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=2)
         max_rows = 4 * ncols + 4
     else:
+        if data.draw(st.integers(0, 7), label="wide") == 7:
+            # up to full rank: early pivot columns take an update from every
+            # later pivot, the most a packed slot sums
+            ncols = data.draw(st.integers(11, 48), label="wide ncols")
+            max_rows = ncols + 2
+            min_rows = data.draw(st.integers(0, max_rows), label="min rows")
+        else:
+            max_rows = 8
         row = (st.lists(entry, min_size=ncols, max_size=ncols).map(
             lambda r: {c: x for c, x in enumerate(r) if x})
             | st.just({}))
-        max_rows = 8
-    rows = data.draw(st.lists(row, max_size=max_rows), label="rows")
+    rows = data.draw(st.lists(row, min_size=min_rows, max_size=max_rows), label="rows")
     dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
     basis = nullspace_mod(rows, ncols, q)
     assert [[r.get(c, 0) for c in range(ncols)] for r in rows] == dense  # input kept

@@ -25,6 +25,8 @@ def test_rational_domain_reduces():
     assert QQ.convert(Fraction(4, 6)) == Fraction(2, 3)
     assert QQ.convert(Fraction(1, -3)) == Fraction(-1, 3)
     assert QQ.convert(Fraction(1, -3)).denominator == 3
+    assert QQ.div(1, 2) == Fraction(1, 2) and QQ.div(3, 3) == 1
+    assert type(QQ.div(1, 2)) is Fraction and type(QQ.div(3, 3)) is Fraction
 
 
 def test_modp_canonical_range():
