@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .closure import ClosureError
 from .conductor import ConductorError
@@ -40,8 +41,7 @@ def _document(result) -> dict:
     """The run's report, its fields in print order: ``emit_structured`` dumps it
     as JSON and ``emit_text`` renders it line by line."""
     if isinstance(result, PrimeRun):
-        head = {"mode": "charq", "q": result.q, "conductor": format_poly(result.delta_q)}
-        tail = {}
+        head, tail = {"mode": "charq", "q": result.q, "conductor": format_poly(result.delta_q)}, {}
     else:
         head = {"mode": "char0", "accepted": result.accepted,
                 "conductor": format_poly(result.conductor),
@@ -95,6 +95,7 @@ def emit_structured(result) -> str:
     return json.dumps(_document(result), indent=2) + "\n"
 
 
+@cache                                # built on the first call, then shared by every main()
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="intclose",
@@ -102,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("problem", help="problem file (see docs for the format)")
     ap.add_argument("--mode", choices=("char0", "charq"), default=None,
                     help="full rational pipeline or a single finite-field run")
-    ap.add_argument("--prime", type=int, default=None,
-                    help="the prime for charq mode")
+    ap.add_argument("--prime", type=int, default=None, help="the prime for charq mode")
     ap.add_argument("--primes", default=None,
                     help="explicit comma-separated prime schedule for char0 mode")
     ap.add_argument("--start-prime", type=int, default=None,

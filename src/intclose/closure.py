@@ -22,10 +22,11 @@ from itertools import chain, combinations_with_replacement, count
 
 from .domains import MODP
 from .groebner import reduce_terms
-from .linalg import _pack, _slot_bytes, _unpack, nullspace_mod
+from .linalg import nullspace_mod
 from .orders import grevlex_over_weight
 from .rings import Polynomial, Ring
 from .weights import mono_weight
+from .xpoly import monic, monic_gcd, mul_scalar, pack, quo_rem, slot_bytes, sub_dot, unpack
 
 
 class ClosureError(ValueError):
@@ -80,7 +81,7 @@ def canonical_generators(vectors, ring: Ring) -> tuple:
             if k in basis:
                 heappush(pending, (key((k, basis[k][0])), next(tick), basis[k][1]))
             inv = pow(v[k][e], -1, q)
-            basis[k] = e, [{e2: c * inv % q for e2, c in a.items()} for a in v]
+            basis[k] = e, [mul_scalar(a, inv, q) for a in v]
     out: dict = {}                     # the last pass keeps every lead
     for k, (e, v) in sorted(basis.items(), key=lambda item: key((item[0], item[1][0]))):
         out[k] = e, _rem_by_targets(v, out, q)
@@ -100,23 +101,21 @@ def frobenius_images(tail: list, delta: dict, q: int) -> tuple:
     That is about log(q) + d products of d^2 coefficient pairs of q * deg D slots.
     """
     d = len(tail)
-    neg = [{e: q - c for e, c in t.items()} for t in tail]     # y^d = sum_i neg[i](x) * y^i
-    inv = pow(delta[max(delta)], -1, q)
-    mod = {q * e: c * inv % q for e, c in delta.items()}    # D^q = D(x^q), monic
+    mod = monic({q * e: c for e, c in delta.items()}, q)    # D^q = D(x^q), monic
     top = max(mod)
     low = [(e, q - c) for e, c in mod.items() if e < top]    # x^top = sum c*x^e
-    tlen = 1 + max((e for t in neg for e in t), default=0)
+    tlen = 1 + max((e for t in tail for e in t), default=0)
     # a slot sums at most d*top products of residues, and its folds d*tlen more
-    w = _slot_bytes(q, d * (top + tlen))
-    packed_tail = [_pack([t.get(e, 0) for e in range(tlen)], w) for t in neg]
+    w = slot_bytes(q, d * (top + tlen))
+    packed_tail = [pack([-t.get(e, 0) % q for e in range(tlen)], w) for t in tail]   # -tail
 
     def reduce(n: int) -> int:
-        v = _unpack(n, w)
+        v = unpack(n, w)
         for i in range(len(v) - 1, top - 1, -1) if low else ():
             if t := v[i] % q:
                 for e, c in low:
                     v[i - top + e] += t * c
-        return _pack([c % q for c in v[:top]], w)
+        return pack([c % q for c in v[:top]], w)
 
     def fold(prods: list) -> list:
         for s in range(len(prods) - 1, d - 1, -1):
@@ -140,7 +139,7 @@ def frobenius_images(tail: list, delta: dict, q: int) -> tuple:
     images = [fold([1] + [0] * (d - 1)), power]
     while len(images) < d:
         images.append(mul(images[-1], power))
-    return tuple([{e: c for e, c in enumerate(_unpack(p, w)) if c} for p in img]
+    return tuple([{e: c for e, c in enumerate(unpack(p, w)) if c} for p in img]
                  for img in images[:d])
 
 
@@ -165,57 +164,7 @@ def frobenius_nf(g: list, q: int, images: tuple) -> list:
 
 def frobenius_scale(delta: dict, q: int) -> dict:
     """D^(q-1) over F_q, D and the result F_q[x] dicts: D(x^q) / D, as c^q = c on F_q."""
-    return xpoly_divmod({q * e: c for e, c in delta.items()}, delta, q)[0]
-
-
-# F_q[x] on x-exponent -> coefficient dicts with coefficients in 0 .. q-1
-
-
-def xpoly_divmod(a: dict, m: dict, q: int, n: int | None = None) -> tuple:
-    """(quotient, remainder) of a by m != 0 in F_q[x]; n, if given, is deg m.
-
-    The remainder is a itself when a's degree is below m's, and a truncation
-    when m is a monomial.
-    """
-    n, top = max(m) if n is None else n, max(a, default=-1)
-    if top < n:
-        return {}, a
-    inv = pow(m[n], -1, q)
-    if len(m) == 1:                    # m = c*x^n: a shift and a truncation
-        return ({e - n: c * inv % q for e, c in a.items() if e >= n},
-                {e: c for e, c in a.items() if e < n})
-    buf = [0] * (top + 1)
-    for e, c in a.items():
-        buf[e] = c
-    quot = {}
-    for e in range(len(buf) - 1, n - 1, -1):
-        s = buf[e] * inv % q
-        if s:
-            quot[e - n] = s
-            for e2, c2 in m.items():
-                buf[e - n + e2] -= s * c2
-    return quot, {e: r for e, c in enumerate(buf[:n]) if (r := c % q)}
-
-
-def xpoly_sub_mul(a: dict, s: dict, b: dict, q: int) -> dict:
-    """a - s*b in F_q[x]; a itself when s or b is zero."""
-    if not s or not b:
-        return a
-    out = dict(a)
-    for e1, c1 in s.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) - c1 * c2
-    return {e: r for e, c in out.items() if (r := c % q)}
-
-
-def xpoly_gcd(a: dict, b: dict, q: int) -> dict:
-    """Monic gcd of a and b in F_q[x], by Euclid's algorithm; {} when both are zero."""
-    while b:
-        a, b = b, xpoly_divmod(a, b, q)[1]
-    if not a:
-        return a
-    inv = pow(a[max(a)], -1, q)
-    return {e: c * inv % q for e, c in a.items()}
+    return quo_rem({q * e: c for e, c in delta.items()}, delta, q)[0]
 
 
 def by_y(p: Polynomial, d: int) -> list:
@@ -260,12 +209,12 @@ def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = Non
     while todo:                        # a division here has a nonzero quotient
         k = todo.pop()
         n, t = targets[k]
-        quot, v[k] = xpoly_divmod(v[k], t[k], q, n)
+        quot, v[k] = quo_rem(v[k], t[k], q, n)
         if quotients is not None:      # quotients[k] - (-1)*quot
-            quotients[k] = xpoly_sub_mul(quotients.get(k, {}), {0: q - 1}, quot, q)
+            quotients[k] = sub_dot(quotients.get(k, {}), (({0: q - 1}, quot),), q)
         for j, b in enumerate(t):
             if j != k and b:
-                v[j] = xpoly_sub_mul(v[j], quot, b, q)
+                v[j] = sub_dot(v[j], ((quot, b),), q)
                 if j in targets and j not in todo and max(v[j], default=-1) >= targets[j][0]:
                     todo.append(j)
     return v
@@ -273,8 +222,8 @@ def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = Non
 
 def _scaled_targets(vectors, leads: list, s: dict, q: int) -> dict:
     """{k: (e + deg s, s*g)}: ``_rem_by_targets``' targets s*g, g of lead y^k*x^e."""
-    neg = {e: q - c for e, c in s.items()}               # 0 - (-s)*c = s*c
-    return {k: (e + max(s), [xpoly_sub_mul({}, neg, c, q) for c in g])
+    minus = mul_scalar(s, -1, q)                             # 0 - c*(-s) = s*c
+    return {k: (e + max(s), [sub_dot({}, ((c, minus),), q) if c else c for c in g])
             for g, (k, e) in zip(vectors, leads)}
 
 
@@ -292,7 +241,7 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     for g, (_, e) in zip(numerators, leads):
         if e == xdeg:
             continue
-        gbar = [xpoly_divmod(c, delta, q, xdeg)[1] for c in g]
+        gbar = [quo_rem(c, delta, q, xdeg)[1] for c in g]
         unit = sum(map(len, gbar)) == 1 and {0: 1} in gbar     # gbar = y^k: image k
         column = images[gbar.index({0: 1})] if unit else frobenius_nf(gbar, q, images)
         for alpha in range(xdeg - e):
@@ -404,10 +353,10 @@ def minimize_denominator(vectors: tuple, q: int) -> tuple:
     c: dict = {}
     for v in vectors:
         for a in v:
-            c = xpoly_gcd(c, a, q)
+            c = monic_gcd(c, a, q)
     if c == {0: 1}:
         return vectors
-    return tuple([xpoly_divmod(a, c, q)[0] for a in v] for v in vectors)
+    return tuple([quo_rem(a, c, q)[0] for a in v] for v in vectors)
 
 
 YBAR = "ybar"                        # stem of the fraction variable names
@@ -558,9 +507,9 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
 
     def fold(prods: list) -> list:     # y^s = y^(s-d) * (y^d - f), s >= d
         for s in range(len(prods) - 1, d - 1, -1):
-            c = prods.pop()
-            for i, t in enumerate(tail):
-                prods[s - d + i] = xpoly_sub_mul(prods[s - d + i], c, t, q)
+            for i, t in enumerate(tail) if (c := prods.pop()) else ():
+                if t:
+                    prods[s - d + i] = sub_dot(prods[s - d + i], ((c, t),), q)
         return prods + [{} for _ in range(d - len(prods))]
 
     def combination(v: list, targets: dict, off_span: str, error=ClosureError) -> list:
@@ -573,11 +522,12 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
     scaled = _scaled_targets(vectors, leads, delta, q)      # delta*g_j
     tails = []
     for a, b in combinations_with_replacement(range(J), 2):   # position a <-> vectors[a]
-        prods = [{} for _ in range(2 * d - 1)]
+        prods = [{} for _ in range(2 * d - 1)]     # -g_a*g_b
         for i, ai in enumerate(vectors[a]):
             for j, bj in enumerate(vectors[b]) if ai else ():
-                prods[i + j] = xpoly_sub_mul(prods[i + j], ai, bj, q)
-        tails.append(combination(fold(prods), scaled,    # of -g_a*g_b
+                if bj:
+                    prods[i + j] = sub_dot(prods[i + j], ((ai, bj),), q)
+        tails.append(combination(fold(prods), scaled,
                                  f"fraction product {a},{b} leaves the module: not a fixpoint",
                                  NotARingError))
     psi = combination(fold([{}, delta]), {k: (e, v) for (k, e), v in zip(leads, vectors)},

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from math import gcd, lcm, prod
 
-from .closure import xpoly_divmod, xpoly_sub_mul
 from .rings import Ring
+from .xpoly import monic, mul_scalar, quo_rem, sub_dot
 
 
 class ConductorError(ValueError):
@@ -50,51 +50,43 @@ def canonical_conductor(tail: list, ring: Ring) -> tuple:
     canonical monic conductor element of P as an F[x] dict, and B (above)."""
     if ring.ndep != 1 or ring.nindep != 1:
         raise ConductorError("conductor supports rings F[y; x] only")
-    dom, d = ring.domain, len(tail)
-    q, scale = dom.char, lcm(*(c.denominator for a in tail for c in a.values()))
+    d, q = len(tail), ring.domain.char
+    scale = lcm(*(c.denominator for a in tail for c in a.values()))
     scalars = [scale]                  # B's factors; the column leads join over Q only
-    if q:
-        sub_mul = lambda a, s, b: xpoly_sub_mul(a, s, b, q)
-        tidy = lambda r: r
-        rem = lambda r, p, c: _euclid_rem(r, p, c, q)
-    else:                              # rows of Q[x]^d scaled into Z[x]^d
-        sub_mul = lambda a, s, b: _zx_sub_mul(scale, a, s, b)
-        tidy = lambda r: _primitive(r, scalars)
-        rem = lambda r, p, c: _pseudo_rem(r, p, c, scalars)
     scaled = lambda v: [{e: r for e, c in a.items() if (r := c % q if q else int(c * scale))}
-                        for a in v]
+                        for a in v]            # rows of Q[x]^d scaled into Z[x]^d
     low = scaled(tail)                 # scale*f = scale*y^d + sum_i low[i](x) * y^i
     f_y = [{e: k * c for e, c in a.items()} for k, a in enumerate(tail) if k] + [{0: d}]
     f_x = [{e - 1: e * c for e, c in a.items() if e} for a in tail]
     rows, live = [], []
     for g in (f_y, f_x):
-        g = tidy(scaled(g))
+        g = _primitive(scaled(g), scalars, q)
         for _ in range(d):
-            rows.append(g)
-            top = g[-1]                # scale * y*g mod f
-            g = tidy([sub_mul(a, top, b) for a, b in zip([{}] + g[:-1], low)])
+            rows.append(g)             # then scale * y*g mod f
+            top, up = g[-1], g[:-1] if scale == 1 else [mul_scalar(a, scale) for a in g[:-1]]
+            g = _primitive([sub_dot(a, ((top, b),), q) if top and b else a
+                            for a, b in zip([{}] + up, low)], scalars, q)
     for c in range(d - 1, -1, -1):
         live = [r for r in rows if r[c]]
         rows = [r for r in rows if not r[c]]
         while len(live) > 1:
             # ties go to the smallest leading coefficient, which grows the rest least in Z[x]
             pivot = min(live, key=lambda r: (max(r[c]), abs(r[c][max(r[c])]).bit_length()))
-            rest = [rem(r, pivot, c) for r in live if r is not pivot]
+            rest = [_euclid_rem(r, pivot, c, q) if q else _pseudo_rem(r, pivot, c, scalars)
+                    for r in live if r is not pivot]
             rows += [r for r in rest if not r[c]]
             live = [pivot] + [r for r in rest if r[c]]
         if live and not q:
             scalars.append(live[0][c][max(live[0][c])])
     if not live:
         raise ConductorError("degenerate extension: no conductor entries in P")
-    delta = live[0][0]
-    lead = dom.convert(delta[max(delta)])
-    return {e: dom.div(dom.convert(c), lead) for e, c in delta.items()}, prod(scalars)
+    return monic(live[0][0], q), prod(scalars)
 
 
 def _euclid_rem(r: list, p: list, c: int, q: int) -> list:
     """r - s*p over F_q[x], s the quotient of r[c] by p[c]; columns 0 .. c."""
-    s, rem = xpoly_divmod(r[c], p[c], q)
-    return [xpoly_sub_mul(a, s, b, q) for a, b in zip(r[:c], p)] + [rem]
+    s, rem = quo_rem(r[c], p[c], q)
+    return [sub_dot(a, ((s, b),), q) if b else a for a, b in zip(r[:c], p)] + [rem]
 
 
 def _pseudo_rem(r: list, p: list, c: int, scalars: list) -> list:
@@ -103,22 +95,15 @@ def _pseudo_rem(r: list, p: list, c: int, scalars: list) -> list:
     n = max(p[c])
     while r[c] and (m := max(r[c])) >= n:
         g = gcd(p[c][n], r[c][m])
-        scalars.append(p[c][n] // g)
-        r = [_zx_sub_mul(p[c][n] // g, a, {m - n: r[c][m] // g}, b)
-             for a, b in zip(r[:c + 1], p)]
-    return _primitive(r, scalars)
+        u, s = p[c][n] // g, {m - n: r[c][m] // g}
+        scalars.append(u)
+        r = [sub_dot(mul_scalar(a, u), ((s, b),)) for a, b in zip(r[:c + 1], p)]
+    return _primitive(r, scalars, 0)
 
 
-def _zx_sub_mul(u: int, a: dict, s: dict, b: dict) -> dict:
-    """u*a - s*b in Z[x]."""
-    out = {e: u * v for e, v in a.items()}
-    for e1, c1 in s.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) - c1 * c2
-    return {e: v for e, v in out.items() if v}
-
-
-def _primitive(row: list, scalars: list) -> list:
-    """A row of Z[x]^d divided by the gcd of its coefficients, which goes to scalars."""
+def _primitive(row: list, scalars: list, q: int) -> list:
+    """Over Z (q = 0), row over the gcd of its coefficients, which joins scalars; else row."""
+    if q:
+        return row
     scalars.append(g := gcd(*(v for a in row for v in a.values())) or 1)
     return row if g == 1 else [{e: v // g for e, v in a.items()} for a in row]

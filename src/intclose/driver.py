@@ -9,7 +9,7 @@ from .conductor import canonical_conductor
 from .domains import GF, DomainError, is_prime
 from .lifting import (Certificate, LiftState, PrimeRun, SignatureError, closure_run,
                       reconcile_and_lift, run_prime, specializations, verify_candidate)
-from .rings import Polynomial, Ring, _mono_str
+from .rings import Polynomial, Ring, mono_str
 from .weights import WeightError, validate_weight_function
 
 
@@ -110,7 +110,7 @@ def _prime_schedule(config: RunConfig):
 
 
 def _lm_names(monos, ring):
-    return "[" + ",".join(_mono_str(m, ring.names) or "1" for m in monos) + "]"
+    return "[" + ",".join(mono_str(m, ring.names) or "1" for m in monos) + "]"
 
 
 def validate_problem(ring: Ring, f: Polynomial) -> list:
@@ -123,7 +123,7 @@ def validate_problem(ring: Ring, f: Polynomial) -> list:
     except WeightError as exc:
         raise DriverError(str(exc)) from None
     if not ok:
-        bad = ", ".join(_mono_str(m, ring.names) or "1" for m in offending)
+        bad = ", ".join(mono_str(m, ring.names) or "1" for m in offending)
         raise DriverError(f"no weight function: maximal-weight monomials {{{bad}}}")
     try:
         fraction_names(f.degree_in(0) - 1, ring)

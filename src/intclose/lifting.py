@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import starmap
 from math import gcd, lcm
 from operator import mul
 
@@ -34,6 +35,7 @@ from .closure import (ClosurePresentation, ClosureError, from_y, from_ybar, qth_
 from .conductor import ConductorError, canonical_conductor
 from .domains import GF, QQ, balanced, is_prime
 from .rings import Polynomial, Ring
+from .xpoly import mod_q, sub_dot
 
 
 class LiftError(ArithmeticError):
@@ -83,12 +85,6 @@ def rat_recon(c: int, n: int) -> Fraction:
             if g == 1 or (c * b - a) % n == 0:
                 best, alpha, beta = norm, a, b
     return Fraction(alpha, beta)
-
-
-def mod_q(a: dict, q: int) -> dict:
-    """An F[x] dict of rationals or integers mod q: {e: a_e * b_e^-1 mod q} for
-    each a_e/b_e, zeros dropped; a denominator that q divides raises ValueError."""
-    return {e: r for e, c in a.items() if (r := c.numerator * pow(c.denominator, -1, q) % q)}
 
 
 # ---------------------------------------------------------------------------
@@ -224,51 +220,40 @@ POINT_PRIME = (1 << 61) - 1
 POINT_X = 1234567890123456789
 
 
-def _dot(xs, ys, start: dict | None = None) -> dict:
-    """start plus the sum of x*y over F[x] maps x in xs, y in ys, zeros dropped:
-    the one F[x] product of the exact bits and of ``matrices_commute``."""
-    acc = dict(start) if start else {}
-    for a, b in zip(xs, ys):
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in acc.items() if c}
-
-
-def table_residuals(state: LiftState, tail: list, coord, dot):
+def table_residuals(state: LiftState, tail: list, coord, sub_dot):
     """psi(f), then psi(g_k) - ybar_k*delta for k < J (delta = g_0), reduced by
     the lifted table to coordinates on ybar_J .. ybar_1, 1, f given by its tail;
     the numerators are read only when their residuals are.
 
-    Each F[x] map of the lift is taken by ``coord``, each sum of products by
-    ``dot(xs, ys, start)``: values at a point (``point_residuals``), or
-    ``dict`` and ``_dot`` for the exact bits over Q[x].  With
-    ybar_a*ybar_b = -tail_ab, multiplying by psi(y) is one matrix on that
-    basis, and psi(p) is one Horner pass over p's y-coefficients,
-    value = value*psi + p_k, f's last p_k the monic 1.  A residual has
+    Each F[x] map of the lift is taken by ``coord``, each a - sum x*y by
+    ``sub_dot(a, pairs)``: values at a point (``point_residuals``), or
+    ``dict`` and ``xpoly.sub_dot`` for the exact bits over Q[x].  With
+    ybar_a*ybar_b = -tail_ab, multiplying by -psi(y) is one matrix on that
+    basis, and psi(p) is one Horner pass over p's y-coefficients, value =
+    p_k - value*(-psi), f's last p_k the monic 1.  A residual has
     ybar-degree <= 1: a normal form, unique when the relations are a Groebner basis."""
     J = state.rings[1].ndep
     vectors, tails, psi = split_record(state.lift, J + 1)
-    zero, psi = coord({}), [coord(a) for a in psi]
-    minus_one = coord({0: -1})
-    neg_psi = [dot((minus_one,), (a,)) for a in psi[:J]]
+    zero, one = coord({}), coord({0: 1})
+    minus_psi = [sub_dot(zero, ((one, coord(a)),)) for a in psi]
     tails = {pair: [coord(a) for a in t] for pair, t in tails.items()}
-    cols = [[dot(neg_psi, [tails[min(a, b), max(a, b)][i] for b in range(J)],
-                 psi[J] if i == a else zero) for i in range(J + 1)]
-            for a in range(J)] + [psi]        # column a: ybar_a*psi(y), ybar_J being 1
+    cols = [[sub_dot(minus_psi[J] if i == a else zero,
+                     zip(minus_psi, [tails[min(a, b), max(a, b)][i] for b in range(J)]))
+             for i in range(J + 1)]
+            for a in range(J)] + [minus_psi]  # column a: -ybar_a*psi(y), ybar_J being 1
     rows = list(zip(*cols))
 
     def image(ys: list) -> list:       # psi(sum_k ys[k]*y^k)
         value = [zero] * J + [ys[-1]]
         for y in reversed(ys[:-1]):
-            value = [dot(row, value, y if i == J else zero) for i, row in enumerate(rows)]
+            value = [sub_dot(y if i == J else zero, zip(row, value)) for i, row in enumerate(rows)]
         return value
 
-    yield image([coord(a) for a in tail] + [coord({0: 1})])
+    yield image([coord(a) for a in tail] + [one])
     nums = [[coord(a) for a in v] for v in vectors]     # g_J .. g_0, and g_0 = delta
     for k, v in enumerate(nums[:J]):
         r = image(v)
-        r[k] = dot((minus_one,), (nums[-1][0],), r[k])
+        r[k] = sub_dot(r[k], ((one, nums[-1][0]),))
         yield r
 
 
@@ -279,7 +264,7 @@ def point_residuals(state: LiftState, tail: list):
     p = POINT_PRIME
     return table_residuals(
         state, tail, lambda a: sum(c * pow(POINT_X, e, p) for e, c in mod_q(a, p).items()) % p,
-        lambda xs, ys, start=0: (start + sum(map(mul, xs, ys))) % p)
+        lambda a, pairs: (a - sum(starmap(mul, pairs))) % p)
 
 
 def rejects_at_point(state: LiftState, tail: list) -> bool:
@@ -305,8 +290,8 @@ def matrices_commute(state: LiftState) -> bool:
                                   for e, c in x.items()} for x in t]
     rows = [list(zip(*(col[a, k] for k in range(J + 1)))) for a in range(J)]
 
-    def times(a: int, v: list) -> list:         # L*M_a*v
-        return [_dot(row, v) for row in rows[a]]
+    def times(a: int, v: list) -> list:         # -L*M_a*v
+        return [sub_dot({}, zip(row, v)) for row in rows[a]]
 
     return all(times(a, col[b, c]) == times(b, col[a, c])
                for b in range(J) for a in range(b) for c in range(J))
@@ -321,7 +306,7 @@ class Certificate:
 
     def __init__(self, state: LiftState, tail: list):
         self._state = state
-        self._exact = table_residuals(state, tail, dict, _dot)
+        self._exact = table_residuals(state, tail, dict, sub_dot)
         self.per_prime: tuple = ()   # ((q, bool), ...) over the runs checked
         self.accepted = (not rejects_at_point(state, tail) and self.containment_ok
                          and self.numerators_ok and self.gb_ok)

@@ -1,40 +1,9 @@
-"""Linear algebra over prime fields in plain Python, on F_q residues packed into ints."""
+"""Linear algebra over prime fields in plain Python, on F_q residues packed
+into ints (``xpoly``'s packed-slot form)."""
 
 from __future__ import annotations
 
-import sys
-from array import array
-from functools import lru_cache
-
-# F_q vectors as ints (Kronecker substitution), one residue per w-byte slot,
-# slot i at bits 8*w*i and up
-_SLOT_TYPES = {array(c).itemsize: c for c in "BHILQ"}   # slot bytes -> array typecode
-
-
-@lru_cache(maxsize=256)               # asked by every kernel and every prime's images
-def _slot_bytes(q: int, terms: int) -> int:
-    """Bytes per slot for a sum of ``terms`` products of residues mod q."""
-    need = -(-(2 * (q - 1).bit_length() + terms.bit_length()) // 8)
-    return next((s for s in sorted(_SLOT_TYPES) if s >= need), need)
-
-
-def _pack(v: list, w: int) -> int:
-    if not (code := _SLOT_TYPES.get(w)):
-        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
-    a = array(code, v)
-    if sys.byteorder == "big":         # array bytes are in the host's order
-        a.byteswap()
-    return int.from_bytes(a.tobytes(), "little")
-
-
-def _unpack(n: int, w: int) -> list:      # the slots up to n's highest nonzero one
-    raw = n.to_bytes(-(-n.bit_length() // (8 * w)) * w, "little")
-    if not (code := _SLOT_TYPES.get(w)):
-        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
-    a = array(code, raw)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a.tolist()
+from .xpoly import slot_bytes
 
 
 def _bits(m: int) -> list:
@@ -63,12 +32,12 @@ def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
     columns and 0 above f, so the last basis is the RREF one.  Slots are
     reduced mod q only when read.  A slot starts at 0 or 1 and takes at most
     ncols updates of at most (q-1)^2, so a row's slot sums at most
-    ncols*(1 + ncols*(q-1)) products of residues; ``_slot_bytes`` sizes the
+    ncols*(1 + ncols*(q-1)) products of residues; ``slot_bytes`` sizes the
     slots for that, so no slot carries into the next.  masks[c] (the slots of
     packed[c] that may be nonzero) and support[f] (the columns where slot f
     may be) limit the reads and updates.
     """
-    w = _slot_bytes(q, ncols * (1 + ncols * (q - 1)))
+    w = slot_bytes(q, ncols * (1 + ncols * (q - 1)))
     bits, slot = 8 * w, (1 << 8 * w) - 1
     packed, masks = [1 << bits * c for c in range(ncols)], [1 << c for c in range(ncols)]
     support, free = masks[:], (1 << ncols) - 1

@@ -261,7 +261,7 @@ def _coeff_str(c, domain: Domain) -> str:
     return str(int(c))
 
 
-def _mono_str(mono, names) -> str:
+def mono_str(mono, names) -> str:
     parts = []
     for name, e in zip(names, mono):
         if e == 1:
@@ -281,7 +281,7 @@ def format_poly(p: Polynomial) -> str:
         cs = _coeff_str(c, dom)
         neg = cs.startswith("-")
         mag = cs[1:] if neg else cs
-        ms = _mono_str(m, p.ring.names)
+        ms = mono_str(m, p.ring.names)
         if ms and mag == "1":
             body = ms
         elif ms:

@@ -285,7 +285,7 @@ def frobenius_nf_poly(g, q: int, images: tuple):
 
 def gcd_in_p(a, b):
     """Reference monic gcd of two polynomials of P = F[x], by Euclid's
-    algorithm on Polynomials; ``intclose.closure.xpoly_gcd`` is the F_q[x]
+    algorithm on Polynomials; ``intclose.xpoly.monic_gcd`` is the F_q[x]
     version on coefficient dicts."""
     ring = a.ring
     if ring.nindep != 1:
@@ -490,7 +490,7 @@ def conductor_by_module_basis(f, ring):
 
 def mu_poly(p: Polynomial, target: Ring) -> Polynomial:
     """Reduce a rational polynomial mod q through ``Ring.poly`` (undefined
-    denominators raise): the reference for ``lifting.mod_q`` on a run's input."""
+    denominators raise): the reference for ``xpoly.mod_q`` on a run's input."""
     try:
         return target.poly(dict(p.terms))
     except DomainError as exc:
@@ -928,3 +928,92 @@ def key_sign(key, a, b) -> int:
     """-1, 0 or 1 as monomial a sorts below, level with or above b under ``key``."""
     ka, kb = key(a), key(b)
     return (ka > kb) - (ka < kb)
+
+
+# ---------------------------------------------------------------------------
+# F[x] on dense coefficient lists, lowest degree first: the references for
+# ``intclose.xpoly``, which works on sparse {exponent: coefficient} maps
+
+
+def dense(a: dict) -> list:
+    """The coefficients of a map up to its degree, zeros included."""
+    return [a.get(e, 0) for e in range(max(a, default=-1) + 1)]
+
+
+def sparse(v: list, q: int = 0) -> dict:
+    """The map of a dense list, each coefficient mod q (kept when q = 0), zeros dropped."""
+    return {e: c % q if q else c for e, c in enumerate(v) if (c % q if q else c) != 0}
+
+
+def dense_product(u: list, v: list) -> list:
+    """Schoolbook product of two dense lists."""
+    out = [0] * max(len(u) + len(v) - 1, 0)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def sub_dot_reference(a: dict, pairs, q: int = 0) -> dict:
+    """a - sum x*y over the pairs, on dense lists, reduced once at the end."""
+    acc = dense(a)
+    for x, y in pairs:
+        prod = dense_product(dense(x), dense(y))
+        acc += [0] * (len(prod) - len(acc))
+        acc = [c - (prod[i] if i < len(prod) else 0) for i, c in enumerate(acc)]
+    return sparse(acc, q)
+
+
+def inverse_mod(c: int, q: int) -> int:
+    """c^-1 mod the prime q, by Fermat's little theorem; ValueError when q divides c."""
+    if c % q == 0:
+        raise ValueError(f"{c} is not invertible mod {q}")
+    return pow(c, q - 2, q)
+
+
+def quo_rem_reference(a: dict, m: dict, q: int) -> tuple:
+    """Long division in F_q[x] on dense lists, one quotient coefficient per degree."""
+    r, n = [c % q for c in dense(a)], max(m)
+    mv, inv = dense(m), inverse_mod(m[n], q)
+    quot = [0] * max(len(r) - n, 0)
+    for e in range(len(r) - 1, n - 1, -1):
+        quot[e - n] = s = r[e] * inv % q
+        r[e - n:e + 1] = [(c - s * b) % q for c, b in zip(r[e - n:e + 1], mv)]
+    return sparse(quot, q), sparse(r[:n], q)
+
+
+def monic_reference(a: dict, q: int = 0) -> dict:
+    """a over its leading coefficient, mod q, or over Q when q = 0."""
+    lead = a[max(a)]
+    if q:
+        return sparse([c * inverse_mod(lead, q) for c in dense(a)], q)
+    return sparse([Fraction(c, lead) for c in dense(a)])
+
+
+def monic_gcd_reference(a: dict, b: dict, q: int) -> dict:
+    """Monic gcd in F_q[x] by Euclid's algorithm on dense lists; {} for two zeros."""
+    while b:
+        a, b = b, quo_rem_reference(a, b, q)[1]
+    return monic_reference(a, q) if a else {}
+
+
+def mod_q_reference(a: dict, q: int) -> dict:
+    """Each int or rational a/b of a map taken to a*b^-1 mod q, zeros dropped;
+    ValueError when q divides a denominator."""
+    out = {}
+    for e, c in a.items():
+        c = Fraction(c)
+        if r := c.numerator * inverse_mod(c.denominator, q) % q:
+            out[e] = r
+    return out
+
+
+def pack_reference(v: list, w: int) -> int:
+    """The ints of v, each at bits 8*w*i and up."""
+    return sum(c << 8 * w * i for i, c in enumerate(v))
+
+
+def unpack_reference(n: int, w: int) -> list:
+    """The w-byte slots of n up to its highest nonzero one."""
+    slots = -(-n.bit_length() // (8 * w))
+    return [n >> 8 * w * i & (1 << 8 * w) - 1 for i in range(slots)]

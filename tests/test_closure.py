@@ -18,8 +18,8 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
                       minimal_reduced, minimize_denominator, module_reduce, normal_form,
                       qth_closure, run_algorithm1, run_charq, run_prime,
                       weight_over_grevlex)
-from intclose.closure import (_pack, _rem_by_targets, _slot_bytes, _step_columns, _unpack,
-                              by_y, fraction_weights, from_y, xpoly_divmod)
+from intclose.closure import _rem_by_targets, _step_columns, by_y, fraction_weights, from_y
+from intclose.xpoly import pack, quo_rem, slot_bytes, unpack
 from conftest import (CURVES, SEXTIC_NUMERATORS, conductor_of, curve_ring, images_of,
                       make_curve, poly_step, run_inputs, scale_of, sextic_relations, tail_of,
                       xdict)
@@ -145,9 +145,9 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
                   | {(0, data.draw(st.integers(1, 3), label="deg m")): 1})
     mq = {e: c for (_, e), c in (m ** q).terms}
     reduced = images_of(f, m)
-    assert reduced == tuple([xpoly_divmod(a, mq, q)[1] for a in img] for img in images)
-    assert ([xpoly_divmod(a, mq, q)[1] for a in frobenius_nf(y_coefficients(g, d), q, reduced)]
-            == [xpoly_divmod(a, mq, q)[1] for a in want])
+    assert reduced == tuple([quo_rem(a, mq, q)[1] for a in img] for img in images)
+    assert ([quo_rem(a, mq, q)[1] for a in frobenius_nf(y_coefficients(g, d), q, reduced)]
+            == [quo_rem(a, mq, q)[1] for a in want])
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,7 +173,7 @@ def test_images_match_oracle_modulo_delta_q(data):
     delta = ring.poly({(0, e): c for e, c in low.items()}
                       | {(0, n): data.draw(st.integers(1, q - 1), label="lc D")})
     mq = {e: c for (_, e), c in (delta.monic() ** q).terms}
-    want = tuple([xpoly_divmod(a, mq, q)[1] for a in y_coefficients(p, d)]
+    want = tuple([quo_rem(a, mq, q)[1] for a in y_coefficients(p, d)]
                  for p in frobenius_images_poly(f))
     assert images_of(f, delta) == want
 
@@ -186,22 +186,22 @@ def test_packed_products_match_dict_products(q):
     # which array-backed slot widths (1, 2, 4, 8 bytes) must correct for
     rng = random.Random(q)
     for k, n, top in ((1, 1, False), (3, 17, False), (4, 40, True), (9, 5, True)):
-        w = _slot_bytes(q, k * n)
+        w = slot_bytes(q, k * n)
         pairs = [[[q - 1 if top else rng.randrange(q) for _ in range(n)] for _ in "ab"]
                  for _ in range(k)]
-        packed = sum(_pack(a, w) * _pack(b, w) for a, b in pairs)
+        packed = sum(pack(a, w) * pack(b, w) for a, b in pairs)
         want: dict = {}
         for a, b in pairs:
             for i, c1 in enumerate(a):
                 for j, c2 in enumerate(b):
                     want[i + j] = (want.get(i + j, 0) + c1 * c2) % q
-        assert {e: c % q for e, c in enumerate(_unpack(packed, w)) if c % q} == \
+        assert {e: c % q for e, c in enumerate(unpack(packed, w)) if c % q} == \
             {e: c for e, c in want.items() if c}
-        assert _unpack(_pack(pairs[0][0], w), w) == pairs[0][0][:max(
+        assert unpack(pack(pairs[0][0], w), w) == pairs[0][0][:max(
             (i + 1 for i, c in enumerate(pairs[0][0]) if c), default=0)]
-        assert _pack(pairs[0][0], w) == sum(c << 8 * w * i for i, c in enumerate(pairs[0][0]))
-    assert _slot_bytes(7, 1) == 1 and _slot_bytes(2 ** 31 - 1, 1) == 8
-    assert _slot_bytes(2 ** 63 - 25, 2 ** 20) == 19    # 2*63 + 21 bits
+        assert pack(pairs[0][0], w) == sum(c << 8 * w * i for i, c in enumerate(pairs[0][0]))
+    assert slot_bytes(7, 1) == 1 and slot_bytes(2 ** 31 - 1, 1) == 8
+    assert slot_bytes(2 ** 63 - 25, 2 ** 20) == 19    # 2*63 + 21 bits
 
 
 @pytest.mark.parametrize("ring,text,message", [
@@ -310,7 +310,7 @@ def test_coefficientwise_remainder_matches_module_division(data):
     for k in range(d):
         coeff = {m[1]: c for m, c in h.terms if m[0] == k}
         if k in moduli:
-            coeff = xpoly_divmod(coeff, {m[1]: c for m, c in moduli[k].terms}, q)[1]
+            coeff = quo_rem(coeff, {m[1]: c for m, c in moduli[k].terms}, q)[1]
         got.update({(k, e): c for e, c in coeff.items()})
     assert_remainder_by_targets(h, targets, ring.poly(got), d, data)
     # general targets: s times the canonical generators of a few elements,
@@ -672,7 +672,7 @@ def test_reduced_columns_match_unreduced_division(name):
         poly_images = frobenius_images_poly(f_q)
         delta_to_q = {e: c for (_, e), c in (delta_q ** q).terms}
         reduced = images_of(f_q, delta_q)
-        assert reduced == tuple([xpoly_divmod(a, delta_to_q, q)[1] for a in img]
+        assert reduced == tuple([quo_rem(a, delta_to_q, q)[1] for a in img]
                                 for img in images)
         delta = {e: c for (_, e), c in delta_q.terms}
         for nums in walk(f_q, delta_q):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ConductorError, DomainError, DriverError, canonical_conductor,
                       is_prime, normal_form, run_algorithm1, run_charq)
-from intclose.closure import xpoly_divmod, xpoly_gcd, xpoly_sub_mul
+from intclose.xpoly import monic_gcd, quo_rem, sub_dot
 from conftest import CURVES, conductor_of, curve_ring, make_curve, tail_of
 from oracles import (conductor_by_module_basis, conductor_oracle, exact_divide, gcd_in_p,
                      mu_poly, partial_derivative)
@@ -263,25 +263,25 @@ def xpoly(ring, text):
 def test_gcd_univariate():
     ring = curve_ring((1, 1), GF(7))
     a, b = xpoly(ring, "x^3 - x"), xpoly(ring, "x^2 - 1")
-    assert xpoly_gcd(a, b, 7) == b
+    assert monic_gcd(a, b, 7) == b
     # x^2 + 1 is irreducible mod 7 and coprime to x(x-1)(x+1)
-    assert xpoly_gcd(a, xpoly(ring, "x^2 + 1"), 7) == {0: 1}
+    assert monic_gcd(a, xpoly(ring, "x^2 + 1"), 7) == {0: 1}
 
 
 def test_gcd_with_zero_and_constants():
     ring = curve_ring((1, 1), GF(7))
     x = xpoly(ring, "x")
-    assert xpoly_gcd({}, x, 7) == x
-    assert xpoly_gcd(x, {}, 7) == x
-    assert xpoly_gcd({}, {}, 7) == {}
-    assert xpoly_gcd({0: 6}, {0: 4}, 7) == {0: 1}
+    assert monic_gcd({}, x, 7) == x
+    assert monic_gcd(x, {}, 7) == x
+    assert monic_gcd({}, {}, 7) == {}
+    assert monic_gcd({0: 6}, {0: 4}, 7) == {0: 1}
 
 
 def test_gcd_mod_q():
     ring = curve_ring((1, 1), GF(3))
     a = xpoly(ring, "x^9 + x^7 + x^5")
     b = xpoly(ring, "x^6 + 2*x^4")
-    assert xpoly_gcd(a, b, 3) == xpoly(ring, "x^6 - x^4")
+    assert monic_gcd(a, b, 3) == xpoly(ring, "x^6 - x^4")
 
 
 SMALL_PRIMES = [p for p in range(5, 54) if is_prime(p)]
@@ -309,17 +309,17 @@ def test_xpoly_routines_match_polynomial_references(case):
     def poly(p):
         return ring.poly({(0, e): c for e, c in p.items()})
 
-    quot, rem = xpoly_divmod(a, m, q)
+    quot, rem = quo_rem(a, m, q)
     assert poly(a) == poly(quot) * poly(m) + poly(rem)
     assert all(0 < c < q for c in [*quot.values(), *rem.values()])
     assert max(rem, default=-1) < max(m)
     assert poly(rem) == normal_form(poly(a), [poly(m)])
-    assert xpoly_divmod(rem, m, q) == ({}, rem)
+    assert quo_rem(rem, m, q) == ({}, rem)
     prod = poly(a) * poly(m)
-    assert xpoly_divmod({e: c for (_, e), c in prod.terms}, m, q) == (a, {})
+    assert quo_rem({e: c for (_, e), c in prod.terms}, m, q) == (a, {})
     assert poly(a) == exact_divide(prod, poly(m))
-    assert poly(xpoly_gcd(a, m, q)) == gcd_in_p(poly(a), poly(m))
-    assert poly(xpoly_sub_mul(a, s, b, q)) == poly(a) - poly(s) * poly(b)
+    assert poly(monic_gcd(a, m, q)) == gcd_in_p(poly(a), poly(m))
+    assert poly(sub_dot(a, ((s, b),), q)) == poly(a) - poly(s) * poly(b)
 
 
 def test_exact_divide_roundtrip():

@@ -874,6 +874,7 @@ def test_point_rejected_stages_build_no_lifted_record(tmp_path, monkeypatch, cap
     # every stage's exact bits.
     import intclose.driver
     import intclose.lifting
+    import intclose.xpoly
     from intclose import cli
     stage, counts = [None], {}
     real_residuals, real_init = intclose.lifting.table_residuals, ClosurePresentation.__init__
@@ -895,7 +896,7 @@ def test_point_rejected_stages_build_no_lifted_record(tmp_path, monkeypatch, cap
     monkeypatch.setattr(intclose.driver, "verify_candidate", verify)
     def residuals(state, tail, coord, dot):     # counts the exact residuals drawn
         for r in real_residuals(state, tail, coord, dot):
-            if dot is intclose.lifting._dot:
+            if dot is intclose.xpoly.sub_dot:
                 count("exact")
             yield r
 
