@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .closure import ClosureError, ClosurePresentation, by_y, fraction_names, from_y
 from .conductor import canonical_conductor
 from .domains import GF, DomainError, is_prime
-from .lifting import (Certificate, LiftState, PrimeRun, SignatureError, closure_run,
+from .lifting import (Certificate, PrimeRun, SignatureError, closure_run,
                       reconcile_and_lift, run_prime, specializations, verify_candidate)
 from .rings import Polynomial, Ring, mono_str
 from .weights import WeightError, validate_weight_function
@@ -37,23 +37,18 @@ class RunConfig:
                 raise DriverError(f"prime schedule: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Stage:
-    state: LiftState
-    certificate: Certificate
-
-
 @dataclass
 class Algorithm1Result:
     conductor: Polynomial
     runs: list = field(default_factory=list)
-    stages: list = field(default_factory=list)
+    stages: list = field(default_factory=list)     # one Certificate per usable run
 
     @property
     def audit(self) -> list:
-        """The audit log's lines, rendered from the runs and stages (one stage
-        per usable run); reading it computes every certificate bit.  A run's
-        leads are read off its record; only Delta_q is built over GF(q)."""
+        """The audit log's lines, rendered from the runs and stages (one
+        certificate per usable run); reading it computes every certificate
+        bit.  A run's leads are read off its record; only Delta_q is built
+        over GF(q)."""
         lines = [f"conductor: {self.conductor}"]
         stages = iter(self.stages)
         for run in self.runs:
@@ -66,10 +61,9 @@ class Algorithm1Result:
                 f"q={run.q} usable delta={run.delta_q} J={pres.ring.ndep}"
                 f" lm_g={_lm_names(pres.leads[:-1], pres.input_ring)} K={len(lm_b)}"
                 f" lm_b={_lm_names(lm_b, pres.ring)}")
-            stage = next(stages)
-            state, cert = stage.state, stage.certificate
+            cert = next(stages)
             lines.append(
-                f"N={state.modulus} primes={','.join(map(str, state.primes))} lift=ok"
+                f"N={cert.state.modulus} primes={','.join(map(str, cert.state.primes))} lift=ok"
                 f" gb={cert.gb_ok} containment={cert.containment_ok}"
                 f" numerators={cert.numerators_ok} accepted={cert.accepted}")
         if not self.accepted:
@@ -79,7 +73,7 @@ class Algorithm1Result:
     @property
     def certificate(self) -> Certificate | None:
         """The last stage's certificate (None when no prime was usable)."""
-        return self.stages[-1].certificate if self.stages else None
+        return self.stages[-1] if self.stages else None
 
     @property
     def accepted(self) -> bool:
@@ -88,7 +82,7 @@ class Algorithm1Result:
     @property
     def presentation(self) -> ClosurePresentation | None:
         """The accepted closure (the accepted stage is the last)."""
-        return self.stages[-1].state.presentation if self.accepted else None
+        return self.certificate.state.presentation if self.accepted else None
 
     @property
     def primes_used(self) -> tuple:
@@ -135,10 +129,10 @@ def validate_problem(ring: Ring, f: Polynomial) -> list:
 def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -> Algorithm1Result:
     """Steps of the multi-modular pipeline, stopping at the first certificate.
 
-    Each usable prime adds one stage: its run folded into the previous stage's
-    CRT record and lifted, and the lift's certificate.  A run whose signature
-    differs from the first usable run's, which every stage's lift keeps, is
-    skipped (the fold's ``SignatureError``)."""
+    Each usable prime adds one stage, a ``Certificate`` whose ``state`` is
+    the run folded into the previous stage's CRT record and lifted.  A run
+    whose signature differs from the first usable run's, which every stage's
+    lift keeps, is skipped (the fold's ``SignatureError``)."""
     config = config or RunConfig()
     tail = validate_problem(ring, f)
     delta0, B = canonical_conductor(tail, ring)
@@ -154,14 +148,14 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
                 run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
         if run.usable:
-            result.stages.append(Stage(state, verify_candidate(state, tail)))
+            result.stages.append(verify_candidate(state, tail))
             if result.accepted:
                 break
     # per_prime holds on every stage (``specializations``), so the certificates
     # above check no run; the printed one, the last, gets all of its runs
     if result.stages:
-        s = result.stages[-1]
-        s.certificate.per_prime = specializations(s.state, result.runs)
+        cert = result.stages[-1]
+        cert.per_prime = specializations(cert.state, result.runs)
     return result
 
 

@@ -6,10 +6,11 @@ of {x-exponent: int} maps, by the Chinese remainder map (Garner's step), and
 lifts that to small rationals by extended-Euclidean reconstruction, which
 cannot fail on a CRT record (``rat_recon``).  The lift stays maps of
 rationals; the lifted record, one ``ClosurePresentation`` over QQ, is built
-only to print it.  A stage is accepted exactly when the inclusion image of
-the input ideal reduces to zero in its multiplication table, its numerators
-are consistent with the table, and its multiplication matrices commute,
-which makes the relations a Groebner basis (``matrices_commute``).
+only to print it.  A stage is one ``Certificate``, which holds its lift, a
+``LiftState``.  It is accepted exactly when the inclusion image of the input
+ideal reduces to zero in its multiplication table, its numerators are
+consistent with the table, and its multiplication matrices commute, which
+makes the relations a Groebner basis (``matrices_commute``).
 
 The first two are one Horner pass in the table (``table_residuals``), run on
 the lift's maps over Q[x] and, first, at one point mod a 61-bit prime
@@ -263,7 +264,8 @@ def point_residuals(state: LiftState, tail: list):
     and a nonzero residual vanishes at few points (Schwartz, JACM 1980)."""
     p = POINT_PRIME
     return table_residuals(
-        state, tail, lambda a: sum(c * pow(POINT_X, e, p) for e, c in mod_q(a, p).items()) % p,
+        state, tail, lambda a: sum(c.numerator * pow(c.denominator, -1, p) * pow(POINT_X, e, p)
+                                   for e, c in a.items()) % p,
         lambda a, pairs: (a - sum(starmap(mul, pairs))) % p)
 
 
@@ -298,43 +300,42 @@ def matrices_commute(state: LiftState) -> bool:
 
 
 class Certificate:
-    """A lifted candidate's certificate (``verify_candidate``): ``accepted`` is
-    decided on construction, and each bit is computed, and kept, when first
-    read.  ``containment_ok`` reads the exact ``table_residuals``' first
-    residual, psi(f)'s, and ``numerators_ok`` the others, so no bit builds the
-    lifted record; ``gb_ok`` is ``matrices_commute``."""
+    """A char-0 stage: its lift, ``state``, and the lift's certificate
+    (``verify_candidate``).  ``accepted`` is decided on construction, and a
+    bit it did not need is computed when first read.  ``containment_ok``
+    reads psi(f)'s exact residual and ``numerators_ok`` the others, from one
+    exact pass in the table, kept; ``gb_ok`` is ``matrices_commute``.  No bit
+    builds the lifted record."""
 
     def __init__(self, state: LiftState, tail: list):
-        self._state = state
-        self._exact = table_residuals(state, tail, dict, sub_dot)
+        self.state, self._tail = state, tail
         self.per_prime: tuple = ()   # ((q, bool), ...) over the runs checked
         self.accepted = (not rejects_at_point(state, tail) and self.containment_ok
                          and self.numerators_ok and self.gb_ok)
 
-    gb_ok = cached_property(lambda self: matrices_commute(self._state))
+    gb_ok = cached_property(lambda self: matrices_commute(self.state))
 
     @cached_property
-    def _psi_f(self) -> list:
-        """psi(f)'s residual, the exact pass's first."""
-        return next(self._exact)
+    def _residuals(self) -> list:
+        """``table_residuals`` over Q[x], psi(f)'s first."""
+        return list(table_residuals(self.state, self._tail, dict, sub_dot))
 
     @property
     def containment_ok(self) -> bool:
-        return not any(self._psi_f)
+        return not any(self._residuals[0])
+
+    @property
+    def numerators_ok(self) -> bool:
+        """psi(g_j) = ybar_j * delta in the table, for every j."""
+        return not any(map(any, self._residuals[1:]))
 
     @cached_property
     def residual(self) -> Polynomial | None:
         """psi(f)'s residual as a Polynomial of the output ring; None when it
         vanishes.  Where the relations are not a Groebner basis it is one
         remainder of several, the table's."""
-        return from_ybar(self._psi_f, self._state.rings[1], {}) if any(self._psi_f) else None
-
-    @cached_property
-    def numerators_ok(self) -> bool:
-        """psi(g_j) = ybar_j * delta in the table, for every j: the residuals
-        after psi(f)'s, read until one is nonzero."""
-        self._psi_f                   # the pass yields psi(f)'s first
-        return not any(map(any, self._exact))
+        psi_f = self._residuals[0]
+        return from_ybar(psi_f, self.state.rings[1], {}) if any(psi_f) else None
 
 
 def verify_candidate(state: LiftState, tail: list) -> Certificate:
@@ -348,14 +349,15 @@ def verify_candidate(state: LiftState, tail: list) -> Certificate:
     the inclusion image, then consistency of the lifted numerators (the
     fraction named ybar_j must actually be g_j / delta, i.e. psi(g_j) must
     reduce to ybar_j * delta; an undersized modulus can mangle a numerator
-    coefficient without disturbing the other two checks), both by the Horner
-    pass over Q[x] (``table_residuals``), then the Groebner property of the
-    relations: commuting matrices in Z[x].  Where the relations are not a
+    coefficient without disturbing the other two checks), both read off one
+    Horner pass over Q[x] (``table_residuals``), then the Groebner property of
+    the relations: commuting matrices in Z[x].  Where the relations are not a
     Groebner basis a remainder is not unique, and the first two bits are
     those of the table's order of reduction; gb fails there, so the decision
     does not hang on that order.  The decision stops at the first check that
     fails; the bits it skipped are computed when first read, by the audit
-    log or the printed certificate.
+    log or the printed certificate (the numerators' residuals come with
+    containment's, from the same pass).
     ``per_prime`` is left empty: it holds on every stage (``specializations``)."""
     return Certificate(state, tail)
 

@@ -91,9 +91,6 @@ class Ring:
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
         return self.poly({mono: 1})
 
-    def monomial(self, mono, c=1) -> "Polynomial":
-        return self.poly({tuple(mono): c})
-
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
 

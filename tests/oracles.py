@@ -670,8 +670,7 @@ def verify_candidate_reference(state, f) -> ReferenceCertificate:
     numerators_ok = True
     for k in range(out_ring.ndep):
         image = psi_substitute(nums[k], psi, out_ring, psi_pows)
-        ybar = out_ring.monomial(tuple(1 if i == k else 0
-                                       for i in range(out_ring.nvars)))
+        ybar = out_ring.var(out_ring.names[k])
         if not normal_form(image - ybar * delta_out, rels).is_zero():
             numerators_ok = False
             break

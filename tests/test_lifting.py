@@ -144,7 +144,7 @@ def _psi_run(p, q):
     rows = tuple(tuple(r[0] * (J - j) for j in range(J)) + (r[1],) for r in ring.order.rows)
     out = Ring(tuple(f"ybar{j}" for j in range(J, 0, -1)) + ("x",), J, ring.domain,
                MonomialOrder(rows))
-    nums = [a for k in range(J, -1, -1) for a in by_y(ring.monomial((k, 0)), J + 1)]
+    nums = [a for k in range(J, -1, -1) for a in by_y(ring.poly({(k, 0): 1}), J + 1)]
     tails = [{}] * ((J + 1) * J * (J + 1) // 2)
     coords = tuple(nums + tails + by_y(p, J + 1)[::-1])
     return PrimeRun(q, presentation=ClosurePresentation(coords, ring, out))
@@ -396,6 +396,22 @@ def test_usability_matches_the_reference(name):
         assert tail == tail_of(f_q) and delta == xdict(delta_q)
 
 
+@pytest.mark.parametrize("name", sorted(CURVES) + sorted(TALL_30))
+def test_every_usable_prime_is_a_good_prime(name):
+    # the sweep: at every prime the filter passes (below 60 for the fixture
+    # curves, 200 for the tall problems), the closure has the accepted lift's
+    # signature and is that lift reduced mod q, so no bad prime gets through
+    ring, f = _curve_or_tall(name)
+    res = run_algorithm1(ring, f)
+    assert res.accepted
+    state, inputs = res.certificate.state, run_inputs(f)
+    for q in filter(is_prime, range(2, 60 if name in CURVES else 200)):
+        status, info = is_prime_usable(q, *inputs)
+        if status == "usable":
+            run = closure_run(q, *info)
+            assert run.presentation.leads == state.leads and _specializes(state, run)
+
+
 def test_compatibility_single_and_pair():
     ring, f = make_curve("quadratic")
     inputs = run_inputs(f)
@@ -538,7 +554,7 @@ def test_run_incompatible_with_the_first_usable_one_is_skipped(monkeypatch):
     assert [(r.q, r.reason) for r in res.runs] == \
         [(2, None), (7, "incompatible closure signature")]
     assert "q=7 skipped: incompatible closure signature" in res.audit
-    assert [stage.state.primes for stage in res.stages] == [(2,)]
+    assert [cert.state.primes for cert in res.stages] == [(2,)]
 
 
 def test_verify_accepts_large_enough_modulus(quadratic):
@@ -554,11 +570,11 @@ def test_verify_rejects_undersized_modulus(quadratic):
     ring, f = quadratic
     res = run_algorithm1(ring, f, RunConfig(primes=(5, 11)))
     assert not res.accepted
-    stage = res.stages[-1]
-    assert stage.certificate.gb_ok
-    assert not stage.certificate.containment_ok
-    qq = stage.state.presentation.relations[0].ring
-    assert stage.certificate.residual == qq.parse("55/14*x^2 - 2255/1176*x")
+    cert = res.stages[-1]
+    assert cert.gb_ok
+    assert not cert.containment_ok
+    qq = cert.state.presentation.relations[0].ring
+    assert cert.residual == qq.parse("55/14*x^2 - 2255/1176*x")
 
 
 def test_trident_rejects_at_55_with_reference_residual():
@@ -613,19 +629,19 @@ def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
     res = run_algorithm1(ring, f)
     usable = [r for r in res.runs if r.usable]
     assert len(res.stages) == len(usable)
-    lifted = [k for k, stage in enumerate(res.stages, 1) if stage.state.lifted]
-    for k, stage in enumerate(res.stages, 1):
+    lifted = [k for k, cert in enumerate(res.stages, 1) if cert.state.lifted]
+    for k, cert in enumerate(res.stages, 1):
         ref = reconcile_and_lift_reference(usable[:k], ring)
-        assert stage.state == ref and _views(stage.state) == _views(ref)
+        assert cert.state == ref and _views(cert.state) == _views(ref)
         # the lifted support is the union of the runs' under the same leads
-        assert numerators_interreduced(stage.state.presentation.numerators)
-        if not stage.state.lifted:
+        assert numerators_interreduced(cert.state.presentation.numerators)
+        if not cert.state.lifted:
             continue
-        assert all(_specializes(stage.state, r) for r in usable[:k])
-        assert specializations(stage.state, res.runs) == \
+        assert all(_specializes(cert.state, r) for r in usable[:k])
+        assert specializations(cert.state, res.runs) == \
             tuple((r.q, True) for r in usable[:k])
-        per_prime = specializations(stage.state, usable) if k == lifted[-1] else ()
-        assert stage.certificate.per_prime == per_prime
+        per_prime = specializations(cert.state, usable) if k == lifted[-1] else ()
+        assert cert.per_prime == per_prime
     assert res.certificate.per_prime == tuple((r.q, True) for r in usable)
 
 
@@ -643,8 +659,7 @@ def test_lazy_certificate_matches_the_eager_reference(name):
     assert res.accepted
     for stage in res.stages:
         ref = verify_candidate_reference(stage.state, f)
-        cert = stage.certificate
-        assert (cert.accepted, cert.gb_ok, cert.containment_ok, cert.numerators_ok) == \
+        assert (stage.accepted, stage.gb_ok, stage.containment_ok, stage.numerators_ok) == \
             (ref.accepted, *ref[:3])
         for order in permutations(BITS + ("residual",)):
             cert = verify_candidate(stage.state, tail_of(f))
@@ -661,7 +676,7 @@ def test_gb_check_runs_only_where_the_decision_or_the_log_needs_it(tmp_path, mon
     name = "tall-001"
     ring, f = _curve_or_tall(name)
     assert f.degree_in(0) == 3
-    refs = [verify_candidate_reference(s.state, f) for s in run_algorithm1(ring, f).stages]
+    refs = [verify_candidate_reference(c.state, f) for c in run_algorithm1(ring, f).stages]
     decided = sum(r.containment_ok and r.numerators_ok for r in refs)
     assert 0 < decided < len(refs)
     calls = []
@@ -751,7 +766,7 @@ def test_point_rejection_is_an_exact_rejection(data):
 
 
 def _run_stages(ring, f, config=None) -> tuple:
-    return tuple((stage.state, f) for stage in run_algorithm1(ring, f, config).stages)
+    return tuple((cert.state, f) for cert in run_algorithm1(ring, f, config).stages)
 
 
 @cache
@@ -1107,12 +1122,12 @@ def test_numerator_consistency_rejects_presentation_only_lift():
     f = y ** 3 - (shifted ** 3) * x.scale(F(1, 3))
     res = run_algorithm1(ring, f, RunConfig(primes=(5, 7)))
     assert not res.accepted
-    stage = res.stages[-1]
-    assert stage.state.modulus == 35
-    assert stage.certificate.gb_ok
-    assert stage.certificate.containment_ok
-    assert not stage.certificate.numerators_ok
-    assert str(stage.state.presentation.numerators[-1]) == "x^2 - 3*x - 2/3"
+    cert = res.stages[-1]
+    assert cert.state.modulus == 35
+    assert cert.gb_ok
+    assert cert.containment_ok
+    assert not cert.numerators_ok
+    assert str(cert.state.presentation.numerators[-1]) == "x^2 - 3*x - 2/3"
     res2 = run_algorithm1(ring, f, RunConfig(primes=(5, 7, 11)))
     assert res2.accepted
     assert res2.presentation.denominator == (shifted * shifted)
@@ -1151,6 +1166,25 @@ def test_nullspace_with_large_modulus():
     dense = [[q - rng.randint(1, 2) for _ in range(48)] for _ in range(47)]
     basis = nullspace_mod([dict(enumerate(r)) for r in dense], 48, q)
     assert len(basis) == 1 and basis == nullspace_rref(dense, 48, q)
+
+
+def test_nullspace_slot_takes_its_worst_case_updates():
+    # q = 2^31 - 1 and 8 columns: the slots hold the most a row can sum,
+    # about ncols^2*(q-1)^3, where a slot sized for ncols*q products of
+    # residues is a byte narrower.  Every pivot adds (q-1)^2 to slot 7 of
+    # column 0 (b_j[0] = 1 at each pivot j, multiplier -1), and the last row,
+    # in the row space, sums 13*(q-1)^3 there, past that narrower slot.
+    from intclose.linalg import nullspace_mod
+    from intclose.xpoly import slot_bytes
+    q, ncols = (1 << 31) - 1, 8
+    f, m = ncols - 1, q - 1
+    assert 13 * m ** 3 >= 1 << 8 * slot_bytes(q, ncols * q)
+    rows = [{0: 1} | {c: m for c in range(1, ncols)}]
+    rows += [{j: 1, f: m} for j in range(1, f)]
+    rows.append({c: m for c in range(f)} | {f: -m * (2 * f - 1) % q})
+    dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+    basis = nullspace_mod(rows, ncols, q)
+    assert basis == nullspace_rref(dense, ncols, q) == [[f] + [1] * f]
 
 
 @settings(max_examples=300, deadline=None)

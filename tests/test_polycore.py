@@ -217,8 +217,8 @@ def test_weight_additivity_on_homogeneous_parts():
     rng = random.Random(7)
     monos = [(i, j) for i in range(4) for j in range(4)]
     for _ in range(50):
-        f = ring.monomial(rng.choice(monos), rng.randint(1, 9))
-        g = ring.monomial(rng.choice(monos), rng.randint(1, 9))
+        f = ring.poly({rng.choice(monos): rng.randint(1, 9)})
+        g = ring.poly({rng.choice(monos): rng.randint(1, 9)})
         wf, wg = weight_of(f), weight_of(g)
         assert weight_of(f * g) == tuple(a + b for a, b in zip(wf, wg))
 
@@ -443,7 +443,7 @@ def test_standard_monomials_have_distinct_weights():
         seen = {}
         for i in range(d):
             for e in range(40):
-                w = weight_of(ring.monomial((i, e)))
+                w = weight_of(ring.poly({(i, e): 1}))
                 assert w not in seen, (name, (i, e), seen[w])
                 seen[w] = (i, e)
 

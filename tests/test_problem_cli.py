@@ -14,6 +14,7 @@ import pytest
 from intclose import GF, MODP, QQ, ProblemError, Ring, parse_problem
 from intclose.cli import main
 from conftest import conductor_of
+from corpus import README_PROBLEM
 
 QUADRATIC = """\
 indvars: x
@@ -160,7 +161,10 @@ def _readme_block(after: str) -> str:
 
 
 def test_readme_example_output(tmp_path, capsys):
+    # the README's file is the corpus's README problem, so its example output
+    # is pinned by the corpus digests as well as here
     problem = _readme_block("A problem file describes the input ring:")
+    assert problem == README_PROBLEM
     expected = _readme_block("Example (the file above, primes pinned to `5,11,13`):")
     code = main([_write(tmp_path, problem), "--primes", "5,11,13"])
     assert code == 0
