@@ -232,27 +232,49 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     """The step's columns, as ``qth_power_step`` says: sparse rows by monomial.
 
     Column (j, alpha), for alpha < deg D - e_j (g_j's lead y^k_j*x^e_j) and
-    numbered in that order, is the remainder of x^(q*alpha) * gbar_j^q by the
-    targets scale*g, gbar_j being g_j with its y-coefficients reduced mod D.
+    numbered in that order, is R(x^(q*alpha) * gbar_j^q), R the remainder by
+    the targets scale*g and gbar_j g_j with its y-coefficients reduced mod D.
+    Split by linearity ("Chaining"): a term c*y^k*x^e of G = R(gbar_j^q) is
+    copied into column alpha at x^(e + q*alpha) while that is below n_k, the
+    x-degree of target k's lead; the terms that first reach n_k at alpha
+    form the spill C_alpha, and S_alpha = R(x^q*S_(alpha-1) + C_alpha),
+    S_0 = 0, is added into column alpha, zeros dropped.
     """
     xdeg, targets = max(delta), _scaled_targets(numerators, leads, scale, q)
     by_k = [defaultdict(dict) for _ in numerators]   # k -> e -> row of y^k*x^e
-    col = 0
+    col, zero = 0, [{}] * len(numerators)
+    cross = defaultdict(lambda: [{} for _ in numerators])   # column -> its spill C_alpha
     for g, (_, e) in zip(numerators, leads):
         if e == xdeg:
             continue
         gbar = [quo_rem(c, delta, q, xdeg)[1] for c in g]
         unit = sum(map(len, gbar)) == 1 and {0: 1} in gbar     # gbar = y^k: image k
-        column = images[gbar.index({0: 1})] if unit else frobenius_nf(gbar, q, images)
-        for alpha in range(xdeg - e):
-            if alpha:
-                column = [{e2 + q: c for e2, c in coeff.items()} for coeff in column]
-            column = _rem_by_targets(column, targets, q)
-            for rows, coeff in zip(by_k, column):
-                for e2, c in coeff.items():
-                    rows[e2][col] = c
-            col += 1
-    return {(k, e): row for k, rows in enumerate(by_k) for e, row in rows.items()}
+        image = images[gbar.index({0: 1})] if unit else frobenius_nf(gbar, q, images)
+        width = xdeg - e                               # g_j's columns
+        for k, coeff in enumerate(_rem_by_targets(image, targets, q)):   # G
+            rows, n = by_k[k], targets[k][0]
+            for e2, c in coeff.items():
+                rows[e2][col] = c
+                if width > 1:
+                    stop = e2 + q * width
+                    if stop - q >= n:          # it first reaches n_k at x^stop
+                        stop = n + (e2 - n) % q
+                        cross[col + (stop - e2) // q][k][stop] = c
+                    for alpha, e3 in enumerate(range(e2 + q, stop, q), col + 1):
+                        rows[e3][alpha] = c
+        spill = zero                                   # S_(alpha-1)
+        for alpha in range(col + 1, col + width):
+            add = cross.pop(alpha, zero)
+            if any(spill):                             # add + x^q*spill
+                add = [sub_dot(a, ((b, {q: q - 1}),), q) for a, b in zip(add, spill)]
+            if add is not zero:
+                spill = _rem_by_targets(add, targets, q)
+                for rows, coeff in zip(by_k, spill):
+                    for e2, c in coeff.items():
+                        if r := (rows[e2].pop(alpha, 0) + c) % q:
+                            rows[e2][alpha] = r
+        col += width
+    return {(k, e): row for k, rows in enumerate(by_k) for e, row in rows.items() if row}
 
 
 def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
@@ -286,9 +308,10 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
       each numerator's y-coefficients are reduced modulo D before its image
       is taken, and the images may be reduced modulo D^q = D(x^q).
       ``frobenius_images`` builds them so, squaring modulo f and D^q.
-    * Chaining.  Column (j, alpha) is the remainder of x^q times column
-      (j, alpha-1): the two dividends differ by x^q times a member of T,
-      which is again a member, so they share their remainder.
+    * Chaining.  x^q*(h - R(h)) lies in T for any h, R the remainder by the
+      targets, so column (j, alpha) is R of x^q times column (j, alpha-1);
+      as R is F_q-linear and keeps each term below its target's lead, only
+      the terms that cross it are carried and divided (``_step_columns``).
     * One remainder.  ``_rem_by_targets`` gives it, and
       ``canonical_generators`` interreduces the next generators with it.
     * One pass.  A kernel vector's member, the sum of coeff*x^alpha*g_j over

@@ -661,6 +661,21 @@ def test_step_columns_are_a_basis_of_n_mod_delta_s(curve):
         assert len(chosen) == d * xdeg - codim_in_s(nums, delta, d, q)
 
 
+def assert_columns_match_unreduced(f, delta, images_list):
+    """At each step of the walk, ``_step_columns`` from each images in
+    images_list equals x^(q*alpha)*NF(g_j^q) from the full images and the
+    unreduced numerators, divided in full by the targets: compared with
+    ``==``, so a missing, extra or empty row fails."""
+    q, d, dx = f.ring.domain.char, f.degree_in(0), xdict(delta)
+    poly_images, scale = frobenius_images_poly(f), scale_of(delta)
+    for nums in walk(f, delta):
+        prefix = [max(dx) - g.lm[1] for g in nums]
+        want = step_columns_unreduced(nums, q, poly_images, delta, prefix)
+        vectors, leads = [by_y(g, d) for g in nums], [g.lm for g in nums]
+        for images in images_list:
+            assert _step_columns(vectors, leads, q, images, dx, scale) == want
+
+
 @pytest.mark.parametrize("name", sorted(CURVES))
 def test_reduced_columns_match_unreduced_division(name):
     # numerators reduced mod delta and images mod delta^q give each step the
@@ -669,18 +684,20 @@ def test_reduced_columns_match_unreduced_division(name):
     for q, f_q, delta_q, run in fixture_runs(name):
         images, scale = images_of(f_q, unreduced(f_q)), scale_of(delta_q)
         assert scale == {e: c for (_, e), c in (delta_q ** (q - 1)).terms}
-        poly_images = frobenius_images_poly(f_q)
         delta_to_q = {e: c for (_, e), c in (delta_q ** q).terms}
         reduced = images_of(f_q, delta_q)
         assert reduced == tuple([quo_rem(a, delta_to_q, q)[1] for a in img]
                                 for img in images)
-        delta = {e: c for (_, e), c in delta_q.terms}
-        for nums in walk(f_q, delta_q):
-            prefix = [max(delta) - g.lm[1] for g in nums]
-            want = step_columns_unreduced(nums, q, poly_images, delta_q, prefix)
-            vectors, leads = [by_y(g, f_q.degree_in(0)) for g in nums], [g.lm for g in nums]
-            assert _step_columns(vectors, leads, q, images, delta, scale) == want
-            assert _step_columns(vectors, leads, q, reduced, delta, scale) == want
+        assert_columns_match_unreduced(f_q, delta_q, (images, reduced))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_curves())
+def test_step_columns_match_unreduced_division_on_random_curves(curve):
+    # random curves bring conductors that are not monomials, targets off the
+    # diagonal, and spills that cross over several alpha
+    _, f, delta, _ = curve
+    assert_columns_match_unreduced(f, delta, (images_of(f, delta),))
 
 
 def fixture_closures(name):

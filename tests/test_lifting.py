@@ -1157,9 +1157,11 @@ def test_nullspace_with_large_modulus():
     for v in basis:
         for row in rows:
             assert sum(x * v[c] for c, x in row.items()) % q == 0
-    for bad in ({3: 1}, {-1: 1}):
-        with pytest.raises(ValueError):
-            nullspace_mod([bad], 3, q)
+    # the range is checked over all rows: a bad index only in a later row, after
+    # a pivot, raises as one in the first row does
+    for bad in ([{3: 1}], [{-1: 1}], [{0: 1}, {3: 1}], [{0: 1, 1: 2}, {2: 1, -1: 1}]):
+        with pytest.raises(ValueError, match="^column index out of range for 3 columns$"):
+            nullspace_mod(bad, 3, q)
     # dense, rank 47 of 48, all entries at the top residues: every pivot
     # updates the earlier pivot columns, so the packed slots sum the most
     rng = random.Random(48)
