@@ -11,7 +11,7 @@ from .closure import (ClosurePresentation, ClosureError, canonical_generators,
                       induce_presentation, minimize_denominator, module_reduce,
                       qth_closure, qth_power_step)
 from .conductor import ConductorError, canonical_conductor
-from .domains import GF, MODP, QQ, RAT, Domain, DomainError, balanced, is_prime
+from .domains import GF, QQ, Domain, DomainError, balanced, is_prime
 from .driver import (Algorithm1Result, DriverError, RunConfig, run_algorithm1,
                      run_charq)
 from .groebner import (GroebnerError, ModuleVector, buchberger, head_reduce,

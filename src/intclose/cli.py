@@ -141,22 +141,21 @@ def main(argv=None) -> int:
                 field = GF(prime)
             except DomainError as exc:
                 raise DriverError(f"--prime {exc}") from None
-            ring = problem.ring(field)
-            f = problem.relation(ring)
-            result = run_charq(ring, f, prime)
+            result = run_charq(problem.relation(problem.ring(field)))
             audit = [f"q={prime} delta={result.delta_q}"]
         else:
             if args.prime is not None:
                 raise DriverError("--prime applies to charq mode only")
-            ring = problem.ring(QQ)
-            f = problem.relation(ring)
+            f = problem.relation(problem.ring(QQ))
             if args.primes is not None:
+                if args.start_prime is not None:
+                    raise DriverError("--start-prime does not apply with --primes")
                 try:
                     schedule["primes"] = tuple(int(p) for p in args.primes.split(","))
                 except ValueError:
                     raise DriverError("--primes expects comma-separated integers,"
                                       f" got {args.primes!r}") from None
-            result = run_algorithm1(ring, f, RunConfig(**schedule))
+            result = run_algorithm1(f, RunConfig(**schedule))
             # the log, and the printed certificate of a stage that was not
             # accepted, read the bits the decision skipped: here, so an error
             # in a check fails the run before anything is printed

@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations_with_replacement, count
 
-from .domains import MODP
 from .groebner import reduce_terms
 from .linalg import nullspace_mod
 from .orders import grevlex_over_weight
@@ -68,7 +67,7 @@ def canonical_generators(vectors, ring: Ring) -> tuple:
     under its y^6 lead, so a Hermite-form representation would need a
     conversion back to this basis to keep the output the same.
     """
-    if ring.domain.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
+    if not ring.domain.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("canonical generators need a ring F_q[y; x]")
     q, key, tick = ring.domain.char, ring.order.key, count()
     pending = [(key(_lead(v, key)), next(tick), v) for v in vectors if any(v)]
@@ -350,7 +349,7 @@ def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:
     the walk returns within max(1, d*deg D) steps, or a fixpoint that is no ring
     fails a step later.  The images modulo D^q are built once.
     """
-    if ring.domain.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
+    if not ring.domain.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
     q, d = ring.domain.char, len(tail)
     images, scale = frobenius_images(tail, delta, q), frobenius_scale(delta, q)
@@ -521,7 +520,7 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
     a product off the module.  ring = F_q[y; x] is f's, and tail is f's.
     A module that is no ring raises ``NotARingError`` before any weight is read.
     """
-    if ring.domain.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
+    if not ring.domain.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("presentation needs a ring F_q[y; x]")
     J = len(vectors) - 1
     ybar_names = fraction_names(J, ring)

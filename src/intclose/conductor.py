@@ -60,12 +60,11 @@ def canonical_conductor(tail: list, ring: Ring) -> tuple:
     f_x = [{e - 1: e * c for e, c in a.items() if e} for a in tail]
     rows, live = [], []
     for g in (f_y, f_x):
-        g = _primitive(scaled(g), scalars, q)
-        for _ in range(d):
-            rows.append(g)             # then scale * y*g mod f
+        rows.append(g := _primitive(scaled(g), scalars, q))
+        for _ in range(d - 1):         # scale * y*g mod f, up to y^(d-1)*g
             top, up = g[-1], g[:-1] if scale == 1 else [mul_scalar(a, scale) for a in g[:-1]]
-            g = _primitive([sub_dot(a, ((top, b),), q) if top and b else a
-                            for a, b in zip([{}] + up, low)], scalars, q)
+            rows.append(g := _primitive([sub_dot(a, ((top, b),), q) if top and b else a
+                                         for a, b in zip([{}] + up, low)], scalars, q))
     for c in range(d - 1, -1, -1):
         live = [r for r in rows if r[c]]
         rows = [r for r in rows if not r[c]]

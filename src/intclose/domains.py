@@ -1,17 +1,15 @@
 """Exact coefficient domains: rationals and prime fields Z_q.
 
-Values are plain Python objects (``Fraction`` for RAT, ``int`` for MODP);
-a :class:`Domain` carries the arithmetic.  MODP residues are kept in
-``[0, q)`` and all arithmetic is exact.
+A :class:`Domain` is its characteristic: 0 for Q, a prime q for Z_q.
+Values are plain Python objects (``Fraction`` over Q, ``int`` over Z_q);
+the domain carries the arithmetic.  Residues mod q are kept in ``[0, q)``
+and all arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-RAT = "RAT"
-MODP = "MODP"
 
 _MAX_WORD = 1 << 63
 
@@ -47,36 +45,31 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Domain:
-    """Tagged coefficient domain: RAT, or MODP(q) for a word-sized prime q."""
+    """Coefficient domain of characteristic ``char``: Q at 0, Z_q at a word-sized prime q."""
 
-    kind: str
     char: int = 0
 
     def __post_init__(self):
-        if self.kind not in (RAT, MODP):
-            raise DomainError(f"unknown domain kind {self.kind!r}")
-        if self.kind == MODP:
+        if self.char:
             if self.char >= _MAX_WORD:
                 raise DomainError(f"{self.char} is not below the word limit 2^63")
             if not is_prime(self.char):
                 raise DomainError(f"{self.char} is not prime")
-        elif self.char != 0:
-            raise DomainError(f"{self.kind} domain has characteristic 0")
 
     def __repr__(self):
-        return f"GF({self.char})" if self.kind == MODP else self.kind.lower()
+        return f"GF({self.char})" if self.char else "rat"
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == RAT else 0
+        return 0 if self.char else Fraction(0)
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == RAT else 1
+        return 1 if self.char else Fraction(1)
 
     def convert(self, value):
         """Coerce an int or Fraction into a canonical domain value."""
-        if self.kind == RAT:
+        if not self.char:
             # a Fraction is immutable and already canonical; a subclass is not kept
             return value if type(value) is Fraction else Fraction(value)
         q = self.char
@@ -87,22 +80,22 @@ class Domain:
         return int(value) % q
 
     def add(self, a, b):
-        return (a + b) % self.char if self.kind == MODP else a + b
+        return (a + b) % self.char if self.char else a + b
 
     def sub(self, a, b):
-        return (a - b) % self.char if self.kind == MODP else a - b
+        return (a - b) % self.char if self.char else a - b
 
     def mul(self, a, b):
-        return (a * b) % self.char if self.kind == MODP else a * b
+        return (a * b) % self.char if self.char else a * b
 
     def neg(self, a):
-        return (-a) % self.char if self.kind == MODP else -a
+        return (-a) % self.char if self.char else -a
 
     def div(self, a, b):
         """Exact division; raises DomainError when undefined (e.g. by zero)."""
         if self.is_zero(b):
             raise DomainError("division by zero")
-        if self.kind == MODP:
+        if self.char:
             return a * pow(b, -1, self.char) % self.char
         return Fraction(a) / b
 
@@ -113,12 +106,14 @@ class Domain:
         return a == 1
 
 
-QQ = Domain(RAT)
+QQ = Domain(0)
 
 
 def GF(q: int) -> Domain:
     """The prime field with q elements."""
-    return Domain(MODP, q)
+    if q == 0:
+        raise DomainError("0 is not prime")
+    return Domain(q)
 
 
 def balanced(c: int, n: int) -> int:

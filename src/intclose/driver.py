@@ -1,4 +1,4 @@
-"""End-to-end drivers: the characteristic-0 pipeline and single-prime runs."""
+"""End-to-end drivers, given the relation f alone: the char-0 pipeline and single-prime runs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from .conductor import canonical_conductor
 from .domains import GF, DomainError, is_prime
 from .lifting import (Certificate, PrimeRun, SignatureError, closure_run,
                       reconcile_and_lift, run_prime, specializations, verify_candidate)
-from .rings import Polynomial, Ring, mono_str
+from .rings import Polynomial, mono_str
 from .weights import WeightError, validate_weight_function
 
 
@@ -107,8 +107,9 @@ def _lm_names(monos, ring):
     return "[" + ",".join(mono_str(m, ring.names) or "1" for m in monos) + "]"
 
 
-def validate_problem(ring: Ring, f: Polynomial) -> list:
+def validate_problem(f: Polynomial) -> list:
     """f's tail ``by_y(f, d)``, the one form of f below, once f is y^d plus lower terms."""
+    ring = f.ring
     if ring.nindep != 1:
         raise DriverError("closure iteration supports one independent variable,"
                           f" the problem has {ring.nindep}")
@@ -126,15 +127,17 @@ def validate_problem(ring: Ring, f: Polynomial) -> list:
     return by_y(f, f.degree_in(0))
 
 
-def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -> Algorithm1Result:
-    """Steps of the multi-modular pipeline, stopping at the first certificate.
+def run_algorithm1(f: Polynomial, config: RunConfig | None = None) -> Algorithm1Result:
+    """Steps of the multi-modular pipeline for f over Q, stopping at the first certificate.
 
     Each usable prime adds one stage, a ``Certificate`` whose ``state`` is
     the run folded into the previous stage's CRT record and lifted.  A run
     whose signature differs from the first usable run's, which every stage's
     lift keeps, is skipped (the fold's ``SignatureError``)."""
-    config = config or RunConfig()
-    tail = validate_problem(ring, f)
+    config, ring = config or RunConfig(), f.ring
+    if ring.domain.char:
+        raise DriverError(f"a char-0 run needs a relation over Q, not {ring.domain}")
+    tail = validate_problem(f)
     delta0, B = canonical_conductor(tail, ring)
     result, state = Algorithm1Result(from_y([[delta0]], ring)[0]), None
     for q in _prime_schedule(config):
@@ -143,7 +146,7 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
         run = run_prime(q, ring, tail, delta0, B)
         if run.usable:
             try:
-                state = reconcile_and_lift(run, ring, state)
+                state = reconcile_and_lift(run, state)
             except SignatureError:
                 run = PrimeRun(q, reason="incompatible closure signature")
         result.runs.append(run)
@@ -159,9 +162,9 @@ def run_algorithm1(ring: Ring, f: Polynomial, config: RunConfig | None = None) -
     return result
 
 
-def run_charq(ring: Ring, f: Polynomial, q: int) -> PrimeRun:
-    """Single characteristic-q closure with its induced presentation."""
-    if ring.domain != GF(q):
-        raise DriverError(f"ring domain must be GF({q})")
-    tail = validate_problem(ring, f)
-    return closure_run(q, ring, tail, canonical_conductor(tail, ring)[0])
+def run_charq(f: Polynomial) -> PrimeRun:
+    """Single closure of f over GF(q), with its induced presentation."""
+    if not f.ring.domain.char:
+        raise DriverError("a char-q run needs a relation over GF(q), not Q")
+    tail = validate_problem(f)
+    return closure_run(f.ring, tail, canonical_conductor(tail, f.ring)[0])

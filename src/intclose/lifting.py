@@ -135,9 +135,9 @@ def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int):
     return "usable", (ring_q, tail_q, delta)
 
 
-def closure_run(q: int, ring: Ring, tail: list, delta: dict) -> PrimeRun:
+def closure_run(ring: Ring, tail: list, delta: dict) -> PrimeRun:
     """The closure of f's tail over its conductor delta in ring = F_q[y; x], as a usable run."""
-    return PrimeRun(q, delta=delta, presentation=qth_closure(ring, tail, delta))
+    return PrimeRun(ring.domain.char, delta=delta, presentation=qth_closure(ring, tail, delta))
 
 
 def run_prime(q: int, ring: Ring, tail: list, delta0: dict, B: int) -> PrimeRun:
@@ -146,7 +146,7 @@ def run_prime(q: int, ring: Ring, tail: list, delta0: dict, B: int) -> PrimeRun:
     if status == "skipped":
         return PrimeRun(q, reason=info)
     try:
-        return closure_run(q, *info)
+        return closure_run(*info)
     except ClosureError as exc:
         return PrimeRun(q, reason=f"closure failed: {exc}")
 
@@ -183,7 +183,7 @@ class LiftState:
         return True
 
 
-def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None = None) -> LiftState:
+def reconcile_and_lift(run: PrimeRun, prev: LiftState | None = None) -> LiftState:
     """Fold one usable run into ``prev``'s CRT record (the zero record mod 1 at
     the first stage), then lift coefficientwise to Q.
 
@@ -193,14 +193,14 @@ def reconcile_and_lift(run: PrimeRun, input_ring: Ring, prev: LiftState | None =
     every exponent there has a nonzero residue mod N or mod q, so the record
     holds no zero.  The run's ``leads`` must be ``prev``'s, which the lift
     keeps, as it keeps its record's support (``SignatureError`` otherwise).
-    The QQ copies of the input and output rings are built at the first stage,
-    and read off ``prev`` after it.  The lift is one ``rat_recon`` per
+    The QQ copies of the run's input and output rings are built at the first
+    stage, and read off ``prev`` after it.  The lift is one ``rat_recon`` per
     coefficient, kept as maps; no Polynomial is built here."""
     if not run.usable:
         raise LiftError(f"run at q={run.q} is not usable")
     pres, q, leads = run.presentation, run.q, run.presentation.leads
     if prev is None:
-        rings = (input_ring.with_domain(QQ), pres.ring.with_domain(QQ))
+        rings = (pres.input_ring.with_domain(QQ), pres.ring.with_domain(QQ))
         primes, n, acc = (), 1, ({},) * len(pres.coords)
     else:
         if leads != prev.leads:

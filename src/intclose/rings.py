@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .domains import Domain, MODP, balanced
+from .domains import Domain, balanced
 from .orders import MonomialOrder, mono_mul, mono_one
 from .weights import WeightMatrix
 
@@ -251,7 +251,7 @@ class Polynomial:
 
 
 def _coeff_str(c, domain: Domain) -> str:
-    if domain.kind == MODP:
+    if domain.char:
         c = balanced(c, domain.char)
     if isinstance(c, Fraction) and c.denominator != 1:
         return f"{c.numerator}/{c.denominator}"

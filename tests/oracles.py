@@ -13,7 +13,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import NamedTuple
 
-from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation,
+from intclose import (GF, QQ, ClosureError, ClosurePresentation,
                       ConductorError, DomainError, LiftError, LiftState, MonomialOrder,
                       Ring, RingError, SignatureError, balanced, buchberger,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
@@ -229,7 +229,7 @@ def frobenius_images_poly(f) -> tuple:
     """
     ring = f.ring
     dom = ring.domain
-    if dom.kind != MODP or ring.ndep != 1 or ring.nindep != 1:
+    if not dom.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("Frobenius images need a ring F_q[y; x]")
     q, d = dom.char, f.degree_in(0)
     if f.coeff_of((d, 0)) != dom.one:
@@ -267,7 +267,7 @@ def frobenius_nf_poly(g, q: int, images: tuple):
     element on y-coefficients.
     """
     ring = g.ring
-    if ring.domain.kind != MODP or ring.domain.char != q:
+    if ring.domain.char != q:
         raise ClosureError(f"ring characteristic is not {q}")
     dom = ring.domain
     acc: dict = {}
@@ -569,7 +569,7 @@ def rat_recon_reference(c: int, n: int) -> Fraction:
             return frac
 
 
-def reconcile_and_lift_reference(runs, input_ring: Ring) -> LiftState:
+def reconcile_and_lift_reference(runs) -> LiftState:
     """``lifting.reconcile_and_lift`` over all the usable runs at once, not one
     fold per stage: each coordinate's ``crt_sum_reference``, lifted by
     ``rat_recon_reference``.  The signature is every Polynomial's leading
@@ -588,7 +588,7 @@ def reconcile_and_lift_reference(runs, input_ring: Ring) -> LiftState:
     if len(set(primes)) != len(primes):
         raise LiftError("duplicate primes in CRT input")
     modulus = math.prod(primes)
-    qq = (input_ring.with_domain(QQ), pres[0].ring.with_domain(QQ))
+    qq = (pres[0].input_ring.with_domain(QQ), pres[0].ring.with_domain(QQ))
     record = tuple(crt_sum_reference(slot, primes) for slot in zip(*(x.coords for x in pres)))
     lift = tuple({e: rat_recon_reference(c, modulus) for e, c in rec.items()} for rec in record)
     state = LiftState(primes, modulus, record, lift, qq, pres[0].leads)

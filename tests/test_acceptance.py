@@ -22,7 +22,7 @@ from oracles import (crt, exact_divide, kernel_step_oracle, mod_n, mu_poly, psi_
 def test_criterion_1_quadratic_end_to_end(quadratic):
     t0 = time.monotonic()
     ring, f = quadratic
-    res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
+    res = run_algorithm1(f, RunConfig(primes=(5, 11, 13)))
 
     runs = {r.q: r for r in res.runs}
     x_plus_1 = curve_ring((3, 2), GF(5)).parse("x + 1")
@@ -87,7 +87,7 @@ def test_criterion_2_coefficient_pipeline():
 
 def test_criterion_3_trident():
     t0 = time.monotonic()
-    ring, f = make_curve("trident")
+    _, f = make_curve("trident")
     inputs, delta0 = run_inputs(f), conductor_of(f)[0]
 
     # per-prime closures at 3, 7, 13
@@ -108,14 +108,14 @@ def test_criterion_3_trident():
     delta11 = xdict(mu_poly(delta0, ring11))
     p11 = qth_closure(ring11, tail_of(f11), delta11)
     r11 = PrimeRun(11, delta=delta11, presentation=p11)
-    state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
+    state = reconcile_and_lift(r11, reconcile_and_lift(r5))
     assert state.modulus == 55
     cert = verify_candidate(state, tail_of(f))
     assert not cert.accepted
     assert cert.residual == state.presentation.relations[0].ring.parse("55/7*ybar1*x")
 
     # acceptance for a usable product beyond 65
-    res = run_algorithm1(ring, f, RunConfig(primes=(7, 13)))
+    res = run_algorithm1(f, RunConfig(primes=(7, 13)))
     assert res.accepted and res.stages[-1].state.modulus == 91 > 65
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
@@ -141,7 +141,7 @@ def test_criterion_4_conductor_table():
 def test_criterion_5_sextic_full_run(sextic):
     t0 = time.monotonic()
     ring, f = sextic
-    res = run_algorithm1(ring, f, RunConfig(start_prime=5, max_primes=8))
+    res = run_algorithm1(f, RunConfig(start_prime=5, max_primes=8))
     assert res.accepted
     # the schedule avoids 2, 3, 5, 17 on its own
     skipped = {r.q for r in res.runs if not r.usable}

@@ -205,7 +205,7 @@ def test_packed_products_match_dict_products(q):
 
 
 @pytest.mark.parametrize("ring,text,message", [
-    (curve_ring((3, 2), QQ), "y^2 - x^3", "ring domain must be GF(5)"),
+    (curve_ring((3, 2), QQ), "y^2 - x^3", "a char-q run needs a relation over GF(q), not Q"),
     (curve_ring((2, 1, 1), GF(5)), "y^2 - x2*x1",
      "closure iteration supports one independent variable, the problem has 2"),
     (curve_ring((3, 1), GF(5)), "y^2 + y^2*x - x^3",
@@ -215,11 +215,11 @@ def test_packed_products_match_dict_products(q):
 def test_frobenius_images_reject_unsupported_relations(ring, text, message):
     # the images take f's tail and D as F_q[x] dicts, so a relation they
     # cannot use is refused where a run's Polynomial becomes its tail:
-    # run_charq refuses the ring, and validate_problem, before any tail is
+    # run_charq refuses f over Q, and validate_problem, before any tail is
     # taken, a relation with two independent variables or one that is not
     # y^d plus lower terms
     with pytest.raises(DriverError, match=f"^{re.escape(message)}$"):
-        run_charq(ring, ring.parse(text), 5)
+        run_charq(ring.parse(text))
 
 
 @pytest.mark.parametrize("domain", [GF(5), QQ], ids=["charq", "char0"])
@@ -229,7 +229,15 @@ def test_relation_not_monic_in_y_is_a_driver_error(domain):
     ring = curve_ring((3, 2), domain)
     f = ring.parse("2*y^2 - x^3")
     with pytest.raises(DriverError, match="^relation is not monic in the dependent variable$"):
-        run_charq(ring, f, 5) if domain == GF(5) else run_algorithm1(ring, f)
+        run_charq(f) if domain == GF(5) else run_algorithm1(f)
+
+
+def test_char0_run_refuses_a_relation_over_gf_q():
+    # each entry point reads f's field off f: over GF(5) the README relation's
+    # coefficients are residues, which a char-0 run would read as integers
+    f = make_curve("quadratic", q=5)[1]
+    with pytest.raises(DriverError, match=r"^a char-0 run needs a relation over Q, not GF\(5\)$"):
+        run_algorithm1(f)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +813,7 @@ def test_induce_presentation_needs_one_independent_variable():
     w = ((2, 1, 3),)
     ring = Ring(("y", "x2", "x1"), 1, GF(7), weight_over_grevlex(w, 3), w)
     with pytest.raises(DriverError, match="one independent variable"):
-        run_charq(ring, ring.parse("y^2 - x1*x2"), 7)
+        run_charq(ring.parse("y^2 - x1*x2"))
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,12 @@ def test_conductor_values(name, q, expect):
     assert q is None or B == 1     # over GF(q) no row is scaled by an integer
 
 
+def test_rational_B_of_the_readme_quadratic():
+    # B takes the factors of the sweep's rows only: its 2d generators are
+    # y^k*f_y and y^k*f_x mod f for k < d, and y^d*f_y, y^d*f_x are no rows
+    assert conductor_of(make_curve("quadratic")[1])[1] == -2 ** 11 * 3 ** 4 * 7 ** 8
+
+
 @pytest.mark.parametrize("name,primes", [
     ("quadratic", (5, 11, 13, 17, 19)),
     ("trident", (3, 7, 13)),
@@ -244,7 +250,7 @@ def test_conductor_error_texts(domain, weights, text, message):
     f = ring.parse(text)
     if "monic" in message or "weight" in message:
         with pytest.raises(DriverError, match=f"^{re.escape(message)}$"):
-            run_algorithm1(ring, f) if domain == QQ else run_charq(ring, f, 7)
+            run_algorithm1(f) if domain == QQ else run_charq(f)
         return
     tail = tail_of(f) if ring.nindep == 1 else [{0: -1}, {}]     # by_y reads y and x only
     with pytest.raises(ConductorError, match=f"^{re.escape(message)}$"):

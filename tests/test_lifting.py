@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intclose import (GF, MODP, QQ, ClosureError, ClosurePresentation, ConductorError,
+from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
                       DomainError, LiftError, MonomialOrder, PrimeRun, Ring, SignatureError,
                       balanced, grevlex_over_weight, is_prime,
                       is_prime_usable, parse_problem, rat_recon,
@@ -170,11 +170,11 @@ def _views(state) -> tuple:
     return pres.numerators, pres.relations, pres.inclusion_image
 
 
-def _fold_psi(polys, ring):
+def _fold_psi(polys):
     """Each stage's state, folding the ``_psi_run`` of every (p, q) in turn."""
     state, states = None, []
     for p, q in polys:
-        state = reconcile_and_lift(_psi_run(p, q), ring, state)
+        state = reconcile_and_lift(_psi_run(p, q), state)
         states.append(state)
     return states
 
@@ -190,7 +190,7 @@ def test_crt_poly_and_lift_chain():
     b5 = r5.parse("ybar^2 + x")
     b11 = r11.parse("ybar^2 + 4*x")
     b13 = r13.parse("ybar^2 + 5*x")
-    _, st55, st715 = _fold_psi([(b5, 5), (b11, 11), (b13, 13)], qq)
+    _, st55, st715 = _fold_psi([(b5, 5), (b11, 11), (b13, 13)])
     assert _psi_terms(st55.crt) == _record(qq, "ybar^2 + 26*x") == \
         crt_sum_reference([b5, b11], (5, 11))
     assert _lifted_psi(st55, qq) == qq.parse("ybar^2 - 3/2*x")
@@ -203,7 +203,7 @@ def test_crt_poly_denominator_chain():
     r5, r11, r13 = (curve_ring((3, 2), GF(q)) for q in (5, 11, 13))
     qq = curve_ring((3, 2), QQ)
     g5, g11, g13 = r5.parse("x + 1"), r11.parse("x + 2"), r13.parse("x - 3")
-    _, st55, st715 = _fold_psi([(g5, 5), (g11, 11), (g13, 13)], qq)
+    _, st55, st715 = _fold_psi([(g5, 5), (g11, 11), (g13, 13)])
     assert _psi_terms(st55.crt) == _record(qq, "x - 9") == crt_sum_reference([g5, g11], (5, 11))
     assert _lifted_psi(st55, qq) == qq.parse("x + 1/6")
     assert _psi_terms(st715.crt) == _record(qq, "x + 101") == \
@@ -215,7 +215,7 @@ def test_crt_poly_monicity_and_union_support():
     r5, r11 = (curve_ring((3, 2), GF(q)) for q in (5, 11))
     a = r5.parse("x^2 + 1")       # x term vanishes mod 5
     b = r11.parse("x^2 + 5*x + 1")
-    state = _fold_psi([(a, 5), (b, 11)], curve_ring((3, 2)))[-1]
+    state = _fold_psi([(a, 5), (b, 11)])[-1]
     out = _psi_terms(state.crt)
     assert out[(0, 2)] == 1 and _lifted_psi(state, curve_ring((3, 2))).is_monic()
     assert out[(0, 1)] % 5 == 0 and out[(0, 1)] % 11 == 5
@@ -224,10 +224,9 @@ def test_crt_poly_monicity_and_union_support():
 def test_crt_poly_lm_mismatch():
     # the run's leading monomials are compared with the previous lift's, once
     r5, r11 = (curve_ring((3, 2), GF(q)) for q in (5, 11))
-    ring = curve_ring((3, 2))
-    prev = reconcile_and_lift(_psi_run(r5.parse("x + 1"), 5), ring)
+    prev = reconcile_and_lift(_psi_run(r5.parse("x + 1"), 5))
     with pytest.raises(SignatureError, match="^runs have incompatible closure signatures$"):
-        reconcile_and_lift(_psi_run(r11.parse("x^2"), 11), ring, prev)
+        reconcile_and_lift(_psi_run(r11.parse("x^2"), 11), prev)
 
 
 def _assert_crt_folds(polys):
@@ -236,7 +235,7 @@ def _assert_crt_folds(polys):
     of every input coefficient."""
     ring = curve_ring((3, 2))
     monos = {m for p, _ in polys for m, _ in p.terms}
-    for k, state in enumerate(_fold_psi(polys, ring), 1):
+    for k, state in enumerate(_fold_psi(polys), 1):
         (p, _), n, acc = polys[k - 1], state.modulus, _psi_terms(state.crt)
         assert n == math.prod(q for _, q in polys[:k])
         assert acc == crt_sum_reference([p2 for p2, _ in polys[:k]], [q for _, q in polys[:k]])
@@ -257,13 +256,13 @@ def test_crt_fold_with_one_prime_support_and_zero_residue():
              (rings[11].parse("x^2 + 5*x + 2"), 11)]
     assert _assert_crt_folds(polys[:2]) == _record(ring, "x^2 - 7*x + 15")
     assert _assert_crt_folds(polys) == _record(ring, "x^2 - 182*x - 20")
-    first = reconcile_and_lift(_psi_run(*polys[0]), ring)
+    first = reconcile_and_lift(_psi_run(*polys[0]))
     assert _psi_terms(first.crt) == _record(ring, "x^2 - 2*x")
     assert crt([(5, 11)], -7, 35) == (-182, 385)
     with pytest.raises(LiftError, match="^duplicate primes in CRT input$"):
-        reconcile_and_lift(_psi_run(*polys[0]), ring, first)
+        reconcile_and_lift(_psi_run(*polys[0]), first)
     with pytest.raises(SignatureError):
-        reconcile_and_lift(_psi_run(rings[7].parse("x^3"), 7), ring, first)
+        reconcile_and_lift(_psi_run(rings[7].parse("x^3"), 7), first)
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,7 +303,7 @@ def test_lift_keeps_support_and_specializes(primes, data):
     runs = [_psi_run(curve_ring((3, 2), GF(q)).poly(record), q) for q in primes]
     state = None
     for run in runs:
-        state = reconcile_and_lift(run, ring, state)
+        state = reconcile_and_lift(run, state)
     assert _psi_terms(state.crt) == record
     lifted = _lifted_psi(state, ring)
     assert [m for m, _ in lifted.terms] == monos
@@ -401,33 +400,33 @@ def test_every_usable_prime_is_a_good_prime(name):
     # the sweep: at every prime the filter passes (below 60 for the fixture
     # curves, 200 for the tall problems), the closure has the accepted lift's
     # signature and is that lift reduced mod q, so no bad prime gets through
-    ring, f = _curve_or_tall(name)
-    res = run_algorithm1(ring, f)
+    _, f = _curve_or_tall(name)
+    res = run_algorithm1(f)
     assert res.accepted
     state, inputs = res.certificate.state, run_inputs(f)
     for q in filter(is_prime, range(2, 60 if name in CURVES else 200)):
         status, info = is_prime_usable(q, *inputs)
         if status == "usable":
-            run = closure_run(q, *info)
+            run = closure_run(*info)
             assert run.presentation.leads == state.leads and _specializes(state, run)
 
 
 def test_compatibility_single_and_pair():
-    ring, f = make_curve("quadratic")
+    _, f = make_curve("quadratic")
     inputs = run_inputs(f)
     # one run folds alone, and a second of the same signature onto it
     r5 = run_prime(5, *inputs)
-    state = reconcile_and_lift(r5, ring)
+    state = reconcile_and_lift(r5)
     r11 = run_prime(11, *inputs)
-    assert reconcile_and_lift(r11, ring, state).primes == (5, 11)
+    assert reconcile_and_lift(r11, state).primes == (5, 11)
 
 
 @pytest.mark.parametrize("name", ["trident", "octic"])
 def test_charq_run_equals_the_prime_run(name):
     # one record, one result: the charq closure is the usable run at q
     ring, f = make_curve(name)
-    ring_q, f_q = make_curve(name, q=7)
-    charq = run_charq(ring_q, f_q, 7)
+    _, f_q = make_curve(name, q=7)
+    charq = run_charq(f_q)
     run = run_prime(7, *run_inputs(f))
     assert charq.usable and run.usable
     assert charq.delta_q == run.delta_q
@@ -443,7 +442,7 @@ def _forced_run(name, q, delta=None):
         delta = conductor_of(f)[0]
     else:
         delta = mu_poly(delta, ring)
-    return closure_run(q, ring, tail_of(f), xdict(delta))
+    return closure_run(ring, tail_of(f), xdict(delta))
 
 
 @pytest.mark.parametrize("J", range(1, 8))
@@ -508,12 +507,12 @@ def test_char0_runs_build_no_per_prime_polynomial(tmp_path, monkeypatch, capsys)
     real_from_y, real_sorted = intclose.closure.from_y, Ring._sorted
 
     def from_y(vectors, ring):
-        if ring.domain.kind == MODP:
+        if ring.domain.char:
             built.append("from_y")
         return real_from_y(vectors, ring)
 
     def _sorted(self, terms):
-        if self.domain.kind == MODP and self.names[0].startswith(YBAR):
+        if self.domain.char and self.names[0].startswith(YBAR):
             built.append("_sorted")
         return real_sorted(self, terms)
 
@@ -532,13 +531,12 @@ def test_char0_runs_build_no_per_prime_polynomial(tmp_path, monkeypatch, capsys)
 def test_compatibility_rejects_oversized_closure():
     # mod 2 the trident closure is generated by a single stray fraction and
     # its signature cannot be reconciled with the generic one
-    ring, _ = make_curve("trident")
     r2 = _forced_run("trident", 2)
     r7 = _forced_run("trident", 7)
     with pytest.raises(SignatureError):
-        reconcile_and_lift(r7, ring, reconcile_and_lift(r2, ring))
+        reconcile_and_lift(r7, reconcile_and_lift(r2))
     with pytest.raises(SignatureError):
-        reconcile_and_lift_reference([r2, r7], ring)
+        reconcile_and_lift_reference([r2, r7])
 
 
 def test_run_incompatible_with_the_first_usable_one_is_skipped(monkeypatch):
@@ -549,8 +547,8 @@ def test_run_incompatible_with_the_first_usable_one_is_skipped(monkeypatch):
     r2 = _forced_run("trident", 2)
     monkeypatch.setattr(intclose.driver, "run_prime",
                         lambda q, *args: r2 if q == 2 else real_run_prime(q, *args))
-    ring, f = make_curve("trident")
-    res = run_algorithm1(ring, f, RunConfig(primes=(2, 7)))
+    _, f = make_curve("trident")
+    res = run_algorithm1(f, RunConfig(primes=(2, 7)))
     assert [(r.q, r.reason) for r in res.runs] == \
         [(2, None), (7, "incompatible closure signature")]
     assert "q=7 skipped: incompatible closure signature" in res.audit
@@ -558,8 +556,8 @@ def test_run_incompatible_with_the_first_usable_one_is_skipped(monkeypatch):
 
 
 def test_verify_accepts_large_enough_modulus(quadratic):
-    ring, f = quadratic
-    res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
+    _, f = quadratic
+    res = run_algorithm1(f, RunConfig(primes=(5, 11, 13)))
     assert res.accepted
     cert = res.certificate
     assert cert.gb_ok and cert.containment_ok and cert.numerators_ok
@@ -567,8 +565,8 @@ def test_verify_accepts_large_enough_modulus(quadratic):
 
 
 def test_verify_rejects_undersized_modulus(quadratic):
-    ring, f = quadratic
-    res = run_algorithm1(ring, f, RunConfig(primes=(5, 11)))
+    _, f = quadratic
+    res = run_algorithm1(f, RunConfig(primes=(5, 11)))
     assert not res.accepted
     cert = res.stages[-1]
     assert cert.gb_ok
@@ -578,13 +576,13 @@ def test_verify_rejects_undersized_modulus(quadratic):
 
 
 def test_trident_rejects_at_55_with_reference_residual():
-    ring, f = make_curve("trident")
+    _, f = make_curve("trident")
     delta0 = conductor_of(f)[0]
     r5 = run_prime(5, *run_inputs(f))
     # the conductor filter would skip 11; force the rational conductor image
     r11 = _forced_run("trident", 11, delta=delta0)
-    state = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
-    ref = reconcile_and_lift_reference([r5, r11], ring)
+    state = reconcile_and_lift(r11, reconcile_and_lift(r5))
+    ref = reconcile_and_lift_reference([r5, r11])
     assert state == ref and _views(state) == _views(ref)
     assert state.modulus == 55
     out = state.presentation.relations[0].ring
@@ -598,8 +596,8 @@ def test_trident_rejects_at_55_with_reference_residual():
 
 
 def test_trident_accepts_beyond_65():
-    ring, f = make_curve("trident")
-    res = run_algorithm1(ring, f, RunConfig(primes=(7, 13)))
+    _, f = make_curve("trident")
+    res = run_algorithm1(f, RunConfig(primes=(7, 13)))
     assert res.accepted
     out = res.presentation.ring
     assert set(res.presentation.relations) == {
@@ -625,13 +623,13 @@ def test_every_lifted_stage_specializes_and_folds_like_a_full_crt(name):
     # lifted; it holds on all of them.  Each stage's CRT record, folded from
     # the previous one, is the one reconciled from all its runs at once by
     # the reference, and so is the lifted record it builds when read.
-    ring, f = _problem(name)
-    res = run_algorithm1(ring, f)
+    _, f = _problem(name)
+    res = run_algorithm1(f)
     usable = [r for r in res.runs if r.usable]
     assert len(res.stages) == len(usable)
     lifted = [k for k, cert in enumerate(res.stages, 1) if cert.state.lifted]
     for k, cert in enumerate(res.stages, 1):
-        ref = reconcile_and_lift_reference(usable[:k], ring)
+        ref = reconcile_and_lift_reference(usable[:k])
         assert cert.state == ref and _views(cert.state) == _views(ref)
         # the lifted support is the union of the runs' under the same leads
         assert numerators_interreduced(cert.state.presentation.numerators)
@@ -654,8 +652,8 @@ def test_lazy_certificate_matches_the_eager_reference(name):
     # read first after the decision; the residual is, where the relations are
     # a Groebner basis, as only there is a remainder unique (the sextic's
     # first five stages are not, and reduce psi(f) to another remainder)
-    ring, f = _curve_or_tall(name)
-    res = run_algorithm1(ring, f)
+    _, f = _curve_or_tall(name)
+    res = run_algorithm1(f)
     assert res.accepted
     for stage in res.stages:
         ref = verify_candidate_reference(stage.state, f)
@@ -674,9 +672,9 @@ def test_gb_check_runs_only_where_the_decision_or_the_log_needs_it(tmp_path, mon
     import intclose.lifting
     from intclose import cli
     name = "tall-001"
-    ring, f = _curve_or_tall(name)
+    _, f = _curve_or_tall(name)
     assert f.degree_in(0) == 3
-    refs = [verify_candidate_reference(c.state, f) for c in run_algorithm1(ring, f).stages]
+    refs = [verify_candidate_reference(c.state, f) for c in run_algorithm1(f).stages]
     decided = sum(r.containment_ok and r.numerators_ok for r in refs)
     assert 0 < decided < len(refs)
     calls = []
@@ -702,13 +700,13 @@ def _accepted_stages() -> tuple:
     of the first ten ``TALL_7`` problems.  No point test picks them."""
     out = []
     for name in ["quadratic"] + sorted(TALL_7)[:10]:
-        ring, f = _curve_or_tall(name)
+        _, f = _curve_or_tall(name)
         inputs, state = run_inputs(f), None
         for q in (5, 11, 13) if name in CURVES else PRIMES_BELOW_200:
             run = run_prime(q, *inputs)
             if run.usable:
                 try:
-                    state = reconcile_and_lift(run, ring, state)
+                    state = reconcile_and_lift(run, state)
                 except SignatureError:
                     continue
                 if verify_candidate_reference(state, f).accepted:
@@ -765,8 +763,8 @@ def test_point_rejection_is_an_exact_rejection(data):
         (ref.containment_ok, ref.numerators_ok, ref.gb_ok)
 
 
-def _run_stages(ring, f, config=None) -> tuple:
-    return tuple((cert.state, f) for cert in run_algorithm1(ring, f, config).stages)
+def _run_stages(f, config=None) -> tuple:
+    return tuple((cert.state, f) for cert in run_algorithm1(f, config).stages)
 
 
 @cache
@@ -775,11 +773,10 @@ def _stages(name) -> tuple:
     or of the README problem at 5, 11, 13."""
     if name == "readme":
         pf = parse_problem(README_PROBLEM)
-        ring, config = pf.ring(), RunConfig(primes=(5, 11, 13))
-        f = pf.relation(ring)
+        f, config = pf.relation(pf.ring()), RunConfig(primes=(5, 11, 13))
     else:
-        (ring, f), config = _curve_or_tall(name), None
-    return _run_stages(ring, f, config)
+        f, config = _curve_or_tall(name)[1], None
+    return _run_stages(f, config)
 
 
 @pytest.mark.parametrize("name", sorted(CURVES) + ["readme"] + sorted(TALL_30))
@@ -823,8 +820,7 @@ SHIFTED = {"(y - x)^2 - 3*x*(x - 2)^2": [[3, 2]], "(y - x)^3 - x*(x - 1)^3": [[4
 def _shifted_stages(relation) -> tuple:
     pf = parse_problem(f"indvars: x\ndepvar: y\nweights: {SHIFTED[relation]}\n"
                        f"relation: {relation}\n")
-    ring = pf.ring()
-    return _run_stages(ring, pf.relation(ring))
+    return _run_stages(pf.relation(pf.ring()))
 
 
 @pytest.mark.parametrize("relation", sorted(SHIFTED))
@@ -935,8 +931,8 @@ def test_point_rejected_stages_build_no_lifted_record(tmp_path, monkeypatch, cap
 
 
 def test_specialization_of_accepted_candidate(quadratic):
-    ring, f = quadratic
-    res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
+    _, f = quadratic
+    res = run_algorithm1(f, RunConfig(primes=(5, 11, 13)))
     state = res.stages[-1].state
     for q in (5, 11, 13):
         rq = curve_ring((3, 2), GF(q))
@@ -948,8 +944,8 @@ def test_specialization_of_accepted_candidate(quadratic):
 def test_specializations_catch_a_perturbed_lift(quadratic):
     # one lifted coefficient plus 1 no longer reduces to the run at any used
     # prime; one whose denominator a used prime divides cannot be reduced
-    ring, f = quadratic
-    res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
+    _, f = quadratic
+    res = run_algorithm1(f, RunConfig(primes=(5, 11, 13)))
     state = res.stages[-1].state
     nums = state.presentation.numerators
     qq = state.presentation.denominator.ring
@@ -969,8 +965,8 @@ def test_specializations_catch_a_perturbed_lift(quadratic):
 
 
 def test_cubic_family_restores_coefficients():
-    ring, f = make_curve("cubic_family")
-    res = run_algorithm1(ring, f, RunConfig(primes=(5, 11, 13)))
+    _, f = make_curve("cubic_family")
+    res = run_algorithm1(f, RunConfig(primes=(5, 11, 13)))
     assert res.accepted
     out = res.presentation.ring
     assert set(res.presentation.relations) == {
@@ -981,8 +977,8 @@ def test_cubic_family_restores_coefficients():
 
 
 def test_radical_curve_with_good_primes():
-    ring, f = make_curve("radical")
-    res = run_algorithm1(ring, f, RunConfig(primes=(7, 17, 19)))
+    _, f = make_curve("radical")
+    res = run_algorithm1(f, RunConfig(primes=(7, 17, 19)))
     assert res.accepted  # 7*17*19 = 2261 > 22^2 + 13^2
     out = res.presentation.ring
     assert list(res.presentation.relations) == [
@@ -990,8 +986,8 @@ def test_radical_curve_with_good_primes():
 
 
 def test_budget_exhausted_is_reported(quadratic):
-    ring, f = quadratic
-    res = run_algorithm1(ring, f, RunConfig(primes=(5,)))
+    _, f = quadratic
+    res = run_algorithm1(f, RunConfig(primes=(5,)))
     assert not res.accepted
     assert res.certificate is not None and not res.certificate.accepted
     assert any("exhausted" in line for line in res.audit)
@@ -1008,43 +1004,43 @@ def test_run_config_rejects_duplicate_or_composite_primes(quadratic):
 def test_reconcile_rejects_incompatible_runs():
     # the oversized trident closure at q = 2 against the generic one at q = 7,
     # folded in either order
-    ring, f = make_curve("trident")
+    _, f = make_curve("trident")
     r7 = run_prime(7, *run_inputs(f))
     r2 = _forced_run("trident", 2)
     for first, second in ((r2, r7), (r7, r2)):
-        prev = reconcile_and_lift(first, ring)
+        prev = reconcile_and_lift(first)
         with pytest.raises(SignatureError, match="^runs have incompatible closure signatures$"):
-            reconcile_and_lift(second, ring, prev)
+            reconcile_and_lift(second, prev)
 
 
 def test_reconcile_rejects_an_unusable_run_and_a_prime_already_folded(quadratic):
-    ring, f = quadratic
+    _, f = quadratic
     inputs = run_inputs(f)
     r5, r11 = run_prime(5, *inputs), run_prime(11, *inputs)
     skipped = run_prime(3, *inputs)
     assert not skipped.usable
-    prev = reconcile_and_lift(r11, ring, reconcile_and_lift(r5, ring))
+    prev = reconcile_and_lift(r11, reconcile_and_lift(r5))
     for p in (None, prev):
         with pytest.raises(LiftError, match="^run at q=3 is not usable$"):
-            reconcile_and_lift(skipped, ring, p)
+            reconcile_and_lift(skipped, p)
     for run in (r5, r11):
         with pytest.raises(LiftError, match="^duplicate primes in CRT input$"):
-            reconcile_and_lift(run, ring, prev)
+            reconcile_and_lift(run, prev)
 
 
 def test_fold_order_does_not_change_the_record(quadratic):
     # the balanced residue mod N is unique, so every order of folding the
     # runs at 5, 11 and 13 gives the all-at-once reference's record and lift
-    ring, f = quadratic
+    _, f = quadratic
     inputs = run_inputs(f)
     runs = [run_prime(q, *inputs) for q in (5, 11, 13)]
-    ref = reconcile_and_lift_reference(runs, ring)
+    ref = reconcile_and_lift_reference(runs)
     orders = list(permutations(runs))
     assert len(orders) == 6
     for order in orders:
         state = None
         for run in order:
-            state = reconcile_and_lift(run, ring, state)
+            state = reconcile_and_lift(run, state)
         assert state.primes == tuple(r.q for r in order)
         assert (state.modulus, state.crt, _views(state)) == (ref.modulus, ref.crt, _views(ref))
 
@@ -1053,14 +1049,14 @@ def test_rings_over_zz_and_qq_are_built_once_per_problem(monkeypatch):
     # the first stage builds the QQ copies of the input and output rings, and
     # every later stage reads them off the previous stage's lift; the CRT
     # record is plain integer maps, which need no ring of their own
-    ring, f = _problem("tall-7-001")
+    _, f = _problem("tall-7-001")
     calls, built = [], []
     real, real_init = Ring.with_domain, Ring.__post_init__
     monkeypatch.setattr(Ring, "with_domain",
                         lambda self, domain: calls.append(domain) or real(self, domain))
     monkeypatch.setattr(Ring, "__post_init__",
                         lambda self: built.append(self.domain) or real_init(self))
-    res = run_algorithm1(ring, f)
+    res = run_algorithm1(f)
     assert len(res.stages) == 8
     assert calls.count(QQ) == built.count(QQ) == 2
 
@@ -1077,7 +1073,7 @@ def test_closure_family_with_known_answer():
         x, y = ring.var("x"), ring.var("y")
         shifted = x - ring.const(a)
         f = y * y - shifted * shifted * x.scale(c)
-        res = run_algorithm1(ring, f, RunConfig(start_prime=5, max_primes=10))
+        res = run_algorithm1(f, RunConfig(start_prime=5, max_primes=10))
         assert res.accepted, (a, c, res.audit)
         out = res.presentation.ring
         expect_rel = out.parse("ybar^2") - out.var("x").scale(c)
@@ -1098,7 +1094,7 @@ def test_cubic_closure_family_with_known_answer():
         x, y = ring.var("x"), ring.var("y")
         shifted = x - ring.const(a)
         f = y ** 3 - (shifted ** 3) * x.scale(c)
-        res = run_algorithm1(ring, f, RunConfig(start_prime=5, max_primes=10))
+        res = run_algorithm1(f, RunConfig(start_prime=5, max_primes=10))
         assert res.accepted, (a, c, res.audit)
         out = res.presentation.ring
         cx = out.var("x").scale(c)
@@ -1120,7 +1116,7 @@ def test_numerator_consistency_rejects_presentation_only_lift():
     x, y = ring.var("x"), ring.var("y")
     shifted = x - ring.const(F(3, 2))
     f = y ** 3 - (shifted ** 3) * x.scale(F(1, 3))
-    res = run_algorithm1(ring, f, RunConfig(primes=(5, 7)))
+    res = run_algorithm1(f, RunConfig(primes=(5, 7)))
     assert not res.accepted
     cert = res.stages[-1]
     assert cert.state.modulus == 35
@@ -1128,7 +1124,7 @@ def test_numerator_consistency_rejects_presentation_only_lift():
     assert cert.containment_ok
     assert not cert.numerators_ok
     assert str(cert.state.presentation.numerators[-1]) == "x^2 - 3*x - 2/3"
-    res2 = run_algorithm1(ring, f, RunConfig(primes=(5, 7, 11)))
+    res2 = run_algorithm1(f, RunConfig(primes=(5, 7, 11)))
     assert res2.accepted
     assert res2.presentation.denominator == (shifted * shifted)
 
@@ -1136,7 +1132,7 @@ def test_numerator_consistency_rejects_presentation_only_lift():
 def test_octic_full_rational_run():
     # delta reduces to x^13 over Q; the per-prime conductor filter drops 5
     ring, f = make_curve("octic")
-    res = run_algorithm1(ring, f, RunConfig(start_prime=5, max_primes=6))
+    res = run_algorithm1(f, RunConfig(start_prime=5, max_primes=6))
     assert res.accepted
     assert res.primes_used == (7, 11)
     assert any(r.q == 5 and not r.usable and "conductor" in r.reason
@@ -1232,6 +1228,6 @@ def test_psi_combination_handles_vanishing_coefficients():
     x, y = ring.var("x"), ring.var("y")
     shifted = x - ring.const(5)
     f = y * y - shifted * shifted * x
-    res = run_algorithm1(ring, f, RunConfig(primes=(5, 7, 11)))
+    res = run_algorithm1(f, RunConfig(primes=(5, 7, 11)))
     assert res.accepted
     assert psi_combination(res.presentation.inclusion_image, ring)[0] == shifted

@@ -46,7 +46,11 @@ def test_division_errors():
 
 def test_modp_requires_prime():
     with pytest.raises(DomainError):
-        Domain("MODP", 6)
+        Domain(6)
+    # a domain is its characteristic, and 0 is Q's, so GF refuses it itself
+    assert Domain(0) == QQ
+    with pytest.raises(DomainError, match="^0 is not prime$"):
+        GF(0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from intclose import GF, MODP, QQ, ProblemError, Ring, parse_problem
+from intclose import GF, QQ, ProblemError, Ring, parse_problem
 from intclose.cli import main
 from conftest import conductor_of
 from corpus import README_PROBLEM
@@ -237,8 +237,11 @@ def test_cli_rejects_two_independent_variables(tmp_path, capsys, mode_args):
      "error: --start-prime applies to char0 mode only"),
     (["--mode", "charq", "--prime", "5", "--max-primes", "3"],
      "error: --max-primes applies to char0 mode only"),
+    # an explicit schedule has no start: --start-prime would be ignored
+    (["--primes", "5,11,13", "--start-prime", "101"],
+     "error: --start-prime does not apply with --primes"),
 ], ids=["primes", "prime", "prime-in-char0", "primes-in-charq", "start-prime-in-charq",
-        "max-primes-in-charq"])
+        "max-primes-in-charq", "start-prime-with-primes"])
 def test_cli_rejects_malformed_primes(tmp_path, capsys, bad_args, message):
     path = _write(tmp_path, QUADRATIC)
     code = main([path, "--log", str(tmp_path / "audit.log")] + bad_args)
@@ -643,7 +646,7 @@ def test_runs_parse_once_per_ring_and_reduce_mod_q_without_polynomials(tmp_path,
     path = _write(tmp_path, QUADRATIC)
     assert main([path, "--primes", "5,11,13"]) == 0
     assert [c for c in calls if c[0] == "parse"] == [("parse", QQ)]
-    assert [c for c in calls if c[1].kind == MODP] == []
+    assert [c for c in calls if c[1].char] == []
     problem = parse_problem(QUADRATIC)
     assert all(conductor_of(problem.relation())[1] % q for q in (5, 11, 13))
     assert not [name for name, module in sys.modules.items()
@@ -655,7 +658,7 @@ def test_runs_parse_once_per_ring_and_reduce_mod_q_without_polynomials(tmp_path,
                    % q for q in (7, 11))
     calls.clear()
     assert main([str(sextic), "--primes", "7,11"]) == 1
-    assert [c for c in calls if c[1].kind == MODP] == []
+    assert [c for c in calls if c[1].char] == []
     # a run over another ring than the problem's own parses again: a
     # characteristic-7 problem in char0 mode parses over GF(7), then over QQ,
     # and prints what the file without the characteristic prints
