@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations_with_replacement, count
+from itertools import chain, combinations_with_replacement, compress, count
 
 from .groebner import reduce_terms
 from .linalg import nullspace_mod
 from .orders import grevlex_over_weight
 from .rings import Polynomial, Ring
 from .weights import mono_weight
-from .xpoly import monic, monic_gcd, mul_scalar, pack, quo_rem, slot_bytes, sub_dot, unpack
+from .xpoly import (monic, monic_gcd, mul_scalar, pack, quo_rem, reduce_slots, slot_bytes,
+                    sub_dot, unpack)
 
 
 class ClosureError(ValueError):
@@ -47,7 +48,7 @@ def module_reduce(h: Polynomial, gens):
     return ring._sorted(rem), [ring._sorted(c) for c in quotients]
 
 
-def canonical_generators(vectors, ring: Ring) -> tuple:
+def canonical_generators(vectors, ring: Ring, members=()) -> tuple:
     """Monic, fully interreduced, order-descending generators of a P-module.
 
     Each generator is a vector of F_q[x]^d, the y-coefficients of an element
@@ -66,21 +67,55 @@ def canonical_generators(vectors, ring: Ring) -> tuple:
     q = 7 the octic numerator y^6*x^8 + y^7*x^5 + x^11 - y*x^8 has a y^7 term
     under its y^6 lead, so a Hermite-form representation would need a
     conversion back to this basis to keep the output the same.
+
+    ``members`` are generators given lazily, each as a pair (lead, make):
+    its lead y^k*x^e as (k, e), and a function that returns the vector,
+    called only when the insertion pops it; the vectors go on the heap in
+    the same form, so every pop calls its make.
+
+    Dimension stop.  With members, the vectors are the D*y^k, k < d, each
+    led by y^k*x^deg(D), and the members, independent modulo D*S, span with
+    them a module N' between D*S and S: dim N'/DS = len(members).  The
+    insertion stops once the basis leads y^k*x^(e_k) have
+    sum_k (deg D - e_k) = dim N'/DS, and D*y^k joins the basis at each
+    y-degree k it lacks; the last pass then returns what inserting every
+    generator would.  With no members, every vector is inserted, and the
+    D*y^k alone give D*S's basis.  Proof: a basis element
+    lies in N', and its lead has e_k <= deg D, as D*y^k, whose lead is
+    y^k*x^deg(D), is popped before any generator whose remainder could
+    lead in y^k above it.  Every lead of D*S is some y^k*x^e with
+    e >= deg D, so the x^alpha*b_k with alpha < deg D - e_k, whose leads are
+    distinct and below those, are independent modulo D*S: the sum never
+    exceeds dim N'/DS, and no insertion lowers it.  At equality they span
+    N' modulo D*S; with the D*y^k added, the leads take every y-degree and
+    leave sum_k e_k = d*deg D - dim N'/DS = dim S/N' monomials outside.  The
+    leads of N' contain them and leave dim S/N' outside too, so they are
+    N''s leads: the set is a Groebner basis of N', and the last pass gives
+    N''s unique monic, fully interreduced one.
     """
     if not ring.domain.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("canonical generators need a ring F_q[y; x]")
     q, key, tick = ring.domain.char, ring.order.key, count()
-    pending = [(key(_lead(v, key)), next(tick), v) for v in vectors if any(v)]
+    vectors = [(_lead(v, key), v) for v in vectors if any(v)]
+    ceiling = dict(lead for lead, _ in vectors)     # the stop's deg D at each y-degree
+    pending = [(key(lead), next(tick), make) for lead, make in
+               chain(((lead, partial(list, v)) for lead, v in vectors), members)]
     heapify(pending)
     basis: dict = {}                   # y-degree k of the lead y^k*x^e -> (e, element)
-    while pending:
-        v = _rem_by_targets(heappop(pending)[2], basis, q)
+    room = len(members) if members else None    # dim N'/DS - sum_k (deg D - e_k)
+    while pending and room != 0:
+        v = _rem_by_targets(heappop(pending)[2](), basis, q)
         if any(v):
             k, e = _lead(v, key)
             if k in basis:
-                heappush(pending, (key((k, basis[k][0])), next(tick), basis[k][1]))
+                heappush(pending, (key((k, basis[k][0])), next(tick), partial(list, basis[k][1])))
+            if room is not None:
+                room -= (basis[k][0] if k in basis else ceiling[k]) - e
             inv = pow(v[k][e], -1, q)
             basis[k] = e, [mul_scalar(a, inv, q) for a in v]
+    for (k, e), v in vectors:          # after the stop, D*y^k where y^k is missing;
+        # a full insertion leaves no vector's y-degree missing
+        basis.setdefault(k, (e, v))
     out: dict = {}                     # the last pass keeps every lead
     for k, (e, v) in sorted(basis.items(), key=lambda item: key((item[0], item[1][0]))):
         out[k] = e, _rem_by_targets(v, out, q)
@@ -97,24 +132,29 @@ def frobenius_images(tail: list, delta: dict, q: int) -> tuple:
     is held as d packed ints, one per y-coefficient reduced modulo q and D^q,
     so each F_q[x] product is one int product (Kronecker substitution); a
     product's y^s-coefficients, s < 2d - 1, fold down through y^d = -tail.
+    A product is reduced modulo D^q = x^top - low by packed operations: the
+    slots at x^top and above are cut off, taken mod q (``reduce_slots``) and
+    multiplied by low, until none is left, each cut lowering the degree by
+    at least q, as low's exponents are multiples of q; then every slot is
+    taken mod q.  A monomial D has low = 0, and the cut is a truncation.
     That is about log(q) + d products of d^2 coefficient pairs of q * deg D slots.
     """
     d = len(tail)
     mod = monic({q * e: c for e, c in delta.items()}, q)    # D^q = D(x^q), monic
     top = max(mod)
-    low = [(e, q - c) for e, c in mod.items() if e < top]    # x^top = sum c*x^e
     tlen = 1 + max((e for t in tail for e in t), default=0)
-    # a slot sums at most d*top products of residues, and its folds d*tlen more
-    w = slot_bytes(q, d * (top + tlen))
+    # a slot sums at most d*top products of residues, its folds d*tlen more,
+    # and the cuts at most top + tlen times as many as low has terms; twice
+    # that leaves the bit that ``reduce_slots`` needs spare
+    w = slot_bytes(q, 2 * (d + len(mod) - 1) * (top + tlen))
+    cut, keep = 8 * w * top, (1 << 8 * w * top) - 1
+    low = pack([-mod.get(e, 0) % q for e in range(top)], w)   # x^top = low mod D^q
     packed_tail = [pack([-t.get(e, 0) % q for e in range(tlen)], w) for t in tail]   # -tail
 
     def reduce(n: int) -> int:
-        v = unpack(n, w)
-        for i in range(len(v) - 1, top - 1, -1) if low else ():
-            if t := v[i] % q:
-                for e, c in low:
-                    v[i - top + e] += t * c
-        return pack([c % q for c in v[:top]], w)
+        while low and (high := n >> cut):
+            n = (n & keep) + reduce_slots(high, w, q) * low
+        return reduce_slots(n & keep, w, q)
 
     def fold(prods: list) -> list:
         for s in range(len(prods) - 1, d - 1, -1):
@@ -203,11 +243,17 @@ def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = Non
     any order, at the one member of v plus the targets' span whose
     y^k-coefficients all have degree below n; targets each in one y-degree
     take one division apiece.  quotients[k], if given, sums the quotients by t.
+    A target may carry a third field, (n, t, True), if t is one term
+    c*x^n*y^k (``_scaled_targets`` marks them); with no quotients asked for,
+    the division by it is a truncation, and no quotient is built.
     """
-    v, todo = list(v), [k for k, (n, _) in targets.items() if max(v[k], default=-1) >= n]
+    v, todo = list(v), [k for k, (n, *_) in targets.items() if max(v[k], default=-1) >= n]
     while todo:                        # a division here has a nonzero quotient
         k = todo.pop()
-        n, t = targets[k]
+        n, t, *alone = targets[k]
+        if alone and quotients is None:
+            v[k] = {e: c for e, c in v[k].items() if e < n}
+            continue
         quot, v[k] = quo_rem(v[k], t[k], q, n)
         if quotients is not None:      # quotients[k] - (-1)*quot
             quotients[k] = sub_dot(quotients.get(k, {}), (({0: q - 1}, quot),), q)
@@ -220,10 +266,13 @@ def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = Non
 
 
 def _scaled_targets(vectors, leads: list, s: dict, q: int) -> dict:
-    """{k: (e + deg s, s*g)}: ``_rem_by_targets``' targets s*g, g of lead y^k*x^e."""
-    minus = mul_scalar(s, -1, q)                             # 0 - c*(-s) = s*c
-    return {k: (e + max(s), [sub_dot({}, ((c, minus),), q) if c else c for c in g])
-            for g, (k, e) in zip(vectors, leads)}
+    """{k: (e + deg s, s*g)}: ``_rem_by_targets``' targets s*g, g of lead
+    y^k*x^e, each marked (e + deg s, s*g, True) here, once, if it is one term."""
+    minus, out = mul_scalar(s, -1, q), {}                    # 0 - c*(-s) = s*c
+    for g, (k, e) in zip(vectors, leads):
+        t = [sub_dot({}, ((c, minus),), q) if c else c for c in g]
+        out[k] = (e + max(s), t, True) if sum(map(len, t)) == 1 else (e + max(s), t)
+    return out
 
 
 def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
@@ -313,11 +362,21 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
       the terms that cross it are carried and divided (``_step_columns``).
     * One remainder.  ``_rem_by_targets`` gives it, and
       ``canonical_generators`` interreduces the next generators with it.
-    * One pass.  A kernel vector's member, the sum of coeff*x^alpha*g_j over
-      its columns (j, alpha), is summed in one pass and reduced mod q once.
+    * Lazy members.  The x^alpha*g_j lead at distinct monomials
+      y^(k_j)*x^(e_j+alpha), so a kernel vector's member, the sum of
+      coeff*x^alpha*g_j over its columns (j, alpha), leads at the largest of
+      them over its nonzero columns, with coefficient coeff, as the g_j are
+      monic.  Each member goes to ``canonical_generators`` as that lead and
+      a function that sums it in one pass, reduced mod q once, called only
+      when the insertion pops it.
+    * Dimension stop.  The kernel vectors are independent, and so are
+      their members modulo D*S, as the columns are a basis of N/DS: there
+      are dim N'/DS of them, N' the next module, and the insertion stops
+      once its basis reaches that dimension (``canonical_generators``), so
+      members popped after that are never summed.
     """
-    q, xdeg, d = ring.domain.char, max(delta), len(images)
-    leads = [_lead(g, ring.order.key) for g in numerators]
+    q, xdeg, d, key = ring.domain.char, max(delta), len(images), ring.order.key
+    leads = [_lead(g, key) for g in numerators]
     if ({k for k, _ in leads} != set(range(d)) or len(numerators) != d
             or any(e > xdeg for _, e in leads)):
         raise ClosureError("numerators must generate a module between D*S and S")
@@ -326,16 +385,21 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
         return numerators
     cols = [(j, alpha) for j, (_, e) in enumerate(leads) for alpha in range(xdeg - e)]
     kernel = nullspace_mod(list(rows.values()), len(cols), q)
-    new_gens = [[delta if i == k else {} for i in range(d)] for k in range(d)]   # D*y^k
-    for vec in kernel:
+    col_leads = [(key(lead), lead) for lead in ((leads[j][0], leads[j][1] + alpha)
+                                                  for j, alpha in cols)]
+
+    def member(vec: list) -> list:
         acc = [{} for _ in range(d)]
         for (j, alpha), coeff in zip(cols, vec):
             if coeff:
                 for r, a in zip(acc, numerators[j]):
                     for e, c in a.items():
                         r[e + alpha] = r.get(e + alpha, 0) + coeff * c
-        new_gens.append([{e: r for e, c in row.items() if (r := c % q)} for row in acc])
-    return canonical_generators(new_gens, ring)
+        return [{e: r for e, c in row.items() if (r := c % q)} for row in acc]
+
+    members = [(max(compress(col_leads, vec))[1], partial(member, vec)) for vec in kernel]
+    delta_y = [[delta if i == k else {} for i in range(d)] for k in range(d)]   # D*y^k
+    return canonical_generators(delta_y, ring, members)
 
 
 def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:

@@ -4,9 +4,12 @@ A coefficient map is a dict {exponent: coefficient} that holds no zero, with
 coefficients in 0 .. q-1 over F_q.  A packed int holds residues mod q, one
 per w-byte slot, slot i at bits 8*w*i and up, so one int product is a whole
 F_q[x] product or dot product (Kronecker substitution); slots are reduced
-mod q only when read.  ``slot_bytes(q, terms)`` sizes a slot for a sum of
-``terms`` products of residues, at most terms*(q-1)^2, so that no slot
-carries into the next (Dumas, Fousse & Salvy, JSC 2011).
+mod q only when read, or all at once by ``reduce_slots``.  ``slot_bytes(q,
+terms)`` sizes a slot for a sum of ``terms`` products of residues, at most
+terms*(q-1)^2, so that no slot carries into the next (Dumas, Fousse & Salvy,
+JSC 2011).  ``reduce_slots`` needs one bit more: its slots hold sums below
+2^b, b = 8*w - 1, so that a sum times its reciprocal, below 2^(2b+1), fits
+in a slot pair; ``slot_bytes(q, 2 * terms)`` sizes a slot with that bit spare.
 """
 
 from __future__ import annotations
@@ -108,3 +111,32 @@ def unpack(n: int, w: int) -> list:
     if sys.byteorder == "big":
         a.byteswap()
     return a.tolist()
+
+
+@lru_cache(maxsize=256)               # one per slot width, q and size class
+def _reciprocal(w: int, q: int, pairs: int) -> tuple:
+    """(slot mask, quotient mask, m, s) of ``reduce_slots`` for ints of up to
+    ``pairs`` pairs of w-byte slots, each mask set in the low slot of every pair."""
+    bits = 8 * w
+    s = bits - 1 + q.bit_length()
+    ones = (1 << 2 * bits * pairs) // ((1 << 2 * bits) - 1)     # bit 0 of every pair
+    return ones * ((1 << bits) - 1), ones * ((1 << 2 * bits - s) - 1), (1 << s) // q + 1, s
+
+
+def reduce_slots(n: int, w: int, q: int) -> int:
+    """n >= 0 with each w-byte slot, all below 2^b for b = 8*w - 1, taken mod q.
+
+    Division by an invariant integer using multiplication (Granlund &
+    Montgomery, PLDI 1994), on every slot at once: with s = b + bitlen(q)
+    and m = floor(2^s/q) + 1, floor(v*m / 2^s) = floor(v/q) for all v < 2^b,
+    and v*m < 2^(2b+1) fits in the 16*w bits of a slot pair.  So the even
+    slots, each alone in its pair, are taken with one multiply by m, one
+    shift by s and one mask to the quotients' 16*w - s bits, then v - q*quotient;
+    and the odd slots likewise, shifted down one slot.
+    """
+    bits = 8 * w
+    lo, quot, m, s = _reciprocal(w, q, 1 << (n.bit_length() // (2 * bits)).bit_length())
+    even, odd = n & lo, n >> bits & lo
+    even -= q * (even * m >> s & quot)
+    odd -= q * (odd * m >> s & quot)
+    return even | odd << bits

@@ -19,8 +19,10 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation,
                       canonical_conductor, grevlex_over_weight, is_minimal_reduced_gb,
                       is_prime, mono_weight, module_reduce, normal_form,
                       Polynomial, s_poly)
-from intclose.closure import NotARingError, by_y, fraction_names, fraction_weights, from_y
+from intclose.closure import (NotARingError, _lead, _step_columns, by_y, canonical_generators,
+                              fraction_names, fraction_weights, from_y)
 from intclose.groebner import reduce_terms
+from intclose.linalg import nullspace_mod
 from intclose.orders import _block_grevlex_rows, mono_divides, mono_mul
 
 
@@ -220,12 +222,15 @@ def induce_presentation_poly(nums, f) -> ClosurePresentation:
                                ring, out_ring)
 
 
-def frobenius_images_poly(f) -> tuple:
+def frobenius_images_poly(f, conductor=None) -> tuple:
     """Reference images (NF(y^0), NF(y^q), ..., NF(y^(q(d-1)))) modulo f, as
-    Polynomials over F_q[y; x].
+    Polynomials over F_q[y; x], stepping y^k = y * y^(k-1) through all
+    q(d-1) powers; with a conductor D, every y-coefficient is also reduced
+    modulo D^q, D made monic, at every step (``quo_rem_reference``), so the
+    x-degrees stay below q*deg D.
 
     Same contract as ``intclose.frobenius_images``, which returns each image
-    on y-coefficients.
+    on y-coefficients, and reduces modulo D^q = D(x^q) always.
     """
     ring = f.ring
     dom = ring.domain
@@ -240,6 +245,7 @@ def frobenius_images_poly(f) -> tuple:
             raise ClosureError("relation has extra terms of top dependent degree")
         if i < d:
             tail[i][e] = dom.neg(c)
+    mq = None if conductor is None else {e: c for (_, e), c in (conductor.monic() ** q).terms}
     coeffs = [{0: dom.one}] + [{} for _ in range(d - 1)]
     images = []
     for k in range(q * (d - 1) + 1):
@@ -254,6 +260,8 @@ def frobenius_images_poly(f) -> tuple:
                             row[e1 + e2] = s
                         else:
                             row.pop(e1 + e2, None)
+        if mq is not None:
+            coeffs = [quo_rem_reference(row, mq, q)[1] for row in coeffs]
         if k % q == 0:
             images.append(ring.poly({(i, e): c for i, row in enumerate(coeffs)
                                      for e, c in row.items()}))
@@ -358,6 +366,33 @@ def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tupl
         if not acc.is_zero():
             new_gens.append(acc)
     return canonical_generators_poly(new_gens, ring)
+
+
+def qth_power_step_full(numerators: tuple, ring, images: tuple, delta: dict, scale: dict) -> tuple:
+    """Reference step that sums every kernel member and inserts them all.
+
+    Same contract as ``intclose.closure.qth_power_step``, on y-coefficients,
+    with its columns and kernel, but with no dimension stop: every member
+    coeff*x^alpha*g_j summed over its columns (j, alpha), and all of them
+    and the D*y^k given to ``canonical_generators`` as vectors, which then
+    reduces each one in turn, smallest lead first.
+    """
+    q, xdeg, d, key = ring.domain.char, max(delta), len(images), ring.order.key
+    leads = [_lead(g, key) for g in numerators]
+    rows = _step_columns(numerators, leads, q, images, delta, scale)
+    if not rows:
+        return numerators
+    cols = [(j, alpha) for j, (_, e) in enumerate(leads) for alpha in range(xdeg - e)]
+    new_gens = [[delta if i == k else {} for i in range(d)] for k in range(d)]   # D*y^k
+    for vec in nullspace_mod(list(rows.values()), len(cols), q):
+        acc = [{} for _ in range(d)]
+        for (j, alpha), coeff in zip(cols, vec):
+            if coeff:
+                for r, a in zip(acc, numerators[j]):
+                    for e, c in a.items():
+                        r[e + alpha] = r.get(e + alpha, 0) + coeff * c
+        new_gens.append([{e: r for e, c in row.items() if (r := c % q)} for row in acc])
+    return canonical_generators(new_gens, ring)
 
 
 def is_minimal_reduced_gb_full(gens) -> bool:

@@ -16,7 +16,7 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
                       canonical_generators, frobenius_nf, grevlex_over_weight,
                       induce_presentation, is_minimal_reduced_gb, is_prime, is_prime_usable,
                       minimal_reduced, minimize_denominator, module_reduce, normal_form,
-                      qth_closure, run_algorithm1, run_charq, run_prime,
+                      qth_closure, qth_power_step, run_algorithm1, run_charq, run_prime,
                       weight_over_grevlex)
 from intclose.closure import _rem_by_targets, _step_columns, by_y, fraction_weights, from_y
 from intclose.xpoly import pack, quo_rem, slot_bytes, unpack
@@ -27,9 +27,9 @@ from oracles import (canonical_generators_poly, canonical_generators_restart, co
                      combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
                      induce_presentation_poly, kernel_step_oracle, mu_poly,
                      numerators_interreduced, psi_combination, psi_substitute,
-                     qth_power_step_scratch, rank_mod_conductor, reduce_terms_scan,
-                     step_columns_unreduced, strict_shape_ok, weight_balance_ok,
-                     y_coefficients)
+                     qth_power_step_full, qth_power_step_scratch, rank_mod_conductor,
+                     reduce_terms_scan, step_columns_unreduced, strict_shape_ok,
+                     weight_balance_ok, y_coefficients)
 
 
 def fixpoint(name, q):
@@ -154,12 +154,12 @@ def test_frobenius_on_y_coefficients_match_polynomial_references(data):
 @given(st.data())
 def test_images_match_oracle_modulo_delta_q(data):
     # the oracle's NF(y^(qk), f) with every y-coefficient reduced modulo
-    # D^q = D(x^q), for dense and sparse tails and monomial and other D
+    # D^q = D(x^q) as it steps, for dense and sparse tails and monomial and
+    # other D; the reduction keeps each step below q*deg D, so dense d = 6
+    # tails run at q = 101 too
     q = data.draw(st.sampled_from([2, 3, 5, 7, 13, 29, 53, 101]), label="q")
     dense = data.draw(st.booleans(), label="dense")
-    # the oracle steps through all q(d-1) powers unreduced: a dense d = 6 tail
-    # at q = 101 takes it seconds, so dense tails above q = 29 keep d <= 3
-    d = data.draw(st.integers(1, 3 if dense and q > 29 else 6), label="d")
+    d = data.draw(st.integers(1, 6), label="d")
     ring = curve_ring((data.draw(st.integers(1, 6), label="wy"),
                        data.draw(st.integers(1, 6), label="wx")), GF(q))
     acc = data.draw(st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, 4)),
@@ -172,9 +172,21 @@ def test_images_match_oracle_modulo_delta_q(data):
                                     max_size=n), label="D below its lead") if n else {}
     delta = ring.poly({(0, e): c for e, c in low.items()}
                       | {(0, n): data.draw(st.integers(1, q - 1), label="lc D")})
-    mq = {e: c for (_, e), c in (delta.monic() ** q).terms}
-    want = tuple([quo_rem(a, mq, q)[1] for a in y_coefficients(p, d)]
-                 for p in frobenius_images_poly(f))
+    want = tuple(y_coefficients(p, d) for p in frobenius_images_poly(f, delta))
+    assert images_of(f, delta) == want
+
+
+@pytest.mark.parametrize("name", ["octic", "trident", "cusp"])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 53])
+@pytest.mark.parametrize("conductor", ["x^2", "x - 3", "x^3 + x^2 - 2*x", "x^4 - x^2 + 3*x - 1"],
+                         ids=["one-term", "two-terms", "three-terms", "four-terms"])
+def test_images_modulo_delta_q_of_one_two_and_more_terms(name, q, conductor):
+    # D^q = x^top - low: a monomial D cuts its products at x^top, x - a (the
+    # tall curves' conductors) cuts each once, and D = x(x - 1)(x + 2) and a
+    # four-term D cut again and again, each cut lowering the degree by q
+    ring, f = make_curve(name, q=q)
+    delta = ring.parse(conductor)
+    want = tuple(y_coefficients(p, f.degree_in(0)) for p in frobenius_images_poly(f, delta))
     assert images_of(f, delta) == want
 
 
@@ -271,7 +283,9 @@ def test_module_reduce_stuck_below_leads():
 def assert_remainder_by_targets(h, targets, want, d, data):
     """want is h's P-module remainder by targets, by the scanning reference,
     and by _rem_by_targets with the targets in descending and shuffled order;
-    _rem_by_targets' quotients are module_reduce's coefficients."""
+    _rem_by_targets' quotients are module_reduce's coefficients.  A target
+    that is one term carries the third field True, as ``_scaled_targets``
+    marks it, and gives the same remainder without quotients."""
     ring, q = h.ring, h.ring.domain.char
     rem, coeffs = module_reduce(h, targets)
     assert want == rem
@@ -281,10 +295,11 @@ def assert_remainder_by_targets(h, targets, want, d, data):
     descending = sorted(targets, key=lambda t: ring.order.key(t.lm), reverse=True)
     for order in (descending, data.draw(st.permutations(targets), label="order")):
         quotients = {}
-        got = _rem_by_targets(y_coefficients(h, d),
-                              {t.lm[0]: (t.lm[1], y_coefficients(t, d)) for t in order},
-                              q, quotients)
+        marked = {t.lm[0]: (t.lm[1], y_coefficients(t, d)) + (True,) * (len(t.terms) == 1)
+                  for t in order}
+        got = _rem_by_targets(y_coefficients(h, d), marked, q, quotients)
         assert ring.poly({(k, e): c for k, a in enumerate(got) for e, c in a.items()}) == want
+        assert _rem_by_targets(y_coefficients(h, d), marked, q) == got
         assert quotients.keys() <= {t.lm[0] for t in targets}
         for t, c in zip(targets, coeffs):
             assert quotients.get(t.lm[0], {}) == {m[1]: x for m, x in c.terms}
@@ -465,6 +480,82 @@ def test_step_against_linear_algebra_oracle():
         trials += 1
 
 
+def test_dimension_stop_fills_the_missing_y_degrees_with_delta_y_k():
+    # N' = D*S + P*y with D = x^2, d = 2: dim N'/DS = 2 (y and x*y).  y is
+    # popped first and leads at y*x^0, so sum_k (deg D - e_k) = 2 at once:
+    # x*y is never summed, and D*y^0 = x^2 fills the y-degree 0 that the
+    # basis lacks, as inserting every generator would give
+    ring = curve_ring((3, 2), GF(7))
+    delta, summed = {2: 1}, []
+    delta_y = [[delta, {}], [{}, delta]]
+    y, xy = [{}, {0: 1}], [{}, {1: 1}]
+    members = [((1, 0), lambda: summed.append("y") or y),
+               ((1, 1), lambda: summed.append("x*y") or xy)]
+    out = canonical_generators(delta_y, ring, members)
+    assert summed == ["y"]
+    assert out == ([delta, {}], y) == canonical_generators(delta_y + [y, xy], ring)
+
+
+def count_summed_members(monkeypatch) -> list:
+    """Wrap ``closure.canonical_generators`` so that each step records
+    (members, members summed, result)."""
+    import intclose.closure
+    real, log = intclose.closure.canonical_generators, []
+
+    def counted(vectors, ring, members=()):
+        summed = []
+        wrapped = [(lead, lambda make=make: summed.append(1) or make()) for lead, make in members]
+        out = real(vectors, ring, wrapped)
+        log.append((len(members), len(summed), out))
+        return out
+
+    monkeypatch.setattr(intclose.closure, "canonical_generators", counted)
+    return log
+
+
+def assert_steps_match_full_insertion(ring, f, delta):
+    """Walk qth_closure's steps on y-coefficients from S; each equals the
+    reference step that sums every member and inserts them all."""
+    d, dx = f.degree_in(0), xdict(delta)
+    images, scale = images_of(f, delta), scale_of(delta)
+    nums = tuple([{0: 1} if i == k else {} for i in range(d)] for k in range(d - 1, -1, -1))
+    for _ in range(d * max(dx) + 1):
+        nxt = qth_power_step(nums, ring, images, dx, scale)
+        assert nxt == qth_power_step_full(nums, ring, images, dx, scale)
+        if nxt == nums:
+            return
+        nums = nxt
+    raise AssertionError("no fixpoint within d*deg(delta) + 1 steps")
+
+
+def test_octic_steps_stop_at_the_dimension(monkeypatch):
+    # at q = 7 the walk from S takes two steps with a kernel, then a
+    # confirming one with no column; the stop leaves members unsummed at
+    # both, each step is the full insertion's, and the second ends with the
+    # fixpoint's g_0 = D, its y^0 element D*y^0
+    ring, f = make_curve("octic", q=7)
+    delta = conductor_of(f)[0]
+    log = count_summed_members(monkeypatch)
+    assert_steps_match_full_insertion(ring, f, delta)
+    assert [(total, summed) for total, summed, _ in log] == [(45, 13), (22, 8)]
+    assert log[-1][2][-1] == [xdict(delta)] + [{}] * 7
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_fixture_steps_match_full_insertion(name):
+    # every fixture curve at every prime below 60 where it has a conductor
+    walked = 0
+    for q in filter(is_prime, range(2, 60)):
+        try:
+            ring, f = make_curve(name, q=q)
+            delta = conductor_of(f)[0]
+        except (DomainError, ConductorError):
+            continue
+        assert_steps_match_full_insertion(ring, f, delta)
+        walked += 1
+    assert walked >= 12
+
+
 # ---------------------------------------------------------------------------
 # random curves over small prime fields, and the fixture curves mod 5..29
 
@@ -548,6 +639,13 @@ def assert_presentation_as_built(pres, f):
 @given(small_curves())
 def test_closure_steps_match_scratch_division(curve):
     assert_steps_match_scratch(*curve)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_curves())
+def test_steps_match_full_insertion_on_random_curves(curve):
+    ring, f, delta, _ = curve
+    assert_steps_match_full_insertion(ring, f, delta)
 
 
 @settings(max_examples=100, deadline=None)

@@ -630,6 +630,25 @@ def test_golden_charq_output_and_log(tmp_path, capsys, q, fmt, suffix):
         (GOLDEN / f"sextic-q{q}.log").read_text(encoding="utf-8")
 
 
+# The octic over GF(29), GF(53) and GF(101), text and structured, with the
+# audit log: d = 8 and Delta = x^24, so its Frobenius images hold 8
+# y-coefficients of up to 24*q slots, the widest of any golden.  At 29 its
+# walk takes two steps, the second by targets that are not diagonal, and
+# stops at the kernel's dimension in both; at 53 and 101 it takes one.
+@pytest.mark.parametrize("q", [29, 53, 101])
+@pytest.mark.parametrize("fmt,suffix", [("text", "out"), ("structured", "json")])
+def test_golden_octic_charq_output_and_log(tmp_path, capsys, q, fmt, suffix):
+    log_path = tmp_path / "audit.log"
+    code = main([str(GOLDEN / "octic.txt"), "--mode", "charq", "--prime", str(q),
+                 "--format", fmt, "--log", str(log_path)])
+    cap = capsys.readouterr()
+    assert code == 0
+    assert cap.out == (GOLDEN / f"octic-q{q}.{suffix}").read_text(encoding="utf-8")
+    assert cap.err == ""
+    assert log_path.read_text(encoding="utf-8") == \
+        (GOLDEN / f"octic-q{q}.log").read_text(encoding="utf-8")
+
+
 def test_runs_parse_once_per_ring_and_reduce_mod_q_without_polynomials(tmp_path, monkeypatch,
                                                                       capsys):
     # the README problem at 5, 11, 13 without --log: parse_problem's check

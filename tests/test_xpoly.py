@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intclose import is_prime
-from intclose.xpoly import (monic, monic_gcd, mod_q, mul_scalar, pack, quo_rem, slot_bytes,
-                            sub_dot, unpack)
+from intclose.xpoly import (monic, monic_gcd, mod_q, mul_scalar, pack, quo_rem, reduce_slots,
+                            slot_bytes, sub_dot, unpack)
 from oracles import (dense_product, monic_gcd_reference, monic_reference, mod_q_reference, pack_reference,
                      quo_rem_reference, sub_dot_reference, unpack_reference)
 
@@ -136,3 +136,33 @@ def test_pack_round_trip_at_the_slot_bound(q, terms, n, data):
     w = slot_bytes(q, k * len(ones))
     total = sum(pack(ones, w) * pack(ones, w) for _ in range(k))
     assert unpack(total, w) == [k * c for c in dense_product(ones, ones)]
+
+
+# q = 2 has the shortest reciprocal; 2^63 - 25 is the largest prime below the
+# word limit that ``domains`` accepts, its slots past any machine word
+REDUCE_PRIMES = [2, 3, 5, 251, 65521, 2 ** 31 - 1, 2 ** 63 - 25]
+
+
+@pytest.mark.parametrize("q", REDUCE_PRIMES)
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2 ** 20), st.integers(1, 70), st.data())
+def test_reduce_slots_at_the_slot_bound(q, terms, n, data):
+    # every slot at 0, 1, q - 1 or the largest sum a slot sized for twice
+    # the terms holds with its top bit spare, terms*(q-1)^2: the bulk
+    # reduction takes each one mod q, the even and the odd slots apart, up
+    # to 70 slots, across the masks' size classes
+    w, bound = slot_bytes(q, 2 * terms), terms * (q - 1) ** 2
+    assert bound.bit_length() < 8 * w           # the spare bit
+    v = data.draw(st.lists(st.sampled_from([0, 1, q - 1, bound]), min_size=n, max_size=n))
+    packed = pack(v, w)
+    assert reduce_slots(packed, w, q) == pack([c % q for c in unpack(packed, w)], w)
+
+
+@pytest.mark.parametrize("q", REDUCE_PRIMES)
+def test_reduce_slots_on_runs_of_full_slots(q):
+    # 0 to 40 slots, every one at the bound: every size class of the masks,
+    # and ints that end in an even slot or an odd one
+    for terms in (1, 3, 2 ** 20):
+        w, bound = slot_bytes(q, 2 * terms), terms * (q - 1) ** 2
+        for n in range(41):
+            assert reduce_slots(pack([bound] * n, w), w, q) == pack([bound % q] * n, w)
