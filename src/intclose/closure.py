@@ -29,6 +29,12 @@ from .xpoly import (monic, monic_gcd, mul_scalar, pack, quo_rem, reduce_slots, s
                     sub_dot, unpack)
 
 
+# what the dense layers can hold: a step's columns d*deg D (``nullspace_mod`` starts
+# from a packed identity of about bits*columns^2/2 bits), and the images' slots per
+# y-coefficient q*deg D (``frobenius_images`` masks one int of that many slots)
+MAX_COLUMNS, MAX_SLOTS = 1 << 13, 1 << 24
+
+
 class ClosureError(ValueError):
     pass
 
@@ -286,7 +292,8 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     copied into column alpha at x^(e + q*alpha) while that is below n_k, the
     x-degree of target k's lead; the terms that first reach n_k at alpha
     form the spill C_alpha, and S_alpha = R(x^q*S_(alpha-1) + C_alpha),
-    S_0 = 0, is added into column alpha, zeros dropped.
+    S_0 = 0, is added into column alpha, zeros dropped.  R truncates a term
+    whose target is one term to nothing, so such a term joins no spill.
     """
     xdeg, targets = max(delta), _scaled_targets(numerators, leads, scale, q)
     by_k = [defaultdict(dict) for _ in numerators]   # k -> e -> row of y^k*x^e
@@ -300,14 +307,15 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
         image = images[gbar.index({0: 1})] if unit else frobenius_nf(gbar, q, images)
         width = xdeg - e                               # g_j's columns
         for k, coeff in enumerate(_rem_by_targets(image, targets, q)):   # G
-            rows, n = by_k[k], targets[k][0]
+            rows, (n, _, *alone) = by_k[k], targets[k]
             for e2, c in coeff.items():
                 rows[e2][col] = c
                 if width > 1:
                     stop = e2 + q * width
                     if stop - q >= n:          # it first reaches n_k at x^stop
                         stop = n + (e2 - n) % q
-                        cross[col + (stop - e2) // q][k][stop] = c
+                        if not alone:          # R truncates it to nothing
+                            cross[col + (stop - e2) // q][k][stop] = c
                     for alpha, e3 in enumerate(range(e2 + q, stop, q), col + 1):
                         rows[e3][alpha] = c
         spill = zero                                   # S_(alpha-1)
@@ -411,11 +419,16 @@ def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:
     the walk tries the presentation, walking on past ``NotARingError``.  A step
     short of a fixpoint shrinks the module, dim S/DS = d*deg D and S is a ring:
     the walk returns within max(1, d*deg D) steps, or a fixpoint that is no ring
-    fails a step later.  The images modulo D^q are built once.
+    fails a step later.  The images modulo D^q are built once, after a walk
+    too large for ``MAX_COLUMNS`` or ``MAX_SLOTS`` is refused.
     """
     if not ring.domain.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
     q, d = ring.domain.char, len(tail)
+    for what, size, limit in (("step columns d*deg D", d * max(delta), MAX_COLUMNS),
+                              ("image slots q*deg D", q * max(delta), MAX_SLOTS)):
+        if size > limit:
+            raise ClosureError(f"{size} {what} exceed the limit {limit}")
     images, scale = frobenius_images(tail, delta, q), frobenius_scale(delta, q)
     nums = tuple([{0: 1} if i == k else {} for i in range(d)] for k in range(d - 1, -1, -1))
     bound = d * max(delta) + 1

@@ -31,6 +31,17 @@ pseudo-remainder step, and each column's last pivot lead, Delta's among
 them.  If q does not divide B, these are units mod q, so the sweep read mod q
 is unimodular over F_q[x] on the generators for f mod q and ends in a
 triangular basis whose leads survive: Delta_q = Delta mod q.  Over GF(q), B = 1.
+
+A prime that divides B resumes the sweep.  Over Q it keeps a checkpoint at
+the start of each column c: its rows then, which are zero above column c, and
+b, the product of B's factors before them.  If q does not divide b, every step
+before is unimodular over F_q[x], as each factor is a unit mod q, and each
+finished pivot keeps its lead mod q, as the leads are factors too.  So the
+rows mod q span the part of M_q that is zero above column c, and Euclid over
+GF(q) from column c down on them gives Delta_q, or the degenerate
+ConductorError, as the sweep on f mod q does: both depend on M_q alone.  The
+GF(q) sweep starts at the last such checkpoint, or from f mod q if q divides
+every b (a factor of the first one: a denominator or a generator's content).
 """
 
 from __future__ import annotations
@@ -45,27 +56,37 @@ class ConductorError(ValueError):
     pass
 
 
-def canonical_conductor(tail: list, ring: Ring) -> tuple:
-    """(Delta, B) for f = y^d + sum_i tail[i](x)*y^i over ring = F[y; x]: the
-    canonical monic conductor element of P as an F[x] dict, and B (above)."""
+def canonical_conductor(tail: list, ring: Ring, checkpoints: tuple = ()) -> tuple:
+    """(Delta, B, checkpoints) for f = y^d + sum_i tail[i](x)*y^i over ring = F[y; x]:
+    the canonical monic conductor element of P as an F[x] dict, B, and the sweep's
+    checkpoints (c, rows, b), one per column c, all as above; over GF(q) B = 1 and
+    there are none.  Over GF(q), given the rational sweep's checkpoints for an f
+    whose tail mod q is tail, the sweep resumes at the last whose b q does not divide."""
     if ring.ndep != 1 or ring.nindep != 1:
         raise ConductorError("conductor supports rings F[y; x] only")
     d, q = len(tail), ring.domain.char
     scale = lcm(*(c.denominator for a in tail for c in a.values()))
     scalars = [scale]                  # B's factors; the column leads join over Q only
     scaled = lambda v: [{e: r for e, c in a.items() if (r := c % q if q else int(c * scale))}
-                        for a in v]            # rows of Q[x]^d scaled into Z[x]^d
-    low = scaled(tail)                 # scale*f = scale*y^d + sum_i low[i](x) * y^i
-    f_y = [{e: k * c for e, c in a.items()} for k, a in enumerate(tail) if k] + [{0: d}]
-    f_x = [{e - 1: e * c for e, c in a.items() if e} for a in tail]
-    rows, live = [], []
-    for g in (f_y, f_x):
-        rows.append(g := _primitive(scaled(g), scalars, q))
-        for _ in range(d - 1):         # scale * y*g mod f, up to y^(d-1)*g
-            top, up = g[-1], g[:-1] if scale == 1 else [mul_scalar(a, scale) for a in g[:-1]]
-            rows.append(g := _primitive([sub_dot(a, ((top, b),), q) if top and b else a
-                                         for a, b in zip([{}] + up, low)], scalars, q))
-    for c in range(d - 1, -1, -1):
+                        for a in v]            # rows of Q[x]^d scaled into Z[x]^d, or mod q
+    start, rows, live, marks = d - 1, [], [], []
+    for c, marked, b in reversed(checkpoints):
+        if b % q:
+            start, rows = c, [scaled(r) for r in marked]
+            break
+    else:
+        low = scaled(tail)             # scale*f = scale*y^d + sum_i low[i](x) * y^i
+        f_y = [{e: k * c for e, c in a.items()} for k, a in enumerate(tail) if k] + [{0: d}]
+        f_x = [{e - 1: e * c for e, c in a.items() if e} for a in tail]
+        for g in (f_y, f_x):
+            rows.append(g := _primitive(scaled(g), scalars, q))
+            for _ in range(d - 1):     # scale * y*g mod f, up to y^(d-1)*g
+                top, up = g[-1], g[:-1] if scale == 1 else [mul_scalar(a, scale) for a in g[:-1]]
+                rows.append(g := _primitive([sub_dot(a, ((top, b),), q) if top and b else a
+                                             for a, b in zip([{}] + up, low)], scalars, q))
+    for c in range(start, -1, -1):
+        if not q:
+            marks.append((c, rows, prod(scalars)))
         live = [r for r in rows if r[c]]
         rows = [r for r in rows if not r[c]]
         while len(live) > 1:
@@ -79,7 +100,7 @@ def canonical_conductor(tail: list, ring: Ring) -> tuple:
             scalars.append(live[0][c][max(live[0][c])])
     if not live:
         raise ConductorError("degenerate extension: no conductor entries in P")
-    return monic(live[0][0], q), prod(scalars)
+    return monic(live[0][0], q), prod(scalars), tuple(marks)
 
 
 def _euclid_rem(r: list, p: list, c: int, q: int) -> list:

@@ -138,12 +138,12 @@ def run_algorithm1(f: Polynomial, config: RunConfig | None = None) -> Algorithm1
     if ring.domain.char:
         raise DriverError(f"a char-0 run needs a relation over Q, not {ring.domain}")
     tail = validate_problem(f)
-    delta0, B = canonical_conductor(tail, ring)
+    delta0, B, checkpoints = canonical_conductor(tail, ring)
     result, state = Algorithm1Result(from_y([[delta0]], ring)[0]), None
     for q in _prime_schedule(config):
         if len(result.stages) >= config.max_primes:
             break
-        run = run_prime(q, ring, tail, delta0, B)
+        run = run_prime(q, ring, tail, delta0, B, checkpoints)
         if run.usable:
             try:
                 state = reconcile_and_lift(run, state)

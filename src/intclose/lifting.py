@@ -112,11 +112,12 @@ class PrimeRun:
         return from_y([[self.delta]], self.presentation.input_ring)[0]
 
 
-def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int):
+def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int, checkpoints: tuple):
     """Algorithm step-3/4 filter: ("usable", (ring_q, tail_q, delta)) or ("skipped", why).
     f's tail and delta0 are reduced mod q once (``mod_q``): a ValueError means q divides
     a denominator, a dropped zero that q divides a numerator of f.  If q does not divide
-    B, Delta_q is delta0 mod q (lucky primes); else the GF(q) conductor runs on tail_q."""
+    B, Delta_q is delta0 mod q (lucky primes); else the GF(q) conductor runs on tail_q,
+    resuming the rational sweep from its ``checkpoints`` where it can."""
     if not is_prime(q):
         return "skipped", f"{q} is not prime"
     try:
@@ -128,7 +129,7 @@ def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int):
     ring_q = ring.with_domain(GF(q))
     if B % q == 0:
         try:
-            if canonical_conductor(tail_q, ring_q)[0] != delta:
+            if canonical_conductor(tail_q, ring_q, checkpoints)[0] != delta:
                 return "skipped", "conductor disagrees with the rational one"
         except ConductorError as exc:
             return "skipped", f"degenerate mod {q}: {exc}"
@@ -140,9 +141,10 @@ def closure_run(ring: Ring, tail: list, delta: dict) -> PrimeRun:
     return PrimeRun(ring.domain.char, delta=delta, presentation=qth_closure(ring, tail, delta))
 
 
-def run_prime(q: int, ring: Ring, tail: list, delta0: dict, B: int) -> PrimeRun:
+def run_prime(q: int, ring: Ring, tail: list, delta0: dict, B: int,
+              checkpoints: tuple) -> PrimeRun:
     """Usability filter plus the full characteristic-q pipeline."""
-    status, info = is_prime_usable(q, ring, tail, delta0, B)
+    status, info = is_prime_usable(q, ring, tail, delta0, B, checkpoints)
     if status == "skipped":
         return PrimeRun(q, reason=info)
     try:

@@ -47,12 +47,12 @@ def xdict(p):
 def conductor_of(f):
     """``canonical_conductor`` of a relation given as a Polynomial: (Delta as a
     Polynomial of f's ring, B)."""
-    delta, B = canonical_conductor(tail_of(f), f.ring)
+    delta, B, _ = canonical_conductor(tail_of(f), f.ring)
     return from_y([[delta]], f.ring)[0], B
 
 
 def run_inputs(f):
-    """(ring, tail, Delta, B) of a relation given as a Polynomial: what
+    """(ring, tail, Delta, B, checkpoints) of a relation given as a Polynomial: what
     ``is_prime_usable`` and ``run_prime`` take after q, as the driver builds it."""
     tail = tail_of(f)
     return (f.ring, tail, *canonical_conductor(tail, f.ring))

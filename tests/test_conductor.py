@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from intclose import (GF, QQ, ConductorError, DomainError, DriverError, canonical_conductor,
                       is_prime, normal_form, run_algorithm1, run_charq)
-from intclose.xpoly import monic_gcd, quo_rem, sub_dot
+from intclose.xpoly import mod_q, monic_gcd, quo_rem, sub_dot
 from conftest import CURVES, conductor_of, curve_ring, make_curve, tail_of
 from oracles import (conductor_by_module_basis, conductor_oracle, exact_divide, gcd_in_p,
                      mu_poly, partial_derivative)
@@ -146,32 +146,81 @@ def test_conductor_matches_ideal_oracle(data):
         conductor_of(f)
 
 
-SMALL_PRIMES = [q for q in range(2, 200) if is_prime(q)]
+PRIMES_BELOW_200 = [q for q in range(2, 200) if is_prime(q)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_lucky_primes_keep_the_rational_conductor(data):
-    # each y^i-coefficient carries a content of small primes, so some rows
-    # of the sweep are divisible by primes that divide no leading coefficient
+@st.composite
+def content_curves(draw):
+    """Relations over Q whose y^i-coefficients each carry a content of small
+    primes, so some rows of the sweep are divisible by primes that divide no
+    leading coefficient."""
     ring = curve_ring((1, 1))
-    d = data.draw(st.integers(2, 5), label="d")
+    d = draw(st.integers(2, 5), label="d")
     contents = st.lists(st.sampled_from([1, 2, 3, 5, 7, 11, 13]), max_size=3).map(math.prod)
     terms = {(d, 0): 1}
     for i in range(d):
-        content = data.draw(contents, label=f"content{i}")
-        for e, c in data.draw(st.dictionaries(st.integers(0, 3), st.builds(
+        content = draw(contents, label=f"content{i}")
+        for e, c in draw(st.dictionaries(st.integers(0, 3), st.builds(
                 Fraction, st.integers(-6, 6), st.integers(1, 3)), max_size=3)).items():
             terms[(i, e)] = content * c
-    f = ring.poly(terms)
+    return ring.poly(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(content_curves())
+def test_lucky_primes_keep_the_rational_conductor(f):
     try:
         delta0, B = conductor_of(f)
     except ConductorError:
         return
-    for q in SMALL_PRIMES:
+    for q in PRIMES_BELOW_200:
         if B % q:
-            ring_q = ring.with_domain(GF(q))
+            ring_q = f.ring.with_domain(GF(q))
             assert conductor_of(mu_poly(f, ring_q))[0] == mu_poly(delta0, ring_q)
+
+
+def _delta_or_error(tail, ring, *checkpoints):
+    try:
+        return canonical_conductor(tail, ring, *checkpoints)[0]
+    except ConductorError as exc:
+        return f"ConductorError: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(content_curves())
+def test_resumed_conductor_matches_the_conductor_of_f_mod_q(f):
+    # a prime that divides B and passes the coefficient checks resumes the
+    # rational sweep at its last checkpoint before a factor that q divides
+    tail = tail_of(f)
+    try:
+        _, B, checkpoints = canonical_conductor(tail, f.ring)
+    except ConductorError:
+        return
+    for q in PRIMES_BELOW_200:
+        if B % q:
+            continue
+        try:
+            tail_q = [mod_q(a, q) for a in tail]
+        except ValueError:             # q divides a denominator
+            continue
+        if sum(map(len, tail_q)) == sum(map(len, tail)):      # nor a numerator
+            ring_q = f.ring.with_domain(GF(q))
+            assert (_delta_or_error(tail_q, ring_q, checkpoints)
+                    == _delta_or_error(tail_q, ring_q)), q
+
+
+def test_sextic_primes_that_divide_B_resume_at_their_columns():
+    ring, f = make_curve("sextic")
+    tail = tail_of(f)
+    delta0, B, checkpoints = canonical_conductor(tail, ring)
+    assert [c for c, _, _ in checkpoints] == [5, 4, 3, 2, 1, 0]
+    resumed = {}
+    for q in (7, 11, 13, 19, 29):
+        assert B % q == 0
+        resumed[q] = next(c for c, _, b in reversed(checkpoints) if b % q)
+        tail_q, ring_q = [mod_q(a, q) for a in tail], ring.with_domain(GF(q))
+        assert canonical_conductor(tail_q, ring_q, checkpoints)[0] == mod_q(delta0, q)
+    assert resumed == {7: 2, 11: 1, 13: 1, 19: 1, 29: 0}
 
 
 def _conductor_or_error(route, f, ring):

@@ -284,6 +284,41 @@ def test_cli_rejects_unusable_primes_up_front(tmp_path, capsys, text, bad_args, 
     assert cap.err.splitlines() == [message]
     assert not (tmp_path / "audit.log").exists()
 
+# the largest prime below 2^63, and a relation whose conductor x^20000 gives
+# the first step 40000 columns
+BELOW_WORD = 9223372036854775783
+HIGH_POWER = "indvars: x\ndepvar: y\nweights: [[20001,2]]\nrelation: y^2 - x^20001\n"
+COLUMNS_REASON = "40000 step columns d*deg D exceed the limit 8192"
+SLOTS_REASON = f"{BELOW_WORD} image slots q*deg D exceed the limit 16777216"
+
+
+@pytest.mark.parametrize("text,args,reason", [
+    (HIGH_POWER, ["--mode", "charq", "--prime", "7"], COLUMNS_REASON),
+    (HIGH_POWER, ["--primes", "5"], COLUMNS_REASON),
+    (QUADRATIC, ["--mode", "charq", "--prime", str(BELOW_WORD)], SLOTS_REASON),
+    (QUADRATIC, ["--primes", str(BELOW_WORD)], SLOTS_REASON),
+], ids=["columns-charq", "columns-char0", "slots-charq", "slots-char0"])
+def test_cli_refuses_a_walk_too_large_for_the_dense_layers(tmp_path, capsys, text, args, reason):
+    # refused before the images or a kernel allocate: charq mode fails the run,
+    # and char0 mode skips the prime, which leaves its schedule without a stage
+    log = tmp_path / "audit.log"
+    start = time.monotonic()
+    code = main([_write(tmp_path, text), "--log", str(log)] + args)
+    elapsed = time.monotonic() - start
+    cap = capsys.readouterr()
+    assert code == 1
+    if "charq" in args:
+        assert cap.out == ""
+        assert cap.err.splitlines() == [f"computation failed: {reason}"]
+        assert not log.exists()
+    else:
+        assert cap.err.splitlines() == ["not accepted: prime budget exhausted before certification"]
+        assert log.read_text().splitlines()[1:] == [
+            f"q={args[-1]} skipped: closure failed: {reason}",
+            "prime budget exhausted without an accepted certificate"]
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("mode_args", [["--primes", "5,7"], ["--mode", "charq", "--prime", "7"]],
                          ids=["char0", "charq"])
 def test_cli_rejects_fraction_name_collision_up_front(tmp_path, capsys, mode_args):
@@ -692,9 +727,12 @@ def test_runs_parse_once_per_ring_and_reduce_mod_q_without_polynomials(tmp_path,
 
 # CLI fuzz: seeded mutations of small problem files and flag sets through
 # ``main``, for about FUZZ_SECONDS.  Every run must end with exit 0, 1 or 2 and
-# print no traceback.  Exponents stay small and valid primes below 30, so no
-# single run is long; primes at or past 2^63 and other bad values are usage errors.
+# print no traceback.  Exponents stay small but for the two huge ones below,
+# and valid primes below 30 but for the largest prime below 2^63, so no single
+# run is long: a walk too large for the dense layers is refused; primes at or
+# past 2^63 and other bad values are usage errors.
 FUZZ_SECONDS = 10.0
+FUZZ_HUGE = ("20001", "1000001")
 FUZZ_PROBLEMS = (QUADRATIC, TRIDENT_Q7, QUADRATIC.replace("[[3,2]]", "[[2,1]]").replace(
     "relation: y^2 - 3/2*x^3 + 24/7*x^2 - 96/49*x", "relation: y^2 - x"),
     "indvars: x\ndepvar: y\nweights: [[5,3]]\nrelation: y^3 + 1/3*y*x + 8/7*x^5\n")
@@ -702,9 +740,11 @@ FUZZ_VALUES = {
     "indvars": ["x", "x, x", "x1, x2", "ybar", "1x", "", "x,", "y", "ybar1"],
     "depvar": ["y", "x", "ybar", "2y", ""],
     "weights": ["[[3,2]]", "[3,2]", "[[7,3]]", "[[1,1],[0,1]]", "[[3]]", "[[3.5,2]]",
-                "[[True,2]]", "[['3',2]]", "[[-1,2]]", "[[0,0]]", "[[", "3,2", "[[2,1,1]]"],
+                "[[True,2]]", "[['3',2]]", "[[-1,2]]", "[[0,0]]", "[[", "3,2", "[[2,1,1]]",
+                *(f"[[{e},2]]" for e in FUZZ_HUGE)],
     "relation": ["y^2 - x^3", "y^3 - x^5 - y*x", "y^2 + 1/0*x", "y^2 - x2*x1", "2*y^2 - x^3",
-                 "y^2 + y^2*x - x^3", "x^3", "y^2 - ybar^3", "y^2 -", "(y - x)^2", "y"],
+                 "y^2 + y^2*x - x^3", "x^3", "y^2 - ybar^3", "y^2 -", "(y - x)^2", "y",
+                 *(f"y^2 - x^{e}" for e in FUZZ_HUGE)],
     "characteristic": ["5", "7", "4", "0", "-7", "2", "3", str(2 ** 63), "x", "1", "13"],
     "mystery": ["3"],
 }
@@ -712,9 +752,11 @@ FUZZ_FRAGMENTS = ["y", "x", "^", "*", "+", "-", "/", "(", ")", "2", "3", "7", " 
                   "1/2", "ybar", "x2", "^2", "*x", "+ y*x"]
 FUZZ_FLAGS = {
     "--mode": ["char0", "charq", "chr"],
-    "--prime": ["2", "3", "4", "5", "7", "11", "-5", "0", "x", str(2 ** 63), str(2 ** 64 + 1)],
-    "--primes": ["5,11,13", "5", "7,7", "4,5", "", "5,,7", "x", "3,5,7,11,13", str(2 ** 63)],
-    "--start-prime": ["-5", "0", "2", "3", "29", str(2 ** 63), "x"],
+    "--prime": ["2", "3", "4", "5", "7", "11", "-5", "0", "x", str(2 ** 63), str(2 ** 64 + 1),
+                str(BELOW_WORD)],
+    "--primes": ["5,11,13", "5", "7,7", "4,5", "", "5,,7", "x", "3,5,7,11,13", str(2 ** 63),
+                 str(BELOW_WORD)],
+    "--start-prime": ["-5", "0", "2", "3", "29", str(2 ** 63), "x", str(BELOW_WORD)],
     "--max-primes": ["-1", "0", "1", "2", "3", "x"],
     "--format": ["text", "structured", "json"],
 }
@@ -747,7 +789,7 @@ def test_cli_fuzz_ends_with_a_status_and_no_traceback(tmp_path, capsys):
     start = time.monotonic()
     while time.monotonic() - start < FUZZ_SECONDS:
         text = _fuzz_text(rng)
-        if any(int(e) > 12 for e in re.findall(r"\^\s*(\d+)", text)):
+        if any(int(e) > 12 and e not in FUZZ_HUGE for e in re.findall(r"\^\s*(\d+)", text)):
             continue
         flags = [a for flag in rng.sample(sorted(FUZZ_FLAGS), rng.randint(0, 3))
                  for a in (flag, rng.choice(FUZZ_FLAGS[flag]))]
