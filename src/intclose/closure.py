@@ -1,13 +1,15 @@
 """Integral closure in characteristic q by Frobenius fixpoint iteration.
 
-The module of fractions between S = P[y]/(f) and (1/D)S (D a conductor
-element) is represented by its canonical ordered set of monic numerators,
-each held as its y-coefficients in F_q[x] from the walk's start to the
-presentation.  One iteration keeps the sub-module whose members g satisfy
-NF(g^q, f) in D^(q-1) * (current module); the chain stabilizes on the
-integral closure.  The fixpoint is turned into a quadratic presentation over
-new variables, one per non-trivial fraction, kept as plain data in one
-record, ``ClosurePresentation``, which builds Polynomials only when read.
+A module of fractions between S = P[y]/(f) and (1/D)S (D a conductor
+element) has one form from the walk's start to the presentation, its shifted
+Popov basis as a dict {k: (e, g)}: one monic g per y-degree k, led by
+y^k*x^e and held as its d y-coefficients in F_q[x], entries in descending
+lead order.  That dict is also the targets ``_rem_by_targets`` reads.  One
+iteration keeps the sub-module whose members g satisfy NF(g^q, f) in
+D^(q-1) * (current module); the chain stabilizes on the integral closure.
+The fixpoint is turned into a quadratic presentation over new variables, one
+per non-trivial fraction, kept as plain data in one record,
+``ClosurePresentation``, which builds Polynomials only when read.
 The relation f = y^d + sum_i tail[i](x) * y^i comes in as its tail,
 ``by_y(f, d)``, and D as an F_q[x] dict; no Polynomial goes in.
 """
@@ -54,8 +56,8 @@ def module_reduce(h: Polynomial, gens):
     return ring._sorted(rem), [ring._sorted(c) for c in quotients]
 
 
-def canonical_generators(vectors, ring: Ring, members=()) -> tuple:
-    """Monic, fully interreduced, order-descending generators of a P-module.
+def canonical_generators(vectors, ring: Ring, members=()) -> dict:
+    """The P-module the generators span, as its monic, fully interreduced basis {k: (e, g)}.
 
     Each generator is a vector of F_q[x]^d, the y-coefficients of an element
     of F_q[y; x] (``by_y``), led by its ``_lead``.  With one independent
@@ -125,7 +127,7 @@ def canonical_generators(vectors, ring: Ring, members=()) -> tuple:
     out: dict = {}                     # the last pass keeps every lead
     for k, (e, v) in sorted(basis.items(), key=lambda item: key((item[0], item[1][0]))):
         out[k] = e, _rem_by_targets(v, out, q)
-    return tuple(v for _, v in reversed(out.values()))
+    return dict(reversed(out.items()))
 
 
 def frobenius_images(tail: list, delta: dict, q: int) -> tuple:
@@ -197,13 +199,18 @@ def frobenius_nf(g: list, q: int, images: tuple) -> list:
     With images whose y-coefficients are reduced modulo m_k in F_q[x], the
     y^k-coefficient of the result is NF(g^q, f)'s modulo m_k, unreduced.
     """
-    acc = [{} for _ in images]
-    for k, coeff in enumerate(g):
-        for e, c in coeff.items():
-            shift = q * e
-            for row, a in zip(acc, images[k]):
-                for e2, c2 in a.items():
-                    row[shift + e2] = row.get(shift + e2, 0) + c * c2
+    return _shifted_sum(((c, q * e, images[k]) for k, a in enumerate(g) for e, c in a.items()),
+                        len(images), q)
+
+
+def _shifted_sum(terms, d: int, q: int) -> list:
+    """The sum of c*x^shift*v over the (c, shift, v) in terms, v and the result
+    on d y-coefficients, reduced mod q once: a Frobenius image or a kernel member."""
+    acc = [{} for _ in range(d)]
+    for c, shift, v in terms:
+        for row, a in zip(acc, v):
+            for e, c2 in a.items():
+                row[shift + e] = row.get(shift + e, 0) + c * c2
     return [{e: r for e, c in row.items() if (r := c % q)} for row in acc]
 
 
@@ -271,41 +278,40 @@ def _rem_by_targets(v: list, targets: dict, q: int, quotients: dict | None = Non
     return v
 
 
-def _scaled_targets(vectors, leads: list, s: dict, q: int) -> dict:
-    """{k: (e + deg s, s*g)}: ``_rem_by_targets``' targets s*g, g of lead
-    y^k*x^e, each marked (e + deg s, s*g, True) here, once, if it is one term."""
+def _scaled_targets(module: dict, s: dict, q: int) -> dict:
+    """{k: (e + deg s, s*g)} of a module {k: (e, g)}: ``_rem_by_targets``' targets
+    s*g, each marked (e + deg s, s*g, True) here, once, if it is one term."""
     minus, out = mul_scalar(s, -1, q), {}                    # 0 - c*(-s) = s*c
-    for g, (k, e) in zip(vectors, leads):
+    for k, (e, g) in module.items():
         t = [sub_dot({}, ((c, minus),), q) if c else c for c in g]
         out[k] = (e + max(s), t, True) if sum(map(len, t)) == 1 else (e + max(s), t)
     return out
 
 
-def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
-                  delta: dict, scale: dict) -> dict:
+def _step_columns(module: dict, q: int, images: tuple, delta: dict, scale: dict) -> dict:
     """The step's columns, as ``qth_power_step`` says: sparse rows by monomial.
 
-    Column (j, alpha), for alpha < deg D - e_j (g_j's lead y^k_j*x^e_j) and
-    numbered in that order, is R(x^(q*alpha) * gbar_j^q), R the remainder by
-    the targets scale*g and gbar_j g_j with its y-coefficients reduced mod D.
-    Split by linearity ("Chaining"): a term c*y^k*x^e of G = R(gbar_j^q) is
+    Column (k, alpha), for each entry k: (e, g) of the module in its order and
+    alpha < deg D - e, is R(x^(q*alpha) * gbar^q), R the remainder by the
+    targets scale*g and gbar g with its y-coefficients reduced mod D.
+    Split by linearity ("Chaining"): a term c*y^k*x^e of G = R(gbar^q) is
     copied into column alpha at x^(e + q*alpha) while that is below n_k, the
     x-degree of target k's lead; the terms that first reach n_k at alpha
     form the spill C_alpha, and S_alpha = R(x^q*S_(alpha-1) + C_alpha),
     S_0 = 0, is added into column alpha, zeros dropped.  R truncates a term
     whose target is one term to nothing, so such a term joins no spill.
     """
-    xdeg, targets = max(delta), _scaled_targets(numerators, leads, scale, q)
-    by_k = [defaultdict(dict) for _ in numerators]   # k -> e -> row of y^k*x^e
-    col, zero = 0, [{}] * len(numerators)
-    cross = defaultdict(lambda: [{} for _ in numerators])   # column -> its spill C_alpha
-    for g, (_, e) in zip(numerators, leads):
+    xdeg, targets, d = max(delta), _scaled_targets(module, scale, q), len(images)
+    by_k = [defaultdict(dict) for _ in range(d)]     # k -> e -> row of y^k*x^e
+    col, zero = 0, [{}] * d
+    cross = defaultdict(lambda: [{} for _ in range(d)])     # column -> its spill C_alpha
+    for e, g in module.values():
         if e == xdeg:
             continue
         gbar = [quo_rem(c, delta, q, xdeg)[1] for c in g]
         unit = sum(map(len, gbar)) == 1 and {0: 1} in gbar     # gbar = y^k: image k
         image = images[gbar.index({0: 1})] if unit else frobenius_nf(gbar, q, images)
-        width = xdeg - e                               # g_j's columns
+        width = xdeg - e                               # g's columns
         for k, coeff in enumerate(_rem_by_targets(image, targets, q)):   # G
             rows, (n, _, *alone) = by_k[k], targets[k]
             for e2, c in coeff.items():
@@ -333,19 +339,18 @@ def _step_columns(numerators: tuple, leads: list, q: int, images: tuple,
     return {(k, e): row for k, rows in enumerate(by_k) for e, row in rows.items() if row}
 
 
-def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
-                   delta: dict, scale: dict) -> tuple:
+def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: dict) -> dict:
     """One contraction: members whose Frobenius image stays in D^(q-1)*module.
 
-    ``numerators`` are the canonical generators g_j of a module N between
-    D*S and S, each as its d y-coefficients (``by_y``), and the step returns
-    the next module's in the same form, from ``canonical_generators`` over
-    ring.  ``delta`` is D, and ``scale`` is ``frobenius_scale(delta, q)`` = D^(q-1).
+    ``module`` is a module N between D*S and S as {k: (e, g)}, its canonical
+    generators (``canonical_generators``), and the step returns the next
+    module in the same form.  ``delta`` is D, and ``scale`` is
+    ``frobenius_scale(delta, q)`` = D^(q-1).
     ``images`` is ``frobenius_images(tail, delta, q)``, reduced modulo D^q as
     ``qth_closure`` builds them once per prime; images reduced modulo a
     multiple of D^q, or not at all, give the same columns (second bullet).
     The next module is the g in N with g^q in T = D^(q-1)*N, the span of
-    the targets scale*g_j.  The targets lead in distinct y-degrees, so
+    the targets scale*g.  The targets lead in distinct y-degrees, so
     they are a Groebner basis of T, and the remainder of any h by them is
     unique, zero exactly on T.
 
@@ -353,11 +358,11 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
       F_q-linear (c^q = c on F_q) and zero there: (D*s)^q = D^q*s^q lies
       in D^(q-1)*D*S.  So the next module is D*S plus the kernel of that
       map on an F_q-basis of N/DS: it is generated by D*y^k (k < d) and the
-      kernel elements.  As the g_j are a Groebner basis of N with leads
-      y^(i_j)*x^(e_j), the x^alpha*g_j with e_j + alpha < deg D are such a
+      kernel elements.  As the g are a Groebner basis of N with leads
+      y^k*x^e, the x^alpha*g with e + alpha < deg D are such a
       basis: reducing them modulo D*S keeps those distinct leads, and there
-      are d*deg D - sum(e_j) = dim N/DS of them.  So g_j keeps the prefix
-      alpha < deg D - e_j; at S that is every alpha < deg D.
+      are d*deg D - sum(e) = dim N/DS of them.  So each g keeps the prefix
+      alpha < deg D - e; at S that is every alpha < deg D.
     * Reduce before dividing.  S has characteristic q, so
       (g + D*s)^q = g^q + D^q*s^q, and D^q*S lies in T.  So the column of
       g depends only on g mod D*S, and its Frobenius image only modulo D^q:
@@ -365,18 +370,18 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
       is taken, and the images may be reduced modulo D^q = D(x^q).
       ``frobenius_images`` builds them so, squaring modulo f and D^q.
     * Chaining.  x^q*(h - R(h)) lies in T for any h, R the remainder by the
-      targets, so column (j, alpha) is R of x^q times column (j, alpha-1);
+      targets, so column (k, alpha) is R of x^q times column (k, alpha-1);
       as R is F_q-linear and keeps each term below its target's lead, only
       the terms that cross it are carried and divided (``_step_columns``).
     * One remainder.  ``_rem_by_targets`` gives it, and
       ``canonical_generators`` interreduces the next generators with it.
-    * Lazy members.  The x^alpha*g_j lead at distinct monomials
-      y^(k_j)*x^(e_j+alpha), so a kernel vector's member, the sum of
-      coeff*x^alpha*g_j over its columns (j, alpha), leads at the largest of
-      them over its nonzero columns, with coefficient coeff, as the g_j are
+    * Lazy members.  The x^alpha*g lead at distinct monomials
+      y^k*x^(e+alpha), so a kernel vector's member, the sum of
+      coeff*x^alpha*g over its columns (k, alpha), leads at the largest of
+      them over its nonzero columns, with coefficient coeff, as the g are
       monic.  Each member goes to ``canonical_generators`` as that lead and
-      a function that sums it in one pass, reduced mod q once, called only
-      when the insertion pops it.
+      a function that sums it (``_shifted_sum``), called only when the
+      insertion pops it.
     * Dimension stop.  The kernel vectors are independent, and so are
       their members modulo D*S, as the columns are a basis of N/DS: there
       are dim N'/DS of them, N' the next module, and the insertion stops
@@ -384,26 +389,19 @@ def qth_power_step(numerators: tuple, ring: Ring, images: tuple,
       members popped after that are never summed.
     """
     q, xdeg, d, key = ring.domain.char, max(delta), len(images), ring.order.key
-    leads = [_lead(g, key) for g in numerators]
-    if ({k for k, _ in leads} != set(range(d)) or len(numerators) != d
-            or any(e > xdeg for _, e in leads)):
+    if module.keys() != set(range(d)) or any(e > xdeg for e, _ in module.values()):
         raise ClosureError("numerators must generate a module between D*S and S")
-    rows = _step_columns(numerators, leads, q, images, delta, scale)
+    rows = _step_columns(module, q, images, delta, scale)
     if not rows:
-        return numerators
-    cols = [(j, alpha) for j, (_, e) in enumerate(leads) for alpha in range(xdeg - e)]
+        return module
+    # column (k, alpha) by its lead y^k*x^n, n = e + alpha
+    cols = [(k, n) for k, (e, _) in module.items() for n in range(e, xdeg)]
     kernel = nullspace_mod(list(rows.values()), len(cols), q)
-    col_leads = [(key(lead), lead) for lead in ((leads[j][0], leads[j][1] + alpha)
-                                                  for j, alpha in cols)]
+    col_leads = [(key(lead), lead) for lead in cols]
 
-    def member(vec: list) -> list:
-        acc = [{} for _ in range(d)]
-        for (j, alpha), coeff in zip(cols, vec):
-            if coeff:
-                for r, a in zip(acc, numerators[j]):
-                    for e, c in a.items():
-                        r[e + alpha] = r.get(e + alpha, 0) + coeff * c
-        return [{e: r for e, c in row.items() if (r := c % q)} for row in acc]
+    def member(vec: list) -> list:     # sum of c*x^alpha*g over vec's columns
+        return _shifted_sum(((c, n - module[k][0], module[k][1])
+                             for (k, n), c in zip(cols, vec) if c), d, q)
 
     members = [(max(compress(col_leads, vec))[1], partial(member, vec)) for vec in kernel]
     delta_y = [[delta if i == k else {} for i in range(d)] for k in range(d)]   # D*y^k
@@ -430,11 +428,11 @@ def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:
         if size > limit:
             raise ClosureError(f"{size} {what} exceed the limit {limit}")
     images, scale = frobenius_images(tail, delta, q), frobenius_scale(delta, q)
-    nums = tuple([{0: 1} if i == k else {} for i in range(d)] for k in range(d - 1, -1, -1))
+    nums = {k: (0, [{0: 1} if i == k else {} for i in range(d)]) for k in range(d - 1, -1, -1)}
     bound = d * max(delta) + 1
     for _ in range(bound):
         nxt = qth_power_step(nums, ring, images, delta, scale)
-        if nxt[-1] == [delta] + [{}] * (d - 1):
+        if next(reversed(nxt.values()))[1] == [delta] + [{}] * (d - 1):   # the last is D
             try:
                 return induce_presentation(minimize_denominator(nxt, q), tail, ring)
             except NotARingError:
@@ -446,16 +444,16 @@ def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:
     raise ClosureError(f"no fixpoint within {bound} iterations")
 
 
-def minimize_denominator(vectors: tuple, q: int) -> tuple:
-    """Divide out the common P-content of the denominator and all numerators,
-    each given by its y-coefficients: the monic gcd in F_q[x] of all of them."""
+def minimize_denominator(module: dict, q: int) -> dict:
+    """Divide the common P-content c of a module {k: (e, g)}, the monic gcd in F_q[x]
+    of all y-coefficients of all g, out of each g: its e drops by deg c."""
     c: dict = {}
-    for v in vectors:
-        for a in v:
+    for _, g in module.values():
+        for a in g:
             c = monic_gcd(c, a, q)
     if c == {0: 1}:
-        return vectors
-    return tuple([quo_rem(a, c, q)[0] for a in v] for v in vectors)
+        return module
+    return {k: (e - max(c), [quo_rem(a, c, q)[0] for a in g]) for k, (e, g) in module.items()}
 
 
 YBAR = "ybar"                        # stem of the fraction variable names
@@ -575,8 +573,8 @@ def fraction_weights(vectors, weights) -> list[tuple]:
     return [tuple(a - b for a, b in zip(w, wt[-1])) for w in wt]
 
 
-def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresentation:
-    """Presentation of the fixpoint module as a quadratic P-algebra.
+def induce_presentation(module: dict, tail: list, ring: Ring) -> ClosurePresentation:
+    """Presentation of the fixpoint module {k: (e, g)} as a quadratic P-algebra.
 
     Every product of fraction generators reduces to a P-linear combination of
     them; these rules, descending by lead, are the relation basis, and psi(y)
@@ -590,19 +588,20 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
     Buchberger plus ``minimal_reduced`` returns.  On the numerators'
     y-coefficient vectors (``by_y``), a product g_a*g_b is d^2 F_q[x]
     products, its y^s-coefficients, s >= d, folded through y^d = y^d - f;
-    its coefficients over the targets delta*g_j (a relation's tail), and
-    psi(y)'s, those of y*delta over the g_j, are ``_rem_by_targets``'
-    quotients.  The targets lead in distinct y-degrees, so they are a free
-    P-basis of their span: remainder 0 leaves one combination, and any other
-    a product off the module.  ring = F_q[y; x] is f's, and tail is f's.
-    A module that is no ring raises ``NotARingError`` before any weight is read.
+    its coefficients over the targets delta*g (a relation's tail), and
+    psi(y)'s, those of y*delta over the module, which is its own targets,
+    are ``_rem_by_targets``' quotients.  The targets lead in distinct
+    y-degrees, so they are a free P-basis of their span: remainder 0 leaves
+    one combination, and any other a product off the module.  ring =
+    F_q[y; x] is f's, and tail is f's.  A module that is no ring raises
+    ``NotARingError`` before any weight is read.
     """
     if not ring.domain.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("presentation needs a ring F_q[y; x]")
+    vectors = [g for _, g in module.values()]
     J = len(vectors) - 1
     ybar_names = fraction_names(J, ring)
     q, d = ring.domain.char, len(tail)
-    leads = [_lead(v, ring.order.key) for v in vectors]
 
     def fold(prods: list) -> list:     # y^s = y^(s-d) * (y^d - f), s >= d
         for s in range(len(prods) - 1, d - 1, -1):
@@ -612,13 +611,13 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
         return prods + [{} for _ in range(d - len(prods))]
 
     def combination(v: list, targets: dict, off_span: str, error=ClosureError) -> list:
-        """The c_j, in numerator order, with v = sum c_j*target_j, else error(off_span)."""
+        """The c_k, in module order, with v = sum c_k*target_k, else error(off_span)."""
         if any(_rem_by_targets(v, targets, q, quots := {})):
             raise error(off_span)
-        return [quots.get(k, {}) for k, _ in leads]
+        return [quots.get(k, {}) for k in module]
 
     delta = vectors[-1][0]
-    scaled = _scaled_targets(vectors, leads, delta, q)      # delta*g_j
+    scaled = _scaled_targets(module, delta, q)      # delta*g
     tails = []
     for a, b in combinations_with_replacement(range(J), 2):   # position a <-> vectors[a]
         prods = [{} for _ in range(2 * d - 1)]     # -g_a*g_b
@@ -629,8 +628,7 @@ def induce_presentation(vectors: tuple, tail: list, ring: Ring) -> ClosurePresen
         tails.append(combination(fold(prods), scaled,
                                  f"fraction product {a},{b} leaves the module: not a fixpoint",
                                  NotARingError))
-    psi = combination(fold([{}, delta]), {k: (e, v) for (k, e), v in zip(leads, vectors)},
-                      "inclusion image of y is not in the module")
+    psi = combination(fold([{}, delta]), module, "inclusion image of y is not in the module")
     fw = fraction_weights(vectors, ring.weights)[:-1]
     wbar = tuple(tuple(w[r] for w in fw) + tuple(row[ring.ndep:])
                  for r, row in enumerate(ring.weights))

@@ -34,7 +34,7 @@ from operator import mul
 from .closure import (ClosurePresentation, ClosureError, from_y, from_ybar, qth_closure,
                       split_record)
 from .conductor import ConductorError, canonical_conductor
-from .domains import GF, QQ, balanced, is_prime
+from .domains import GF, QQ, DomainError, balanced
 from .rings import Polynomial, Ring
 from .xpoly import mod_q, sub_dot
 
@@ -114,19 +114,21 @@ class PrimeRun:
 
 def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int, checkpoints: tuple):
     """Algorithm step-3/4 filter: ("usable", (ring_q, tail_q, delta)) or ("skipped", why).
+    A q with no GF(q), not prime or not below 2^63, is skipped with ``GF``'s text.
     f's tail and delta0 are reduced mod q once (``mod_q``): a ValueError means q divides
     a denominator, a dropped zero that q divides a numerator of f.  If q does not divide
     B, Delta_q is delta0 mod q (lucky primes); else the GF(q) conductor runs on tail_q,
     resuming the rational sweep from its ``checkpoints`` where it can."""
-    if not is_prime(q):
-        return "skipped", f"{q} is not prime"
+    try:
+        ring_q = ring.with_domain(GF(q))
+    except DomainError as exc:
+        return "skipped", str(exc)
     try:
         tail_q, delta = [mod_q(a, q) for a in tail], mod_q(delta0, q)
     except ValueError:
         return "skipped", "divides a coefficient denominator"
     if sum(map(len, tail_q)) < sum(map(len, tail)):
         return "skipped", "divides a coefficient numerator"
-    ring_q = ring.with_domain(GF(q))
     if B % q == 0:
         try:
             if canonical_conductor(tail_q, ring_q, checkpoints)[0] != delta:

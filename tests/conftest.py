@@ -70,10 +70,12 @@ def scale_of(conductor):
 
 def poly_step(numerators, images, conductor, scale):
     """``qth_power_step`` on Polynomials: the numerators go in through
-    ``by_y`` and come out through ``from_y``."""
-    vectors = tuple(by_y(g, len(images)) for g in numerators)
+    ``by_y`` as the module {k: (e, g)} of their leads y^k*x^e, and come out
+    through ``from_y`` in the module's order."""
+    module = {g.lm[0]: (g.lm[1], by_y(g, len(images))) for g in numerators}
     ring = conductor.ring
-    return from_y(qth_power_step(vectors, ring, images, xdict(conductor), scale), ring)
+    out = qth_power_step(module, ring, images, xdict(conductor), scale)
+    return from_y([g for _, g in out.values()], ring)
 
 
 @pytest.fixture

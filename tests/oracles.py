@@ -328,6 +328,21 @@ def y_coefficients(p, d: int) -> list:
     return out
 
 
+def to_module(vectors, ring) -> dict:
+    """The walk's form {k: (e, g)} of vectors g given in descending lead order,
+    each led by y^k*x^e (``_lead``); ``from_module`` turns it back."""
+    out = {}
+    for g in vectors:
+        k, e = _lead(g, ring.order.key)
+        out[k] = e, g
+    return out
+
+
+def from_module(module: dict) -> tuple:
+    """The vectors g of a module {k: (e, g)}, in its order: ``to_module`` undone."""
+    return tuple(g for _, g in module.values())
+
+
 def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tuple:
     """Reference contraction step: divide every x^(q*alpha)*phi_j from scratch.
 
@@ -368,27 +383,26 @@ def qth_power_step_scratch(numerators: tuple, q: int, images, conductor) -> tupl
     return canonical_generators_poly(new_gens, ring)
 
 
-def qth_power_step_full(numerators: tuple, ring, images: tuple, delta: dict, scale: dict) -> tuple:
+def qth_power_step_full(module: dict, ring, images: tuple, delta: dict, scale: dict) -> dict:
     """Reference step that sums every kernel member and inserts them all.
 
-    Same contract as ``intclose.closure.qth_power_step``, on y-coefficients,
-    with its columns and kernel, but with no dimension stop: every member
-    coeff*x^alpha*g_j summed over its columns (j, alpha), and all of them
-    and the D*y^k given to ``canonical_generators`` as vectors, which then
-    reduces each one in turn, smallest lead first.
+    Same contract as ``intclose.closure.qth_power_step``, on modules
+    {k: (e, g)}, with its columns and kernel, but with no dimension stop:
+    every member coeff*x^alpha*g summed over its columns (k, alpha), and all
+    of them and the D*y^k given to ``canonical_generators`` as vectors, which
+    then reduces each one in turn, smallest lead first.
     """
-    q, xdeg, d, key = ring.domain.char, max(delta), len(images), ring.order.key
-    leads = [_lead(g, key) for g in numerators]
-    rows = _step_columns(numerators, leads, q, images, delta, scale)
+    q, xdeg, d = ring.domain.char, max(delta), len(images)
+    rows = _step_columns(module, q, images, delta, scale)
     if not rows:
-        return numerators
-    cols = [(j, alpha) for j, (_, e) in enumerate(leads) for alpha in range(xdeg - e)]
+        return module
+    cols = [(k, alpha) for k, (e, _) in module.items() for alpha in range(xdeg - e)]
     new_gens = [[delta if i == k else {} for i in range(d)] for k in range(d)]   # D*y^k
     for vec in nullspace_mod(list(rows.values()), len(cols), q):
         acc = [{} for _ in range(d)]
-        for (j, alpha), coeff in zip(cols, vec):
+        for (k, alpha), coeff in zip(cols, vec):
             if coeff:
-                for r, a in zip(acc, numerators[j]):
+                for r, a in zip(acc, module[k][1]):
                     for e, c in a.items():
                         r[e + alpha] = r.get(e + alpha, 0) + coeff * c
         new_gens.append([{e: r for e, c in row.items() if (r := c % q)} for row in acc])

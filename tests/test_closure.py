@@ -18,25 +18,26 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
                       minimal_reduced, minimize_denominator, module_reduce, normal_form,
                       qth_closure, qth_power_step, run_algorithm1, run_charq, run_prime,
                       weight_over_grevlex)
-from intclose.closure import _rem_by_targets, _step_columns, by_y, fraction_weights, from_y
+from intclose.closure import (_lead, _rem_by_targets, _step_columns, by_y, fraction_weights,
+                              from_y)
 from intclose.xpoly import pack, quo_rem, slot_bytes, unpack
 from conftest import (CURVES, SEXTIC_NUMERATORS, conductor_of, curve_ring, images_of,
                       make_curve, poly_step, run_inputs, scale_of, sextic_relations, tail_of,
                       xdict)
 from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
                      combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
-                     induce_presentation_poly, kernel_step_oracle, mu_poly,
+                     from_module, induce_presentation_poly, kernel_step_oracle, mu_poly,
                      numerators_interreduced, psi_combination, psi_substitute,
                      qth_power_step_full, qth_power_step_scratch, rank_mod_conductor,
-                     reduce_terms_scan, step_columns_unreduced, strict_shape_ok,
+                     reduce_terms_scan, step_columns_unreduced, strict_shape_ok, to_module,
                      weight_balance_ok, y_coefficients)
 
 
 def fixpoint(name, q):
-    """(ring, f, delta, vectors): a fixture curve's fixpoint at q, on y-coefficients."""
+    """(ring, f, delta, module): a fixture curve's fixpoint at q, as {k: (e, g)}."""
     ring, f = make_curve(name, q=q)
     delta = conductor_of(f)[0]
-    return ring, f, delta, vectors_of(list(walk(f, delta))[-1], f)
+    return ring, f, delta, module_of(list(walk(f, delta))[-1], f)
 
 
 def closure_run(name, q):
@@ -46,9 +47,15 @@ def closure_run(name, q):
     return ring, f, delta, qth_closure(ring, tail_of(f), xdict(delta))
 
 
-def vectors_of(nums, f):
-    """The numerators' y-coefficients, as ``induce_presentation`` takes them."""
-    return tuple(by_y(g, f.degree_in(0)) for g in nums)
+def module_of(nums, f):
+    """The module {k: (e, g)} of numerators in descending lead order, as
+    ``induce_presentation`` takes it."""
+    return to_module([by_y(g, f.degree_in(0)) for g in nums], f.ring)
+
+
+def start_module(d):
+    """The module of y^(d-1), .., 1, S itself, where the walk starts."""
+    return {k: (0, [{0: 1} if i == k else {} for i in range(d)]) for k in range(d - 1, -1, -1)}
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +374,9 @@ def test_canonical_generators_echelonize():
     ring, _ = make_curve("trident", q=7)
     gens = [by_y(ring.parse(t), 3) for t in ("y^2 + y*x", "y*x", "x^2", "x^3")]
     out = canonical_generators(gens, ring)
-    assert out == ([{}, {}, {0: 1}], [{}, {1: 1}, {}], [{2: 1}, {}, {}])
-    assert [str(g) for g in from_y(out, ring)] == ["y^2", "y*x", "x^2"]
+    assert list(out.items()) == [(2, (0, [{}, {}, {0: 1}])), (1, (1, [{}, {1: 1}, {}])),
+                                 (0, (2, [{2: 1}, {}, {}]))]
+    assert [str(g) for g in from_y(from_module(out), ring)] == ["y^2", "y*x", "x^2"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,7 +414,8 @@ def test_canonical_generators_match_restart_oracle(data):
         # the Polynomial interreduction, as the conductor oracle runs it
         assert canonical_generators_poly(gens, ring) == want
     else:           # the walk's: F_q[y; x] under its weight order, on y-coefficients
-        assert from_y(canonical_generators([by_y(g, 4) for g in gens], ring), ring) == want
+        out = canonical_generators([by_y(g, 4) for g in gens], ring)
+        assert from_y(from_module(out), ring) == want
 
 
 def test_canonical_generators_need_one_independent_variable():
@@ -425,10 +434,9 @@ def test_canonical_generators_need_one_independent_variable():
 
 def test_step_fixpoint_is_idempotent():
     for name, q in (("quadratic", 5), ("trident", 7)):
-        ring, f, delta, vectors = fixpoint(name, q)
-        images, nums = images_of(f, delta), from_y(vectors, ring)
-        again = poly_step(nums, images, delta, scale_of(delta))
-        assert list(again) == list(nums)
+        ring, f, delta, module = fixpoint(name, q)
+        again = qth_power_step(module, ring, images_of(f, delta), xdict(delta), scale_of(delta))
+        assert list(again.items()) == list(module.items())
 
 
 def test_step_nesting():
@@ -493,7 +501,8 @@ def test_dimension_stop_fills_the_missing_y_degrees_with_delta_y_k():
                ((1, 1), lambda: summed.append("x*y") or xy)]
     out = canonical_generators(delta_y, ring, members)
     assert summed == ["y"]
-    assert out == ([delta, {}], y) == canonical_generators(delta_y + [y, xy], ring)
+    full = canonical_generators(delta_y + [y, xy], ring)
+    assert list(out.items()) == [(0, (2, [delta, {}])), (1, (0, y))] == list(full.items())
 
 
 def count_summed_members(monkeypatch) -> list:
@@ -518,10 +527,11 @@ def assert_steps_match_full_insertion(ring, f, delta):
     reference step that sums every member and inserts them all."""
     d, dx = f.degree_in(0), xdict(delta)
     images, scale = images_of(f, delta), scale_of(delta)
-    nums = tuple([{0: 1} if i == k else {} for i in range(d)] for k in range(d - 1, -1, -1))
+    nums = start_module(d)
     for _ in range(d * max(dx) + 1):
         nxt = qth_power_step(nums, ring, images, dx, scale)
-        assert nxt == qth_power_step_full(nums, ring, images, dx, scale)
+        want = qth_power_step_full(nums, ring, images, dx, scale)
+        assert list(nxt.items()) == list(want.items())
         if nxt == nums:
             return
         nums = nxt
@@ -538,7 +548,7 @@ def test_octic_steps_stop_at_the_dimension(monkeypatch):
     log = count_summed_members(monkeypatch)
     assert_steps_match_full_insertion(ring, f, delta)
     assert [(total, summed) for total, summed, _ in log] == [(45, 13), (22, 8)]
-    assert log[-1][2][-1] == [xdict(delta)] + [{}] * 7
+    assert list(log[-1][2].items())[-1] == (0, (24, [xdict(delta)] + [{}] * 7))
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -552,6 +562,47 @@ def test_fixture_steps_match_full_insertion(name):
         except (DomainError, ConductorError):
             continue
         assert_steps_match_full_insertion(ring, f, delta)
+        walked += 1
+    assert walked >= 12
+
+
+def assert_module_form(module, ring, d):
+    """A module as the walk carries it: one entry per y-degree 0 .. d-1, each
+    recorded (k, e) the ``_lead`` of its g, entries strictly descending under
+    the ring's order key."""
+    assert sorted(module) == list(range(d))
+    assert all(_lead(g, ring.order.key) == (k, e) for k, (e, g) in module.items())
+    keys = [ring.order.key((k, e)) for k, (e, _) in module.items()]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+
+
+def assert_walk_records_its_leads(ring, f, delta):
+    """Walk qth_closure's steps from S; every step's module, and the module
+    with its content divided out, record their leads in their order."""
+    d, dx, q = f.degree_in(0), xdict(delta), ring.domain.char
+    images, scale = images_of(f, delta), scale_of(delta)
+    module = start_module(d)
+    for _ in range(d * max(dx) + 1):
+        nxt = qth_power_step(module, ring, images, dx, scale)
+        assert_module_form(nxt, ring, d)
+        assert_module_form(minimize_denominator(nxt, q), ring, d)
+        if nxt == module:
+            return
+        module = nxt
+    raise AssertionError("no fixpoint within d*deg(delta) + 1 steps")
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_fixture_steps_record_their_leads(name):
+    # every fixture curve at every prime below 60 where it has a conductor
+    walked = 0
+    for q in filter(is_prime, range(2, 60)):
+        try:
+            ring, f = make_curve(name, q=q)
+            delta = conductor_of(f)[0]
+        except (DomainError, ConductorError):
+            continue
+        assert_walk_records_its_leads(ring, f, delta)
         walked += 1
     assert walked >= 12
 
@@ -650,6 +701,13 @@ def test_steps_match_full_insertion_on_random_curves(curve):
 
 @settings(max_examples=100, deadline=None)
 @given(small_curves())
+def test_steps_record_their_leads_on_random_curves(curve):
+    ring, f, delta, _ = curve
+    assert_walk_records_its_leads(ring, f, delta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_curves())
 def test_presentation_is_its_minimal_reduced_basis(curve):
     ring, f, delta, q = curve
     assert_presentation_as_built(qth_closure(ring, tail_of(f), xdict(delta)), f)
@@ -680,7 +738,7 @@ def test_memoized_output_order_acts_as_a_fresh_one(name, data):
     fresh = Ring(ring.names, ring.ndep, ring.domain,
                  grevlex_over_weight(ring.weights, ring.ndep, ring.nvars), ring.weights)
     assert fresh.order is not ring.order and fresh == ring
-    rebuilt = induce_presentation(vectors_of(pres.numerators, f_q), tail_of(f_q), f_q.ring)
+    rebuilt = induce_presentation(module_of(pres.numerators, f_q), tail_of(f_q), f_q.ring)
     assert rebuilt.ring.order is ring.order
     for p in pres.relations + (pres.inclusion_image,):
         again = fresh.poly(dict(p.terms))
@@ -725,7 +783,7 @@ def assert_first_ring_is_the_fixpoint(ring, f, delta):
                             lambda *args: calls.append(1) or real(*args))
         got = qth_closure(ring, tail_of(f), xdict(delta))
     q = ring.domain.char
-    want = induce_presentation(minimize_denominator(vectors_of(steps[-1], f), q), tail_of(f), ring)
+    want = induce_presentation(minimize_denominator(module_of(steps[-1], f), q), tail_of(f), ring)
     assert got == want
     assert len(calls) == max(1, len(steps) - 1) <= max(1, f.degree_in(0) * delta.degree_in(1))
 
@@ -777,9 +835,9 @@ def assert_columns_match_unreduced(f, delta, images_list):
     for nums in walk(f, delta):
         prefix = [max(dx) - g.lm[1] for g in nums]
         want = step_columns_unreduced(nums, q, poly_images, delta, prefix)
-        vectors, leads = [by_y(g, d) for g in nums], [g.lm for g in nums]
+        module = module_of(nums, f)
         for images in images_list:
-            assert _step_columns(vectors, leads, q, images, dx, scale) == want
+            assert _step_columns(module, q, images, dx, scale) == want
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -835,10 +893,10 @@ def presentations_agree(nums, f):
         want = induce_presentation_poly(nums, f)
     except ClosureError as exc:
         with pytest.raises(ClosureError) as got:
-            induce_presentation(vectors_of(nums, f), tail_of(f), f.ring)
+            induce_presentation(module_of(nums, f), tail_of(f), f.ring)
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return str(exc)
-    got = induce_presentation(vectors_of(nums, f), tail_of(f), f.ring)
+    got = induce_presentation(module_of(nums, f), tail_of(f), f.ring)
     assert got.numerators == want.numerators == tuple(nums)
     assert got.ring == want.ring
     assert got.relations == want.relations
@@ -990,9 +1048,9 @@ def test_octic_reduced_denominator_mod5():
 
 
 def test_minimize_denominator_noop_when_minimal():
-    ring, f, delta, vectors = fixpoint("quadratic", 5)
-    vectors = minimize_denominator(vectors, 5)
-    assert minimize_denominator(vectors, 5) == vectors
+    ring, f, delta, module = fixpoint("quadratic", 5)
+    module = minimize_denominator(module, 5)
+    assert minimize_denominator(module, 5) is module
 
 
 def test_sextic_mod23_matches_reduced_rational_numerators():
@@ -1045,15 +1103,18 @@ def test_closure_requires_matching_characteristic():
 
 def test_step_rejects_numerators_outside_delta_s():
     # a step reads its F_q-basis of N/(delta*S) off the leads, which needs
-    # one lead per y-degree, none above delta's x-degree
+    # one lead per y-degree 0 .. d-1, none above delta's x-degree
     ring, f = make_curve("trident", q=7)
     delta = conductor_of(f)[0]
-    images, scale = images_of(f, delta), scale_of(delta)
-    start = (ring.parse("y^2"), ring.parse("y"), ring.one())
-    high = ring.poly({(0, delta.degree_in(1) + 1): 1})
-    for nums in (start[:2], start[:2] + (high,), (start[0], start[0], start[2])):
-        with pytest.raises(ClosureError):
-            poly_step(nums, images, delta, scale)
+    images, scale, dx = images_of(f, delta), scale_of(delta), xdict(delta)
+    start = start_module(3)
+    high = {0: (max(dx) + 1, [{max(dx) + 1: 1}, {}, {}])}
+    beyond = {3: (0, [{}, {}, {}])}                  # a key past y^(d-1)
+    for module in ({2: start[2], 1: start[1]}, {2: start[2], 1: start[1]} | high,
+                   start | beyond):
+        with pytest.raises(ClosureError, match="^numerators must generate a module between"):
+            qth_power_step(module, ring, images, dx, scale)
+    assert qth_power_step(start, ring, images, dx, scale).keys() == {0, 1, 2}
 
 
 def test_per_prime_containment_of_input_ideal():
@@ -1092,8 +1153,8 @@ def test_fraction_variables_identify_with_numerators():
 
 def test_induce_detects_incomplete_module():
     # dropping a generator breaks the expression of y over the module
-    ring, f, delta, vectors = fixpoint("quadratic", 5)
-    broken = minimize_denominator(vectors, 5)[-1:]
+    ring, f, delta, module = fixpoint("quadratic", 5)
+    broken = dict(list(minimize_denominator(module, 5).items())[-1:])
     with pytest.raises(ClosureError):
         induce_presentation(broken, tail_of(f), ring)
 

@@ -319,6 +319,29 @@ def test_cli_refuses_a_walk_too_large_for_the_dense_layers(tmp_path, capsys, tex
     assert elapsed < 1.0
 
 
+def test_cli_default_schedule_past_the_word_limit_exhausts_its_budget(tmp_path, capsys):
+    # the first default prime is below 2^63 and skipped by the slot limit; each
+    # prime after it has no GF(q) and is skipped with that reason, so the run
+    # spends its schedule and ends as not accepted instead of failing
+    log = tmp_path / "audit.log"
+    start = time.monotonic()
+    code = main([_write(tmp_path, QUADRATIC), "--start-prime", str(BELOW_WORD),
+                 "--max-primes", "1", "--log", str(log)])
+    elapsed = time.monotonic() - start
+    cap = capsys.readouterr()
+    assert code == 1
+    assert cap.err.splitlines() == ["not accepted: prime budget exhausted before certification"]
+    lines = log.read_text().splitlines()
+    assert lines[1] == f"q={BELOW_WORD} skipped: closure failed: {SLOTS_REASON}"
+    assert lines[-1] == "prime budget exhausted without an accepted certificate"
+    beyond = [re.fullmatch(r"q=(\d+) skipped: (\d+) is not below the word limit 2\^63", line)
+              for line in lines[2:-1]]
+    primes = [int(m[1]) for m in beyond if m and m[1] == m[2]]
+    assert len(primes) == len(beyond) == 59     # the default budget of 60 primes
+    assert primes[0] == BEYOND_WORD and primes == sorted(primes)
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("mode_args", [["--primes", "5,7"], ["--mode", "charq", "--prime", "7"]],
                          ids=["char0", "charq"])
 def test_cli_rejects_fraction_name_collision_up_front(tmp_path, capsys, mode_args):
