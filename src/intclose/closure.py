@@ -56,7 +56,7 @@ def module_reduce(h: Polynomial, gens):
     return ring._sorted(rem), [ring._sorted(c) for c in quotients]
 
 
-def canonical_generators(vectors, ring: Ring, members=()) -> dict:
+def canonical_generators(vectors, ring: Ring, members=(), start=()) -> dict:
     """The P-module the generators span, as its monic, fully interreduced basis {k: (e, g)}.
 
     Each generator is a vector of F_q[x]^d, the y-coefficients of an element
@@ -76,27 +76,26 @@ def canonical_generators(vectors, ring: Ring, members=()) -> dict:
     under its y^6 lead, so a Hermite-form representation would need a
     conversion back to this basis to keep the output the same.
 
+    ``start``, empty by default, is a basis {k: (e, g)} to insert into.
     ``members`` are generators given lazily, each as a pair (lead, make):
     its lead y^k*x^e as (k, e), and a function that returns the vector,
     called only when the insertion pops it; the vectors go on the heap in
     the same form, so every pop calls its make.
 
-    Dimension stop.  With members, the vectors are the D*y^k, k < d, each
-    led by y^k*x^deg(D), and the members, independent modulo D*S, span with
-    them a module N' between D*S and S: dim N'/DS = len(members).  The
-    insertion stops once the basis leads y^k*x^(e_k) have
-    sum_k (deg D - e_k) = dim N'/DS, and D*y^k joins the basis at each
-    y-degree k it lacks; the last pass then returns what inserting every
-    generator would.  With no members, every vector is inserted, and the
-    D*y^k alone give D*S's basis.  Proof: a basis element
-    lies in N', and its lead has e_k <= deg D, as D*y^k, whose lead is
-    y^k*x^deg(D), is popped before any generator whose remainder could
-    lead in y^k above it.  Every lead of D*S is some y^k*x^e with
+    Dimension stop.  With members, start is D*S's basis
+    {k: (deg D, D*y^k)}, k < d, and the members, independent modulo D*S,
+    span with it a module N' between D*S and S: dim N'/DS = len(members).
+    The basis holds every y-degree from the start, so each remainder by it
+    has every y^k-coefficient of degree below e_k, and each insertion lowers
+    the e_k of its lead's y-degree.  The insertion stops once the basis
+    leads y^k*x^(e_k) have sum_k (deg D - e_k) = dim N'/DS; the last pass
+    then returns what inserting every member would.  Proof: a basis element
+    lies in N', and e_k <= deg D.  Every lead of D*S is some y^k*x^e with
     e >= deg D, so the x^alpha*b_k with alpha < deg D - e_k, whose leads are
     distinct and below those, are independent modulo D*S: the sum never
-    exceeds dim N'/DS, and no insertion lowers it.  At equality they span
-    N' modulo D*S; with the D*y^k added, the leads take every y-degree and
-    leave sum_k e_k = d*deg D - dim N'/DS = dim S/N' monomials outside.  The
+    exceeds dim N'/DS, and each insertion raises it.  At equality they span
+    N' modulo D*S, and the leads, one per y-degree, leave
+    sum_k e_k = d*deg D - dim N'/DS = dim S/N' monomials outside.  The
     leads of N' contain them and leave dim S/N' outside too, so they are
     N''s leads: the set is a Groebner basis of N', and the last pass gives
     N''s unique monic, fully interreduced one.
@@ -104,12 +103,10 @@ def canonical_generators(vectors, ring: Ring, members=()) -> dict:
     if not ring.domain.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("canonical generators need a ring F_q[y; x]")
     q, key, tick = ring.domain.char, ring.order.key, count()
-    vectors = [(_lead(v, key), v) for v in vectors if any(v)]
-    ceiling = dict(lead for lead, _ in vectors)     # the stop's deg D at each y-degree
     pending = [(key(lead), next(tick), make) for lead, make in
-               chain(((lead, partial(list, v)) for lead, v in vectors), members)]
+               chain(((_lead(v, key), partial(list, v)) for v in vectors if any(v)), members)]
     heapify(pending)
-    basis: dict = {}                   # y-degree k of the lead y^k*x^e -> (e, element)
+    basis = dict(start)                # y-degree k of the lead y^k*x^e -> (e, element)
     room = len(members) if members else None    # dim N'/DS - sum_k (deg D - e_k)
     while pending and room != 0:
         v = _rem_by_targets(heappop(pending)[2](), basis, q)
@@ -117,13 +114,10 @@ def canonical_generators(vectors, ring: Ring, members=()) -> dict:
             k, e = _lead(v, key)
             if k in basis:
                 heappush(pending, (key((k, basis[k][0])), next(tick), partial(list, basis[k][1])))
-            if room is not None:
-                room -= (basis[k][0] if k in basis else ceiling[k]) - e
+                if room is not None:
+                    room -= basis[k][0] - e
             inv = pow(v[k][e], -1, q)
             basis[k] = e, [mul_scalar(a, inv, q) for a in v]
-    for (k, e), v in vectors:          # after the stop, D*y^k where y^k is missing;
-        # a full insertion leaves no vector's y-degree missing
-        basis.setdefault(k, (e, v))
     out: dict = {}                     # the last pass keeps every lead
     for k, (e, v) in sorted(basis.items(), key=lambda item: key((item[0], item[1][0]))):
         out[k] = e, _rem_by_targets(v, out, q)
@@ -382,11 +376,12 @@ def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: 
       monic.  Each member goes to ``canonical_generators`` as that lead and
       a function that sums it (``_shifted_sum``), called only when the
       insertion pops it.
-    * Dimension stop.  The kernel vectors are independent, and so are
-      their members modulo D*S, as the columns are a basis of N/DS: there
-      are dim N'/DS of them, N' the next module, and the insertion stops
-      once its basis reaches that dimension (``canonical_generators``), so
-      members popped after that are never summed.
+    * Dimension stop.  The insertion starts from D*S's basis
+      {k: (deg D, D*y^k)}, none of it on the heap.  The kernel vectors are
+      independent, and so are their members modulo D*S, as the columns are a
+      basis of N/DS: there are dim N'/DS of them, N' the next module, and the
+      insertion stops once its basis reaches that dimension, so members
+      popped after that are never summed.
     """
     q, xdeg, d, key = ring.domain.char, max(delta), len(images), ring.order.key
     if module.keys() != set(range(d)) or any(e > xdeg for e, _ in module.values()):
@@ -404,8 +399,8 @@ def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: 
                              for (k, n), c in zip(cols, vec) if c), d, q)
 
     members = [(max(compress(col_leads, vec))[1], partial(member, vec)) for vec in kernel]
-    delta_y = [[delta if i == k else {} for i in range(d)] for k in range(d)]   # D*y^k
-    return canonical_generators(delta_y, ring, members)
+    ds = {k: (xdeg, [delta if i == k else {} for i in range(d)]) for k in range(d)}   # D*y^k
+    return canonical_generators((), ring, members, ds)
 
 
 def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:

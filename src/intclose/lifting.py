@@ -116,11 +116,12 @@ def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int, checkp
     """Algorithm step-3/4 filter: ("usable", (ring_q, tail_q, delta)) or ("skipped", why).
     A q with no GF(q), not prime or not below 2^63, is skipped with ``GF``'s text.
     f's tail and delta0 are reduced mod q once (``mod_q``): a ValueError means q divides
-    a denominator, a dropped zero that q divides a numerator of f.  If q does not divide
-    B, Delta_q is delta0 mod q (lucky primes); else the GF(q) conductor runs on tail_q,
-    resuming the rational sweep from its ``checkpoints`` where it can."""
+    a denominator, a dropped zero that q divides a numerator of f.  Only a q past both
+    gets its GF(q) ring.  If q does not divide B, Delta_q is delta0 mod q (lucky primes);
+    else the GF(q) conductor runs on tail_q, resuming the rational sweep from its
+    ``checkpoints`` where it can."""
     try:
-        ring_q = ring.with_domain(GF(q))
+        field = GF(q)
     except DomainError as exc:
         return "skipped", str(exc)
     try:
@@ -129,6 +130,7 @@ def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int, checkp
         return "skipped", "divides a coefficient denominator"
     if sum(map(len, tail_q)) < sum(map(len, tail)):
         return "skipped", "divides a coefficient numerator"
+    ring_q = ring.with_domain(field)
     if B % q == 0:
         try:
             if canonical_conductor(tail_q, ring_q, checkpoints)[0] != delta:

@@ -379,6 +379,16 @@ def test_canonical_generators_echelonize():
     assert [str(g) for g in from_y(from_module(out), ring)] == ["y^2", "y*x", "x^2"]
 
 
+def test_canonical_generators_push_a_displaced_element_back():
+    # both generators lead at y*x^2; the second's remainder leads at y and
+    # displaces the first, whose remainder by y + 2*x is x^3 - x: an insertion
+    # that dropped the displaced element would lose it
+    ring = curve_ring((3, 2), GF(7))
+    gens = [by_y(ring.parse(t), 2) for t in ("4*x + 2*x^2*y", "(2*x^2 + 5)*y")]
+    out = canonical_generators(gens, ring)
+    assert [str(g) for g in from_y(from_module(out), ring)] == ["x^3 - x", "y + 2*x"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_canonical_generators_match_restart_oracle(data):
@@ -489,19 +499,20 @@ def test_step_against_linear_algebra_oracle():
 
 
 def test_dimension_stop_fills_the_missing_y_degrees_with_delta_y_k():
-    # N' = D*S + P*y with D = x^2, d = 2: dim N'/DS = 2 (y and x*y).  y is
-    # popped first and leads at y*x^0, so sum_k (deg D - e_k) = 2 at once:
-    # x*y is never summed, and D*y^0 = x^2 fills the y-degree 0 that the
-    # basis lacks, as inserting every generator would give
+    # N' = D*S + P*y with D = x^2, d = 2: dim N'/DS = 2 (y and x*y).  The
+    # insertion starts from D*S's basis {k: (2, D*y^k)}; y is popped first
+    # and replaces D*y, its e falling from 2 to 0, so sum_k (deg D - e_k) = 2
+    # at once: x*y is never summed, and D*y^0 = x^2 stays the y^0 entry, as
+    # inserting every generator would give
     ring = curve_ring((3, 2), GF(7))
     delta, summed = {2: 1}, []
-    delta_y = [[delta, {}], [{}, delta]]
+    start = {0: (2, [delta, {}]), 1: (2, [{}, delta])}
     y, xy = [{}, {0: 1}], [{}, {1: 1}]
     members = [((1, 0), lambda: summed.append("y") or y),
                ((1, 1), lambda: summed.append("x*y") or xy)]
-    out = canonical_generators(delta_y, ring, members)
+    out = canonical_generators((), ring, members, start)
     assert summed == ["y"]
-    full = canonical_generators(delta_y + [y, xy], ring)
+    full = canonical_generators([g for _, g in start.values()] + [y, xy], ring)
     assert list(out.items()) == [(0, (2, [delta, {}])), (1, (0, y))] == list(full.items())
 
 
@@ -511,10 +522,10 @@ def count_summed_members(monkeypatch) -> list:
     import intclose.closure
     real, log = intclose.closure.canonical_generators, []
 
-    def counted(vectors, ring, members=()):
+    def counted(vectors, ring, members=(), start=()):
         summed = []
         wrapped = [(lead, lambda make=make: summed.append(1) or make()) for lead, make in members]
-        out = real(vectors, ring, wrapped)
+        out = real(vectors, ring, wrapped, start)
         log.append((len(members), len(summed), out))
         return out
 
@@ -549,6 +560,20 @@ def test_octic_steps_stop_at_the_dimension(monkeypatch):
     assert_steps_match_full_insertion(ring, f, delta)
     assert [(total, summed) for total, summed, _ in log] == [(45, 13), (22, 8)]
     assert list(log[-1][2].items())[-1] == (0, (24, [xdict(delta)] + [{}] * 7))
+
+
+@pytest.mark.parametrize("q, counts", [(7, [(17, 15), (13, 5)]), (11, [(14, 12), (13, 5)])])
+def test_sextic_steps_stop_at_the_dimension(monkeypatch, q, counts):
+    # the sextic's walk from S takes two steps with a kernel at q = 7 and at
+    # q = 11; the stop leaves members unsummed at each, and each step is the
+    # full insertion's.  An insertion that drops a displaced basis element
+    # instead of pushing it back sums more members (17, 16 at q = 7)
+    ring, f = make_curve("sextic", q=q)
+    delta = conductor_of(f)[0]
+    log = count_summed_members(monkeypatch)
+    assert_steps_match_full_insertion(ring, f, delta)
+    assert [(total, summed) for total, summed, _ in log] == counts
+    assert list(log[-1][2].items())[-1] == (0, (max(xdict(delta)), [xdict(delta)] + [{}] * 5))
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))

@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 from functools import cache
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, count, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -409,6 +409,51 @@ def test_every_usable_prime_is_a_good_prime(name):
         if status == "usable":
             run = closure_run(*info)
             assert run.presentation.leads == state.leads and _specializes(state, run)
+
+
+def assert_lift_holds_at_unused_primes(f, config=None):
+    """Run f through ``run_algorithm1``; the accepted lift has the leads of
+    the closure at each of the next three primes past the schedule's last
+    that ``is_prime_usable`` accepts, and reduces mod q to it."""
+    res = run_algorithm1(f, config)
+    assert res.accepted
+    state, inputs = res.certificate.state, run_inputs(f)
+    usable = (info for q in filter(is_prime, count(res.runs[-1].q + 1))
+              for status, info in [is_prime_usable(q, *inputs)] if status == "usable")
+    for info in islice(usable, 3):
+        run = closure_run(*info)
+        assert run.presentation.leads == state.leads and _specializes(state, run)
+
+
+@pytest.mark.parametrize("name", ["readme", "sextic"] + [f"tall-7-{i:03d}" for i in range(10)])
+def test_accepted_golden_lifts_hold_at_unused_primes(name):
+    # the whole pipeline against independent per-prime closures: every
+    # accepted char-0 golden problem, the README one at its primes 5, 11, 13
+    if name == "readme":
+        pf = parse_problem(README_PROBLEM)
+        assert_lift_holds_at_unused_primes(pf.relation(pf.ring()), RunConfig(primes=(5, 11, 13)))
+    else:
+        assert_lift_holds_at_unused_primes(_problem(name)[1])
+
+
+# the tall-char0 coefficients: numerator and denominator up to 10^5 in size
+NONZERO = st.builds(Fraction, st.integers(1, 10**5) | st.integers(-10**5, -1),
+                    st.integers(1, 10**5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.booleans(), NONZERO, NONZERO)
+def test_tall_family_lifts_hold_at_unused_primes(cubic, a, b):
+    # the two tall-char0 families with random coefficients: the quadratic
+    # node y^2 - b*x*(x - a)^2 and the cubic cusp y^3 + a*y*x + b*x^5
+    ring = curve_ring((5, 3) if cubic else (3, 2))
+    x, y = ring.var("x"), ring.var("y")
+    if cubic:
+        f = y ** 3 + (y * x).scale(a) + (x ** 5).scale(b)
+    else:
+        shifted = x - ring.const(a)
+        f = y * y - shifted * shifted * x.scale(b)
+    assert_lift_holds_at_unused_primes(f)
 
 
 def test_compatibility_single_and_pair():
@@ -1059,6 +1104,21 @@ def test_rings_over_zz_and_qq_are_built_once_per_problem(monkeypatch):
     res = run_algorithm1(f)
     assert len(res.stages) == 8
     assert calls.count(QQ) == built.count(QQ) == 2
+
+
+def test_gf_rings_are_built_only_past_the_coefficient_checks(monkeypatch):
+    # a prime that divides a denominator or a numerator of f is skipped
+    # before its GF(q) ring is built; every other prime tried builds one
+    _, f = _problem("tall-7-001")
+    calls = []
+    real = Ring.with_domain
+    monkeypatch.setattr(Ring, "with_domain",
+                        lambda self, domain: calls.append(domain) or real(self, domain))
+    res = run_algorithm1(f)
+    coefficient = {"divides a coefficient denominator", "divides a coefficient numerator"}
+    assert {r.reason for r in res.runs} >= coefficient
+    built = [r.q for r in res.runs if r.reason not in coefficient]
+    assert [domain.char for domain in calls if domain.char] == built
 
 
 def test_closure_family_with_known_answer():
