@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     try:
         with open(args.problem, encoding="utf-8") as fh:
             problem = parse_problem(fh.read())
-    except (OSError, ProblemError) as exc:
+    except (OSError, UnicodeDecodeError, ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -459,7 +459,7 @@ _output_order = lru_cache(maxsize=64)(grevlex_over_weight)
 def fraction_names(count: int, ring: Ring) -> tuple:
     """Names ybar, or ybarJ .. ybar1, of the count = deg_y(f) - 1 fraction variables."""
     names = (YBAR,) if count == 1 else tuple(f"{YBAR}{j}" for j in range(count, 0, -1))
-    clash = sorted(set(names) & set(ring.names[ring.ndep:]))
+    clash = sorted(set(names) & set(ring.names))
     if clash:
         raise ClosureError("fraction variable names collide with ring variables:"
                            f" {', '.join(clash)}")

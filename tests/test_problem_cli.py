@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import intclose
 from intclose import GF, QQ, ProblemError, Ring, parse_problem
 from intclose.cli import main
 from conftest import conductor_of
@@ -231,6 +232,7 @@ def test_cli_rejects_two_independent_variables(tmp_path, capsys, mode_args):
     (["--mode", "charq", "--prime", "4"], "error: --prime 4 is not prime"),
     # an option of the other mode is an error, not ignored
     (["--primes", "5,11,13", "--prime", "7"], "error: --prime applies to charq mode only"),
+    (["--prime", "7"], "error: --prime applies to charq mode only"),
     (["--mode", "charq", "--prime", "7", "--primes", "5,11,13"],
      "error: --primes applies to char0 mode only"),
     (["--mode", "charq", "--prime", "5", "--start-prime", "101"],
@@ -240,8 +242,8 @@ def test_cli_rejects_two_independent_variables(tmp_path, capsys, mode_args):
     # an explicit schedule has no start: --start-prime would be ignored
     (["--primes", "5,11,13", "--start-prime", "101"],
      "error: --start-prime does not apply with --primes"),
-], ids=["primes", "prime", "prime-in-char0", "primes-in-charq", "start-prime-in-charq",
-        "max-primes-in-charq", "start-prime-with-primes"])
+], ids=["primes", "prime", "prime-in-char0", "prime-in-default-mode", "primes-in-charq",
+        "start-prime-in-charq", "max-primes-in-charq", "start-prime-with-primes"])
 def test_cli_rejects_malformed_primes(tmp_path, capsys, bad_args, message):
     path = _write(tmp_path, QUADRATIC)
     code = main([path, "--log", str(tmp_path / "audit.log")] + bad_args)
@@ -342,17 +344,27 @@ def test_cli_default_schedule_past_the_word_limit_exhausts_its_budget(tmp_path, 
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("mode_args", [["--primes", "5,7"], ["--mode", "charq", "--prime", "7"]],
-                         ids=["char0", "charq"])
-def test_cli_rejects_fraction_name_collision_up_front(tmp_path, capsys, mode_args):
-    # y^2 - ybar^3 has one fraction, named ybar: known before any prime runs
-    text = "indvars: ybar\ndepvar: y\nweights: [[3,2]]\nrelation: y^2 - ybar^3\n"
+# a closure of a relation of y-degree 2 has one fraction, named ybar, and of
+# y-degree 3 two, ybar2 and ybar1: a clash with an independent or the dependent
+# variable is known before any prime runs
+COLLISIONS = [
+    ("indvars: ybar\ndepvar: y\nweights: [[3,2]]\nrelation: y^2 - ybar^3\n", "ybar"),
+    ("indvars: x\ndepvar: ybar\nweights: [[3,2]]\nrelation: ybar^2 - x^3\n", "ybar"),
+    ("indvars: x\ndepvar: ybar1\nweights: [[4,3]]\nrelation: ybar1^3 - x^4\n", "ybar1"),
+]
+
+
+@pytest.mark.parametrize("text,clash,mode_args", [
+    (text, clash, mode_args) for text, clash in COLLISIONS
+    for mode_args in (["--primes", "5,7"], ["--mode", "charq", "--prime", "7"])
+], ids=["char0", "charq", "depvar-char0", "depvar-charq", "depvar-J2-char0", "depvar-J2-charq"])
+def test_cli_rejects_fraction_name_collision_up_front(tmp_path, capsys, text, clash, mode_args):
     code = main([_write(tmp_path, text)] + mode_args)
     cap = capsys.readouterr()
     assert code == 2
     assert cap.out == ""
     assert cap.err == ("error: fraction variable names collide with ring"
-                       " variables: ybar\n")
+                       f" variables: {clash}\n")
 
 
 DENOMINATOR_MESSAGE = ("error: relation has no image in GF(7):"
@@ -385,6 +397,18 @@ def test_cli_missing_file(capsys):
     assert code == 2
 
 
+def test_cli_rejects_an_undecodable_problem_file(tmp_path, capsys):
+    # byte 0xff is not UTF-8: one error line, not a traceback
+    path = tmp_path / "prob.txt"
+    path.write_bytes(QUADRATIC.encode().replace(b"96/49", b"96/49\xff"))
+    code = main([str(path)])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err.splitlines() == [
+        "error: 'utf-8' codec can't decode byte 0xff in position 80: invalid start byte"]
+
+
 def test_cli_no_new_fractions_prints_none(tmp_path, capsys):
     # a degree-1 extension is its own closure: no relations at all
     text = """\
@@ -408,6 +432,22 @@ def test_cli_charq_prime_flag(tmp_path, capsys):
     assert code == 0
     assert "q: 5" in out
     assert "relation: ybar^2 + x" in out
+
+
+@pytest.mark.parametrize("args,plain_args", [
+    ([], ["--mode", "charq", "--prime", "5"]),
+    (["--mode", "char0", "--primes", "5,11,13"], ["--primes", "5,11,13"]),
+], ids=["default-mode", "char0"])
+def test_cli_characteristic_line_prints_what_the_plain_file_prints(tmp_path, capsys,
+                                                                  args, plain_args):
+    # the README problem with characteristic: 5 runs charq at 5 by default and
+    # char0 under --mode char0: over its own GF(5) ring and over QQ, both read
+    # the relation the plain file holds
+    code = main([_write(tmp_path, QUADRATIC + "characteristic: 5\n", "q5.txt")] + args)
+    printed = capsys.readouterr()
+    assert (code, printed.err) == (0, "")
+    assert (main([_write(tmp_path, QUADRATIC)] + plain_args), capsys.readouterr()) == (
+        code, printed)
 
 
 def test_cli_charq_structured(tmp_path, capsys):
@@ -518,9 +558,10 @@ sys.exit(main(sys.argv[1:]))
 def test_runs_without_numpy(tmp_path, args, out, log):
     path = _write(tmp_path, QUADRATIC)
     log_path = tmp_path / "audit.log"
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # the child imports the intclose this process imported, installed or not
+    package_root = str(Path(intclose.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, path,
                            "--log", str(log_path)] + args,
                           capture_output=True, text=True, env=env, check=False)
