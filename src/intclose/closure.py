@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations_with_replacement, compress, count
+from itertools import chain, combinations_with_replacement, count
 
 from .groebner import reduce_terms
 from .linalg import nullspace_mod
@@ -372,10 +372,11 @@ def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: 
     * Lazy members.  The x^alpha*g lead at distinct monomials
       y^k*x^(e+alpha), so a kernel vector's member, the sum of
       coeff*x^alpha*g over its columns (k, alpha), leads at the largest of
-      them over its nonzero columns, with coefficient coeff, as the g are
-      monic.  Each member goes to ``canonical_generators`` as that lead and
-      a function that sums it (``_shifted_sum``), called only when the
-      insertion pops it.
+      them over its support, the nonzero columns ``nullspace_mod`` returns,
+      with coefficient coeff, as the g are monic.  Each member goes to
+      ``canonical_generators`` as that lead and a function that sums it over
+      the same support (``_shifted_sum``), called only when the insertion
+      pops it.
     * Dimension stop.  The insertion starts from D*S's basis
       {k: (deg D, D*y^k)}, none of it on the heap.  The kernel vectors are
       independent, and so are their members modulo D*S, as the columns are a
@@ -392,13 +393,12 @@ def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: 
     # column (k, alpha) by its lead y^k*x^n, n = e + alpha
     cols = [(k, n) for k, (e, _) in module.items() for n in range(e, xdeg)]
     kernel = nullspace_mod(list(rows.values()), len(cols), q)
-    col_leads = [(key(lead), lead) for lead in cols]
 
-    def member(vec: list) -> list:     # sum of c*x^alpha*g over vec's columns
+    def member(vec: dict) -> list:     # sum of c*x^alpha*g over vec's columns
         return _shifted_sum(((c, n - module[k][0], module[k][1])
-                             for (k, n), c in zip(cols, vec) if c), d, q)
+                             for i, c in vec.items() for k, n in (cols[i],)), d, q)
 
-    members = [(max(compress(col_leads, vec))[1], partial(member, vec)) for vec in kernel]
+    members = [(max((cols[i] for i in vec), key=key), partial(member, vec)) for vec in kernel]
     ds = {k: (xdeg, [delta if i == k else {} for i in range(d)]) for k in range(d)}   # D*y^k
     return canonical_generators((), ring, members, ds)
 

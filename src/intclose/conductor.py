@@ -84,9 +84,11 @@ def canonical_conductor(tail: list, ring: Ring, checkpoints: tuple = ()) -> tupl
                 top, up = g[-1], g[:-1] if scale == 1 else [mul_scalar(a, scale) for a in g[:-1]]
                 rows.append(g := _primitive([sub_dot(a, ((top, b),), q) if top and b else a
                                              for a, b in zip([{}] + up, low)], scalars, q))
+    b, counted = 1, 0                  # b = prod(scalars[:counted]), extended as they grow
     for c in range(start, -1, -1):
         if not q:
-            marks.append((c, rows, prod(scalars)))
+            b, counted = b * prod(scalars[counted:]), len(scalars)
+            marks.append((c, rows, b))
         live = [r for r in rows if r[c]]
         rows = [r for r in rows if not r[c]]
         while len(live) > 1:
@@ -100,7 +102,7 @@ def canonical_conductor(tail: list, ring: Ring, checkpoints: tuple = ()) -> tupl
             scalars.append(live[0][c][max(live[0][c])])
     if not live:
         raise ConductorError("degenerate extension: no conductor entries in P")
-    return monic(live[0][0], q), prod(scalars), tuple(marks)
+    return monic(live[0][0], q), b * prod(scalars[counted:]), tuple(marks)
 
 
 def _euclid_rem(r: list, p: list, c: int, q: int) -> list:

@@ -15,7 +15,7 @@ def _bits(m: int) -> list:
     return out
 
 
-def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
+def nullspace_mod(rows, ncols: int, q: int) -> list[dict[int, int]]:
     """Basis of the right nullspace of the matrix over Z_q, as the RREF gives it.
 
     ``rows`` is a list of sparse rows, dicts from column index (``0 <= c <
@@ -23,7 +23,9 @@ def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
     all rows, before any is read.  It may be empty (nullspace = identity).
     The basis has one vector b_f per free column f, ascending: 1 at f, 0 at
     the other free columns and minus the RREF entry at each pivot column.
-    It is unique, so the order of the rows does not matter.
+    Each b_f is returned as its support, a dict {column: residue} in
+    ascending column order holding only the nonzero entries: f and some
+    pivot columns.  It is unique, so the order of the rows does not matter.
 
     The basis of the rows read so far starts as the identity, with b_f[c] in
     slot f of the packed int packed[c], so a row's products t_f = r.b_f are
@@ -38,6 +40,15 @@ def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
     slots for that, so no slot carries into the next.  masks[c] (the slots of
     packed[c] that may be nonzero) and support[f] (the columns where slot f
     may be) limit the reads and updates.
+
+    Dead columns are skipped (the pruning of structured Gaussian elimination,
+    LaMacchia & Odlyzko, CRYPTO 1990).  An entry at a column c with
+    masks[c] & free = 0 adds nothing to a free slot of the row's sum, and
+    only free slots are read, so it is not multiplied in; a row whose entries
+    are all skipped is zero on the kernel of the rows read so far, so it lies
+    in their span and is passed over.  So the basis is the same RREF one for
+    any row order.  The test is on masks[c], not on c being free, as a pivot
+    column whose packed int is nonzero in a free slot still moves that slot.
     """
     if (used := set().union(*rows)) and (min(used) < 0 or max(used) >= ncols):
         raise ValueError(f"column index out of range for {ncols} columns")
@@ -48,9 +59,12 @@ def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
     for row in rows:
         t = m = 0
         for c, v in row.items():
-            t += v % q * packed[c]
-            m |= masks[c]
-        m, inv, new, new_mask = m & free, 0, 0, 0
+            if live := masks[c] & free:
+                t += v % q * packed[c]
+                m |= live
+        if not m:
+            continue
+        inv = new = new_mask = 0
         while m:                       # the first free hit is the pivot
             f = (m & -m).bit_length() - 1
             m &= m - 1
@@ -68,8 +82,5 @@ def nullspace_mod(rows, ncols: int, q: int) -> list[list[int]]:
                 packed[c] += (q - s) * new
                 masks[c] |= new_mask
         free ^= 1 << p
-    basis = {f: [0] * ncols for f in _bits(free)}
-    for f, v in basis.items():         # support[f]: f and pivot columns only
-        for c in _bits(support[f]):
-            v[c] = (packed[c] >> bits * f & slot) % q
-    return list(basis.values())
+    return [{c: r for c in _bits(support[f]) if (r := (packed[c] >> bits * f & slot) % q)}
+            for f in _bits(free)]

@@ -18,6 +18,7 @@ are variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 Monomial = tuple  # exponent vector
@@ -84,7 +85,7 @@ class MonomialOrder:
         if k is None:
             if len(mono) != self.nvars:
                 raise OrderError(f"monomial has {len(mono)} exponents, order wants {self.nvars}")
-            k = tuple(sum(r * e for r, e in zip(row, mono)) for row in self.rows)
+            k = tuple([sum(map(mul, row, mono)) for row in self.rows])
             cache[mono] = k
         return k
 

@@ -400,11 +400,11 @@ def qth_power_step_full(module: dict, ring, images: tuple, delta: dict, scale: d
     new_gens = [[delta if i == k else {} for i in range(d)] for k in range(d)]   # D*y^k
     for vec in nullspace_mod(list(rows.values()), len(cols), q):
         acc = [{} for _ in range(d)]
-        for (k, alpha), coeff in zip(cols, vec):
-            if coeff:
-                for r, a in zip(acc, module[k][1]):
-                    for e, c in a.items():
-                        r[e + alpha] = r.get(e + alpha, 0) + coeff * c
+        for i, coeff in vec.items():
+            k, alpha = cols[i]
+            for r, a in zip(acc, module[k][1]):
+                for e, c in a.items():
+                    r[e + alpha] = r.get(e + alpha, 0) + coeff * c
         new_gens.append([{e: r for e, c in row.items() if (r := c % q)} for row in acc])
     return canonical_generators(new_gens, ring)
 

@@ -223,6 +223,18 @@ def test_sextic_primes_that_divide_B_resume_at_their_columns():
     assert resumed == {7: 2, 11: 1, 13: 1, 19: 1, 29: 0}
 
 
+def test_sextic_checkpoints_extend_b_to_B():
+    # each checkpoint's b is the last one's times the factors since, and B the
+    # last b's times the rest: each divides the next, and the sizes are pinned
+    ring, f = make_curve("sextic")
+    _, B, checkpoints = canonical_conductor(tail_of(f), ring)
+    bs = [b for _, _, b in checkpoints]
+    assert B.bit_length() == 38951
+    assert [b.bit_length() for b in bs] == [181, 237, 349, 766, 2068, 9204]
+    for b, after in zip(bs, bs[1:] + [B]):
+        assert after % b == 0
+
+
 def _conductor_or_error(route, f, ring):
     try:
         return route(f, ring)

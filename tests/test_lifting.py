@@ -1204,11 +1204,27 @@ def test_octic_full_rational_run():
     assert len(res.presentation.relations) == 28
 
 
+def dense(basis: list, ncols: int) -> list:
+    """Sparse vectors {column: value}, rows or ``nullspace_mod``'s basis, as lists."""
+    return [[v.get(c, 0) for c in range(ncols)] for v in basis]
+
+
+def assert_support_form(basis: list, q: int):
+    """Each vector ascending, only nonzero int residues, 1 at its free column:
+    the largest in its support, as the RREF's pivots lie below it."""
+    frees = [max(v) for v in basis]
+    assert frees == sorted(set(frees))
+    for v, f in zip(basis, frees):
+        assert list(v) == sorted(v) and v[f] == 1
+        assert all(type(c) is type(x) is int and 0 < x < q for c, x in v.items())
+        assert not set(frees) & set(v) - {f}
+
+
 def test_nullspace_with_large_modulus():
     from intclose.linalg import nullspace_mod
     q = (1 << 61) - 1  # a Mersenne prime: products of entries exceed 2^64
     rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}]
-    basis = nullspace_mod(rows, 3, q)
+    basis = dense(nullspace_mod(rows, 3, q), 3)
     assert len(basis) == 2
     for v in basis:
         for row in rows:
@@ -1221,9 +1237,9 @@ def test_nullspace_with_large_modulus():
     # dense, rank 47 of 48, all entries at the top residues: every pivot
     # updates the earlier pivot columns, so the packed slots sum the most
     rng = random.Random(48)
-    dense = [[q - rng.randint(1, 2) for _ in range(48)] for _ in range(47)]
-    basis = nullspace_mod([dict(enumerate(r)) for r in dense], 48, q)
-    assert len(basis) == 1 and basis == nullspace_rref(dense, 48, q)
+    rows48 = [[q - rng.randint(1, 2) for _ in range(48)] for _ in range(47)]
+    basis = dense(nullspace_mod([dict(enumerate(r)) for r in rows48], 48, q), 48)
+    assert len(basis) == 1 and basis == nullspace_rref(rows48, 48, q)
 
 
 def test_nullspace_slot_takes_its_worst_case_updates():
@@ -1240,9 +1256,8 @@ def test_nullspace_slot_takes_its_worst_case_updates():
     rows = [{0: 1} | {c: m for c in range(1, ncols)}]
     rows += [{j: 1, f: m} for j in range(1, f)]
     rows.append({c: m for c in range(f)} | {f: -m * (2 * f - 1) % q})
-    dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
-    basis = nullspace_mod(rows, ncols, q)
-    assert basis == nullspace_rref(dense, ncols, q) == [[f] + [1] * f]
+    basis = dense(nullspace_mod(rows, ncols, q), ncols)
+    assert basis == nullspace_rref(dense(rows, ncols), ncols, q) == [[f] + [1] * f]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1270,14 +1285,68 @@ def test_nullspace_matches_rref_oracle(data):
             lambda r: {c: x for c, x in enumerate(r) if x})
             | st.just({}))
     rows = data.draw(st.lists(row, min_size=min_rows, max_size=max_rows), label="rows")
-    dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+    matrix = dense(rows, ncols)
     basis = nullspace_mod(rows, ncols, q)
-    assert [[r.get(c, 0) for c in range(ncols)] for r in rows] == dense  # input kept
-    assert basis == nullspace_rref(dense, ncols, q)
-    assert all(type(x) is int for v in basis for x in v)
+    assert dense(rows, ncols) == matrix  # input kept
+    assert dense(basis, ncols) == nullspace_rref(matrix, ncols, q)
+    assert all(type(x) is int for v in dense(basis, ncols) for x in v)
+    assert_support_form(basis, q)
     # the RREF is unique, so the order the rows come in cannot matter
     shuffled = data.draw(st.permutations(rows), label="permuted rows")
     assert nullspace_mod(shuffled, ncols, q) == basis
+
+
+def test_nullspace_passes_over_a_row_on_dead_columns():
+    # after {0: 1, 1: 1} and {1: 1}, columns 0 and 1 are pivots whose basis
+    # rows are zero at the one free column 2; a later row on them alone is in
+    # the row space and leaves the basis as it is
+    from intclose.linalg import nullspace_mod
+    q = 7
+    rows = [{0: 1, 1: 1}, {1: 1}]
+    assert nullspace_mod(rows, 3, q) == [{2: 1}]
+    for last in ({0: 2, 1: 5}, {0: 3}, {1: -1}):
+        basis = nullspace_mod(rows + [last], 3, q)
+        assert basis == [{2: 1}]
+        assert dense(basis, 3) == nullspace_rref(dense(rows + [last], 3), 3, q)
+
+
+def test_nullspace_pivots_on_a_row_through_a_live_pivot_column():
+    # {0: 1, 1: 1} makes column 0 a pivot with b_1 = e1 - e0, so column 0's
+    # basis row is nonzero at the free column 1: the row {0: 1}, on no free
+    # column, still pivots and leaves no kernel.  A skip keyed on the row's
+    # own columns being free would keep b_1
+    from intclose.linalg import nullspace_mod
+    for q in (2, 7, (1 << 61) - 1):
+        assert nullspace_mod([{0: 1, 1: 1}], 2, q) == [{0: q - 1, 1: 1}]
+        assert nullspace_mod([{0: 1, 1: 1}, {0: 1}], 2, q) == []
+        assert nullspace_rref([[1, 1], [1, 0]], 2, q) == []
+        rows = [{0: 1, 1: 1, 2: 2}, {0: 3}]
+        basis = nullspace_mod(rows, 3, q)
+        assert dense(basis, 3) == nullspace_rref(dense(rows, 3), 3, q) == [[0, q - 2, 1]]
+
+
+@pytest.mark.parametrize("name", ["octic", "sextic"])
+def test_nullspace_of_a_first_step_matrix(name):
+    # the first step's matrix of the walk from S at q = 7, in the order the
+    # step builds its rows and reversed: many rows come to lie on dead
+    # columns only, which the kernel passes over (in the given order, 385 of
+    # the octic's 595 rows and 106 of the sextic's 276)
+    from intclose.closure import _step_columns, frobenius_images, frobenius_scale
+    from intclose.linalg import nullspace_mod
+    q = 7
+    ring, f = make_curve(name, q=q)
+    tail, delta = tail_of(f), conductor_of(f)[0]
+    dx, d = xdict(delta), len(tail)
+    module = {k: (0, [{0: 1} if i == k else {} for i in range(d)]) for k in range(d - 1, -1, -1)}
+    rows = list(_step_columns(module, q, frobenius_images(tail, dx, q), dx,
+                              frobenius_scale(dx, q)).values())
+    ncols = d * max(dx)
+    want = nullspace_rref(dense(rows, ncols), ncols, q)
+    assert want
+    for order in (rows, rows[::-1]):
+        basis = nullspace_mod(order, ncols, q)
+        assert dense(basis, ncols) == want
+        assert_support_form(basis, q)
 
 
 def test_psi_combination_handles_vanishing_coefficients():
