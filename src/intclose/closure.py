@@ -333,7 +333,8 @@ def _step_columns(module: dict, q: int, images: tuple, delta: dict, scale: dict)
     return {(k, e): row for k, rows in enumerate(by_k) for e, row in rows.items() if row}
 
 
-def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: dict) -> dict:
+def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: dict,
+                   floor: int = 0) -> dict:
     """One contraction: members whose Frobenius image stays in D^(q-1)*module.
 
     ``module`` is a module N between D*S and S as {k: (e, g)}, its canonical
@@ -383,6 +384,9 @@ def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: 
       basis of N/DS: there are dim N'/DS of them, N' the next module, and the
       insertion stops once its basis reaches that dimension, so members
       popped after that are never summed.
+    * Known dimension.  N' contains D*C, C the closure, if N does: for u in
+      C, (D*u)^q = D^(q-1)*(D*u^q).  So a kernel stopped at ``floor`` free
+      columns (``nullspace_mod``) is exact when ``floor`` = dim D*C/DS.
     """
     q, xdeg, d, key = ring.domain.char, max(delta), len(images), ring.order.key
     if module.keys() != set(range(d)) or any(e > xdeg for e, _ in module.values()):
@@ -392,7 +396,7 @@ def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: 
         return module
     # column (k, alpha) by its lead y^k*x^n, n = e + alpha
     cols = [(k, n) for k, (e, _) in module.items() for n in range(e, xdeg)]
-    kernel = nullspace_mod(list(rows.values()), len(cols), q)
+    kernel = nullspace_mod(list(rows.values()), len(cols), q, floor)
 
     def member(vec: dict) -> list:     # sum of c*x^alpha*g over vec's columns
         return _shifted_sum(((c, n - module[k][0], module[k][1])
@@ -403,7 +407,7 @@ def qth_power_step(module: dict, ring: Ring, images: tuple, delta: dict, scale: 
     return canonical_generators((), ring, members, ds)
 
 
-def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:
+def qth_closure(ring: Ring, tail: list, delta: dict, dim: int = 0) -> ClosurePresentation:
     """The contraction's walk from all of (1/D)S to its first ring, as that
     ring's presentation over ring = F_q[y; x], with f's tail and D, monic.
 
@@ -414,29 +418,47 @@ def qth_closure(ring: Ring, tail: list, delta: dict) -> ClosurePresentation:
     the walk returns within max(1, d*deg D) steps, or a fixpoint that is no ring
     fails a step later.  The images modulo D^q are built once, after a walk
     too large for ``MAX_COLUMNS`` or ``MAX_SLOTS`` is refused.
+
+    ``dim``, if not 0, is dim D*C/DS at a good prime, each step's ``floor``.
+    Each iterate contains C, and a ring R with C <= R <= (1/D)S is integral
+    over S, so R = C: an iterate larger than ``dim`` is tried only as a
+    fixpoint.  A ``dim`` too small stops no kernel and costs one step.  One
+    too large keeps each iterate above C, so that walk raises and is taken
+    again with no ``dim``.
     """
     if not ring.domain.char or ring.ndep != 1 or ring.nindep != 1:
         raise ClosureError("closure iteration supports rings F_q[y; x] only")
-    q, d = ring.domain.char, len(tail)
-    for what, size, limit in (("step columns d*deg D", d * max(delta), MAX_COLUMNS),
-                              ("image slots q*deg D", q * max(delta), MAX_SLOTS)):
+    q, d, xdeg = ring.domain.char, len(tail), max(delta)
+    for what, size, limit in (("step columns d*deg D", d * xdeg, MAX_COLUMNS),
+                              ("image slots q*deg D", q * xdeg, MAX_SLOTS)):
         if size > limit:
             raise ClosureError(f"{size} {what} exceed the limit {limit}")
     images, scale = frobenius_images(tail, delta, q), frobenius_scale(delta, q)
-    nums = {k: (0, [{0: 1} if i == k else {} for i in range(d)]) for k in range(d - 1, -1, -1)}
-    bound = d * max(delta) + 1
-    for _ in range(bound):
-        nxt = qth_power_step(nums, ring, images, delta, scale)
-        if next(reversed(nxt.values()))[1] == [delta] + [{}] * (d - 1):   # the last is D
-            try:
-                return induce_presentation(minimize_denominator(nxt, q), tail, ring)
-            except NotARingError:
-                if nxt == nums:
-                    raise
-        elif nxt == nums:
-            raise ClosureError("fixpoint does not contain the conductor fraction")
-        nums = nxt
-    raise ClosureError(f"no fixpoint within {bound} iterations")
+    bound = d * xdeg + 1
+
+    def walk(floor: int) -> ClosurePresentation:
+        nums = {k: (0, [{0: 1} if i == k else {} for i in range(d)]) for k in range(d - 1, -1, -1)}
+        for _ in range(bound):
+            nxt = qth_power_step(nums, ring, images, delta, scale, floor)
+            # the last is D, and the module no larger than a dim, or a fixpoint
+            if next(reversed(nxt.values()))[1] == [delta] + [{}] * (d - 1) and (
+                    not floor or sum(xdeg - e for e, _ in nxt.values()) <= floor or nxt == nums):
+                try:
+                    return induce_presentation(minimize_denominator(nxt, q), tail, ring)
+                except NotARingError:
+                    if nxt == nums:
+                        raise
+            elif nxt == nums:
+                raise ClosureError("fixpoint does not contain the conductor fraction")
+            nums = nxt
+        raise ClosureError(f"no fixpoint within {bound} iterations")
+
+    try:
+        return walk(dim)
+    except ClosureError:
+        if not dim:
+            raise
+    return walk(0)
 
 
 def minimize_denominator(module: dict, q: int) -> dict:

@@ -133,7 +133,10 @@ def run_algorithm1(f: Polynomial, config: RunConfig | None = None) -> Algorithm1
     Each usable prime adds one stage, a ``Certificate`` whose ``state`` is
     the run folded into the previous stage's CRT record and lifted.  A run
     whose signature differs from the first usable run's, which every stage's
-    lift keeps, is skipped (the fold's ``SignatureError``)."""
+    lift keeps, is skipped (the fold's ``SignatureError``).
+
+    Once a stage exists, a walk's ``dim`` (``qth_closure``) is sum(delta - e)
+    over its signature's numerator leads y^k*x^e, delta g_0's x-degree."""
     config, ring = config or RunConfig(), f.ring
     if ring.domain.char:
         raise DriverError(f"a char-0 run needs a relation over Q, not {ring.domain}")
@@ -143,7 +146,8 @@ def run_algorithm1(f: Polynomial, config: RunConfig | None = None) -> Algorithm1
     for q in _prime_schedule(config):
         if len(result.stages) >= config.max_primes:
             break
-        run = run_prime(q, ring, tail, delta0, B, checkpoints)
+        dim = sum(state.leads[-2][1] - e for _, e in state.leads[:-1]) if state else 0
+        run = run_prime(q, ring, tail, delta0, B, checkpoints, dim)
         if run.usable:
             try:
                 state = reconcile_and_lift(run, state)

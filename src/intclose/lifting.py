@@ -140,19 +140,20 @@ def is_prime_usable(q: int, ring: Ring, tail: list, delta0: dict, B: int, checkp
     return "usable", (ring_q, tail_q, delta)
 
 
-def closure_run(ring: Ring, tail: list, delta: dict) -> PrimeRun:
-    """The closure of f's tail over its conductor delta in ring = F_q[y; x], as a usable run."""
-    return PrimeRun(ring.domain.char, delta=delta, presentation=qth_closure(ring, tail, delta))
+def closure_run(ring: Ring, tail: list, delta: dict, dim: int = 0) -> PrimeRun:
+    """The closure of f's tail over its conductor delta in ring = F_q[y; x], as a usable
+    run; ``dim`` is ``qth_closure``'s."""
+    return PrimeRun(ring.domain.char, delta=delta, presentation=qth_closure(ring, tail, delta, dim))
 
 
 def run_prime(q: int, ring: Ring, tail: list, delta0: dict, B: int,
-              checkpoints: tuple) -> PrimeRun:
-    """Usability filter plus the full characteristic-q pipeline."""
+              checkpoints: tuple, dim: int = 0) -> PrimeRun:
+    """Usability filter plus the full characteristic-q pipeline, ``dim`` as in ``closure_run``."""
     status, info = is_prime_usable(q, ring, tail, delta0, B, checkpoints)
     if status == "skipped":
         return PrimeRun(q, reason=info)
     try:
-        return closure_run(*info)
+        return closure_run(*info, dim)
     except ClosureError as exc:
         return PrimeRun(q, reason=f"closure failed: {exc}")
 

@@ -15,7 +15,7 @@ def _bits(m: int) -> list:
     return out
 
 
-def nullspace_mod(rows, ncols: int, q: int) -> list[dict[int, int]]:
+def nullspace_mod(rows, ncols: int, q: int, floor: int = 0) -> list[dict[int, int]]:
     """Basis of the right nullspace of the matrix over Z_q, as the RREF gives it.
 
     ``rows`` is a list of sparse rows, dicts from column index (``0 <= c <
@@ -49,14 +49,19 @@ def nullspace_mod(rows, ncols: int, q: int) -> list[dict[int, int]]:
     in their span and is passed over.  So the basis is the same RREF one for
     any row order.  The test is on masks[c], not on c being free, as a pivot
     column whose packed int is nonzero in a free slot still moves that slot.
+
+    Rows stop being read once at most ``floor`` columns are free.  The kernel
+    of a row prefix contains the whole kernel, so at a ``floor`` equal to the
+    kernel's dimension the two are equal at the stop, basis and all; a smaller
+    ``floor`` never stops the reads, a larger one returns a prefix's kernel.
     """
     if (used := set().union(*rows)) and (min(used) < 0 or max(used) >= ncols):
         raise ValueError(f"column index out of range for {ncols} columns")
     w = slot_bytes(q, ncols * (1 + ncols * (q - 1)))
     bits, slot = 8 * w, (1 << 8 * w) - 1
     packed, masks = [1 << bits * c for c in range(ncols)], [1 << c for c in range(ncols)]
-    support, free = masks[:], (1 << ncols) - 1
-    for row in rows:
+    support, free, todo = masks[:], (1 << ncols) - 1, ncols - floor   # pivots to the stop
+    for row in rows if todo > 0 else ():
         t = m = 0
         for c, v in row.items():
             if live := masks[c] & free:
@@ -82,5 +87,7 @@ def nullspace_mod(rows, ncols: int, q: int) -> list[dict[int, int]]:
                 packed[c] += (q - s) * new
                 masks[c] |= new_mask
         free ^= 1 << p
+        if not (todo := todo - 1):
+            break
     return [{c: r for c in _bits(support[f]) if (r := (packed[c] >> bits * f & slot) % q)}
             for f in _bits(free)]

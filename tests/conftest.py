@@ -1,9 +1,11 @@
 """Shared fixture curves: plane curves y^d = (stuff in x) with weight orders."""
 
+import functools
+
 import pytest
 
 from intclose import (GF, QQ, Ring, canonical_conductor, frobenius_images, frobenius_scale,
-                      qth_power_step, weight_over_grevlex)
+                      parse_problem, qth_power_step, weight_over_grevlex)
 from intclose.closure import by_y, from_y
 
 # name -> (relation text, (wt_y, wt_x))
@@ -32,6 +34,23 @@ def make_curve(name, q=None):
     text, weights = CURVES[name]
     ring = curve_ring(weights, QQ if q is None else GF(q))
     return ring, ring.parse(text)
+
+
+@functools.cache
+def tall_30() -> dict:
+    """The first 30 ``tall-char0`` problems of seed 7, by label."""
+    # imported here: a loader of this file by path may not have tests/ on sys.path
+    from corpus import workloads
+    return {solve.label: solve.text for solve in workloads().tall_solves(7)[:30]}
+
+
+def curve_or_tall(name):
+    """(ring, f) of a fixture curve, or of a ``tall_30`` problem."""
+    if name in CURVES:
+        return make_curve(name)
+    problem = parse_problem(tall_30()[name])
+    ring = problem.ring(QQ)
+    return ring, problem.relation(ring)
 
 
 def tail_of(f):

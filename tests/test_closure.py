@@ -21,9 +21,9 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
 from intclose.closure import (_lead, _rem_by_targets, _step_columns, by_y, fraction_weights,
                               from_y)
 from intclose.xpoly import pack, quo_rem, slot_bytes, unpack
-from conftest import (CURVES, SEXTIC_NUMERATORS, conductor_of, curve_ring, images_of,
-                      make_curve, poly_step, run_inputs, scale_of, sextic_relations, tail_of,
-                      xdict)
+from conftest import (CURVES, SEXTIC_NUMERATORS, conductor_of, curve_or_tall,
+                      curve_ring, images_of, make_curve, poly_step, run_inputs, scale_of,
+                      sextic_relations, tail_of, tall_30, xdict)
 from oracles import (canonical_generators_poly, canonical_generators_restart, codim_in_s,
                      combination, dep_block, frobenius_images_poly, frobenius_nf_poly,
                      from_module, induce_presentation_poly, kernel_step_oracle, mu_poly,
@@ -833,6 +833,104 @@ def test_first_ring_is_the_confirmed_fixpoint(name):
 def test_first_ring_is_the_confirmed_fixpoint_on_random_curves(curve):
     ring, f, delta, _ = curve
     assert_first_ring_is_the_fixpoint(ring, f, delta)
+
+
+TALL_30 = tall_30()
+
+
+def walk_trace(monkeypatch) -> dict:
+    """Wrap qth_closure's step, kernel and presentation; the dict they fill
+    counts the walks (steps on S itself), the rows the kernels are passed and
+    read (a row is read when its items() are), the kernels given a floor that
+    left rows unread and the presentations tried, and keeps each kernel's
+    dimension."""
+    import intclose.closure
+    seen = dict(walks=0, passed=0, read=0, stopped=0, tried=0, dims=[])
+    step, kernel = intclose.closure.qth_power_step, intclose.closure.nullspace_mod
+    present = intclose.closure.induce_presentation
+
+    class Row(dict):
+        def items(self):
+            seen["read"] += 1
+            return super().items()
+
+    def counted_step(module, *args):
+        seen["walks"] += all(e == 0 for e, _ in module.values())
+        return step(module, *args)
+
+    def counted_kernel(rows, ncols, q, floor=0):
+        read = seen["read"]
+        out = kernel([Row(r) for r in rows], ncols, q, floor)
+        seen["passed"] += len(rows)
+        seen["stopped"] += floor > 0 and seen["read"] - read < len(rows)
+        seen["dims"].append(len(out))
+        return out
+
+    def counted_present(*args):
+        seen["tried"] += 1
+        return present(*args)
+
+    monkeypatch.setattr(intclose.closure, "qth_power_step", counted_step)
+    monkeypatch.setattr(intclose.closure, "nullspace_mod", counted_kernel)
+    monkeypatch.setattr(intclose.closure, "induce_presentation", counted_present)
+    return seen
+
+
+def traced_closure(seen, info, dim) -> tuple:
+    """``qth_closure`` on a usable prime's (ring, tail, delta) with ``dim``:
+    (its record, walks, kernel dims, kernels stopped, presentations tried)."""
+    seen.update(walks=0, stopped=0, tried=0, dims=[])
+    pres = qth_closure(*info, dim)
+    return pres, seen["walks"], seen["dims"], seen["stopped"], seen["tried"]
+
+
+@pytest.mark.parametrize("name", sorted(CURVES) + sorted(TALL_30))
+def test_closure_dimension_hint_changes_no_record(name, monkeypatch):
+    # at every usable prime below 60, a walk given the closure's dimension, one
+    # less, one more, or all of d*deg D returns the record of the walk given
+    # none.  At the true dimension the kernels are exact and one walk does;
+    # below it no kernel stops; above it the walk is taken again exactly when
+    # a kernel stopped, as no iterate can then reach the closure.  At and
+    # below it, only the closure is tried as a ring
+    _, f = curve_or_tall(name)
+    inputs, seen, walked = run_inputs(f), walk_trace(monkeypatch), 0
+    for q in filter(is_prime, range(2, 60)):
+        status, info = is_prime_usable(q, *inputs)
+        if status == "skipped":
+            continue
+        want, walks, dims, _, _ = traced_closure(seen, info, 0)
+        assert walks == 1
+        # the closure's dim D*C/DS, read off the last kernel, is its leads' count
+        true, leads = dims[-1] if dims else 0, want.leads[:-1]
+        assert true == sum(leads[-1][1] - e for _, e in leads)
+        d, xdeg = len(info[1]), max(info[2])
+        for dim in sorted({true, max(true - 1, 0), true + 1, d * xdeg}):
+            got, walks, _, stopped, tried = traced_closure(seen, info, dim)
+            assert got == want
+            assert walks == 1 + (dim > true and stopped > 0)
+            assert dim >= true or not stopped
+            assert tried == 1 or dim > true or not dim
+        walked += 1
+    assert walked >= 8
+
+
+def test_sextic_walks_get_the_first_stage_dimension(monkeypatch):
+    # run_algorithm1 passes no dimension to the first usable prime's walk
+    # (q = 7) and, after it, the first stage's, 13, to every later one.  Its
+    # kernels then read 1645 of the 5106 rows they are passed: a kernel that
+    # reads every row again fails here, not only in the benchmark
+    import intclose.driver
+    passed, real, seen = {}, intclose.driver.run_prime, walk_trace(monkeypatch)
+
+    def recorded(q, *args):
+        passed[q] = args[-1]
+        return real(q, *args)
+
+    monkeypatch.setattr(intclose.driver, "run_prime", recorded)
+    res = run_algorithm1(make_curve("sextic")[1])
+    assert res.accepted and res.primes_used == (7, 11, 13, 19, 23, 29)
+    assert passed == {5: 0, 7: 0, 11: 13, 13: 13, 17: 13, 19: 13, 23: 13, 29: 13}
+    assert (seen["read"], seen["passed"]) == (1645, 5106)
 
 
 @settings(max_examples=100, deadline=None)

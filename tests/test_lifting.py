@@ -21,9 +21,9 @@ from intclose import (GF, QQ, ClosureError, ClosurePresentation, ConductorError,
 from intclose.closure import YBAR, by_y, fraction_weights, split_record
 from intclose.lifting import (_specializes, closure_run, matrices_commute, point_residuals,
                               rejects_at_point, specializations)
-from conftest import (CURVES, SEXTIC_INDUCED_WEIGHTS, conductor_of, curve_ring, make_curve,
-                      run_inputs, tail_of, xdict)
-from corpus import README_PROBLEM, workloads
+from conftest import (CURVES, SEXTIC_INDUCED_WEIGHTS, conductor_of, curve_or_tall,
+                      curve_ring, make_curve, run_inputs, tail_of, tall_30, xdict)
+from corpus import README_PROBLEM
 from oracles import (crt, crt_sum_reference, is_prime_usable_reference, mod_n, mu_poly,
                      nullspace_rref, numerators_interreduced, psi_combination,
                      rat_recon_reference, reconcile_and_lift_reference,
@@ -362,17 +362,8 @@ def test_usability_quadratic_curve():
     assert is_prime_usable(101, *inputs)[0] == "usable"
 
 
-TALL_30 = {solve.label: solve.text for solve in workloads().tall_solves(7)[:30]}
+TALL_30 = tall_30()
 TALL_7 = {name: TALL_30[name] for name in sorted(TALL_30)[:20]}
-
-
-def _curve_or_tall(name):
-    """(ring, f) of a fixture curve, or of a ``TALL_30`` problem."""
-    if name in CURVES:
-        return make_curve(name)
-    problem = parse_problem(TALL_30[name])
-    ring = problem.ring(QQ)
-    return ring, problem.relation(ring)
 
 
 @pytest.mark.parametrize("name", sorted(CURVES) + sorted(TALL_30))
@@ -381,7 +372,7 @@ def test_usability_matches_the_reference(name):
     # from the rationals, change no status, reason, f_q or delta_q: against
     # the reference, which runs the GF(q) conductor at every prime and reduces
     # through mu_poly (``Ring.poly``), at every q, those dividing B included
-    ring, f = _curve_or_tall(name)
+    ring, f = curve_or_tall(name)
     inputs, delta0 = run_inputs(f), conductor_of(f)[0]
     for q in range(2, 200):
         status, info = is_prime_usable(q, *inputs)
@@ -400,7 +391,7 @@ def test_every_usable_prime_is_a_good_prime(name):
     # the sweep: at every prime the filter passes (below 60 for the fixture
     # curves, 200 for the tall problems), the closure has the accepted lift's
     # signature and is that lift reduced mod q, so no bad prime gets through
-    _, f = _curve_or_tall(name)
+    _, f = curve_or_tall(name)
     res = run_algorithm1(f)
     assert res.accepted
     state, inputs = res.certificate.state, run_inputs(f)
@@ -697,7 +688,7 @@ def test_lazy_certificate_matches_the_eager_reference(name):
     # read first after the decision; the residual is, where the relations are
     # a Groebner basis, as only there is a remainder unique (the sextic's
     # first five stages are not, and reduce psi(f) to another remainder)
-    _, f = _curve_or_tall(name)
+    _, f = curve_or_tall(name)
     res = run_algorithm1(f)
     assert res.accepted
     for stage in res.stages:
@@ -717,7 +708,7 @@ def test_gb_check_runs_only_where_the_decision_or_the_log_needs_it(tmp_path, mon
     import intclose.lifting
     from intclose import cli
     name = "tall-001"
-    _, f = _curve_or_tall(name)
+    _, f = curve_or_tall(name)
     assert f.degree_in(0) == 3
     refs = [verify_candidate_reference(c.state, f) for c in run_algorithm1(f).stages]
     decided = sum(r.containment_ok and r.numerators_ok for r in refs)
@@ -745,7 +736,7 @@ def _accepted_stages() -> tuple:
     of the first ten ``TALL_7`` problems.  No point test picks them."""
     out = []
     for name in ["quadratic"] + sorted(TALL_7)[:10]:
-        _, f = _curve_or_tall(name)
+        _, f = curve_or_tall(name)
         inputs, state = run_inputs(f), None
         for q in (5, 11, 13) if name in CURVES else PRIMES_BELOW_200:
             run = run_prime(q, *inputs)
@@ -820,7 +811,7 @@ def _stages(name) -> tuple:
         pf = parse_problem(README_PROBLEM)
         f, config = pf.relation(pf.ring()), RunConfig(primes=(5, 11, 13))
     else:
-        f, config = _curve_or_tall(name)[1], None
+        f, config = curve_or_tall(name)[1], None
     return _run_stages(f, config)
 
 
@@ -1347,6 +1338,56 @@ def test_nullspace_of_a_first_step_matrix(name):
         basis = nullspace_mod(order, ncols, q)
         assert dense(basis, ncols) == want
         assert_support_form(basis, q)
+
+
+def in_span(v: dict, basis: list, q: int) -> bool:
+    """Whether a sparse v lies in the span of ``nullspace_mod``'s basis: as
+    each b_f is 1 at its free column f and 0 at the others, v = sum v[f]*b_f."""
+    acc = {}
+    for b in basis:
+        for c, x in b.items():
+            acc[c] = (acc.get(c, 0) + v.get(max(b), 0) * x) % q
+    return {c: x for c, x in acc.items() if x} == {c: x % q for c, x in v.items() if x % q}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nullspace_stops_at_its_floor(data):
+    # rows stop being read once at most floor columns are free: at or below
+    # the kernel's dimension that is the whole kernel; at floor >= ncols no
+    # row is read; in between it is the kernel of a row prefix, of dimension
+    # floor, and that contains the whole kernel
+    from intclose.linalg import nullspace_mod
+    q = data.draw(st.sampled_from([2, 3, 7, (1 << 31) - 1]), label="q")
+    ncols = data.draw(st.integers(1, 12), label="ncols")
+    entry = st.integers(-q, 2 * q - 1) | st.sampled_from([0, 1, q - 1])
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=3)
+    rows = data.draw(st.lists(row, max_size=2 * ncols + 2), label="rows")
+    full = nullspace_mod(rows, ncols, q)
+    true = len(full)
+    assert dense(full, ncols) == nullspace_rref(dense(rows, ncols), ncols, q)
+    for floor in (true, data.draw(st.integers(0, true), label="floor below")):
+        assert nullspace_mod(rows, ncols, q, floor) == full
+    identity = [{f: 1} for f in range(ncols)]
+    assert nullspace_mod(rows, ncols, q, data.draw(st.integers(ncols, 2 * ncols))) == identity
+    floor = data.draw(st.integers(true, ncols), label="floor above")
+    basis = nullspace_mod(rows, ncols, q, floor)
+    assert len(basis) == floor
+    assert_support_form(basis, q)
+    prefixes = [nullspace_rref(dense(rows[:i], ncols), ncols, q) for i in range(len(rows) + 1)]
+    assert dense(basis, ncols) in prefixes
+    assert all(in_span(v, basis, q) for v in full)
+
+
+def test_nullspace_checks_every_row_before_its_stop():
+    # the first row leaves 2 of 3 columns free and floor 3 reads no row, yet a
+    # bad column in the last row raises as at floor 0
+    from intclose.linalg import nullspace_mod
+    assert nullspace_mod([{0: 1}, {1: 1}, {2: 1}], 3, 7, 2) == [{1: 1}, {2: 1}]
+    for floor in (0, 2, 3, 5):
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match="^column index out of range for 3 columns$"):
+                nullspace_mod([{0: 1}, {1: 1}, {bad: 1}], 3, 7, floor)
 
 
 def test_psi_combination_handles_vanishing_coefficients():
